@@ -4,7 +4,10 @@ Maps are multivariate polynomials R^N -> R^N restricted to the closed ball of
 ``domain_radius`` (default 1).  A `PerturbedMap` is a base polynomial plus a
 stack of perturbation terms; terms only need a small duck-typed protocol
 (value / jac / derivative / *_bound), so graded perturbation vectors and
-root-product corrections both plug in.
+root-product corrections both plug in.  In dimension 1 the base and the
+graded perturbation vectors are folded into one polynomial, evaluated by a
+single Horner pass; root-product corrections are not folded, since their
+product form is what makes them exactly zero at their roots.
 
 All certified quantities here are honest one-sided bounds: coefficient sums
 bound derivatives from above, grid evaluations plus a Lipschitz term bound
@@ -28,6 +31,12 @@ from .errors import (
 )
 from .perturbation import (
     BrickSpec,
+    PerturbationVector,
+    _horner,
+    _horner_form,
+    _horner_many,
+    _MonomialTable,
+    _univariate,
     brick_d1_bound,
     brick_d2_bound,
     brick_sup_bound,
@@ -50,10 +59,6 @@ __all__ = [
     "certified_range_1d",
     "invariant_radius",
 ]
-
-_polyval = np.polynomial.polynomial.polyval
-_polyder = np.polynomial.polynomial.polyder
-
 
 def _as_point(x, dim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -84,15 +89,11 @@ class PolynomialMap:
         if domain_radius <= 0:
             raise InvalidInputError("domain_radius must be positive")
         self.domain_radius = float(domain_radius)
-        self._uni = None
-        self._duni = None
+        self._table = _MonomialTable(self.exponents, self.coeffs)
+        self._uni = self._poly = self._dpoly = None
         if self.dim == 1:
-            deg = int(self.exponents[:, 0].max()) if len(self.exponents) else 0
-            uni = np.zeros(deg + 1)
-            for e, c in zip(self.exponents[:, 0], self.coeffs[:, 0]):
-                uni[e] += c
-            self._uni = uni
-            self._duni = _polyder(uni) if len(uni) > 1 else np.zeros(1)
+            self._uni = _univariate(self.exponents[:, 0], self.coeffs[:, 0])
+            self._poly, self._dpoly = _horner_form(self._uni)
 
     # -- constructors ---------------------------------------------------------
 
@@ -149,49 +150,29 @@ class PolynomialMap:
     def evaluate(self, x):
         """Value at one point: scalar in, scalar out for dim 1."""
         if self.dim == 1:
-            return float(_polyval(float(x), self._uni))
-        x = _as_point(x, self.dim)
-        if len(self.exponents) == 0:
-            return np.zeros(self.dim)
-        mon = np.prod(x[None, :] ** self.exponents, axis=1)
-        return mon @ self.coeffs
+            return _horner(self._poly, float(x))
+        return self._table.value(_as_point(x, self.dim))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if self.dim == 1:
-            return _polyval(xs, self._uni)
-        if len(self.exponents) == 0:
-            return np.zeros_like(xs)
-        mon = np.prod(xs[:, None, :] ** self.exponents[None, :, :], axis=2)
-        return mon @ self.coeffs
+            return _horner_many(self._poly, xs)
+        return self._table.value_many(xs)
 
     def derivative(self, x: float) -> float:
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return float(_polyval(float(x), self._duni))
+        return _horner(self._dpoly, float(x))
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _polyval(np.asarray(xs, dtype=float), self._duni)
+        return _horner_many(self._dpoly, np.asarray(xs, dtype=float))
 
     def jac(self, x) -> np.ndarray:
         if self.dim == 1:
             return np.array([[self.derivative(x)]])
-        x = _as_point(x, self.dim)
-        J = np.zeros((self.dim, self.dim))
-        for j in range(self.dim):
-            a_j = self.exponents[:, j]
-            mask = a_j > 0
-            if not np.any(mask):
-                continue
-            red = self.exponents[mask].copy()
-            red[:, j] -= 1
-            mon = np.prod(x[None, :] ** red, axis=1) * a_j[mask]
-            J[:, j] = mon @ self.coeffs[mask]
-        return J
-
-    jacobian = jac
+        return self._table.jac(_as_point(x, self.dim))
 
     # -- certified coefficient bounds -------------------------------------------
 
@@ -281,7 +262,19 @@ class RootProductPerturbation:
 
 
 class PerturbedMap:
-    """Base polynomial map plus an ordered stack of perturbation terms."""
+    """Base polynomial map plus an ordered stack of perturbation terms.
+
+    In dimension 1 the base and every `PerturbationVector` term are folded
+    into one ascending coefficient vector when the map is built, and the map
+    and its derivative are evaluated by one Horner pass over that vector
+    (and its derivative vector).  Any other term, such as a
+    `RootProductPerturbation`, stays unfolded and is added after the pass:
+    its product form is exactly zero at its roots, so appending it leaves the
+    map's value unchanged there.  `evaluate` and `eval_many` (likewise
+    `derivative` and `deriv_many`) perform the same float operations in the
+    same order and agree bit for bit.  N-D maps sum the base and the terms
+    point by point.  The certified bounds stay sums of per-term bounds.
+    """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
         if not isinstance(base, PolynomialMap):
@@ -299,6 +292,16 @@ class PerturbedMap:
             if getattr(t, "dim", base.dim) != base.dim:
                 raise InvalidInputError("perturbation dimension mismatch")
         self.terms = terms
+        # 1-D: the folded polynomial part in Horner form, and the other terms
+        self._poly = self._dpoly = None
+        self._rest = ()
+        if base.dim == 1:
+            parts = [base._uni] + [t._stacked()[1] for t in terms if isinstance(t, PerturbationVector)]
+            uni = np.zeros(max(len(u) for u in parts))
+            for u in parts:
+                uni[: len(u)] += u
+            self._poly, self._dpoly = _horner_form(uni)
+            self._rest = tuple(t for t in terms if not isinstance(t, PerturbationVector))
 
     @property
     def dim(self) -> int:
@@ -312,36 +315,56 @@ class PerturbedMap:
         return PerturbedMap(self.base, self.terms + (term,))
 
     def evaluate(self, x):
-        y = self.base.evaluate(x)
-        for t in self.terms:
-            y = y + t.value(x)
+        if self._poly is None:
+            y = self.base.evaluate(x)
+            for t in self.terms:
+                y = y + t.value(x)
+            return y
+        x = float(x)
+        y = _horner(self._poly, x)
+        for t in self._rest:
+            y += t.value(x)
         return y
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        y = self.base.eval_many(xs)
-        for t in self.terms:
-            y = y + t.value_many(xs)
+        if self._poly is None:
+            y = self.base.eval_many(xs)
+            for t in self.terms:
+                y = y + t.value_many(xs)
+            return y
+        xs = np.asarray(xs, dtype=float)
+        y = _horner_many(self._poly, xs)
+        for t in self._rest:
+            y += t.value_many(xs)
         return y
 
     def derivative(self, x: float) -> float:
-        d = self.base.derivative(x)
-        for t in self.terms:
+        if self._poly is None:
+            raise InvalidInputError("scalar derivative is defined for dim 1 only")
+        x = float(x)
+        d = _horner(self._dpoly, x)
+        for t in self._rest:
             d += t.derivative(x)
         return d
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        d = self.base.deriv_many(xs)
-        for t in self.terms:
-            d = d + t.deriv_many(xs)
+        if self._poly is None:
+            raise InvalidInputError("scalar derivative is defined for dim 1 only")
+        xs = np.asarray(xs, dtype=float)
+        d = _horner_many(self._dpoly, xs)
+        for t in self._rest:
+            d += t.deriv_many(xs)
         return d
 
     def jac(self, x) -> np.ndarray:
+        if self._poly is not None:
+            # not self.derivative: a subclass that counts evaluations would
+            # count this one twice
+            return np.array([[PerturbedMap.derivative(self, x)]])
         J = self.base.jac(x)
         for t in self.terms:
             J = J + t.jac(x)
         return J
-
-    jacobian = jac
 
     def sup_bound(self, radius: float) -> float:
         return self.base.sup_bound(radius) + sum(t.sup_bound(radius) for t in self.terms)

@@ -34,8 +34,6 @@ __all__ = [
     "sample",
     "zero_vector",
     "PerturbationVector",
-    "eval_perturbation",
-    "eval_jacobian",
     "tail_bound",
     "brick_sup_bound",
     "brick_d1_bound",
@@ -286,7 +284,9 @@ class PerturbationVector:
     # -- evaluation ---------------------------------------------------------
 
     def _stacked(self):
-        """Exponent and coefficient matrices pooled over all degrees."""
+        """Monomial table pooled over all degrees; in dimension 1 also the
+        ascending coefficient vector and the value and derivative
+        coefficients in Horner order (see `_horner_form`)."""
         if self._stack is None:
             if self.components:
                 expo = np.concatenate(
@@ -296,83 +296,59 @@ class PerturbationVector:
             else:
                 expo = np.zeros((0, self.dim), dtype=np.int64)
                 coef = np.zeros((0, self.dim))
-            uni = None
+            uni = poly = dpoly = None
             if self.dim == 1:
-                deg = int(expo[:, 0].max()) if len(expo) else 0
-                uni = np.zeros(deg + 1)
-                for e, c in zip(expo[:, 0], coef[:, 0]):
-                    uni[e] += c
-            self._stack = (expo, coef, uni)
+                uni = _univariate(expo[:, 0], coef[:, 0])
+                poly, dpoly = _horner_form(uni)
+            self._stack = (_MonomialTable(expo, coef), uni, poly, dpoly)
         return self._stack
 
     def value(self, x):
         """Evaluate at a single point (scalar for dim 1, length-dim vector else)."""
-        expo, coef, uni = self._stacked()
+        table, _, poly, _ = self._stacked()
         if self.dim == 1:
-            return float(np.polynomial.polynomial.polyval(float(x), uni))
+            return _horner(poly, float(x))
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise InvalidInputError(f"expected point of shape ({self.dim},)")
-        if len(expo) == 0:
-            return np.zeros(self.dim)
-        mon = np.prod(x[None, :] ** expo, axis=1)
-        return mon @ coef
+        return table.value(x)
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        expo, coef, uni = self._stacked()
+        table, _, poly, _ = self._stacked()
         xs = np.asarray(xs, dtype=float)
         if self.dim == 1:
-            return np.polynomial.polynomial.polyval(xs, uni)
-        if len(expo) == 0:
-            return np.zeros_like(xs)
-        mon = np.prod(xs[:, None, :] ** expo[None, :, :], axis=2)
-        return mon @ coef
+            return _horner_many(poly, xs)
+        return table.value_many(xs)
 
     def derivative(self, x: float) -> float:
-        expo, coef, uni = self._stacked()
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return float(np.polynomial.polynomial.polyval(float(x), np.polynomial.polynomial.polyder(uni)))
+        return _horner(self._stacked()[3], float(x))
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        expo, coef, uni = self._stacked()
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return np.polynomial.polynomial.polyval(np.asarray(xs, dtype=float), np.polynomial.polynomial.polyder(uni))
+        return _horner_many(self._stacked()[3], np.asarray(xs, dtype=float))
 
     def jac(self, x) -> np.ndarray:
         """Jacobian matrix at a point."""
         if self.dim == 1:
             return np.array([[self.derivative(x)]])
-        expo, coef, uni = self._stacked()
-        x = np.asarray(x, dtype=float)
-        J = np.zeros((self.dim, self.dim))
-        if len(expo) == 0:
-            return J
-        for j in range(self.dim):
-            a_j = expo[:, j]
-            mask = a_j > 0
-            if not np.any(mask):
-                continue
-            red = expo[mask].copy()
-            red[:, j] -= 1
-            mon = np.prod(x[None, :] ** red, axis=1) * a_j[mask]
-            J[:, j] = mon @ coef[mask]
-        return J
+        return self._stacked()[0].jac(np.asarray(x, dtype=float))
 
     # -- bounds -------------------------------------------------------------
 
     def sup_bound(self, radius: float) -> float:
-        expo, coef, _ = self._stacked()
-        return monomial_sup_bound(expo, coef, radius)
+        t = self._stacked()[0]
+        return monomial_sup_bound(t.exponents, t.coeffs, radius)
 
     def d1_bound(self, radius: float) -> float:
-        expo, coef, _ = self._stacked()
-        return monomial_d1_bound(expo, coef, radius)
+        t = self._stacked()[0]
+        return monomial_d1_bound(t.exponents, t.coeffs, radius)
 
     def d2_bound(self, radius: float) -> float:
-        expo, coef, _ = self._stacked()
-        return monomial_d2_bound(expo, coef, radius)
+        t = self._stacked()[0]
+        return monomial_d2_bound(t.exponents, t.coeffs, radius)
 
     # -- serialization ------------------------------------------------------
 
@@ -396,16 +372,6 @@ class PerturbationVector:
         brick = BrickSpec.from_record(rec["brick"]) if rec.get("brick") else None
         seed = tuple(rec["seed"]) if rec.get("seed") is not None else None
         return cls(dim, comps, brick, seed)
-
-
-def eval_perturbation(eps: PerturbationVector, x):
-    """Value of the perturbation at a point."""
-    return eps.value(x)
-
-
-def eval_jacobian(eps: PerturbationVector, x) -> np.ndarray:
-    """Jacobian of the perturbation at a point."""
-    return eps.jac(x)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -526,7 +492,80 @@ def brick_d2_bound(brick: BrickSpec, dim: int, radius: float) -> float:
     )
 
 
-# -- generic monomial coefficient bounds (shared with the dynamics layer) -----
+# -- generic polynomial evaluation and bounds (shared with the dynamics layer) --
+
+
+def _univariate(exponents: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Ascending coefficient vector of sum_t coeffs[t] x^exponents[t]."""
+    uni = np.zeros(int(exponents.max()) + 1 if len(exponents) else 1)
+    for e, c in zip(exponents, coeffs):
+        uni[e] += c
+    return uni
+
+
+def _horner_form(uni) -> tuple:
+    """(value, derivative) coefficient tuples of the ascending vector `uni`,
+    as Python floats in Horner order (highest degree first).  The derivative
+    coefficients are k * c_k, exactly as numpy's polyder forms them."""
+    value = tuple(float(c) for c in reversed(uni))
+    deriv = tuple(float(k * uni[k]) for k in range(len(uni) - 1, 0, -1))
+    return value, deriv or (0.0,)
+
+
+def _horner(coeffs: tuple, x: float) -> float:
+    """Horner's rule at one float x, coefficients highest degree first.
+
+    Starting from 0.0 makes the first step x*0 + c_top, as in numpy's
+    polyval, so signed zeros and non-finite x come out as they do there."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
+    """`_horner` over a float array, in place on one new array: the same
+    IEEE operations in the same order, so each entry equals the scalar
+    result bit for bit."""
+    y = np.zeros_like(xs)
+    for c in coeffs:
+        y *= xs
+        y += c
+    return y
+
+
+class _MonomialTable:
+    """The map x -> sum_t coeffs[t] * x^exponents[t] from R^N to R^N, with the
+    per-variable tables of its partial derivatives built once."""
+
+    def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
+        self.exponents = exponents
+        self.coeffs = coeffs
+        self._partials = []
+        for j in range(exponents.shape[1]):
+            a_j = exponents[:, j]
+            mask = a_j > 0
+            if np.any(mask):
+                red = exponents[mask].copy()
+                red[:, j] -= 1
+                self._partials.append((j, red, a_j[mask], coeffs[mask]))
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        if len(self.exponents) == 0:
+            return np.zeros(self.coeffs.shape[1])
+        return np.prod(x ** self.exponents, axis=1) @ self.coeffs
+
+    def value_many(self, xs: np.ndarray) -> np.ndarray:
+        if len(self.exponents) == 0:
+            return np.zeros_like(xs)
+        return np.prod(xs[:, None, :] ** self.exponents, axis=2) @ self.coeffs
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        dim = self.exponents.shape[1]
+        J = np.zeros((self.coeffs.shape[1], dim))
+        for j, red, a_j, coeffs in self._partials:
+            J[:, j] = (np.prod(x ** red, axis=1) * a_j) @ coeffs
+        return J
 
 
 def monomial_sup_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:

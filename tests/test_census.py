@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from orbitlab import (
+    BrickSpec,
     CensusResult,
     ConfigurationError,
     GrowthParams,
+    HomogeneousComponent,
     InvalidInputError,
     MultijetPoint,
+    PerturbationVector,
+    PerturbedMap,
     PointTuple,
     PolynomialMap,
     RootProductPerturbation,
@@ -22,6 +26,7 @@ from orbitlab import (
     ih_check,
     jet_solve,
     prop11_check,
+    sample,
 )
 
 from conftest import random_contraction
@@ -171,6 +176,48 @@ def test_two_dimensional_fallback_is_uncertified():
     assert res.count == 0  # count tallies certified records only
     assert len(res.records) >= 1  # the Newton sweep still reports the origin
     assert min(abs(r.location) for r in res.records) < 1e-8
+
+
+def _sturm_count(sympy, coeffs, n: int, radius: float) -> int:
+    """Exact number of real roots of f^n(x) - x in [-radius, radius] for the
+    map with ascending float coefficients `coeffs`, taken as exact binary
+    rationals (Sturm sequences)."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x)
+    g = sympy.Poly(x, x)
+    for _ in range(n):
+        g = f.compose(g)
+    r = sympy.Rational(radius)
+    return (g - sympy.Poly(x, x)).count_roots(-r, r)
+
+
+def _dyadic(eps, bits: int = 16) -> PerturbationVector:
+    """eps with every coefficient rounded to a multiple of 2^-bits."""
+    comps = tuple(
+        HomogeneousComponent(c.degree, c.dim, np.round(c.coeffs * 2.0**bits) / 2.0**bits)
+        for c in eps.components
+    )
+    return PerturbationVector(eps.dim, comps, eps.brick, eps.seed)
+
+
+def test_census_matches_exact_sturm_count():
+    """certified => count equals the exact number of real periodic points.
+    Dyadic coefficients make the float map the rational map itself."""
+    sympy = pytest.importorskip("sympy")
+    chaotic = [15 / 16, 0.0, -29 / 16]
+    eps = _dyadic(sample(BrickSpec.factorial(0.01, 8), 1, (42, 0)))
+    perturbed = [-1.0, 0.0, 1.0] + [0.0] * 6
+    for c in eps.components:
+        perturbed[c.degree] += float(c.coeffs[0, 0])
+    cases = [
+        (PolynomialMap.univariate(chaotic), chaotic, 1.0, {1: 1, 2: 3, 3: 1, 4: 7, 5: 11}),
+        (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), perturbed, None, {1: 1, 2: 3}),
+    ]
+    for f, coeffs, radius, counts in cases:
+        for n, want in counts.items():
+            res = find_periodic(f, n, radius=radius)
+            assert res.certified
+            assert res.count == _sturm_count(sympy, coeffs, n, res.radius) == want
 
 
 # -- almost-periodic covers ------------------------------------------------------

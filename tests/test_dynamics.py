@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from orbitlab import (
+    BrickSpec,
     InvalidInputError,
     OrbitEscapeError,
+    PerturbedMap,
     PolynomialMap,
+    RootProductPerturbation,
     as_perturbed,
     certified_range_1d,
     cocycle,
     invariant_radius,
     norm_bounds,
     orbit,
+    sample,
 )
 
 from conftest import random_contraction
@@ -121,3 +125,81 @@ def test_univariate_rejects_bad_radius():
         PolynomialMap.univariate([0.0, 1.0], domain_radius=0.0)
     # empty coefficient list is the zero map, not an error
     assert PolynomialMap.univariate([]).evaluate(0.3) == 0.0
+
+
+# -- the folded 1-D polynomial ---------------------------------------------------
+
+FOLD_SEEDS = ((42, 0), (7, 1), (2024, 3))
+# a hyperbolicity-type correction: one simple root, two double roots
+FOLD_ROOTS = (0.3, -0.6, -0.6, 0.1, 0.1)
+
+
+def _fold_cases():
+    """(map, unfolded terms, |ascending coefficients| of the polynomial part)
+    for seeded factorial-brick samples on x^2 - 1, with and without a
+    root-product term."""
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    for seed in FOLD_SEEDS:
+        eps = sample(BrickSpec.factorial(0.01, 8), 1, seed)
+        abs_coeffs = [1.0, 0.0, 1.0] + [0.0] * 6
+        for c in eps.components:
+            abs_coeffs[c.degree] += abs(c.coeffs[0, 0])
+        f = PerturbedMap(base, eps)
+        yield f, (base, eps), abs_coeffs
+        rp = RootProductPerturbation(0.01, FOLD_ROOTS)
+        yield f.with_term(rp), (base, eps, rp), abs_coeffs
+
+
+def _unfolded(terms, x):
+    """Value and derivative of base + sum of terms, each evaluated on its own."""
+    base, rest = terms[0], terms[1:]
+    value = base.evaluate(x) + sum(t.value(x) for t in rest)
+    deriv = base.derivative(x) + sum(t.derivative(x) for t in rest)
+    return value, deriv
+
+
+def test_fold_matches_unfolded_sum():
+    xs = np.concatenate([np.linspace(-1.25, 1.25, 401), FOLD_ROOTS])
+    ulp = np.finfo(float).eps
+    for f, terms, abs_coeffs in _fold_cases():
+        values = f.eval_many(xs)
+        derivs = f.deriv_many(xs)
+        for x, v_many, d_many in zip(xs, values, derivs):
+            x = float(x)
+            value, deriv = _unfolded(terms, x)
+            # the scales of Horner's rounding error
+            ax = abs(x)
+            v_scale = sum(c * ax**k for k, c in enumerate(abs_coeffs))
+            d_scale = sum(k * c * ax ** (k - 1) for k, c in enumerate(abs_coeffs) if k)
+            if len(terms) == 3:
+                v_scale += abs(terms[2].value(x))
+                d_scale += abs(terms[2].derivative(x))
+            for got in (f.evaluate(x), v_many):
+                assert abs(got - value) <= 8 * ulp * v_scale
+            for got in (f.derivative(x), d_many, f.jac(x)[0, 0]):
+                assert abs(got - deriv) <= 8 * ulp * d_scale
+
+
+def test_fold_scalar_path_equals_array_path_bitwise():
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.uniform(-1.25, 1.25, 300), [0.0, -0.0, 1.0, -1.0], FOLD_ROOTS])
+    for f, _, _ in _fold_cases():
+        scalar = np.array([f.evaluate(float(x)) for x in xs])
+        assert scalar.tobytes() == f.eval_many(xs).tobytes()
+        scalar = np.array([f.derivative(float(x)) for x in xs])
+        assert scalar.tobytes() == f.deriv_many(xs).tobytes()
+
+
+def test_fold_leaves_root_product_zeros_exact():
+    roots = np.array(FOLD_ROOTS)
+    for seed in FOLD_SEEDS:
+        eps = sample(BrickSpec.factorial(0.01, 8), 1, seed)
+        f = PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps)
+        g = f.with_term(RootProductPerturbation(0.01, FOLD_ROOTS))
+        for r in FOLD_ROOTS:
+            assert g.evaluate(r) - f.evaluate(r) == 0.0
+        assert np.all(g.eval_many(roots) - f.eval_many(roots) == 0.0)
+        # the double roots keep the derivative too
+        for r in FOLD_ROOTS[1:]:
+            assert g.derivative(r) - f.derivative(r) == 0.0
+        assert g.evaluate(FOLD_ROOTS[0] + 0.25) != f.evaluate(FOLD_ROOTS[0] + 0.25)

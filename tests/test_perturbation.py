@@ -12,7 +12,6 @@ from orbitlab import (
     InvalidInputError,
     PerturbationVector,
     check_admissible,
-    eval_perturbation,
     multi_indices,
     multinomial,
     nu,
@@ -144,7 +143,7 @@ def test_value_matches_components():
         for a, row in zip(comp.alphas, comp.coeffs):
             mono = np.prod(x**np.array(a))
             manual += row * mono
-    got = eval_perturbation(eps, x)
+    got = eps.value(x)
     assert np.allclose(got, manual, atol=1e-14)
 
 
