@@ -2,17 +2,29 @@
 
 For a 1-D polynomial map (optionally carrying perturbation terms) the census
 finds every solution of f^n(x) = x on a certified forward-invariant interval
-[-R, R] by adaptive bisection with interval exclusion: a cell of width w and
-midpoint m contains no solution once |f^n(m) - m| > L_n w / 2 + slack, where
-L_n = D1^n + 1 is a uniform Lipschitz bound built from a certified sup bound
-D1 of |f'| on the interval.  Surviving cells shrink to enclosures; sign
-changes plus a local derivative bound certify existence and uniqueness, so
-the reported count is exact whenever the result says so.
+[-R, R] by certify-or-refine bisection.  Each cell [m - h, m + h] is followed
+through n steps of f by an orbit tube: the computed orbit y_k of its
+midpoint with a radius r_k that contains the image of the whole cell (the
+mean-value theorem with D2 = sup |f''|), which also encloses (f^n)' on the
+cell.  With g = f^n - id, a cell is dropped once
+
+    |g(m)| > min(L_n h, r_n + h) + slack,
+
+where L_n = D1^n + 1 is the uniform Lipschitz bound built from a certified
+sup bound D1 of |f'| (kept under the minimum, so the tube never drops fewer
+cells than L_n alone).  A cell on which the enclosure of g' = (f^n)' - 1
+excludes 0 has g monotone, and the values of g at its two endpoints settle
+it: no solution, or exactly one, which is then bracketed.  The remaining
+cells shrink to enclosures; sign changes plus a local derivative bound
+certify existence and uniqueness, so the reported count is exact whenever
+the result says so.  Floating-point error is covered by a generous slack per
+evaluation, not by outward rounding.
 
 On top of the census sit:
 
 * gamma_n_of_map: the distance of the worst multiplier to the unit circle
   among all period-n points (+inf when there are none),
+* find_almost_periodic: a cover of the points with |f^n(x) - x| <= slack,
 * ih_check: certify or refute a stretched-exponential lower bound
   gamma_n >= exp(-C n^(1+delta)) by recursive certify-or-refine boxes,
 * prop11_check: the growth constant implied by the census counts, norm
@@ -33,7 +45,6 @@ from scipy.optimize import brentq
 
 from .dynamics import as_perturbed, certified_range_1d, invariant_radius, norm_bounds
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
-from .hyperbolicity import gamma_linear
 
 __all__ = [
     "GrowthParams",
@@ -154,15 +165,6 @@ def _iterate_many(f, xs: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def _multiplier_many(f, xs: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(xs, dtype=float)
-    lam = np.ones_like(y)
-    for _ in range(n):
-        lam = lam * f.deriv_many(y)
-        y = f.eval_many(y)
-    return lam
-
-
 def _g_scalar(f, x: float, n: int) -> float:
     y = x
     for _ in range(n):
@@ -187,6 +189,7 @@ class _Bounds(NamedTuple):
     L: float
     S2: float
     S_lam: float
+    step: float
     ev: float
     ev_d: float
     ev_lam: float
@@ -217,7 +220,7 @@ def _census_bounds(f, radius: float, n: int) -> _Bounds:
     ev = step * chain + 8.0 * _EPS * radius
     ev_d = 64.0 * _EPS * max(1.0, D1) ** n * n
     ev_lam = ev_d
-    return _Bounds(D1=D1, D2=D2, L=L, S2=S, S_lam=S_lam, ev=ev, ev_d=ev_d, ev_lam=ev_lam)
+    return _Bounds(D1=D1, D2=D2, L=L, S2=S, S_lam=S_lam, step=step, ev=ev, ev_d=ev_d, ev_lam=ev_lam)
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
@@ -240,6 +243,103 @@ def _resolve_radius(f, radius: Optional[float]) -> float:
     return float(found)
 
 
+# -- orbit tubes and the certify-or-refine driver -----------------------------------
+
+
+def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds):
+    """Orbit tubes of the cells [m - h, m + h] under n steps of f.
+
+    Returns (y, r, lam, lam_hi): the computed orbit y of each midpoint with a
+    radius r such that |f^n(x) - y| <= r for every x in the cell, and the
+    product lam of f' along y with lam_hi such that
+    |(f^n)'(x) - lam| <= lam_hi - |lam| on the cell.
+
+    Each step is the mean-value theorem: while |x_k - y_k| <= r_k,
+    |f'(x_k)| <= s_k = |f'(y_k)| + D2 r_k (D2 = sup |f''| on [-R, R]) plus a
+    float slack, so |x_{k+1} - y_{k+1}| <= s_k r_k + step, where step is the
+    per-step evaluation slack of the census.  The true orbit stays in
+    [-R, R] (forward invariance), so clamping y_k to [-R, R] cannot move it
+    away from any true orbit and keeps D2 valid, and r_k never needs to
+    exceed 2R, a cap that also keeps s_k bounded.
+    """
+    y = np.asarray(mids, dtype=float)
+    r = np.asarray(halves, dtype=float)
+    lam = np.ones_like(y)
+    lam_hi = np.ones_like(y)
+    d_slack = 64.0 * _EPS * b.D1
+    for _ in range(n):
+        d = f.deriv_many(y)
+        y = np.clip(f.eval_many(y), -R, R)
+        s = np.abs(d) + b.D2 * r + d_slack
+        lam *= d
+        lam_hi *= s
+        r = np.minimum(s * r + b.step, 2.0 * R)
+    return y, r, lam, lam_hi
+
+
+class _Cells(NamedTuple):
+    """One round of live cells and what their orbit tubes prove.
+
+    For every x in [mid - half, mid + half], g(x) = f^n(x) - x satisfies
+    |g(x) - g| <= spread (+ ev for float error), and
+    |(f^n)'(x) - lam| <= dev.  spread is min(L half, r_n + half): keeping the
+    global bound under the minimum means the tube drops every cell that L
+    alone would."""
+
+    mids: np.ndarray
+    halves: np.ndarray
+    g: np.ndarray
+    spread: np.ndarray
+    lam: np.ndarray
+    dev: np.ndarray
+
+
+def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, classify):
+    """Certify-or-refine [-R, R], split into k0 equal cells, in vectorised
+    rounds.
+
+    Each round runs the orbit tube over the live cells and calls
+    `classify(cells, budget)`, which records whatever it decides and returns
+    the mask of the cells still undecided plus the evaluations it spent
+    itself, at most `budget`; the undecided cells are bisected.  An
+    evaluation is one n-step orbit of one point.  Returns the evaluations
+    spent and the frontier (mids, halves) left when the next round would
+    exceed `max_evaluations` (empty when the frontier ran out first).
+    """
+    edges = np.linspace(-R, R, k0 + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = np.full(k0, R / k0)
+    evaluations = 0
+    while mids.size and evaluations + mids.size <= max_evaluations:
+        y, r, lam, lam_hi = _tube_many(f, mids, halves, n, R, b)
+        evaluations += mids.size
+        cells = _Cells(
+            mids=mids,
+            halves=halves,
+            g=y - mids,
+            spread=np.minimum(b.L * halves, r + halves),
+            lam=lam,
+            dev=lam_hi - np.abs(lam),
+        )
+        live, spent = classify(cells, max_evaluations - evaluations)
+        evaluations += spent
+        q = halves[live] / 2.0
+        mids = np.concatenate([mids[live] - q, mids[live] + q])
+        halves = np.concatenate([q, q])
+    return evaluations, mids, halves
+
+
+def _merged(parts, gap: float = 0.0) -> list:
+    """Merged union (within `gap`) of the cells in a list of (mids, halves)
+    arrays."""
+    if not parts:
+        return []
+    mids = np.concatenate([m for m, _ in parts])
+    halves = np.concatenate([h for _, h in parts])
+    order = np.argsort(mids)
+    return _merge_intervals(mids[order] - halves[order], mids[order] + halves[order], gap)
+
+
 # -- the 1-D certified census ------------------------------------------------------
 
 
@@ -251,12 +351,19 @@ def find_periodic(
     residual_tol: Optional[float] = None,
     max_evaluations: int = 3_000_000,
 ) -> CensusResult:
-    """Certified census of the solutions of f^n(x) = x on [-R, R].
+    """Certified census of the solutions of f^n(x) = x on [-R, R] for a 1-D
+    map.
 
     R is either the given radius (checked for certified forward invariance)
-    or the smallest certified invariant radius on the standard ladder.  The
-    returned enclosures have halfwidth <= tol.  Maps of dimension >= 2 fall
-    back to an uncertified Newton sweep.
+    or the smallest certified invariant radius on the standard ladder.
+    Cells are bisected in rounds: a cell is dropped when its orbit tube
+    proves g = f^n - id has no zero on it, and settled when the tube proves
+    g monotone and its endpoint values decide the cell (no root, or exactly
+    one, which is then bracketed).  The rest shrink to halfwidth <= tol and
+    are analysed cluster by cluster.  Returned enclosures have halfwidth
+    <= tol.  An exhausted evaluation budget leaves the unresolved frontier
+    in `uncertified_regions` and the result uncertified.  Maps of dimension
+    >= 2 raise InvalidInputError.
     """
     f = as_perturbed(f)
     if n < 1:
@@ -264,62 +371,58 @@ def find_periodic(
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
     if f.dim != 1:
-        return _find_periodic_nd(f, n, radius, tol, max_evaluations)
+        raise InvalidInputError("find_periodic needs a 1-D map")
 
     R = _resolve_radius(f, radius)
     b = _census_bounds(f, R, n)
     if residual_tol is None:
         residual_tol = 16.0 * (b.L * tol + b.ev)
 
-    evaluations = 0
-    uncertified: list = []
     records: list = []
-    certified = True
+    root_cells: list = []  # cells holding exactly one settled root
+    finished: list = []  # (mids, halves) of cells refined down to tol
 
-    # frontier of cells (midpoint, halfwidth), refined in vectorized rounds
-    k0 = 1024
-    edges = np.linspace(-R, R, k0 + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = np.full(k0, R / k0)
+    def classify(c: _Cells, budget: int):
+        keep = np.abs(c.g) <= c.spread + b.ev
+        idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev + b.ev_d))
+        spent = 0
+        if idx.size and 2 * idx.size <= budget:
+            # g is monotone on these cells: their endpoint values decide them
+            lo = c.mids[idx] - c.halves[idx]
+            hi = c.mids[idx] + c.halves[idx]
+            ends = np.concatenate([lo, hi])
+            gends = _iterate_many(f, ends, n) - ends
+            spent = ends.size
+            glo, ghi = gends[: idx.size], gends[idx.size :]
+            settled = (np.abs(glo) > b.ev) & (np.abs(ghi) > b.ev)
+            for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
+                records.append(_bracketed_root(f, n, lo[j], hi[j], glo[j], ghi[j], tol))
+                root_cells.append((lo[j], hi[j]))
+            keep[idx[settled]] = False
+        done = keep & (c.halves <= tol)
+        finished.append((c.mids[done], c.halves[done]))
+        return keep & ~done, spent
 
-    finished_mids: list = []
-    finished_halves: list = []
+    evaluations, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
+    certified = left_mids.size == 0
+    uncertified: list = _merged([(left_mids, left_halves)])
 
-    while mids.size:
-        if evaluations + mids.size > max_evaluations:
-            certified = False
-            order = np.argsort(mids)
-            uncertified.extend(
-                _merge_intervals(mids[order] - halves[order], mids[order] + halves[order])
-            )
-            break
-        gvals = _iterate_many(f, mids, n) - mids
-        evaluations += mids.size
-        keep = np.abs(gvals) <= b.L * halves + b.ev
-        mids, halves = mids[keep], halves[keep]
-        done = halves <= tol
-        if np.any(done):
-            finished_mids.append(mids[done])
-            finished_halves.append(halves[done])
-        mids, halves = mids[~done], halves[~done]
-        if mids.size:
-            q = halves / 2.0
-            mids = np.concatenate([mids - q, mids + q])
-            halves = np.concatenate([q, q])
-
-    if finished_mids:
-        fm = np.concatenate(finished_mids)
-        fh = np.concatenate(finished_halves)
-        order = np.argsort(fm)
-        clusters = _merge_intervals(fm[order] - fh[order], fm[order] + fh[order], gap=tol / 2)
-    else:
-        clusters = []
-
+    clusters = _merged(finished, gap=tol / 2)
+    # a cluster's analysis window stops at the cells of settled roots, so
+    # no root is counted twice
+    root_los = np.sort([lo for lo, _ in root_cells])
+    root_his = np.sort([hi for _, hi in root_cells])
     for i, (lo, hi) in enumerate(clusters):
         left_lim = -R if i == 0 else 0.5 * (clusters[i - 1][1] + lo)
         right_lim = R if i == len(clusters) - 1 else 0.5 * (hi + clusters[i + 1][0])
+        j = np.searchsorted(root_his, lo, side="right")
+        if j:
+            left_lim = max(left_lim, float(root_his[j - 1]))
+        j = np.searchsorted(root_los, hi, side="left")
+        if j < root_los.size:
+            right_lim = min(right_lim, float(root_los[j]))
         cert, recs, regions = _analyze_cluster(
-            f, n, lo, hi, left_lim, right_lim, tol, residual_tol, b
+            f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b
         )
         records.extend(recs)
         uncertified.extend(regions)
@@ -392,6 +495,15 @@ def _bisect_enclosure(f, n: int, lo: float, hi: float, glo: float, ghi: float, t
     return lo, hi
 
 
+def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: float) -> PeriodicPointRecord:
+    """Record of the root of g in a sign-change bracket [a, c]: located by
+    Brent's method, enclosed to halfwidth tol by bisection."""
+    root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=tol / 4, rtol=4 * _EPS)
+    elo, ehi = _bisect_enclosure(f, n, a, c, ga, gc, tol)
+    loc = root if elo <= root <= ehi else 0.5 * (elo + ehi)
+    return _record_at(f, n, loc, max(tol, (ehi - elo) / 2), True, "simple")
+
+
 def _probe_out(f, n, start, direction, limit, tol, ev):
     """First point beyond `start` (towards `limit`) where |f^n - id| clears
     the float noise floor; the limit itself if none does."""
@@ -405,7 +517,7 @@ def _probe_out(f, n, start, direction, limit, tol, ev):
         pad *= 2.0
 
 
-def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, b: _Bounds):
+def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b: _Bounds):
     """Certify the contents of one surviving cluster [lo, hi]; the analysis
     window is kept inside (left_lim, right_lim) so neighbouring clusters are
     never double-counted."""
@@ -414,9 +526,11 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, b: _B
     ga = _g_scalar(f, a, n)
     gc = _g_scalar(f, c, n)
     mid = 0.5 * (a + c)
-    dmid = _multiplier_scalar(f, mid, n) - 1.0  # g' = (f^n)' - 1
     width = c - a
-    monotone = abs(dmid) > b.S2 * width / 2.0 + b.ev_d
+    _, _, lam, lam_hi = _tube_many(f, np.array([mid]), np.array([width / 2.0]), n, R, b)
+    dmid = float(lam[0]) - 1.0  # g' = (f^n)' - 1
+    dev = min(b.S2 * width / 2.0, float(lam_hi[0] - abs(lam[0])))
+    monotone = abs(dmid) > dev + b.ev_d
 
     if monotone:
         if abs(ga) <= b.ev and abs(gc) <= b.ev:
@@ -429,10 +543,7 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, b: _B
         if abs(gc) <= b.ev:
             return True, [_record_at(f, n, c, tol, True, "boundary")], []
         if (ga > 0) != (gc > 0):
-            root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=tol / 4, rtol=4 * _EPS)
-            elo, ehi = _bisect_enclosure(f, n, a, c, ga, gc, tol)
-            loc = root if elo <= root <= ehi else 0.5 * (elo + ehi)
-            return True, [_record_at(f, n, loc, max(tol, (ehi - elo) / 2), True, "simple")], []
+            return True, [_bracketed_root(f, n, a, c, ga, gc, tol)], []
         # monotone, same signs, endpoints clearly nonzero: certified empty
         if min(abs(ga), abs(gc)) > 2.0 * b.ev:
             return True, [], []
@@ -440,91 +551,14 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, b: _B
 
     # derivative not sign-definite on the cluster: tangency territory
     if (ga > 0) != (gc > 0) and min(abs(ga), abs(gc)) > b.ev:
-        root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=tol / 4, rtol=4 * _EPS)
-        elo, ehi = _bisect_enclosure(f, n, a, c, ga, gc, tol)
-        loc = root if elo <= root <= ehi else 0.5 * (elo + ehi)
-        rec = _record_at(f, n, loc, max(tol, (ehi - elo) / 2), True, "simple")
         # existence is certified, uniqueness on the cluster is not
-        return False, [rec], [(a, c)]
+        return False, [_bracketed_root(f, n, a, c, ga, gc, tol)], [(a, c)]
     gm = _g_scalar(f, mid, n)
     best = min((abs(ga), a), (abs(gc), c), (abs(gm), mid))
     if best[0] <= residual_tol:
         rec = _record_at(f, n, best[1], (c - a) / 2, False, "tangential-candidate")
         return False, [rec], [(a, c)]
     return False, [], [(a, c)]
-
-
-# -- N-D fallback ------------------------------------------------------------------
-
-
-def _find_periodic_nd(f, n, radius, tol, max_evaluations):
-    """Best-effort Newton sweep for maps of dimension >= 2 (never certified)."""
-    N = f.dim
-    R = float(radius) if radius is not None else float(f.base.domain_radius if hasattr(f, "base") else 1.0)
-    per_axis = max(3, int(round((max_evaluations / max(1, 40 * n)) ** (1.0 / N))))
-    per_axis = min(per_axis, 15)
-    axes = [np.linspace(-R, R, per_axis) for _ in range(N)]
-    seeds = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-
-    found: list = []
-    for seed in seeds:
-        x = seed.astype(float)
-        ok = False
-        for _ in range(60):
-            y = x.copy()
-            J = np.eye(N)
-            inside = True
-            for _ in range(n):
-                if np.max(np.abs(y)) > 4.0 * R + 1.0:
-                    inside = False
-                    break
-                J = f.jac(y) @ J
-                y = np.asarray(f.evaluate(y), dtype=float)
-            if not inside:
-                break
-            G = y - x
-            if np.max(np.abs(G)) < 1e3 * _EPS * max(1.0, R):
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(J - np.eye(N), -G)
-            except np.linalg.LinAlgError:
-                break
-            x = x + step
-            if np.max(np.abs(x)) > 2.0 * R:
-                break
-        if ok and np.max(np.abs(x)) <= R + tol:
-            if not any(np.max(np.abs(x - p)) < 1e4 * tol for p, _ in found):
-                M = np.eye(N)
-                y = x.copy()
-                for _ in range(n):
-                    M = f.jac(y) @ M
-                    y = np.asarray(f.evaluate(y), dtype=float)
-                found.append((x, M))
-
-    records = []
-    for x, M in found:
-        hv = gamma_linear(M)
-        records.append(
-            PeriodicPointRecord(
-                location=float(x[0]) if N == 1 else float(np.linalg.norm(x)),
-                halfwidth=float(tol),
-                period=n,
-                multiplier=float(np.linalg.det(M)),
-                gap=hv.gamma,
-                certified=False,
-                kind="newton",
-            )
-        )
-    return CensusResult(
-        period=n,
-        radius=R,
-        records=records,
-        uncertified_regions=[(-R, R)],
-        certified=False,
-        lipschitz=math.nan,
-        evaluations=len(seeds),
-    )
 
 
 # -- gamma_n -----------------------------------------------------------------------
@@ -579,9 +613,10 @@ def find_almost_periodic(
 ) -> AlmostPeriodicCover:
     """Cover of the slack-level set of the displacement x -> f^n(x) - x.
 
-    Cells are dropped only under the certified exclusion test, so the union
-    of the returned intervals is a true cover regardless of budget; the
-    budget only limits how tightly it hugs the level set.
+    Cells are dropped only when their orbit tube proves |f^n - id| > slack
+    on them, so the union of the returned intervals is a true cover
+    regardless of budget; the budget only limits how tightly it hugs the
+    level set (an exhausted budget keeps the whole unresolved frontier).
     """
     f = as_perturbed(f)
     if f.dim != 1:
@@ -593,47 +628,22 @@ def find_almost_periodic(
     if resolution is None:
         resolution = max(slack / (4.0 * b.L), 1e-13 * R)
 
-    k0 = 1024
-    edges = np.linspace(-R, R, k0 + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = np.full(k0, R / k0)
-    kept_lo: list = []
-    kept_hi: list = []
-    evaluations = 0
-    fully = True
+    kept: list = []
 
-    while mids.size:
-        over_budget = evaluations + mids.size > max_evaluations
-        gvals = _iterate_many(f, mids, n) - mids
-        evaluations += mids.size
-        keep = np.abs(gvals) <= b.L * halves + slack + b.ev
-        mids, halves = mids[keep], halves[keep]
-        done = halves <= resolution
-        if over_budget:
-            fully = False
-            done = np.ones_like(done)
-        if np.any(done):
-            kept_lo.append(mids[done] - halves[done])
-            kept_hi.append(mids[done] + halves[done])
-        mids, halves = mids[~done], halves[~done]
-        if mids.size:
-            q = halves / 2.0
-            mids = np.concatenate([mids - q, mids + q])
-            halves = np.concatenate([q, q])
+    def classify(c: _Cells, _budget: int):
+        keep = np.abs(c.g) <= c.spread + slack + b.ev
+        done = keep & (c.halves <= resolution)
+        kept.append((c.mids[done], c.halves[done]))
+        return keep & ~done, 0
 
-    if kept_lo:
-        los = np.concatenate(kept_lo)
-        his = np.concatenate(kept_hi)
-        order = np.argsort(los)
-        intervals = tuple(_merge_intervals(los[order], his[order]))
-    else:
-        intervals = ()
+    _, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
+    kept.append((left_mids, left_halves))
     return AlmostPeriodicCover(
         period=n,
         slack=float(slack),
         radius=R,
-        intervals=intervals,
-        fully_refined=fully,
+        intervals=tuple(_merged(kept)),
+        fully_refined=left_mids.size == 0,
     )
 
 
@@ -688,7 +698,10 @@ def ih_check(
     slack) has multiplier gap at least gamma_k = exp(-C k^(1+delta)).  Each
     stage is verified by subdividing the invariant interval: a box passes if
     it certifiably contains no almost-periodic point, or if every point of
-    the box has gap above the threshold; the stage fails with a witness box
+    the box has gap above the threshold.  Both tests read the box's orbit
+    tube, which bounds f^k - id and the multiplier (f^k)' over the whole box
+    (the global bounds L_k and sup |(f^k)''| stand in where they are
+    tighter).  The stage fails with a witness box
     when a midpoint is certifiably almost periodic with gap certifiably
     below the threshold.  Boxes that reach the width floor or exhaust the
     budget are reported as unresolved and make the stage (and the report)
@@ -721,52 +734,29 @@ def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> I
         return IHRow(period=k, threshold=thr, slack=slack, status="holds",
                      witness=None, unresolved=())
 
-    k0 = 256
-    edges = np.linspace(-R, R, k0 + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = np.full(k0, R / k0)
-
     witness = None
-    unresolved_mids: list = []
-    unresolved_halves: list = []
-    evals = 0
+    unresolved: list = []
 
-    while mids.size:
-        if evals + mids.size > max_evals:
-            unresolved_mids.append(mids)
-            unresolved_halves.append(halves)
-            break
-        gabs = np.abs(_iterate_many(f, mids, k) - mids)
-        gaps = np.abs(np.abs(_multiplier_many(f, mids, k)) - 1.0)
-        evals += mids.size
-
-        excluded = gabs > b.L * halves + slack + b.ev
-        hyperbolic = gaps - b.S_lam * halves - b.ev_lam >= thr
+    def classify(c: _Cells, _budget: int):
+        nonlocal witness
+        gabs = np.abs(c.g)
+        gaps = np.abs(np.abs(c.lam) - 1.0)
         failing = (gabs + b.ev <= slack) & (gaps + b.ev_lam < thr)
         if np.any(failing):
             idx = np.flatnonzero(failing)
-            j = idx[np.argmin(mids[idx])]
-            witness = _record_at(f, k, mids[j], halves[j], True, "witness")
-            break
+            j = idx[np.argmin(c.mids[idx])]
+            witness = _record_at(f, k, c.mids[j], c.halves[j], True, "witness")
+            return np.zeros(c.mids.size, dtype=bool), 0
+        excluded = gabs > c.spread + slack + b.ev
+        hyperbolic = gaps - np.minimum(b.S_lam * c.halves, c.dev) - b.ev_lam >= thr
+        live = ~(excluded | hyperbolic)
+        floored = live & (2.0 * c.halves <= width_floor)
+        unresolved.append((c.mids[floored], c.halves[floored]))
+        return live & ~floored, 0
 
-        mids, halves = mids[~(excluded | hyperbolic)], halves[~(excluded | hyperbolic)]
-        floored = 2.0 * halves <= width_floor
-        if np.any(floored):
-            unresolved_mids.append(mids[floored])
-            unresolved_halves.append(halves[floored])
-        mids, halves = mids[~floored], halves[~floored]
-        if mids.size:
-            q = halves / 2.0
-            mids = np.concatenate([mids - q, mids + q])
-            halves = np.concatenate([q, q])
-
-    if unresolved_mids:
-        um = np.concatenate(unresolved_mids)
-        uh = np.concatenate(unresolved_halves)
-        order = np.argsort(um)
-        merged = tuple(_merge_intervals(um[order] - uh[order], um[order] + uh[order]))
-    else:
-        merged = ()
+    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals, classify)
+    unresolved.append((left_mids, left_halves))
+    merged = tuple(_merged(unresolved))
 
     if witness is not None:
         status = "fails"

@@ -36,6 +36,7 @@ from .perturbation import (
     _horner_form,
     _horner_many,
     _MonomialTable,
+    _as_scalar,
     _univariate,
     brick_d1_bound,
     brick_d2_bound,
@@ -148,9 +149,10 @@ class PolynomialMap:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, x):
-        """Value at one point: scalar in, scalar out for dim 1."""
+        """Value at one point; for dim 1 the point is a number or an array of
+        shape () or (1,), and the value a float."""
         if self.dim == 1:
-            return _horner(self._poly, float(x))
+            return _horner(self._poly, _as_scalar(x))
         return self._table.value(_as_point(x, self.dim))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
@@ -162,7 +164,7 @@ class PolynomialMap:
     def derivative(self, x: float) -> float:
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner(self._dpoly, float(x))
+        return _horner(self._dpoly, _as_scalar(x))
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
         if self.dim != 1:
@@ -237,7 +239,7 @@ class RootProductPerturbation:
         return d
 
     def jac(self, x) -> np.ndarray:
-        return np.array([[self.derivative(float(np.asarray(x).reshape(())))]])
+        return np.array([[self.derivative(_as_scalar(x))]])
 
     def sup_bound(self, radius: float) -> float:
         p = abs(self.scale)
@@ -320,7 +322,7 @@ class PerturbedMap:
             for t in self.terms:
                 y = y + t.value(x)
             return y
-        x = float(x)
+        x = _as_scalar(x)
         y = _horner(self._poly, x)
         for t in self._rest:
             y += t.value(x)
@@ -341,7 +343,7 @@ class PerturbedMap:
     def derivative(self, x: float) -> float:
         if self._poly is None:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        x = float(x)
+        x = _as_scalar(x)
         d = _horner(self._dpoly, x)
         for t in self._rest:
             d += t.derivative(x)
@@ -417,12 +419,6 @@ class OrbitSegment:
         return self.images[:, 0]
 
 
-def _eval_point(f, x: np.ndarray) -> np.ndarray:
-    if f.dim == 1:
-        return np.array([f.evaluate(float(x[0]))])
-    return np.asarray(f.evaluate(x), dtype=float)
-
-
 def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
     """Iterate f for n steps from x0, checking containment in the domain ball.
 
@@ -443,8 +439,8 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
     jacs = np.empty((n, f.dim, f.dim))
     for j in range(n):
         pts[j] = x
-        img = _eval_point(f, x)
-        jacs[j] = f.jac(float(x[0]) if f.dim == 1 else x)
+        img = np.asarray(f.evaluate(x), dtype=float).reshape(f.dim)
+        jacs[j] = f.jac(x)
         imgs[j] = img
         if float(np.linalg.norm(img)) > edge:
             raise OrbitEscapeError(

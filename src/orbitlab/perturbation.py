@@ -307,7 +307,7 @@ class PerturbationVector:
         """Evaluate at a single point (scalar for dim 1, length-dim vector else)."""
         table, _, poly, _ = self._stacked()
         if self.dim == 1:
-            return _horner(poly, float(x))
+            return _horner(poly, _as_scalar(x))
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise InvalidInputError(f"expected point of shape ({self.dim},)")
@@ -323,7 +323,7 @@ class PerturbationVector:
     def derivative(self, x: float) -> float:
         if self.dim != 1:
             raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner(self._stacked()[3], float(x))
+        return _horner(self._stacked()[3], _as_scalar(x))
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
         if self.dim != 1:
@@ -510,6 +510,21 @@ def _horner_form(uni) -> tuple:
     value = tuple(float(c) for c in reversed(uni))
     deriv = tuple(float(k * uni[k]) for k in range(len(uni) - 1, 0, -1))
     return value, deriv or (0.0,)
+
+
+def _as_scalar(x) -> float:
+    """A point of a 1-D map as a float: a real number, or an array of shape
+    () or (1,).  Python floats take the fast path."""
+    if type(x) is float:
+        return x
+    if type(x) is np.ndarray and x.shape == (1,):
+        return float(x[0])
+    try:
+        return float(x)
+    except TypeError:
+        raise InvalidInputError(
+            f"expected a scalar or a point of shape (1,), got shape {np.shape(x)}"
+        ) from None
 
 
 def _horner(coeffs: tuple, x: float) -> float:

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     BrickSpec,
@@ -28,6 +31,7 @@ from orbitlab import (
     prop11_check,
     sample,
 )
+from orbitlab.census import _census_bounds, _resolve_radius, _tube_many
 
 from conftest import random_contraction
 
@@ -169,13 +173,10 @@ def test_census_overflow_guard():
         find_periodic(quad(), 800)
 
 
-def test_two_dimensional_fallback_is_uncertified():
+def test_two_dimensional_census_is_rejected():
     f = PolynomialMap.linear(np.diag([0.5, 0.25]), domain_radius=1.0)
-    res = find_periodic(f, 1)
-    assert not res.certified
-    assert res.count == 0  # count tallies certified records only
-    assert len(res.records) >= 1  # the Newton sweep still reports the origin
-    assert min(abs(r.location) for r in res.records) < 1e-8
+    with pytest.raises(InvalidInputError):
+        find_periodic(f, 1)
 
 
 def _sturm_count(sympy, coeffs, n: int, radius: float) -> int:
@@ -218,6 +219,111 @@ def test_census_matches_exact_sturm_count():
             res = find_periodic(f, n, radius=radius)
             assert res.certified
             assert res.count == _sturm_count(sympy, coeffs, n, res.radius) == want
+
+
+def _negated(eps) -> PerturbationVector:
+    comps = tuple(HomogeneousComponent(c.degree, c.dim, -c.coeffs) for c in eps.components)
+    return PerturbationVector(eps.dim, comps, eps.brick, eps.seed)
+
+
+CHAOTIC = [0.95, 0.0, -1.8]  # 0.95 - 1.8 x^2, chaotic on [-1, 1]
+
+
+def test_seeded_quadratic_certifies_at_period_16():
+    """x^2 - 1 +- eps: three period-16 points, the attracting 2-cycle and the
+    repelling fixed point.  Under the global Lipschitz test alone both maps
+    ran out of the default budget at this period."""
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    for term in (eps, _negated(eps)):
+        res = find_periodic(PerturbedMap(base, term), 16)
+        assert res.certified
+        assert res.count == 3
+        assert res.uncertified_regions == []
+
+
+def test_chaotic_map_certifies_at_periods_9_and_10():
+    f = PolynomialMap.univariate(CHAOTIC)
+    for n, want in ((9, 73), (10, 103)):
+        res = find_periodic(f, n, radius=1.0)
+        assert res.certified
+        assert res.count == want
+        assert all(r.certified and r.halfwidth <= 1e-12 for r in res.records)
+        assert all(a.location < b.location for a, b in zip(res.records, res.records[1:]))
+
+
+def test_census_budget_exhaustion_is_partial():
+    """A budget that stops the refinement gives an uncertified result whose
+    certified records and uncertified regions still account for every
+    periodic point."""
+    f = PolynomialMap.univariate(CHAOTIC)
+    full = find_periodic(f, 10, radius=1.0)
+    for budget in (500, 1100, 1500, 2000):
+        res = find_periodic(f, 10, radius=1.0, max_evaluations=budget)
+        assert not res.certified
+        assert res.evaluations <= budget
+        assert res.uncertified_regions
+        certified = [r for r in res.records if r.certified]
+        for rec in full.records:
+            x = rec.location
+            in_region = any(lo <= x <= hi for lo, hi in res.uncertified_regions)
+            found = any(abs(r.location - x) <= r.halfwidth + rec.halfwidth for r in certified)
+            assert in_region or found
+        for r in certified:
+            assert any(abs(r.location - rec.location) <= 1e-11 for rec in full.records)
+
+
+# -- orbit tubes -------------------------------------------------------------------
+
+
+def _exact_orbit(f, x: float, n: int):
+    """f^n(x) and (f^n)'(x) in 200-bit arithmetic, for the map's own
+    polynomial (its float coefficients taken exactly)."""
+    with mpmath.workprec(200):
+        y, lam = mpmath.mpf(x), mpmath.mpf(1)
+        for _ in range(n):
+            value = deriv = mpmath.mpf(0)
+            for c in f._poly:  # highest degree first
+                deriv = deriv * y + value
+                value = value * y + c
+            lam *= deriv
+            y = value
+        return y, lam
+
+
+def _tube_map(family: str, seed: int):
+    """(map, radius) for one family of the tube property test."""
+    if family == "contraction":
+        return as_perturbed(random_contraction(np.random.default_rng(seed))), 1.0
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (seed, 0))
+    if family == "quadratic":
+        return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None
+    return PerturbedMap(PolynomialMap.univariate(CHAOTIC), eps), 1.0
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["quadratic", "chaotic", "contraction"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 10),
+    depth=st.integers(0, 40),
+    where=st.floats(0.0, 1.0),
+    ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+)
+def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts):
+    """For every x in the cell [m - h, m + h], |f^n(x) - y_n| <= r_n and
+    |(f^n)'(x) - lam| <= lam_hi - |lam|, against exact orbits."""
+    f, radius = _tube_map(family, seed)
+    R = _resolve_radius(f, radius)
+    b = _census_bounds(f, R, n)
+    h = R * 2.0**-depth
+    m = -R + h + where * (2.0 * R - 2.0 * h)
+    y, r, lam, lam_hi = (float(v[0]) for v in _tube_many(f, np.array([m]), np.array([h]), n, R, b))
+    for t in [-1.0, 0.0, 1.0] + ts:
+        x = min(max(m + t * h, -R), R)
+        fx, dfx = _exact_orbit(f, x, n)
+        assert abs(fx - y) <= r
+        assert abs(dfx - lam) <= lam_hi - abs(lam)
 
 
 # -- almost-periodic covers ------------------------------------------------------

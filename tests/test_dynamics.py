@@ -127,6 +127,26 @@ def test_univariate_rejects_bad_radius():
     assert PolynomialMap.univariate([]).evaluate(0.3) == 0.0
 
 
+@pytest.mark.parametrize("method", ["evaluate", "derivative", "jac"])
+def test_one_dimensional_point_shapes(method):
+    """A point of a 1-D map is a number or an array of shape () or (1,); any
+    other shape is an InvalidInputError, not NumPy's TypeError."""
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    rp = RootProductPerturbation(0.01, (0.3, -0.6))
+    objects = [base, as_perturbed(base), PerturbedMap(base, eps), PerturbedMap(base, (eps, rp))]
+    if method == "jac":
+        objects += [eps, rp]
+    for obj in objects:
+        call = getattr(obj, method)
+        want = call(0.3)
+        for x in (np.float64(0.3), np.array(0.3), np.array([0.3])):
+            assert np.array_equal(call(x), want)
+        for bad in (np.zeros(2), np.zeros((1, 1)), np.zeros(0)):
+            with pytest.raises(InvalidInputError):
+                call(bad)
+
+
 # -- the folded 1-D polynomial ---------------------------------------------------
 
 FOLD_SEEDS = ((42, 0), (7, 1), (2024, 3))
