@@ -8,17 +8,19 @@ midpoint with a radius r_k that contains the image of the whole cell (the
 mean-value theorem with D2 = sup |f''|), which also encloses (f^n)' on the
 cell.  With g = f^n - id, a cell is dropped once
 
-    |g(m)| > min(L_n h, r_n + h) + slack,
+    |g(m)| > r_n + h + slack.
 
-where L_n = D1^n + 1 is the uniform Lipschitz bound built from a certified
-sup bound D1 of |f'| (kept under the minimum, so the tube never drops fewer
-cells than L_n alone).  A cell on which the enclosure of g' = (f^n)' - 1
+Each tube step grows the radius by at most a certified sup bound D1 of
+|f'|, so r_n + h <= L_n h + ev for the uniform Lipschitz bound
+L_n = D1^n + 1 and its float slack ev: the tube is never looser than L_n
+beyond that slack.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g monotone, and the values of g at its two endpoints settle
-it: no solution, or exactly one, which is then bracketed.  The remaining
-cells shrink to enclosures; sign changes plus a local derivative bound
-certify existence and uniqueness, so the reported count is exact whenever
-the result says so.  Floating-point error is covered by a generous slack per
-evaluation, not by outward rounding.
+it: no solution, or exactly one, which Brent's method brackets to the
+requested tolerance.  The remaining cells shrink to enclosures; sign
+changes plus the tube's derivative enclosure certify existence and
+uniqueness, so the reported count is exact whenever the result says so.
+Floating-point error is covered by a generous slack per evaluation, not by
+outward rounding.
 
 On top of the census sit:
 
@@ -150,14 +152,6 @@ class CensusResult:
 # -- shared certified bounds -------------------------------------------------------
 
 
-def _sup_abs_deriv(f, radius: float, n_points: int = 4097) -> float:
-    """Certified sup of |f'| on [-radius, radius] (grid + curvature padding)."""
-    xs = np.linspace(-radius, radius, n_points)
-    vals = np.abs(f.deriv_many(xs))
-    h = 2.0 * radius / (n_points - 1)
-    return float(vals.max()) + f.d2_bound(radius) * h / 2.0
-
-
 def _iterate_many(f, xs: np.ndarray, n: int) -> np.ndarray:
     y = np.asarray(xs, dtype=float)
     for _ in range(n):
@@ -172,13 +166,12 @@ def _g_scalar(f, x: float, n: int) -> float:
     return y - x
 
 
-def _multiplier_scalar(f, x: float, n: int) -> float:
-    y = x
-    lam = 1.0
-    for _ in range(n):
-        lam *= f.derivative(y)
-        y = f.evaluate(y)
-    return lam
+class _MapBounds(NamedTuple):
+    """Certified constants of f on [-R, R] that do not depend on the period."""
+
+    D1: float  # sup |f'|
+    D2: float  # sup |f''|
+    step: float  # float slack of one evaluation of f
 
 
 class _Bounds(NamedTuple):
@@ -187,40 +180,38 @@ class _Bounds(NamedTuple):
     D1: float
     D2: float
     L: float
-    S2: float
-    S_lam: float
     step: float
     ev: float
     ev_d: float
-    ev_lam: float
 
 
-def _census_bounds(f, radius: float, n: int) -> _Bounds:
-    D1 = _sup_abs_deriv(f, radius)
+def _map_bounds(f, radius: float) -> _MapBounds:
     D2 = f.d2_bound(radius)
+    # sup |f'| from a grid, padded by the curvature between grid points
+    xs = np.linspace(-radius, radius, 4097)
+    h = 2.0 * radius / 4096
+    D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * h / 2.0
+    scale = max(radius, f.sup_bound(radius), 1.0)
+    return _MapBounds(D1=D1, D2=D2, step=64.0 * _EPS * scale)
+
+
+def _census_bounds(base: _MapBounds, radius: float, n: int) -> _Bounds:
+    D1, D2, step = base
     d1e = max(1.0, D1)
     if d1e > 1.0 and n * math.log(d1e) > 600.0:
         raise ConfigurationError(
             f"period {n} overflows the Lipschitz bound (sup |f'| = {D1:.3g})"
         )
     L = d1e**n + 1.0
-    # sup |(f^n)''| by S_k <= D2 D1^(2(k-1)) + D1 S_{k-1}
-    S = D2
-    for k in range(2, n + 1):
-        S = D2 * d1e ** (2 * (k - 1)) + d1e * S
-    S_lam = n * D2 * d1e ** max(0, 2 * n - 2)
     # generous floating-point slack: per-step polynomial evaluation error,
     # amplified through the composition chain
-    scale = max(radius, f.sup_bound(radius), 1.0)
-    step = 64.0 * _EPS * scale
     if abs(d1e - 1.0) < 1e-9:
         chain = float(n)
     else:
         chain = (d1e**n - 1.0) / (d1e - 1.0)
     ev = step * chain + 8.0 * _EPS * radius
-    ev_d = 64.0 * _EPS * max(1.0, D1) ** n * n
-    ev_lam = ev_d
-    return _Bounds(D1=D1, D2=D2, L=L, S2=S, S_lam=S_lam, step=step, ev=ev, ev_d=ev_d, ev_lam=ev_lam)
+    ev_d = 64.0 * _EPS * d1e**n * n
+    return _Bounds(D1=D1, D2=D2, L=L, step=step, ev=ev, ev_d=ev_d)
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
@@ -256,11 +247,15 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
 
     Each step is the mean-value theorem: while |x_k - y_k| <= r_k,
     |f'(x_k)| <= s_k = |f'(y_k)| + D2 r_k (D2 = sup |f''| on [-R, R]) plus a
-    float slack, so |x_{k+1} - y_{k+1}| <= s_k r_k + step, where step is the
-    per-step evaluation slack of the census.  The true orbit stays in
-    [-R, R] (forward invariance), so clamping y_k to [-R, R] cannot move it
-    away from any true orbit and keeps D2 valid, and r_k never needs to
-    exceed 2R, a cap that also keeps s_k bounded.
+    float slack, so |x_{k+1} - y_{k+1}| <= min(s_k, D1) r_k + step, where D1
+    = sup |f'| on [-R, R] and step is the per-step evaluation slack of the
+    census.  The true orbit stays in [-R, R] (forward invariance), so
+    clamping y_k to [-R, R] cannot move it away from any true orbit and
+    keeps D1 and D2 valid, and r_k never needs to exceed 2R, a cap that also
+    keeps s_k bounded.  Capping the step at D1 gives r_n <= (L_n - 1) h + ev
+    for the uniform Lipschitz bound L_n = D1^n + 1.  lam_hi keeps the
+    uncapped s_k: its product bound needs |f'(x_k) - f'(y_k)| <= s_k -
+    |f'(y_k)|, which the cap would break.
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
@@ -273,7 +268,7 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
         s = np.abs(d) + b.D2 * r + d_slack
         lam *= d
         lam_hi *= s
-        r = np.minimum(s * r + b.step, 2.0 * R)
+        r = np.minimum(np.minimum(s, b.D1) * r + b.step, 2.0 * R)
     return y, r, lam, lam_hi
 
 
@@ -281,10 +276,8 @@ class _Cells(NamedTuple):
     """One round of live cells and what their orbit tubes prove.
 
     For every x in [mid - half, mid + half], g(x) = f^n(x) - x satisfies
-    |g(x) - g| <= spread (+ ev for float error), and
-    |(f^n)'(x) - lam| <= dev.  spread is min(L half, r_n + half): keeping the
-    global bound under the minimum means the tube drops every cell that L
-    alone would."""
+    |g(x) - g| <= spread = r_n + half (+ ev for float error), and
+    |(f^n)'(x) - lam| <= dev."""
 
     mids: np.ndarray
     halves: np.ndarray
@@ -317,7 +310,7 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
             mids=mids,
             halves=halves,
             g=y - mids,
-            spread=np.minimum(b.L * halves, r + halves),
+            spread=r + halves,
             lam=lam,
             dev=lam_hi - np.abs(lam),
         )
@@ -359,10 +352,14 @@ def find_periodic(
     Cells are bisected in rounds: a cell is dropped when its orbit tube
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
-    one, which is then bracketed).  The rest shrink to halfwidth <= tol and
-    are analysed cluster by cluster.  Returned enclosures have halfwidth
-    <= tol.  An exhausted evaluation budget leaves the unresolved frontier
-    in `uncertified_regions` and the result uncertified.  Maps of dimension
+    one, which Brent's method brackets).  The rest shrink to halfwidth <= tol
+    and are analysed cluster by cluster, where the tube over the cluster
+    decides monotonicity.  Certified enclosures have halfwidth tol, or
+    tol / 4 + 4 eps |x| when that is larger.  The uniform Lipschitz bound
+    L_n = sup |f'|^n + 1 decides no cell: it is reported as `lipschitz` and
+    sets the default residual_tol of tangential candidates.  An exhausted
+    evaluation budget leaves the unresolved frontier in
+    `uncertified_regions` and the result uncertified.  Maps of dimension
     >= 2 raise InvalidInputError.
     """
     f = as_perturbed(f)
@@ -374,7 +371,7 @@ def find_periodic(
         raise InvalidInputError("find_periodic needs a 1-D map")
 
     R = _resolve_radius(f, radius)
-    b = _census_bounds(f, R, n)
+    b = _census_bounds(_map_bounds(f, R), R, n)
     if residual_tol is None:
         residual_tol = 16.0 * (b.L * tol + b.ev)
 
@@ -396,7 +393,7 @@ def find_periodic(
             glo, ghi = gends[: idx.size], gends[idx.size :]
             settled = (np.abs(glo) > b.ev) & (np.abs(ghi) > b.ev)
             for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
-                records.append(_bracketed_root(f, n, lo[j], hi[j], glo[j], ghi[j], tol))
+                records.append(_bracketed_root(f, n, lo[j], hi[j], tol))
                 root_cells.append((lo[j], hi[j]))
             keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
@@ -454,17 +451,16 @@ def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list
 _LEAST_PERIOD_TOL = 1e-8
 
 
-def _least_period(f, x: float, n: int) -> int:
-    y = x
-    for d in range(1, n):
-        y = f.evaluate(y)
-        if n % d == 0 and abs(y - x) <= _LEAST_PERIOD_TOL * max(1.0, abs(x)):
-            return d
-    return n
-
-
 def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str) -> PeriodicPointRecord:
-    lam = _multiplier_scalar(f, x, n)
+    # one orbit pass gives the multiplier, the residual and the least period
+    y = x
+    lam = 1.0
+    least = n
+    for d in range(1, n + 1):
+        lam *= f.derivative(y)
+        y = f.evaluate(y)
+        if least == n and d < n and n % d == 0 and abs(y - x) <= _LEAST_PERIOD_TOL * max(1.0, abs(x)):
+            least = d
     return PeriodicPointRecord(
         location=float(x),
         halfwidth=float(halfwidth),
@@ -473,35 +469,19 @@ def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str
         gap=abs(abs(lam) - 1.0),
         certified=certified,
         kind=kind,
-        residual=abs(_g_scalar(f, x, n)),
-        least_period=_least_period(f, x, n),
+        residual=abs(y - x),
+        least_period=least,
     )
 
 
-def _bisect_enclosure(f, n: int, lo: float, hi: float, glo: float, ghi: float, tol: float):
-    """Shrink a sign-change bracket to halfwidth <= tol by plain bisection."""
-    for _ in range(200):
-        if (hi - lo) / 2.0 <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = _g_scalar(f, mid, n)
-        if gm == 0.0:
-            w = max(tol / 4.0, 4.0 * _EPS * max(1.0, abs(mid)))
-            return mid - w, mid + w
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    return lo, hi
-
-
-def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: float) -> PeriodicPointRecord:
-    """Record of the root of g in a sign-change bracket [a, c]: located by
-    Brent's method, enclosed to halfwidth tol by bisection."""
-    root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=tol / 4, rtol=4 * _EPS)
-    elo, ehi = _bisect_enclosure(f, n, a, c, ga, gc, tol)
-    loc = root if elo <= root <= ehi else 0.5 * (elo + ehi)
-    return _record_at(f, n, loc, max(tol, (ehi - elo) / 2), True, "simple")
+def _bracketed_root(f, n: int, a: float, c: float, tol: float) -> PeriodicPointRecord:
+    """Record of the root of g in a sign-change bracket [a, c], located by
+    Brent's method.  brentq returns a point with a computed sign change of g
+    to a point within xtol + rtol |x| of it, so [root - tol, root + tol]
+    (widened when rtol |x| needs it) is a sign-change bracket."""
+    xtol, rtol = tol / 4, 4 * _EPS
+    root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=xtol, rtol=rtol)
+    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple")
 
 
 def _probe_out(f, n, start, direction, limit, tol, ev):
@@ -529,7 +509,7 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b:
     width = c - a
     _, _, lam, lam_hi = _tube_many(f, np.array([mid]), np.array([width / 2.0]), n, R, b)
     dmid = float(lam[0]) - 1.0  # g' = (f^n)' - 1
-    dev = min(b.S2 * width / 2.0, float(lam_hi[0] - abs(lam[0])))
+    dev = float(lam_hi[0] - abs(lam[0]))
     monotone = abs(dmid) > dev + b.ev_d
 
     if monotone:
@@ -543,7 +523,7 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b:
         if abs(gc) <= b.ev:
             return True, [_record_at(f, n, c, tol, True, "boundary")], []
         if (ga > 0) != (gc > 0):
-            return True, [_bracketed_root(f, n, a, c, ga, gc, tol)], []
+            return True, [_bracketed_root(f, n, a, c, tol)], []
         # monotone, same signs, endpoints clearly nonzero: certified empty
         if min(abs(ga), abs(gc)) > 2.0 * b.ev:
             return True, [], []
@@ -552,7 +532,7 @@ def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b:
     # derivative not sign-definite on the cluster: tangency territory
     if (ga > 0) != (gc > 0) and min(abs(ga), abs(gc)) > b.ev:
         # existence is certified, uniqueness on the cluster is not
-        return False, [_bracketed_root(f, n, a, c, ga, gc, tol)], [(a, c)]
+        return False, [_bracketed_root(f, n, a, c, tol)], [(a, c)]
     gm = _g_scalar(f, mid, n)
     best = min((abs(ga), a), (abs(gc), c), (abs(gm), mid))
     if best[0] <= residual_tol:
@@ -617,6 +597,9 @@ def find_almost_periodic(
     on them, so the union of the returned intervals is a true cover
     regardless of budget; the budget only limits how tightly it hugs the
     level set (an exhausted budget keeps the whole unresolved frontier).
+    A kept cell stops refining once its tube spread of f^n - id is at most
+    slack / 4 (halving it would trim little) or its halfwidth reaches
+    `resolution` (default 1e-13 R).
     """
     f = as_perturbed(f)
     if f.dim != 1:
@@ -624,15 +607,15 @@ def find_almost_periodic(
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
     R = _resolve_radius(f, radius)
-    b = _census_bounds(f, R, n)
+    b = _census_bounds(_map_bounds(f, R), R, n)
     if resolution is None:
-        resolution = max(slack / (4.0 * b.L), 1e-13 * R)
+        resolution = 1e-13 * R
 
     kept: list = []
 
     def classify(c: _Cells, _budget: int):
         keep = np.abs(c.g) <= c.spread + slack + b.ev
-        done = keep & (c.halves <= resolution)
+        done = keep & ((c.spread <= slack / 4.0) | (c.halves <= resolution))
         kept.append((c.mids[done], c.halves[done]))
         return keep & ~done, 0
 
@@ -698,10 +681,9 @@ def ih_check(
     slack) has multiplier gap at least gamma_k = exp(-C k^(1+delta)).  Each
     stage is verified by subdividing the invariant interval: a box passes if
     it certifiably contains no almost-periodic point, or if every point of
-    the box has gap above the threshold.  Both tests read the box's orbit
-    tube, which bounds f^k - id and the multiplier (f^k)' over the whole box
-    (the global bounds L_k and sup |(f^k)''| stand in where they are
-    tighter).  The stage fails with a witness box
+    the box has gap above the threshold.  Both tests read only the box's
+    orbit tube, which bounds f^k - id and the multiplier (f^k)' over the
+    whole box.  The stage fails with a witness box
     when a midpoint is certifiably almost periodic with gap certifiably
     below the threshold.  Boxes that reach the width floor or exhaust the
     budget are reported as unresolved and make the stage (and the report)
@@ -716,11 +698,12 @@ def ih_check(
     if width_floor is None:
         width_floor = 1e-9 * R
 
+    base = _map_bounds(f, R)
     rows = []
     for k in range(1, n_max + 1):
         thr = params.gamma_n(k)
         slack = thr ** (1.0 / params.rho)
-        b = _census_bounds(f, R, k)
+        b = _census_bounds(base, R, k)
         row = _ih_one_period(f, k, thr, slack, R, b, width_floor, max_evaluations_per_period)
         rows.append(row)
         if row.status == "fails":
@@ -741,14 +724,14 @@ def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> I
         nonlocal witness
         gabs = np.abs(c.g)
         gaps = np.abs(np.abs(c.lam) - 1.0)
-        failing = (gabs + b.ev <= slack) & (gaps + b.ev_lam < thr)
+        failing = (gabs + b.ev <= slack) & (gaps + b.ev_d < thr)
         if np.any(failing):
             idx = np.flatnonzero(failing)
             j = idx[np.argmin(c.mids[idx])]
             witness = _record_at(f, k, c.mids[j], c.halves[j], True, "witness")
             return np.zeros(c.mids.size, dtype=bool), 0
         excluded = gabs > c.spread + slack + b.ev
-        hyperbolic = gaps - np.minimum(b.S_lam * c.halves, c.dev) - b.ev_lam >= thr
+        hyperbolic = gaps - c.dev - b.ev_d >= thr
         live = ~(excluded | hyperbolic)
         floored = live & (2.0 * c.halves <= width_floor)
         unresolved.append((c.mids[floored], c.halves[floored]))

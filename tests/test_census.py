@@ -31,7 +31,7 @@ from orbitlab import (
     prop11_check,
     sample,
 )
-from orbitlab.census import _census_bounds, _resolve_radius, _tube_many
+from orbitlab.census import _census_bounds, _map_bounds, _resolve_radius, _tube_many
 
 from conftest import random_contraction
 
@@ -312,13 +312,15 @@ def _tube_map(family: str, seed: int):
 )
 def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts):
     """For every x in the cell [m - h, m + h], |f^n(x) - y_n| <= r_n and
-    |(f^n)'(x) - lam| <= lam_hi - |lam|, against exact orbits."""
+    |(f^n)'(x) - lam| <= lam_hi - |lam|, against exact orbits; and r_n never
+    exceeds the uniform Lipschitz bound (L_n - 1) h + ev."""
     f, radius = _tube_map(family, seed)
     R = _resolve_radius(f, radius)
-    b = _census_bounds(f, R, n)
+    b = _census_bounds(_map_bounds(f, R), R, n)
     h = R * 2.0**-depth
     m = -R + h + where * (2.0 * R - 2.0 * h)
     y, r, lam, lam_hi = (float(v[0]) for v in _tube_many(f, np.array([m]), np.array([h]), n, R, b))
+    assert r <= (b.L - 1.0) * h + b.ev
     for t in [-1.0, 0.0, 1.0] + ts:
         x = min(max(m + t * h, -R), R)
         fx, dfx = _exact_orbit(f, x, n)
@@ -353,6 +355,20 @@ def test_almost_periodic_shrinks_to_census():
     cover = find_almost_periodic(half(), 1, 1e-6, resolution=1e-4)
     assert any(lo <= 0.0 <= hi for lo, hi in cover.intervals)
     assert cover.total_length < 0.01
+
+
+def test_almost_periodic_cover_resolves_chaotic_period_10():
+    """Cells stop refining once their tube spread is below slack / 4, so the
+    cover of 0.95 - 1.8x^2 at n = 10 resolves within the default budget, one
+    interval around each of its 103 periodic points."""
+    f = PolynomialMap.univariate(CHAOTIC)
+    cover = find_almost_periodic(f, 10, 1e-6, radius=1.0)
+    assert cover.fully_refined
+    census = find_periodic(f, 10, radius=1.0)
+    assert len(cover.intervals) == census.count == 103
+    for rec, (lo, hi) in zip(census.records, cover.intervals):
+        assert lo <= rec.location <= hi
+        assert hi - lo < 1e-5
 
 
 def test_almost_periodic_validation():
