@@ -22,6 +22,17 @@ uniqueness, so the reported count is exact whenever the result says so.
 Floating-point error is covered by a generous slack per evaluation, not by
 outward rounding.
 
+The work that does not depend on the period is done once per map and
+reused by every later census, cover and ih_check on it: the certified
+radius, the bounds on [-R, R] (sup |f'|, sup |f''|, the per-step slack),
+and the orbit tube of the initial grid.  The tube at period n is the tube at
+period n - 1 plus one step, so a later call extends the deepest tube held
+for that grid, or reuses it at the same period; the result is bit for bit
+the one computed from scratch.  A reused orbit still counts as evaluations,
+so budgets and reported evaluations do not depend on what came before.  The
+memo is held per map object, weakly (it goes with the map), and assumes a
+map is not mutated after it is built, as the 1-D fold already does.
+
 On top of the census sit:
 
 * gamma_n_of_map: the distance of the worst multiplier to the unit circle
@@ -39,6 +50,8 @@ reported as uncertified regions, never silently dropped.
 from __future__ import annotations
 
 import math
+import numbers
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -126,7 +139,12 @@ class PeriodicPointRecord:
 
 @dataclass
 class CensusResult:
-    """Outcome of one period-n census."""
+    """Outcome of one period-n census.
+
+    `evaluations` counts n-step orbits of points, including the initial
+    grid's orbits reused from an earlier call on the same map: the count,
+    and so the budget, is the same whatever ran before.  That reuse assumes
+    the map is not mutated after it is built."""
 
     period: int
     radius: float
@@ -185,14 +203,27 @@ class _Bounds(NamedTuple):
     ev_d: float
 
 
+# period-independent work per map: key -> value, where the keys are
+# ("radius", radius argument), ("bounds", R) and ("tube", R, cells)
+_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _memo(f) -> dict:
+    return _MEMO.setdefault(f, {})
+
+
 def _map_bounds(f, radius: float) -> _MapBounds:
-    D2 = f.d2_bound(radius)
-    # sup |f'| from a grid, padded by the curvature between grid points
-    xs = np.linspace(-radius, radius, 4097)
-    h = 2.0 * radius / 4096
-    D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * h / 2.0
-    scale = max(radius, f.sup_bound(radius), 1.0)
-    return _MapBounds(D1=D1, D2=D2, step=64.0 * _EPS * scale)
+    key = ("bounds", radius)
+    memo = _memo(f)
+    if key not in memo:
+        D2 = f.d2_bound(radius)
+        # sup |f'| from a grid, padded by the curvature between grid points
+        xs = np.linspace(-radius, radius, 4097)
+        h = 2.0 * radius / 4096
+        D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * h / 2.0
+        scale = max(radius, f.sup_bound(radius), 1.0)
+        memo[key] = _MapBounds(D1=D1, D2=D2, step=64.0 * _EPS * scale)
+    return memo[key]
 
 
 def _census_bounds(base: _MapBounds, radius: float, n: int) -> _Bounds:
@@ -215,9 +246,17 @@ def _census_bounds(base: _MapBounds, radius: float, n: int) -> _Bounds:
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise InvalidInputError("radius must be a positive real")
+    key = ("radius", radius)
+    memo = _memo(f)
+    if key not in memo:
+        memo[key] = _certified_radius(f, radius)
+    return memo[key]
+
+
+def _certified_radius(f, radius: Optional[float]) -> float:
     if radius is not None:
-        if not (math.isfinite(radius) and radius > 0):
-            raise InvalidInputError("radius must be a positive real")
         lo, hi = certified_range_1d(f, radius)
         if not (lo >= -radius and hi <= radius):
             raise UncertifiedCensusError(
@@ -234,10 +273,18 @@ def _resolve_radius(f, radius: Optional[float]) -> float:
     return float(found)
 
 
+def _period(n, least: int = 1, name: str = "period") -> int:
+    """n as an int, or InvalidInputError unless it is an integer >= least."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}")
+    return int(n)
+
+
 # -- orbit tubes and the certify-or-refine driver -----------------------------------
 
 
-def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds):
+def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds,
+               lam=1.0, lam_hi=1.0):
     """Orbit tubes of the cells [m - h, m + h] under n steps of f.
 
     Returns (y, r, lam, lam_hi): the computed orbit y of each midpoint with a
@@ -256,20 +303,44 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
     for the uniform Lipschitz bound L_n = D1^n + 1.  lam_hi keeps the
     uncapped s_k: its product bound needs |f'(x_k) - f'(y_k)| <= s_k -
     |f'(y_k)|, which the cap would break.
+
+    Given the (mids, halves) as the tube (y, r) at some step k and the
+    (lam, lam_hi) there, it continues that tube to step k + n.  Every
+    update is out of place, so the arrays passed in are never changed.
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
-    lam = np.ones_like(y)
-    lam_hi = np.ones_like(y)
     d_slack = 64.0 * _EPS * b.D1
     for _ in range(n):
         d = f.deriv_many(y)
         y = np.clip(f.eval_many(y), -R, R)
         s = np.abs(d) + b.D2 * r + d_slack
-        lam *= d
-        lam_hi *= s
+        lam = lam * d
+        lam_hi = lam_hi * s
         r = np.minimum(np.minimum(s, b.D1) * r + b.step, 2.0 * R)
     return y, r, lam, lam_hi
+
+
+def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds):
+    """_tube_many over the initial grid (mids, halves) at period n >= 1,
+    continued from the deepest tube of that grid in the map's memo, at
+    period k: n - k more steps when k < n, none when k = n, and all n from
+    the grid when k > n (the memo keeps k).  A step reads only D1, D2 and
+    step, none of which depends on the period, so the result is bit for
+    bit the tube computed from scratch."""
+    key = ("tube", R, mids.size)
+    memo = _memo(f)
+    k, y, r, lam, lam_hi = memo.get(key, (0, mids, halves, 1.0, 1.0))
+    if k == n:
+        return y, r, lam, lam_hi
+    if k > n:
+        k, y, r, lam, lam_hi = 0, mids, halves, 1.0, 1.0
+    tube = _tube_many(f, y, r, n - k, R, b, lam, lam_hi)
+    if key not in memo or memo[key][0] < n:
+        for a in tube:
+            a.flags.writeable = False  # shared with later calls
+        memo[key] = (n, *tube)
+    return tube
 
 
 class _Cells(NamedTuple):
@@ -291,7 +362,8 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
     """Certify-or-refine [-R, R], split into k0 equal cells, in vectorised
     rounds.
 
-    Each round runs the orbit tube over the live cells and calls
+    Each round runs the orbit tube over the live cells (the first round
+    takes the initial grid's tube from the map's memo) and calls
     `classify(cells, budget)`, which records whatever it decides and returns
     the mask of the cells still undecided plus the evaluations it spent
     itself, at most `budget`; the undecided cells are bisected.  An
@@ -304,7 +376,8 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
     halves = np.full(k0, R / k0)
     evaluations = 0
     while mids.size and evaluations + mids.size <= max_evaluations:
-        y, r, lam, lam_hi = _tube_many(f, mids, halves, n, R, b)
+        tube = _grid_tube if evaluations == 0 else _tube_many  # round 1: the grid
+        y, r, lam, lam_hi = tube(f, mids, halves, n, R, b)
         evaluations += mids.size
         cells = _Cells(
             mids=mids,
@@ -360,11 +433,16 @@ def find_periodic(
     sets the default residual_tol of tangential candidates.  An exhausted
     evaluation budget leaves the unresolved frontier in
     `uncertified_regions` and the result uncertified.  Maps of dimension
-    >= 2 raise InvalidInputError.
+    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+
+    The certified radius, the bounds and the initial grid's orbit tube are
+    kept per map and reused by later calls on it (the tube extended from a
+    lower period), with results identical to a fresh map's; `evaluations`
+    counts the reused orbits too.  The map must not be mutated after it is
+    built.
     """
     f = as_perturbed(f)
-    if n < 1:
-        raise InvalidInputError("period must be >= 1")
+    n = _period(n)
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
     if f.dim != 1:
@@ -604,6 +682,7 @@ def find_almost_periodic(
     f = as_perturbed(f)
     if f.dim != 1:
         raise InvalidInputError("find_almost_periodic needs a 1-D map")
+    n = _period(n)
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
     R = _resolve_radius(f, radius)
@@ -692,8 +771,7 @@ def ih_check(
     f = as_perturbed(f)
     if f.dim != 1:
         raise InvalidInputError("ih_check needs a 1-D map")
-    if n_max < 0:
-        raise InvalidInputError("n_max must be >= 0")
+    n_max = _period(n_max, 0, "n_max")
     R = _resolve_radius(f, radius)
     if width_floor is None:
         width_floor = 1e-9 * R
@@ -805,8 +883,7 @@ def prop11_check(
     f = as_perturbed(f)
     if f.dim != 1:
         raise InvalidInputError("prop11_check needs a 1-D map")
-    if n_max < 1:
-        raise InvalidInputError("n_max must be >= 1")
+    n_max = _period(n_max, 1, "n_max")
     nb = norm_bounds(f, brick=brick, rho=rho)
     rho = nb.rho
     inverse_unbounded = not math.isfinite(nb.m1rho)

@@ -202,7 +202,12 @@ def _measure_sample(f: PerturbedMap, config: ExperimentConfig, index: int, seed)
     r0 = f.domain_radius
     lo, hi = certified_range_1d(f, r0)
     report.strict_invariance = bool(lo >= -r0 and hi <= r0)
-    R = config.radius if config.radius is not None else invariant_radius(f)
+    if config.radius is not None:
+        R = config.radius
+    elif report.strict_invariance:
+        R = r0  # the first rung of invariant_radius, already certified
+    else:
+        R = invariant_radius(f)
     if R is None:
         report.status = "aborted:no-invariant-radius"
         return report

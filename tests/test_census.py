@@ -1,5 +1,6 @@
 """Tests for the certified periodic-point census and the checks built on it."""
 
+import gc
 import math
 
 import mpmath
@@ -31,6 +32,7 @@ from orbitlab import (
     prop11_check,
     sample,
 )
+from orbitlab import census
 from orbitlab.census import _census_bounds, _map_bounds, _resolve_radius, _tube_many
 
 from conftest import random_contraction
@@ -168,6 +170,23 @@ def test_census_rejects_bad_inputs():
         find_periodic(shift, 1, radius=1.0)  # not forward invariant
 
 
+def test_periods_must_be_positive_integers():
+    params = GrowthParams(C=1.0, delta=1.0)
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError):
+            find_almost_periodic(half(), n, 1e-3)
+    with pytest.raises(InvalidInputError):
+        find_almost_periodic(half(), 1.5, 1e-3)
+    with pytest.raises(InvalidInputError):
+        find_periodic(half(), 2.5)
+    with pytest.raises(InvalidInputError):
+        ih_check(half(), params, 2.5)
+    with pytest.raises(InvalidInputError):
+        prop11_check(half(), 2.5)
+    # integer types other than int are periods too
+    assert find_periodic(half(), np.int64(2)).period == 2
+
+
 def test_census_overflow_guard():
     with pytest.raises(ConfigurationError):
         find_periodic(quad(), 800)
@@ -271,6 +290,46 @@ def test_census_budget_exhaustion_is_partial():
             assert in_region or found
         for r in certified:
             assert any(abs(r.location - rec.location) <= 1e-11 for rec in full.records)
+
+
+# -- reuse across periods ----------------------------------------------------------
+
+
+def _seeded_quadratic():
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps)
+
+
+def test_reused_census_work_matches_a_fresh_map():
+    """Periods 5, 1, 8, 8, 3 on one map extend the initial grid's tube,
+    restart it, reuse it at the same period and restart it again; every
+    result equals the same call on a freshly built map, field by field."""
+    f = _seeded_quadratic()
+    for n in (5, 1, 8, 8, 3):
+        assert find_periodic(f, n) == find_periodic(_seeded_quadratic(), n)
+    cover = find_almost_periodic(f, 6, 1e-3)
+    assert cover == find_almost_periodic(_seeded_quadratic(), 6, 1e-3)
+    params = GrowthParams(C=3.0, delta=1.0)
+    report = ih_check(f, params, 8)
+    assert report == ih_check(_seeded_quadratic(), params, 8)
+    assert [row.status for row in report.rows] == ["holds"] * 8
+    # the memo holds the deepest tube of each grid
+    memo = census._MEMO[f]
+    assert memo["tube", report.radius, 1024][0] == 8
+    assert memo["tube", report.radius, 256][0] == 8
+
+
+def test_census_memo_goes_with_its_map():
+    gc.collect()
+    before = len(census._MEMO)
+    f = _seeded_quadratic()
+    find_periodic(f, 4)
+    ih_check(f, GrowthParams(C=1.0, delta=1.0), 2)
+    assert f in census._MEMO
+    assert len(census._MEMO) == before + 1
+    del f
+    gc.collect()
+    assert len(census._MEMO) == before
 
 
 # -- orbit tubes -------------------------------------------------------------------
