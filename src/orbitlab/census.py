@@ -16,11 +16,12 @@ L_n = D1^n + 1 and its float slack ev: the tube is never looser than L_n
 beyond that slack.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g monotone, and the values of g at its two endpoints settle
 it: no solution, or exactly one, which Brent's method brackets to the
-requested tolerance.  The remaining cells shrink to enclosures; sign
-changes plus the tube's derivative enclosure certify existence and
-uniqueness, so the reported count is exact whenever the result says so.
-Floating-point error is covered by a generous slack per evaluation, not by
-outward rounding.
+requested tolerance.  The remaining cells shrink to halfwidth tol and merge
+into clusters; each cluster, widened by 2 tol on each side, is settled by
+the same test, and a window it leaves open (a tangency, or a root within
+the float slack of a window end) is reported as uncertified.  So the
+reported count is exact whenever the result says so.  Floating-point error
+is covered by a generous slack per evaluation, not by outward rounding.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -112,11 +113,13 @@ class GrowthParams:
 class PeriodicPointRecord:
     """One (near-)solution of f^n(x) = x.
 
-    `certified` means the enclosure [location - halfwidth, location +
-    halfwidth] provably contains exactly one solution; tangential candidates
-    (|f^n - id| below the residual tolerance at a critical point of the
-    displacement, with no sign change) are kept with certified=False so that
-    nothing is silently dropped.  `gap` is the distance of the multiplier
+    `kind` is "simple" for a census root: `certified` means the enclosure
+    [location - halfwidth, location + halfwidth] provably contains exactly
+    one solution.  A "tangential-candidate" (certified=False) marks a census
+    window the monotone test could not settle where |f^n - id| is small at
+    an end or the midpoint, so that nothing is silently dropped; its
+    halfwidth is the window's.  A "witness" is the box at which ih_check
+    refutes the hypothesis.  `gap` is the distance of the multiplier
     (f^n)'(x) to the unit circle; `residual` is |f^n(x) - x| at the refined
     point; `least_period` is the smallest divisor d of the period with
     |f^d(x) - x| below a loose metadata threshold (not certified).
@@ -414,7 +417,6 @@ def find_periodic(
     n: int,
     radius: Optional[float] = None,
     tol: float = 1e-12,
-    residual_tol: Optional[float] = None,
     max_evaluations: int = 3_000_000,
 ) -> CensusResult:
     """Certified census of the solutions of f^n(x) = x on [-R, R] for a 1-D
@@ -426,14 +428,16 @@ def find_periodic(
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
     one, which Brent's method brackets).  The rest shrink to halfwidth <= tol
-    and are analysed cluster by cluster, where the tube over the cluster
-    decides monotonicity.  Certified enclosures have halfwidth tol, or
-    tol / 4 + 4 eps |x| when that is larger.  The uniform Lipschitz bound
-    L_n = sup |f'|^n + 1 decides no cell: it is reported as `lipschitz` and
-    sets the default residual_tol of tangential candidates.  An exhausted
-    evaluation budget leaves the unresolved frontier in
-    `uncertified_regions` and the result uncertified.  Maps of dimension
-    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+    and merge into clusters; each cluster, widened by 2 tol on each side, is
+    settled by the same test.  A window the test leaves open is reported in
+    `uncertified_regions`, with a "tangential-candidate" record when |g| at
+    its ends or midpoint is below 16 (L_n tol + ev).  Certified enclosures
+    have halfwidth tol, or tol / 4 + 4 eps |x| when that is larger.  The
+    uniform Lipschitz bound L_n = sup |f'|^n + 1 decides no cell: it is
+    reported as `lipschitz`.  An exhausted evaluation budget leaves the
+    unresolved frontier in `uncertified_regions` and the result
+    uncertified.  Maps of dimension >= 2, and periods that are not integers
+    >= 1, raise InvalidInputError.
 
     The certified radius, the bounds and the initial grid's orbit tube are
     kept per map and reused by later calls on it (the tube extended from a
@@ -450,11 +454,9 @@ def find_periodic(
 
     R = _resolve_radius(f, radius)
     b = _census_bounds(_map_bounds(f, R), R, n)
-    if residual_tol is None:
-        residual_tol = 16.0 * (b.L * tol + b.ev)
 
     records: list = []
-    root_cells: list = []  # cells holding exactly one settled root
+    root_cells: list = [(np.empty(0), np.empty(0))]  # (los, his) of cells with one root
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
@@ -462,18 +464,10 @@ def find_periodic(
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev + b.ev_d))
         spent = 0
         if idx.size and 2 * idx.size <= budget:
-            # g is monotone on these cells: their endpoint values decide them
-            lo = c.mids[idx] - c.halves[idx]
-            hi = c.mids[idx] + c.halves[idx]
-            ends = np.concatenate([lo, hi])
-            gends = _iterate_many(f, ends, n) - ends
-            spent = ends.size
-            glo, ghi = gends[: idx.size], gends[idx.size :]
-            settled = (np.abs(glo) > b.ev) & (np.abs(ghi) > b.ev)
-            for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
-                records.append(_bracketed_root(f, n, lo[j], hi[j], tol))
-                root_cells.append((lo[j], hi[j]))
+            settled = _settle(f, n, c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx],
+                              tol, b.ev, records, root_cells)
             keep[idx[settled]] = False
+            spent = 2 * idx.size
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
         return keep & ~done, spent
@@ -483,25 +477,43 @@ def find_periodic(
     uncertified: list = _merged([(left_mids, left_halves)])
 
     clusters = _merged(finished, gap=tol / 2)
-    # a cluster's analysis window stops at the cells of settled roots, so
-    # no root is counted twice
-    root_los = np.sort([lo for lo, _ in root_cells])
-    root_his = np.sort([hi for _, hi in root_cells])
-    for i, (lo, hi) in enumerate(clusters):
-        left_lim = -R if i == 0 else 0.5 * (clusters[i - 1][1] + lo)
-        right_lim = R if i == len(clusters) - 1 else 0.5 * (hi + clusters[i + 1][0])
-        j = np.searchsorted(root_his, lo, side="right")
-        if j:
-            left_lim = max(left_lim, float(root_his[j - 1]))
-        j = np.searchsorted(root_los, hi, side="left")
-        if j < root_los.size:
-            right_lim = min(right_lim, float(root_los[j]))
-        cert, recs, regions = _analyze_cluster(
-            f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b
+    if clusters:
+        los, his = np.array(clusters).T
+        # a window stops halfway to the next cluster and at the cells of
+        # settled roots, so no root is counted twice
+        between = 0.5 * (his[:-1] + los[1:])
+        root_los = np.sort(np.concatenate([lo for lo, _ in root_cells]))
+        root_his = np.sort(np.concatenate([hi for _, hi in root_cells]))
+        left = np.maximum(
+            np.concatenate([[-R], between]),
+            np.concatenate([[-np.inf], root_his])[np.searchsorted(root_his, los, side="right")],
         )
-        records.extend(recs)
-        uncertified.extend(regions)
-        certified = certified and cert
+        right = np.minimum(
+            np.concatenate([between, [R]]),
+            np.concatenate([root_los, [np.inf]])[np.searchsorted(root_los, his, side="left")],
+        )
+        a = np.maximum(los - 2.0 * tol, left)
+        c = np.minimum(his + 2.0 * tol, right)
+        mid = 0.5 * (a + c)
+        half = (c - a) / 2.0
+        _, _, lam, lam_hi = _tube_many(f, mid, half, n, R, b)
+        idx = np.flatnonzero(np.abs(lam - 1.0) > lam_hi - np.abs(lam) + b.ev_d)
+        open_ = np.ones(a.size, dtype=bool)
+        open_[idx[_settle(f, n, a[idx], c[idx], tol, b.ev, records, root_cells)]] = False
+        u = np.flatnonzero(open_)
+        if u.size:
+            certified = False
+            # a tangency (or a root at the noise floor) leaves the window open
+            pts = np.concatenate([a[u], mid[u], c[u]])
+            gabs = np.abs(_iterate_many(f, pts, n) - pts).reshape(3, u.size)
+            pts = pts.reshape(3, u.size)
+            best = np.argmin(gabs, axis=0)  # ties go to the leftmost point
+            candidate_tol = 16.0 * (b.L * tol + b.ev)
+            for i, j in enumerate(u):
+                if gabs[best[i], i] <= candidate_tol:
+                    records.append(_record_at(f, n, pts[best[i], i], half[j], False,
+                                              "tangential-candidate"))
+                uncertified.append((float(a[j]), float(c[j])))
 
     records.sort(key=lambda r: r.location)
     return CensusResult(
@@ -515,14 +527,32 @@ def find_periodic(
     )
 
 
+def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float,
+            records: list, root_cells: list) -> np.ndarray:
+    """Settle the intervals [lo, hi] on which g = f^n - id is proved
+    monotone, from g at both ends: when both ends clear the float slack ev,
+    opposite signs mean exactly one root, which Brent's method locates (its
+    record goes to `records`, the interval's (lo, hi) to `root_cells`), and
+    one sign means none.  Returns the mask of the settled intervals."""
+    ends = np.concatenate([lo, hi])
+    g = _iterate_many(f, ends, n) - ends
+    glo, ghi = g[: lo.size], g[lo.size :]
+    settled = (np.abs(glo) > ev) & (np.abs(ghi) > ev)
+    roots = np.flatnonzero(settled & ((glo > 0) != (ghi > 0)))
+    records.extend(_bracketed_root(f, n, lo[j], hi[j], tol) for j in roots)
+    root_cells.append((lo[roots], hi[roots]))
+    return settled
+
+
 def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list:
-    """Merge sorted intervals that touch or overlap (within `gap`)."""
+    """Merge sorted intervals that touch or overlap (within `gap`) into a
+    list of (lo, hi) pairs of floats."""
     out: list = []
-    for lo, hi in zip(los, his):
+    for lo, hi in zip(los.tolist(), his.tolist()):
         if out and lo <= out[-1][1] + gap:
             out[-1][1] = max(out[-1][1], hi)
         else:
-            out.append([float(lo), float(hi)])
+            out.append([lo, hi])
     return [(lo, hi) for lo, hi in out]
 
 
@@ -560,63 +590,6 @@ def _bracketed_root(f, n: int, a: float, c: float, tol: float) -> PeriodicPointR
     xtol, rtol = tol / 4, 4 * _EPS
     root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=xtol, rtol=rtol)
     return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple")
-
-
-def _probe_out(f, n, start, direction, limit, tol, ev):
-    """First point beyond `start` (towards `limit`) where |f^n - id| clears
-    the float noise floor; the limit itself if none does."""
-    pad = 2.0 * tol
-    while True:
-        x = start + direction * pad
-        if (direction < 0 and x <= limit) or (direction > 0 and x >= limit):
-            return limit
-        if abs(_g_scalar(f, x, n)) > ev:
-            return x
-        pad *= 2.0
-
-
-def _analyze_cluster(f, n, lo, hi, left_lim, right_lim, tol, residual_tol, R, b: _Bounds):
-    """Certify the contents of one surviving cluster [lo, hi]; the analysis
-    window is kept inside (left_lim, right_lim) so neighbouring clusters are
-    never double-counted."""
-    a = _probe_out(f, n, lo, -1.0, left_lim, tol, b.ev)
-    c = _probe_out(f, n, hi, +1.0, right_lim, tol, b.ev)
-    ga = _g_scalar(f, a, n)
-    gc = _g_scalar(f, c, n)
-    mid = 0.5 * (a + c)
-    width = c - a
-    _, _, lam, lam_hi = _tube_many(f, np.array([mid]), np.array([width / 2.0]), n, R, b)
-    dmid = float(lam[0]) - 1.0  # g' = (f^n)' - 1
-    dev = float(lam_hi[0] - abs(lam[0]))
-    monotone = abs(dmid) > dev + b.ev_d
-
-    if monotone:
-        if abs(ga) <= b.ev and abs(gc) <= b.ev:
-            # an entire tiny cluster at the noise floor with g monotone:
-            # a single root, located at the smaller endpoint residual
-            x = a if abs(ga) <= abs(gc) else c
-            return True, [_record_at(f, n, x, tol, True, "boundary")], []
-        if abs(ga) <= b.ev:
-            return True, [_record_at(f, n, a, tol, True, "boundary")], []
-        if abs(gc) <= b.ev:
-            return True, [_record_at(f, n, c, tol, True, "boundary")], []
-        if (ga > 0) != (gc > 0):
-            return True, [_bracketed_root(f, n, a, c, tol)], []
-        # monotone, same signs, endpoints clearly nonzero: certified empty
-        if min(abs(ga), abs(gc)) > 2.0 * b.ev:
-            return True, [], []
-        return False, [], [(a, c)]
-
-    # derivative not sign-definite on the cluster: tangency territory
-    if (ga > 0) != (gc > 0) and min(abs(ga), abs(gc)) > b.ev:
-        # existence is certified, uniqueness on the cluster is not
-        return False, [_bracketed_root(f, n, a, c, tol)], [(a, c)]
-    gm = _g_scalar(f, mid, n)
-    best = min((abs(ga), a), (abs(gc), c), (abs(gm), mid))
-    if best[0] <= residual_tol:
-        rec = _record_at(f, n, best[1], (c - a) / 2, False, "tangential-candidate")
-        return False, [rec], [(a, c)]
-    return False, [], [(a, c)]
 
 
 # -- gamma_n -----------------------------------------------------------------------

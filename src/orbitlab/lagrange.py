@@ -251,15 +251,18 @@ def p_km(pts: Sequence[float], k: int) -> float:
 
 def lagrange_matrix(anchor: PointTuple) -> np.ndarray:
     """The unit upper-triangular matrix T with u = T eps:
-    T[m, k] = p_{k,m}(z_0, ..., z_m) for k > m."""
+    T[m, k] = p_{k,m}(z_0, ..., z_m) for k > m.
+
+    Built column by column from T[0, k] = z_0 T[0, k-1] and
+    T[m, k] = T[m-1, k-1] + z_m T[m, k-1], the recurrence `p_km` runs, with
+    the same float operations, so each entry equals p_km's bit for bit."""
     n = anchor.n
     z = anchor.cyclic_nodes()
     size = 2 * n
     T = np.eye(size)
-    for m in range(size):
-        head = z[: m + 1]
-        for k in range(m + 1, size):
-            T[m, k] = p_km(head, k)
+    for k in range(1, size):
+        T[0, k] = z[0] * T[0, k - 1]
+        T[1:k, k] = T[: k - 1, k - 1] + z[1:k] * T[1:k, k - 1]
     return T
 
 

@@ -240,6 +240,37 @@ def test_census_matches_exact_sturm_count():
             assert res.count == _sturm_count(sympy, coeffs, n, res.radius) == want
 
 
+def _mobius(k: int) -> int:
+    result, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if k > 1 else result
+
+
+def test_census_counts_pass_least_period_divisibility():
+    """Every orbit of least period n has n points, so from the certified
+    counts P_d (d | n) the number of points of least period n,
+    sum_{d | n} mu(n / d) P_d, is a multiple of n: an exact oracle at any
+    period."""
+    cases = [
+        (PolynomialMap.univariate(CHAOTIC), 1.0, 14),
+        (_seeded_quadratic(), None, 16),
+    ]
+    for f, radius, n_max in cases:
+        counts = {}
+        for n in range(1, n_max + 1):
+            res = find_periodic(f, n, radius=radius)
+            assert res.certified
+            counts[n] = res.count
+            least = sum(_mobius(n // d) * counts[d] for d in range(1, n + 1) if n % d == 0)
+            assert least >= 0 and least % n == 0, (n, counts)
+
+
 def _negated(eps) -> PerturbationVector:
     comps = tuple(HomogeneousComponent(c.degree, c.dim, -c.coeffs) for c in eps.components)
     return PerturbationVector(eps.dim, comps, eps.brick, eps.seed)
@@ -290,6 +321,29 @@ def test_census_budget_exhaustion_is_partial():
             assert in_region or found
         for r in certified:
             assert any(abs(r.location - rec.location) <= 1e-11 for rec in full.records)
+
+
+def test_tangency_is_reported_uncertified():
+    """x - x^3 has a triple fixed point at 0, where the tube cannot prove
+    x - f(x) monotone.  With the default tol the budget runs out around it;
+    with tol 1e-4 the cells refine to a cluster whose window stays open and
+    holds a tangential candidate.  Neither certifies a record."""
+    for tol in (1e-12, 1e-4):
+        res = find_periodic(parabolic(), 1, tol=tol, max_evaluations=200_000)
+        assert not res.certified
+        assert res.evaluations <= 200_000
+        assert not any(r.certified for r in res.records)
+        assert any(lo <= 0.0 <= hi for lo, hi in res.uncertified_regions)
+    assert [(r.kind, r.location) for r in res.records] == [("tangential-candidate", 0.0)]
+
+
+def test_reported_intervals_are_plain_floats():
+    regions = find_periodic(parabolic(), 1, max_evaluations=200_000).uncertified_regions
+    cover = find_almost_periodic(PolynomialMap.univariate(CHAOTIC), 10, 1e-6, radius=1.0)
+    report = ih_check(half(), GrowthParams(C=1.0, delta=0.5), 1, max_evaluations_per_period=100)
+    for intervals in (regions, cover.intervals, report.rows[0].unresolved):
+        assert intervals
+        assert all(type(v) is float for interval in intervals for v in interval)
 
 
 # -- reuse across periods ----------------------------------------------------------

@@ -136,6 +136,21 @@ def test_lagrange_matrix_unit_upper_triangular(rng):
     assert abs(np.linalg.det(T) - 1.0) < 1e-9
 
 
+def test_lagrange_matrix_entries_equal_p_km_bitwise(rng):
+    """T is built by p_km's own recurrence, so each entry on and above the
+    diagonal is p_km's float result exactly, repeated points included."""
+    for n in (1, 2, 3, 5, 8, 13, 16):
+        pts = rng.uniform(-1.0, 1.0, size=n)
+        if n > 1:
+            pts[rng.integers(1, n)] = pts[0]
+        anchor = PointTuple(pts)
+        T = lagrange_matrix(anchor)
+        z = anchor.cyclic_nodes()
+        for m in range(2 * n):
+            for k in range(m, 2 * n):
+                assert T[m, k] == p_km(z[: m + 1], k)
+
+
 def test_lagrange_map_n1_worked_example():
     # n=1, anchor (0.5), eps=(1,2): u_0 = 1 + 2*0.5 = 2, u_1 = 2
     u = lagrange_map(EpsPolynomial([1.0, 2.0]), PointTuple([0.5]))
