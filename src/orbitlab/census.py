@@ -25,14 +25,16 @@ is covered by a generous slack per evaluation, not by outward rounding.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
-radius, the bounds on [-R, R] (sup |f'|, sup |f''|, the per-step slack),
-and the orbit tube of the initial grid.  The tube at period n is the tube at
-period n - 1 plus one step, so a later call extends the deepest tube held
-for that grid, or reuses it at the same period; the result is bit for bit
-the one computed from scratch.  A reused orbit still counts as evaluations,
-so budgets and reported evaluations do not depend on what came before.  The
-memo is held per map object, weakly (it goes with the map), and assumes a
-map is not mutated after it is built, as the 1-D fold already does.
+ranges behind the radius (kept by certified_range_1d, which the
+experiment's invariance check shares), the bounds on [-R, R] (sup |f'|,
+sup |f''|, the per-step slack), and the orbit tube of the initial grid.
+The tube at period n is the tube at period n - 1 plus one step, so a later
+call extends the deepest tube held for that grid, or reuses it at the same
+period; the result is bit for bit the one computed from scratch.  A reused
+orbit still counts as evaluations, so budgets and reported evaluations do
+not depend on what came before.  The memo (dynamics._MEMO) is held per map
+object, weakly (it goes with the map), and assumes a map is not mutated
+after it is built, as the 1-D fold already does.
 
 On top of the census sit:
 
@@ -52,14 +54,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import as_perturbed, certified_range_1d, invariant_radius, norm_bounds
+from .dynamics import _memo, as_perturbed, certified_range_1d, invariant_radius, norm_bounds
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
 
 __all__ = [
@@ -144,10 +145,12 @@ class PeriodicPointRecord:
 class CensusResult:
     """Outcome of one period-n census.
 
-    `evaluations` counts n-step orbits of points, including the initial
-    grid's orbits reused from an earlier call on the same map: the count,
-    and so the budget, is the same whatever ran before.  That reuse assumes
-    the map is not mutated after it is built."""
+    `evaluations` counts n-step orbits of points: the orbit tubes, the
+    distinct ends of the intervals settled, Brent's calls and the probes of
+    open cluster windows, including the initial grid's orbits reused from
+    an earlier call on the same map: the count, and so the budget, is the
+    same whatever ran before.  That reuse assumes the map is not mutated
+    after it is built."""
 
     period: int
     radius: float
@@ -206,13 +209,8 @@ class _Bounds(NamedTuple):
     ev_d: float
 
 
-# period-independent work per map: key -> value, where the keys are
-# ("radius", radius argument), ("bounds", R) and ("tube", R, cells)
-_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _memo(f) -> dict:
-    return _MEMO.setdefault(f, {})
+# The census keeps its period-independent work in the map's memo (shared
+# with certified_range_1d) under the keys ("bounds", R) and ("tube", R, cells).
 
 
 def _map_bounds(f, radius: float) -> _MapBounds:
@@ -249,16 +247,11 @@ def _census_bounds(base: _MapBounds, radius: float, n: int) -> _Bounds:
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
+    """The given radius, checked for certified forward invariance, or the
+    smallest certified invariant radius on the standard ladder.  The ranges
+    behind either come from the map's memo."""
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise InvalidInputError("radius must be a positive real")
-    key = ("radius", radius)
-    memo = _memo(f)
-    if key not in memo:
-        memo[key] = _certified_radius(f, radius)
-    return memo[key]
-
-
-def _certified_radius(f, radius: Optional[float]) -> float:
     if radius is not None:
         lo, hi = certified_range_1d(f, radius)
         if not (lo >= -radius and hi <= radius):
@@ -434,10 +427,11 @@ def find_periodic(
     its ends or midpoint is below 16 (L_n tol + ev).  Certified enclosures
     have halfwidth tol, or tol / 4 + 4 eps |x| when that is larger.  The
     uniform Lipschitz bound L_n = sup |f'|^n + 1 decides no cell: it is
-    reported as `lipschitz`.  An exhausted evaluation budget leaves the
-    unresolved frontier in `uncertified_regions` and the result
-    uncertified.  Maps of dimension >= 2, and periods that are not integers
-    >= 1, raise InvalidInputError.
+    reported as `lipschitz`.  Every evaluation counts against
+    `max_evaluations`.  An exhausted budget leaves the unresolved frontier
+    in `uncertified_regions`, and the cluster windows too when it cannot
+    pay for their pass, and the result uncertified.  Maps of dimension
+    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
 
     The certified radius, the bounds and the initial grid's orbit tube are
     kept per map and reused by later calls on it (the tube extended from a
@@ -462,18 +456,14 @@ def find_periodic(
     def classify(c: _Cells, budget: int):
         keep = np.abs(c.g) <= c.spread + b.ev
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev + b.ev_d))
-        spent = 0
-        if idx.size and 2 * idx.size <= budget:
-            settled = _settle(f, n, c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx],
-                              tol, b.ev, records, root_cells)
-            keep[idx[settled]] = False
-            spent = 2 * idx.size
+        settled, spent = _settle(f, n, c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx],
+                                 tol, b.ev, budget, records, root_cells)
+        keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
         return keep & ~done, spent
 
     evaluations, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
-    certified = left_mids.size == 0
     uncertified: list = _merged([(left_mids, left_halves)])
 
     clusters = _merged(finished, gap=tol / 2)
@@ -494,26 +484,34 @@ def find_periodic(
         )
         a = np.maximum(los - 2.0 * tol, left)
         c = np.minimum(his + 2.0 * tol, right)
-        mid = 0.5 * (a + c)
-        half = (c - a) / 2.0
-        _, _, lam, lam_hi = _tube_many(f, mid, half, n, R, b)
-        idx = np.flatnonzero(np.abs(lam - 1.0) > lam_hi - np.abs(lam) + b.ev_d)
-        open_ = np.ones(a.size, dtype=bool)
-        open_[idx[_settle(f, n, a[idx], c[idx], tol, b.ev, records, root_cells)]] = False
-        u = np.flatnonzero(open_)
-        if u.size:
-            certified = False
-            # a tangency (or a root at the noise floor) leaves the window open
-            pts = np.concatenate([a[u], mid[u], c[u]])
-            gabs = np.abs(_iterate_many(f, pts, n) - pts).reshape(3, u.size)
-            pts = pts.reshape(3, u.size)
-            best = np.argmin(gabs, axis=0)  # ties go to the leftmost point
-            candidate_tol = 16.0 * (b.L * tol + b.ev)
-            for i, j in enumerate(u):
-                if gabs[best[i], i] <= candidate_tol:
-                    records.append(_record_at(f, n, pts[best[i], i], half[j], False,
-                                              "tangential-candidate"))
-                uncertified.append((float(a[j]), float(c[j])))
+        # the window pass takes a tube and up to three probes per window;
+        # _settle pays for the ends and Brent's method from what is left
+        budget = max_evaluations - evaluations - 4 * a.size
+        if budget < 0:
+            uncertified.extend(zip(a.tolist(), c.tolist()))
+        else:
+            mid = 0.5 * (a + c)
+            half = (c - a) / 2.0
+            _, _, lam, lam_hi = _tube_many(f, mid, half, n, R, b)
+            idx = np.flatnonzero(np.abs(lam - 1.0) > lam_hi - np.abs(lam) + b.ev_d)
+            settled, spent = _settle(f, n, a[idx], c[idx], tol, b.ev, budget, records, root_cells)
+            evaluations += a.size + spent
+            open_ = np.ones(a.size, dtype=bool)
+            open_[idx[settled]] = False
+            u = np.flatnonzero(open_)
+            if u.size:
+                # a tangency (or a root at the noise floor) leaves the window open
+                pts = np.concatenate([a[u], mid[u], c[u]])
+                gabs = np.abs(_iterate_many(f, pts, n) - pts).reshape(3, u.size)
+                evaluations += pts.size
+                pts = pts.reshape(3, u.size)
+                best = np.argmin(gabs, axis=0)  # ties go to the leftmost point
+                candidate_tol = 16.0 * (b.L * tol + b.ev)
+                for i, j in enumerate(u):
+                    if gabs[best[i], i] <= candidate_tol:
+                        records.append(_record_at(f, n, pts[best[i], i], half[j], False,
+                                                  "tangential-candidate"))
+                    uncertified.append((float(a[j]), float(c[j])))
 
     records.sort(key=lambda r: r.location)
     return CensusResult(
@@ -521,27 +519,44 @@ def find_periodic(
         radius=R,
         records=records,
         uncertified_regions=uncertified,
-        certified=certified,
+        certified=not uncertified,
         lipschitz=b.L,
         evaluations=evaluations,
     )
 
 
-def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float,
-            records: list, root_cells: list) -> np.ndarray:
+def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, budget: int,
+            records: list, root_cells: list):
     """Settle the intervals [lo, hi] on which g = f^n - id is proved
     monotone, from g at both ends: when both ends clear the float slack ev,
     opposite signs mean exactly one root, which Brent's method locates (its
     record goes to `records`, the interval's (lo, hi) to `root_cells`), and
-    one sign means none.  Returns the mask of the settled intervals."""
-    ends = np.concatenate([lo, hi])
-    g = _iterate_many(f, ends, n) - ends
+    one sign means none.  An end shared by two intervals is evaluated once.
+    Nothing is settled when `budget` cannot pay for the ends, and a root is
+    located only while what is left can pay for Brent's method at its worst
+    (_BRENT_CALLS evaluations); its interval stays unsettled otherwise.
+    Returns the mask of the settled intervals and the evaluations spent,
+    at most `budget`."""
+    index: dict = {}  # distinct end -> its place in `ends`
+    at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
+    if not 0 < len(index) <= budget:
+        return np.zeros(lo.size, dtype=bool), 0
+    ends = np.array(list(index))
+    g = (_iterate_many(f, ends, n) - ends)[at]
+    spent = ends.size
     glo, ghi = g[: lo.size], g[lo.size :]
     settled = (np.abs(glo) > ev) & (np.abs(ghi) > ev)
-    roots = np.flatnonzero(settled & ((glo > 0) != (ghi > 0)))
-    records.extend(_bracketed_root(f, n, lo[j], hi[j], tol) for j in roots)
-    root_cells.append((lo[roots], hi[roots]))
-    return settled
+    located = []
+    for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
+        if spent + _BRENT_CALLS > budget:
+            settled[j] = False
+            continue
+        record, calls = _bracketed_root(f, n, lo[j], hi[j], tol)
+        records.append(record)
+        spent += calls
+        located.append(j)
+    root_cells.append((lo[located], hi[located]))
+    return settled, spent
 
 
 def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list:
@@ -582,14 +597,26 @@ def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str
     )
 
 
-def _bracketed_root(f, n: int, a: float, c: float, tol: float) -> PeriodicPointRecord:
+# brentq evaluates g at both ends of the bracket and once per iteration
+_BRENT_MAXITER = 100
+_BRENT_CALLS = _BRENT_MAXITER + 2
+
+
+def _bracketed_root(f, n: int, a: float, c: float, tol: float):
     """Record of the root of g in a sign-change bracket [a, c], located by
-    Brent's method.  brentq returns a point with a computed sign change of g
-    to a point within xtol + rtol |x| of it, so [root - tol, root + tol]
-    (widened when rtol |x| needs it) is a sign-change bracket."""
+    Brent's method, and the evaluations of g it took.  brentq returns a
+    point with a computed sign change of g to a point within xtol + rtol |x|
+    of it, so [root - tol, root + tol] (widened when rtol |x| needs it) is a
+    sign-change bracket."""
     xtol, rtol = tol / 4, 4 * _EPS
-    root = brentq(lambda x: _g_scalar(f, x, n), a, c, xtol=xtol, rtol=rtol)
-    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple")
+    xs = []  # where brentq evaluates g; counted here, as full_output costs more
+
+    def g(x):
+        xs.append(x)
+        return _g_scalar(f, x, n)
+
+    root = brentq(g, a, c, xtol=xtol, rtol=rtol, maxiter=_BRENT_MAXITER)
+    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), len(xs)
 
 
 # -- gamma_n -----------------------------------------------------------------------

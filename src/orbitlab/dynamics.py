@@ -18,6 +18,7 @@ singular value of the Jacobian on a grid with a curvature correction.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -159,7 +160,7 @@ class PolynomialMap:
         xs = np.asarray(xs, dtype=float)
         if self.dim == 1:
             return _horner_many(self._poly, xs)
-        return self._table.value_many(xs)
+        return self._table.value(xs)
 
     def derivative(self, x: float) -> float:
         if self.dim != 1:
@@ -274,8 +275,10 @@ class PerturbedMap:
     its product form is exactly zero at its roots, so appending it leaves the
     map's value unchanged there.  `evaluate` and `eval_many` (likewise
     `derivative` and `deriv_many`) perform the same float operations in the
-    same order and agree bit for bit.  N-D maps sum the base and the terms
-    point by point.  The certified bounds stay sums of per-term bounds.
+    same order and agree bit for bit.  N-D maps sum the base and the terms,
+    each evaluated at one point and at a batch by the same fixed-order
+    code (see `_MonomialTable`), so there too `evaluate` and `eval_many`
+    agree bit for bit.  The certified bounds stay sums of per-term bounds.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -465,16 +468,32 @@ def cocycle(orb: OrbitSegment) -> np.ndarray:
 # -- certified ranges and norm data --------------------------------------------
 
 
+# Work that depends only on the map, per map object: key -> value.  Held
+# weakly (it goes with the map); it assumes a map is not mutated after it is
+# built.  Certified ranges live here, and the census keeps its bounds and
+# orbit tubes here too.
+_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _memo(f) -> dict:
+    return _MEMO.setdefault(f, {})
+
+
 def certified_range_1d(f, radius: float, n_points: int = 2049):
     """Certified enclosure of f([-radius, radius]) for a 1-D map:
-    grid extrema padded by the derivative bound times half the grid step."""
+    grid extrema padded by the derivative bound times half the grid step.
+    Computed once per map, radius and grid, and kept in the map's memo."""
     f = as_perturbed(f)
     if f.dim != 1:
         raise InvalidInputError("certified_range_1d needs a 1-D map")
-    xs = np.linspace(-radius, radius, n_points)
-    vals = f.eval_many(xs)
-    pad = f.d1_bound(radius) * (xs[1] - xs[0]) / 2.0
-    return float(vals.min() - pad), float(vals.max() + pad)
+    key = ("range", radius, n_points)
+    memo = _memo(f)
+    if key not in memo:
+        xs = np.linspace(-radius, radius, n_points)
+        vals = f.eval_many(xs)
+        pad = f.d1_bound(radius) * (xs[1] - xs[0]) / 2.0
+        memo[key] = (float(vals.min() - pad), float(vals.max() + pad))
+    return memo[key]
 
 
 _LADDER = (1.0, 1.0625, 1.125, 1.25, 1.5)

@@ -215,28 +215,25 @@ def _start_cell(start, spacing: float, dim: int):
     return tuple(int(c) for c in cells)
 
 
-def _axis_range(y: float, spacing: float, slack: float, max_cell: int) -> range:
-    if math.isinf(slack):
-        return range(-max_cell, max_cell + 1)
-    lo = int(math.ceil((y - slack) / spacing - 1e-12))
-    hi = int(math.floor((y + slack) / spacing + 1e-12))
-    return range(max(lo, -max_cell), min(hi, max_cell) + 1)
-
-
-def _successors_1d(f, cell: int, spacing: float, slack: float, max_cell: int):
-    if math.isinf(slack):
-        return range(-max_cell, max_cell + 1)
-    y = f.evaluate(cell * spacing)
-    return _axis_range(float(y), spacing, slack, max_cell)
-
-
-def _successors_nd(f, cell: tuple, spacing: float, slack: float, max_cell: int):
+def _successor_boxes(f, cells: list, spacing: float, slack: float, max_cell: int):
+    """The successor sets of `cells` (ints in 1-D, tuples else), from one
+    batched evaluation of f: each set is the box of lattice cells within
+    `slack` of the cell's image, per axis, clipped to +-max_cell; an infinite
+    slack admits every cell and needs no evaluation."""
+    dim = f.dim
     if math.isinf(slack):
         axis = range(-max_cell, max_cell + 1)
-        return itertools.product(*[axis] * len(cell))
-    x = np.asarray(cell, dtype=float) * spacing
-    y = np.atleast_1d(np.asarray(f.evaluate(x), dtype=float))
-    return itertools.product(*[_axis_range(float(yi), spacing, slack, max_cell) for yi in y])
+        full = tuple(axis) if dim == 1 else tuple(itertools.product(*[axis] * dim))
+        return [full] * len(cells)
+    y = f.eval_many(np.array(cells, dtype=float) * spacing).reshape(len(cells), dim)
+    lo = np.maximum(np.ceil((y - slack) / spacing - 1e-12), -max_cell)
+    stop = np.minimum(np.floor((y + slack) / spacing + 1e-12), max_cell) + 1
+    empty = ~np.all(lo < stop, axis=1)  # also an image that is not finite
+    lo[empty] = stop[empty] = 0
+    boxes = zip(lo.astype(np.int64).tolist(), stop.astype(np.int64).tolist())
+    if dim == 1:
+        return [tuple(range(a, b)) for (a,), (b,) in boxes]
+    return [tuple(itertools.product(*map(range, a, b))) for a, b in boxes]
 
 
 def enumerate_pseudotrajectories(
@@ -253,13 +250,16 @@ def enumerate_pseudotrajectories(
     A tuple (c_0, ..., c_{n-1}) of lattice cells (spacing h, every point
     inside [-R, R]^N for the map's domain radius R) is admissible when
     c_0 = start and each step satisfies |f(c_j h) - c_{j+1} h| <= slack in
-    sup norm.  Counting is breadth-first, one layer per step, with one
-    successor-set computation per distinct cell; `budget` caps those
-    computations, and when it runs out the unexplored branches are dropped,
-    so the returned count is a lower bound and `partial` is set.  `start`
-    is a lattice cell when given as integers, or a point snapped to the
-    nearest cell when given as floats.  An infinite slack admits every cell
-    as a successor, which makes the count the full combinatorial one.
+    sup norm.  Counting is breadth-first, one layer per step.  Each layer
+    computes the successor sets of its cells not seen before, in frontier
+    order, with one batched evaluation of f (`eval_many`, which agrees with
+    `evaluate` bit for bit), and keeps them for later layers.  `budget` caps
+    those computations and is spent in frontier order: when it runs out, the
+    rest of the layer's new cells are dropped with their branches, so the
+    returned count is a lower bound and `partial` is set.  `start` is a
+    lattice cell when given as integers, or a point snapped to the nearest
+    cell when given as floats.  An infinite slack admits every cell as a
+    successor, which makes the count the full combinatorial one.
     """
     f = as_perturbed(f)
     if n < 1:
@@ -277,33 +277,22 @@ def enumerate_pseudotrajectories(
     coords = (start,) if N == 1 else start
     if any(abs(c) > max_cell for c in coords):
         raise InvalidInputError("start lies outside the lattice over the domain")
-    if N == 1:
-        compute = lambda c: _successors_1d(f, c, spacing, slack, max_cell)  # noqa: E731
-    else:
-        compute = lambda c: _successors_nd(f, c, spacing, slack, max_cell)  # noqa: E731
 
     cache: dict = {}
-    state = {"expansions": 0, "partial": False}
-
-    def successors(c):
-        out = cache.get(c)
-        if out is None:
-            if state["expansions"] >= budget:
-                state["partial"] = True
-                return None
-            state["expansions"] += 1
-            out = tuple(compute(c))
-            cache[c] = out
-        return out
-
+    expansions = 0
+    partial = False
     frontier = {start: 1}
     for _ in range(n - 1):
+        new = [c for c in frontier if c not in cache]
+        if len(new) > budget - expansions:
+            new = new[: budget - expansions]
+            partial = True
+        if new:
+            expansions += len(new)
+            cache.update(zip(new, _successor_boxes(f, new, spacing, slack, max_cell)))
         nxt: dict = {}
         for c, cnt in frontier.items():
-            succ = successors(c)
-            if succ is None:
-                continue
-            for s in succ:
+            for s in cache.get(c, ()):
                 nxt[s] = nxt.get(s, 0) + cnt
         frontier = nxt
         if not frontier:
@@ -317,8 +306,8 @@ def enumerate_pseudotrajectories(
         radius=float(R),
         start=start,
         count=count,
-        expansions=state["expansions"],
-        partial=state["partial"],
+        expansions=expansions,
+        partial=partial,
         samples=_collect_samples(cache, start, n, max_samples),
     )
 

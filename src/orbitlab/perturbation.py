@@ -318,7 +318,7 @@ class PerturbationVector:
         xs = np.asarray(xs, dtype=float)
         if self.dim == 1:
             return _horner_many(poly, xs)
-        return table.value_many(xs)
+        return table.value(xs)
 
     def derivative(self, x: float) -> float:
         if self.dim != 1:
@@ -551,11 +551,21 @@ def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
 
 class _MonomialTable:
     """The map x -> sum_t coeffs[t] * x^exponents[t] from R^N to R^N, with the
-    per-variable tables of its partial derivatives built once."""
+    per-variable tables of its partial derivatives built once.
+
+    One point and a batch of points are evaluated by the same code, which
+    reduces over each axis in one fixed order: powers by repeated
+    multiplication, each monomial as the product over the variables in
+    order, and the sum over the terms one term after the other (not a
+    matrix product, whose BLAS kernel differs between one point and a
+    batch).  So the value at each row of a batch equals the value at that
+    point alone bit for bit."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.exponents = exponents
         self.coeffs = coeffs
+        self._top = int(exponents.max(initial=0))
+        self._cols = np.arange(exponents.shape[1])
         self._partials = []
         for j in range(exponents.shape[1]):
             a_j = exponents[:, j]
@@ -566,14 +576,14 @@ class _MonomialTable:
                 self._partials.append((j, red, a_j[mask], coeffs[mask]))
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        if len(self.exponents) == 0:
-            return np.zeros(self.coeffs.shape[1])
-        return np.prod(x ** self.exponents, axis=1) @ self.coeffs
-
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        if len(self.exponents) == 0:
-            return np.zeros_like(xs)
-        return np.prod(xs[:, None, :] ** self.exponents, axis=2) @ self.coeffs
+        """The value at a float point of shape (N,), or at each row of a
+        batch of shape (B, N)."""
+        powers = np.empty(x.shape + (self._top + 1,))  # x_j^e for e = 0..top
+        powers[..., 0] = 1.0
+        powers[..., 1:] = x[..., None]
+        np.multiply.accumulate(powers, axis=-1, out=powers)
+        monomials = np.prod(powers[..., self._cols, self.exponents], axis=-1)
+        return (monomials[..., None] * self.coeffs).sum(axis=-2)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         dim = self.exponents.shape[1]

@@ -32,7 +32,7 @@ from orbitlab import (
     prop11_check,
     sample,
 )
-from orbitlab import census
+from orbitlab import census, dynamics
 from orbitlab.census import _census_bounds, _map_bounds, _resolve_radius, _tube_many
 
 from conftest import random_contraction
@@ -337,6 +337,74 @@ def test_tangency_is_reported_uncertified():
     assert [(r.kind, r.location) for r in res.records] == [("tangential-candidate", 0.0)]
 
 
+def test_window_pass_is_counted_within_the_budget():
+    """The window at the triple fixed point of x - x^3 is not monotone, so
+    its pass is one tube and three probes, and they are counted; a budget
+    one short of the full count cannot pay for the pass, and the window is
+    reported uncertified without it."""
+    full = find_periodic(parabolic(), 1, tol=1e-4)
+    assert full.evaluations <= 3_000_000
+    assert [(r.kind, r.location) for r in full.records] == [("tangential-candidate", 0.0)]
+    (window,) = full.uncertified_regions
+    short = find_periodic(parabolic(), 1, tol=1e-4, max_evaluations=full.evaluations - 1)
+    assert short.evaluations == full.evaluations - 4
+    assert short.uncertified_regions == [window]
+    assert short.records == [] and not short.certified
+
+
+def test_evaluations_count_every_computed_orbit(monkeypatch):
+    """On a fresh map, so that nothing is reused, `evaluations` is the
+    number of n-step orbits the census computes: orbit tubes, the ends of
+    monotone cells and windows, probes of open windows and Brent's calls.
+    Each settle pass evaluates distinct ends."""
+    orbits, iterated = [], []
+    tube, iterate, g_scalar = census._tube_many, census._iterate_many, census._g_scalar
+
+    def counted_tube(f, mids, *args):
+        orbits.append(np.size(mids))
+        return tube(f, mids, *args)
+
+    def counted_iterate(f, xs, n):
+        orbits.append(np.size(xs))
+        iterated.append(xs)
+        return iterate(f, xs, n)
+
+    def counted_g(f, x, n):
+        orbits.append(1)
+        return g_scalar(f, x, n)
+
+    monkeypatch.setattr(census, "_tube_many", counted_tube)
+    monkeypatch.setattr(census, "_iterate_many", counted_iterate)
+    monkeypatch.setattr(census, "_g_scalar", counted_g)
+    for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
+                              (parabolic(), 1, None, 1e-4)):
+        orbits.clear()
+        res = find_periodic(f, n, radius=radius, tol=tol)
+        assert res.evaluations == sum(orbits)
+    assert all(np.unique(xs).size == xs.size for xs in iterated)
+
+
+def test_settle_pays_for_the_ends_and_brent_at_its_worst():
+    """Two intervals share an end, evaluated once; the fixed point 0.5 of
+    0.95 - 1.8x^2 lies in the first.  A budget short of the three ends
+    settles nothing, and one short of Brent's worst case leaves the root's
+    interval unsettled."""
+    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    lo, hi = np.array([0.49, 0.505]), np.array([0.505, 0.52])
+    for budget, settled, spent in ((2, [False, False], 0),
+                                   (3 + census._BRENT_CALLS - 1, [False, True], 3),
+                                   (3 + census._BRENT_CALLS, [True, True], None)):
+        records, root_cells = [], []
+        mask, used = census._settle(f, 1, lo, hi, 1e-12, 1e-9, budget, records, root_cells)
+        assert mask.tolist() == settled
+        assert used <= budget
+        if spent is not None:
+            assert used == spent and not records
+        else:
+            (record,) = records
+            assert used > 3 and abs(record.location - 0.5) <= record.halfwidth
+
+
 def test_reported_intervals_are_plain_floats():
     regions = find_periodic(parabolic(), 1, max_evaluations=200_000).uncertified_regions
     cover = find_almost_periodic(PolynomialMap.univariate(CHAOTIC), 10, 1e-6, radius=1.0)
@@ -368,22 +436,22 @@ def test_reused_census_work_matches_a_fresh_map():
     assert report == ih_check(_seeded_quadratic(), params, 8)
     assert [row.status for row in report.rows] == ["holds"] * 8
     # the memo holds the deepest tube of each grid
-    memo = census._MEMO[f]
+    memo = dynamics._MEMO[f]
     assert memo["tube", report.radius, 1024][0] == 8
     assert memo["tube", report.radius, 256][0] == 8
 
 
 def test_census_memo_goes_with_its_map():
     gc.collect()
-    before = len(census._MEMO)
+    before = len(dynamics._MEMO)
     f = _seeded_quadratic()
     find_periodic(f, 4)
     ih_check(f, GrowthParams(C=1.0, delta=1.0), 2)
-    assert f in census._MEMO
-    assert len(census._MEMO) == before + 1
+    assert f in dynamics._MEMO
+    assert len(dynamics._MEMO) == before + 1
     del f
     gc.collect()
-    assert len(census._MEMO) == before
+    assert len(dynamics._MEMO) == before
 
 
 # -- orbit tubes -------------------------------------------------------------------

@@ -223,3 +223,31 @@ def test_fold_leaves_root_product_zeros_exact():
         for r in FOLD_ROOTS[1:]:
             assert g.derivative(r) - f.derivative(r) == 0.0
         assert g.evaluate(FOLD_ROOTS[0] + 0.25) != f.evaluate(FOLD_ROOTS[0] + 0.25)
+
+
+def _nd_maps(dim: int) -> dict:
+    """A base map with constant, linear and quadratic terms, and the same map
+    perturbed by one and by two seeded brick samples."""
+    terms = {(0,) * dim: np.linspace(0.1, 0.3, dim)}
+    for j in range(dim):
+        alpha = [0] * dim
+        alpha[j] = 1
+        terms[tuple(alpha)] = np.roll(np.linspace(-0.6, 0.7, dim), j)
+        alpha[(j + 1) % dim] += 1
+        terms[tuple(alpha)] = np.full(dim, -0.45 + 0.1 * j)
+    base = PolynomialMap.from_terms(dim, terms, domain_radius=1.5)
+    one = sample(BrickSpec.factorial(0.05, 3), dim, seed=(dim, 1))
+    two = sample(BrickSpec.factorial(0.02, 5), dim, seed=(dim, 2))
+    return {"base": base, "one term": PerturbedMap(base, one),
+            "two terms": PerturbedMap(base, (one, two))}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3, 500])
+def test_nd_scalar_path_equals_batch_path_bitwise(dim, batch):
+    xs = np.random.default_rng(10 * dim + batch).uniform(-1.5, 1.5, (batch, dim))
+    for name, f in _nd_maps(dim).items():
+        many = f.eval_many(xs)
+        assert many.shape == (batch, dim), name
+        for x, row in zip(xs, many):
+            assert np.asarray(f.evaluate(x)).tobytes() == row.tobytes(), name

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orbitlab import (
@@ -10,11 +11,13 @@ from orbitlab import (
     ExperimentConfig,
     ExperimentResult,
     InvalidInputError,
+    PerturbedMap,
     base_map_from_spec,
     emit_reports,
     fit_C,
     run_experiment,
 )
+from orbitlab import experiment
 
 
 # -- the fitted constant --------------------------------------------------------
@@ -163,6 +166,30 @@ def test_perturbed_experiment_is_deterministic(tmp_path):
     emit_reports(b, str(dir_b))
     for name in ("samples.ndjson", "table.csv", "summary.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def test_each_range_is_certified_once_per_sample(monkeypatch):
+    """The strict-invariance check, the invariant-radius ladder and every
+    census on a sample share one certified range per radius."""
+    ranges = []
+
+    class RangeCountingMap(PerturbedMap):
+        def eval_many(self, xs):
+            if np.shape(xs) == (2049,):  # the grid of certified_range_1d
+                ranges.append((self, float(xs[-1])))
+            return super().eval_many(xs)
+
+    monkeypatch.setattr(experiment, "PerturbedMap", RangeCountingMap)
+    brick = {"family": "factorial", "tau": 0.01, "truncation_degree": 8}
+    cfg = ExperimentConfig(map="quadratic", brick=brick, num_samples=6, master_seed=42,
+                           n_max=3, deltas=[1.0])
+    result = run_experiment(cfg)
+    assert {s.strict_invariance for s in result.samples} == {True, False}
+    assert len(ranges) == len(set(ranges))
+    maps = list(dict.fromkeys(f for f, _ in ranges))
+    for s, f in zip(result.samples, maps):
+        radii = [r for g, r in ranges if g is f]
+        assert radii == ([1.0] if s.strict_invariance else [1.0, s.radius])
 
 
 def test_perturbed_samples_differ_across_seeds():

@@ -9,9 +9,11 @@ import pytest
 from scipy.optimize import brentq
 
 from orbitlab import (
+    BrickSpec,
     GridTrajectory,
     GrowthParams,
     InvalidInputError,
+    PerturbedMap,
     PolynomialMap,
     as_perturbed,
     cells_per_axis,
@@ -20,10 +22,12 @@ from orbitlab import (
     enumerate_pseudotrajectories,
     norm_bounds,
     orbit,
+    sample,
     snap,
     snap_orbit,
     stage_tolerances,
 )
+from orbitlab.gridlab import _collect_samples
 
 from conftest import random_contraction
 
@@ -245,6 +249,87 @@ def test_enumerate_two_dimensional():
     assert res.start == (0, 1)
     assert res.count == 2
     assert sorted(res.samples) == [((0, 1), (0, 0)), ((0, 1), (0, 1))]
+
+
+def _reference_enumeration(f, spacing, slack, start, n, budget, max_samples=6):
+    """(count, expansions, partial, samples) of enumerate_pseudotrajectories
+    from a layer-by-layer walk with one f.evaluate per new cell, spending
+    the budget in frontier order."""
+    f = as_perturbed(f)
+    max_cell = int(math.floor(f.domain_radius / spacing + 0.5))
+    cache, expansions, partial = {}, 0, False
+    layer = {start: 1}
+    for _ in range(n - 1):
+        nxt: dict = {}
+        for cell, paths in layer.items():
+            if cell not in cache:
+                if expansions >= budget:
+                    partial = True
+                    continue
+                expansions += 1
+                if math.isinf(slack):
+                    axes = [range(-max_cell, max_cell + 1)] * f.dim
+                else:
+                    x = cell * spacing if f.dim == 1 else np.asarray(cell, dtype=float) * spacing
+                    axes = [
+                        range(max(math.ceil((v - slack) / spacing - 1e-12), -max_cell),
+                              min(math.floor((v + slack) / spacing + 1e-12), max_cell) + 1)
+                        for v in np.atleast_1d(f.evaluate(x)).tolist()
+                    ]
+                cache[cell] = tuple(axes[0]) if f.dim == 1 else tuple(itertools.product(*axes))
+            for succ in cache[cell]:
+                nxt[succ] = nxt.get(succ, 0) + paths
+        layer = nxt
+    return sum(layer.values()), expansions, partial, _collect_samples(cache, start, n, max_samples)
+
+
+def _enumerated(f, spacing, slack, start, n, budget):
+    res = enumerate_pseudotrajectories(f, spacing, slack, start, n, budget=budget, max_samples=6)
+    return res.count, res.expansions, res.partial, res.samples
+
+
+HENON = {(0, 0): [1.0, 0.0], (2, 0): [-1.4, 0.0], (0, 1): [1.0, 0.0], (1, 0): [0.0, 0.3]}
+# (brick seed, spacing, slack, start cell, period) -> (count, expansions) of
+# the full enumeration, as the per-cell enumeration recorded them: the seeded
+# Henon enumerations of the surgery_nd benchmark at seed 42
+HENON_RECORDED = {
+    ((42, 1220), 0.01, 0.02, (65, -8), 8): (268435456, 1767),
+    ((42, 1221), 0.01, 0.015, (-28, -24), 10): (387420489, 2274),
+}
+
+
+def _seeded_henon(seed):
+    eps = sample(BrickSpec.factorial(0.001, 3), 2, seed=seed)
+    return PerturbedMap(PolynomialMap.from_terms(2, HENON, domain_radius=1.5), eps)
+
+
+@pytest.mark.parametrize("case", sorted(HENON_RECORDED))
+def test_batched_enumeration_matches_per_cell_reference_on_henon(case):
+    seed, spacing, slack, start, n = case
+    f = _seeded_henon(seed)
+    full = _enumerated(f, spacing, slack, start, n, 10_000_000)
+    assert full[:3] == HENON_RECORDED[case] + (False,)
+    for budget in (0, 1, full[1] // 2, 10_000_000):
+        got = _enumerated(f, spacing, slack, start, n, budget)
+        assert got == _reference_enumeration(f, spacing, slack, start, n, budget)
+        assert got[2] == (budget < full[1])
+
+
+def test_batched_enumeration_matches_per_cell_reference_in_1d():
+    f = PolynomialMap.univariate([0.07, -1.3, 0.0, 0.4], domain_radius=1.0)
+    full = _enumerated(f, 0.01, 0.03, 40, 6, 10_000_000)
+    assert not full[2] and full[0] > 1000
+    for budget in (0, 1, full[1] // 2, 10_000_000):
+        got = _enumerated(f, 0.01, 0.03, 40, 6, budget)
+        assert got == _reference_enumeration(f, 0.01, 0.03, 40, 6, budget)
+
+
+def test_batched_enumeration_matches_reference_at_infinite_slack():
+    f = _seeded_henon((42, 1220))
+    for budget in (0, 1, 20, 10_000_000):
+        got = _enumerated(f, 0.5, math.inf, (1, 0), 4, budget)
+        assert got == _reference_enumeration(f, 0.5, math.inf, (1, 0), 4, budget)
+    assert got[:3] == (49**3, 49, False)
 
 
 # -- recurrence diagnostics -----------------------------------------------------------

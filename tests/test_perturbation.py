@@ -224,3 +224,15 @@ def test_tail_bound_is_small_for_tight_brick():
 def test_component_validation():
     with pytest.raises(InvalidInputError):
         HomogeneousComponent(2, 1, np.zeros((5, 1)))  # wrong row count
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3, 500])
+def test_nd_value_equals_value_many_bitwise(dim, batch):
+    xs = np.random.default_rng(10 * dim + batch).uniform(-1.0, 1.0, (batch, dim))
+    for degree in (2, 6):
+        eps = sample(BrickSpec.factorial(0.5, degree), dim, seed=(dim, degree))
+        many = eps.value_many(xs)
+        assert many.shape == (batch, dim)
+        for x, row in zip(xs, many):
+            assert eps.value(x).tobytes() == row.tobytes()
