@@ -551,7 +551,7 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, bu
         if spent + _BRENT_CALLS > budget:
             settled[j] = False
             continue
-        record, calls = _bracketed_root(f, n, lo[j], hi[j], tol)
+        record, calls = _bracketed_root(f, n, lo[j], hi[j], glo[j], ghi[j], tol)
         records.append(record)
         spent += calls
         located.append(j)
@@ -597,26 +597,34 @@ def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str
     )
 
 
-# brentq evaluates g at both ends of the bracket and once per iteration
+# brentq evaluates g once per iteration, and at both ends of the bracket,
+# where _settle has evaluated it already
 _BRENT_MAXITER = 100
-_BRENT_CALLS = _BRENT_MAXITER + 2
+_BRENT_CALLS = _BRENT_MAXITER
 
 
-def _bracketed_root(f, n: int, a: float, c: float, tol: float):
+def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: float):
     """Record of the root of g in a sign-change bracket [a, c], located by
-    Brent's method, and the evaluations of g it took.  brentq returns a
-    point with a computed sign change of g to a point within xtol + rtol |x|
-    of it, so [root - tol, root + tol] (widened when rtol |x| needs it) is a
-    sign-change bracket."""
+    Brent's method, and the evaluations of g it took.  ga and gc are g(a)
+    and g(c), as `_iterate_many` computed them; `_g_scalar` would give the
+    same floats, so brentq takes the same path without evaluating them
+    again.  brentq returns a point with a computed sign change of g to a
+    point within xtol + rtol |x| of it, so [root - tol, root + tol]
+    (widened when rtol |x| needs it) is a sign-change bracket."""
     xtol, rtol = tol / 4, 4 * _EPS
-    xs = []  # where brentq evaluates g; counted here, as full_output costs more
+    calls = 0  # counted here, as full_output costs more
 
     def g(x):
-        xs.append(x)
+        nonlocal calls
+        if x == a:
+            return ga
+        if x == c:
+            return gc
+        calls += 1
         return _g_scalar(f, x, n)
 
     root = brentq(g, a, c, xtol=xtol, rtol=rtol, maxiter=_BRENT_MAXITER)
-    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), len(xs)
+    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), calls
 
 
 # -- gamma_n -----------------------------------------------------------------------

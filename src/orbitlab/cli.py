@@ -66,7 +66,7 @@ def _trajectory(f: PerturbedMap, x0: float, count: int) -> np.ndarray:
 
 def _cmd_gamma(args) -> int:
     m = _parse_matrix(args.matrix)
-    hv = gamma_linear(m, phase_grid=args.grid)
+    hv = gamma_linear(m)
     print(f"gamma = {hv.gamma:.12g}")
     print(f"argmin phase = {hv.argmin_phase:.12g}")
     print(f"certified tolerance = {hv.certified_tolerance:.3g}")
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="distance of a matrix spectrum to the unit circle")
     p.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','")
-    p.add_argument("--grid", type=int, default=256, help="phase grid size")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("census", help="certified periodic-point census")

@@ -3,7 +3,8 @@
 Maps are multivariate polynomials R^N -> R^N restricted to the closed ball of
 ``domain_radius`` (default 1).  A `PerturbedMap` is a base polynomial plus a
 stack of perturbation terms; terms only need a small duck-typed protocol
-(value / jac / derivative / *_bound), so graded perturbation vectors and
+(value / jac / derivative / *_bound and the batch forms value_many /
+jac_many / deriv_many), so graded perturbation vectors and
 root-product corrections both plug in.  In dimension 1 the base and the
 graded perturbation vectors are folded into one polynomial, evaluated by a
 single Horner pass; root-product corrections are not folded, since their
@@ -93,6 +94,7 @@ class PolynomialMap:
         self.domain_radius = float(domain_radius)
         self._table = _MonomialTable(self.exponents, self.coeffs)
         self._uni = self._poly = self._dpoly = None
+        self._perturbed = None  # the wrapper as_perturbed returns for this map
         if self.dim == 1:
             self._uni = _univariate(self.exponents[:, 0], self.coeffs[:, 0])
             self._poly, self._dpoly = _horner_form(self._uni)
@@ -176,6 +178,13 @@ class PolynomialMap:
         if self.dim == 1:
             return np.array([[self.derivative(x)]])
         return self._table.jac(_as_point(x, self.dim))
+
+    def jac_many(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at a batch of points, shape (B, dim, dim); row i equals
+        jac(xs[i]) bit for bit."""
+        if self.dim == 1:
+            return self.deriv_many(xs).reshape(-1, 1, 1)
+        return self._table.jac(np.asarray(xs, dtype=float))
 
     # -- certified coefficient bounds -------------------------------------------
 
@@ -278,7 +287,8 @@ class PerturbedMap:
     same order and agree bit for bit.  N-D maps sum the base and the terms,
     each evaluated at one point and at a batch by the same fixed-order
     code (see `_MonomialTable`), so there too `evaluate` and `eval_many`
-    agree bit for bit.  The certified bounds stay sums of per-term bounds.
+    (and `jac` and `jac_many`) agree bit for bit.  The certified bounds
+    stay sums of per-term bounds.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -371,6 +381,18 @@ class PerturbedMap:
             J = J + t.jac(x)
         return J
 
+    def jac_many(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at a batch of points, shape (B, dim, dim); row i equals
+        jac(xs[i]) bit for bit."""
+        if self._poly is not None:
+            # as in jac, past a subclass's deriv_many, which may count it
+            return PerturbedMap.deriv_many(self, xs).reshape(-1, 1, 1)
+        xs = np.asarray(xs, dtype=float)
+        J = self.base.jac_many(xs)
+        for t in self.terms:
+            J = J + t.jac_many(xs)
+        return J
+
     def sup_bound(self, radius: float) -> float:
         return self.base.sup_bound(radius) + sum(t.sup_bound(radius) for t in self.terms)
 
@@ -385,10 +407,18 @@ class PerturbedMap:
 
 
 def as_perturbed(f) -> PerturbedMap:
-    """Wrap a bare PolynomialMap; pass a PerturbedMap through unchanged."""
+    """Wrap a bare PolynomialMap; pass a PerturbedMap through unchanged.
+
+    A PolynomialMap is wrapped once and keeps its wrapper, so the work kept
+    in the wrapper's memo (certified ranges, census bounds and tubes) is
+    found again on the next call.  The map and its wrapper refer to each
+    other; the garbage collector frees the pair, and the memo entry with
+    it, once nothing else refers to either."""
     if isinstance(f, PerturbedMap):
         return f
-    return PerturbedMap(f, None)
+    if getattr(f, "_perturbed", None) is None:
+        f._perturbed = PerturbedMap(f, None)
+    return f._perturbed
 
 
 # -- orbits -------------------------------------------------------------------
@@ -439,11 +469,9 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
         raise MapDomainError(f"start point outside the radius-{radius:g} ball", point=x)
     pts = np.empty((n, f.dim))
     imgs = np.empty((n, f.dim))
-    jacs = np.empty((n, f.dim, f.dim))
     for j in range(n):
         pts[j] = x
         img = np.asarray(f.evaluate(x), dtype=float).reshape(f.dim)
-        jacs[j] = f.jac(x)
         imgs[j] = img
         if float(np.linalg.norm(img)) > edge:
             raise OrbitEscapeError(
@@ -452,7 +480,7 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
                 point=img,
             )
         x = img
-    return OrbitSegment(pts, imgs, jacs)
+    return OrbitSegment(pts, imgs, f.jac_many(pts))
 
 
 def cocycle(orb: OrbitSegment) -> np.ndarray:
@@ -614,7 +642,7 @@ def _sigma_min_lower(f: PerturbedMap, R: float, d2_total: float, brick_d1: float
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= R * (1 + 1e-12)]
     if len(mesh) == 0:
         mesh = np.zeros((1, f.dim))
-    sig = min(float(np.linalg.svd(f.jac(x), compute_uv=False)[-1]) for x in mesh)
+    sig = float(np.linalg.svd(f.jac_many(mesh), compute_uv=False)[:, -1].min())
     step = 2.0 * R / (per_axis - 1)
     cover = step * math.sqrt(f.dim) / 2.0
     # interior points are covered within `cover`; points near the sphere may be

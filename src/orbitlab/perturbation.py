@@ -336,6 +336,12 @@ class PerturbationVector:
             return np.array([[self.derivative(x)]])
         return self._stacked()[0].jac(np.asarray(x, dtype=float))
 
+    def jac_many(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at a batch of points, shape (B, dim, dim)."""
+        if self.dim == 1:
+            return self.deriv_many(xs).reshape(-1, 1, 1)
+        return self._stacked()[0].jac(np.asarray(xs, dtype=float))
+
     # -- bounds -------------------------------------------------------------
 
     def sup_bound(self, radius: float) -> float:
@@ -558,14 +564,16 @@ class _MonomialTable:
     multiplication, each monomial as the product over the variables in
     order, and the sum over the terms one term after the other (not a
     matrix product, whose BLAS kernel differs between one point and a
-    batch).  So the value at each row of a batch equals the value at that
-    point alone bit for bit."""
+    batch).  So the value and the Jacobian at each row of a batch equal
+    those at that point alone bit for bit."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.exponents = exponents
         self.coeffs = coeffs
         self._top = int(exponents.max(initial=0))
         self._cols = np.arange(exponents.shape[1])
+        # column j of the Jacobian: the terms with a_j > 0, their exponents
+        # with a_j lowered by one, and their coefficients times a_j
         self._partials = []
         for j in range(exponents.shape[1]):
             a_j = exponents[:, j]
@@ -573,23 +581,31 @@ class _MonomialTable:
             if np.any(mask):
                 red = exponents[mask].copy()
                 red[:, j] -= 1
-                self._partials.append((j, red, a_j[mask], coeffs[mask]))
+                self._partials.append((j, red, a_j[mask, None] * coeffs[mask]))
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """The value at a float point of shape (N,), or at each row of a
-        batch of shape (B, N)."""
+    def _powers(self, x: np.ndarray) -> np.ndarray:
         powers = np.empty(x.shape + (self._top + 1,))  # x_j^e for e = 0..top
         powers[..., 0] = 1.0
         powers[..., 1:] = x[..., None]
         np.multiply.accumulate(powers, axis=-1, out=powers)
-        monomials = np.prod(powers[..., self._cols, self.exponents], axis=-1)
-        return (monomials[..., None] * self.coeffs).sum(axis=-2)
+        return powers
+
+    def _sum(self, powers: np.ndarray, exponents: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        monomials = np.prod(powers[..., self._cols, exponents], axis=-1)
+        return (monomials[..., None] * coeffs).sum(axis=-2)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """The value at a float point of shape (N,), or at each row of a
+        batch of shape (B, N)."""
+        return self._sum(self._powers(x), self.exponents, self.coeffs)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        dim = self.exponents.shape[1]
-        J = np.zeros((self.coeffs.shape[1], dim))
-        for j, red, a_j, coeffs in self._partials:
-            J[:, j] = (np.prod(x ** red, axis=1) * a_j) @ coeffs
+        """The Jacobian, of shape (N, N) at a point of shape (N,), or
+        (B, N, N) at a batch of shape (B, N)."""
+        powers = self._powers(x)
+        J = np.zeros(x.shape[:-1] + (self.coeffs.shape[1], x.shape[-1]))
+        for j, red, weighted in self._partials:
+            J[..., j] = self._sum(powers, red, weighted)
         return J
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from orbitlab import (
     BrickSpec,
@@ -452,6 +453,54 @@ def test_census_memo_goes_with_its_map():
     del f
     gc.collect()
     assert len(dynamics._MEMO) == before
+
+
+def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
+    """A bare PolynomialMap is wrapped once, so three censuses of it
+    certify the range and build the bounds once, as on a PerturbedMap, and
+    the memo entry still goes with the map."""
+    builds = {"range": 0, "bounds": 0}
+    for name, kind in (("d1_bound", "range"), ("d2_bound", "bounds")):
+        def counted(self, radius, _kind=kind, _bound=getattr(PerturbedMap, name)):
+            builds[_kind] += 1
+            return _bound(self, radius)
+        monkeypatch.setattr(PerturbedMap, name, counted)
+    gc.collect()
+    before = len(dynamics._MEMO)
+    f = PolynomialMap.univariate(CHAOTIC)
+    find_periodic(f, 6)
+    once = dict(builds)
+    for n in (7, 8):
+        find_periodic(f, n)
+    assert builds == once and once["bounds"] == 1
+    assert as_perturbed(f) is as_perturbed(f) and as_perturbed(f) in dynamics._MEMO
+    assert len(dynamics._MEMO) == before + 1
+    del f
+    gc.collect()
+    assert len(dynamics._MEMO) == before
+
+
+def test_brent_reuses_the_ends_settle_computed(monkeypatch):
+    """brentq gets g at the bracket ends from _settle's array pass: g is
+    never computed again there, and the root is the one a bracket with
+    freshly computed ends gives."""
+    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    lo, hi = np.array([0.49]), np.array([0.505])
+    seen = []
+    g_scalar = census._g_scalar
+
+    def recorded(f, x, n):
+        seen.append(x)
+        return g_scalar(f, x, n)
+
+    monkeypatch.setattr(census, "_g_scalar", recorded)
+    records = []
+    mask, used = census._settle(f, 1, lo, hi, 1e-12, 1e-9, 10_000, records, [])
+    assert mask.tolist() == [True] and used == 2 + len(seen)
+    assert seen and 0.49 not in seen and 0.505 not in seen
+    fresh = brentq(lambda x: g_scalar(f, x, 1), 0.49, 0.505, xtol=1e-12 / 4, rtol=4 * census._EPS,
+                   maxiter=census._BRENT_MAXITER)
+    assert records[0].location == fresh
 
 
 # -- orbit tubes -------------------------------------------------------------------

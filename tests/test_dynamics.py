@@ -251,3 +251,40 @@ def test_nd_scalar_path_equals_batch_path_bitwise(dim, batch):
         assert many.shape == (batch, dim), name
         for x, row in zip(xs, many):
             assert np.asarray(f.evaluate(x)).tobytes() == row.tobytes(), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3, 500])
+def test_nd_jac_equals_jac_many_bitwise(dim, batch):
+    xs = np.random.default_rng(10 * dim + batch).uniform(-1.5, 1.5, (batch, dim))
+    for name, f in _nd_maps(dim).items():
+        many = f.jac_many(xs)
+        assert many.shape == (batch, dim, dim), name
+        for x, J in zip(xs, many):
+            assert f.jac(x).tobytes() == J.tobytes(), name
+
+
+def test_nd_jac_matches_finite_differences():
+    for dim in (2, 3):
+        for name, f in _nd_maps(dim).items():
+            x = np.linspace(-0.4, 0.5, dim)
+            h = 1e-6
+            fd = np.column_stack([(f.evaluate(x + h * e) - f.evaluate(x - h * e)) / (2 * h)
+                                  for e in np.eye(dim)])
+            assert np.allclose(f.jac(x), fd, atol=1e-8), name
+
+
+def test_orbit_jacobians_equal_pointwise_jac_bitwise():
+    """orbit takes its Jacobians in one batched call after the loop; in 1-D
+    they are the per-point derivatives bit for bit, with a root-product term
+    too, and in N-D the per-point Jacobians."""
+    base = PolynomialMap.univariate([0.1, 0.3, -0.5, 0.2])
+    eps = sample(BrickSpec.factorial(0.05, 4), 1, seed=(1, 2))
+    maps = [base, PerturbedMap(base, eps),
+            PerturbedMap(base, (eps, RootProductPerturbation(0.01, (0.3, -0.2, 0.7))))]
+    maps += [f for dim in (2, 3) for f in _nd_maps(dim).values()]
+    for f in maps:
+        seg = orbit(f, np.full(f.dim, 0.2), 8)
+        assert seg.jacobians.shape == (8, f.dim, f.dim)
+        for x, J in zip(seg.points, seg.jacobians):
+            assert as_perturbed(f).jac(x).tobytes() == J.tobytes()

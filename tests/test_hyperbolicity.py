@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from orbitlab import (
     InvalidInputError,
@@ -13,6 +14,7 @@ from orbitlab import (
     orbit,
     orbit_hyperbolicity,
 )
+from orbitlab.hyperbolicity import _crossings
 
 
 def eigen_oracle(m):
@@ -41,7 +43,9 @@ def test_diagonal_oracle():
 def test_rotation_is_not_hyperbolic():
     th = 0.7
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    assert gamma_linear(rot).gamma < 1e-8
+    hv = gamma_linear(rot)
+    assert hv.gamma <= 1e-12
+    assert hv.certified_tolerance == hv.gamma  # the bracket reaches down to 0
 
 
 def test_symmetric_random_match_eigen_oracle(rng):
@@ -68,11 +72,117 @@ def test_dense_phase_grid_oracle(rng):
         assert hv.gamma >= brute - 1e-6
 
 
-def test_certified_tolerance_tracks_grid():
-    hv_coarse = gamma_linear(np.diag([2.0, 0.5]), phase_grid=64)
-    hv_fine = gamma_linear(np.diag([2.0, 0.5]), phase_grid=1024)
-    assert hv_fine.certified_tolerance < hv_coarse.certified_tolerance
-    assert hv_coarse.certified_tolerance == pytest.approx(math.pi / 64)
+def test_certificate_is_a_level_without_crossings(rng):
+    """gamma - certified_tolerance is a level the profile never reaches: its
+    pencil has no unit-modulus eigenvalue, while a level just above gamma
+    has some.  The bracket starts at refine_tol and widens tenfold only when
+    a level d - delta cannot be told from d."""
+    for m in (np.diag([2.0, 0.5]), rng.normal(size=(4, 4))):
+        norm = float(np.linalg.norm(m))
+        for refine_tol in (1e-6, 1e-10):
+            hv = gamma_linear(m, refine_tol=refine_tol)
+            assert hv.certified_tolerance == pytest.approx(refine_tol, rel=1e-6)
+            assert _crossings(m, hv.gamma - hv.certified_tolerance, norm).size == 0
+            assert _crossings(m, hv.gamma + 1e-8, norm).size > 0
+        hv = gamma_linear(m, refine_tol=1e-17)  # below an ulp of gamma
+        assert 1e-17 < hv.certified_tolerance <= 1e-12
+        assert _crossings(m, hv.gamma - hv.certified_tolerance, norm).size == 0
+
+
+def _profile(L, phases):
+    """sigma_min(L - e^{2 pi i phase} I) at each phase."""
+    stack = L - np.exp(2j * math.pi * np.asarray(phases))[:, None, None] * np.eye(len(L))
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _grid_min(L):
+    """The minimum of the profile over the 20,001 phases k / 20000.  For real
+    L the profile is even in the phase, so k <= 10000 suffices; a pass over
+    every 20th phase rules out the blocks whose Lipschitz lower bound (the
+    profile is 1-Lipschitz in z, and each phase lies within 10 steps of a
+    coarse one) is above the coarse minimum."""
+    coarse = np.arange(0, 10001, 20)
+    s = _profile(L, coarse / 20000)
+    near = coarse[s - math.pi / 1000 <= s.min()]
+    fine = np.unique(np.clip(near[:, None] + np.arange(-10, 11), 0, 10000))
+    return float(min(s.min(), _profile(L, fine / 20000).min()))
+
+
+def _old_grid_gamma(L, phase_grid=256, refine_tol=1e-10):
+    """gamma_linear before the level-set test: the best of a 256-phase grid,
+    polished by a bounded 1-D minimization; an attained profile value."""
+    phases = np.arange(phase_grid) / phase_grid
+    s = _profile(L, phases)
+    j = int(np.argmin(s))
+    res = minimize_scalar(lambda p: _profile(L, [p])[0], method="bounded",
+                          bounds=(phases[j] - 1 / phase_grid, phases[j] + 1 / phase_grid),
+                          options={"xatol": refine_tol / (4 * math.pi)})
+    return min(float(res.fun), float(s[j]))
+
+
+def _nonnormal_matrices():
+    rng = np.random.default_rng(314)
+    return [rng.normal(size=(d, d)) for d in rng.integers(2, 6, 200)]
+
+
+def test_certified_bracket_holds_the_dense_grid_minimum():
+    """On 200 non-normal matrices of sizes 2-5 the 20,001-phase minimum lies
+    in [gamma - certified_tolerance, gamma], up to the grid's error: every
+    phase is within pi / 20000 of the grid, so the grid minimum exceeds the
+    true minimum by at most that."""
+    for m in _nonnormal_matrices():
+        hv = gamma_linear(m)
+        grid = _grid_min(m)
+        assert hv.certified_tolerance == pytest.approx(1e-10, rel=1e-6)
+        assert hv.gamma - hv.certified_tolerance <= grid <= hv.gamma + math.pi / 20000
+        assert hv.gamma <= grid + 1e-12
+        assert _profile(m, [hv.argmin_phase])[0] == pytest.approx(hv.gamma, abs=1e-14)
+
+
+def test_start_at_a_local_maximum_of_the_profile():
+    """The start value is taken at phase 1/2, where this profile has a local
+    maximum between two dips: the level set only touches the start there,
+    so the pencil has no crossing at it, and the sweep must still go down
+    into the dips."""
+    m = np.array([[-1.25724, -0.34497], [1.36120, -1.81791]])
+    hv = gamma_linear(m)
+    assert _profile(m, [0.5])[0] - hv.gamma > 5e-5
+    assert hv.certified_tolerance == pytest.approx(1e-10, rel=1e-6)
+    assert hv.gamma - hv.certified_tolerance <= _grid_min(m) <= hv.gamma + math.pi / 20000
+
+
+def test_never_above_the_old_phase_grid_value():
+    for m in _nonnormal_matrices():
+        assert gamma_linear(m).gamma <= _old_grid_gamma(m) + 1e-12
+
+
+def test_normal_matrices_keep_the_eigenvalue_oracle(rng):
+    """Q D Q^T with Q orthogonal and D block diagonal (scaled rotations and
+    reals): gamma is min ||lambda| - 1| and the bracket holds it."""
+    for _ in range(40):
+        blocks = []
+        for r, th in zip(rng.uniform(0.2, 2.0, 2), rng.uniform(0.0, math.pi, 2)):
+            blocks.append(r * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]))
+        d = np.zeros((5, 5))
+        d[:2, :2], d[2:4, 2:4], d[4, 4] = blocks[0], blocks[1], rng.uniform(-2.0, 2.0)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        m = q @ d @ q.T
+        hv = gamma_linear(m)
+        oracle = eigen_oracle(m)
+        assert hv.gamma == pytest.approx(oracle, abs=1e-12)
+        assert hv.gamma - hv.certified_tolerance <= oracle + 1e-14
+
+
+def test_singular_matrices():
+    """QZ copes with a singular L (infinite pencil eigenvalues, and a
+    singular pencil at the zero matrix's level 1)."""
+    hv = gamma_linear(np.zeros((3, 3)))
+    assert hv.gamma == 1.0
+    assert hv.certified_tolerance == pytest.approx(1e-10, rel=1e-6)
+    rank_one = np.outer([1.0, 2.0, -0.5], [0.3, -1.0, 0.8])
+    hv = gamma_linear(rank_one)
+    assert hv.gamma - hv.certified_tolerance <= _grid_min(rank_one) <= hv.gamma + math.pi / 20000
+    assert hv.gamma <= _old_grid_gamma(rank_one) + 1e-12
 
 
 def test_is_gamma_hyperbolic_threshold():

@@ -11,6 +11,8 @@ from orbitlab import (
     HomogeneousComponent,
     InvalidInputError,
     PerturbationVector,
+    PerturbedMap,
+    PolynomialMap,
     check_admissible,
     multi_indices,
     multinomial,
@@ -236,3 +238,25 @@ def test_nd_value_equals_value_many_bitwise(dim, batch):
         assert many.shape == (batch, dim)
         for x, row in zip(xs, many):
             assert eps.value(x).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("batch", [1, 3, 500])
+def test_nd_jac_equals_jac_many_bitwise(dim, batch):
+    xs = np.random.default_rng(10 * dim + batch).uniform(-1.0, 1.0, (batch, dim))
+    for degree in (2, 6):
+        eps = sample(BrickSpec.factorial(0.5, degree), dim, seed=(dim, degree))
+        many = eps.jac_many(xs)
+        assert many.shape == (batch, dim, dim)
+        for x, J in zip(xs, many):
+            assert eps.jac(x).tobytes() == J.tobytes()
+
+
+def test_jac_many_in_one_dimension_is_the_derivative():
+    eps = sample(BrickSpec.factorial(0.5, 5), 1, seed=(1, 5))
+    base = PolynomialMap.univariate([0.1, -0.4, 0.3])
+    xs = np.linspace(-1.0, 1.0, 7)
+    for f in (eps, base, PerturbedMap(base, eps)):
+        many = f.jac_many(xs)
+        assert many.shape == (7, 1, 1)
+        assert many.tobytes() == f.deriv_many(xs).tobytes()
