@@ -27,14 +27,21 @@ The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
 ranges behind the radius (kept by certified_range_1d, which the
 experiment's invariance check shares), the bounds on [-R, R] (sup |f'|,
-sup |f''|, the per-step slack), and the orbit tube of the initial grid.
-The tube at period n is the tube at period n - 1 plus one step, so a later
-call extends the deepest tube held for that grid, or reuses it at the same
-period; the result is bit for bit the one computed from scratch.  A reused
-orbit still counts as evaluations, so budgets and reported evaluations do
-not depend on what came before.  The memo (dynamics._MEMO) is held per map
-object, weakly (it goes with the map), and assumes a map is not mutated
-after it is built, as the 1-D fold already does.
+sup |f''|, the per-step slack), the initial grid of cells (read-only) and
+its orbit tube.  The tube at period n is the tube at period n - 1 plus one
+step, so a later call extends the deepest tube held for that grid, or
+reuses it at the same period; the result is bit for bit the one computed
+from scratch.  A reused orbit still counts as evaluations, so budgets and
+reported evaluations do not depend on what came before.  The memo
+(dynamics._MEMO) is held per map object, weakly (it goes with the map),
+and assumes a map is not mutated after it is built, as the 1-D fold
+already does.
+
+Orbits of a few points (the ends settled, the probes of open windows) are
+iterated one point at a time with f.evaluate, which costs less than an
+array call there; it is exact, not an approximation of the array path,
+because a 1-D map's evaluate and eval_many perform the same float
+operations in the same order and agree bit for bit.
 
 On top of the census sit:
 
@@ -146,8 +153,9 @@ class CensusResult:
     """Outcome of one period-n census.
 
     `evaluations` counts n-step orbits of points: the orbit tubes, the
-    distinct ends of the intervals settled, Brent's calls and the probes of
-    open cluster windows, including the initial grid's orbits reused from
+    distinct ends of the intervals settled, Brent's calls, the probes of
+    open cluster windows and the orbit that gives each record its
+    multiplier, including the initial grid's orbits reused from
     an earlier call on the same map: the count, and so the budget, is the
     same whatever ran before.  That reuse assumes the map is not mutated
     after it is built."""
@@ -176,8 +184,28 @@ class CensusResult:
 # -- shared certified bounds -------------------------------------------------------
 
 
+# Sets of at most this many points are iterated one point at a time with
+# f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
+# 14 us at any size up to a few dozen points and a scalar step about 0.7 us
+# per point (degree 9, with and without a root-product term), so the two
+# cross at 20-24 points.
+_SCALAR_POINTS = 16
+
+
 def _iterate_many(f, xs: np.ndarray, n: int) -> np.ndarray:
+    """f^n at each point of the 1-D array xs, as step-by-step eval_many
+    gives it bit for bit.  A few points take the scalar path, f.evaluate per
+    point and step, where the fixed cost of an array call would dominate;
+    a 1-D map's evaluate performs the same float operations as eval_many
+    (see PerturbedMap), so the path never changes a value."""
     y = np.asarray(xs, dtype=float)
+    if y.size <= _SCALAR_POINTS:
+        out = []
+        for x in y.tolist():
+            for _ in range(n):
+                x = f.evaluate(x)
+            out.append(x)
+        return np.array(out, dtype=float)
     for _ in range(n):
         y = f.eval_many(y)
     return y
@@ -210,7 +238,8 @@ class _Bounds(NamedTuple):
 
 
 # The census keeps its period-independent work in the map's memo (shared
-# with certified_range_1d) under the keys ("bounds", R) and ("tube", R, cells).
+# with certified_range_1d) under the keys ("bounds", R), ("grid", R, cells)
+# and ("tube", R, cells).
 
 
 def _map_bounds(f, radius: float) -> _MapBounds:
@@ -309,12 +338,27 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
     d_slack = 64.0 * _EPS * b.D1
     for _ in range(n):
         d = f.deriv_many(y)
-        y = np.clip(f.eval_many(y), -R, R)
+        # np.clip's floats (NaN and -0.0 included), without its wrapper
+        y = np.minimum(np.maximum(f.eval_many(y), -R), R)
         s = np.abs(d) + b.D2 * r + d_slack
         lam = lam * d
         lam_hi = lam_hi * s
         r = np.minimum(np.minimum(s, b.D1) * r + b.step, 2.0 * R)
     return y, r, lam, lam_hi
+
+
+def _grid(f, R: float, k0: int):
+    """The initial grid (mids, halves) of [-R, R] split into k0 equal
+    cells, built once per map and kept read-only in its memo."""
+    key = ("grid", R, k0)
+    memo = _memo(f)
+    if key not in memo:
+        edges = np.linspace(-R, R, k0 + 1)
+        grid = (0.5 * (edges[:-1] + edges[1:]), np.full(k0, R / k0))
+        for a in grid:
+            a.flags.writeable = False  # shared with later calls
+        memo[key] = grid
+    return memo[key]
 
 
 def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds):
@@ -367,11 +411,9 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
     spent and the frontier (mids, halves) left when the next round would
     exceed `max_evaluations` (empty when the frontier ran out first).
     """
-    edges = np.linspace(-R, R, k0 + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = np.full(k0, R / k0)
+    mids, halves = _grid(f, R, k0)
     evaluations = 0
-    while mids.size and evaluations + mids.size <= max_evaluations:
+    while evaluations + mids.size <= max_evaluations:
         tube = _grid_tube if evaluations == 0 else _tube_many  # round 1: the grid
         y, r, lam, lam_hi = tube(f, mids, halves, n, R, b)
         evaluations += mids.size
@@ -385,6 +427,8 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
         )
         live, spent = classify(cells, max_evaluations - evaluations)
         evaluations += spent
+        if not live.any():
+            return evaluations, np.empty(0), np.empty(0)
         q = halves[live] / 2.0
         mids = np.concatenate([mids[live] - q, mids[live] + q])
         halves = np.concatenate([q, q])
@@ -394,7 +438,7 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
 def _merged(parts, gap: float = 0.0) -> list:
     """Merged union (within `gap`) of the cells in a list of (mids, halves)
     arrays."""
-    if not parts:
+    if not any(m.size for m, _ in parts):
         return []
     mids = np.concatenate([m for m, _ in parts])
     halves = np.concatenate([h for _, h in parts])
@@ -433,11 +477,11 @@ def find_periodic(
     pay for their pass, and the result uncertified.  Maps of dimension
     >= 2, and periods that are not integers >= 1, raise InvalidInputError.
 
-    The certified radius, the bounds and the initial grid's orbit tube are
-    kept per map and reused by later calls on it (the tube extended from a
-    lower period), with results identical to a fresh map's; `evaluations`
-    counts the reused orbits too.  The map must not be mutated after it is
-    built.
+    The certified radius, the bounds, the initial grid and its orbit tube
+    are kept per map and reused by later calls on it (the tube extended
+    from a lower period), with results identical to a fresh map's;
+    `evaluations` counts the reused orbits too.  The map must not be
+    mutated after it is built.
     """
     f = as_perturbed(f)
     n = _period(n)
@@ -484,9 +528,10 @@ def find_periodic(
         )
         a = np.maximum(los - 2.0 * tol, left)
         c = np.minimum(his + 2.0 * tol, right)
-        # the window pass takes a tube and up to three probes per window;
-        # _settle pays for the ends and Brent's method from what is left
-        budget = max_evaluations - evaluations - 4 * a.size
+        # the window pass takes a tube, up to three probes and a candidate's
+        # record per window; _settle pays for the ends and Brent's method
+        # from what is left
+        budget = max_evaluations - evaluations - 5 * a.size
         if budget < 0:
             uncertified.extend(zip(a.tolist(), c.tolist()))
         else:
@@ -511,6 +556,7 @@ def find_periodic(
                     if gabs[best[i], i] <= candidate_tol:
                         records.append(_record_at(f, n, pts[best[i], i], half[j], False,
                                                   "tangential-candidate"))
+                        evaluations += 1
                     uncertified.append((float(a[j]), float(c[j])))
 
     records.sort(key=lambda r: r.location)
@@ -534,9 +580,9 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, bu
     one sign means none.  An end shared by two intervals is evaluated once.
     Nothing is settled when `budget` cannot pay for the ends, and a root is
     located only while what is left can pay for Brent's method at its worst
-    (_BRENT_CALLS evaluations); its interval stays unsettled otherwise.
-    Returns the mask of the settled intervals and the evaluations spent,
-    at most `budget`."""
+    and the record's orbit (_BRENT_CALLS evaluations); its interval stays
+    unsettled otherwise.  Returns the mask of the settled intervals and the
+    evaluations spent, at most `budget`."""
     index: dict = {}  # distinct end -> its place in `ends`
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
@@ -598,19 +644,21 @@ def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str
 
 
 # brentq evaluates g once per iteration, and at both ends of the bracket,
-# where _settle has evaluated it already
+# where _settle has evaluated it already; the root's record takes one more
+# orbit
 _BRENT_MAXITER = 100
-_BRENT_CALLS = _BRENT_MAXITER
+_BRENT_CALLS = _BRENT_MAXITER + 1
 
 
 def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: float):
     """Record of the root of g in a sign-change bracket [a, c], located by
-    Brent's method, and the evaluations of g it took.  ga and gc are g(a)
-    and g(c), as `_iterate_many` computed them; `_g_scalar` would give the
-    same floats, so brentq takes the same path without evaluating them
-    again.  brentq returns a point with a computed sign change of g to a
-    point within xtol + rtol |x| of it, so [root - tol, root + tol]
-    (widened when rtol |x| needs it) is a sign-change bracket."""
+    Brent's method, and the evaluations it took: Brent's calls of g and the
+    record's orbit.  ga and gc are g(a) and g(c), as `_iterate_many`
+    computed them; `_g_scalar` would give the same floats, so brentq takes
+    the same path without evaluating them again.  brentq returns a point
+    with a computed sign change of g to a point within xtol + rtol |x| of
+    it, so [root - tol, root + tol] (widened when rtol |x| needs it) is a
+    sign-change bracket."""
     xtol, rtol = tol / 4, 4 * _EPS
     calls = 0  # counted here, as full_output costs more
 
@@ -624,7 +672,7 @@ def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: fl
         return _g_scalar(f, x, n)
 
     root = brentq(g, a, c, xtol=xtol, rtol=rtol, maxiter=_BRENT_MAXITER)
-    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), calls
+    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), calls + 1
 
 
 # -- gamma_n -----------------------------------------------------------------------

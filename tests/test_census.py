@@ -340,15 +340,15 @@ def test_tangency_is_reported_uncertified():
 
 def test_window_pass_is_counted_within_the_budget():
     """The window at the triple fixed point of x - x^3 is not monotone, so
-    its pass is one tube and three probes, and they are counted; a budget
-    one short of the full count cannot pay for the pass, and the window is
-    reported uncertified without it."""
+    its pass is one tube, three probes and the candidate's record, and they
+    are counted; a budget one short of the full count cannot pay for the
+    pass, and the window is reported uncertified without it."""
     full = find_periodic(parabolic(), 1, tol=1e-4)
     assert full.evaluations <= 3_000_000
     assert [(r.kind, r.location) for r in full.records] == [("tangential-candidate", 0.0)]
     (window,) = full.uncertified_regions
     short = find_periodic(parabolic(), 1, tol=1e-4, max_evaluations=full.evaluations - 1)
-    assert short.evaluations == full.evaluations - 4
+    assert short.evaluations == full.evaluations - 5
     assert short.uncertified_regions == [window]
     assert short.records == [] and not short.certified
 
@@ -356,10 +356,11 @@ def test_window_pass_is_counted_within_the_budget():
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """On a fresh map, so that nothing is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
-    monotone cells and windows, probes of open windows and Brent's calls.
-    Each settle pass evaluates distinct ends."""
+    monotone cells and windows, probes of open windows, Brent's calls and
+    the orbit of each record.  Each settle pass evaluates distinct ends."""
     orbits, iterated = [], []
     tube, iterate, g_scalar = census._tube_many, census._iterate_many, census._g_scalar
+    record_at = census._record_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
@@ -374,14 +375,19 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
         orbits.append(1)
         return g_scalar(f, x, n)
 
+    def counted_record(f, n, *args):
+        orbits.append(1)
+        return record_at(f, n, *args)
+
     monkeypatch.setattr(census, "_tube_many", counted_tube)
     monkeypatch.setattr(census, "_iterate_many", counted_iterate)
     monkeypatch.setattr(census, "_g_scalar", counted_g)
+    monkeypatch.setattr(census, "_record_at", counted_record)
     for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
                               (parabolic(), 1, None, 1e-4)):
         orbits.clear()
         res = find_periodic(f, n, radius=radius, tol=tol)
-        assert res.evaluations == sum(orbits)
+        assert res.records and res.evaluations == sum(orbits)
     assert all(np.unique(xs).size == xs.size for xs in iterated)
 
 
@@ -436,10 +442,18 @@ def test_reused_census_work_matches_a_fresh_map():
     report = ih_check(f, params, 8)
     assert report == ih_check(_seeded_quadratic(), params, 8)
     assert [row.status for row in report.rows] == ["holds"] * 8
-    # the memo holds the deepest tube of each grid
-    memo = dynamics._MEMO[f]
-    assert memo["tube", report.radius, 1024][0] == 8
-    assert memo["tube", report.radius, 256][0] == 8
+    # the memo holds each initial grid, read-only, and its deepest tube
+    memo, R = dynamics._MEMO[f], report.radius
+    for k0 in (1024, 256):
+        mids, halves = memo["grid", R, k0]
+        assert not (mids.flags.writeable or halves.flags.writeable)
+        edges = np.linspace(-R, R, k0 + 1)
+        assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+        assert halves.tobytes() == np.full(k0, R / k0).tobytes()
+        assert memo["tube", R, k0][0] == 8
+    # warm calls on both grids equal fresh ones
+    assert find_periodic(f, 6) == find_periodic(_seeded_quadratic(), 6)
+    assert ih_check(f, params, 8) == report
 
 
 def test_census_memo_goes_with_its_map():
@@ -496,11 +510,56 @@ def test_brent_reuses_the_ends_settle_computed(monkeypatch):
     monkeypatch.setattr(census, "_g_scalar", recorded)
     records = []
     mask, used = census._settle(f, 1, lo, hi, 1e-12, 1e-9, 10_000, records, [])
-    assert mask.tolist() == [True] and used == 2 + len(seen)
+    assert mask.tolist() == [True] and used == 2 + len(seen) + 1  # and the record's orbit
     assert seen and 0.49 not in seen and 0.505 not in seen
     fresh = brentq(lambda x: g_scalar(f, x, 1), 0.49, 0.505, xtol=1e-12 / 4, rtol=4 * census._EPS,
                    maxiter=census._BRENT_MAXITER)
     assert records[0].location == fresh
+
+
+def test_iterate_many_equals_stepwise_eval_many():
+    """_iterate_many equals n steps of eval_many bit for bit on both sides
+    of the scalar-path limit, on a folded brick sample and on a map with
+    unfolded root-product terms, at signed zeros, points outside [-R, R],
+    infinities and NaN."""
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    maps = (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), parabolic())
+    assert maps[1]._rest  # the root-product terms stay unfolded
+    special = [0.0, -0.0, 1.5, -3.0, np.inf, -np.inf, np.nan, -np.nan]
+    pool = np.array(special + np.linspace(-1.0, 1.0, 17).tolist())
+    limit = census._SCALAR_POINTS
+    with np.errstate(all="ignore"):
+        for f in maps:
+            for size in (0, 1, limit, limit + 1):
+                for k in range(len(special)):  # each special value leads once
+                    xs = np.roll(pool, -k)[:size]
+                    for n in (1, 5):
+                        want = xs
+                        for _ in range(n):
+                            want = f.eval_many(want)
+                        got = census._iterate_many(f, xs, n)
+                        assert got.dtype == want.dtype and got.shape == (size,)
+                        assert np.array_equal(got, want, equal_nan=True)
+                        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_tube_clamp_equals_clip():
+    """The tube clamps each image to [-R, R] with np.clip's floats, bit for
+    bit: NaN of either sign, signed zeros, +-R and values beyond +-R."""
+    R = 1.0625
+    v = np.array([np.nan, -np.nan, 0.0, -0.0, R, -R, np.nextafter(R, 2.0), -np.nextafter(R, 2.0),
+                  2.0, -2.0, np.inf, -np.inf, 0.5, -1e-300])
+
+    class Images:
+        def eval_many(self, y):
+            return v.copy()
+
+        def deriv_many(self, y):
+            return np.zeros_like(y)
+
+    b = census._Bounds(D1=1.0, D2=0.0, L=2.0, step=0.0, ev=0.0, ev_d=0.0)
+    y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, R, b)[0]
+    assert y.tobytes() == np.clip(v, -R, R).tobytes()
 
 
 # -- orbit tubes -------------------------------------------------------------------
