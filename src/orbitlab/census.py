@@ -822,7 +822,10 @@ def ih_check(
     when a midpoint is certifiably almost periodic with gap certifiably
     below the threshold.  Boxes that reach the width floor or exhaust the
     budget are reported as unresolved and make the stage (and the report)
-    indeterminate rather than wrong.  n_max = 0 holds vacuously.
+    indeterminate rather than wrong.  A stage computes at most
+    `max_evaluations_per_period` k-step orbits: its tube rounds and, for a
+    witness, the orbit that gives the record its multiplier.  n_max = 0
+    holds vacuously.
     """
     f = as_perturbed(f)
     if f.dim != 1:
@@ -871,7 +874,8 @@ def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> I
         unresolved.append((c.mids[floored], c.halves[floored]))
         return live & ~floored, 0
 
-    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals, classify)
+    # the rounds leave one orbit of the budget for the witness's record
+    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals - 1, classify)
     unresolved.append((left_mids, left_halves))
     merged = tuple(_merged(unresolved))
 

@@ -5,10 +5,11 @@ Maps are multivariate polynomials R^N -> R^N restricted to the closed ball of
 stack of perturbation terms; terms only need a small duck-typed protocol
 (value / jac / derivative / *_bound and the batch forms value_many /
 jac_many / deriv_many), so graded perturbation vectors and
-root-product corrections both plug in.  In dimension 1 the base and the
-graded perturbation vectors are folded into one polynomial, evaluated by a
-single Horner pass; root-product corrections are not folded, since their
-product form is what makes them exactly zero at their roots.
+root-product corrections both plug in.  The base and the graded
+perturbation vectors are folded into one polynomial: in dimension 1 one
+coefficient vector, evaluated by a single Horner pass, and in higher
+dimensions one monomial table.  Root-product corrections are not folded,
+since their product form is what makes them exactly zero at their roots.
 
 All certified quantities here are honest one-sided bounds: coefficient sums
 bound derivatives from above, grid evaluations plus a Lipschitz term bound
@@ -39,6 +40,7 @@ from .perturbation import (
     _horner_many,
     _MonomialTable,
     _as_scalar,
+    _folded_table,
     _univariate,
     brick_d1_bound,
     brick_d2_bound,
@@ -69,7 +71,7 @@ def _as_point(x, dim: int) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.shape != (dim,):
         raise InvalidInputError(f"expected a point of shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("non-finite point")
     return arr
 
@@ -284,11 +286,15 @@ class PerturbedMap:
     its product form is exactly zero at its roots, so appending it leaves the
     map's value unchanged there.  `evaluate` and `eval_many` (likewise
     `derivative` and `deriv_many`) perform the same float operations in the
-    same order and agree bit for bit.  N-D maps sum the base and the terms,
-    each evaluated at one point and at a batch by the same fixed-order
-    code (see `_MonomialTable`), so there too `evaluate` and `eval_many`
-    (and `jac` and `jac_many`) agree bit for bit.  The certified bounds
-    stay sums of per-term bounds.
+    same order and agree bit for bit.  In dimension N >= 2 the base and
+    every `PerturbationVector` term are folded the same way, into one
+    `_MonomialTable` whose equal monomials are summed, when the map is
+    built; other terms are added after it.  `evaluate`, `eval_many`, `jac`
+    and `jac_many` each read that one table, which evaluates one point and
+    a batch by the same fixed-order code, so there too `evaluate` and
+    `eval_many` (and `jac` and `jac_many`) agree bit for bit.  A folded
+    value differs from the sum of the terms' values only by rounding.  The
+    certified bounds stay sums of per-term bounds.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -307,16 +313,19 @@ class PerturbedMap:
             if getattr(t, "dim", base.dim) != base.dim:
                 raise InvalidInputError("perturbation dimension mismatch")
         self.terms = terms
-        # 1-D: the folded polynomial part in Horner form, and the other terms
-        self._poly = self._dpoly = None
-        self._rest = ()
+        # the folded polynomial part (1-D: in Horner form; N-D: one monomial
+        # table), and the other terms
+        self._poly = self._dpoly = self._table = None
+        vectors = [t._stacked() for t in terms if isinstance(t, PerturbationVector)]
+        self._rest = tuple(t for t in terms if not isinstance(t, PerturbationVector))
         if base.dim == 1:
-            parts = [base._uni] + [t._stacked()[1] for t in terms if isinstance(t, PerturbationVector)]
+            parts = [base._uni] + [uni for _, uni, _, _ in vectors]
             uni = np.zeros(max(len(u) for u in parts))
             for u in parts:
                 uni[: len(u)] += u
             self._poly, self._dpoly = _horner_form(uni)
-            self._rest = tuple(t for t in terms if not isinstance(t, PerturbationVector))
+        else:
+            self._table = _folded_table([base._table] + [table for table, _, _, _ in vectors])
 
     @property
     def dim(self) -> int:
@@ -331,8 +340,9 @@ class PerturbedMap:
 
     def evaluate(self, x):
         if self._poly is None:
-            y = self.base.evaluate(x)
-            for t in self.terms:
+            x = _as_point(x, self.dim)
+            y = self._table.value(x)
+            for t in self._rest:
                 y = y + t.value(x)
             return y
         x = _as_scalar(x)
@@ -342,12 +352,12 @@ class PerturbedMap:
         return y
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
         if self._poly is None:
-            y = self.base.eval_many(xs)
-            for t in self.terms:
+            y = self._table.value(xs)
+            for t in self._rest:
                 y = y + t.value_many(xs)
             return y
-        xs = np.asarray(xs, dtype=float)
         y = _horner_many(self._poly, xs)
         for t in self._rest:
             y += t.value_many(xs)
@@ -376,8 +386,9 @@ class PerturbedMap:
             # not self.derivative: a subclass that counts evaluations would
             # count this one twice
             return np.array([[PerturbedMap.derivative(self, x)]])
-        J = self.base.jac(x)
-        for t in self.terms:
+        x = _as_point(x, self.dim)
+        J = self._table.jac(x)
+        for t in self._rest:
             J = J + t.jac(x)
         return J
 
@@ -388,8 +399,8 @@ class PerturbedMap:
             # as in jac, past a subclass's deriv_many, which may count it
             return PerturbedMap.deriv_many(self, xs).reshape(-1, 1, 1)
         xs = np.asarray(xs, dtype=float)
-        J = self.base.jac_many(xs)
-        for t in self.terms:
+        J = self._table.jac(xs)
+        for t in self._rest:
             J = J + t.jac_many(xs)
         return J
 
@@ -465,7 +476,8 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
         radius = f.domain_radius
     edge = radius * (1.0 + 1e-12)
     x = _as_point(x0, f.dim)
-    if float(np.linalg.norm(x)) > edge:
+    # |x| as np.linalg.norm computes it, without its dispatch
+    if math.sqrt(x.dot(x)) > edge:
         raise MapDomainError(f"start point outside the radius-{radius:g} ball", point=x)
     pts = np.empty((n, f.dim))
     imgs = np.empty((n, f.dim))
@@ -473,7 +485,7 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
         pts[j] = x
         img = np.asarray(f.evaluate(x), dtype=float).reshape(f.dim)
         imgs[j] = img
-        if float(np.linalg.norm(img)) > edge:
+        if math.sqrt(img.dot(img)) > edge:
             raise OrbitEscapeError(
                 f"iterate {j + 1} left the radius-{radius:g} ball",
                 escape_index=j + 1,

@@ -215,25 +215,63 @@ def _start_cell(start, spacing: float, dim: int):
     return tuple(int(c) for c in cells)
 
 
-def _successor_boxes(f, cells: list, spacing: float, slack: float, max_cell: int):
-    """The successor sets of `cells` (ints in 1-D, tuples else), from one
-    batched evaluation of f: each set is the box of lattice cells within
-    `slack` of the cell's image, per axis, clipped to +-max_cell; an infinite
-    slack admits every cell and needs no evaluation."""
-    dim = f.dim
+_INT64_MAX = 2**63 - 1
+_MAX_LISTED = 2**62  # cells one layer may list, with room for float rounding
+
+
+def _successor_boxes(f, cells: np.ndarray, spacing: float, slack: float, max_cell: int):
+    """The successor boxes (lo, stop) of `cells`, a (k, N) integer array, from
+    one batched evaluation of f: per axis, the lattice cells lo <= c < stop
+    within `slack` of the cell's image, clipped to +-max_cell (lo = stop = 0
+    when the box is empty, as for an image that is not finite); an infinite
+    slack gives every cell the full box and needs no evaluation."""
+    k, dim = cells.shape
     if math.isinf(slack):
-        axis = range(-max_cell, max_cell + 1)
-        full = tuple(axis) if dim == 1 else tuple(itertools.product(*[axis] * dim))
-        return [full] * len(cells)
-    y = f.eval_many(np.array(cells, dtype=float) * spacing).reshape(len(cells), dim)
+        return np.full((k, dim), -max_cell, np.int64), np.full((k, dim), max_cell + 1, np.int64)
+    y = f.eval_many(cells[:, 0] * spacing if dim == 1 else cells * spacing).reshape(k, dim)
     lo = np.maximum(np.ceil((y - slack) / spacing - 1e-12), -max_cell)
     stop = np.minimum(np.floor((y + slack) / spacing + 1e-12), max_cell) + 1
-    empty = ~np.all(lo < stop, axis=1)  # also an image that is not finite
+    empty = ~np.all(lo < stop, axis=1)
     lo[empty] = stop[empty] = 0
-    boxes = zip(lo.astype(np.int64).tolist(), stop.astype(np.int64).tolist())
-    if dim == 1:
-        return [tuple(range(a, b)) for (a,), (b,) in boxes]
-    return [tuple(itertools.product(*map(range, a, b))) for a, b in boxes]
+    return lo.astype(np.int64), stop.astype(np.int64)
+
+
+def _expand(lo: np.ndarray, stop: np.ndarray):
+    """Every cell of the boxes lo <= c < stop, box after box, each box in
+    `itertools.product` order (last axis fastest), as an (m, N) int64
+    array; and the number of cells in each box.  Raises InvalidInputError
+    when the boxes hold too many cells to list (their int64 sizes could
+    wrap)."""
+    width = stop - lo
+    if np.prod(width, axis=1, dtype=float).sum() >= _MAX_LISTED:
+        raise InvalidInputError("a layer has too many successor cells to list")
+    size = np.prod(width, axis=1)
+    rank = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+    cells = np.empty((rank.size, lo.shape[1]), dtype=np.int64)
+    for a in range(lo.shape[1] - 1, 0, -1):
+        rank, cells[:, a] = np.divmod(rank, np.repeat(width[:, a], size))
+        cells[:, a] += np.repeat(lo[:, a], size)
+    cells[:, 0] = rank + np.repeat(lo[:, 0], size)
+    return cells, size
+
+
+def _merge_cells(cells: np.ndarray, counts: np.ndarray):
+    """The distinct rows of `cells`, in order of first appearance, with the
+    sum of `counts` over the equal rows.  Equal rows are grouped by one
+    stable sort over the coordinates (`np.lexsort`, last coordinate
+    fastest), so the lattice may have any size."""
+    order = np.lexsort(cells.T[::-1])
+    cols = [np.take(col, order) for col in cells.T]
+    head = np.empty(order.size, dtype=bool)
+    head[0] = True
+    np.not_equal(cols[0][1:], cols[0][:-1], out=head[1:])
+    for col in cols[1:]:
+        head[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(head)
+    sums = np.add.reduceat(np.take(counts, order), starts)
+    firsts = np.take(order, starts)  # a group's first row: the sort is stable
+    by_appearance = np.argsort(firsts)
+    return np.take(cells, np.take(firsts, by_appearance), axis=0), np.take(sums, by_appearance)
 
 
 def enumerate_pseudotrajectories(
@@ -250,12 +288,22 @@ def enumerate_pseudotrajectories(
     A tuple (c_0, ..., c_{n-1}) of lattice cells (spacing h, every point
     inside [-R, R]^N for the map's domain radius R) is admissible when
     c_0 = start and each step satisfies |f(c_j h) - c_{j+1} h| <= slack in
-    sup norm.  Counting is breadth-first, one layer per step.  Each layer
-    computes the successor sets of its cells not seen before, in frontier
-    order, with one batched evaluation of f (`eval_many`, which agrees with
-    `evaluate` bit for bit), and keeps them for later layers.  `budget` caps
-    those computations and is spent in frontier order: when it runs out, the
-    rest of the layer's new cells are dropped with their branches, so the
+    sup norm.  Counting is breadth-first, one layer per step, on arrays: the
+    frontier is its distinct cells, in order of first appearance, with the
+    number of admissible prefixes that end at each.  Each layer computes the
+    successor boxes of its cells not seen before, in frontier order, with
+    one batched evaluation of f (`eval_many`, which agrees with `evaluate`
+    bit for bit and, for an N-D map, reads its one folded monomial table),
+    and keeps each box as its integer corners (lo, stop), an exact record
+    of the successor set, for later layers.  The layer then
+    lists every successor of every frontier cell in one array (frontier
+    order, each box last axis fastest), groups equal cells by one stable
+    sort and sums their counts, so the next frontier comes in the order of
+    first appearance.  Counts are exact integers: int64 while the layer's
+    total provably fits, Python ints beyond; a layer of 2^62 successor
+    cells or more raises InvalidInputError.  `budget` caps the box
+    computations and is spent in frontier order: when it runs out, the rest
+    of the layer's new cells are dropped with their branches, so the
     returned count is a lower bound and `partial` is set.  `start` is a
     lattice cell when given as integers, or a point snapped to the nearest
     cell when given as floats.  An infinite slack admits every cell as a
@@ -278,26 +326,42 @@ def enumerate_pseudotrajectories(
     if any(abs(c) > max_cell for c in coords):
         raise InvalidInputError("start lies outside the lattice over the domain")
 
-    cache: dict = {}
+    index: dict = {}  # expanded cell -> its row in lo and stop
+    lo = stop = np.empty((0, N), dtype=np.int64)
     expansions = 0
     partial = False
-    frontier = {start: 1}
+    cells = np.array([coords], dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
     for _ in range(n - 1):
-        new = [c for c in frontier if c not in cache]
-        if len(new) > budget - expansions:
+        keys = cells[:, 0].tolist() if N == 1 else list(map(tuple, cells.tolist()))
+        at = np.array([index.get(c, -1) for c in keys], dtype=np.int64)
+        new = np.flatnonzero(at < 0)
+        if new.size > budget - expansions:
             new = new[: budget - expansions]
             partial = True
-        if new:
-            expansions += len(new)
-            cache.update(zip(new, _successor_boxes(f, new, spacing, slack, max_cell)))
-        nxt: dict = {}
-        for c, cnt in frontier.items():
-            for s in cache.get(c, ()):
-                nxt[s] = nxt.get(s, 0) + cnt
-        frontier = nxt
-        if not frontier:
+        if new.size:
+            at[new] = np.arange(expansions, expansions + new.size)
+            index.update(zip([keys[i] for i in new.tolist()], at[new].tolist()))
+            expansions += new.size
+            new_lo, new_stop = _successor_boxes(f, cells[new], spacing, slack, max_cell)
+            lo, stop = np.concatenate([lo, new_lo]), np.concatenate([stop, new_stop])
+        kept = at >= 0
+        counts = counts[kept]
+        succ, size = _expand(lo[at[kept]], stop[at[kept]])
+        if not succ.size:
+            counts = counts[:0]
             break
-    count = sum(frontier.values())
+        if counts.dtype != object and int(counts.max()) * succ.shape[0] > _INT64_MAX:
+            counts = counts.astype(object)  # exact beyond int64
+        cells, counts = _merge_cells(succ, np.repeat(counts, size))
+    count = int(counts.sum())
+
+    def successors(cell):
+        i = index.get(cell)
+        if i is None:
+            return None
+        axes = [range(a, b) for a, b in zip(lo[i].tolist(), stop[i].tolist())]
+        return axes[0] if N == 1 else itertools.product(*axes)
 
     return PseudoOrbitCensus(
         period=n,
@@ -308,28 +372,38 @@ def enumerate_pseudotrajectories(
         count=count,
         expansions=expansions,
         partial=partial,
-        samples=_collect_samples(cache, start, n, max_samples),
+        samples=_collect_samples(successors, start, n, max_samples),
     )
 
 
-def _collect_samples(cache, start, n, max_samples):
+def _collect_samples(successors, start, n, max_samples):
     """Up to `max_samples` admissible tuples, depth-first in cell order,
-    restricted to the successor sets already computed."""
+    restricted to the successor sets already computed.  `successors(cell)`
+    gives the successors of an expanded cell in order (any iterable), or
+    None; `enumerate_pseudotrajectories` passes a lookup into its exact
+    successor boxes, whose cells are generated only as the walk reaches
+    them, in the order the materialised sets had."""
     if max_samples <= 0:
         return ()
+    if n == 1:
+        return ((start,),)
     out: list = []
-    stack = [(start, (start,))]
-    while stack and len(out) < max_samples:
-        c, path = stack.pop()
-        if len(path) == n:
-            out.append(path)
-            continue
-        succ = cache.get(c)
-        if not succ:
-            continue
-        for s in reversed(succ):
-            stack.append((s, path + (s,)))
+    path = [start]
+    walks = [iter(successors(start) or ())]
+    while walks and len(out) < max_samples:
+        s = next(walks[-1], _DONE)
+        if s is _DONE:
+            walks.pop()
+            path.pop()
+        elif len(path) == n - 1:
+            out.append(tuple(path) + (s,))
+        else:
+            path.append(s)
+            walks.append(iter(successors(s) or ()))
     return tuple(out)
+
+
+_DONE = object()
 
 
 # -- recurrence diagnostics ----------------------------------------------------------

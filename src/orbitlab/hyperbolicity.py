@@ -20,9 +20,11 @@ crosses the level d are eigenvalue phases of one generalized eigenproblem,
 solved by QZ (safe for singular L).  The criss-cross iteration of Boyd &
 Balakrishnan (Systems & Control Letters 15, 1990) lowers d to the profile's
 value at the midpoint of each arc between consecutive crossings until no
-midpoint lowers it; it converges quadratically to the global minimum.  One
-more pencil test at a level below the result certifies it: no unit-modulus
-eigenvalue at level lo means the profile stays above lo at every phase.
+midpoint lowers it; it converges quadratically to the global minimum.  The
+profile of a real L is even in the phase, so only the arcs in [0, pi] are
+evaluated.  One more pencil test at a level below the result certifies it:
+no unit-modulus eigenvalue at level lo means the profile stays above lo at
+every phase.
 """
 
 from __future__ import annotations
@@ -77,8 +79,11 @@ def _sigma_min(L: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def _crossings(L: np.ndarray, d: float, norm: float):
-    """Sorted angles in [0, 2 pi) at which sigma_min(L - e^{i theta} I) = d:
+    """Sorted angles in [0, pi] at which sigma_min(L - e^{i theta} I) = d:
     the unit-modulus eigenvalues of the level-d pencil.  None when QZ fails.
+    L is real, so the profile is even in the phase, and the real pencil's
+    complex eigenvalues come in exactly conjugate pairs, of which the one
+    with nonnegative imaginary part gives the angle |arg z|.
 
     QZ is backward stable: the computed eigenvalues are exact for a pencil
     within about 2k eps ||(A, B)|| of the given one, and ||(A, B)|| is at most
@@ -101,7 +106,7 @@ def _crossings(L: np.ndarray, d: float, norm: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (ar + 1j * ai) / beta  # infinite (or nan) where B is singular
     on = np.abs(np.abs(z) - 1.0) <= math.sqrt(2 * k * _EPS * (1.0 + d + norm))
-    return np.sort(np.angle(z[on]) % _TWO_PI)
+    return np.sort(np.abs(np.angle(z[on & (ai >= 0.0)])))  # one of each pair
 
 
 def gamma_linear(matrix, refine_tol: float = 1e-10) -> HyperbolicityValue:
@@ -113,11 +118,16 @@ def gamma_linear(matrix, refine_tol: float = 1e-10) -> HyperbolicityValue:
     the pencil misses when the profile only touches d there), evaluates the
     profile at the midpoint of every arc between consecutive crossings in
     one batched SVD, and lowers d to the smallest value found; it stops when
-    no midpoint lowers d.  d is an attained value
-    of the profile, so it bounds gamma from above.  The certificate is one
-    more pencil test at lo = d - delta, starting from delta = refine_tol: no
-    unit-modulus eigenvalue there puts gamma in [lo, d]; otherwise delta
-    grows tenfold until none is left, or until lo reaches 0.
+    no midpoint lowers d.  L is real, so the profile is even in the phase:
+    the sweep works on the crossings folded into [0, pi] and evaluates each
+    arc and its mirror image once.  An arc that spans 0 or pi has its
+    midpoint there, where the start already put the profile at or above d,
+    so it is not evaluated again.  The phase reported lies in [0, 1/2].  d
+    is an attained value of the profile, so it bounds gamma from above.
+    The certificate is one more pencil test at lo = d - delta, starting
+    from delta = refine_tol: no unit-modulus eigenvalue there puts gamma in
+    [lo, d]; otherwise delta grows tenfold until none is left, or until lo
+    reaches 0.
     `certified_tolerance` is d - lo.  1x1 matrices are solved in closed form:
     gamma = ||lambda| - 1|.
     """
@@ -131,7 +141,9 @@ def gamma_linear(matrix, refine_tol: float = 1e-10) -> HyperbolicityValue:
         return HyperbolicityValue(gamma=gamma, argmin_phase=phase, certified_tolerance=0.0)
 
     norm = float(np.linalg.norm(L))
-    angles = np.append(np.angle(np.linalg.eigvals(L)) % _TWO_PI, (0.0, math.pi))
+    # the profile is even in the phase, so phases in [0, pi] suffice
+    lam = np.linalg.eigvals(L)
+    angles = np.append(np.angle(lam[lam.imag > 0.0]), (0.0, math.pi))
     s = _sigma_min(L, angles)
     j = int(np.argmin(s))
     d, theta = float(s[j]), float(angles[j])
@@ -142,12 +154,17 @@ def gamma_linear(matrix, refine_tol: float = 1e-10) -> HyperbolicityValue:
         # theta is on the level set by construction; QZ drops it when the
         # profile only touches d there (a local maximum between two dips)
         cross = np.sort(np.append(cross, theta))
-        mids = (cross + np.append(cross[1:], cross[0] + _TWO_PI)) / 2.0
+        # an arc that spans 0 or pi has its midpoint there, where the start
+        # put the profile at or above d: only the arcs inside (0, pi), of
+        # positive length, can lower d
+        mids = ((cross[:-1] + cross[1:]) / 2.0)[cross[:-1] < cross[1:]]
+        if not mids.size:
+            break
         s = _sigma_min(L, mids)
         j = int(np.argmin(s))
         if not s[j] < d:
             break
-        d, theta = float(s[j]), float(mids[j]) % _TWO_PI
+        d, theta = float(s[j]), float(mids[j])
 
     delta = refine_tol
     while d - delta > 0.0:

@@ -556,57 +556,82 @@ def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
 
 
 class _MonomialTable:
-    """The map x -> sum_t coeffs[t] * x^exponents[t] from R^N to R^N, with the
-    per-variable tables of its partial derivatives built once.
+    """The map x -> sum_t coeffs[t] * x^exponents[t] from R^N to R^N.
 
     One point and a batch of points are evaluated by the same code, which
     reduces over each axis in one fixed order: powers by repeated
     multiplication, each monomial as the product over the variables in
-    order, and the sum over the terms one term after the other (not a
+    order, and each output's sum over the terms along one contiguous row,
+    whose order of additions depends only on the number of terms (not a
     matrix product, whose BLAS kernel differs between one point and a
     batch).  So the value and the Jacobian at each row of a batch equal
-    those at that point alone bit for bit."""
+    those at that point alone bit for bit.  The Jacobian's table is built on
+    the first `jac`."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.exponents = exponents
         self.coeffs = coeffs
         self._top = int(exponents.max(initial=0))
-        self._cols = np.arange(exponents.shape[1])
-        # column j of the Jacobian: the terms with a_j > 0, their exponents
-        # with a_j lowered by one, and their coefficients times a_j
-        self._partials = []
-        for j in range(exponents.shape[1]):
-            a_j = exponents[:, j]
-            mask = a_j > 0
-            if np.any(mask):
-                red = exponents[mask].copy()
-                red[:, j] -= 1
-                self._partials.append((j, red, a_j[mask, None] * coeffs[mask]))
+        # x_j^e sits at j * (top + 1) + e of the flattened power table;
+        # tables are laid out variable by term and output by term
+        self._offsets = np.arange(exponents.shape[1])[:, None] * (self._top + 1)
+        self._at = exponents.T + self._offsets
+        self._weights = np.ascontiguousarray(coeffs.T)
+        self._jac_table = None
+        self._keys = None
+
+    def keys(self) -> list:
+        """The exponent rows as tuples, computed once."""
+        if self._keys is None:
+            self._keys = list(map(tuple, self.exponents.tolist()))
+        return self._keys
 
     def _powers(self, x: np.ndarray) -> np.ndarray:
         powers = np.empty(x.shape + (self._top + 1,))  # x_j^e for e = 0..top
         powers[..., 0] = 1.0
         powers[..., 1:] = x[..., None]
         np.multiply.accumulate(powers, axis=-1, out=powers)
-        return powers
+        return powers.reshape(x.shape[:-1] + (-1,))
 
-    def _sum(self, powers: np.ndarray, exponents: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        monomials = np.prod(powers[..., self._cols, exponents], axis=-1)
-        return (monomials[..., None] * coeffs).sum(axis=-2)
+    @staticmethod
+    def _sum(powers: np.ndarray, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        monomials = np.multiply.reduce(powers.take(at, axis=-1), axis=-2)
+        return (monomials[..., None, :] * weights).sum(axis=-1)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """The value at a float point of shape (N,), or at each row of a
         batch of shape (B, N)."""
-        return self._sum(self._powers(x), self.exponents, self.coeffs)
+        return self._sum(self._powers(x), self._at, self._weights)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """The Jacobian, of shape (N, N) at a point of shape (N,), or
         (B, N, N) at a batch of shape (B, N)."""
-        powers = self._powers(x)
-        J = np.zeros(x.shape[:-1] + (self.coeffs.shape[1], x.shape[-1]))
-        for j, red, weighted in self._partials:
-            J[..., j] = self._sum(powers, red, weighted)
-        return J
+        if self._jac_table is None:
+            # column j: each term's exponents with a_j lowered by one and its
+            # coefficients times a_j; a term without x_j gets the monomial 1
+            # and weight 0, which add an exact 0 to the sum
+            a = self.exponents.T[:, None, :]  # a_j of each term, (N, 1, T)
+            eye = np.eye(self.exponents.shape[1], dtype=np.int64)[:, :, None]
+            lowered = np.where(a > 0, self.exponents.T - eye, 0)
+            self._jac_table = (lowered + self._offsets, a * self._weights)
+        at, weights = self._jac_table
+        return np.swapaxes(self._sum(self._powers(x), at, weights), -1, -2)
+
+
+def _folded_table(tables: list) -> _MonomialTable:
+    """One table for the sum of the maps `tables` (at least one): equal
+    monomials become one row, in order of first appearance, with their
+    coefficients summed in table order."""
+    if len(tables) == 1:
+        return tables[0]
+    keys = [k for t in tables for k in t.keys()]
+    row = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    at = [row[k] for k in keys]
+    exponents = np.empty((len(row), tables[0].exponents.shape[1]), dtype=np.int64)
+    exponents[at] = np.concatenate([t.exponents for t in tables])  # rows sharing a place are equal
+    coeffs = np.zeros((len(row), tables[0].coeffs.shape[1]))
+    np.add.at(coeffs, at, np.concatenate([t.coeffs for t in tables]))
+    return _MonomialTable(exponents, coeffs)
 
 
 def monomial_sup_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:

@@ -723,6 +723,34 @@ def test_ih_budget_exhaustion_is_indeterminate():
     assert total == pytest.approx(2.0 * report.radius, rel=1e-12)
 
 
+def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
+    """A stage's tube rounds and its witness's record together compute at
+    most max_evaluations_per_period orbits: on x - x^3 one 256-cell round
+    finds the witness, which a budget of 256 cannot also pay for."""
+    orbits = []
+    tube, record_at = census._tube_many, census._record_at
+
+    def counted_tube(f, mids, *args):
+        orbits.append(np.size(mids))
+        return tube(f, mids, *args)
+
+    def counted_record(f, n, *args):
+        orbits.append(1)
+        return record_at(f, n, *args)
+
+    monkeypatch.setattr(census, "_tube_many", counted_tube)
+    monkeypatch.setattr(census, "_record_at", counted_record)
+    statuses = {}
+    for budget in (0, 255, 256, 257, 300, 1000, 400_000):
+        orbits.clear()
+        report = ih_check(parabolic(), GrowthParams(C=1.0, delta=1.0), 1,
+                          max_evaluations_per_period=budget)
+        assert sum(orbits) <= budget
+        statuses[budget] = report.status
+    assert statuses[256] == "indeterminate"
+    assert statuses[257] == statuses[400_000] == "fails"
+
+
 def test_ih_rejects_negative_n_max():
     with pytest.raises(InvalidInputError):
         ih_check(half(), GrowthParams(C=1.0, delta=1.0), -1)

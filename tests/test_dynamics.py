@@ -21,6 +21,8 @@ from orbitlab import (
     sample,
 )
 
+from orbitlab.perturbation import _MonomialTable
+
 from conftest import random_contraction
 
 
@@ -262,6 +264,43 @@ def test_nd_jac_equals_jac_many_bitwise(dim, batch):
         assert many.shape == (batch, dim, dim), name
         for x, J in zip(xs, many):
             assert f.jac(x).tobytes() == J.tobytes(), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nd_fold_matches_base_plus_terms(dim):
+    """The folded table sums equal monomials before evaluating; the map
+    and its Jacobian stay the base plus each term's, to rounding."""
+    xs = np.random.default_rng(dim).uniform(-1.5, 1.5, (200, dim))
+    maps = _nd_maps(dim)
+    base = maps["base"]
+    for name in ("one term", "two terms"):
+        f = maps[name]
+        for x in xs:
+            value = base.evaluate(x) + sum(t.value(x) for t in f.terms)
+            jac = base.jac(x) + sum(t.jac(x) for t in f.terms)
+            np.testing.assert_allclose(f.evaluate(x), value, rtol=1e-14, atol=1e-14, err_msg=name)
+            np.testing.assert_allclose(f.jac(x), jac, rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+def test_nd_map_evaluates_through_one_table(monkeypatch):
+    calls = []
+    value, jac = _MonomialTable.value, _MonomialTable.jac
+
+    def counted(method):
+        def wrapped(self, x):
+            calls.append(method.__name__)
+            return method(self, x)
+        return wrapped
+
+    monkeypatch.setattr(_MonomialTable, "value", counted(value))
+    monkeypatch.setattr(_MonomialTable, "jac", counted(jac))
+    f = _nd_maps(3)["two terms"]
+    x = np.array([0.3, -0.2, 0.5])
+    for method, arg, kind in ((f.evaluate, x, "value"), (f.eval_many, np.tile(x, (4, 1)), "value"),
+                              (f.jac, x, "jac"), (f.jac_many, np.tile(x, (4, 1)), "jac")):
+        calls.clear()
+        method(arg)
+        assert calls == [kind]
 
 
 def test_nd_jac_matches_finite_differences():

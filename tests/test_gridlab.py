@@ -280,7 +280,7 @@ def _reference_enumeration(f, spacing, slack, start, n, budget, max_samples=6):
             for succ in cache[cell]:
                 nxt[succ] = nxt.get(succ, 0) + paths
         layer = nxt
-    return sum(layer.values()), expansions, partial, _collect_samples(cache, start, n, max_samples)
+    return sum(layer.values()), expansions, partial, _collect_samples(cache.get, start, n, max_samples)
 
 
 def _enumerated(f, spacing, slack, start, n, budget):
@@ -330,6 +330,55 @@ def test_batched_enumeration_matches_reference_at_infinite_slack():
         got = _enumerated(f, 0.5, math.inf, (1, 0), 4, budget)
         assert got == _reference_enumeration(f, 0.5, math.inf, (1, 0), 4, budget)
     assert got[:3] == (49**3, 49, False)
+
+
+def test_exact_count_beyond_int64_at_infinite_slack():
+    """81 cells, each with all 81 as successors: 81^10 tuples of length 11,
+    past 2^63, counted exactly as a Python int."""
+    f = PolynomialMap.linear(np.diag([0.5, 0.5]), domain_radius=1.0)
+    got = _enumerated(f, 0.25, math.inf, (0, 0), 11, 10_000_000)
+    assert 81**10 > 2**63
+    assert type(got[0]) is int and got[:3] == (81**10, 81, False)
+    assert got == _reference_enumeration(f, 0.25, math.inf, (0, 0), 11, 10_000_000)
+
+
+def test_lattice_of_more_cells_than_int64_holds():
+    """An 8-D lattice of 301^8 > 2^63 cells: cells are grouped by their
+    coordinates, not by an index into the lattice."""
+    base = PolynomialMap.linear(0.5 * np.eye(8), domain_radius=1.5)
+    f = PerturbedMap(base, sample(BrickSpec.factorial(0.01, 2), 8, seed=(8, 1)))
+    assert cells_per_axis(1.5, 0.01) ** 8 > 2**63
+    start = (40, -35, 12, 0, -7, 90, -120, 3)
+    for budget in (0, 1, 10_000_000):
+        got = _enumerated(f, 0.01, 0.012, start, 2, budget)
+        assert got == _reference_enumeration(f, 0.01, 0.012, start, 2, budget)
+    assert got[:3] == (576, 1, False)
+
+
+def test_layer_too_large_to_list_raises():
+    """A layer whose successor boxes hold more cells than int64 sizes can
+    count is refused, not wrapped: 301^8 cells at infinite slack, and 2^64
+    (0 modulo 2^64) in 64-D width-2 boxes."""
+    f = PolynomialMap.linear(0.5 * np.eye(8), domain_radius=1.5)
+    with pytest.raises(InvalidInputError, match="too many"):
+        enumerate_pseudotrajectories(f, 0.01, math.inf, (0,) * 8, 2)
+    f = PolynomialMap.linear(0.5 * np.eye(64), domain_radius=1.0)
+    with pytest.raises(InvalidInputError, match="too many"):
+        enumerate_pseudotrajectories(f, 1.0, 0.5, (1,) * 64, 2)
+
+
+def test_batched_enumeration_matches_per_cell_reference_in_3d():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    A *= 0.7 / np.linalg.norm(A, 2)
+    base = PolynomialMap.linear(A, domain_radius=1.0)
+    f = PerturbedMap(base, sample(BrickSpec.factorial(0.02, 3), 3, seed=(3, 5)))
+    full = _enumerated(f, 0.04, 0.07, (4, -3, 2), 6, 10_000_000)
+    assert full[0] > 10**8 and not full[2]
+    for budget in (0, 1, full[1] // 2, 10_000_000):
+        got = _enumerated(f, 0.04, 0.07, (4, -3, 2), 6, budget)
+        assert got == _reference_enumeration(f, 0.04, 0.07, (4, -3, 2), 6, budget)
+        assert got[2] == (budget < full[1])
 
 
 # -- recurrence diagnostics -----------------------------------------------------------

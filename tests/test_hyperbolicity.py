@@ -14,6 +14,7 @@ from orbitlab import (
     orbit,
     orbit_hyperbolicity,
 )
+import orbitlab.hyperbolicity as hyperbolicity
 from orbitlab.hyperbolicity import _crossings
 
 
@@ -137,6 +138,43 @@ def test_certified_bracket_holds_the_dense_grid_minimum():
         assert hv.gamma - hv.certified_tolerance <= grid <= hv.gamma + math.pi / 20000
         assert hv.gamma <= grid + 1e-12
         assert _profile(m, [hv.argmin_phase])[0] == pytest.approx(hv.gamma, abs=1e-14)
+
+
+def test_sweeps_evaluate_each_arc_and_its_mirror_image_once(monkeypatch):
+    """The profile of a real L is even in the phase, so a sweep evaluates
+    only the arcs between the crossings folded into [0, pi]: at most half
+    the midpoints of a sweep over the full circle, which has one per arc,
+    K + 1 of them for K crossings (each folded crossing inside (0, pi)
+    stands for two) and the attained phase."""
+    levels, rows = [], []
+    crossings, sigma_min = hyperbolicity._crossings, hyperbolicity._sigma_min
+
+    def spied_crossings(L, d, norm):
+        cross = crossings(L, d, norm)
+        levels.append(cross)
+        return cross
+
+    def spied_sigma_min(L, angles):
+        assert np.all((0.0 <= angles) & (angles <= math.pi))
+        rows.append((len(levels), angles.size))
+        return sigma_min(L, angles)
+
+    monkeypatch.setattr(hyperbolicity, "_crossings", spied_crossings)
+    monkeypatch.setattr(hyperbolicity, "_sigma_min", spied_sigma_min)
+    folded = unfolded = 0
+    for m in _nonnormal_matrices():
+        levels.clear()
+        rows.clear()
+        hv = gamma_linear(m)
+        assert 0.0 <= hv.argmin_phase <= 0.5
+        for sweep, size in rows[1:]:  # rows[0] is the start
+            cross = levels[sweep - 1]
+            inside = np.count_nonzero((cross > 0.0) & (cross < math.pi))
+            full = 2 * inside + (cross.size - inside) + 1
+            assert 2 * size <= full + 1
+            folded += size
+            unfolded += full
+    assert 2 * folded <= unfolded
 
 
 def test_start_at_a_local_maximum_of_the_profile():
