@@ -14,14 +14,22 @@ Each tube step grows the radius by at most a certified sup bound D1 of
 |f'|, so r_n + h <= L_n h + ev for the uniform Lipschitz bound
 L_n = D1^n + 1 and its float slack ev: the tube is never looser than L_n
 beyond that slack.  A cell on which the enclosure of g' = (f^n)' - 1
-excludes 0 has g monotone, and the values of g at its two endpoints settle
-it: no solution, or exactly one, which Brent's method brackets to the
-requested tolerance.  The remaining cells shrink to halfwidth tol and merge
-into clusters; each cluster, widened by 2 tol on each side, is settled by
-the same test, and a window it leaves open (a tangency, or a root within
-the float slack of a window end) is reported as uncertified.  So the
-reported count is exact whenever the result says so.  Floating-point error
-is covered by a generous slack per evaluation, not by outward rounding.
+excludes 0 has g strictly monotone, and the values of g at its two
+endpoints settle it: no solution, or exactly one, which Brent's method
+brackets to the requested tolerance.  An endpoint value decides a sign only
+when it clears the float slack, so a root on (or within the slack of) a
+cell end would leave both cells beside it undecided at every depth; a
+dyadic root such as the fixed point 1/2 of 0.95 - 1.8x^2 lies on a cell end
+at every depth.  So monotone cells that share an end exactly, increase or
+decrease alike, and meet where g does not clear the slack join into one
+run: g is strictly monotone on the union, and the run's outer ends settle
+it as a cell's ends do; the value at a joined end is never read for a sign.
+The remaining cells shrink to halfwidth tol and merge into clusters; each
+cluster, widened by 2 tol on each side, is settled by the same test, and a
+window it leaves open (a tangency, or a root within the float slack of a
+window end) is reported as uncertified.  So the reported count is exact
+whenever the result says so.  Floating-point error is covered by a
+generous slack per evaluation, not by outward rounding.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -464,14 +472,19 @@ def find_periodic(
     Cells are bisected in rounds: a cell is dropped when its orbit tube
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
-    one, which Brent's method brackets).  The rest shrink to halfwidth <= tol
-    and merge into clusters; each cluster, widened by 2 tol on each side, is
-    settled by the same test.  A window the test leaves open is reported in
-    `uncertified_regions`, with a "tangential-candidate" record when |g| at
-    its ends or midpoint is below 16 (L_n tol + ev).  Certified enclosures
-    have halfwidth tol, or tol / 4 + 4 eps |x| when that is larger.  The
-    uniform Lipschitz bound L_n = sup |f'|^n + 1 decides no cell: it is
-    reported as `lipschitz`.  Every evaluation counts against
+    one, which Brent's method brackets).  An endpoint value decides only
+    when |g| there clears the float slack; adjacent monotone cells of the
+    same direction whose shared end does not clear it are settled together,
+    from the outer ends of their union, on which g is strictly monotone
+    too.  So a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2)
+    is located in the round that reaches it.  The rest shrink to halfwidth
+    <= tol and merge into clusters; each cluster, widened by 2 tol on each
+    side, is settled by the same test.  A window the test leaves open is
+    reported in `uncertified_regions`, with a "tangential-candidate" record
+    when |g| at its ends or midpoint is below 16 (L_n tol + ev).  Certified
+    enclosures have halfwidth tol, or tol / 4 + 4 eps |x| when that is
+    larger.  The uniform Lipschitz bound L_n = sup |f'|^n + 1 decides no
+    cell: it is reported as `lipschitz`.  Every evaluation counts against
     `max_evaluations`.  An exhausted budget leaves the unresolved frontier
     in `uncertified_regions`, and the cluster windows too when it cannot
     pay for their pass, and the result uncertified.  Maps of dimension
@@ -501,7 +514,7 @@ def find_periodic(
         keep = np.abs(c.g) <= c.spread + b.ev
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev + b.ev_d))
         settled, spent = _settle(f, n, c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx],
-                                 tol, b.ev, budget, records, root_cells)
+                                 c.lam[idx] > 1.0, tol, b.ev, budget, records, root_cells)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
@@ -539,7 +552,8 @@ def find_periodic(
             half = (c - a) / 2.0
             _, _, lam, lam_hi = _tube_many(f, mid, half, n, R, b)
             idx = np.flatnonzero(np.abs(lam - 1.0) > lam_hi - np.abs(lam) + b.ev_d)
-            settled, spent = _settle(f, n, a[idx], c[idx], tol, b.ev, budget, records, root_cells)
+            settled, spent = _settle(f, n, a[idx], c[idx], lam[idx] > 1.0, tol, b.ev, budget,
+                                     records, root_cells)
             evaluations += a.size + spent
             open_ = np.ones(a.size, dtype=bool)
             open_[idx[settled]] = False
@@ -571,18 +585,29 @@ def find_periodic(
     )
 
 
-def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, budget: int,
-            records: list, root_cells: list):
+def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: float, ev: float,
+            budget: int, records: list, root_cells: list):
     """Settle the intervals [lo, hi] on which g = f^n - id is proved
-    monotone, from g at both ends: when both ends clear the float slack ev,
-    opposite signs mean exactly one root, which Brent's method locates (its
-    record goes to `records`, the interval's (lo, hi) to `root_cells`), and
-    one sign means none.  An end shared by two intervals is evaluated once.
-    Nothing is settled when `budget` cannot pay for the ends, and a root is
-    located only while what is left can pay for Brent's method at its worst
-    and the record's orbit (_BRENT_CALLS evaluations); its interval stays
-    unsettled otherwise.  Returns the mask of the settled intervals and the
-    evaluations spent, at most `budget`."""
+    strictly monotone, increasing where `up` holds and decreasing elsewhere,
+    from g at the ends.
+
+    The intervals join into runs: two join when they share an end exactly,
+    are monotone in the same direction, and g at the shared end does not
+    clear the float slack ev (a root on or near that end).  g is strictly
+    monotone on the union, so a run is decided by its two outer ends as an
+    interval is: when both clear ev, opposite signs mean exactly one root,
+    which Brent's method locates (its record goes to `records`, the run's
+    (lo, hi) to `root_cells`), and one sign means none.  The value at a
+    joined end is never used for a sign.  Where nothing joins, the runs are
+    the intervals themselves, and the sort that finds the joins runs only
+    when some interval has an end that did not clear ev.
+
+    An end shared by two intervals is evaluated once.  Nothing is settled
+    when `budget` cannot pay for the ends, and a root is located only while
+    what is left can pay for Brent's method at its worst and the record's
+    orbit (_BRENT_CALLS evaluations); its run stays unsettled otherwise.
+    Returns the mask of the settled intervals and the evaluations spent, at
+    most `budget`."""
     index: dict = {}  # distinct end -> its place in `ends`
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
@@ -591,7 +616,21 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, bu
     g = (_iterate_many(f, ends, n) - ends)[at]
     spent = ends.size
     glo, ghi = g[: lo.size], g[lo.size :]
-    settled = (np.abs(glo) > ev) & (np.abs(ghi) > ev)
+    clear_lo, clear_hi = np.abs(glo) > ev, np.abs(ghi) > ev
+    run = None  # each interval's run, once some intervals join
+    if not (clear_lo & clear_hi).all():
+        order = np.argsort(lo, kind="stable")
+        a, c = order[:-1], order[1:]
+        join = (hi[a] == lo[c]) & (up[a] == up[c]) & ~clear_hi[a]
+        if join.any():
+            starts = np.concatenate([[True], ~join])
+            run = np.empty(lo.size, dtype=np.intp)
+            run[order] = np.cumsum(starts) - 1
+            # from here on the arrays describe the runs' outer ends
+            first, last = order[starts], order[np.concatenate([~join, [True]])]
+            lo, glo, clear_lo = lo[first], glo[first], clear_lo[first]
+            hi, ghi, clear_hi = hi[last], ghi[last], clear_hi[last]
+    settled = clear_lo & clear_hi
     located = []
     for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
         if spent + _BRENT_CALLS > budget:
@@ -602,7 +641,7 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, tol: float, ev: float, bu
         spent += calls
         located.append(j)
     root_cells.append((lo[located], hi[located]))
-    return settled, spent
+    return (settled if run is None else settled[run]), spent
 
 
 def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list:
@@ -822,7 +861,10 @@ def ih_check(
     when a midpoint is certifiably almost periodic with gap certifiably
     below the threshold.  Boxes that reach the width floor or exhaust the
     budget are reported as unresolved and make the stage (and the report)
-    indeterminate rather than wrong.  A stage computes at most
+    indeterminate rather than wrong.  A threshold that rounds to 0.0 is
+    below the smallest positive float, so there a box passes as hyperbolic
+    only when its gap is provably positive, and no witness is possible: a
+    point of gap 0 leaves the stage indeterminate.  A stage computes at most
     `max_evaluations_per_period` k-step orbits: its tube rounds and, for a
     witness, the orbit that gives the record its multiplier.  n_max = 0
     holds vacuously.
@@ -849,11 +891,10 @@ def ih_check(
 
 
 def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> IHRow:
-    if thr <= 0.0:
-        # the threshold underflowed to zero: any gap passes
-        return IHRow(period=k, threshold=thr, slack=slack, status="holds",
-                     witness=None, unresolved=())
-
+    # A threshold that underflowed to 0.0 stands for an exact one below the
+    # smallest positive float, so a box is hyperbolic only when its gap's
+    # lower bound is positive, and no box can be a witness.
+    gap_floor = max(thr, math.ulp(0.0))
     witness = None
     unresolved: list = []
 
@@ -868,7 +909,7 @@ def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> I
             witness = _record_at(f, k, c.mids[j], c.halves[j], True, "witness")
             return np.zeros(c.mids.size, dtype=bool), 0
         excluded = gabs > c.spread + slack + b.ev
-        hyperbolic = gaps - c.dev - b.ev_d >= thr
+        hyperbolic = gaps - c.dev - b.ev_d >= gap_floor
         live = ~(excluded | hyperbolic)
         floored = live & (2.0 * c.halves <= width_floor)
         unresolved.append((c.mids[floored], c.halves[floored]))

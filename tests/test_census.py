@@ -259,7 +259,7 @@ def test_census_counts_pass_least_period_divisibility():
     sum_{d | n} mu(n / d) P_d, is a multiple of n: an exact oracle at any
     period."""
     cases = [
-        (PolynomialMap.univariate(CHAOTIC), 1.0, 14),
+        (PolynomialMap.univariate(CHAOTIC), 1.0, 17),
         (_seeded_quadratic(), None, 16),
     ]
     for f, radius, n_max in cases:
@@ -301,6 +301,39 @@ def test_chaotic_map_certifies_at_periods_9_and_10():
         assert res.count == want
         assert all(r.certified and r.halfwidth <= 1e-12 for r in res.records)
         assert all(a.location < b.location for a, b in zip(res.records, res.records[1:]))
+
+
+def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
+    """The fixed point 0.5 of 0.95 - 1.8x^2 is dyadic, so it lies on a cell
+    end at every depth, where g never clears the float slack.  The two
+    monotone cells beside it join into one run that its outer ends settle,
+    so the census does not halve them down to tol: each rung takes a few
+    rounds (each one _tube_many call, with the window pass's)."""
+    rounds = []
+    tube = census._tube_many
+
+    def counted_tube(*args):
+        rounds.append(1)
+        return tube(*args)
+
+    monkeypatch.setattr(census, "_tube_many", counted_tube)
+    for n in range(6, 11):
+        rounds.clear()
+        res = find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0)
+        assert res.certified
+        assert any(r.location == pytest.approx(0.5, abs=1e-12) for r in res.records)
+        assert len(rounds) <= 6, (n, len(rounds))
+
+
+def test_unperturbed_quadratic_certifies_at_period_32():
+    """The 2-cycle point 0 of x^2 - 1 is a cell end at every depth; joining
+    the cells beside it certifies the period-32 census, which used to run
+    out of the default budget."""
+    res = find_periodic(quad(), 32)
+    assert res.certified
+    assert res.count == 3
+    assert res.evaluations <= 2_000
+    assert any(r.location == 0.0 for r in res.records)
 
 
 def test_census_budget_exhaustion_is_partial():
@@ -398,11 +431,12 @@ def test_settle_pays_for_the_ends_and_brent_at_its_worst():
     interval unsettled."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49, 0.505]), np.array([0.505, 0.52])
+    up = np.array([False, False])  # g' = -3.6x - 1 < 0 on both
     for budget, settled, spent in ((2, [False, False], 0),
                                    (3 + census._BRENT_CALLS - 1, [False, True], 3),
                                    (3 + census._BRENT_CALLS, [True, True], None)):
         records, root_cells = [], []
-        mask, used = census._settle(f, 1, lo, hi, 1e-12, 1e-9, budget, records, root_cells)
+        mask, used = census._settle(f, 1, lo, hi, up, 1e-12, 1e-9, budget, records, root_cells)
         assert mask.tolist() == settled
         assert used <= budget
         if spent is not None:
@@ -509,12 +543,45 @@ def test_brent_reuses_the_ends_settle_computed(monkeypatch):
 
     monkeypatch.setattr(census, "_g_scalar", recorded)
     records = []
-    mask, used = census._settle(f, 1, lo, hi, 1e-12, 1e-9, 10_000, records, [])
+    mask, used = census._settle(f, 1, lo, hi, np.array([False]), 1e-12, 1e-9, 10_000, records, [])
     assert mask.tolist() == [True] and used == 2 + len(seen) + 1  # and the record's orbit
     assert seen and 0.49 not in seen and 0.505 not in seen
     fresh = brentq(lambda x: g_scalar(f, x, 1), 0.49, 0.505, xtol=1e-12 / 4, rtol=4 * census._EPS,
                    maxiter=census._BRENT_MAXITER)
     assert records[0].location == fresh
+
+
+def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
+    """The fixed point 0.5 of 0.95 - 1.8x^2 is the shared end of two
+    intervals on which g decreases; g there does not clear the slack, so
+    neither interval is decided alone.  They join into one run, whose outer
+    ends bracket the root: one record, and both intervals settled."""
+    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
+    lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
+    records, root_cells = [], []
+    mask, used = census._settle(f, 1, lo, hi, np.array([False, False]), 1e-12, 1e-9, 10_000,
+                                records, root_cells)
+    assert mask.tolist() == [True, True]
+    (record,) = records
+    assert record.certified and abs(record.location - 0.5) <= record.halfwidth
+    assert 3 < used <= 3 + census._BRENT_CALLS  # the three ends, Brent's calls and the record
+    ((run_lo, run_hi),) = root_cells
+    assert run_lo.tolist() == [0.49] and run_hi.tolist() == [0.51]
+
+
+def test_settle_never_joins_intervals_monotone_in_opposite_directions():
+    """f(x) = x + x^2/2 has a double fixed point at 0, the shared end of two
+    intervals where g = x^2/2 falls and then rises.  They do not join, and
+    neither is decided by its ends: nothing settled, no record."""
+    f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
+    lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
+    records, root_cells = [], []
+    mask, used = census._settle(f, 1, lo, hi, np.array([False, True]), 1e-12, 1e-9, 10_000,
+                                records, root_cells)
+    assert mask.tolist() == [False, False]
+    assert used == 3 and records == []
+    assert all(s.size == 0 for s, _ in root_cells)
 
 
 def test_iterate_many_equals_stepwise_eval_many():
@@ -749,6 +816,20 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
         statuses[budget] = report.status
     assert statuses[256] == "indeterminate"
     assert statuses[257] == statuses[400_000] == "fails"
+
+
+def test_ih_threshold_underflow_is_not_a_pass():
+    """At C = 800 the threshold exp(-800) rounds to 0.0.  The fixed point 0
+    of x - x^3 has gap exactly 0, below the exact threshold, so the stage
+    must not hold: with no gap provably positive around 0 it is left
+    indeterminate."""
+    params = GrowthParams(C=800.0, delta=0.0)
+    assert params.gamma_n(1) == 0.0
+    report = ih_check(parabolic(), params, 1, radius=0.5)
+    assert report.status == "indeterminate"
+    (row,) = report.rows
+    assert row.witness is None
+    assert any(lo <= 0.0 <= hi for lo, hi in row.unresolved)
 
 
 def test_ih_rejects_negative_n_max():
