@@ -16,20 +16,26 @@ L_n = D1^n + 1 and its float slack ev: the tube is never looser than L_n
 beyond that slack.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g strictly monotone, and the values of g at its two
 endpoints settle it: no solution, or exactly one, which Brent's method
-brackets to the requested tolerance.  An endpoint value decides a sign only
-when it clears the float slack, so a root on (or within the slack of) a
-cell end would leave both cells beside it undecided at every depth; a
-dyadic root such as the fixed point 1/2 of 0.95 - 1.8x^2 lies on a cell end
-at every depth.  So monotone cells that share an end exactly, increase or
-decrease alike, and meet where g does not clear the slack join into one
-run: g is strictly monotone on the union, and the run's outer ends settle
-it as a cell's ends do; the value at a joined end is never read for a sign.
+brackets to the requested tolerance.  The roots a round settles are located
+together: one Brent per bracket (an in-repo transcription of scipy's
+brentq, bit for bit), many brackets advanced in lockstep on one array
+evaluation per step, and their records taken from one orbit pass.  An
+endpoint value decides a sign only when it clears the float slack, so a
+root on (or within the slack of) a cell end would leave both cells beside
+it undecided at every depth; a dyadic root such as the fixed point 1/2 of
+0.95 - 1.8x^2 lies on a cell end at every depth.  So monotone cells that
+share an end exactly, increase or decrease alike, and meet where g does not
+clear the slack join into one run: g is strictly monotone on the union, and
+the run's outer ends settle it as a cell's ends do; the value at a joined
+end is never read for a sign.
 The remaining cells shrink to halfwidth tol and merge into clusters; each
 cluster, widened by 2 tol on each side, is settled by the same test, and a
 window it leaves open (a tangency, or a root within the float slack of a
 window end) is reported as uncertified.  So the reported count is exact
 whenever the result says so.  Floating-point error is covered by a
-generous slack per evaluation, not by outward rounding.
+generous slack per evaluation, not by outward rounding; a census whose
+slack is at least 2R, the largest |g| can be, can decide no cell and
+returns at once.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -45,11 +51,12 @@ reported evaluations do not depend on what came before.  The memo
 and assumes a map is not mutated after it is built, as the 1-D fold
 already does.
 
-Orbits of a few points (the ends settled, the probes of open windows) are
-iterated one point at a time with f.evaluate, which costs less than an
-array call there; it is exact, not an approximation of the array path,
-because a 1-D map's evaluate and eval_many perform the same float
-operations in the same order and agree bit for bit.
+Orbits of a few points (the ends settled, Brent's steps, the records, the
+probes of open windows) are iterated one point at a time with f.evaluate,
+which costs less than an array call there; it is exact, not an
+approximation of the array path, because a 1-D map's evaluate and
+eval_many perform the same float operations in the same order and agree
+bit for bit.
 
 On top of the census sit:
 
@@ -73,7 +80,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import _memo, as_perturbed, certified_range_1d, invariant_radius, norm_bounds
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
@@ -472,7 +478,8 @@ def find_periodic(
     Cells are bisected in rounds: a cell is dropped when its orbit tube
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
-    one, which Brent's method brackets).  An endpoint value decides only
+    one, which Brent's method brackets; a round's roots are located
+    together, see _settle).  An endpoint value decides only
     when |g| there clears the float slack; adjacent monotone cells of the
     same direction whose shared end does not clear it are settled together,
     from the outer ends of their union, on which g is strictly monotone
@@ -487,8 +494,11 @@ def find_periodic(
     cell: it is reported as `lipschitz`.  Every evaluation counts against
     `max_evaluations`.  An exhausted budget leaves the unresolved frontier
     in `uncertified_regions`, and the cluster windows too when it cannot
-    pay for their pass, and the result uncertified.  Maps of dimension
-    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+    pay for their pass, and the result uncertified.  When the float slack
+    of the period is at least 2R, which bounds |g|, no cell can be decided:
+    the result is [-R, R] uncertified, with no record and no evaluation.
+    Maps of dimension >= 2, and periods that are not integers >= 1, raise
+    InvalidInputError.
 
     The certified radius, the bounds, the initial grid and its orbit tube
     are kept per map and reused by later calls on it (the tube extended
@@ -505,6 +515,11 @@ def find_periodic(
 
     R = _resolve_radius(f, radius)
     b = _census_bounds(_map_bounds(f, R), R, n)
+    if b.ev >= 2.0 * R:
+        # |g| <= 2R on [-R, R], true orbits and clamped tubes alike, so no
+        # cell can be excluded and no end value clears the slack
+        return CensusResult(period=n, radius=R, records=[], uncertified_regions=[(-R, R)],
+                            certified=False, lipschitz=b.L, evaluations=0)
 
     records: list = []
     root_cells: list = [(np.empty(0), np.empty(0))]  # (los, his) of cells with one root
@@ -603,11 +618,16 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: floa
     when some interval has an end that did not clear ev.
 
     An end shared by two intervals is evaluated once.  Nothing is settled
-    when `budget` cannot pay for the ends, and a root is located only while
-    what is left can pay for Brent's method at its worst and the record's
-    orbit (_BRENT_CALLS evaluations); its run stays unsettled otherwise.
-    Returns the mask of the settled intervals and the evaluations spent, at
-    most `budget`."""
+    when `budget` cannot pay for the ends.  The roots are located in waves
+    (_locate): a wave is the longest prefix of the roots still to locate
+    that what is left pays for at Brent's worst and the record's orbit
+    (_BRENT_CALLS evaluations each), and its actual calls are charged
+    before the next wave, so a root is located exactly when taking the
+    roots one at a time under that rule would locate it; its run stays
+    unsettled otherwise, as it does when Brent's method runs out of
+    iterations.  A wave's records come from one orbit pass (_records_at).
+    Returns the mask of the settled intervals and the evaluations spent,
+    at most `budget`."""
     index: dict = {}  # distinct end -> its place in `ends`
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
@@ -631,16 +651,27 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: floa
             lo, glo, clear_lo = lo[first], glo[first], clear_lo[first]
             hi, ghi, clear_hi = hi[last], ghi[last], clear_hi[last]
     settled = clear_lo & clear_hi
-    located = []
-    for j in np.flatnonzero(settled & ((glo > 0) != (ghi > 0))):
-        if spent + _BRENT_CALLS > budget:
-            settled[j] = False
-            continue
-        record, calls = _bracketed_root(f, n, lo[j], hi[j], glo[j], ghi[j], tol)
-        records.append(record)
-        spent += calls
-        located.append(j)
-    root_cells.append((lo[located], hi[located]))
+    pending = np.flatnonzero(settled & ((glo > 0) != (ghi > 0)))
+    brackets = list(zip(lo[pending].tolist(), hi[pending].tolist(), glo[pending].tolist(),
+                        ghi[pending].tolist()))
+    xtol, rtol = tol / 4, 4 * _EPS
+    roots: list = []
+    while len(roots) < len(brackets):
+        # a wave: as many roots as what is left pays for at Brent's worst
+        k = (budget - spent) // _BRENT_CALLS
+        if not k:
+            break
+        wave, calls = _locate(f, n, brackets[len(roots) : len(roots) + k], xtol, rtol)
+        found = [x for x in wave if x is not None]
+        # a computed sign change of g lies within xtol + rtol |x| of the root
+        records.extend(_records_at(f, n, found, [max(tol, xtol + rtol * abs(x)) for x in found],
+                                   True, "simple"))
+        spent += calls + len(found)
+        roots += wave
+    located = np.zeros(pending.size, dtype=bool)
+    located[: len(roots)] = [x is not None for x in roots]
+    settled[pending] = located
+    root_cells.append((lo[pending[located]], hi[pending[located]]))
     return (settled if run is None else settled[run]), spent
 
 
@@ -682,36 +713,130 @@ def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str
     )
 
 
-# brentq evaluates g once per iteration, and at both ends of the bracket,
-# where _settle has evaluated it already; the root's record takes one more
-# orbit
+def _records_at(f, n: int, xs: list, halfwidths: list, certified: bool, kind: str) -> list:
+    """_record_at at each point of xs, with its halfwidth, from one orbit
+    pass: one point at a time up to _SCALAR_POINTS points, on the array path
+    above, which performs the same float operations (evaluate and eval_many,
+    derivative and deriv_many agree bit for bit), so the records are the
+    same.  Their fields stay plain Python floats and ints."""
+    if len(xs) <= _SCALAR_POINTS:
+        return [_record_at(f, n, x, h, certified, kind) for x, h in zip(xs, halfwidths)]
+    x = np.array(xs, dtype=float)
+    near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
+    y, lam, least = x, 1.0, np.full(x.size, n)
+    for d in range(1, n + 1):
+        lam = lam * f.deriv_many(y)
+        y = f.eval_many(y)
+        if d < n and n % d == 0:
+            least[(least == n) & (np.abs(y - x) <= near)] = d
+    return [
+        PeriodicPointRecord(location=loc, halfwidth=h, period=n, multiplier=m,
+                            gap=abs(abs(m) - 1.0), certified=certified, kind=kind, residual=res,
+                            least_period=d)
+        for loc, h, m, res, d in zip(x.tolist(), halfwidths, lam.tolist(), np.abs(y - x).tolist(),
+                                     least.tolist())
+    ]
+
+
+# Brent's method evaluates g once per iteration and, in _settle, not at the
+# bracket ends, whose values _settle has computed; the root's record takes
+# one more orbit
 _BRENT_MAXITER = 100
 _BRENT_CALLS = _BRENT_MAXITER + 1
 
 
-def _bracketed_root(f, n: int, a: float, c: float, ga: float, gc: float, tol: float):
-    """Record of the root of g in a sign-change bracket [a, c], located by
-    Brent's method, and the evaluations it took: Brent's calls of g and the
-    record's orbit.  ga and gc are g(a) and g(c), as `_iterate_many`
-    computed them; `_g_scalar` would give the same floats, so brentq takes
-    the same path without evaluating them again.  brentq returns a point
-    with a computed sign change of g to a point within xtol + rtol |x| of
-    it, so [root - tol, root + tol] (widened when rtol |x| needs it) is a
-    sign-change bracket."""
-    xtol, rtol = tol / 4, 4 * _EPS
-    calls = 0  # counted here, as full_output costs more
+def _brent(a: float, b: float, fa: float, fb: float, xtol: float, rtol: float):
+    """Brent's method on the bracket between a and b, where g(a) = fa and
+    g(b) = fb have opposite signs, as a generator: it yields each point at
+    which it needs g and is sent g there, and returns the root, or None
+    when _BRENT_MAXITER iterations leave it unlocated.  g is not asked for at a or
+    b (nor where a step lands on one of them exactly): fa and fb are used.
 
-    def g(x):
-        nonlocal calls
-        if x == a:
-            return ga
-        if x == c:
-            return gc
-        calls += 1
-        return _g_scalar(f, x, n)
+    A transcription of scipy's brentq.c (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), float operation for float operation,
+    so that the points, and the root, are brentq's bit for bit.  The root is
+    a point x with a computed sign change of g to a point within
+    xtol + rtol |x| of it, or a computed zero of g."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        if xcur == a:
+            fcur = fa
+        elif xcur == b:
+            fcur = fb
+        else:
+            fcur = yield xcur
+    return None
 
-    root = brentq(g, a, c, xtol=xtol, rtol=rtol, maxiter=_BRENT_MAXITER)
-    return _record_at(f, n, root, max(tol, xtol + rtol * abs(root)), True, "simple"), calls + 1
+
+def _locate(f, n: int, brackets: list, xtol: float, rtol: float):
+    """The roots of g = f^n - id in the sign-change brackets (a, c, g(a),
+    g(c)) (None where Brent's method runs out of iterations) and the
+    evaluations of g they took, one Brent per bracket.  Up to _SCALAR_POINTS
+    brackets run one after another, g evaluated one point at a time; more
+    advance in lockstep, each step's points in one _iterate_many call."""
+    brents = [_brent(*bracket, xtol, rtol) for bracket in brackets]
+    roots: list = [None] * len(brents)
+    calls = 0
+    if len(brents) <= _SCALAR_POINTS:
+        for i, brent in enumerate(brents):
+            g = None
+            try:
+                while True:
+                    x = brent.send(g)
+                    calls += 1
+                    g = _g_scalar(f, x, n)
+            except StopIteration as done:
+                roots[i] = done.value
+        return roots, calls
+    live, gs = list(range(len(brents))), [None] * len(brents)
+    while live:
+        still, xs = [], []
+        for i, g in zip(live, gs):
+            try:
+                xs.append(brents[i].send(g))
+            except StopIteration as done:
+                roots[i] = done.value
+            else:
+                still.append(i)
+        live = still
+        if xs:
+            pts = np.array(xs)
+            gs = (_iterate_many(f, pts, n) - pts).tolist()
+            calls += len(xs)
+    return roots, calls
 
 
 # -- gamma_n -----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -389,11 +392,14 @@ def test_window_pass_is_counted_within_the_budget():
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """On a fresh map, so that nothing is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
-    monotone cells and windows, probes of open windows, Brent's calls and
-    the orbit of each record.  Each settle pass evaluates distinct ends."""
-    orbits, iterated = [], []
+    monotone cells and windows, probes of open windows, Brent's calls (one
+    at a time, or batched across brackets advanced in lockstep) and the
+    orbit of each record (batched per settle wave, one at a time for the
+    tangential candidates).  Each settle pass, and each lockstep step,
+    evaluates distinct points."""
+    orbits, iterated, batched = [], [], []
     tube, iterate, g_scalar = census._tube_many, census._iterate_many, census._g_scalar
-    record_at = census._record_at
+    record_at, records_at = census._record_at, census._records_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
@@ -409,13 +415,23 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
         return g_scalar(f, x, n)
 
     def counted_record(f, n, *args):
-        orbits.append(1)
+        if not batched:  # a record of a batch is counted with its batch
+            orbits.append(1)
         return record_at(f, n, *args)
+
+    def counted_records(f, n, xs, *args):
+        orbits.append(len(xs))
+        batched.append(xs)
+        try:
+            return records_at(f, n, xs, *args)
+        finally:
+            batched.pop()
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
     monkeypatch.setattr(census, "_iterate_many", counted_iterate)
     monkeypatch.setattr(census, "_g_scalar", counted_g)
     monkeypatch.setattr(census, "_record_at", counted_record)
+    monkeypatch.setattr(census, "_records_at", counted_records)
     for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
                               (parabolic(), 1, None, 1e-4)):
         orbits.clear()
@@ -529,9 +545,9 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
 
 
 def test_brent_reuses_the_ends_settle_computed(monkeypatch):
-    """brentq gets g at the bracket ends from _settle's array pass: g is
-    never computed again there, and the root is the one a bracket with
-    freshly computed ends gives."""
+    """Brent's method gets g at the bracket ends from _settle's array pass:
+    g is never computed again there, and the root is the one scipy's brentq
+    gives on a bracket with freshly computed ends."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49]), np.array([0.505])
     seen = []
@@ -582,6 +598,170 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     assert mask.tolist() == [False, False]
     assert used == 3 and records == []
     assert all(s.size == 0 for s, _ in root_cells)
+
+
+def _brackets():
+    """(g, a, b, xtol) sign-change brackets: smooth roots at every scale,
+    g = 0 at an end, and subnormal brackets where delta rounds to 0, so
+    that steps stay on an end and the iterations run out."""
+    rng = np.random.default_rng(5)
+    tiny = 5e-324
+    forms = (lambda x, r: math.sin(3.0 * (x - r)) + 0.1 * (x - r) ** 3,
+             lambda x, r: 2.0 * (x - r) ** 3 + 1e-3 * (x - r),
+             lambda x, r: math.expm1(x - r),
+             lambda x, r: math.atan(50.0 * (x - r)))
+    for i in range(320):
+        r = float(rng.uniform(-1.0, 1.0))
+        w = 10.0 ** rng.uniform(-9.0, 0.0, size=2)
+        a, b = r - float(w[0]), r + float(w[1])
+        if i % 2:
+            a, b = b, a
+        yield lambda x, r=r, g=forms[i % 4]: g(x, r), a, b, float(10.0 ** rng.integers(-13, -5))
+    for a, b in ((0.25, 0.75), (-0.75, 0.25)):
+        yield lambda x: x - 0.25, a, b, 1e-12
+    for first, width in ((0, 1), (10, 1), (10, 2), (-3, 1), (4, 3)):
+        for k in range(width):
+            yield (lambda x, t=(first + k) * tiny: -1.0 if x <= t else 2.0,
+                   first * tiny, (first + width) * tiny, tiny)
+
+
+def test_brent_is_brentq_bit_for_bit():
+    """census._brent visits the points brentq evaluates g at, in order, and
+    returns its root (None where brentq does not converge): g is asked for
+    only away from the bracket ends, whose values it is given, as _settle
+    gives them.  The brackets include g = 0 at an end, steps that land on
+    an end and exhausted iterations."""
+    seen = {"zero end": 0, "on an end": 0, "unconverged": 0}
+    for g, a, b, xtol in _brackets():
+        ga, gb = g(a), g(b)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return g(x)
+
+        root, info = brentq(counted, a, b, xtol=xtol, rtol=4 * census._EPS,
+                            maxiter=census._BRENT_MAXITER, full_output=True, disp=False)
+        asked = []
+        brent = census._brent(a, b, ga, gb, xtol, 4 * census._EPS)
+        value = None
+        try:
+            while True:
+                x = brent.send(value)
+                asked.append(x)
+                value = g(x)
+        except StopIteration as done:
+            got = done.value
+        assert calls[:2] == [a, b]
+        assert asked == [x for x in calls[2:] if x not in (a, b)]
+        if info.converged:
+            assert type(got) is float and got == root
+        else:
+            assert got is None
+        seen["zero end"] += ga == 0 or gb == 0
+        seen["on an end"] += any(x in (a, b) for x in calls[2:])
+        seen["unconverged"] += not info.converged
+    assert all(seen.values()), seen
+
+
+def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
+    """Each wave locates as many roots as the budget left pays for at
+    Brent's worst, and charges their actual calls before the next.  On
+    three roots of 0.95 - 1.8x^2 at period 5, at every budget, the settled
+    mask and the evaluations equal the rule that takes the roots one at a
+    time while what is left pays for _BRENT_CALLS, on both paths."""
+    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:6:2]])
+    lo, hi = roots - 1e-4, roots + 1e-4
+    up = np.array([census._g_scalar(f, c, 5) > census._g_scalar(f, a, 5) for a, c in zip(lo, hi)])
+    # each root alone: its two ends, then Brent's calls and the record
+    alone = [census._settle(f, 5, lo[i:i + 1], hi[i:i + 1], up[i:i + 1], 1e-12, 1e-9, 10_000,
+                            [], [])[1] - 2 for i in range(3)]
+    assert all(1 < c < census._BRENT_CALLS for c in alone)
+    worst = census._BRENT_CALLS
+    crossed = False
+    for limit in (0, 10**9):
+        monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
+        for budget in range(0, 6 + 3 * worst + 2):
+            spent, want = 6, []
+            for c in alone:
+                want.append(budget >= 6 and spent + worst <= budget)
+                spent += c if want[-1] else 0
+            records = []
+            mask, used = census._settle(f, 5, lo, hi, up, 1e-12, 1e-9, budget, records, [])
+            assert mask.tolist() == want, budget
+            assert used == (spent if budget >= 6 else 0) and len(records) == sum(want)
+            # the third root fits only once the first wave's calls are charged
+            crossed |= want == [True] * 3 and budget - 6 < 3 * worst
+    assert crossed
+
+
+def test_settle_leaves_a_run_unsettled_when_brent_runs_out(monkeypatch):
+    """A bracket whose Brent runs out of iterations leaves its interval
+    unsettled, with no record and no root cell, and its calls charged; the
+    other bracket of the wave is settled as it is alone, on both paths."""
+    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:4:2]])
+    lo, hi = roots - 1e-4, roots + 1e-4
+    up = np.array([census._g_scalar(f, c, 5) > census._g_scalar(f, a, 5) for a, c in zip(lo, hi)])
+    brent = census._brent
+
+    def failing(a, b, fa, fb, xtol, rtol):
+        if a != lo[0]:
+            return (yield from brent(a, b, fa, fb, xtol, rtol))
+        for k in (1, 2, 3):
+            yield a + k * (b - a) / 4
+        return None
+
+    alone = census._settle(f, 5, lo[1:], hi[1:], up[1:], 1e-12, 1e-9, 10_000, [], [])[1]
+    monkeypatch.setattr(census, "_brent", failing)
+    for limit in (0, 10**9):
+        monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
+        records, root_cells = [], []
+        mask, used = census._settle(f, 5, lo, hi, up, 1e-12, 1e-9, 10_000, records, root_cells)
+        assert mask.tolist() == [False, True]
+        assert len(records) == 1 and lo[1] < records[0].location < hi[1]
+        assert [cells.tolist() for cells in root_cells[-1]] == [[lo[1]], [hi[1]]]
+        # the failed bracket's two ends and three calls, and the other alone
+        assert used == 2 + 3 + alone
+
+
+@pytest.mark.parametrize("limit", [0, 10**9])
+def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
+    """With every set of points on the array path (lockstep Brent, array
+    records) or every set on the scalar path (one bracket at a time), each
+    census equals the default one."""
+    want = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
+    want += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
+    monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
+    got = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
+    got += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
+    assert got == want
+    assert all(repr(a) == repr(b) for a, b in zip(got, want))
+
+
+def test_census_stops_at_once_when_the_slack_exceeds_every_value_of_g():
+    """Once the float slack ev is at least 2R >= |g|, no cell can be
+    excluded and no end clears ev: unperturbed x^2 - 1 at n = 44 (ev about
+    6.9) and n = 48 (ev about 140) returns [-R, R] uncertified without
+    computing an orbit."""
+    for n in (44, 48):
+        res = find_periodic(quad(), n)
+        R = res.radius
+        assert _census_bounds(_map_bounds(as_perturbed(quad()), R), R, n).ev >= 2.0 * R
+        assert res.evaluations == 0 and res.records == []
+        assert res.uncertified_regions == [(-R, R)] and not res.certified
+
+
+def test_import_leaves_scipy_optimize_out():
+    """The census locates roots without scipy.optimize, so importing the
+    package does not load it; tests still import it as a reference."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(census.__file__)))
+    code = "import sys, orbitlab; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_iterate_many_equals_stepwise_eval_many():
