@@ -2,14 +2,8 @@
 
 Maps are multivariate polynomials R^N -> R^N restricted to the closed ball of
 ``domain_radius`` (default 1).  A `PerturbedMap` is a base polynomial plus a
-stack of perturbation terms; terms only need a small duck-typed protocol
-(value / jac / derivative / *_bound and the batch forms value_many /
-jac_many / deriv_many), so graded perturbation vectors and
-root-product corrections both plug in.  The base and the graded
-perturbation vectors are folded into one polynomial: in dimension 1 one
-coefficient vector, evaluated by a single Horner pass, and in higher
-dimensions one monomial table.  Root-product corrections are not folded,
-since their product form is what makes them exactly zero at their roots.
+stack of perturbation terms, evaluated as one folded polynomial (see
+`perturbation._Polynomial`) plus its root-product corrections.
 
 All certified quantities here are honest one-sided bounds: coefficient sums
 bound derivatives from above, grid evaluations plus a Lipschitz term bound
@@ -21,7 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,20 +29,13 @@ from .errors import (
 from .perturbation import (
     BrickSpec,
     PerturbationVector,
-    _horner,
-    _horner_form,
-    _horner_many,
-    _MonomialTable,
+    _Polynomial,
+    _as_point,
     _as_scalar,
-    _folded_table,
-    _univariate,
     brick_d1_bound,
     brick_d2_bound,
     brick_sup_bound,
     check_admissible,
-    monomial_d1_bound,
-    monomial_d2_bound,
-    monomial_sup_bound,
 )
 
 __all__ = [
@@ -65,41 +52,27 @@ __all__ = [
     "invariant_radius",
 ]
 
-def _as_point(x, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape != (dim,):
-        raise InvalidInputError(f"expected a point of shape ({dim},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("non-finite point")
-    return arr
 
-
-class PolynomialMap:
-    """Polynomial map stored as exponent rows (T, N) and coefficient rows (T, N)."""
+class PolynomialMap(_Polynomial):
+    """Polynomial map stored as exponent rows (T, N) and coefficient rows
+    (T, N), and evaluated as a `_Polynomial`."""
 
     def __init__(self, dim: int, exponents, coeffs, domain_radius: float = 1.0):
         if dim < 1:
             raise InvalidInputError("dimension must be >= 1")
-        self.dim = int(dim)
-        self.exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, dim)
-        self.coeffs = np.asarray(coeffs, dtype=float).reshape(-1, dim)
-        if self.exponents.shape[0] != self.coeffs.shape[0]:
+        exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, dim)
+        coeffs = np.asarray(coeffs, dtype=float).reshape(-1, dim)
+        if exponents.shape[0] != coeffs.shape[0]:
             raise InvalidInputError("exponent/coefficient row mismatch")
-        if np.any(self.exponents < 0):
+        if np.any(exponents < 0):
             raise InvalidInputError("negative exponent")
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("non-finite coefficient")
         if domain_radius <= 0:
             raise InvalidInputError("domain_radius must be positive")
+        super().__init__(exponents, coeffs)
         self.domain_radius = float(domain_radius)
-        self._table = _MonomialTable(self.exponents, self.coeffs)
-        self._uni = self._poly = self._dpoly = None
         self._perturbed = None  # the wrapper as_perturbed returns for this map
-        if self.dim == 1:
-            self._uni = _univariate(self.exponents[:, 0], self.coeffs[:, 0])
-            self._poly, self._dpoly = _horner_form(self._uni)
 
     # -- constructors ---------------------------------------------------------
 
@@ -153,51 +126,8 @@ class PolynomialMap:
 
     # -- evaluation -------------------------------------------------------------
 
-    def evaluate(self, x):
-        """Value at one point; for dim 1 the point is a number or an array of
-        shape () or (1,), and the value a float."""
-        if self.dim == 1:
-            return _horner(self._poly, _as_scalar(x))
-        return self._table.value(_as_point(x, self.dim))
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.dim == 1:
-            return _horner_many(self._poly, xs)
-        return self._table.value(xs)
-
-    def derivative(self, x: float) -> float:
-        if self.dim != 1:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner(self._dpoly, _as_scalar(x))
-
-    def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.dim != 1:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner_many(self._dpoly, np.asarray(xs, dtype=float))
-
-    def jac(self, x) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([[self.derivative(x)]])
-        return self._table.jac(_as_point(x, self.dim))
-
-    def jac_many(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobians at a batch of points, shape (B, dim, dim); row i equals
-        jac(xs[i]) bit for bit."""
-        if self.dim == 1:
-            return self.deriv_many(xs).reshape(-1, 1, 1)
-        return self._table.jac(np.asarray(xs, dtype=float))
-
-    # -- certified coefficient bounds -------------------------------------------
-
-    def sup_bound(self, radius: float) -> float:
-        return monomial_sup_bound(self.exponents, self.coeffs, radius)
-
-    def d1_bound(self, radius: float) -> float:
-        return monomial_d1_bound(self.exponents, self.coeffs, radius)
-
-    def d2_bound(self, radius: float) -> float:
-        return monomial_d2_bound(self.exponents, self.coeffs, radius)
+    evaluate = _Polynomial.value
+    eval_many = _Polynomial.value_many
 
     def __repr__(self):
         return f"PolynomialMap(dim={self.dim}, terms={len(self.exponents)}, degree={self.degree})"
@@ -229,7 +159,8 @@ class RootProductPerturbation:
         return p
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        p = np.full_like(np.asarray(xs, dtype=float), self.scale)
+        xs = np.asarray(xs, dtype=float)
+        p = np.full_like(xs, self.scale)
         for r in self.roots:
             p *= xs - r
         return p
@@ -278,23 +209,14 @@ class RootProductPerturbation:
 class PerturbedMap:
     """Base polynomial map plus an ordered stack of perturbation terms.
 
-    In dimension 1 the base and every `PerturbationVector` term are folded
-    into one ascending coefficient vector when the map is built, and the map
-    and its derivative are evaluated by one Horner pass over that vector
-    (and its derivative vector).  Any other term, such as a
-    `RootProductPerturbation`, stays unfolded and is added after the pass:
-    its product form is exactly zero at its roots, so appending it leaves the
-    map's value unchanged there.  `evaluate` and `eval_many` (likewise
-    `derivative` and `deriv_many`) perform the same float operations in the
-    same order and agree bit for bit.  In dimension N >= 2 the base and
-    every `PerturbationVector` term are folded the same way, into one
-    `_MonomialTable` whose equal monomials are summed, when the map is
-    built; other terms are added after it.  `evaluate`, `eval_many`, `jac`
-    and `jac_many` each read that one table, which evaluates one point and
-    a batch by the same fixed-order code, so there too `evaluate` and
-    `eval_many` (and `jac` and `jac_many`) agree bit for bit.  A folded
-    value differs from the sum of the terms' values only by rounding.  The
-    certified bounds stay sums of per-term bounds.
+    The base and every `PerturbationVector` term are folded into one
+    polynomial when the map is built (`_Polynomial.fold`).  A
+    `RootProductPerturbation` term, 1-D only, stays unfolded and is added
+    after the fold: its product form is exactly zero at its roots, so
+    appending it leaves the map's value unchanged there.  A point and a
+    batch take the same float operations, so `evaluate` and `eval_many`
+    (likewise `derivative` and `deriv_many`, `jac` and `jac_many`) agree bit
+    for bit.  The certified bounds stay sums of per-term bounds.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -308,24 +230,20 @@ class PerturbedMap:
         else:
             terms = (perturbation,)
         for t in terms:
-            if not (hasattr(t, "value") and hasattr(t, "jac")):
-                raise InvalidInputError("perturbation term lacks value/jac")
-            if getattr(t, "dim", base.dim) != base.dim:
-                raise InvalidInputError("perturbation dimension mismatch")
+            if isinstance(t, PerturbationVector):
+                if t.dim != base.dim:
+                    raise InvalidInputError("perturbation dimension mismatch")
+            elif isinstance(t, RootProductPerturbation):
+                if base.dim != 1:
+                    raise InvalidInputError("a root-product term needs a 1-D base map")
+            else:
+                raise InvalidInputError(
+                    "a perturbation term is a PerturbationVector or a RootProductPerturbation"
+                )
         self.terms = terms
-        # the folded polynomial part (1-D: in Horner form; N-D: one monomial
-        # table), and the other terms
-        self._poly = self._dpoly = self._table = None
-        vectors = [t._stacked() for t in terms if isinstance(t, PerturbationVector)]
-        self._rest = tuple(t for t in terms if not isinstance(t, PerturbationVector))
-        if base.dim == 1:
-            parts = [base._uni] + [uni for _, uni, _, _ in vectors]
-            uni = np.zeros(max(len(u) for u in parts))
-            for u in parts:
-                uni[: len(u)] += u
-            self._poly, self._dpoly = _horner_form(uni)
-        else:
-            self._table = _folded_table([base._table] + [table for table, _, _, _ in vectors])
+        vectors = [t._polynomial for t in terms if isinstance(t, PerturbationVector)]
+        self._fold = _Polynomial.fold([base] + vectors)
+        self._rest = tuple(t for t in terms if isinstance(t, RootProductPerturbation))
 
     @property
     def dim(self) -> int:
@@ -338,71 +256,46 @@ class PerturbedMap:
     def with_term(self, term) -> "PerturbedMap":
         return PerturbedMap(self.base, self.terms + (term,))
 
+    # the unfolded terms are 1-D, so they take the point as a float
+
     def evaluate(self, x):
-        if self._poly is None:
-            x = _as_point(x, self.dim)
-            y = self._table.value(x)
-            for t in self._rest:
-                y = y + t.value(x)
-            return y
-        x = _as_scalar(x)
-        y = _horner(self._poly, x)
+        y = self._fold.value(x)
         for t in self._rest:
-            y += t.value(x)
+            y += t.value(_as_scalar(x))
         return y
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self._poly is None:
-            y = self._table.value(xs)
-            for t in self._rest:
-                y = y + t.value_many(xs)
-            return y
-        y = _horner_many(self._poly, xs)
+        y = self._fold.value_many(xs)
         for t in self._rest:
             y += t.value_many(xs)
         return y
 
     def derivative(self, x: float) -> float:
-        if self._poly is None:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        x = _as_scalar(x)
-        d = _horner(self._dpoly, x)
+        d = self._fold.derivative(x)
         for t in self._rest:
-            d += t.derivative(x)
+            d += t.derivative(_as_scalar(x))
         return d
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        if self._poly is None:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        xs = np.asarray(xs, dtype=float)
-        d = _horner_many(self._dpoly, xs)
+        d = self._fold.deriv_many(xs)
         for t in self._rest:
             d += t.deriv_many(xs)
         return d
 
     def jac(self, x) -> np.ndarray:
-        if self._poly is not None:
+        if self.dim == 1:
             # not self.derivative: a subclass that counts evaluations would
             # count this one twice
             return np.array([[PerturbedMap.derivative(self, x)]])
-        x = _as_point(x, self.dim)
-        J = self._table.jac(x)
-        for t in self._rest:
-            J = J + t.jac(x)
-        return J
+        return self._fold.jac(x)
 
     def jac_many(self, xs: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points, shape (B, dim, dim); row i equals
         jac(xs[i]) bit for bit."""
-        if self._poly is not None:
+        if self.dim == 1:
             # as in jac, past a subclass's deriv_many, which may count it
             return PerturbedMap.deriv_many(self, xs).reshape(-1, 1, 1)
-        xs = np.asarray(xs, dtype=float)
-        J = self._table.jac(xs)
-        for t in self._rest:
-            J = J + t.jac_many(xs)
-        return J
+        return self._fold.jac_many(xs)
 
     def sup_bound(self, radius: float) -> float:
         return self.base.sup_bound(radius) + sum(t.sup_bound(radius) for t in self.terms)

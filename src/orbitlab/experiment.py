@@ -204,10 +204,8 @@ def _measure_sample(f: PerturbedMap, config: ExperimentConfig, index: int, seed)
     report.strict_invariance = bool(lo >= -r0 and hi <= r0)
     if config.radius is not None:
         R = config.radius
-    elif report.strict_invariance:
-        R = r0  # the first rung of invariant_radius, already certified
     else:
-        R = invariant_radius(f)
+        R = invariant_radius(f)  # its first rung, r0, finds the range above in the memo
     if R is None:
         report.status = "aborted:no-invariant-radius"
         return report

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import OrbitSegment, PerturbedMap, RootProductPerturbation, as_perturbed
+from .dynamics import OrbitSegment, RootProductPerturbation, as_perturbed
 from .errors import (
     CannotPerturbError,
     InvalidInputError,

@@ -15,7 +15,8 @@ each ball and degrees are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -273,7 +274,6 @@ class PerturbationVector:
     components: tuple
     brick: Optional[BrickSpec] = None
     seed: Optional[tuple] = None
-    _stack: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -283,78 +283,50 @@ class PerturbationVector:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _stacked(self):
-        """Monomial table pooled over all degrees; in dimension 1 also the
-        ascending coefficient vector and the value and derivative
-        coefficients in Horner order (see `_horner_form`)."""
-        if self._stack is None:
-            if self.components:
-                expo = np.concatenate(
-                    [np.array(c.alphas, dtype=np.int64).reshape(-1, self.dim) for c in self.components]
-                )
-                coef = np.concatenate([c.coeffs for c in self.components])
-            else:
-                expo = np.zeros((0, self.dim), dtype=np.int64)
-                coef = np.zeros((0, self.dim))
-            uni = poly = dpoly = None
-            if self.dim == 1:
-                uni = _univariate(expo[:, 0], coef[:, 0])
-                poly, dpoly = _horner_form(uni)
-            self._stack = (_MonomialTable(expo, coef), uni, poly, dpoly)
-        return self._stack
+    @cached_property
+    def _polynomial(self) -> "_Polynomial":
+        """The components of every degree pooled into one polynomial."""
+        if self.components:
+            expo = np.concatenate(
+                [np.array(c.alphas, dtype=np.int64).reshape(-1, self.dim) for c in self.components]
+            )
+            coef = np.concatenate([c.coeffs for c in self.components])
+        else:
+            expo = np.zeros((0, self.dim), dtype=np.int64)
+            coef = np.zeros((0, self.dim))
+        return _Polynomial(expo, coef)
 
     def value(self, x):
         """Evaluate at a single point (scalar for dim 1, length-dim vector else)."""
-        table, _, poly, _ = self._stacked()
-        if self.dim == 1:
-            return _horner(poly, _as_scalar(x))
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InvalidInputError(f"expected point of shape ({self.dim},)")
-        return table.value(x)
+        return self._polynomial.value(x)
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        table, _, poly, _ = self._stacked()
-        xs = np.asarray(xs, dtype=float)
-        if self.dim == 1:
-            return _horner_many(poly, xs)
-        return table.value(xs)
+        return self._polynomial.value_many(xs)
 
     def derivative(self, x: float) -> float:
-        if self.dim != 1:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner(self._stacked()[3], _as_scalar(x))
+        return self._polynomial.derivative(x)
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.dim != 1:
-            raise InvalidInputError("scalar derivative is defined for dim 1 only")
-        return _horner_many(self._stacked()[3], np.asarray(xs, dtype=float))
+        return self._polynomial.deriv_many(xs)
 
     def jac(self, x) -> np.ndarray:
         """Jacobian matrix at a point."""
-        if self.dim == 1:
-            return np.array([[self.derivative(x)]])
-        return self._stacked()[0].jac(np.asarray(x, dtype=float))
+        return self._polynomial.jac(x)
 
     def jac_many(self, xs: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points, shape (B, dim, dim)."""
-        if self.dim == 1:
-            return self.deriv_many(xs).reshape(-1, 1, 1)
-        return self._stacked()[0].jac(np.asarray(xs, dtype=float))
+        return self._polynomial.jac_many(xs)
 
     # -- bounds -------------------------------------------------------------
 
     def sup_bound(self, radius: float) -> float:
-        t = self._stacked()[0]
-        return monomial_sup_bound(t.exponents, t.coeffs, radius)
+        return self._polynomial.sup_bound(radius)
 
     def d1_bound(self, radius: float) -> float:
-        t = self._stacked()[0]
-        return monomial_d1_bound(t.exponents, t.coeffs, radius)
+        return self._polynomial.d1_bound(radius)
 
     def d2_bound(self, radius: float) -> float:
-        t = self._stacked()[0]
-        return monomial_d2_bound(t.exponents, t.coeffs, radius)
+        return self._polynomial.d2_bound(radius)
 
     # -- serialization ------------------------------------------------------
 
@@ -502,19 +474,19 @@ def brick_d2_bound(brick: BrickSpec, dim: int, radius: float) -> float:
 
 
 def _univariate(exponents: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Ascending coefficient vector of sum_t coeffs[t] x^exponents[t]."""
-    uni = np.zeros(int(exponents.max()) + 1 if len(exponents) else 1)
-    for e, c in zip(exponents, coeffs):
-        uni[e] += c
-    return uni
+    """Ascending coefficient vector of sum_t coeffs[t] x^exponents[t]: the
+    coefficients of each exponent added to 0.0 in row order."""
+    uni = np.bincount(exponents, weights=coeffs, minlength=1)
+    return uni.astype(float, copy=False)  # without rows, bincount counts in integers
 
 
 def _horner_form(uni) -> tuple:
     """(value, derivative) coefficient tuples of the ascending vector `uni`,
     as Python floats in Horner order (highest degree first).  The derivative
     coefficients are k * c_k, exactly as numpy's polyder forms them."""
-    value = tuple(float(c) for c in reversed(uni))
-    deriv = tuple(float(k * uni[k]) for k in range(len(uni) - 1, 0, -1))
+    uni = uni.tolist()
+    value = tuple(reversed(uni))
+    deriv = tuple(k * uni[k] for k in range(len(uni) - 1, 0, -1))
     return value, deriv or (0.0,)
 
 
@@ -533,6 +505,18 @@ def _as_scalar(x) -> float:
         ) from None
 
 
+def _as_point(x, dim: int) -> np.ndarray:
+    """A point of an N-D map as a finite float array of shape (dim,)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.shape != (dim,):
+        raise InvalidInputError(f"expected a point of shape ({dim},), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("non-finite point")
+    return arr
+
+
 def _horner(coeffs: tuple, x: float) -> float:
     """Horner's rule at one float x, coefficients highest degree first.
 
@@ -548,7 +532,7 @@ def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
     """`_horner` over a float array, in place on one new array: the same
     IEEE operations in the same order, so each entry equals the scalar
     result bit for bit."""
-    y = np.zeros_like(xs)
+    y = np.zeros(xs.shape)
     for c in coeffs:
         y *= xs
         y += c
@@ -578,13 +562,6 @@ class _MonomialTable:
         self._at = exponents.T + self._offsets
         self._weights = np.ascontiguousarray(coeffs.T)
         self._jac_table = None
-        self._keys = None
-
-    def keys(self) -> list:
-        """The exponent rows as tuples, computed once."""
-        if self._keys is None:
-            self._keys = list(map(tuple, self.exponents.tolist()))
-        return self._keys
 
     def _powers(self, x: np.ndarray) -> np.ndarray:
         powers = np.empty(x.shape + (self._top + 1,))  # x_j^e for e = 0..top
@@ -618,20 +595,105 @@ class _MonomialTable:
         return np.swapaxes(self._sum(self._powers(x), at, weights), -1, -2)
 
 
-def _folded_table(tables: list) -> _MonomialTable:
-    """One table for the sum of the maps `tables` (at least one): equal
-    monomials become one row, in order of first appearance, with their
-    coefficients summed in table order."""
-    if len(tables) == 1:
-        return tables[0]
-    keys = [k for t in tables for k in t.keys()]
-    row = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-    at = [row[k] for k in keys]
-    exponents = np.empty((len(row), tables[0].exponents.shape[1]), dtype=np.int64)
-    exponents[at] = np.concatenate([t.exponents for t in tables])  # rows sharing a place are equal
-    coeffs = np.zeros((len(row), tables[0].coeffs.shape[1]))
-    np.add.at(coeffs, at, np.concatenate([t.coeffs for t in tables]))
-    return _MonomialTable(exponents, coeffs)
+class _Polynomial:
+    """The polynomial x -> sum_t coeffs[t] x^exponents[t] from R^N to R^N,
+    for exponent rows (T, N) and coefficient rows (T, N): the one format in
+    which maps and perturbations are evaluated.
+
+    In dimension 1 it is the ascending coefficient vector `_uni`, whose
+    equal exponents are summed in row order, evaluated by Horner's rule over
+    the Python-float tuples `_poly` and `_dpoly` (`_horner` at a point,
+    `_horner_many` at an array).  In dimension N >= 2 it is one
+    `_MonomialTable`.  Either way one point and a batch are evaluated by the
+    same float operations in the same order, so `value` and `value_many`
+    (and `derivative` and `deriv_many`, `jac` and `jac_many`) agree bit for
+    bit.  A point of a 1-D polynomial is a number or an array of shape ()
+    or (1,), and its value a float.
+
+    `fold` sums polynomials by pooling their monomial rows in part order:
+    the coefficients of each exponent are added to 0.0 in that order (into
+    `_uni`, or in N-D into one table row per distinct exponent, in order of
+    first appearance).  The sum is then evaluated as one polynomial, so its
+    values differ from the sum of the parts' values only by rounding.  The
+    certified bounds come from the monomial rows."""
+
+    def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
+        self.exponents = exponents
+        self.coeffs = coeffs
+        self.dim = exponents.shape[1]
+        self._table = self._uni = self._poly = self._dpoly = None
+        if self.dim == 1:
+            self._uni = _univariate(exponents[:, 0], coeffs[:, 0])
+            self._poly, self._dpoly = _horner_form(self._uni)
+        else:
+            self._table = _MonomialTable(exponents, coeffs)
+
+    @staticmethod
+    def fold(parts: list) -> "_Polynomial":
+        """The sum of `parts` (at least one, of one dimension); one part is
+        returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        exponents = np.concatenate([p.exponents for p in parts])
+        coeffs = np.concatenate([p.coeffs for p in parts])
+        if exponents.shape[1] > 1:
+            # a table evaluates its rows as they are, so equal monomials are
+            # merged here, numbered in order of first appearance (in
+            # dimension 1, `_univariate` merges them)
+            row: dict = {}
+            at = [row.setdefault(k, len(row)) for k in map(tuple, exponents.tolist())]
+            at = np.array(at, dtype=np.intp)
+            rows = np.empty((len(row), exponents.shape[1]), dtype=np.int64)
+            rows[at] = exponents  # rows sharing a place are equal
+            sums = np.zeros((len(row), coeffs.shape[1]))
+            np.add.at(sums, at, coeffs)
+            exponents, coeffs = rows, sums
+        return _Polynomial(exponents, coeffs)
+
+    def value(self, x):
+        """The value at one point."""
+        if self._table is None:
+            return _horner(self._poly, _as_scalar(x))
+        return self._table.value(_as_point(x, self.dim))
+
+    def value_many(self, xs: np.ndarray) -> np.ndarray:
+        """The values at an array of 1-D points, or at each row of a batch
+        of shape (B, N)."""
+        xs = np.asarray(xs, dtype=float)
+        if self._table is None:
+            return _horner_many(self._poly, xs)
+        return self._table.value(xs)
+
+    def derivative(self, x) -> float:
+        if self._table is not None:
+            raise InvalidInputError("scalar derivative is defined for dim 1 only")
+        return _horner(self._dpoly, _as_scalar(x))
+
+    def deriv_many(self, xs: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            raise InvalidInputError("scalar derivative is defined for dim 1 only")
+        return _horner_many(self._dpoly, np.asarray(xs, dtype=float))
+
+    def jac(self, x) -> np.ndarray:
+        if self._table is None:
+            return np.array([[self.derivative(x)]])
+        return self._table.jac(_as_point(x, self.dim))
+
+    def jac_many(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at a batch of points, shape (B, dim, dim); row i equals
+        jac(xs[i]) bit for bit."""
+        if self._table is None:
+            return self.deriv_many(xs).reshape(-1, 1, 1)
+        return self._table.jac(np.asarray(xs, dtype=float))
+
+    def sup_bound(self, radius: float) -> float:
+        return monomial_sup_bound(self.exponents, self.coeffs, radius)
+
+    def d1_bound(self, radius: float) -> float:
+        return monomial_d1_bound(self.exponents, self.coeffs, radius)
+
+    def d2_bound(self, radius: float) -> float:
+        return monomial_d2_bound(self.exponents, self.coeffs, radius)
 
 
 def monomial_sup_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:

@@ -819,7 +819,7 @@ def _exact_orbit(f, x: float, n: int):
         y, lam = mpmath.mpf(x), mpmath.mpf(1)
         for _ in range(n):
             value = deriv = mpmath.mpf(0)
-            for c in f._poly:  # highest degree first
+            for c in f._fold._poly:  # highest degree first
                 deriv = deriv * y + value
                 value = value * y + c
             lam *= deriv

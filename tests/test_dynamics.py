@@ -7,8 +7,10 @@ import pytest
 
 from orbitlab import (
     BrickSpec,
+    HomogeneousComponent,
     InvalidInputError,
     OrbitEscapeError,
+    PerturbationVector,
     PerturbedMap,
     PolynomialMap,
     RootProductPerturbation,
@@ -19,6 +21,7 @@ from orbitlab import (
     norm_bounds,
     orbit,
     sample,
+    zero_vector,
 )
 
 from orbitlab.perturbation import _MonomialTable
@@ -149,6 +152,32 @@ def test_one_dimensional_point_shapes(method):
                 call(bad)
 
 
+def test_perturbed_map_accepts_only_its_two_kinds_of_term():
+    """A term is a PerturbationVector of the base's dimension or, on a 1-D
+    base only, a RootProductPerturbation; anything else is refused when the
+    map is built, not in the middle of a census."""
+    henon = PolynomialMap.from_terms(2, {(0, 0): [1.0, 0.0], (2, 0): [-1.4, 0.0],
+                                         (0, 1): [1.0, 0.0], (1, 0): [0.0, 0.3]})
+    line = PolynomialMap.univariate([0.0, 0.5])
+
+    class ValueAndJacOnly:
+        def value(self, x):
+            return 0.0
+
+        def jac(self, x):
+            return np.zeros((1, 1))
+
+    bad = [(henon, RootProductPerturbation(1.0, (0.5,))),
+           (henon, sample(BrickSpec.factorial(0.01, 2), 1, 3)),
+           (line, sample(BrickSpec.factorial(0.01, 2), 2, 3)),
+           (line, ValueAndJacOnly())]
+    for base, term in bad:
+        with pytest.raises(InvalidInputError):
+            PerturbedMap(base, term)
+        with pytest.raises(InvalidInputError):
+            as_perturbed(base).with_term(term)
+
+
 # -- the folded 1-D polynomial ---------------------------------------------------
 
 FOLD_SEEDS = ((42, 0), (7, 1), (2024, 3))
@@ -242,6 +271,70 @@ def _nd_maps(dim: int) -> dict:
     two = sample(BrickSpec.factorial(0.02, 5), dim, seed=(dim, 2))
     return {"base": base, "one term": PerturbedMap(base, one),
             "two terms": PerturbedMap(base, (one, two))}
+
+
+def _reference_fold(parts):
+    """The fold rule written out on its own: in 1-D, each part's ascending
+    vector (its coefficients added to 0.0 exponent by exponent in row order)
+    added in part order into zeros(maxlen), and the Horner tuples of the
+    sum; in N-D, one row per monomial in order of first appearance, the
+    coefficients summed by np.add.at in part and row order."""
+    dim = parts[0].exponents.shape[1]
+    if dim == 1:
+        unis = []
+        for p in parts:
+            uni = np.zeros(int(p.exponents.max(initial=0)) + 1)
+            for e, c in zip(p.exponents[:, 0], p.coeffs[:, 0]):
+                uni[e] += c
+            unis.append(uni)
+        uni = np.zeros(max(len(u) for u in unis))
+        for u in unis:
+            uni[: len(u)] += u
+        value = tuple(float(c) for c in reversed(uni))
+        deriv = tuple(float(k * uni[k]) for k in range(len(uni) - 1, 0, -1)) or (0.0,)
+        return uni, np.array(value), np.array(deriv)
+    keys = [tuple(row) for p in parts for row in p.exponents.tolist()]
+    row = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    at = [row[k] for k in keys]
+    exponents = np.empty((len(row), dim), dtype=np.int64)
+    exponents[at] = np.concatenate([p.exponents for p in parts])
+    coeffs = np.zeros((len(row), dim))
+    np.add.at(coeffs, at, np.concatenate([p.coeffs for p in parts]))
+    return exponents, coeffs
+
+
+def test_fold_is_the_reference_fold_bitwise():
+    """Every folded coefficient equals the reference rule's bit for bit: on
+    seeded brick samples, with a zero vector as a part, on bases with
+    repeated exponent rows (whose order of addition the coefficients
+    expose), and on the N-D maps; a fold of the base alone is the base."""
+    quad = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    # x^2 twice: (1 + 1e-16) - 1 is 0.0 in row order, and 1e-16 in any other
+    repeated = PolynomialMap(1, [[2], [0], [2], [1]], [[1.0], [-1.0], [1e-16], [0.0]])
+    minus_x2 = PerturbationVector(1, [HomogeneousComponent(k, 1, [[-float(k == 2)]]) for k in range(3)])
+    brick = BrickSpec.factorial(0.01, 8)
+    maps = [PerturbedMap(quad, sample(brick, 1, seed)) for seed in FOLD_SEEDS]
+    maps += [PerturbedMap(quad, (sample(brick, 1, FOLD_SEEDS[0]), zero_vector(brick, 1))),
+             PerturbedMap(quad, zero_vector(BrickSpec.factorial(0.01, 1), 1)),
+             PerturbedMap(repeated, minus_x2),
+             PerturbedMap(repeated, (sample(brick, 1, 6), minus_x2, sample(brick, 1, 7)))]
+    assert maps[-2]._fold._uni[2] == 0.0
+    repeated_2d = PolynomialMap(2, [[1, 0], [0, 0], [1, 0], [0, 1], [0, 0]],
+                                [[1.0, 0.5], [0.1, -0.2], [1e-16, 0.25], [-0.3, 1.0], [0.0, -0.1]])
+    brick_2d = BrickSpec.factorial(0.05, 2)
+    maps += [PerturbedMap(repeated_2d, (sample(brick_2d, 2, 8), zero_vector(brick_2d, 2)))]
+    maps += [_nd_maps(dim)[name] for dim in (2, 3) for name in ("one term", "two terms")]
+    for f in maps:
+        parts = [f.base] + [t._polynomial for t in f.terms if isinstance(t, PerturbationVector)]
+        want = _reference_fold(parts)
+        if f.dim == 1:
+            got = (f._fold._uni, np.array(f._fold._poly), np.array(f._fold._dpoly))
+        else:
+            got = (f._fold.exponents, f._fold.coeffs)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], f
+    for base in (quad, repeated, repeated_2d, _nd_maps(2)["base"]):
+        assert PerturbedMap(base)._fold is base
+        assert PerturbedMap(base, RootProductPerturbation(0.1, (0.2,)) if base.dim == 1 else ())._fold is base
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -149,6 +149,17 @@ def test_value_matches_components():
     assert np.allclose(got, manual, atol=1e-14)
 
 
+def test_nd_point_is_checked_as_the_maps_check_it():
+    """A point of an N-D perturbation must be finite and of shape (dim,),
+    for value and jac alike, as for the maps."""
+    eps = sample(BrickSpec.factorial(0.1, 3), 2, 77)
+    base = PolynomialMap.from_terms(2, {(1, 0): [1.0, 0.0], (0, 1): [0.0, 1.0]})
+    for f in (eps.value, eps.jac, base.evaluate, PerturbedMap(base, eps).jac):
+        for bad in ([np.nan, 0.0], [0.0, -np.inf], [0.1], [0.1, 0.2, 0.3]):
+            with pytest.raises(InvalidInputError):
+                f(np.array(bad))
+
+
 def test_value_many_matches_value():
     b = BrickSpec.factorial(0.1, 4)
     eps = sample(b, 1, 42)
