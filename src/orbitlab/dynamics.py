@@ -68,8 +68,8 @@ class PolynomialMap(_Polynomial):
             raise InvalidInputError("negative exponent")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("non-finite coefficient")
-        if domain_radius <= 0:
-            raise InvalidInputError("domain_radius must be positive")
+        if not (math.isfinite(domain_radius) and domain_radius > 0):
+            raise InvalidInputError("domain_radius must be a positive finite real")
         super().__init__(exponents, coeffs)
         self.domain_radius = float(domain_radius)
         self._perturbed = None  # the wrapper as_perturbed returns for this map

@@ -181,7 +181,7 @@ class ExperimentResult:
 def fit_C(gammas, delta: float) -> float:
     """Smallest C >= 0 with gamma_n >= exp(-C n^(1+delta)) for every observed
     (n, gamma_n); +inf when some gamma_n is <= 0, 0 when nothing binds
-    (gamma_n >= 1 everywhere or no data)."""
+    (gamma_n >= 1 everywhere or no data).  A NaN gamma_n is an error."""
     if not (math.isfinite(delta) and delta >= 0):
         raise InvalidInputError("delta must be a finite nonnegative real")
     items = gammas.items() if hasattr(gammas, "items") else gammas
@@ -191,9 +191,9 @@ def fit_C(gammas, delta: float) -> float:
             raise InvalidInputError("periods must be >= 1")
         if g is None or math.isinf(g):
             continue  # no periodic points at this n: no constraint
-        if g <= 0.0:
-            return math.inf
-        best = max(best, -math.log(g) / float(n) ** (1.0 + delta))
+        if math.isnan(g):
+            raise InvalidInputError(f"gamma_{n} is NaN")
+        best = math.inf if g <= 0.0 else max(best, -math.log(g) / float(n) ** (1.0 + delta))
     return best
 
 

@@ -29,11 +29,11 @@ every phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .dynamics import OrbitSegment, as_perturbed, cocycle
 from .errors import InvalidInputError
@@ -48,9 +48,14 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
 _MAX_SWEEPS = 50  # criss-cross sweeps; a handful suffice in practice
-# the QZ driver behind scipy.linalg.eigvals(A, B), called directly: the
-# wrapper's checks cost several times the solve at these sizes
-_GGEV = get_lapack_funcs("ggev", dtype=np.float64)
+
+
+@functools.cache
+def _ggev():
+    # resolved on first use, since importing scipy.linalg is most of `import orbitlab`'s time
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs("ggev", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def _crossings(L: np.ndarray, d: float, norm: float):
     A, B = np.zeros((2 * k, 2 * k)), np.zeros((2 * k, 2 * k))
     A[:k, :k], A[i, k + i], A[k + i, k + i] = L, -d, 1.0
     B[i, i], B[k + i, i], B[k:, k:] = 1.0, -d, L.T
-    ar, ai, beta, _, _, _, info = _GGEV(A, B, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1)
+    ar, ai, beta, _, _, _, info = _ggev()(A, B, compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1)
     if info != 0:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,9 +1,13 @@
 """Smoke tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orbitlab
 from orbitlab.cli import main
 
 
@@ -113,3 +117,45 @@ def test_cli_rejects_nonsquare_matrix(capsys):
     rc = main(["gamma", "--matrix", "1,2;3,4;5,6"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+loaded = {}
+import orbitlab
+loaded["import"] = scipy_modules()
+from orbitlab.cli import main
+config, out = sys.argv[1], sys.argv[2]
+runs = {
+    "experiment": ["experiment", "--config", config, "--out", out],
+    "census": ["census", "--preset", "quadratic", "--period", "3"],
+    "sample": ["sample", "--family", "factorial", "--degree", "4", "--seed", "3"],
+}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, name
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """Only the QZ pencil behind gamma_linear needs scipy, so a fresh process
+    that imports orbitlab and runs an experiment, a census and a sample loads
+    no scipy module at all."""
+    cfg = {"map": "quadratic", "brick": {"family": "factorial", "tau": 0.01, "truncation_degree": 6},
+           "num_samples": 1, "n_max": 1, "deltas": [1.0]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg_path), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": [], "experiment": [], "census": [], "sample": []}
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["num_ok"] == 1

@@ -128,6 +128,12 @@ def test_norm_bounds_rejects_bad_rho():
 def test_univariate_rejects_bad_radius():
     with pytest.raises(InvalidInputError):
         PolynomialMap.univariate([0.0, 1.0], domain_radius=0.0)
+    # a NaN radius let orbit() run past every escape test (|x| > NaN is false)
+    for radius in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            PolynomialMap.univariate([0.0, 2.0], domain_radius=radius)
+        with pytest.raises(InvalidInputError):
+            PolynomialMap.identity(2, domain_radius=radius)
     # empty coefficient list is the zero map, not an error
     assert PolynomialMap.univariate([]).evaluate(0.3) == 0.0
 

@@ -47,6 +47,14 @@ def test_fit_c_infinite_gamma_is_no_constraint():
     assert fit_C({1: math.inf, 2: 0.5}, 1.0) == pytest.approx(math.log(2.0) / 4.0)
 
 
+def test_fit_c_rejects_a_nan_gamma():
+    """A NaN gamma is an error, not "no constraint": max(best, nan) kept
+    best, so it used to vanish from the fit."""
+    for gammas in ({1: math.nan}, {1: 0.5, 2: math.nan}, {1: 0.0, 2: math.nan}, [(1, math.nan), (2, None)]):
+        with pytest.raises(InvalidInputError):
+            fit_C(gammas, 1.0)
+
+
 def test_fit_c_accepts_pairs_and_validates():
     assert fit_C([(1, 0.5), (2, 0.75)], 1.0) == pytest.approx(math.log(2.0))
     with pytest.raises(InvalidInputError):

@@ -1,6 +1,10 @@
 """Tests for the spectral distance-to-unit-circle computation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,3 +256,37 @@ def test_orbit_hyperbolicity_quadratic_fixed_point():
     seg = orbit(f, x, 1)
     hv = orbit_hyperbolicity(f, seg)
     assert hv.gamma == pytest.approx(math.sqrt(5.0) - 2.0, abs=1e-9)
+
+
+_FIRST_GAMMA = """
+import json, sys
+from orbitlab import gamma_linear
+
+matrices = [[[float.fromhex(x) for x in row] for row in m] for m in json.loads(sys.argv[1])]
+before = any(m.startswith("scipy") for m in sys.modules)
+out = []
+for m in matrices:
+    hv = gamma_linear(m)
+    out.append([hv.gamma.hex(), hv.argmin_phase.hex(), hv.certified_tolerance.hex()])
+print(json.dumps({"before": before, "values": out}))
+"""
+
+
+def test_first_pencil_test_in_a_fresh_process_is_bit_identical():
+    """The QZ driver is resolved by the first gamma_linear call of a process:
+    a fresh process (scipy not yet loaded) gives the same values, bit for bit,
+    on a singular L, a non-normal 2 x 2 and a random 4 x 4."""
+    matrices = [
+        np.outer([1.0, 2.0, -0.5], [0.3, -1.0, 0.8]),
+        np.array([[0.5, 3.0], [0.0, 1.5]]),
+        np.random.default_rng(2026).normal(size=(4, 4)),
+    ]
+    want = [[v.hex() for v in (hv.gamma, hv.argmin_phase, hv.certified_tolerance)]
+            for hv in map(gamma_linear, matrices)]
+    arg = json.dumps([[[float(x).hex() for x in row] for row in m] for m in matrices])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperbolicity.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FIRST_GAMMA, arg], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got == {"before": False, "values": want}
