@@ -18,8 +18,8 @@ excludes 0 has g strictly monotone, and the values of g at its two
 endpoints settle it: no solution, or exactly one, which Brent's method
 brackets to the requested tolerance.  The roots a round settles are located
 together: one Brent per bracket (an in-repo transcription of scipy's
-brentq, bit for bit), many brackets advanced in lockstep on one array
-evaluation per step, and their records taken from one orbit pass.  An
+brentq, bit for bit), all advanced in lockstep on one evaluation of g per
+step, and their records taken from one orbit pass.  An
 endpoint value decides a sign only when it clears the float slack, so a
 root on (or within the slack of) a cell end would leave both cells beside
 it undecided at every depth; a dyadic root such as the fixed point 1/2 of
@@ -51,12 +51,12 @@ reported evaluations do not depend on what came before.  The memo
 and assumes a map is not mutated after it is built, as the 1-D fold
 already does.
 
-Orbits of a few points (the ends settled, Brent's steps, the records, the
-probes of open windows) are iterated one point at a time with f.evaluate,
-which costs less than an array call there; it is exact, not an
-approximation of the array path, because a 1-D map's evaluate and
-eval_many perform the same float operations in the same order and agree
-bit for bit.
+Orbits of points outside the tubes come from _g_many (g at the ends
+settled, Brent's steps and the probes of open windows) and _records_at (the
+records).  Each iterates up to _SCALAR_POINTS points one at a time with
+f.evaluate, cheaper than an array call there, and more with eval_many; a 1-D
+map's evaluate and eval_many perform the same float operations in the same
+order, so the choice never changes a value.
 
 On top of the census sit:
 
@@ -202,33 +202,26 @@ class CensusResult:
 # f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
 # 14 us at any size up to a few dozen points and a scalar step about 0.7 us
 # per point (degree 9, with and without a root-product term), so the two
-# cross at 20-24 points.
+# cross at 20-24 points.  _g_many and _records_at are the only readers.
 _SCALAR_POINTS = 16
 
 
-def _iterate_many(f, xs: np.ndarray, n: int) -> np.ndarray:
-    """f^n at each point of the 1-D array xs, as step-by-step eval_many
-    gives it bit for bit.  A few points take the scalar path, f.evaluate per
-    point and step, where the fixed cost of an array call would dominate;
-    a 1-D map's evaluate performs the same float operations as eval_many
-    (see PerturbedMap), so the path never changes a value."""
-    y = np.asarray(xs, dtype=float)
-    if y.size <= _SCALAR_POINTS:
+def _g_many(f, xs: list, n: int) -> np.ndarray:
+    """g = f^n - id at each float of the list xs, as n steps of eval_many
+    minus the start give it bit for bit: a few points take the scalar path,
+    f.evaluate per point and step, which performs the same float operations
+    (see PerturbedMap)."""
+    if len(xs) <= _SCALAR_POINTS:
         out = []
-        for x in y.tolist():
+        for x in xs:
+            y = x
             for _ in range(n):
-                x = f.evaluate(x)
-            out.append(x)
+                y = f.evaluate(y)
+            out.append(y - x)
         return np.array(out, dtype=float)
+    x = y = np.array(xs, dtype=float)
     for _ in range(n):
         y = f.eval_many(y)
-    return y
-
-
-def _g_scalar(f, x: float, n: int) -> float:
-    y = x
-    for _ in range(n):
-        y = f.evaluate(y)
     return y - x
 
 
@@ -576,17 +569,16 @@ def find_periodic(
             if u.size:
                 # a tangency (or a root at the noise floor) leaves the window open
                 pts = np.concatenate([a[u], mid[u], c[u]])
-                gabs = np.abs(_iterate_many(f, pts, n) - pts).reshape(3, u.size)
+                gabs = np.abs(_g_many(f, pts.tolist(), n)).reshape(3, u.size)
                 evaluations += pts.size
-                pts = pts.reshape(3, u.size)
-                best = np.argmin(gabs, axis=0)  # ties go to the leftmost point
-                candidate_tol = 16.0 * (b.L * tol + b.ev)
-                for i, j in enumerate(u):
-                    if gabs[best[i], i] <= candidate_tol:
-                        records.append(_record_at(f, n, pts[best[i], i], half[j], False,
-                                                  "tangential-candidate"))
-                        evaluations += 1
-                    uncertified.append((float(a[j]), float(c[j])))
+                # each window's probe nearest a root; ties go to the leftmost
+                best = pts.reshape(3, u.size)[np.argmin(gabs, axis=0), np.arange(u.size)]
+                near = gabs.min(axis=0) <= 16.0 * (b.L * tol + b.ev)
+                xs = best[near].tolist()
+                records.extend(_records_at(f, n, xs, half[u[near]].tolist(), False,
+                                           "tangential-candidate"))
+                evaluations += len(xs)
+                uncertified.extend(zip(a[u].tolist(), c[u].tolist()))
 
     records.sort(key=lambda r: r.location)
     return CensusResult(
@@ -617,7 +609,8 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: floa
     the intervals themselves, and the sort that finds the joins runs only
     when some interval has an end that did not clear ev.
 
-    An end shared by two intervals is evaluated once.  Nothing is settled
+    An end shared by two intervals is evaluated once, all ends in one
+    _g_many call, whose values Brent's method reuses.  Nothing is settled
     when `budget` cannot pay for the ends.  The roots are located in waves
     (_locate): a wave is the longest prefix of the roots still to locate
     that what is left pays for at Brent's worst and the record's orbit
@@ -632,9 +625,8 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: floa
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
         return np.zeros(lo.size, dtype=bool), 0
-    ends = np.array(list(index))
-    g = (_iterate_many(f, ends, n) - ends)[at]
-    spent = ends.size
+    g = _g_many(f, list(index), n)[at]
+    spent = len(index)
     glo, ghi = g[: lo.size], g[lo.size :]
     clear_lo, clear_hi = np.abs(glo) > ev, np.abs(ghi) > ev
     run = None  # each interval's run, once some intervals join
@@ -690,51 +682,42 @@ def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list
 _LEAST_PERIOD_TOL = 1e-8
 
 
-def _record_at(f, n: int, x: float, halfwidth: float, certified: bool, kind: str) -> PeriodicPointRecord:
-    # one orbit pass gives the multiplier, the residual and the least period
-    y = x
-    lam = 1.0
-    least = n
-    for d in range(1, n + 1):
-        lam *= f.derivative(y)
-        y = f.evaluate(y)
-        if least == n and d < n and n % d == 0 and abs(y - x) <= _LEAST_PERIOD_TOL * max(1.0, abs(x)):
-            least = d
-    return PeriodicPointRecord(
-        location=float(x),
-        halfwidth=float(halfwidth),
-        period=n,
-        multiplier=float(lam),
-        gap=abs(abs(lam) - 1.0),
-        certified=certified,
-        kind=kind,
-        residual=abs(y - x),
-        least_period=least,
-    )
-
-
 def _records_at(f, n: int, xs: list, halfwidths: list, certified: bool, kind: str) -> list:
-    """_record_at at each point of xs, with its halfwidth, from one orbit
-    pass: one point at a time up to _SCALAR_POINTS points, on the array path
-    above, which performs the same float operations (evaluate and eval_many,
-    derivative and deriv_many agree bit for bit), so the records are the
-    same.  Their fields stay plain Python floats and ints."""
+    """The records of the floats xs with their halfwidths, from one orbit
+    pass each: the multiplier (f^n)'(x), the residual |f^n(x) - x| and the
+    least period, the first divisor d < n of n with |f^d(x) - x| <=
+    _LEAST_PERIOD_TOL max(1, |x|) (n when there is none).  Up to
+    _SCALAR_POINTS points are iterated one at a time, more on the array
+    path, which performs the same float operations (evaluate and eval_many,
+    derivative and deriv_many agree bit for bit), so the records do not
+    depend on the path.  Every field is a plain Python float, int, bool or
+    str."""
     if len(xs) <= _SCALAR_POINTS:
-        return [_record_at(f, n, x, h, certified, kind) for x, h in zip(xs, halfwidths)]
-    x = np.array(xs, dtype=float)
-    near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
-    y, lam, least = x, 1.0, np.full(x.size, n)
-    for d in range(1, n + 1):
-        lam = lam * f.deriv_many(y)
-        y = f.eval_many(y)
-        if d < n and n % d == 0:
-            least[(least == n) & (np.abs(y - x) <= near)] = d
+        orbits = []
+        for x in xs:
+            near = _LEAST_PERIOD_TOL * max(1.0, abs(x))
+            y, lam, least = x, 1.0, n
+            for d in range(1, n + 1):
+                lam *= f.derivative(y)
+                y = f.evaluate(y)
+                if least == n and d < n and n % d == 0 and abs(y - x) <= near:
+                    least = d
+            orbits.append((lam, abs(y - x), least))
+    else:
+        x = np.array(xs, dtype=float)
+        near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
+        y, lam, least = x, 1.0, np.full(x.size, n)
+        for d in range(1, n + 1):
+            lam = lam * f.deriv_many(y)
+            y = f.eval_many(y)
+            if d < n and n % d == 0:
+                least[(least == n) & (np.abs(y - x) <= near)] = d
+        orbits = zip(lam.tolist(), np.abs(y - x).tolist(), least.tolist())
     return [
         PeriodicPointRecord(location=loc, halfwidth=h, period=n, multiplier=m,
                             gap=abs(abs(m) - 1.0), certified=certified, kind=kind, residual=res,
                             least_period=d)
-        for loc, h, m, res, d in zip(x.tolist(), halfwidths, lam.tolist(), np.abs(y - x).tolist(),
-                                     least.tolist())
+        for loc, h, (m, res, d) in zip(xs, halfwidths, orbits)
     ]
 
 
@@ -804,24 +787,15 @@ def _brent(a: float, b: float, fa: float, fb: float, xtol: float, rtol: float):
 def _locate(f, n: int, brackets: list, xtol: float, rtol: float):
     """The roots of g = f^n - id in the sign-change brackets (a, c, g(a),
     g(c)) (None where Brent's method runs out of iterations) and the
-    evaluations of g they took, one Brent per bracket.  Up to _SCALAR_POINTS
-    brackets run one after another, g evaluated one point at a time; more
-    advance in lockstep, each step's points in one _iterate_many call."""
+    evaluations of g they took.  One Brent runs per bracket, all advanced
+    in lockstep: each step sends every Brent still running its last value
+    of g and takes the points they ask for next in one _g_many call.  A
+    Brent's points, root and calls depend on its bracket alone, so they do
+    not depend on the other brackets, nor on the path _g_many takes."""
     brents = [_brent(*bracket, xtol, rtol) for bracket in brackets]
     roots: list = [None] * len(brents)
-    calls = 0
-    if len(brents) <= _SCALAR_POINTS:
-        for i, brent in enumerate(brents):
-            g = None
-            try:
-                while True:
-                    x = brent.send(g)
-                    calls += 1
-                    g = _g_scalar(f, x, n)
-            except StopIteration as done:
-                roots[i] = done.value
-        return roots, calls
     live, gs = list(range(len(brents))), [None] * len(brents)
+    calls = 0
     while live:
         still, xs = [], []
         for i, g in zip(live, gs):
@@ -832,10 +806,8 @@ def _locate(f, n: int, brackets: list, xtol: float, rtol: float):
             else:
                 still.append(i)
         live = still
-        if xs:
-            pts = np.array(xs)
-            gs = (_iterate_many(f, pts, n) - pts).tolist()
-            calls += len(xs)
+        gs = _g_many(f, xs, n).tolist()
+        calls += len(xs)
     return roots, calls
 
 
@@ -970,7 +942,6 @@ def ih_check(
     params: GrowthParams,
     n_max: int,
     radius: Optional[float] = None,
-    width_floor: Optional[float] = None,
     max_evaluations_per_period: int = 400_000,
 ) -> IHReport:
     """Check the stage-wise hyperbolicity hypothesis for periods 1..n_max.
@@ -984,8 +955,8 @@ def ih_check(
     orbit tube, which bounds f^k - id and the multiplier (f^k)' over the
     whole box.  The stage fails with a witness box
     when a midpoint is certifiably almost periodic with gap certifiably
-    below the threshold.  Boxes that reach the width floor or exhaust the
-    budget are reported as unresolved and make the stage (and the report)
+    below the threshold.  Boxes that reach the width floor 1e-9 R or exhaust
+    the budget are reported as unresolved and make the stage (and the report)
     indeterminate rather than wrong.  A threshold that rounds to 0.0 is
     below the smallest positive float, so there a box passes as hyperbolic
     only when its gap is provably positive, and no witness is possible: a
@@ -999,8 +970,6 @@ def ih_check(
         raise InvalidInputError("ih_check needs a 1-D map")
     n_max = _period(n_max, 0, "n_max")
     R = _resolve_radius(f, radius)
-    if width_floor is None:
-        width_floor = 1e-9 * R
 
     base = _map_bounds(f, R)
     rows = []
@@ -1008,14 +977,14 @@ def ih_check(
         thr = params.gamma_n(k)
         slack = thr ** (1.0 / params.rho)
         b = _census_bounds(base, R, k)
-        row = _ih_one_period(f, k, thr, slack, R, b, width_floor, max_evaluations_per_period)
+        row = _ih_one_period(f, k, thr, slack, R, b, max_evaluations_per_period)
         rows.append(row)
         if row.status == "fails":
             break
     return IHReport(params=params, radius=R, rows=tuple(rows))
 
 
-def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> IHRow:
+def _ih_one_period(f, k, thr, slack, R, b: _Bounds, max_evals) -> IHRow:
     # A threshold that underflowed to 0.0 stands for an exact one below the
     # smallest positive float, so a box is hyperbolic only when its gap's
     # lower bound is positive, and no box can be a witness.
@@ -1031,12 +1000,13 @@ def _ih_one_period(f, k, thr, slack, R, b: _Bounds, width_floor, max_evals) -> I
         if np.any(failing):
             idx = np.flatnonzero(failing)
             j = idx[np.argmin(c.mids[idx])]
-            witness = _record_at(f, k, c.mids[j], c.halves[j], True, "witness")
+            witness = _records_at(f, k, [c.mids[j].item()], [c.halves[j].item()], True,
+                                  "witness")[0]
             return np.zeros(c.mids.size, dtype=bool), 0
         excluded = gabs > c.spread + slack + b.ev
         hyperbolic = gaps - c.dev - b.ev_d >= gap_floor
         live = ~(excluded | hyperbolic)
-        floored = live & (2.0 * c.halves <= width_floor)
+        floored = live & (2.0 * c.halves <= 1e-9 * R)
         unresolved.append((c.mids[floored], c.halves[floored]))
         return live & ~floored, 0
 
@@ -1085,6 +1055,10 @@ class Prop11Report:
         return all(r.certified for r in self.rows)
 
 
+# a gamma_n at or below this is taken for a nonhyperbolic periodic point
+_GAP_TOL = 1e-9
+
+
 def prop11_check(
     f,
     n_max: int,
@@ -1092,7 +1066,6 @@ def prop11_check(
     rho: float = 1.0,
     radius: Optional[float] = None,
     tol: float = 1e-12,
-    gap_tol: float = 1e-9,
 ) -> Prop11Report:
     """Growth constant implied by the census: for each n, the smallest C with
     P_n <= C M^(n N (1+rho)/rho) gamma_n^(-N/rho), i.e.
@@ -1102,7 +1075,7 @@ def prop11_check(
     M is the norm bound m_{1+rho}; when the map has no bounded inverse the
     forward-only bound is substituted and flagged.  Periods whose census
     fails to certify are reported but excluded from the running maximum; a
-    gamma_n at or below gap_tol signals a nonhyperbolic periodic point, for
+    gamma_n at or below _GAP_TOL signals a nonhyperbolic periodic point, for
     which the multiplicative bound is vacuous, so the row is flagged as
     inapplicable.
     """
@@ -1134,7 +1107,7 @@ def prop11_check(
                 Prop11Row(period=n, count=0, gamma_n=math.inf, c_impl=0.0, applicable=True, certified=True)
             )
             continue
-        if value <= gap_tol:
+        if value <= _GAP_TOL:
             rows.append(
                 Prop11Row(period=n, count=count, gamma_n=float(value), c_impl=None, applicable=False, certified=True)
             )

@@ -25,6 +25,7 @@ from .census import GrowthParams, find_periodic
 from .dynamics import PerturbedMap
 from .errors import OrbitLabError
 from .experiment import (
+    PRESET_MAPS,
     ExperimentConfig,
     base_map_from_spec,
     emit_reports,
@@ -53,7 +54,7 @@ def _map_from_args(args) -> PerturbedMap:
 
 def _add_map_arguments(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--preset", choices=["quadratic", "half", "identity"], help="named base map")
+    g.add_argument("--preset", choices=sorted(PRESET_MAPS), help="named base map")
     g.add_argument("--coeffs", help="ascending coefficients, e.g. '-1,0,1' for x^2 - 1")
 
 

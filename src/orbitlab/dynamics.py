@@ -412,17 +412,22 @@ def _memo(f) -> dict:
     return _MEMO.setdefault(f, {})
 
 
-def certified_range_1d(f, radius: float, n_points: int = 2049):
-    """Certified enclosure of f([-radius, radius]) for a 1-D map:
-    grid extrema padded by the derivative bound times half the grid step.
-    Computed once per map, radius and grid, and kept in the map's memo."""
+# points of the grid whose extrema certified_range_1d pads
+_RANGE_GRID = 2049
+
+
+def certified_range_1d(f, radius: float):
+    """Certified enclosure of f([-radius, radius]) for a 1-D map: the
+    extrema on a grid of _RANGE_GRID points padded by the derivative bound
+    times half the grid step.  Computed once per map and radius, and kept in
+    the map's memo."""
     f = as_perturbed(f)
     if f.dim != 1:
         raise InvalidInputError("certified_range_1d needs a 1-D map")
-    key = ("range", radius, n_points)
+    key = ("range", radius)
     memo = _memo(f)
     if key not in memo:
-        xs = np.linspace(-radius, radius, n_points)
+        xs = np.linspace(-radius, radius, _RANGE_GRID)
         vals = f.eval_many(xs)
         pad = f.d1_bound(radius) * (xs[1] - xs[0]) / 2.0
         memo[key] = (float(vals.min() - pad), float(vals.max() + pad))
@@ -472,7 +477,6 @@ def norm_bounds(
     f: PolynomialMap,
     brick: Optional[BrickSpec] = None,
     rho: float = 1.0,
-    grid_points: int = 2049,
 ) -> NormBounds:
     """Bound the uniform C1 / C(1+rho) data of the family {f + eps} over a brick."""
     f = as_perturbed(f)
@@ -489,12 +493,12 @@ def norm_bounds(
     b_d2 = brick_d2_bound(brick, f.dim, R)
 
     if f.dim == 1:
-        lo, hi = certified_range_1d(f, R, grid_points)
+        lo, hi = certified_range_1d(f, R)
         # the grid range and the coefficient bound are both certified; keep
         # the tighter of the two (the grid pad would otherwise inflate maps
         # whose sup is attained flatly, e.g. the identity)
         f_c0 = min(max(abs(lo), abs(hi)), f.sup_bound(R))
-        n_grid = grid_points
+        n_grid = _RANGE_GRID
     else:
         f_c0 = f.sup_bound(R)
         n_grid = 0

@@ -178,13 +178,7 @@ class BrickSpec:
     @classmethod
     def empty(cls) -> "BrickSpec":
         """Brick with no degrees at all (the unperturbed family)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "family", "custom")
-        object.__setattr__(obj, "sizes", ())
-        object.__setattr__(obj, "truncation_degree", -1)
-        object.__setattr__(obj, "tau", None)
-        object.__setattr__(obj, "q", None)
-        return obj
+        return cls("custom", (), -1)
 
     def to_record(self) -> dict:
         rec = {

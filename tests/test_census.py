@@ -1,5 +1,6 @@
 """Tests for the certified periodic-point census and the checks built on it."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -392,45 +393,28 @@ def test_window_pass_is_counted_within_the_budget():
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """On a fresh map, so that nothing is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
-    monotone cells and windows, probes of open windows, Brent's calls (one
-    at a time, or batched across brackets advanced in lockstep) and the
-    orbit of each record (batched per settle wave, one at a time for the
-    tangential candidates).  Each settle pass, and each lockstep step,
-    evaluates distinct points."""
-    orbits, iterated, batched = [], [], []
-    tube, iterate, g_scalar = census._tube_many, census._iterate_many, census._g_scalar
-    record_at, records_at = census._record_at, census._records_at
+    monotone cells and windows, probes of open windows, Brent's calls
+    (batched across brackets advanced in lockstep) and the orbit of each
+    record (batched per settle wave and per window pass).  Each settle
+    pass, and each lockstep step, evaluates distinct points."""
+    orbits, iterated = [], []
+    tube, g_many, records_at = census._tube_many, census._g_many, census._records_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
         return tube(f, mids, *args)
 
-    def counted_iterate(f, xs, n):
-        orbits.append(np.size(xs))
-        iterated.append(xs)
-        return iterate(f, xs, n)
-
-    def counted_g(f, x, n):
-        orbits.append(1)
-        return g_scalar(f, x, n)
-
-    def counted_record(f, n, *args):
-        if not batched:  # a record of a batch is counted with its batch
-            orbits.append(1)
-        return record_at(f, n, *args)
+    def counted_g(f, xs, n):
+        orbits.append(len(xs))
+        iterated.append(np.array(xs))
+        return g_many(f, xs, n)
 
     def counted_records(f, n, xs, *args):
         orbits.append(len(xs))
-        batched.append(xs)
-        try:
-            return records_at(f, n, xs, *args)
-        finally:
-            batched.pop()
+        return records_at(f, n, xs, *args)
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_iterate_many", counted_iterate)
-    monkeypatch.setattr(census, "_g_scalar", counted_g)
-    monkeypatch.setattr(census, "_record_at", counted_record)
+    monkeypatch.setattr(census, "_g_many", counted_g)
     monkeypatch.setattr(census, "_records_at", counted_records)
     for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
                               (parabolic(), 1, None, 1e-4)):
@@ -545,25 +529,29 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
 
 
 def test_brent_reuses_the_ends_settle_computed(monkeypatch):
-    """Brent's method gets g at the bracket ends from _settle's array pass:
-    g is never computed again there, and the root is the one scipy's brentq
+    """Brent's method gets g at the bracket ends from _settle's pass over
+    the ends, the first _g_many call, which holds exactly the two ends: g is
+    never computed again there, and the root is the one scipy's brentq
     gives on a bracket with freshly computed ends."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49]), np.array([0.505])
-    seen = []
-    g_scalar = census._g_scalar
+    calls = []
+    g_many = census._g_many
 
-    def recorded(f, x, n):
-        seen.append(x)
-        return g_scalar(f, x, n)
+    def recorded(f, xs, n):
+        calls.append(list(xs))
+        return g_many(f, xs, n)
 
-    monkeypatch.setattr(census, "_g_scalar", recorded)
+    monkeypatch.setattr(census, "_g_many", recorded)
     records = []
     mask, used = census._settle(f, 1, lo, hi, np.array([False]), 1e-12, 1e-9, 10_000, records, [])
+    ends, *steps = calls
+    seen = [x for xs in steps for x in xs]
+    assert ends == [0.49, 0.505]
     assert mask.tolist() == [True] and used == 2 + len(seen) + 1  # and the record's orbit
     assert seen and 0.49 not in seen and 0.505 not in seen
-    fresh = brentq(lambda x: g_scalar(f, x, 1), 0.49, 0.505, xtol=1e-12 / 4, rtol=4 * census._EPS,
-                   maxiter=census._BRENT_MAXITER)
+    fresh = brentq(lambda x: g_many(f, [x], 1)[0], 0.49, 0.505, xtol=1e-12 / 4,
+                   rtol=4 * census._EPS, maxiter=census._BRENT_MAXITER)
     assert records[0].location == fresh
 
 
@@ -673,7 +661,8 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:6:2]])
     lo, hi = roots - 1e-4, roots + 1e-4
-    up = np.array([census._g_scalar(f, c, 5) > census._g_scalar(f, a, 5) for a, c in zip(lo, hi)])
+    up = np.array([gc > ga for ga, gc in (census._g_many(f, [a, c], 5)
+                                          for a, c in zip(lo.tolist(), hi.tolist()))])
     # each root alone: its two ends, then Brent's calls and the record
     alone = [census._settle(f, 5, lo[i:i + 1], hi[i:i + 1], up[i:i + 1], 1e-12, 1e-9, 10_000,
                             [], [])[1] - 2 for i in range(3)]
@@ -703,7 +692,8 @@ def test_settle_leaves_a_run_unsettled_when_brent_runs_out(monkeypatch):
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:4:2]])
     lo, hi = roots - 1e-4, roots + 1e-4
-    up = np.array([census._g_scalar(f, c, 5) > census._g_scalar(f, a, 5) for a, c in zip(lo, hi)])
+    up = np.array([gc > ga for ga, gc in (census._g_many(f, [a, c], 5)
+                                          for a, c in zip(lo.tolist(), hi.tolist()))])
     brent = census._brent
 
     def failing(a, b, fa, fb, xtol, rtol):
@@ -728,9 +718,9 @@ def test_settle_leaves_a_run_unsettled_when_brent_runs_out(monkeypatch):
 
 @pytest.mark.parametrize("limit", [0, 10**9])
 def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
-    """With every set of points on the array path (lockstep Brent, array
-    records) or every set on the scalar path (one bracket at a time), each
-    census equals the default one."""
+    """With every set of points on the array path (array steps of lockstep
+    Brent, array records) or every set on the scalar path (scalar steps and
+    records), each census equals the default one."""
     want = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
     want += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
     monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
@@ -738,6 +728,25 @@ def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
     got += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
     assert got == want
     assert all(repr(a) == repr(b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("limit", [0, 10**9])
+def test_record_fields_are_plain_python_values(monkeypatch, limit):
+    """Every field of a settled root's record, of a tangential candidate and
+    of an ih_check witness is a plain float, int, bool or str, on the array
+    path and on the scalar path, although the candidate and the witness are
+    taken at points of NumPy arrays."""
+    monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
+    settled = find_periodic(PolynomialMap.univariate(CHAOTIC), 5, radius=1.0).records
+    (candidate,) = find_periodic(parabolic(), 1, tol=1e-4).records
+    witness = ih_check(PolynomialMap.univariate([0, 1, 0, -1]), GrowthParams(C=1.0, delta=1.0), 1,
+                       radius=0.5).witness
+    assert settled and {r.kind for r in settled} == {"simple"}
+    assert candidate.kind == "tangential-candidate" and witness.kind == "witness"
+    for record in settled + [candidate, witness]:
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            assert type(value) in (float, int, bool, str), (field.name, type(value))
 
 
 def test_census_stops_at_once_when_the_slack_exceeds_every_value_of_g():
@@ -764,11 +773,11 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
-def test_iterate_many_equals_stepwise_eval_many():
-    """_iterate_many equals n steps of eval_many bit for bit on both sides
-    of the scalar-path limit, on a folded brick sample and on a map with
-    unfolded root-product terms, at signed zeros, points outside [-R, R],
-    infinities and NaN."""
+def test_g_many_equals_stepwise_eval_many_minus_the_start():
+    """_g_many equals n steps of eval_many minus the start bit for bit on
+    both sides of the scalar-path limit, on a folded brick sample and on a
+    map with unfolded root-product terms, at signed zeros, points outside
+    [-R, R], infinities and NaN."""
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
     maps = (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), parabolic())
     assert maps[1]._rest  # the root-product terms stay unfolded
@@ -784,7 +793,8 @@ def test_iterate_many_equals_stepwise_eval_many():
                         want = xs
                         for _ in range(n):
                             want = f.eval_many(want)
-                        got = census._iterate_many(f, xs, n)
+                        want = want - xs
+                        got = census._g_many(f, xs.tolist(), n)
                         assert got.dtype == want.dtype and got.shape == (size,)
                         assert np.array_equal(got, want, equal_nan=True)
                         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -975,18 +985,18 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
     most max_evaluations_per_period orbits: on x - x^3 one 256-cell round
     finds the witness, which a budget of 256 cannot also pay for."""
     orbits = []
-    tube, record_at = census._tube_many, census._record_at
+    tube, records_at = census._tube_many, census._records_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
         return tube(f, mids, *args)
 
-    def counted_record(f, n, *args):
-        orbits.append(1)
-        return record_at(f, n, *args)
+    def counted_records(f, n, xs, *args):
+        orbits.append(len(xs))
+        return records_at(f, n, xs, *args)
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_record_at", counted_record)
+    monkeypatch.setattr(census, "_records_at", counted_records)
     statuses = {}
     for budget in (0, 255, 256, 257, 300, 1000, 400_000):
         orbits.clear()

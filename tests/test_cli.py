@@ -30,6 +30,18 @@ def test_census_command(capsys):
     assert "gamma_n" in out
 
 
+def test_readme_census_example_is_the_printed_output(capsys):
+    """README's `orbitlab census --preset quadratic --period 2` block is what
+    the command prints, line for line."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    command = "$ orbitlab census --preset quadratic --period 2\n"
+    block = text.split(command, 1)[1].split("```", 1)[0]
+    assert main(["census", "--preset", "quadratic", "--period", "2"]) == 0
+    assert capsys.readouterr().out == block
+
+
 def test_census_json_output(capsys):
     rc = main(["census", "--preset", "half", "--period", "1", "--json"])
     assert rc == 0
