@@ -5,37 +5,36 @@ finds every solution of f^n(x) = x on a certified forward-invariant interval
 [-R, R] by certify-or-refine bisection.  Each cell [m - h, m + h] is followed
 through n steps of f by an orbit tube: the computed orbit y_k of its
 midpoint with a radius r_k that contains the image of the whole cell (the
-mean-value theorem with D2 = sup |f''|), which also encloses (f^n)' on the
-cell.  With g = f^n - id, a cell is dropped once
+mean-value theorem with D2 = sup |f''|) and the rounding of y_k itself (a
+per-step evaluation slack), which also encloses (f^n)' on the cell.  With
+g = f^n - id, a cell is dropped once
 
-    |g(m)| > r_n + h + slack.
+    |g(m)| > r_n + h + 8 eps R,
 
-Each tube step grows the radius by at most a certified sup bound D1 of
-|f'|, so r_n + h <= L_n h + ev for the uniform Lipschitz bound
-L_n = D1^n + 1 and its float slack ev: the tube is never looser than L_n
-beyond that slack.  A cell on which the enclosure of g' = (f^n)' - 1
+the last term covering the one subtraction in g = y_n - m.  The tube is the
+only floating-point error model: every decision reads its own cell's tube,
+or at a point a tube of zero width, so no slack grows with the global
+Lipschitz bound sup |f'|^n.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g strictly monotone, and the values of g at its two
 endpoints settle it: no solution, or exactly one, which Brent's method
 brackets to the requested tolerance.  The roots a round settles are located
 together: one Brent per bracket (an in-repo transcription of scipy's
 brentq, bit for bit), all advanced in lockstep on one evaluation of g per
 step, and their records taken from one orbit pass.  An
-endpoint value decides a sign only when it clears the float slack, so a
-root on (or within the slack of) a cell end would leave both cells beside
+endpoint value decides a sign only when it clears its own bound, so a
+root on (or within the bound of) a cell end would leave both cells beside
 it undecided at every depth; a dyadic root such as the fixed point 1/2 of
 0.95 - 1.8x^2 lies on a cell end at every depth.  So monotone cells that
 share an end exactly, increase or decrease alike, and meet where g does not
-clear the slack join into one run: g is strictly monotone on the union, and
+clear the bound join into one run: g is strictly monotone on the union, and
 the run's outer ends settle it as a cell's ends do; the value at a joined
 end is never read for a sign.
 The remaining cells shrink to halfwidth tol and merge into clusters; each
 cluster, widened by 2 tol on each side, is settled by the same test, and a
-window it leaves open (a tangency, or a root within the float slack of a
-window end) is reported as uncertified.  So the reported count is exact
-whenever the result says so.  Floating-point error is covered by a
-generous slack per evaluation, not by outward rounding; a census whose
-slack is at least 2R, the largest |g| can be, can decide no cell and
-returns at once.
+window it leaves open (a tangency, or a root within the bound of a window
+end) is reported as uncertified.  So the reported count is exact whenever
+the result says so.  The per-step slack and the bounds on f are generous
+but not outward-rounded.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -51,12 +50,12 @@ reported evaluations do not depend on what came before.  The memo
 and assumes a map is not mutated after it is built, as the 1-D fold
 already does.
 
-Orbits of points outside the tubes come from _g_many (g at the ends
-settled, Brent's steps and the probes of open windows) and _records_at (the
-records).  Each iterates up to _SCALAR_POINTS points one at a time with
-f.evaluate, cheaper than an array call there, and more with eval_many; a 1-D
-map's evaluate and eval_many perform the same float operations in the same
-order, so the choice never changes a value.
+Orbits of points outside the cell tubes come from _g_ends (g at the ends
+settled, with their bounds), _g_many (Brent's steps and the probes of open
+windows) and _records_at (the records).  Each iterates up to _SCALAR_POINTS
+points one at a time with f.evaluate, cheaper than an array call there, and
+more with eval_many; a 1-D map's evaluate and eval_many perform the same
+float operations in the same order, so the choice never changes a value.
 
 On top of the census sit:
 
@@ -202,7 +201,7 @@ class CensusResult:
 # f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
 # 14 us at any size up to a few dozen points and a scalar step about 0.7 us
 # per point (degree 9, with and without a root-product term), so the two
-# cross at 20-24 points.  _g_many and _records_at are the only readers.
+# cross at 20-24 points.  Only _g_many, _g_ends and _records_at read it.
 _SCALAR_POINTS = 16
 
 
@@ -233,17 +232,6 @@ class _MapBounds(NamedTuple):
     step: float  # float slack of one evaluation of f
 
 
-class _Bounds(NamedTuple):
-    """Certified constants reused across the census of one (f, n, R)."""
-
-    D1: float
-    D2: float
-    L: float
-    step: float
-    ev: float
-    ev_d: float
-
-
 # The census keeps its period-independent work in the map's memo (shared
 # with certified_range_1d) under the keys ("bounds", R), ("grid", R, cells)
 # and ("tube", R, cells).
@@ -261,25 +249,6 @@ def _map_bounds(f, radius: float) -> _MapBounds:
         scale = max(radius, f.sup_bound(radius), 1.0)
         memo[key] = _MapBounds(D1=D1, D2=D2, step=64.0 * _EPS * scale)
     return memo[key]
-
-
-def _census_bounds(base: _MapBounds, radius: float, n: int) -> _Bounds:
-    D1, D2, step = base
-    d1e = max(1.0, D1)
-    if d1e > 1.0 and n * math.log(d1e) > 600.0:
-        raise ConfigurationError(
-            f"period {n} overflows the Lipschitz bound (sup |f'| = {D1:.3g})"
-        )
-    L = d1e**n + 1.0
-    # generous floating-point slack: per-step polynomial evaluation error,
-    # amplified through the composition chain
-    if abs(d1e - 1.0) < 1e-9:
-        chain = float(n)
-    else:
-        chain = (d1e**n - 1.0) / (d1e - 1.0)
-    ev = step * chain + 8.0 * _EPS * radius
-    ev_d = 64.0 * _EPS * d1e**n * n
-    return _Bounds(D1=D1, D2=D2, L=L, step=step, ev=ev, ev_d=ev_d)
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
@@ -315,26 +284,27 @@ def _period(n, least: int = 1, name: str = "period") -> int:
 # -- orbit tubes and the certify-or-refine driver -----------------------------------
 
 
-def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds,
+def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds,
                lam=1.0, lam_hi=1.0):
     """Orbit tubes of the cells [m - h, m + h] under n steps of f.
 
     Returns (y, r, lam, lam_hi): the computed orbit y of each midpoint with a
     radius r such that |f^n(x) - y| <= r for every x in the cell, and the
     product lam of f' along y with lam_hi such that
-    |(f^n)'(x) - lam| <= lam_hi - |lam| on the cell.
+    |(f^n)'(x) - lam| <= lam_hi - |lam| on the cell, up to the rounding of
+    the two products, which _cells pads.
 
     Each step is the mean-value theorem: while |x_k - y_k| <= r_k,
     |f'(x_k)| <= s_k = |f'(y_k)| + D2 r_k (D2 = sup |f''| on [-R, R]) plus a
     float slack, so |x_{k+1} - y_{k+1}| <= min(s_k, D1) r_k + step, where D1
-    = sup |f'| on [-R, R] and step is the per-step evaluation slack of the
-    census.  The true orbit stays in [-R, R] (forward invariance), so
+    = sup |f'| on [-R, R] and step, the per-step evaluation slack, covers
+    the rounding of the computed y_{k+1}.  So r carries the cell's own float
+    error, and a cell of zero width bounds the error of one computed orbit
+    (_g_ends).  The true orbit stays in [-R, R] (forward invariance), so
     clamping y_k to [-R, R] cannot move it away from any true orbit and
     keeps D1 and D2 valid, and r_k never needs to exceed 2R, a cap that also
-    keeps s_k bounded.  Capping the step at D1 gives r_n <= (L_n - 1) h + ev
-    for the uniform Lipschitz bound L_n = D1^n + 1.  lam_hi keeps the
-    uncapped s_k: its product bound needs |f'(x_k) - f'(y_k)| <= s_k -
-    |f'(y_k)|, which the cap would break.
+    keeps s_k bounded.  lam_hi keeps the uncapped s_k: its product bound
+    needs |f'(x_k) - f'(y_k)| <= s_k - |f'(y_k)|, which the cap would break.
 
     Given the (mids, halves) as the tube (y, r) at some step k and the
     (lam, lam_hi) there, it continues that tube to step k + n.  Every
@@ -354,6 +324,32 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
     return y, r, lam, lam_hi
 
 
+def _g_ends(f, xs: list, n: int, R: float, b: _MapBounds):
+    """(g, bound) at each float x of the list xs: g = y - x from the
+    zero-width orbit tube (y, r) of x, and bound = r + 8 eps R (8 eps R for
+    the subtraction) >= |g(x) - g|.  Up to _SCALAR_POINTS points take a
+    scalar loop of the tube's float operations, without the multiplier, and
+    more take _tube_many; the two agree bit for bit."""
+    pad = 8.0 * _EPS * R
+    if len(xs) > _SCALAR_POINTS:
+        x = np.array(xs, dtype=float)
+        y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, R, b)
+        return y - x, r + pad
+    D1, D2, step = b
+    evaluate, derivative, d_slack, cap = f.evaluate, f.derivative, 64.0 * _EPS * D1, 2.0 * R
+    g, bound = np.empty(len(xs)), np.empty(len(xs))
+    for i, x in enumerate(xs):
+        y, r = x, 0.0
+        for _ in range(n):
+            s = abs(derivative(y)) + D2 * r + d_slack
+            y = evaluate(y)
+            y = R if y > R else -R if y < -R else y  # _tube_many's clamp, NaN and -0.0 too
+            r = (D1 if s > D1 else s) * r + step
+            r = cap if r > cap else r
+        g[i], bound[i] = y - x, r + pad
+    return g, bound
+
+
 def _grid(f, R: float, k0: int):
     """The initial grid (mids, halves) of [-R, R] split into k0 equal
     cells, built once per map and kept read-only in its memo."""
@@ -368,7 +364,7 @@ def _grid(f, R: float, k0: int):
     return memo[key]
 
 
-def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bounds):
+def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds):
     """_tube_many over the initial grid (mids, halves) at period n >= 1,
     continued from the deepest tube of that grid in the map's memo, at
     period k: n - k more steps when k < n, none when k = n, and all n from
@@ -391,10 +387,9 @@ def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Bo
 
 
 class _Cells(NamedTuple):
-    """One round of live cells and what their orbit tubes prove.
-
-    For every x in [mid - half, mid + half], g(x) = f^n(x) - x satisfies
-    |g(x) - g| <= spread = r_n + half (+ ev for float error), and
+    """One round of live cells and what their orbit tubes prove, float
+    error included: for every x in [mid - half, mid + half],
+    g(x) = f^n(x) - x satisfies |g(x) - g| <= spread, and
     |(f^n)'(x) - lam| <= dev."""
 
     mids: np.ndarray
@@ -405,7 +400,18 @@ class _Cells(NamedTuple):
     dev: np.ndarray
 
 
-def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, classify):
+def _cells(mids: np.ndarray, halves: np.ndarray, n: int, R: float, tube) -> _Cells:
+    """The _Cells of (mids, halves) from their tube (y, r, lam, lam_hi) at
+    period n: spread = r + half + 8 eps R, r holding the orbit's rounding and
+    8 eps R the subtraction g = y - m; dev = lam_hi (1 + (8n + 4) eps) - |lam|,
+    as lam and lam_hi (n rounded factors each, |lam| <= lam_hi) are within a
+    relative 2n eps of exact, and the subtractions that read dev round too."""
+    y, r, lam, lam_hi = tube
+    return _Cells(mids=mids, halves=halves, g=y - mids, spread=r + halves + 8.0 * _EPS * R,
+                  lam=lam, dev=lam_hi * (1.0 + (8 * n + 4) * _EPS) - np.abs(lam))
+
+
+def _refine(f, n: int, R: float, b: _MapBounds, k0: int, max_evaluations: int, classify):
     """Certify-or-refine [-R, R], split into k0 equal cells, in vectorised
     rounds.
 
@@ -416,22 +422,17 @@ def _refine(f, n: int, R: float, b: _Bounds, k0: int, max_evaluations: int, clas
     itself, at most `budget`; the undecided cells are bisected.  An
     evaluation is one n-step orbit of one point.  Returns the evaluations
     spent and the frontier (mids, halves) left when the next round would
-    exceed `max_evaluations` (empty when the frontier ran out first).
+    exceed `max_evaluations` (empty when the frontier ran out first).  A
+    period at which sup |f'|^n overflows raises ConfigurationError.
     """
+    if b.D1 > 1.0 and n * math.log(b.D1) > 600.0:
+        raise ConfigurationError(f"period {n} overflows the Lipschitz bound (sup |f'| = {b.D1:.3g})")
     mids, halves = _grid(f, R, k0)
     evaluations = 0
     while evaluations + mids.size <= max_evaluations:
         tube = _grid_tube if evaluations == 0 else _tube_many  # round 1: the grid
-        y, r, lam, lam_hi = tube(f, mids, halves, n, R, b)
+        cells = _cells(mids, halves, n, R, tube(f, mids, halves, n, R, b))
         evaluations += mids.size
-        cells = _Cells(
-            mids=mids,
-            halves=halves,
-            g=y - mids,
-            spread=r + halves,
-            lam=lam,
-            dev=lam_hi - np.abs(lam),
-        )
         live, spent = classify(cells, max_evaluations - evaluations)
         evaluations += spent
         if not live.any():
@@ -472,26 +473,25 @@ def find_periodic(
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
     one, which Brent's method brackets; a round's roots are located
-    together, see _settle).  An endpoint value decides only
-    when |g| there clears the float slack; adjacent monotone cells of the
-    same direction whose shared end does not clear it are settled together,
+    together, see _settle).  Every test reads the cell's own tube (_cells),
+    and an endpoint value decides only when |g| there clears its own
+    orbit's error bound (_g_ends); adjacent monotone cells of the same
+    direction whose shared end does not clear it are settled together,
     from the outer ends of their union, on which g is strictly monotone
     too.  So a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2)
     is located in the round that reaches it.  The rest shrink to halfwidth
     <= tol and merge into clusters; each cluster, widened by 2 tol on each
     side, is settled by the same test.  A window the test leaves open is
     reported in `uncertified_regions`, with a "tangential-candidate" record
-    when |g| at its ends or midpoint is below 16 (L_n tol + ev).  Certified
-    enclosures have halfwidth tol, or tol / 4 + 4 eps |x| when that is
-    larger.  The uniform Lipschitz bound L_n = sup |f'|^n + 1 decides no
-    cell: it is reported as `lipschitz`.  Every evaluation counts against
+    when |g| at its ends or midpoint is within the window tube's spread.
+    Certified enclosures have halfwidth tol, or tol / 4 + 4 eps |x| when
+    that is larger.  The uniform Lipschitz bound L_n = sup |f'|^n + 1
+    decides no cell: it is reported as `lipschitz`, and a period at which
+    it overflows raises ConfigurationError (_refine).  Every evaluation counts against
     `max_evaluations`.  An exhausted budget leaves the unresolved frontier
     in `uncertified_regions`, and the cluster windows too when it cannot
-    pay for their pass, and the result uncertified.  When the float slack
-    of the period is at least 2R, which bounds |g|, no cell can be decided:
-    the result is [-R, R] uncertified, with no record and no evaluation.
-    Maps of dimension >= 2, and periods that are not integers >= 1, raise
-    InvalidInputError.
+    pay for their pass, and the result uncertified.  Maps of dimension
+    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
 
     The certified radius, the bounds, the initial grid and its orbit tube
     are kept per map and reused by later calls on it (the tube extended
@@ -507,22 +507,18 @@ def find_periodic(
         raise InvalidInputError("find_periodic needs a 1-D map")
 
     R = _resolve_radius(f, radius)
-    b = _census_bounds(_map_bounds(f, R), R, n)
-    if b.ev >= 2.0 * R:
-        # |g| <= 2R on [-R, R], true orbits and clamped tubes alike, so no
-        # cell can be excluded and no end value clears the slack
-        return CensusResult(period=n, radius=R, records=[], uncertified_regions=[(-R, R)],
-                            certified=False, lipschitz=b.L, evaluations=0)
+    b = _map_bounds(f, R)
 
     records: list = []
     root_cells: list = [(np.empty(0), np.empty(0))]  # (los, his) of cells with one root
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
-        keep = np.abs(c.g) <= c.spread + b.ev
-        idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev + b.ev_d))
-        settled, spent = _settle(f, n, c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx],
-                                 c.lam[idx] > 1.0, tol, b.ev, budget, records, root_cells)
+        keep = np.abs(c.g) <= c.spread
+        idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
+        settled, spent = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
+                                 c.mids[idx] + c.halves[idx], c.lam[idx] > 1.0, tol, budget,
+                                 records, root_cells)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
@@ -558,9 +554,9 @@ def find_periodic(
         else:
             mid = 0.5 * (a + c)
             half = (c - a) / 2.0
-            _, _, lam, lam_hi = _tube_many(f, mid, half, n, R, b)
-            idx = np.flatnonzero(np.abs(lam - 1.0) > lam_hi - np.abs(lam) + b.ev_d)
-            settled, spent = _settle(f, n, a[idx], c[idx], lam[idx] > 1.0, tol, b.ev, budget,
+            w = _cells(mid, half, n, R, _tube_many(f, mid, half, n, R, b))
+            idx = np.flatnonzero(np.abs(w.lam - 1.0) > w.dev)
+            settled, spent = _settle(f, n, R, b, a[idx], c[idx], w.lam[idx] > 1.0, tol, budget,
                                      records, root_cells)
             evaluations += a.size + spent
             open_ = np.ones(a.size, dtype=bool)
@@ -573,7 +569,7 @@ def find_periodic(
                 evaluations += pts.size
                 # each window's probe nearest a root; ties go to the leftmost
                 best = pts.reshape(3, u.size)[np.argmin(gabs, axis=0), np.arange(u.size)]
-                near = gabs.min(axis=0) <= 16.0 * (b.L * tol + b.ev)
+                near = gabs.min(axis=0) <= w.spread[u]
                 xs = best[near].tolist()
                 records.extend(_records_at(f, n, xs, half[u[near]].tolist(), False,
                                            "tangential-candidate"))
@@ -587,30 +583,31 @@ def find_periodic(
         records=records,
         uncertified_regions=uncertified,
         certified=not uncertified,
-        lipschitz=b.L,
+        lipschitz=max(1.0, b.D1) ** n + 1.0,
         evaluations=evaluations,
     )
 
 
-def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: float, ev: float,
-            budget: int, records: list, root_cells: list):
-    """Settle the intervals [lo, hi] on which g = f^n - id is proved
-    strictly monotone, increasing where `up` holds and decreasing elsewhere,
-    from g at the ends.
+def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray, up: np.ndarray,
+            tol: float, budget: int, records: list, root_cells: list):
+    """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
+    proved strictly monotone, increasing where `up` holds and decreasing
+    elsewhere, from g at the ends, where |g| clears (exceeds) its own
+    orbit's error bound (_g_ends) or does not.
 
     The intervals join into runs: two join when they share an end exactly,
     are monotone in the same direction, and g at the shared end does not
-    clear the float slack ev (a root on or near that end).  g is strictly
-    monotone on the union, so a run is decided by its two outer ends as an
-    interval is: when both clear ev, opposite signs mean exactly one root,
-    which Brent's method locates (its record goes to `records`, the run's
-    (lo, hi) to `root_cells`), and one sign means none.  The value at a
-    joined end is never used for a sign.  Where nothing joins, the runs are
-    the intervals themselves, and the sort that finds the joins runs only
-    when some interval has an end that did not clear ev.
+    clear (a root on or near that end).  g is strictly monotone on the
+    union, so a run is decided by its two outer ends as an interval is:
+    when both clear, opposite signs mean exactly one root, which Brent's
+    method locates (its record goes to `records`, the run's (lo, hi) to
+    `root_cells`), and one sign means none.  The value at a joined end is
+    never used for a sign.  Where nothing joins, the runs are the intervals
+    themselves, and the sort that finds the joins runs only when some
+    interval has an end that did not clear.
 
     An end shared by two intervals is evaluated once, all ends in one
-    _g_many call, whose values Brent's method reuses.  Nothing is settled
+    _g_ends call, whose values Brent's method reuses.  Nothing is settled
     when `budget` cannot pay for the ends.  The roots are located in waves
     (_locate): a wave is the longest prefix of the roots still to locate
     that what is left pays for at Brent's worst and the record's orbit
@@ -625,10 +622,10 @@ def _settle(f, n: int, lo: np.ndarray, hi: np.ndarray, up: np.ndarray, tol: floa
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
         return np.zeros(lo.size, dtype=bool), 0
-    g = _g_many(f, list(index), n)[at]
+    g, bound = (v[at] for v in _g_ends(f, list(index), n, R, b))
     spent = len(index)
     glo, ghi = g[: lo.size], g[lo.size :]
-    clear_lo, clear_hi = np.abs(glo) > ev, np.abs(ghi) > ev
+    clear_lo, clear_hi = np.split(np.abs(g) > bound, [lo.size])
     run = None  # each interval's run, once some intervals join
     if not (clear_lo & clear_hi).all():
         order = np.argsort(lo, kind="stable")
@@ -878,14 +875,14 @@ def find_almost_periodic(
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
     R = _resolve_radius(f, radius)
-    b = _census_bounds(_map_bounds(f, R), R, n)
+    b = _map_bounds(f, R)
     if resolution is None:
         resolution = 1e-13 * R
 
     kept: list = []
 
     def classify(c: _Cells, _budget: int):
-        keep = np.abs(c.g) <= c.spread + slack + b.ev
+        keep = np.abs(c.g) <= c.spread + slack
         done = keep & ((c.spread <= slack / 4.0) | (c.halves <= resolution))
         kept.append((c.mids[done], c.halves[done]))
         return keep & ~done, 0
@@ -953,17 +950,19 @@ def ih_check(
     it certifiably contains no almost-periodic point, or if every point of
     the box has gap above the threshold.  Both tests read only the box's
     orbit tube, which bounds f^k - id and the multiplier (f^k)' over the
-    whole box.  The stage fails with a witness box
-    when a midpoint is certifiably almost periodic with gap certifiably
-    below the threshold.  Boxes that reach the width floor 1e-9 R or exhaust
-    the budget are reported as unresolved and make the stage (and the report)
-    indeterminate rather than wrong.  A threshold that rounds to 0.0 is
-    below the smallest positive float, so there a box passes as hyperbolic
-    only when its gap is provably positive, and no witness is possible: a
-    point of gap 0 leaves the stage indeterminate.  A stage computes at most
-    `max_evaluations_per_period` k-step orbits: its tube rounds and, for a
-    witness, the orbit that gives the record its multiplier.  n_max = 0
-    holds vacuously.
+    whole box, float error included, and no bound grows with sup |f'|^k.
+    The stage fails with a witness box when the zero-width tube of its
+    midpoint proves the midpoint almost periodic (|g| plus its bound at most
+    the slack) with gap below the threshold (gap plus its bound).  Boxes
+    that reach the width floor 1e-9 R or exhaust the budget are reported as
+    unresolved and make the stage (and the report) indeterminate rather
+    than wrong.  A threshold that rounds to 0.0 is below the smallest
+    positive float, so there a box passes as hyperbolic only when its gap
+    is provably positive, and no witness is possible: a point of gap 0
+    leaves the stage indeterminate.  A stage computes at most
+    `max_evaluations_per_period` k-step orbits: its tube rounds, the
+    zero-width tubes of midpoints whose |g| and gap pass unpadded, and the
+    witness record's orbit.  n_max = 0 holds vacuously.
     """
     f = as_perturbed(f)
     if f.dim != 1:
@@ -971,12 +970,11 @@ def ih_check(
     n_max = _period(n_max, 0, "n_max")
     R = _resolve_radius(f, radius)
 
-    base = _map_bounds(f, R)
+    b = _map_bounds(f, R)
     rows = []
     for k in range(1, n_max + 1):
         thr = params.gamma_n(k)
         slack = thr ** (1.0 / params.rho)
-        b = _census_bounds(base, R, k)
         row = _ih_one_period(f, k, thr, slack, R, b, max_evaluations_per_period)
         rows.append(row)
         if row.status == "fails":
@@ -984,31 +982,33 @@ def ih_check(
     return IHReport(params=params, radius=R, rows=tuple(rows))
 
 
-def _ih_one_period(f, k, thr, slack, R, b: _Bounds, max_evals) -> IHRow:
-    # A threshold that underflowed to 0.0 stands for an exact one below the
-    # smallest positive float, so a box is hyperbolic only when its gap's
-    # lower bound is positive, and no box can be a witness.
-    gap_floor = max(thr, math.ulp(0.0))
+def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
+    gap_floor = max(thr, math.ulp(0.0))  # a threshold of 0.0 (see ih_check)
     witness = None
     unresolved: list = []
 
-    def classify(c: _Cells, _budget: int):
+    def classify(c: _Cells, budget: int):
         nonlocal witness
         gabs = np.abs(c.g)
         gaps = np.abs(np.abs(c.lam) - 1.0)
-        failing = (gabs + b.ev <= slack) & (gaps + b.ev_d < thr)
-        if np.any(failing):
-            idx = np.flatnonzero(failing)
-            j = idx[np.argmin(c.mids[idx])]
-            witness = _records_at(f, k, [c.mids[j].item()], [c.halves[j].item()], True,
-                                  "witness")[0]
-            return np.zeros(c.mids.size, dtype=bool), 0
-        excluded = gabs > c.spread + slack + b.ev
-        hyperbolic = gaps - c.dev - b.ev_d >= gap_floor
+        # a witness midpoint is read from its zero-width cell (y, lam: the box's)
+        idx = np.flatnonzero((gabs <= slack) & (gaps < thr))
+        spent = idx.size if idx.size <= budget else 0
+        if spent:
+            m, zero = c.mids[idx], np.zeros(spent)
+            p = _cells(m, zero, k, R, _tube_many(f, m, zero, k, R, b))
+            failing = (np.abs(p.g) + p.spread <= slack) & (np.abs(np.abs(p.lam) - 1.0) + p.dev < thr)
+            if failing.any():
+                j = idx[failing][np.argmin(m[failing])]
+                witness = _records_at(f, k, [c.mids[j].item()], [c.halves[j].item()], True,
+                                      "witness")[0]
+                return np.zeros(c.mids.size, dtype=bool), spent
+        excluded = gabs > c.spread + slack
+        hyperbolic = gaps - c.dev >= gap_floor
         live = ~(excluded | hyperbolic)
         floored = live & (2.0 * c.halves <= 1e-9 * R)
         unresolved.append((c.mids[floored], c.halves[floored]))
-        return live & ~floored, 0
+        return live & ~floored, spent
 
     # the rounds leave one orbit of the budget for the witness's record
     _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals - 1, classify)

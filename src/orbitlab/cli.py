@@ -98,18 +98,18 @@ def _cmd_census(args) -> int:
             "uncertified_regions": [list(iv) for iv in result.uncertified_regions],
         }
         print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"period {result.period} on [-{result.radius:g}, {result.radius:g}]")
-    print(f"count = {result.count} (certified: {result.certified})")
-    for r in result.records:
-        tag = r.kind + ("" if r.certified else ", uncertified")
-        print(
-            f"  x = {r.location:+.15g}  (+/- {r.halfwidth:.2g})  "
-            f"multiplier = {r.multiplier:+.6g}  gap = {r.gap:.6g}  [{tag}]"
-        )
-    print(f"gamma_n = {result.gamma_n:.12g}")
-    if result.uncertified_regions:
-        print(f"unresolved regions: {len(result.uncertified_regions)}")
+    else:
+        print(f"period {result.period} on [-{result.radius:g}, {result.radius:g}]")
+        print(f"count = {result.count} (certified: {result.certified})")
+        for r in result.records:
+            tag = r.kind + ("" if r.certified else ", uncertified")
+            print(
+                f"  x = {r.location:+.15g}  (+/- {r.halfwidth:.2g})  "
+                f"multiplier = {r.multiplier:+.6g}  gap = {r.gap:.6g}  [{tag}]"
+            )
+        print(f"gamma_n = {result.gamma_n:.12g}")
+        if result.uncertified_regions:
+            print(f"unresolved regions: {len(result.uncertified_regions)}")
     return 0 if result.certified else 1
 
 

@@ -38,7 +38,7 @@ from orbitlab import (
     sample,
 )
 from orbitlab import census, dynamics
-from orbitlab.census import _census_bounds, _map_bounds, _resolve_radius, _tube_many
+from orbitlab.census import _cells, _g_ends, _map_bounds, _resolve_radius, _tube_many
 
 from conftest import random_contraction
 
@@ -261,12 +261,14 @@ def test_census_counts_pass_least_period_divisibility():
     """Every orbit of least period n has n points, so from the certified
     counts P_d (d | n) the number of points of least period n,
     sum_{d | n} mu(n / d) P_d, is a multiple of n: an exact oracle at any
-    period."""
+    period.  Chaotic n = 18 and 20 certify only with each cell's own float
+    bound (a global one grows like sup |f'|^n); their counts are pinned
+    after an outward-rounded interval check of every enclosure."""
     cases = [
-        (PolynomialMap.univariate(CHAOTIC), 1.0, 17),
-        (_seeded_quadratic(), None, 16),
+        (PolynomialMap.univariate(CHAOTIC), 1.0, 20, {18: 4_587, 20: 11_647}),
+        (_seeded_quadratic(), None, 16, {}),
     ]
-    for f, radius, n_max in cases:
+    for f, radius, n_max, pinned in cases:
         counts = {}
         for n in range(1, n_max + 1):
             res = find_periodic(f, n, radius=radius)
@@ -274,6 +276,7 @@ def test_census_counts_pass_least_period_divisibility():
             counts[n] = res.count
             least = sum(_mobius(n // d) * counts[d] for d in range(1, n + 1) if n % d == 0)
             assert least >= 0 and least % n == 0, (n, counts)
+        assert {n: counts[n] for n in pinned} == pinned
 
 
 def _negated(eps) -> PerturbationVector:
@@ -309,16 +312,18 @@ def test_chaotic_map_certifies_at_periods_9_and_10():
 
 def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
     """The fixed point 0.5 of 0.95 - 1.8x^2 is dyadic, so it lies on a cell
-    end at every depth, where g never clears the float slack.  The two
+    end at every depth, where g never clears its float bound.  The two
     monotone cells beside it join into one run that its outer ends settle,
     so the census does not halve them down to tol: each rung takes a few
-    rounds (each one _tube_many call, with the window pass's)."""
+    rounds (each one _tube_many call of positive width, with the window
+    pass's; the zero-width tubes are the settled ends')."""
     rounds = []
     tube = census._tube_many
 
-    def counted_tube(*args):
-        rounds.append(1)
-        return tube(*args)
+    def counted_tube(f, mids, halves, *args):
+        if np.any(halves):
+            rounds.append(1)
+        return tube(f, mids, halves, *args)
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
     for n in range(6, 11):
@@ -398,23 +403,27 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     record (batched per settle wave and per window pass).  Each settle
     pass, and each lockstep step, evaluates distinct points."""
     orbits, iterated = [], []
-    tube, g_many, records_at = census._tube_many, census._g_many, census._records_at
+    tube, records_at = census._tube_many, census._records_at
 
-    def counted_tube(f, mids, *args):
-        orbits.append(np.size(mids))
-        return tube(f, mids, *args)
+    def counted_tube(f, mids, halves, *args):
+        if np.any(halves):  # a zero-width tube is _g_ends', counted there
+            orbits.append(np.size(mids))
+        return tube(f, mids, halves, *args)
 
-    def counted_g(f, xs, n):
-        orbits.append(len(xs))
-        iterated.append(np.array(xs))
-        return g_many(f, xs, n)
+    def counted_points(g):
+        def counted(f, xs, *args):
+            orbits.append(len(xs))
+            iterated.append(np.array(xs))
+            return g(f, xs, *args)
+        return counted
 
     def counted_records(f, n, xs, *args):
         orbits.append(len(xs))
         return records_at(f, n, xs, *args)
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_g_many", counted_g)
+    monkeypatch.setattr(census, "_g_many", counted_points(census._g_many))
+    monkeypatch.setattr(census, "_g_ends", counted_points(census._g_ends))
     monkeypatch.setattr(census, "_records_at", counted_records)
     for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
                               (parabolic(), 1, None, 1e-4)):
@@ -422,6 +431,11 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
         res = find_periodic(f, n, radius=radius, tol=tol)
         assert res.records and res.evaluations == sum(orbits)
     assert all(np.unique(xs).size == xs.size for xs in iterated)
+
+
+def _one(f):
+    """(R, bounds) of f on [-1, 1], the radius _settle's callers pass."""
+    return 1.0, _map_bounds(f, 1.0)
 
 
 def test_settle_pays_for_the_ends_and_brent_at_its_worst():
@@ -436,7 +450,8 @@ def test_settle_pays_for_the_ends_and_brent_at_its_worst():
                                    (3 + census._BRENT_CALLS - 1, [False, True], 3),
                                    (3 + census._BRENT_CALLS, [True, True], None)):
         records, root_cells = [], []
-        mask, used = census._settle(f, 1, lo, hi, up, 1e-12, 1e-9, budget, records, root_cells)
+        mask, used = census._settle(f, 1, *_one(f), lo, hi, up, 1e-12, budget, records,
+                                    root_cells)
         assert mask.tolist() == settled
         assert used <= budget
         if spent is not None:
@@ -530,22 +545,28 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
 
 def test_brent_reuses_the_ends_settle_computed(monkeypatch):
     """Brent's method gets g at the bracket ends from _settle's pass over
-    the ends, the first _g_many call, which holds exactly the two ends: g is
+    the ends, one _g_ends call, which holds exactly the two ends: g is
     never computed again there, and the root is the one scipy's brentq
     gives on a bracket with freshly computed ends."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49]), np.array([0.505])
-    calls = []
-    g_many = census._g_many
+    calls, ends = [], []
+    g_many, g_ends = census._g_many, census._g_ends
 
     def recorded(f, xs, n):
         calls.append(list(xs))
         return g_many(f, xs, n)
 
+    def recorded_ends(f, xs, *args):
+        ends.append(list(xs))
+        return g_ends(f, xs, *args)
+
     monkeypatch.setattr(census, "_g_many", recorded)
+    monkeypatch.setattr(census, "_g_ends", recorded_ends)
     records = []
-    mask, used = census._settle(f, 1, lo, hi, np.array([False]), 1e-12, 1e-9, 10_000, records, [])
-    ends, *steps = calls
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False]), 1e-12, 10_000,
+                                records, [])
+    (ends,), steps = ends, calls
     seen = [x for xs in steps for x in xs]
     assert ends == [0.49, 0.505]
     assert mask.tolist() == [True] and used == 2 + len(seen) + 1  # and the record's orbit
@@ -564,8 +585,8 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
     records, root_cells = [], []
-    mask, used = census._settle(f, 1, lo, hi, np.array([False, False]), 1e-12, 1e-9, 10_000,
-                                records, root_cells)
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False, False]), 1e-12,
+                                10_000, records, root_cells)
     assert mask.tolist() == [True, True]
     (record,) = records
     assert record.certified and abs(record.location - 0.5) <= record.halfwidth
@@ -581,8 +602,8 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
     records, root_cells = [], []
-    mask, used = census._settle(f, 1, lo, hi, np.array([False, True]), 1e-12, 1e-9, 10_000,
-                                records, root_cells)
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False, True]), 1e-12,
+                                10_000, records, root_cells)
     assert mask.tolist() == [False, False]
     assert used == 3 and records == []
     assert all(s.size == 0 for s, _ in root_cells)
@@ -664,8 +685,8 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     up = np.array([gc > ga for ga, gc in (census._g_many(f, [a, c], 5)
                                           for a, c in zip(lo.tolist(), hi.tolist()))])
     # each root alone: its two ends, then Brent's calls and the record
-    alone = [census._settle(f, 5, lo[i:i + 1], hi[i:i + 1], up[i:i + 1], 1e-12, 1e-9, 10_000,
-                            [], [])[1] - 2 for i in range(3)]
+    alone = [census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1], up[i:i + 1], 1e-12,
+                            10_000, [], [])[1] - 2 for i in range(3)]
     assert all(1 < c < census._BRENT_CALLS for c in alone)
     worst = census._BRENT_CALLS
     crossed = False
@@ -677,7 +698,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
             records = []
-            mask, used = census._settle(f, 5, lo, hi, up, 1e-12, 1e-9, budget, records, [])
+            mask, used = census._settle(f, 5, *_one(f), lo, hi, up, 1e-12, budget, records, [])
             assert mask.tolist() == want, budget
             assert used == (spent if budget >= 6 else 0) and len(records) == sum(want)
             # the third root fits only once the first wave's calls are charged
@@ -703,12 +724,13 @@ def test_settle_leaves_a_run_unsettled_when_brent_runs_out(monkeypatch):
             yield a + k * (b - a) / 4
         return None
 
-    alone = census._settle(f, 5, lo[1:], hi[1:], up[1:], 1e-12, 1e-9, 10_000, [], [])[1]
+    alone = census._settle(f, 5, *_one(f), lo[1:], hi[1:], up[1:], 1e-12, 10_000, [], [])[1]
     monkeypatch.setattr(census, "_brent", failing)
     for limit in (0, 10**9):
         monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
         records, root_cells = [], []
-        mask, used = census._settle(f, 5, lo, hi, up, 1e-12, 1e-9, 10_000, records, root_cells)
+        mask, used = census._settle(f, 5, *_one(f), lo, hi, up, 1e-12, 10_000, records,
+                                    root_cells)
         assert mask.tolist() == [False, True]
         assert len(records) == 1 and lo[1] < records[0].location < hi[1]
         assert [cells.tolist() for cells in root_cells[-1]] == [[lo[1]], [hi[1]]]
@@ -749,17 +771,18 @@ def test_record_fields_are_plain_python_values(monkeypatch, limit):
             assert type(value) in (float, int, bool, str), (field.name, type(value))
 
 
-def test_census_stops_at_once_when_the_slack_exceeds_every_value_of_g():
-    """Once the float slack ev is at least 2R >= |g|, no cell can be
-    excluded and no end clears ev: unperturbed x^2 - 1 at n = 44 (ev about
-    6.9) and n = 48 (ev about 140) returns [-R, R] uncertified without
-    computing an orbit."""
-    for n in (44, 48):
+def test_unperturbed_quadratic_certifies_at_periods_48_64_and_96():
+    """Every test reads its own cell's float bound, so the census of
+    x^2 - 1 certifies far past the period (about 44) at which a global
+    slack, growing like sup |f'|^n = 2.125^n, reaches 2R >= |g| and can
+    decide nothing: the fixed point and the 2-cycle, with a few thousand
+    evaluations."""
+    for n in (48, 64, 96):
         res = find_periodic(quad(), n)
-        R = res.radius
-        assert _census_bounds(_map_bounds(as_perturbed(quad()), R), R, n).ev >= 2.0 * R
-        assert res.evaluations == 0 and res.records == []
-        assert res.uncertified_regions == [(-R, R)] and not res.certified
+        assert res.certified and res.uncertified_regions == []
+        assert res.count == 3 and res.evaluations <= 3_000
+        assert any(r.location == 0.0 for r in res.records)
+        assert any(abs(r.location - GOLDEN) <= 1e-12 for r in res.records)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -800,6 +823,27 @@ def test_g_many_equals_stepwise_eval_many_minus_the_start():
                         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_g_ends_is_the_zero_width_tube_on_both_paths():
+    """_g_ends' scalar loop performs the zero-width tube's float operations,
+    so g = y - x and its bound r + 8 eps R equal _tube_many's bit for bit on
+    both sides of the scalar-path limit, at -R, R and signed zeros too."""
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    maps = ((PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None),
+            (parabolic(), None), (as_perturbed(PolynomialMap.univariate(CHAOTIC)), 1.0))
+    limit = census._SCALAR_POINTS
+    for f, radius in maps:
+        R = _resolve_radius(f, radius)
+        b = _map_bounds(f, R)
+        pool = np.concatenate([[R, -R, 0.0, -0.0], np.linspace(-R, R, limit + 3)[1:-1]])
+        for size in (1, limit, limit + 1):
+            xs = pool[:size]
+            for n in (1, 7):
+                y, r, _, _ = _tube_many(f, xs, np.zeros(size), n, R, b)
+                g, bound = _g_ends(f, xs.tolist(), n, R, b)
+                assert g.tobytes() == (y - xs).tobytes()
+                assert bound.tobytes() == (r + 8.0 * census._EPS * R).tobytes()
+
+
 def test_tube_clamp_equals_clip():
     """The tube clamps each image to [-R, R] with np.clip's floats, bit for
     bit: NaN of either sign, signed zeros, +-R and values beyond +-R."""
@@ -814,7 +858,7 @@ def test_tube_clamp_equals_clip():
         def deriv_many(self, y):
             return np.zeros_like(y)
 
-    b = census._Bounds(D1=1.0, D2=0.0, L=2.0, step=0.0, ev=0.0, ev_d=0.0)
+    b = census._MapBounds(D1=1.0, D2=0.0, step=0.0)
     y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, R, b)[0]
     assert y.tobytes() == np.clip(v, -R, R).tobytes()
 
@@ -851,27 +895,34 @@ def _tube_map(family: str, seed: int):
 @given(
     family=st.sampled_from(["quadratic", "chaotic", "contraction"]),
     seed=st.integers(0, 2**16),
-    n=st.integers(1, 10),
+    n=st.integers(1, 32),
     depth=st.integers(0, 40),
     where=st.floats(0.0, 1.0),
     ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
 )
 def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts):
-    """For every x in the cell [m - h, m + h], |f^n(x) - y_n| <= r_n and
-    |(f^n)'(x) - lam| <= lam_hi - |lam|, against exact orbits; and r_n never
-    exceeds the uniform Lipschitz bound (L_n - 1) h + ev."""
+    """Against exact orbits, for every x in the cell [m - h, m + h]:
+    |f^n(x) - y_n| <= r_n, |g(x) - g| <= spread and |(f^n)'(x) - lam| <= dev
+    for the padded bounds the census reads; and g at m from its zero-width
+    tube lies within that orbit's own bound, on both paths of _g_ends."""
     f, radius = _tube_map(family, seed)
     R = _resolve_radius(f, radius)
-    b = _census_bounds(_map_bounds(f, R), R, n)
+    b = _map_bounds(f, R)
     h = R * 2.0**-depth
     m = -R + h + where * (2.0 * R - 2.0 * h)
-    y, r, lam, lam_hi = (float(v[0]) for v in _tube_many(f, np.array([m]), np.array([h]), n, R, b))
-    assert r <= (b.L - 1.0) * h + b.ev
+    tube = _tube_many(f, np.array([m]), np.array([h]), n, R, b)
+    y, r = float(tube[0][0]), float(tube[1][0])
+    c = _cells(np.array([m]), np.array([h]), n, R, tube)
     for t in [-1.0, 0.0, 1.0] + ts:
         x = min(max(m + t * h, -R), R)
         fx, dfx = _exact_orbit(f, x, n)
         assert abs(fx - y) <= r
-        assert abs(dfx - lam) <= lam_hi - abs(lam)
+        assert abs(fx - x - c.g[0]) <= c.spread[0]
+        assert abs(dfx - c.lam[0]) <= c.dev[0]
+    fm = _exact_orbit(f, m, n)[0]
+    for pad in (0, census._SCALAR_POINTS):  # the scalar loop, then the array path
+        g, bound = _g_ends(f, [m] * (pad + 1), n, R, b)
+        assert abs(fm - m - g[0]) <= bound[0]
 
 
 # -- almost-periodic covers ------------------------------------------------------
@@ -968,6 +1019,18 @@ def test_ih_fails_on_parabolic_plant():
     assert report.witness is w
 
 
+def test_ih_witness_reads_its_midpoint_below_the_width_floor():
+    """At C = 30 the threshold is 9.4e-14, below what any box wider than
+    the floor 1e-9 R proves of all its points, so the witness midpoint is
+    tested by its own zero-width tube: the fixed point 0 of x - x^3 is
+    refuted, with a witness of |g| and gap under the threshold."""
+    row = ih_check(parabolic(), GrowthParams(C=30.0, delta=0.0), 1, radius=0.5).rows[0]
+    assert row.status == "fails" and row.threshold < 1e-13
+    w = row.witness
+    assert w.kind == "witness" and 0 < abs(w.location) <= w.halfwidth < 1e-6
+    assert abs(w.location**3) <= row.slack and w.gap < row.threshold
+
+
 def test_ih_budget_exhaustion_is_indeterminate():
     report = ih_check(
         half(), GrowthParams(C=1.0, delta=0.5), 1, max_evaluations_per_period=100
@@ -981,9 +1044,11 @@ def test_ih_budget_exhaustion_is_indeterminate():
 
 
 def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
-    """A stage's tube rounds and its witness's record together compute at
-    most max_evaluations_per_period orbits: on x - x^3 one 256-cell round
-    finds the witness, which a budget of 256 cannot also pay for."""
+    """A stage's tube rounds, the zero-width tubes of its witness candidates
+    and its witness's record together compute at most
+    max_evaluations_per_period orbits: on x - x^3 one 256-cell round finds
+    the witness, and a budget one orbit short of the three cannot pay for
+    them."""
     orbits = []
     tube, records_at = census._tube_many, census._records_at
 
@@ -995,17 +1060,21 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
         orbits.append(len(xs))
         return records_at(f, n, xs, *args)
 
-    monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_records_at", counted_records)
-    statuses = {}
-    for budget in (0, 255, 256, 257, 300, 1000, 400_000):
+    def status(budget):
         orbits.clear()
         report = ih_check(parabolic(), GrowthParams(C=1.0, delta=1.0), 1,
                           max_evaluations_per_period=budget)
         assert sum(orbits) <= budget
-        statuses[budget] = report.status
-    assert statuses[256] == "indeterminate"
-    assert statuses[257] == statuses[400_000] == "fails"
+        return report.status
+
+    monkeypatch.setattr(census, "_tube_many", counted_tube)
+    monkeypatch.setattr(census, "_records_at", counted_records)
+    assert status(400_000) == "fails"
+    (cells, candidates, record), full = orbits, sum(orbits)
+    assert cells == 256 and 0 < candidates < 256 and record == 1
+    for budget in (0, 255, 256, 257, full - 1):
+        assert status(budget) == "indeterminate"
+    assert status(full) == "fails"
 
 
 def test_ih_threshold_underflow_is_not_a_pass():
@@ -1020,6 +1089,19 @@ def test_ih_threshold_underflow_is_not_a_pass():
     (row,) = report.rows
     assert row.witness is None
     assert any(lo <= 0.0 <= hi for lo, hi in row.unresolved)
+
+
+def test_ih_holds_through_stage_48_on_a9_bricks():
+    """On the seeded (42, 0..2) bricks of the a9 experiment at a9-like
+    C = 2.2, delta = 1, every stage through 48 holds.  Each box reads its
+    own multiplier bound; a global one, 64 eps sup |f'|^k k, passes the gap
+    of about 1 at the superattracting 2-cycle near stage 38, after which
+    no box there could be proved hyperbolic."""
+    params = GrowthParams(C=2.2, delta=1.0)
+    for i in range(3):
+        eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, i))
+        report = ih_check(PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), params, 48)
+        assert [row.status for row in report.rows] == ["holds"] * 48, i
 
 
 def test_ih_rejects_negative_n_max():

@@ -52,6 +52,16 @@ def test_census_json_output(capsys):
     assert payload["points"][0]["location"] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_census_exit_code_says_whether_it_certified(capsys):
+    """Text and JSON output alike exit 1 for an uncertified census: the
+    triple fixed point of x - x^3 leaves a tangential window open."""
+    args = ["census", "--coeffs", "0,1,0,-1", "--radius", "0.5", "--period", "1", "--tol", "1e-4"]
+    assert main(args) == 1
+    assert "certified: False" in capsys.readouterr().out
+    assert main(args + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["certified"] is False
+
+
 def test_perturb_close_command(capsys):
     rc = main(
         ["perturb", "close", "--coeffs", "0,2", "--x0", "0.1", "--period", "2"]
