@@ -16,11 +16,15 @@ only floating-point error model: every decision reads its own cell's tube,
 or at a point a tube of zero width, so no slack grows with the global
 Lipschitz bound sup |f'|^n.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g strictly monotone, and the values of g at its two
-endpoints settle it: no solution, or exactly one, which Brent's method
-brackets to the requested tolerance.  The roots a round settles are located
-together: one Brent per bracket (an in-repo transcription of scipy's
-brentq, bit for bit), all advanced in lockstep on one evaluation of g per
-step, and their records taken from one orbit pass.  An
+endpoints settle it: no solution, or exactly one, which the interval
+Newton operator N(X) = m - G(m) / D(X) encloses (Moore, Kearfott and
+Cloud, Introduction to Interval Analysis, 2009, ch. 8): G(m) is g at the
+midpoint m of X with its zero-width tube's bound, D(X) the enclosure of g'
+from the box tube of X, and X shrinks to its intersection with N(X),
+which keeps the root.  The first step is N at the cell's ends, from the
+values that settled it; each later step is one orbit, the last one gives
+the record, whose halfwidth is tol, or what the contraction proves where
+the float noise floor stops it above tol.  An
 endpoint value decides a sign only when it clears its own bound, so a
 root on (or within the bound of) a cell end would leave both cells beside
 it undecided at every depth; a dyadic root such as the fixed point 1/2 of
@@ -50,12 +54,11 @@ reported evaluations do not depend on what came before.  The memo
 and assumes a map is not mutated after it is built, as the 1-D fold
 already does.
 
-Orbits of points outside the cell tubes come from _g_ends (g at the ends
-settled, with their bounds), _g_many (Brent's steps and the probes of open
-windows) and _records_at (the records).  Each iterates up to _SCALAR_POINTS
-points one at a time with f.evaluate, cheaper than an array call there, and
-more with eval_many; a 1-D map's evaluate and eval_many perform the same
-float operations in the same order, so the choice never changes a value.
+Orbits of points outside the cell tubes (_g_ends and _tubes_at) take up to
+_SCALAR_POINTS points one at a time with f.evaluate, cheaper than an array
+call there, and more with eval_many; a 1-D map's evaluate and eval_many
+perform the same float operations in the same order, so the choice never
+changes a value.
 
 On top of the census sit:
 
@@ -76,6 +79,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -166,9 +170,10 @@ class CensusResult:
     """Outcome of one period-n census.
 
     `evaluations` counts n-step orbits of points: the orbit tubes, the
-    distinct ends of the intervals settled, Brent's calls, the probes of
-    open cluster windows and the orbit that gives each record its
-    multiplier, including the initial grid's orbits reused from
+    distinct ends of the intervals settled, the interval Newton steps (a
+    root's last one gives its record), the probes of open cluster windows
+    and each tangential candidate's record, including the initial grid's
+    orbits reused from
     an earlier call on the same map: the count, and so the budget, is the
     same whatever ran before.  That reuse assumes the map is not mutated
     after it is built."""
@@ -201,27 +206,12 @@ class CensusResult:
 # f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
 # 14 us at any size up to a few dozen points and a scalar step about 0.7 us
 # per point (degree 9, with and without a root-product term), so the two
-# cross at 20-24 points.  Only _g_many, _g_ends and _records_at read it.
+# cross at 20-24 points.  _g_ends and _newton read it.
 _SCALAR_POINTS = 16
 
-
-def _g_many(f, xs: list, n: int) -> np.ndarray:
-    """g = f^n - id at each float of the list xs, as n steps of eval_many
-    minus the start give it bit for bit: a few points take the scalar path,
-    f.evaluate per point and step, which performs the same float operations
-    (see PerturbedMap)."""
-    if len(xs) <= _SCALAR_POINTS:
-        out = []
-        for x in xs:
-            y = x
-            for _ in range(n):
-                y = f.evaluate(y)
-            out.append(y - x)
-        return np.array(out, dtype=float)
-    x = y = np.array(xs, dtype=float)
-    for _ in range(n):
-        y = f.eval_many(y)
-    return y - x
+# a record's least period is the first divisor d of n with |f^d(x) - x| at
+# most this times max(1, |x|): metadata, not certified
+_LEAST_PERIOD_TOL = 1e-8
 
 
 class _MapBounds(NamedTuple):
@@ -307,8 +297,8 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Ma
     needs |f'(x_k) - f'(y_k)| <= s_k - |f'(y_k)|, which the cap would break.
 
     Given the (mids, halves) as the tube (y, r) at some step k and the
-    (lam, lam_hi) there, it continues that tube to step k + n.  Every
-    update is out of place, so the arrays passed in are never changed.
+    (lam, lam_hi) there, it continues that tube to step k + n; radii stacked
+    as halves (j, cells) share y and lam.  Every update is out of place.
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
@@ -325,29 +315,66 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Ma
 
 
 def _g_ends(f, xs: list, n: int, R: float, b: _MapBounds):
-    """(g, bound) at each float x of the list xs: g = y - x from the
-    zero-width orbit tube (y, r) of x, and bound = r + 8 eps R (8 eps R for
-    the subtraction) >= |g(x) - g|.  Up to _SCALAR_POINTS points take a
-    scalar loop of the tube's float operations, without the multiplier, and
-    more take _tube_many; the two agree bit for bit."""
-    pad = 8.0 * _EPS * R
-    if len(xs) > _SCALAR_POINTS:
-        x = np.array(xs, dtype=float)
-        y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, R, b)
-        return y - x, r + pad
+    """(g, bound) at each float x of the list xs from its zero-width orbit
+    tube, as _tubes_at gives them: up to _SCALAR_POINTS points take its
+    loop, and more take _tube_many, with the same floats."""
+    if len(xs) <= _SCALAR_POINTS:
+        return np.array(_tubes_at(f, xs, None, n, R, b)).reshape(-1, 2).T
+    x = np.array(xs, dtype=float)
+    y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, R, b)
+    return y - x, r + 8.0 * _EPS * R
+
+
+def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBounds) -> list:
+    """The orbit tubes of radius 0 and of radius h (the list halves) of
+    each float x of the list xs, one point at a time: per point (g, bound,
+    lam, dev, least), g = y - x and bound = r + 8 eps R >= |g(x) - g| from
+    the zero-width tube (y, r), lam and dev as _cells gives them for the
+    box [x - h, x + h], and least the first divisor d < n of n with
+    |y_d - x| <= _LEAST_PERIOD_TOL max(1, |x|) (n when there is none).  Both
+    radii ride the same y and lam.  With halves None (_g_ends) only (g,
+    bound) is computed.  The loop performs _tube_many's float operations,
+    so it agrees with _tubes_at_many bit for bit."""
     D1, D2, step = b
-    evaluate, derivative, d_slack, cap = f.evaluate, f.derivative, 64.0 * _EPS * D1, 2.0 * R
-    g, bound = np.empty(len(xs)), np.empty(len(xs))
-    for i, x in enumerate(xs):
-        y, r = x, 0.0
-        for _ in range(n):
-            s = abs(derivative(y)) + D2 * r + d_slack
+    evaluate, derivative = f.evaluate, f.derivative
+    d_slack, cap, pad = 64.0 * _EPS * D1, 2.0 * R, 8.0 * _EPS * R
+    box, proper, out = halves is not None, {d for d in range(1, n) if n % d == 0}, []
+    for x, r in zip(xs, halves if box else xs):
+        y, r0, lam, lam_hi, least = x, 0.0, 1.0, 1.0, n
+        near = _LEAST_PERIOD_TOL * max(1.0, abs(x))
+        for k in range(1, n + 1):
+            d = derivative(y)
+            s0 = abs(d) + D2 * r0 + d_slack
             y = evaluate(y)
             y = R if y > R else -R if y < -R else y  # _tube_many's clamp, NaN and -0.0 too
-            r = (D1 if s > D1 else s) * r + step
-            r = cap if r > cap else r
-        g[i], bound[i] = y - x, r + pad
-    return g, bound
+            r0 = (D1 if s0 > D1 else s0) * r0 + step
+            r0 = cap if r0 > cap else r0
+            if box:  # the box's tube, the multiplier and the least period
+                s = abs(d) + D2 * r + d_slack
+                lam *= d
+                lam_hi *= s
+                r = (D1 if s > D1 else s) * r + step
+                r = cap if r > cap else r
+                if k in proper and least == n and abs(y - x) <= near:
+                    least = k
+        dev = lam_hi * (1.0 + (8 * n + 4) * _EPS) - abs(lam)
+        out.append((y - x, r0 + pad, lam, dev, least) if box else (y - x, r0 + pad))
+    return out
+
+
+def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds):
+    """_tubes_at as arrays (g, bound, lam, dev, least), from one _tube_many
+    over the stacked radii (0, h) per divisor of n."""
+    y, r, lam, lam_hi = x, np.stack([np.zeros(x.size), halves]), 1.0, 1.0
+    near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
+    least, k = np.full(x.size, n), 0
+    for d in [d for d in range(1, n) if n % d == 0] + [n]:
+        y, r, lam, lam_hi = _tube_many(f, y, r, d - k, R, b, lam, lam_hi)
+        if d < n:
+            least[(least == n) & (np.abs(y - x) <= near)] = d
+        k = d
+    return (y - x, r[0] + 8.0 * _EPS * R, lam,
+            lam_hi[1] * (1.0 + (8 * n + 4) * _EPS) - np.abs(lam), least)
 
 
 def _grid(f, R: float, k0: int):
@@ -398,6 +425,11 @@ class _Cells(NamedTuple):
     spread: np.ndarray
     lam: np.ndarray
     dev: np.ndarray
+
+    def slopes(self, idx: np.ndarray) -> np.ndarray:
+        """Rows lam - 1 -+ dev: enclosures of g' = (f^n)' - 1 on cells idx."""
+        d, dev = self.lam[idx] - 1.0, self.dev[idx]
+        return np.array([d - dev, d + dev])
 
 
 def _cells(mids: np.ndarray, halves: np.ndarray, n: int, R: float, tube) -> _Cells:
@@ -472,26 +504,28 @@ def find_periodic(
     Cells are bisected in rounds: a cell is dropped when its orbit tube
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
-    one, which Brent's method brackets; a round's roots are located
-    together, see _settle).  Every test reads the cell's own tube (_cells),
-    and an endpoint value decides only when |g| there clears its own
-    orbit's error bound (_g_ends); adjacent monotone cells of the same
-    direction whose shared end does not clear it are settled together,
-    from the outer ends of their union, on which g is strictly monotone
-    too.  So a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2)
-    is located in the round that reaches it.  The rest shrink to halfwidth
-    <= tol and merge into clusters; each cluster, widened by 2 tol on each
-    side, is settled by the same test.  A window the test leaves open is
-    reported in `uncertified_regions`, with a "tangential-candidate" record
-    when |g| at its ends or midpoint is within the window tube's spread.
-    Certified enclosures have halfwidth tol, or tol / 4 + 4 eps |x| when
-    that is larger.  The uniform Lipschitz bound L_n = sup |f'|^n + 1
-    decides no cell: it is reported as `lipschitz`, and a period at which
-    it overflows raises ConfigurationError (_refine).  Every evaluation counts against
-    `max_evaluations`.  An exhausted budget leaves the unresolved frontier
-    in `uncertified_regions`, and the cluster windows too when it cannot
-    pay for their pass, and the result uncertified.  Maps of dimension
-    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+    one, which the interval Newton contraction encloses; a round's roots
+    are located together, see _settle).  Every test reads the cell's own
+    tube (_cells), and an endpoint value decides only when |g| there
+    clears its own orbit's error bound (_g_ends); adjacent monotone cells
+    of the same direction whose shared end does not clear it are settled
+    together, from the outer ends of their union, on which g is strictly
+    monotone too.  So a root on a cell end (0 for x^2 - 1, 1/2 for
+    0.95 - 1.8x^2) is located in the round that reaches it.  The rest
+    shrink to halfwidth <= tol and merge into clusters; each cluster,
+    widened by 2 tol on each side, is settled by the same test.  A window
+    the test leaves open is reported in `uncertified_regions`, with a
+    "tangential-candidate" record when |g| at its ends or midpoint is
+    within the window tube's spread.  Certified enclosures are proved, of
+    halfwidth tol, or wider where the float noise floor stops the
+    contraction (see _contract).  The uniform Lipschitz bound
+    L_n = sup |f'|^n + 1 decides no cell: it is reported as `lipschitz`,
+    and a period at which it overflows raises ConfigurationError
+    (_refine).  Every evaluation counts against `max_evaluations`.  An
+    exhausted budget leaves the unresolved frontier in
+    `uncertified_regions`, and the cluster windows too when it cannot pay
+    for their pass, and the result uncertified.  Maps of dimension >= 2,
+    and periods that are not integers >= 1, raise InvalidInputError.
 
     The certified radius, the bounds, the initial grid and its orbit tube
     are kept per map and reused by later calls on it (the tube extended
@@ -517,7 +551,7 @@ def find_periodic(
         keep = np.abs(c.g) <= c.spread
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
         settled, spent = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
-                                 c.mids[idx] + c.halves[idx], c.lam[idx] > 1.0, tol, budget,
+                                 c.mids[idx] + c.halves[idx], c.slopes(idx), tol, budget,
                                  records, root_cells)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
@@ -546,7 +580,7 @@ def find_periodic(
         a = np.maximum(los - 2.0 * tol, left)
         c = np.minimum(his + 2.0 * tol, right)
         # the window pass takes a tube, up to three probes and a candidate's
-        # record per window; _settle pays for the ends and Brent's method
+        # record per window; _settle pays for the ends and the Newton steps
         # from what is left
         budget = max_evaluations - evaluations - 5 * a.size
         if budget < 0:
@@ -556,7 +590,7 @@ def find_periodic(
             half = (c - a) / 2.0
             w = _cells(mid, half, n, R, _tube_many(f, mid, half, n, R, b))
             idx = np.flatnonzero(np.abs(w.lam - 1.0) > w.dev)
-            settled, spent = _settle(f, n, R, b, a[idx], c[idx], w.lam[idx] > 1.0, tol, budget,
+            settled, spent = _settle(f, n, R, b, a[idx], c[idx], w.slopes(idx), tol, budget,
                                      records, root_cells)
             evaluations += a.size + spent
             open_ = np.ones(a.size, dtype=bool)
@@ -565,14 +599,15 @@ def find_periodic(
             if u.size:
                 # a tangency (or a root at the noise floor) leaves the window open
                 pts = np.concatenate([a[u], mid[u], c[u]])
-                gabs = np.abs(_g_many(f, pts.tolist(), n)).reshape(3, u.size)
+                gabs = np.abs(_g_ends(f, pts.tolist(), n, R, b)[0]).reshape(3, u.size)
                 evaluations += pts.size
                 # each window's probe nearest a root; ties go to the leftmost
                 best = pts.reshape(3, u.size)[np.argmin(gabs, axis=0), np.arange(u.size)]
                 near = gabs.min(axis=0) <= w.spread[u]
                 xs = best[near].tolist()
-                records.extend(_records_at(f, n, xs, half[u[near]].tolist(), False,
-                                           "tangential-candidate"))
+                hws, orbits = half[u[near]].tolist(), _tubes_at(f, xs, [0.0] * len(xs), n, R, b)
+                records.extend(_record(n, x, h, g, lam, least, False, "tangential-candidate")
+                               for x, h, (g, _, lam, _, least) in zip(xs, hws, orbits))
                 evaluations += len(xs)
                 uncertified.extend(zip(a[u].tolist(), c[u].tolist()))
 
@@ -588,80 +623,162 @@ def find_periodic(
     )
 
 
-def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray, up: np.ndarray,
-            tol: float, budget: int, records: list, root_cells: list):
+def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
+            slope: np.ndarray, tol: float, budget: int, records: list, root_cells: list):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
-    proved strictly monotone, increasing where `up` holds and decreasing
-    elsewhere, from g at the ends, where |g| clears (exceeds) its own
-    orbit's error bound (_g_ends) or does not.
+    proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
+    from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
+    own orbit's error bound (_g_ends) or does not.
 
     The intervals join into runs: two join when they share an end exactly,
     are monotone in the same direction, and g at the shared end does not
     clear (a root on or near that end).  g is strictly monotone on the
-    union, so a run is decided by its two outer ends as an interval is:
-    when both clear, opposite signs mean exactly one root, which Brent's
-    method locates (its record goes to `records`, the run's (lo, hi) to
-    `root_cells`), and one sign means none.  The value at a joined end is
-    never used for a sign.  Where nothing joins, the runs are the intervals
-    themselves, and the sort that finds the joins runs only when some
-    interval has an end that did not clear.
+    union, with g' in the hull of the slopes, so a run is decided by its two
+    outer ends as an interval is: when both clear, opposite signs mean
+    exactly one root, which _newton encloses (its record goes to `records`,
+    the run's (lo, hi) to `root_cells`), and one sign means none.  The
+    value at a joined end is never used for a sign.
 
     An end shared by two intervals is evaluated once, all ends in one
-    _g_ends call, whose values Brent's method reuses.  Nothing is settled
-    when `budget` cannot pay for the ends.  The roots are located in waves
-    (_locate): a wave is the longest prefix of the roots still to locate
-    that what is left pays for at Brent's worst and the record's orbit
-    (_BRENT_CALLS evaluations each), and its actual calls are charged
-    before the next wave, so a root is located exactly when taking the
-    roots one at a time under that rule would locate it; its run stays
-    unsettled otherwise, as it does when Brent's method runs out of
-    iterations.  A wave's records come from one orbit pass (_records_at).
-    Returns the mask of the settled intervals and the evaluations spent,
-    at most `budget`."""
-    index: dict = {}  # distinct end -> its place in `ends`
+    _g_ends call, whose values _newton's first step reads.  Nothing is
+    settled when `budget` cannot pay for the ends.  The roots are located in
+    waves: the longest prefix of the roots left that what is left pays for
+    at _NEWTON_STEPS orbits each, its actual orbits charged before the next,
+    so a root is located exactly when taking the roots one at a time under
+    that rule would locate it; its run stays unsettled otherwise.  Returns
+    the mask of the settled intervals and the evaluations spent (at most
+    `budget`)."""
+    index: dict = {}  # distinct end -> its place in the _g_ends call
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
         return np.zeros(lo.size, dtype=bool), 0
     g, bound = (v[at] for v in _g_ends(f, list(index), n, R, b))
-    spent = len(index)
-    glo, ghi = g[: lo.size], g[lo.size :]
-    clear_lo, clear_hi = np.split(np.abs(g) > bound, [lo.size])
+    spent, k = len(index), lo.size
+    x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
     run = None  # each interval's run, once some intervals join
-    if not (clear_lo & clear_hi).all():
+    if not clear.all():
+        up = slope[0] > 0.0
         order = np.argsort(lo, kind="stable")
         a, c = order[:-1], order[1:]
-        join = (hi[a] == lo[c]) & (up[a] == up[c]) & ~clear_hi[a]
+        join = (hi[a] == lo[c]) & (up[a] == up[c]) & ~clear[k:][a]
         if join.any():
             starts = np.concatenate([[True], ~join])
-            run = np.empty(lo.size, dtype=np.intp)
+            run = np.empty(k, dtype=np.intp)
             run[order] = np.cumsum(starts) - 1
-            # from here on the arrays describe the runs' outer ends
-            first, last = order[starts], order[np.concatenate([~join, [True]])]
-            lo, glo, clear_lo = lo[first], glo[first], clear_lo[first]
-            hi, ghi, clear_hi = hi[last], ghi[last], clear_hi[last]
-    settled = clear_lo & clear_hi
-    pending = np.flatnonzero(settled & ((glo > 0) != (ghi > 0)))
-    brackets = list(zip(lo[pending].tolist(), hi[pending].tolist(), glo[pending].tolist(),
-                        ghi[pending].tolist()))
-    xtol, rtol = tol / 4, 4 * _EPS
-    roots: list = []
-    while len(roots) < len(brackets):
-        # a wave: as many roots as what is left pays for at Brent's worst
-        k = (budget - spent) // _BRENT_CALLS
-        if not k:
+            # from here on the arrays describe the runs: outer ends, hulls of slopes
+            cuts = np.flatnonzero(starts)
+            outer = np.concatenate([order[cuts], order[np.append(cuts[1:], k) - 1] + k])
+            x, g, bound, clear = x[outer], g[outer], bound[outer], clear[outer]
+            slope = np.array([np.minimum.reduceat(slope[0, order], cuts),
+                              np.maximum.reduceat(slope[1, order], cuts)])
+            k = cuts.size
+    settled = clear[:k] & clear[k:]
+    pending = np.flatnonzero(settled & ((g[:k] > 0) != (g[k:] > 0)))
+    # rows a, c, g(a), g(c), bound(a), bound(c), t, dl, dh: t g rises, 0 < dl <= (t g)' <= dh
+    up = slope[0] > 0.0
+    brackets = np.concatenate([x, g, bound, np.where(up, 1.0, -1.0),
+                               np.where(up, slope, -slope[::-1]).ravel()]).reshape(9, k)
+    brackets = brackets[:, pending].T
+    located: list = []
+    while len(located) < pending.size:
+        wave = (budget - spent) // _NEWTON_STEPS
+        if not wave:
             break
-        wave, calls = _locate(f, n, brackets[len(roots) : len(roots) + k], xtol, rtol)
-        found = [x for x in wave if x is not None]
-        # a computed sign change of g lies within xtol + rtol |x| of the root
-        records.extend(_records_at(f, n, found, [max(tol, xtol + rtol * abs(x)) for x in found],
-                                   True, "simple"))
-        spent += calls + len(found)
-        roots += wave
-    located = np.zeros(pending.size, dtype=bool)
-    located[: len(roots)] = [x is not None for x in roots]
-    settled[pending] = located
-    root_cells.append((lo[pending[located]], hi[pending[located]]))
+        found, calls = _newton(f, n, R, b, brackets[len(located) : len(located) + wave], tol)
+        spent += calls
+        located += found
+    records.extend(_record(n, *fields, True, "simple") for fields in located)
+    settled[pending[len(located):]] = False
+    root_cells.append((brackets[: len(located), 0], brackets[: len(located), 1]))
     return (settled if run is None else settled[run]), spent
+
+
+# The contraction's orbits per root at worst: each step but the last at
+# least halves the enclosure, and a contraction cut off proves a wider one
+_NEWTON_STEPS = 40
+
+
+# np.maximum, np.minimum and np.where for Python floats, taking the second
+# of two equal operands as NumPy does (-0.0 and 0.0 included)
+_pyfloat = SimpleNamespace(maximum=lambda a, c: a if a > c else c,
+                           minimum=lambda a, c: a if a < c else c,
+                           where=lambda cond, a, c: a if cond else c)
+
+
+def _newton_image(xp, x, g, bound, dl, dh, R: float):
+    """Newton's operator x - G / D on floats (xp = _pyfloat) or arrays
+    (xp = np), for G = [g - bound, g + bound] holding g(x) and D = [dl, dh],
+    dl > 0, the slopes of g between x and a root: [lo, hi] holds the root.
+    With x in [-R, R] the pad 8 eps R covers the rounding of a quotient q
+    and of x - q while |q| <= 3R; a larger q puts that end outside [-R, R]."""
+    gl, gh = g - bound, g + bound
+    pad = 8.0 * _EPS * R
+    return (x - gh / xp.where(gh >= 0.0, dl, dh) - pad,
+            x - gl / xp.where(gl >= 0.0, dh, dl) + pad)
+
+
+def _start(xp, a, c, ga, gc, ba, bc, t, dl, dh, R: float):
+    """The contraction's first step on [a, c], with no orbit: Newton's
+    operator at both ends, from the g and bounds that settled the run."""
+    la, ha = _newton_image(xp, a, t * ga, ba, dl, dh, R)
+    lc, hc = _newton_image(xp, c, t * gc, bc, dl, dh, R)
+    return xp.maximum(a, xp.maximum(la, lc)), xp.minimum(c, xp.minimum(ha, hc))
+
+
+def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, R: float, tol: float):
+    """One interval Newton step on [xl, xh] from the orbit of its midpoint
+    m, D the box's slopes lam - 1 +- dev within the run's [dl, dh].  Where
+    G(m) excludes 0 the step halves the enclosure at least.  Returns it,
+    whether to stop: when it lies within tol of m (the record's halfwidth
+    is tol) or at the noise floor, where a step does not halve it (its far
+    end from m), and that halfwidth."""
+    d = t * (lam - 1.0)
+    # the two enclosures of the slopes meet; D stays positive regardless
+    dl, dh = xp.maximum(dl, d - dev), xp.maximum(xp.minimum(dh, d + dev), dl)
+    lo, hi = _newton_image(xp, m, t * g, bound, dl, dh, R)
+    lo, hi = xp.maximum(lo, xl), xp.minimum(hi, xh)
+    below, above = m - lo, hi - m
+    done = (below <= tol) & (above <= tol)
+    halfwidth = xp.where(done, tol, xp.maximum(below, above))
+    return lo, hi, done | (hi - lo > 0.5 * (xh - xl)), halfwidth
+
+
+def _newton(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float):
+    """Enclose the root of g = f^n - id in each row (a, c, g(a), g(c),
+    bound(a), bound(c), t, dl, dh) of `brackets`: _start, then per step one
+    orbit of the enclosure's midpoint (_tubes_at) and _contract.  Returns
+    each bracket's record fields (m, halfwidth, g, lam, least) from its last
+    step and the orbits computed.  Brackets step in lockstep on arrays while
+    more than _SCALAR_POINTS are open, then one at a time on floats."""
+    found, calls, step = [None] * len(brackets), 0, 0
+    if len(brackets) <= _SCALAR_POINTS:
+        open_ = [(i, *_start(_pyfloat, *r, R), *r[6:]) for i, r in enumerate(brackets.tolist())]
+    else:
+        (xl, xh), idx = _start(np, *brackets.T, R), np.arange(len(brackets))
+        t, dl, dh = brackets[:, 6:].T
+        while idx.size > _SCALAR_POINTS:
+            step += 1
+            m = 0.5 * (xl + xh)
+            g, bound, lam, dev, least = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, R, b)
+            calls += m.size
+            xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, R, tol)
+            stop |= step == _NEWTON_STEPS
+            if stop.any():
+                for i, *fields in zip(*(v[stop].tolist() for v in (idx, m, hw, g, lam, least))):
+                    found[i] = tuple(fields)
+                go = ~stop
+                idx, xl, xh, t, dl, dh = (v[go] for v in (idx, xl, xh, t, dl, dh))
+        open_ = zip(*(v.tolist() for v in (idx, xl, xh, t, dl, dh)))
+    for i, x0, x1, s, d0, d1 in open_:
+        for k in range(step + 1, _NEWTON_STEPS + 1):
+            m = 0.5 * (x0 + x1)
+            ((g, bound, lam, dev, least),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, R, b)
+            x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, R, tol)
+            if stop or k == _NEWTON_STEPS:
+                break
+        found[i] = (m, hw, g, lam, least)
+        calls += k - step
+    return found, calls
 
 
 def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list:
@@ -676,136 +793,11 @@ def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list
     return [(lo, hi) for lo, hi in out]
 
 
-_LEAST_PERIOD_TOL = 1e-8
-
-
-def _records_at(f, n: int, xs: list, halfwidths: list, certified: bool, kind: str) -> list:
-    """The records of the floats xs with their halfwidths, from one orbit
-    pass each: the multiplier (f^n)'(x), the residual |f^n(x) - x| and the
-    least period, the first divisor d < n of n with |f^d(x) - x| <=
-    _LEAST_PERIOD_TOL max(1, |x|) (n when there is none).  Up to
-    _SCALAR_POINTS points are iterated one at a time, more on the array
-    path, which performs the same float operations (evaluate and eval_many,
-    derivative and deriv_many agree bit for bit), so the records do not
-    depend on the path.  Every field is a plain Python float, int, bool or
-    str."""
-    if len(xs) <= _SCALAR_POINTS:
-        orbits = []
-        for x in xs:
-            near = _LEAST_PERIOD_TOL * max(1.0, abs(x))
-            y, lam, least = x, 1.0, n
-            for d in range(1, n + 1):
-                lam *= f.derivative(y)
-                y = f.evaluate(y)
-                if least == n and d < n and n % d == 0 and abs(y - x) <= near:
-                    least = d
-            orbits.append((lam, abs(y - x), least))
-    else:
-        x = np.array(xs, dtype=float)
-        near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
-        y, lam, least = x, 1.0, np.full(x.size, n)
-        for d in range(1, n + 1):
-            lam = lam * f.deriv_many(y)
-            y = f.eval_many(y)
-            if d < n and n % d == 0:
-                least[(least == n) & (np.abs(y - x) <= near)] = d
-        orbits = zip(lam.tolist(), np.abs(y - x).tolist(), least.tolist())
-    return [
-        PeriodicPointRecord(location=loc, halfwidth=h, period=n, multiplier=m,
-                            gap=abs(abs(m) - 1.0), certified=certified, kind=kind, residual=res,
-                            least_period=d)
-        for loc, h, (m, res, d) in zip(xs, halfwidths, orbits)
-    ]
-
-
-# Brent's method evaluates g once per iteration and, in _settle, not at the
-# bracket ends, whose values _settle has computed; the root's record takes
-# one more orbit
-_BRENT_MAXITER = 100
-_BRENT_CALLS = _BRENT_MAXITER + 1
-
-
-def _brent(a: float, b: float, fa: float, fb: float, xtol: float, rtol: float):
-    """Brent's method on the bracket between a and b, where g(a) = fa and
-    g(b) = fb have opposite signs, as a generator: it yields each point at
-    which it needs g and is sent g there, and returns the root, or None
-    when _BRENT_MAXITER iterations leave it unlocated.  g is not asked for at a or
-    b (nor where a step lands on one of them exactly): fa and fb are used.
-
-    A transcription of scipy's brentq.c (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4), float operation for float operation,
-    so that the points, and the root, are brentq's bit for bit.  The root is
-    a point x with a computed sign change of g to a point within
-    xtol + rtol |x| of it, or a computed zero of g."""
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        if xcur == a:
-            fcur = fa
-        elif xcur == b:
-            fcur = fb
-        else:
-            fcur = yield xcur
-    return None
-
-
-def _locate(f, n: int, brackets: list, xtol: float, rtol: float):
-    """The roots of g = f^n - id in the sign-change brackets (a, c, g(a),
-    g(c)) (None where Brent's method runs out of iterations) and the
-    evaluations of g they took.  One Brent runs per bracket, all advanced
-    in lockstep: each step sends every Brent still running its last value
-    of g and takes the points they ask for next in one _g_many call.  A
-    Brent's points, root and calls depend on its bracket alone, so they do
-    not depend on the other brackets, nor on the path _g_many takes."""
-    brents = [_brent(*bracket, xtol, rtol) for bracket in brackets]
-    roots: list = [None] * len(brents)
-    live, gs = list(range(len(brents))), [None] * len(brents)
-    calls = 0
-    while live:
-        still, xs = [], []
-        for i, g in zip(live, gs):
-            try:
-                xs.append(brents[i].send(g))
-            except StopIteration as done:
-                roots[i] = done.value
-            else:
-                still.append(i)
-        live = still
-        gs = _g_many(f, xs, n).tolist()
-        calls += len(xs)
-    return roots, calls
+def _record(n: int, x, halfwidth, g, lam, least, certified: bool, kind: str):
+    """The record of x from its orbit's g, lam and least (as _tubes_at's)."""
+    return PeriodicPointRecord(location=x, halfwidth=halfwidth, period=n, multiplier=lam,
+                               gap=abs(abs(lam) - 1.0), certified=certified, kind=kind,
+                               residual=abs(g), least_period=least)
 
 
 # -- gamma_n -----------------------------------------------------------------------
@@ -1000,8 +992,9 @@ def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
             failing = (np.abs(p.g) + p.spread <= slack) & (np.abs(np.abs(p.lam) - 1.0) + p.dev < thr)
             if failing.any():
                 j = idx[failing][np.argmin(m[failing])]
-                witness = _records_at(f, k, [c.mids[j].item()], [c.halves[j].item()], True,
-                                      "witness")[0]
+                x = c.mids[j].item()
+                ((g, _, lam, _, least),) = _tubes_at(f, [x], [0.0], k, R, b)
+                witness = _record(k, x, c.halves[j].item(), g, lam, least, True, "witness")
                 return np.zeros(c.mids.size, dtype=bool), spent
         excluded = gabs > c.spread + slack
         hyperbolic = gaps - c.dev >= gap_floor

@@ -254,7 +254,13 @@ class PerturbedMap:
         return self.base.domain_radius
 
     def with_term(self, term) -> "PerturbedMap":
-        return PerturbedMap(self.base, self.terms + (term,))
+        """This map plus a term; a 1-D root-product term shares the fold."""
+        if not (isinstance(term, RootProductPerturbation) and self.dim == 1):
+            return PerturbedMap(self.base, self.terms + (term,))
+        new = PerturbedMap.__new__(PerturbedMap)
+        new.base, new.terms, new._fold = self.base, self.terms + (term,), self._fold
+        new._rest = self._rest + (term,)
+        return new
 
     # the unfolded terms are 1-D, so they take the point as a float
 

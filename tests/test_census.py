@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from orbitlab import (
     BrickSpec,
@@ -315,13 +314,14 @@ def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
     end at every depth, where g never clears its float bound.  The two
     monotone cells beside it join into one run that its outer ends settle,
     so the census does not halve them down to tol: each rung takes a few
-    rounds (each one _tube_many call of positive width, with the window
-    pass's; the zero-width tubes are the settled ends')."""
+    rounds (each one _tube_many call of one positive radius per cell, with
+    the window pass's; the zero-width tubes are the settled ends', and the
+    tubes with stacked radii (0, h) the Newton steps')."""
     rounds = []
     tube = census._tube_many
 
     def counted_tube(f, mids, halves, *args):
-        if np.any(halves):
+        if np.ndim(halves) == 1 and np.any(halves):
             rounds.append(1)
         return tube(f, mids, halves, *args)
 
@@ -395,41 +395,42 @@ def test_window_pass_is_counted_within_the_budget():
     assert short.records == [] and not short.certified
 
 
+class _CountedMap(PerturbedMap):
+    """A PerturbedMap that counts the point-steps of f it evaluates."""
+
+    steps = 0
+
+    def evaluate(self, x):
+        _CountedMap.steps += 1
+        return super().evaluate(x)
+
+    def eval_many(self, xs):
+        _CountedMap.steps += np.size(xs)
+        return super().eval_many(xs)
+
+
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """On a fresh map, so that nothing is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
-    monotone cells and windows, probes of open windows, Brent's calls
-    (batched across brackets advanced in lockstep) and the orbit of each
-    record (batched per settle wave and per window pass).  Each settle
-    pass, and each lockstep step, evaluates distinct points."""
-    orbits, iterated = [], []
-    tube, records_at = census._tube_many, census._records_at
-
-    def counted_tube(f, mids, halves, *args):
-        if np.any(halves):  # a zero-width tube is _g_ends', counted there
-            orbits.append(np.size(mids))
-        return tube(f, mids, halves, *args)
-
-    def counted_points(g):
-        def counted(f, xs, *args):
-            orbits.append(len(xs))
+    monotone cells and windows, probes of open windows, the interval
+    Newton steps (batched across the brackets that step in lockstep, each
+    step's orbit also the record's when it is the last) and the orbit of
+    each tangential candidate's record.  Counted at the map, each orbit
+    is n evaluations of f, so the count does not depend on how the census
+    batches them.  Each set of points the census iterates is distinct."""
+    iterated = []
+    for name in ("_g_ends", "_tubes_at", "_tubes_at_many"):
+        def recorded(f, xs, *args, _orbits=getattr(census, name)):
             iterated.append(np.array(xs))
-            return g(f, xs, *args)
-        return counted
-
-    def counted_records(f, n, xs, *args):
-        orbits.append(len(xs))
-        return records_at(f, n, xs, *args)
-
-    monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_g_many", counted_points(census._g_many))
-    monkeypatch.setattr(census, "_g_ends", counted_points(census._g_ends))
-    monkeypatch.setattr(census, "_records_at", counted_records)
-    for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
-                              (parabolic(), 1, None, 1e-4)):
-        orbits.clear()
+            return _orbits(f, xs, *args)
+        monkeypatch.setattr(census, name, recorded)
+    for spec, n, radius, tol in (((PolynomialMap.univariate(CHAOTIC), ()), 8, 1.0, 1e-12),
+                                 ((parabolic().base, parabolic().terms), 1, None, 1e-4)):
+        f = _CountedMap(*spec)
+        census._map_bounds(f, census._resolve_radius(f, radius))  # the range and bounds
+        _CountedMap.steps = 0
         res = find_periodic(f, n, radius=radius, tol=tol)
-        assert res.records and res.evaluations == sum(orbits)
+        assert res.records and res.evaluations * n == _CountedMap.steps
     assert all(np.unique(xs).size == xs.size for xs in iterated)
 
 
@@ -438,19 +439,28 @@ def _one(f):
     return 1.0, _map_bounds(f, 1.0)
 
 
-def test_settle_pays_for_the_ends_and_brent_at_its_worst():
+def _slopes(f, n, lo, hi):
+    """The enclosures of g' on the intervals [lo, hi] from their orbit
+    tubes on [-1, 1], as _settle's callers pass them."""
+    mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    c = _cells(mids, halves, n, 1.0, _tube_many(f, mids, halves, n, *_one(f)))
+    return c.slopes(np.arange(lo.size))
+
+
+def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     """Two intervals share an end, evaluated once; the fixed point 0.5 of
     0.95 - 1.8x^2 lies in the first.  A budget short of the three ends
-    settles nothing, and one short of Brent's worst case leaves the root's
-    interval unsettled."""
+    settles nothing, and one short of the contraction's worst case leaves
+    the root's interval unsettled."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49, 0.505]), np.array([0.505, 0.52])
-    up = np.array([False, False])  # g' = -3.6x - 1 < 0 on both
+    slope = _slopes(f, 1, lo, hi)
+    assert (slope[1] < 0).all()  # g' = -3.6x - 1 < 0 on both
     for budget, settled, spent in ((2, [False, False], 0),
-                                   (3 + census._BRENT_CALLS - 1, [False, True], 3),
-                                   (3 + census._BRENT_CALLS, [True, True], None)):
+                                   (3 + census._NEWTON_STEPS - 1, [False, True], 3),
+                                   (3 + census._NEWTON_STEPS, [True, True], None)):
         records, root_cells = [], []
-        mask, used = census._settle(f, 1, *_one(f), lo, hi, up, 1e-12, budget, records,
+        mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, budget, records,
                                     root_cells)
         assert mask.tolist() == settled
         assert used <= budget
@@ -543,37 +553,45 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
     assert len(dynamics._MEMO) == before
 
 
-def test_brent_reuses_the_ends_settle_computed(monkeypatch):
-    """Brent's method gets g at the bracket ends from _settle's pass over
-    the ends, one _g_ends call, which holds exactly the two ends: g is
-    never computed again there, and the root is the one scipy's brentq
-    gives on a bracket with freshly computed ends."""
+def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
+    """The contraction's first step reads g and its bounds at the bracket
+    ends from _settle's pass over the ends, one _g_ends call, which holds
+    exactly the two ends; no orbit of a Newton step starts at an end, and
+    the record encloses the root that mpmath.findroot gives at 200 bits."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49]), np.array([0.505])
-    calls, ends = [], []
-    g_many, g_ends = census._g_many, census._g_ends
-
-    def recorded(f, xs, n):
-        calls.append(list(xs))
-        return g_many(f, xs, n)
+    ends, starts, steps = [], [], []
+    g_ends, start, tubes_at = census._g_ends, census._start, census._tubes_at
 
     def recorded_ends(f, xs, *args):
-        ends.append(list(xs))
-        return g_ends(f, xs, *args)
+        out = g_ends(f, xs, *args)
+        ends.append((list(xs), *(v.tolist() for v in out)))
+        return out
 
-    monkeypatch.setattr(census, "_g_many", recorded)
+    def recorded_start(xp, *args):
+        starts.append(args[:6])
+        return start(xp, *args)
+
+    def recorded_steps(f, xs, halves, *args):
+        if halves is not None:  # a Newton step's box, not _g_ends' points
+            steps.extend(xs)
+        return tubes_at(f, xs, halves, *args)
+
     monkeypatch.setattr(census, "_g_ends", recorded_ends)
+    monkeypatch.setattr(census, "_start", recorded_start)
+    monkeypatch.setattr(census, "_tubes_at", recorded_steps)
     records = []
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False]), 1e-12, 10_000,
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12, 10_000,
                                 records, [])
-    (ends,), steps = ends, calls
-    seen = [x for xs in steps for x in xs]
-    assert ends == [0.49, 0.505]
-    assert mask.tolist() == [True] and used == 2 + len(seen) + 1  # and the record's orbit
-    assert seen and 0.49 not in seen and 0.505 not in seen
-    fresh = brentq(lambda x: g_many(f, [x], 1)[0], 0.49, 0.505, xtol=1e-12 / 4,
-                   rtol=4 * census._EPS, maxiter=census._BRENT_MAXITER)
-    assert records[0].location == fresh
+    ((xs, g, bound),) = ends
+    assert xs == [0.49, 0.505]
+    assert starts == [(0.49, 0.505, g[0], g[1], bound[0], bound[1])]
+    assert mask.tolist() == [True] and used == 2 + len(steps)  # the last step is the record's
+    assert steps and 0.49 not in steps and 0.505 not in steps
+    (record,) = records
+    with mpmath.workprec(200):
+        root = mpmath.findroot(lambda x: 0.95 - 1.8 * x**2 - x, mpmath.mpf(0.5))
+        assert abs(record.location - root) <= record.halfwidth == 1e-12
 
 
 def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
@@ -585,12 +603,12 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
     records, root_cells = [], []
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False, False]), 1e-12,
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12,
                                 10_000, records, root_cells)
     assert mask.tolist() == [True, True]
     (record,) = records
     assert record.certified and abs(record.location - 0.5) <= record.halfwidth
-    assert 3 < used <= 3 + census._BRENT_CALLS  # the three ends, Brent's calls and the record
+    assert 3 < used <= 3 + census._NEWTON_STEPS  # the three ends and the Newton steps
     ((run_lo, run_hi),) = root_cells
     assert run_lo.tolist() == [0.49] and run_hi.tolist() == [0.51]
 
@@ -602,93 +620,30 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
     records, root_cells = [], []
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, np.array([False, True]), 1e-12,
-                                10_000, records, root_cells)
+    slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, 10_000, records,
+                                root_cells)
     assert mask.tolist() == [False, False]
     assert used == 3 and records == []
     assert all(s.size == 0 for s, _ in root_cells)
 
 
-def _brackets():
-    """(g, a, b, xtol) sign-change brackets: smooth roots at every scale,
-    g = 0 at an end, and subnormal brackets where delta rounds to 0, so
-    that steps stay on an end and the iterations run out."""
-    rng = np.random.default_rng(5)
-    tiny = 5e-324
-    forms = (lambda x, r: math.sin(3.0 * (x - r)) + 0.1 * (x - r) ** 3,
-             lambda x, r: 2.0 * (x - r) ** 3 + 1e-3 * (x - r),
-             lambda x, r: math.expm1(x - r),
-             lambda x, r: math.atan(50.0 * (x - r)))
-    for i in range(320):
-        r = float(rng.uniform(-1.0, 1.0))
-        w = 10.0 ** rng.uniform(-9.0, 0.0, size=2)
-        a, b = r - float(w[0]), r + float(w[1])
-        if i % 2:
-            a, b = b, a
-        yield lambda x, r=r, g=forms[i % 4]: g(x, r), a, b, float(10.0 ** rng.integers(-13, -5))
-    for a, b in ((0.25, 0.75), (-0.75, 0.25)):
-        yield lambda x: x - 0.25, a, b, 1e-12
-    for first, width in ((0, 1), (10, 1), (10, 2), (-3, 1), (4, 3)):
-        for k in range(width):
-            yield (lambda x, t=(first + k) * tiny: -1.0 if x <= t else 2.0,
-                   first * tiny, (first + width) * tiny, tiny)
-
-
-def test_brent_is_brentq_bit_for_bit():
-    """census._brent visits the points brentq evaluates g at, in order, and
-    returns its root (None where brentq does not converge): g is asked for
-    only away from the bracket ends, whose values it is given, as _settle
-    gives them.  The brackets include g = 0 at an end, steps that land on
-    an end and exhausted iterations."""
-    seen = {"zero end": 0, "on an end": 0, "unconverged": 0}
-    for g, a, b, xtol in _brackets():
-        ga, gb = g(a), g(b)
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return g(x)
-
-        root, info = brentq(counted, a, b, xtol=xtol, rtol=4 * census._EPS,
-                            maxiter=census._BRENT_MAXITER, full_output=True, disp=False)
-        asked = []
-        brent = census._brent(a, b, ga, gb, xtol, 4 * census._EPS)
-        value = None
-        try:
-            while True:
-                x = brent.send(value)
-                asked.append(x)
-                value = g(x)
-        except StopIteration as done:
-            got = done.value
-        assert calls[:2] == [a, b]
-        assert asked == [x for x in calls[2:] if x not in (a, b)]
-        if info.converged:
-            assert type(got) is float and got == root
-        else:
-            assert got is None
-        seen["zero end"] += ga == 0 or gb == 0
-        seen["on an end"] += any(x in (a, b) for x in calls[2:])
-        seen["unconverged"] += not info.converged
-    assert all(seen.values()), seen
-
-
 def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
-    """Each wave locates as many roots as the budget left pays for at
-    Brent's worst, and charges their actual calls before the next.  On
-    three roots of 0.95 - 1.8x^2 at period 5, at every budget, the settled
-    mask and the evaluations equal the rule that takes the roots one at a
-    time while what is left pays for _BRENT_CALLS, on both paths."""
+    """Each wave locates as many roots as the budget left pays for at the
+    contraction's worst, and charges their actual orbits before the next.
+    On three roots of 0.95 - 1.8x^2 at period 5, at every budget, the
+    settled mask and the evaluations equal the rule that takes the roots
+    one at a time while what is left pays for _NEWTON_STEPS, on both
+    paths."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:6:2]])
     lo, hi = roots - 1e-4, roots + 1e-4
-    up = np.array([gc > ga for ga, gc in (census._g_many(f, [a, c], 5)
-                                          for a, c in zip(lo.tolist(), hi.tolist()))])
-    # each root alone: its two ends, then Brent's calls and the record
-    alone = [census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1], up[i:i + 1], 1e-12,
+    slope = _slopes(f, 5, lo, hi)
+    # each root alone: its two ends, then the Newton steps
+    alone = [census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1], slope[:, i:i + 1], 1e-12,
                             10_000, [], [])[1] - 2 for i in range(3)]
-    assert all(1 < c < census._BRENT_CALLS for c in alone)
-    worst = census._BRENT_CALLS
+    worst = census._NEWTON_STEPS
+    assert all(0 < c < worst for c in alone)
     crossed = False
     for limit in (0, 10**9):
         monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
@@ -698,51 +653,20 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
             records = []
-            mask, used = census._settle(f, 5, *_one(f), lo, hi, up, 1e-12, budget, records, [])
+            mask, used = census._settle(f, 5, *_one(f), lo, hi, slope, 1e-12, budget, records, [])
             assert mask.tolist() == want, budget
             assert used == (spent if budget >= 6 else 0) and len(records) == sum(want)
-            # the third root fits only once the first wave's calls are charged
+            # the third root fits only once the first wave's orbits are charged
             crossed |= want == [True] * 3 and budget - 6 < 3 * worst
     assert crossed
 
 
-def test_settle_leaves_a_run_unsettled_when_brent_runs_out(monkeypatch):
-    """A bracket whose Brent runs out of iterations leaves its interval
-    unsettled, with no record and no root cell, and its calls charged; the
-    other bracket of the wave is settled as it is alone, on both paths."""
-    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
-    roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:4:2]])
-    lo, hi = roots - 1e-4, roots + 1e-4
-    up = np.array([gc > ga for ga, gc in (census._g_many(f, [a, c], 5)
-                                          for a, c in zip(lo.tolist(), hi.tolist()))])
-    brent = census._brent
-
-    def failing(a, b, fa, fb, xtol, rtol):
-        if a != lo[0]:
-            return (yield from brent(a, b, fa, fb, xtol, rtol))
-        for k in (1, 2, 3):
-            yield a + k * (b - a) / 4
-        return None
-
-    alone = census._settle(f, 5, *_one(f), lo[1:], hi[1:], up[1:], 1e-12, 10_000, [], [])[1]
-    monkeypatch.setattr(census, "_brent", failing)
-    for limit in (0, 10**9):
-        monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
-        records, root_cells = [], []
-        mask, used = census._settle(f, 5, *_one(f), lo, hi, up, 1e-12, 10_000, records,
-                                    root_cells)
-        assert mask.tolist() == [False, True]
-        assert len(records) == 1 and lo[1] < records[0].location < hi[1]
-        assert [cells.tolist() for cells in root_cells[-1]] == [[lo[1]], [hi[1]]]
-        # the failed bracket's two ends and three calls, and the other alone
-        assert used == 2 + 3 + alone
-
-
 @pytest.mark.parametrize("limit", [0, 10**9])
 def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
-    """With every set of points on the array path (array steps of lockstep
-    Brent, array records) or every set on the scalar path (scalar steps and
-    records), each census equals the default one."""
+    """With every set of points on the array path (lockstep Newton steps
+    and records on arrays) or every set on the scalar path (Newton steps
+    and records one at a time on floats), each census equals the default
+    one."""
     want = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
     want += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
     monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
@@ -796,31 +720,62 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
-def test_g_many_equals_stepwise_eval_many_minus_the_start():
-    """_g_many equals n steps of eval_many minus the start bit for bit on
-    both sides of the scalar-path limit, on a folded brick sample and on a
-    map with unfolded root-product terms, at signed zeros, points outside
-    [-R, R], infinities and NaN."""
+def test_tubes_at_equals_tubes_at_many_bit_for_bit():
+    """The scalar loop of _tubes_at and the array path _tubes_at_many give
+    the same g, bound, lam, dev and least period bit for bit, on a folded
+    brick sample and on a map with unfolded root-product terms, at periods
+    with and without proper divisors, at signed zeros, +-R, points outside
+    [-R, R], infinities and NaN, and box radii 0 and positive."""
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
     maps = (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), parabolic())
     assert maps[1]._rest  # the root-product terms stay unfolded
     special = [0.0, -0.0, 1.5, -3.0, np.inf, -np.inf, np.nan, -np.nan]
-    pool = np.array(special + np.linspace(-1.0, 1.0, 17).tolist())
     limit = census._SCALAR_POINTS
     with np.errstate(all="ignore"):
         for f in maps:
-            for size in (0, 1, limit, limit + 1):
+            R = _resolve_radius(f, None)
+            b = _map_bounds(f, R)
+            pool = np.array(special + [R, -R] + np.linspace(-R, R, 17).tolist())
+            halves = np.resize([0.0, 1e-9, 1e-3, 0.25], pool.size)
+            for size in (1, limit, limit + 1):
                 for k in range(len(special)):  # each special value leads once
-                    xs = np.roll(pool, -k)[:size]
-                    for n in (1, 5):
-                        want = xs
-                        for _ in range(n):
-                            want = f.eval_many(want)
-                        want = want - xs
-                        got = census._g_many(f, xs.tolist(), n)
-                        assert got.dtype == want.dtype and got.shape == (size,)
-                        assert np.array_equal(got, want, equal_nan=True)
-                        assert np.array_equal(np.signbit(got), np.signbit(want))
+                    xs, hs = np.roll(pool, -k)[:size], np.roll(halves, -k)[:size]
+                    for n in (1, 5, 6):
+                        want = census._tubes_at_many(f, xs, hs, n, R, b)
+                        got = list(zip(*census._tubes_at(f, xs.tolist(), hs.tolist(), n, R, b)))
+                        for v, w in zip(got, want):
+                            v = np.array(v, dtype=w.dtype)
+                            assert np.array_equal(v, w, equal_nan=True)
+                            assert np.array_equal(np.signbit(v), np.signbit(w))
+
+
+def test_newton_step_is_the_same_on_floats_and_arrays():
+    """_start and _contract compute the same floats on Python floats
+    (_pyfloat) as on arrays (np), signed zeros included, so a bracket's
+    enclosure and record do not depend on whether it steps in lockstep."""
+    rng = np.random.default_rng(3)
+    size = 400
+    a = rng.uniform(-1.0, 1.0, size)
+    c = a + 10.0 ** rng.uniform(-14, -2, size)
+    m = 0.5 * (a + c)
+    g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-18, -3, size)
+    g[:4] = [0.0, -0.0, 0.0, -0.0]
+    bound = 10.0 ** rng.uniform(-17, -13, size)
+    dl = 10.0 ** rng.uniform(-2, 1, size)
+    dh = dl * (1.0 + 10.0 ** rng.uniform(-6, 0, size))
+    t = rng.choice([-1.0, 1.0], size)
+    lam = 1.0 + t * 0.5 * (dl + dh)
+    dev = 0.5 * (dh - dl) * rng.uniform(0.0, 1.2, size)
+    tol = 1e-12
+    want = census._start(np, a, c, g, -g, bound, bound, t, dl, dh, 1.0)
+    got = [census._start(census._pyfloat, *row, 1.0)
+           for row in zip(*(v.tolist() for v in (a, c, g, -g, bound, bound, t, dl, dh)))]
+    want += census._contract(np, a, c, m, t, g, bound, lam, dev, dl, dh, 1.0, tol)
+    got = [s + census._contract(census._pyfloat, *row, 1.0, tol) for s, row in
+           zip(got, zip(*(v.tolist() for v in (a, c, m, t, g, bound, lam, dev, dl, dh))))]
+    for v, w in zip(zip(*got), want):
+        v = np.array(v, dtype=w.dtype)
+        assert np.array_equal(v, w) and np.array_equal(np.signbit(v), np.signbit(w))
 
 
 def test_g_ends_is_the_zero_width_tube_on_both_paths():
@@ -861,6 +816,56 @@ def test_tube_clamp_equals_clip():
     b = census._MapBounds(D1=1.0, D2=0.0, step=0.0)
     y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, R, b)[0]
     assert y.tobytes() == np.clip(v, -R, R).tobytes()
+
+
+def _proved_sign_changes(f, records, n: int) -> bool:
+    """Whether g = f^n - id, in outward-rounded 120-bit interval arithmetic
+    on the map's own polynomial (its float coefficients taken exactly),
+    excludes 0 with opposite signs at both ends of every record's enclosure
+    [location - halfwidth, location + halfwidth]: a root in each."""
+    assert not f._rest  # the polynomial is the whole map
+
+    def g(x):
+        y = x
+        for _ in range(n):
+            v = mpmath.iv.mpf(0)
+            for c in f._fold._poly:  # highest degree first
+                v = v * y + c
+            y = v
+        return y - x
+
+    prec = mpmath.iv.prec
+    mpmath.iv.prec = 120
+    try:
+        for r in records:
+            x, h = mpmath.iv.mpf(r.location), mpmath.iv.mpf(r.halfwidth)
+            lo, hi = g(x - h), g(x + h)
+            if not (lo.b < 0 < hi.a or hi.b < 0 < lo.a):
+                return False
+        return True
+    finally:
+        mpmath.iv.prec = prec
+
+
+def test_certified_enclosures_hold_a_root_in_interval_arithmetic():
+    """Every certified record's enclosure holds a sign change of g proved
+    in outward-rounded interval arithmetic, independently of the census's
+    float model: the seeded quadratic at period 8 (a few brackets, stepped
+    one at a time on floats), 0.95 - 1.8x^2 at period 10 (103 records,
+    stepped in lockstep on arrays), and at period 20 every record whose
+    contraction stopped at the float noise floor above tol."""
+    seeded = _seeded_quadratic()
+    res = find_periodic(seeded, 8)
+    assert res.certified and 0 < len(res.records) <= census._SCALAR_POINTS
+    assert _proved_sign_changes(seeded, res.records, 8)
+    chaotic = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    res = find_periodic(chaotic, 10, radius=1.0)
+    assert res.certified and res.count == len(res.records) == 103
+    assert _proved_sign_changes(chaotic, res.records, 10)
+    res = find_periodic(chaotic, 20, radius=1.0)
+    wide = [r for r in res.records if r.halfwidth > 1e-12]
+    assert res.certified and res.count == 11_647 and wide
+    assert _proved_sign_changes(chaotic, wide, 20)
 
 
 # -- orbit tubes -------------------------------------------------------------------
@@ -1050,15 +1055,15 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
     the witness, and a budget one orbit short of the three cannot pay for
     them."""
     orbits = []
-    tube, records_at = census._tube_many, census._records_at
+    tube, tubes_at = census._tube_many, census._tubes_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
         return tube(f, mids, *args)
 
-    def counted_records(f, n, xs, *args):
+    def counted_record(f, xs, *args):  # the witness record's orbit
         orbits.append(len(xs))
-        return records_at(f, n, xs, *args)
+        return tubes_at(f, xs, *args)
 
     def status(budget):
         orbits.clear()
@@ -1068,7 +1073,7 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
         return report.status
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_records_at", counted_records)
+    monkeypatch.setattr(census, "_tubes_at", counted_record)
     assert status(400_000) == "fails"
     (cells, candidates, record), full = orbits, sum(orbits)
     assert cells == 256 and 0 < candidates < 256 and record == 1

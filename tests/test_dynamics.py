@@ -24,7 +24,7 @@ from orbitlab import (
     zero_vector,
 )
 
-from orbitlab.perturbation import _MonomialTable
+from orbitlab.perturbation import _MonomialTable, _Polynomial
 
 from conftest import random_contraction
 
@@ -260,6 +260,36 @@ def test_fold_leaves_root_product_zeros_exact():
         for r in FOLD_ROOTS[1:]:
             assert g.derivative(r) - f.derivative(r) == 0.0
         assert g.evaluate(FOLD_ROOTS[0] + 0.25) != f.evaluate(FOLD_ROOTS[0] + 0.25)
+
+
+def test_with_term_keeps_the_fold_for_a_root_product_term(monkeypatch):
+    """Appending root-product terms one by one gives the map built from all
+    its terms, values and derivatives bit for bit on the scalar and the
+    array path, without folding a polynomial again."""
+    xs = np.concatenate([np.linspace(-1.25, 1.25, 201), [0.0, -0.0], FOLD_ROOTS])
+    extra = (RootProductPerturbation(0.01, FOLD_ROOTS), RootProductPerturbation(-0.02, (0.5,)))
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    folds = []
+    fold = _Polynomial.fold
+
+    def counted(parts):
+        folds.append(len(parts))
+        return fold(parts)
+
+    for seed in FOLD_SEEDS:
+        eps = sample(BrickSpec.factorial(0.01, 8), 1, seed)
+        f = PerturbedMap(base, eps)
+        want = PerturbedMap(base, (eps,) + extra)
+        monkeypatch.setattr(_Polynomial, "fold", staticmethod(counted))
+        g = f.with_term(extra[0]).with_term(extra[1])
+        monkeypatch.undo()
+        assert folds == [] and type(g) is PerturbedMap and g.terms == want.terms
+        assert g._fold is f._fold and g._rest == extra
+        assert g.eval_many(xs).tobytes() == want.eval_many(xs).tobytes()
+        assert g.deriv_many(xs).tobytes() == want.deriv_many(xs).tobytes()
+        for x in xs.tolist():
+            assert math.copysign(1.0, g.evaluate(x)) == math.copysign(1.0, want.evaluate(x))
+            assert g.evaluate(x) == want.evaluate(x) and g.derivative(x) == want.derivative(x)
 
 
 def _nd_maps(dim: int) -> dict:
