@@ -33,12 +33,12 @@ share an end exactly, increase or decrease alike, and meet where g does not
 clear the bound join into one run: g is strictly monotone on the union, and
 the run's outer ends settle it as a cell's ends do; the value at a joined
 end is never read for a sign.
-The remaining cells shrink to halfwidth tol and merge into clusters; each
-cluster, widened by 2 tol on each side, is settled by the same test, and a
-window it leaves open (a tangency, or a root within the bound of a window
-end) is reported as uncertified.  So the reported count is exact whenever
-the result says so.  The per-step slack and the bounds on f are generous
-but not outward-rounded.
+The remaining cells shrink to halfwidth tol and merge into clusters, where
+a tangency or a root at the float noise floor stops every test; they are
+reported as uncertified, not settled.  So every decision is made in the
+refinement rounds, and the reported count is exact whenever the result
+says so.  The per-step slack and the bounds on f are generous but not
+outward-rounded.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -140,14 +140,15 @@ class PeriodicPointRecord:
 
     `kind` is "simple" for a census root: `certified` means the enclosure
     [location - halfwidth, location + halfwidth] provably contains exactly
-    one solution.  A "tangential-candidate" (certified=False) marks a census
-    window the monotone test could not settle where |f^n - id| is small at
-    an end or the midpoint, so that nothing is silently dropped; its
-    halfwidth is the window's.  A "witness" is the box at which ih_check
-    refutes the hypothesis.  `gap` is the distance of the multiplier
-    (f^n)'(x) to the unit circle; `residual` is |f^n(x) - x| at the refined
-    point; `least_period` is the smallest divisor d of the period with
-    |f^d(x) - x| below a loose metadata threshold (not certified).
+    one solution.  A "tangential-candidate" (certified=False) marks the
+    midpoint of a census cluster, cells refined to tol that no round could
+    decide (a tangency, or a root at the float noise floor), so that nothing
+    is silently dropped; its halfwidth is half the cluster's width.  A
+    "witness" is the box at which ih_check refutes the hypothesis.  `gap`
+    is the distance of the multiplier (f^n)'(x) to the unit circle;
+    `residual` is |f^n(x) - x| at the refined point; `least_period` is the
+    smallest divisor d of the period with |f^d(x) - x| below a loose
+    metadata threshold (not certified).
     """
 
     location: float
@@ -171,12 +172,11 @@ class CensusResult:
 
     `evaluations` counts n-step orbits of points: the orbit tubes, the
     distinct ends of the intervals settled, the interval Newton steps (a
-    root's last one gives its record), the probes of open cluster windows
-    and each tangential candidate's record, including the initial grid's
-    orbits reused from
-    an earlier call on the same map: the count, and so the budget, is the
-    same whatever ran before.  That reuse assumes the map is not mutated
-    after it is built."""
+    root's last one gives its record) and each tangential candidate's
+    record, including the initial grid's orbits reused from an earlier call
+    on the same map: the count, and so the budget, is the same whatever ran
+    before.  That reuse assumes the map is not mutated after it is
+    built."""
 
     period: int
     radius: float
@@ -512,20 +512,20 @@ def find_periodic(
     together, from the outer ends of their union, on which g is strictly
     monotone too.  So a root on a cell end (0 for x^2 - 1, 1/2 for
     0.95 - 1.8x^2) is located in the round that reaches it.  The rest
-    shrink to halfwidth <= tol and merge into clusters; each cluster,
-    widened by 2 tol on each side, is settled by the same test.  A window
-    the test leaves open is reported in `uncertified_regions`, with a
-    "tangential-candidate" record when |g| at its ends or midpoint is
-    within the window tube's spread.  Certified enclosures are proved, of
+    shrink to halfwidth <= tol and merge into clusters (a tangency, or a
+    root at the float noise floor), which are not settled: each is reported
+    in `uncertified_regions` as it is, with a "tangential-candidate" record
+    at its midpoint from one orbit.  Certified enclosures are proved, of
     halfwidth tol, or wider where the float noise floor stops the
     contraction (see _contract).  The uniform Lipschitz bound
     L_n = sup |f'|^n + 1 decides no cell: it is reported as `lipschitz`,
     and a period at which it overflows raises ConfigurationError
     (_refine).  Every evaluation counts against `max_evaluations`.  An
     exhausted budget leaves the unresolved frontier in
-    `uncertified_regions`, and the cluster windows too when it cannot pay
-    for their pass, and the result uncertified.  Maps of dimension >= 2,
-    and periods that are not integers >= 1, raise InvalidInputError.
+    `uncertified_regions` and the result uncertified; the clusters are
+    reported without their candidates when what is left cannot pay for one
+    orbit each.  Maps of dimension >= 2, and periods that are not integers
+    >= 1, raise InvalidInputError.
 
     The certified radius, the bounds, the initial grid and its orbit tube
     are kept per map and reused by later calls on it (the tube extended
@@ -544,15 +544,13 @@ def find_periodic(
     b = _map_bounds(f, R)
 
     records: list = []
-    root_cells: list = [(np.empty(0), np.empty(0))]  # (los, his) of cells with one root
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
         keep = np.abs(c.g) <= c.spread
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
         settled, spent = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
-                                 c.mids[idx] + c.halves[idx], c.slopes(idx), tol, budget,
-                                 records, root_cells)
+                                 c.mids[idx] + c.halves[idx], c.slopes(idx), tol, budget, records)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
@@ -561,55 +559,17 @@ def find_periodic(
     evaluations, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
     uncertified: list = _merged([(left_mids, left_halves)])
 
+    # a tangency or a root at the noise floor stops every test on the cells
+    # refined to tol: each cluster is reported, with a candidate at its
+    # midpoint when the budget pays for that orbit
     clusters = _merged(finished, gap=tol / 2)
-    if clusters:
-        los, his = np.array(clusters).T
-        # a window stops halfway to the next cluster and at the cells of
-        # settled roots, so no root is counted twice
-        between = 0.5 * (his[:-1] + los[1:])
-        root_los = np.sort(np.concatenate([lo for lo, _ in root_cells]))
-        root_his = np.sort(np.concatenate([hi for _, hi in root_cells]))
-        left = np.maximum(
-            np.concatenate([[-R], between]),
-            np.concatenate([[-np.inf], root_his])[np.searchsorted(root_his, los, side="right")],
-        )
-        right = np.minimum(
-            np.concatenate([between, [R]]),
-            np.concatenate([root_los, [np.inf]])[np.searchsorted(root_los, his, side="left")],
-        )
-        a = np.maximum(los - 2.0 * tol, left)
-        c = np.minimum(his + 2.0 * tol, right)
-        # the window pass takes a tube, up to three probes and a candidate's
-        # record per window; _settle pays for the ends and the Newton steps
-        # from what is left
-        budget = max_evaluations - evaluations - 5 * a.size
-        if budget < 0:
-            uncertified.extend(zip(a.tolist(), c.tolist()))
-        else:
-            mid = 0.5 * (a + c)
-            half = (c - a) / 2.0
-            w = _cells(mid, half, n, R, _tube_many(f, mid, half, n, R, b))
-            idx = np.flatnonzero(np.abs(w.lam - 1.0) > w.dev)
-            settled, spent = _settle(f, n, R, b, a[idx], c[idx], w.slopes(idx), tol, budget,
-                                     records, root_cells)
-            evaluations += a.size + spent
-            open_ = np.ones(a.size, dtype=bool)
-            open_[idx[settled]] = False
-            u = np.flatnonzero(open_)
-            if u.size:
-                # a tangency (or a root at the noise floor) leaves the window open
-                pts = np.concatenate([a[u], mid[u], c[u]])
-                gabs = np.abs(_g_ends(f, pts.tolist(), n, R, b)[0]).reshape(3, u.size)
-                evaluations += pts.size
-                # each window's probe nearest a root; ties go to the leftmost
-                best = pts.reshape(3, u.size)[np.argmin(gabs, axis=0), np.arange(u.size)]
-                near = gabs.min(axis=0) <= w.spread[u]
-                xs = best[near].tolist()
-                hws, orbits = half[u[near]].tolist(), _tubes_at(f, xs, [0.0] * len(xs), n, R, b)
-                records.extend(_record(n, x, h, g, lam, least, False, "tangential-candidate")
-                               for x, h, (g, _, lam, _, least) in zip(xs, hws, orbits))
-                evaluations += len(xs)
-                uncertified.extend(zip(a[u].tolist(), c[u].tolist()))
+    if len(clusters) <= max_evaluations - evaluations:
+        xs = [0.5 * (lo + hi) for lo, hi in clusters]
+        orbits = _tubes_at(f, xs, [0.0] * len(xs), n, R, b)
+        records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, least, False, "tangential-candidate")
+                       for x, (lo, hi), (g, _, lam, _, least) in zip(xs, clusters, orbits))
+        evaluations += len(xs)
+    uncertified.extend(clusters)
 
     records.sort(key=lambda r: r.location)
     return CensusResult(
@@ -624,7 +584,7 @@ def find_periodic(
 
 
 def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
-            slope: np.ndarray, tol: float, budget: int, records: list, root_cells: list):
+            slope: np.ndarray, tol: float, budget: int, records: list):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
     proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
     from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
@@ -635,9 +595,9 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
     clear (a root on or near that end).  g is strictly monotone on the
     union, with g' in the hull of the slopes, so a run is decided by its two
     outer ends as an interval is: when both clear, opposite signs mean
-    exactly one root, which _newton encloses (its record goes to `records`,
-    the run's (lo, hi) to `root_cells`), and one sign means none.  The
-    value at a joined end is never used for a sign.
+    exactly one root, which _newton encloses (its record goes to
+    `records`), and one sign means none.  The value at a joined end is
+    never used for a sign.
 
     An end shared by two intervals is evaluated once, all ends in one
     _g_ends call, whose values _newton's first step reads.  Nothing is
@@ -689,7 +649,6 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
         located += found
     records.extend(_record(n, *fields, True, "simple") for fields in located)
     settled[pending[len(located):]] = False
-    root_cells.append((brackets[: len(located), 0], brackets[: len(located), 1]))
     return (settled if run is None else settled[run]), spent
 
 
@@ -952,9 +911,9 @@ def ih_check(
     positive float, so there a box passes as hyperbolic only when its gap
     is provably positive, and no witness is possible: a point of gap 0
     leaves the stage indeterminate.  A stage computes at most
-    `max_evaluations_per_period` k-step orbits: its tube rounds, the
-    zero-width tubes of midpoints whose |g| and gap pass unpadded, and the
-    witness record's orbit.  n_max = 0 holds vacuously.
+    `max_evaluations_per_period` k-step orbits: its tube rounds and the
+    zero-width tubes of midpoints whose |g| and gap pass unpadded, one of
+    which gives the witness's record.  n_max = 0 holds vacuously.
     """
     f = as_perturbed(f)
     if f.dim != 1:
@@ -983,18 +942,17 @@ def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
         nonlocal witness
         gabs = np.abs(c.g)
         gaps = np.abs(np.abs(c.lam) - 1.0)
-        # a witness midpoint is read from its zero-width cell (y, lam: the box's)
+        # a witness midpoint is read from its zero-width orbit, which gives its record
         idx = np.flatnonzero((gabs <= slack) & (gaps < thr))
         spent = idx.size if idx.size <= budget else 0
         if spent:
-            m, zero = c.mids[idx], np.zeros(spent)
-            p = _cells(m, zero, k, R, _tube_many(f, m, zero, k, R, b))
-            failing = (np.abs(p.g) + p.spread <= slack) & (np.abs(np.abs(p.lam) - 1.0) + p.dev < thr)
+            m = c.mids[idx]
+            g, bound, lam, dev, least = _tubes_at_many(f, m, np.zeros(spent), k, R, b)
+            failing = (np.abs(g) + bound <= slack) & (np.abs(np.abs(lam) - 1.0) + dev < thr)
             if failing.any():
-                j = idx[failing][np.argmin(m[failing])]
-                x = c.mids[j].item()
-                ((g, _, lam, _, least),) = _tubes_at(f, [x], [0.0], k, R, b)
-                witness = _record(k, x, c.halves[j].item(), g, lam, least, True, "witness")
+                j = np.flatnonzero(failing)[np.argmin(m[failing])]
+                x, h = m[j].item(), c.halves[idx[j]].item()
+                witness = _record(k, x, h, g[j].item(), lam[j].item(), int(least[j]), True, "witness")
                 return np.zeros(c.mids.size, dtype=bool), spent
         excluded = gabs > c.spread + slack
         hyperbolic = gaps - c.dev >= gap_floor
@@ -1003,8 +961,7 @@ def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
         unresolved.append((c.mids[floored], c.halves[floored]))
         return live & ~floored, spent
 
-    # the rounds leave one orbit of the budget for the witness's record
-    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals - 1, classify)
+    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals, classify)
     unresolved.append((left_mids, left_halves))
     merged = tuple(_merged(unresolved))
 

@@ -314,9 +314,9 @@ def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
     end at every depth, where g never clears its float bound.  The two
     monotone cells beside it join into one run that its outer ends settle,
     so the census does not halve them down to tol: each rung takes a few
-    rounds (each one _tube_many call of one positive radius per cell, with
-    the window pass's; the zero-width tubes are the settled ends', and the
-    tubes with stacked radii (0, h) the Newton steps')."""
+    rounds (each one _tube_many call of one positive radius per cell; the
+    zero-width tubes are the settled ends', and the tubes with stacked
+    radii (0, h) the Newton steps')."""
     rounds = []
     tube = census._tube_many
 
@@ -369,8 +369,8 @@ def test_census_budget_exhaustion_is_partial():
 def test_tangency_is_reported_uncertified():
     """x - x^3 has a triple fixed point at 0, where the tube cannot prove
     x - f(x) monotone.  With the default tol the budget runs out around it;
-    with tol 1e-4 the cells refine to a cluster whose window stays open and
-    holds a tangential candidate.  Neither certifies a record."""
+    with tol 1e-4 the cells refine to a cluster, reported with a tangential
+    candidate at its midpoint.  Neither certifies a record."""
     for tol in (1e-12, 1e-4):
         res = find_periodic(parabolic(), 1, tol=tol, max_evaluations=200_000)
         assert not res.certified
@@ -381,17 +381,19 @@ def test_tangency_is_reported_uncertified():
 
 
 def test_window_pass_is_counted_within_the_budget():
-    """The window at the triple fixed point of x - x^3 is not monotone, so
-    its pass is one tube, three probes and the candidate's record, and they
-    are counted; a budget one short of the full count cannot pay for the
-    pass, and the window is reported uncertified without it."""
+    """The cluster at the triple fixed point of x - x^3 is reported with
+    one candidate, whose record is one counted orbit; a budget one short of
+    the full count cannot pay for it, and the same cluster is reported
+    without it."""
     full = find_periodic(parabolic(), 1, tol=1e-4)
     assert full.evaluations <= 3_000_000
-    assert [(r.kind, r.location) for r in full.records] == [("tangential-candidate", 0.0)]
-    (window,) = full.uncertified_regions
+    (candidate,) = full.records
+    assert (candidate.kind, candidate.location) == ("tangential-candidate", 0.0)
+    ((lo, hi),) = full.uncertified_regions
+    assert candidate.location == 0.5 * (lo + hi) and candidate.halfwidth == (hi - lo) / 2.0
     short = find_periodic(parabolic(), 1, tol=1e-4, max_evaluations=full.evaluations - 1)
-    assert short.evaluations == full.evaluations - 5
-    assert short.uncertified_regions == [window]
+    assert short.evaluations == full.evaluations - 1
+    assert short.uncertified_regions == [(lo, hi)]
     assert short.records == [] and not short.certified
 
 
@@ -412,10 +414,9 @@ class _CountedMap(PerturbedMap):
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """On a fresh map, so that nothing is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
-    monotone cells and windows, probes of open windows, the interval
-    Newton steps (batched across the brackets that step in lockstep, each
-    step's orbit also the record's when it is the last) and the orbit of
-    each tangential candidate's record.  Counted at the map, each orbit
+    monotone cells, the interval Newton steps (batched across the brackets
+    that step in lockstep, each step's orbit also the record's when it is
+    the last) and the orbit of each tangential candidate's record.  Counted at the map, each orbit
     is n evaluations of f, so the count does not depend on how the census
     batches them.  Each set of points the census iterates is distinct."""
     iterated = []
@@ -459,9 +460,8 @@ def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     for budget, settled, spent in ((2, [False, False], 0),
                                    (3 + census._NEWTON_STEPS - 1, [False, True], 3),
                                    (3 + census._NEWTON_STEPS, [True, True], None)):
-        records, root_cells = [], []
-        mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, budget, records,
-                                    root_cells)
+        records = []
+        mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, budget, records)
         assert mask.tolist() == settled
         assert used <= budget
         if spent is not None:
@@ -582,7 +582,7 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
     monkeypatch.setattr(census, "_tubes_at", recorded_steps)
     records = []
     mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12, 10_000,
-                                records, [])
+                                records)
     ((xs, g, bound),) = ends
     assert xs == [0.49, 0.505]
     assert starts == [(0.49, 0.505, g[0], g[1], bound[0], bound[1])]
@@ -602,15 +602,13 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
-    records, root_cells = [], []
+    records = []
     mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12,
-                                10_000, records, root_cells)
+                                10_000, records)
     assert mask.tolist() == [True, True]
     (record,) = records
     assert record.certified and abs(record.location - 0.5) <= record.halfwidth
     assert 3 < used <= 3 + census._NEWTON_STEPS  # the three ends and the Newton steps
-    ((run_lo, run_hi),) = root_cells
-    assert run_lo.tolist() == [0.49] and run_hi.tolist() == [0.51]
 
 
 def test_settle_never_joins_intervals_monotone_in_opposite_directions():
@@ -619,13 +617,11 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     neither is decided by its ends: nothing settled, no record."""
     f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
-    records, root_cells = [], []
+    records = []
     slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, 10_000, records,
-                                root_cells)
+    mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, 10_000, records)
     assert mask.tolist() == [False, False]
     assert used == 3 and records == []
-    assert all(s.size == 0 for s, _ in root_cells)
 
 
 def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
@@ -641,7 +637,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     slope = _slopes(f, 5, lo, hi)
     # each root alone: its two ends, then the Newton steps
     alone = [census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1], slope[:, i:i + 1], 1e-12,
-                            10_000, [], [])[1] - 2 for i in range(3)]
+                            10_000, [])[1] - 2 for i in range(3)]
     worst = census._NEWTON_STEPS
     assert all(0 < c < worst for c in alone)
     crossed = False
@@ -653,7 +649,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
             records = []
-            mask, used = census._settle(f, 5, *_one(f), lo, hi, slope, 1e-12, budget, records, [])
+            mask, used = census._settle(f, 5, *_one(f), lo, hi, slope, 1e-12, budget, records)
             assert mask.tolist() == want, budget
             assert used == (spent if budget >= 6 else 0) and len(records) == sum(want)
             # the third root fits only once the first wave's orbits are charged
@@ -707,6 +703,28 @@ def test_unperturbed_quadratic_certifies_at_periods_48_64_and_96():
         assert res.count == 3 and res.evaluations <= 3_000
         assert any(r.location == 0.0 for r in res.records)
         assert any(abs(r.location - GOLDEN) <= 1e-12 for r in res.records)
+
+
+def test_clusters_no_round_decides_are_reported_as_they_are():
+    """At n = 128 and 160 of x^2 - 1 the repelling fixed point (1 - sqrt 5)/2
+    and its preimage stop every test: their cells refine to two clusters,
+    each reported under 1e-10 wide with one candidate at its midpoint, and
+    the other two points certify.  Near the period-3 saddle-node of
+    1 - a x^2 the census keeps its count and stays uncertified."""
+    for n in (128, 160):
+        res = find_periodic(quad(), n)
+        assert res.count == 2 and not res.certified
+        assert len(res.uncertified_regions) == 2
+        candidates = [r for r in res.records if not r.certified]
+        assert [r.kind for r in candidates] == ["tangential-candidate"] * 2
+        for (lo, hi), r, point in zip(res.uncertified_regions, candidates, (GOLDEN, -GOLDEN)):
+            assert lo <= point <= hi and hi - lo < 1e-10
+            assert r.location == 0.5 * (lo + hi) and r.halfwidth == (hi - lo) / 2.0
+        assert res.evaluations <= 1_639
+    res = find_periodic(PolynomialMap.univariate([1.0, 0.0, -1.75]), 3, radius=1.0625, tol=1e-8)
+    assert res.count == 1 and not res.certified
+    assert all(any(lo <= r.location <= hi for lo, hi in res.uncertified_regions)
+               for r in res.records if not r.certified)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -1049,21 +1067,20 @@ def test_ih_budget_exhaustion_is_indeterminate():
 
 
 def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
-    """A stage's tube rounds, the zero-width tubes of its witness candidates
-    and its witness's record together compute at most
-    max_evaluations_per_period orbits: on x - x^3 one 256-cell round finds
-    the witness, and a budget one orbit short of the three cannot pay for
-    them."""
+    """A stage's tube rounds and the zero-width tubes of its witness
+    candidates together compute at most max_evaluations_per_period orbits,
+    and the witness's record is read from its candidate's tube, with no
+    orbit of its own: on x - x^3 one 256-cell round finds the witness, and
+    a budget one orbit short of the two cannot pay for them."""
     orbits = []
-    tube, tubes_at = census._tube_many, census._tubes_at
+    tube = census._tube_many
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
         return tube(f, mids, *args)
 
-    def counted_record(f, xs, *args):  # the witness record's orbit
-        orbits.append(len(xs))
-        return tubes_at(f, xs, *args)
+    def no_record_orbit(*args):
+        raise AssertionError("the witness's record takes an orbit of its own")
 
     def status(budget):
         orbits.clear()
@@ -1073,10 +1090,10 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
         return report.status
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_tubes_at", counted_record)
+    monkeypatch.setattr(census, "_tubes_at", no_record_orbit)
     assert status(400_000) == "fails"
-    (cells, candidates, record), full = orbits, sum(orbits)
-    assert cells == 256 and 0 < candidates < 256 and record == 1
+    (cells, candidates), full = orbits, sum(orbits)
+    assert cells == 256 and 0 < candidates < 256
     for budget in (0, 255, 256, 257, full - 1):
         assert status(budget) == "indeterminate"
     assert status(full) == "fails"

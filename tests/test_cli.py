@@ -54,7 +54,7 @@ def test_census_json_output(capsys):
 
 def test_census_exit_code_says_whether_it_certified(capsys):
     """Text and JSON output alike exit 1 for an uncertified census: the
-    triple fixed point of x - x^3 leaves a tangential window open."""
+    triple fixed point of x - x^3 leaves a cluster undecided."""
     args = ["census", "--coeffs", "0,1,0,-1", "--radius", "0.5", "--period", "1", "--tol", "1e-4"]
     assert main(args) == 1
     assert "certified: False" in capsys.readouterr().out
