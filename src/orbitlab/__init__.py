@@ -10,202 +10,22 @@ stretched-exponentially fine grids, and packages the whole pipeline into a
 reproducible sampling experiment with a command-line front end.
 """
 
-from .errors import (
-    CannotPerturbError,
-    ConfigurationError,
-    InvalidInputError,
-    MapDomainError,
-    NearDiagonalError,
-    OrbitEscapeError,
-    OrbitLabError,
-    RecurrenceError,
-    UncertifiedCensusError,
-)
-from .perturbation import (
-    AdmissibilityCertificate,
-    BrickSpec,
-    HomogeneousComponent,
-    PerturbationVector,
-    check_admissible,
-    multi_indices,
-    multinomial,
-    nu,
-    sample,
-    tail_bound,
-    weighted_inner,
-    zero_vector,
-)
-from .dynamics import (
-    NormBounds,
-    OrbitSegment,
-    PerturbedMap,
-    PolynomialMap,
-    RootProductPerturbation,
-    as_perturbed,
-    certified_range_1d,
-    cocycle,
-    invariant_radius,
-    norm_bounds,
-    orbit,
-)
-from .hyperbolicity import (
-    HyperbolicityValue,
-    gamma_linear,
-    is_gamma_hyperbolic,
-    orbit_hyperbolicity,
-)
-from .lagrange import (
-    DistanceProduct,
-    EpsPolynomial,
-    LagrangeCoefficients,
-    MultijetPoint,
-    PointTuple,
-    closing_perturbation,
-    divided_difference,
-    hyperbolicity_perturbation,
-    jet_eval,
-    jet_solve,
-    lagrange_map,
-    lagrange_map_inverse,
-    lagrange_matrix,
-    multijet,
-    p_km,
-    product_of_distances,
-)
-from .census import (
-    AlmostPeriodicCover,
-    CensusResult,
-    GammaN,
-    GrowthParams,
-    IHReport,
-    IHRow,
-    PeriodicPointRecord,
-    Prop11Report,
-    Prop11Row,
-    find_almost_periodic,
-    find_periodic,
-    gamma_n_of_map,
-    ih_check,
-    prop11_check,
-)
-from .gridlab import (
-    GridTrajectory,
-    PseudoOrbitCensus,
-    SimpleClassification,
-    SnapResult,
-    StageTolerances,
-    cells_per_axis,
-    classify_simple,
-    close_return,
-    enumerate_pseudotrajectories,
-    snap,
-    snap_orbit,
-    stage_tolerances,
-)
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    SampleReport,
-    base_map_from_spec,
-    emit_reports,
-    fit_C,
-    run_experiment,
-)
+from .errors import *
+from .perturbation import *
+from .dynamics import *
+from .hyperbolicity import *
+from .lagrange import *
+from .census import *
+from .gridlab import *
+from .experiment import *
+from . import errors, perturbation, dynamics, hyperbolicity, lagrange, census, gridlab, experiment
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    # errors
-    "OrbitLabError",
-    "InvalidInputError",
-    "MapDomainError",
-    "OrbitEscapeError",
-    "RecurrenceError",
-    "NearDiagonalError",
-    "CannotPerturbError",
-    "ConfigurationError",
-    "UncertifiedCensusError",
-    # perturbation sampling
-    "multi_indices",
-    "multinomial",
-    "nu",
-    "weighted_inner",
-    "HomogeneousComponent",
-    "BrickSpec",
-    "AdmissibilityCertificate",
-    "check_admissible",
-    "PerturbationVector",
-    "sample",
-    "zero_vector",
-    "tail_bound",
-    # maps and orbits
-    "PolynomialMap",
-    "RootProductPerturbation",
-    "PerturbedMap",
-    "as_perturbed",
-    "OrbitSegment",
-    "orbit",
-    "cocycle",
-    "certified_range_1d",
-    "invariant_radius",
-    "NormBounds",
-    "norm_bounds",
-    # hyperbolicity
-    "HyperbolicityValue",
-    "gamma_linear",
-    "is_gamma_hyperbolic",
-    "orbit_hyperbolicity",
-    # interpolation kernel and surgeries
-    "PointTuple",
-    "EpsPolynomial",
-    "LagrangeCoefficients",
-    "MultijetPoint",
-    "divided_difference",
-    "p_km",
-    "lagrange_matrix",
-    "lagrange_map",
-    "lagrange_map_inverse",
-    "jet_eval",
-    "jet_solve",
-    "multijet",
-    "closing_perturbation",
-    "hyperbolicity_perturbation",
-    "DistanceProduct",
-    "product_of_distances",
-    # census
-    "GrowthParams",
-    "PeriodicPointRecord",
-    "CensusResult",
-    "find_periodic",
-    "GammaN",
-    "gamma_n_of_map",
-    "AlmostPeriodicCover",
-    "find_almost_periodic",
-    "IHRow",
-    "IHReport",
-    "ih_check",
-    "Prop11Row",
-    "Prop11Report",
-    "prop11_check",
-    # grid
-    "StageTolerances",
-    "stage_tolerances",
-    "snap",
-    "cells_per_axis",
-    "GridTrajectory",
-    "SnapResult",
-    "snap_orbit",
-    "PseudoOrbitCensus",
-    "enumerate_pseudotrajectories",
-    "close_return",
-    "SimpleClassification",
-    "classify_simple",
-    # experiment
-    "ExperimentConfig",
-    "SampleReport",
-    "ExperimentResult",
-    "base_map_from_spec",
-    "fit_C",
-    "run_experiment",
-    "emit_reports",
+    name
+    for module in (errors, perturbation, dynamics, hyperbolicity, lagrange, census, gridlab,
+                   experiment)
+    for name in module.__all__
 ]

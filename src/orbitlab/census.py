@@ -221,6 +221,17 @@ class _MapBounds(NamedTuple):
     D2: float  # sup |f''|
     step: float  # float slack of one evaluation of f
 
+    @property
+    def d_slack(self) -> float:
+        """Float slack of one evaluation of f'."""
+        return 64.0 * _EPS * self.D1
+
+
+def _dev(lam, lam_hi, n: int):
+    """dev = lam_hi (1 + (8n + 4) eps) - |lam| of a cell at period n, as
+    _cells gives it, for floats or arrays."""
+    return lam_hi * (1.0 + (8 * n + 4) * _EPS) - abs(lam)
+
 
 # The census keeps its period-independent work in the map's memo (shared
 # with certified_range_1d) under the keys ("bounds", R), ("grid", R, cells)
@@ -302,7 +313,7 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Ma
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
-    d_slack = 64.0 * _EPS * b.D1
+    d_slack = b.d_slack
     for _ in range(n):
         d = f.deriv_many(y)
         # np.clip's floats (NaN and -0.0 included), without its wrapper
@@ -337,7 +348,7 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBoun
     so it agrees with _tubes_at_many bit for bit."""
     D1, D2, step = b
     evaluate, derivative = f.evaluate, f.derivative
-    d_slack, cap, pad = 64.0 * _EPS * D1, 2.0 * R, 8.0 * _EPS * R
+    d_slack, cap, pad = b.d_slack, 2.0 * R, 8.0 * _EPS * R
     box, proper, out = halves is not None, {d for d in range(1, n) if n % d == 0}, []
     for x, r in zip(xs, halves if box else xs):
         y, r0, lam, lam_hi, least = x, 0.0, 1.0, 1.0, n
@@ -357,7 +368,7 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBoun
                 r = cap if r > cap else r
                 if k in proper and least == n and abs(y - x) <= near:
                     least = k
-        dev = lam_hi * (1.0 + (8 * n + 4) * _EPS) - abs(lam)
+        dev = _dev(lam, lam_hi, n)
         out.append((y - x, r0 + pad, lam, dev, least) if box else (y - x, r0 + pad))
     return out
 
@@ -373,8 +384,7 @@ def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, R: float, b: _M
         if d < n:
             least[(least == n) & (np.abs(y - x) <= near)] = d
         k = d
-    return (y - x, r[0] + 8.0 * _EPS * R, lam,
-            lam_hi[1] * (1.0 + (8 * n + 4) * _EPS) - np.abs(lam), least)
+    return y - x, r[0] + 8.0 * _EPS * R, lam, _dev(lam, lam_hi[1], n), least
 
 
 def _grid(f, R: float, k0: int):
@@ -440,7 +450,7 @@ def _cells(mids: np.ndarray, halves: np.ndarray, n: int, R: float, tube) -> _Cel
     relative 2n eps of exact, and the subtractions that read dev round too."""
     y, r, lam, lam_hi = tube
     return _Cells(mids=mids, halves=halves, g=y - mids, spread=r + halves + 8.0 * _EPS * R,
-                  lam=lam, dev=lam_hi * (1.0 + (8 * n + 4) * _EPS) - np.abs(lam))
+                  lam=lam, dev=_dev(lam, lam_hi, n))
 
 
 def _refine(f, n: int, R: float, b: _MapBounds, k0: int, max_evaluations: int, classify):

@@ -241,7 +241,7 @@ class PerturbedMap:
                     "a perturbation term is a PerturbationVector or a RootProductPerturbation"
                 )
         self.terms = terms
-        vectors = [t._polynomial for t in terms if isinstance(t, PerturbationVector)]
+        vectors = [t for t in terms if isinstance(t, PerturbationVector)]
         self._fold = _Polynomial.fold([base] + vectors)
         self._rest = tuple(t for t in terms if isinstance(t, RootProductPerturbation))
 

@@ -4,6 +4,18 @@ Errors that certify a numerical judgement carry the offending quantity so
 callers can report or log it without re-deriving anything.
 """
 
+__all__ = [
+    "OrbitLabError",
+    "InvalidInputError",
+    "MapDomainError",
+    "OrbitEscapeError",
+    "RecurrenceError",
+    "NearDiagonalError",
+    "CannotPerturbError",
+    "ConfigurationError",
+    "UncertifiedCensusError",
+]
+
 
 class OrbitLabError(Exception):
     """Base class for all package errors."""

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusErro
 from .perturbation import BrickSpec, sample as sample_perturbation
 
 __all__ = [
-    "PRESET_MAPS",
     "base_map_from_spec",
     "ExperimentConfig",
     "SampleReport",
@@ -108,18 +107,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "brick": self.brick,
-            "num_samples": self.num_samples,
-            "master_seed": self.master_seed,
-            "n_max": self.n_max,
-            "deltas": list(self.deltas),
-            "ih_c_factor": self.ih_c_factor,
-            "force_zero_eps": self.force_zero_eps,
-            "radius": self.radius,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     def brick_spec(self) -> Optional[BrickSpec]:
         if self.brick is None:
@@ -251,7 +239,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     brick = config.brick_spec()
     if brick is None and not config.force_zero_eps:
         # nothing to sample: one deterministic unperturbed sample
-        config = ExperimentConfig(**{**config.to_dict(), "force_zero_eps": True})
+        config = replace(config, force_zero_eps=True)
 
     samples = []
     for i in range(config.num_samples):

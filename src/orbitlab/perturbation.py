@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,9 +35,6 @@ __all__ = [
     "zero_vector",
     "PerturbationVector",
     "tail_bound",
-    "brick_sup_bound",
-    "brick_d1_bound",
-    "brick_d2_bound",
 ]
 
 _INDEX_CACHE: dict = {}
@@ -256,211 +252,6 @@ def check_admissible(brick: BrickSpec, dim: int = 1) -> AdmissibilityCertificate
         admissible=None,
         condition_a_converges=True,
         reason="tail behaviour is not decidable from a finite radius list",
-    )
-
-
-@dataclass
-class PerturbationVector:
-    """One element of a brick: a tuple of homogeneous components, degree
-    0..truncation_degree, together with the brick it was drawn from."""
-
-    dim: int
-    components: tuple
-    brick: Optional[BrickSpec] = None
-    seed: Optional[tuple] = None
-
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        for c in self.components:
-            if c.dim != self.dim:
-                raise InvalidInputError("component dimension mismatch")
-
-    # -- evaluation ---------------------------------------------------------
-
-    @cached_property
-    def _polynomial(self) -> "_Polynomial":
-        """The components of every degree pooled into one polynomial."""
-        if self.components:
-            expo = np.concatenate(
-                [np.array(c.alphas, dtype=np.int64).reshape(-1, self.dim) for c in self.components]
-            )
-            coef = np.concatenate([c.coeffs for c in self.components])
-        else:
-            expo = np.zeros((0, self.dim), dtype=np.int64)
-            coef = np.zeros((0, self.dim))
-        return _Polynomial(expo, coef)
-
-    def value(self, x):
-        """Evaluate at a single point (scalar for dim 1, length-dim vector else)."""
-        return self._polynomial.value(x)
-
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._polynomial.value_many(xs)
-
-    def derivative(self, x: float) -> float:
-        return self._polynomial.derivative(x)
-
-    def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._polynomial.deriv_many(xs)
-
-    def jac(self, x) -> np.ndarray:
-        """Jacobian matrix at a point."""
-        return self._polynomial.jac(x)
-
-    def jac_many(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobians at a batch of points, shape (B, dim, dim)."""
-        return self._polynomial.jac_many(xs)
-
-    # -- bounds -------------------------------------------------------------
-
-    def sup_bound(self, radius: float) -> float:
-        return self._polynomial.sup_bound(radius)
-
-    def d1_bound(self, radius: float) -> float:
-        return self._polynomial.d1_bound(radius)
-
-    def d2_bound(self, radius: float) -> float:
-        return self._polynomial.d2_bound(radius)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_record(self) -> dict:
-        return {
-            "dim": self.dim,
-            "seed": list(self.seed) if self.seed is not None else None,
-            "brick": self.brick.to_record() if self.brick is not None else None,
-            "components": [
-                {"degree": c.degree, "coeffs": c.coeffs.tolist()} for c in self.components
-            ],
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "PerturbationVector":
-        dim = int(rec["dim"])
-        comps = tuple(
-            HomogeneousComponent(int(c["degree"]), dim, np.array(c["coeffs"], dtype=float))
-            for c in rec["components"]
-        )
-        brick = BrickSpec.from_record(rec["brick"]) if rec.get("brick") else None
-        seed = tuple(rec["seed"]) if rec.get("seed") is not None else None
-        return cls(dim, comps, brick, seed)
-
-
-# -- sampling ----------------------------------------------------------------
-
-
-def sample(brick: BrickSpec, dim: int, seed) -> PerturbationVector:
-    """Draw one perturbation uniformly from the brick.
-
-    Per degree k: a standard Gaussian in the nu(k, dim) orthonormal
-    coordinates is normalized to the sphere and scaled by r_k * U^(1/nu),
-    which is the uniform law on the ball.  Monomial coefficients are
-    recovered as c_alpha * sqrt(multinomial(k, alpha)).  Degrees are
-    independent; the whole draw is a deterministic function of `seed`.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    comps = []
-    for k in range(brick.truncation_degree + 1):
-        alphas = multi_indices(k, dim)
-        n_alpha = len(alphas)
-        g = rng.standard_normal((n_alpha, dim))
-        norm = float(np.sqrt(np.sum(g * g)))
-        while norm == 0.0:  # probability-zero guard, keeps the draw well defined
-            g = rng.standard_normal((n_alpha, dim))
-            norm = float(np.sqrt(np.sum(g * g)))
-        u = rng.random()
-        r_k = brick.sizes[k]
-        scale = r_k * u ** (1.0 / nu(k, dim)) / norm
-        ortho = g * scale
-        # orthonormal -> monomial coordinates
-        factors = np.array([math.sqrt(multinomial(k, a)) for a in alphas])
-        coeffs = ortho * factors[:, None]
-        comp = HomogeneousComponent(k, dim, coeffs)
-        # one deterministic clamp so membership survives rounding
-        nrm = comp.weighted_norm()
-        if nrm > r_k:
-            comp = HomogeneousComponent(k, dim, coeffs * (r_k / nrm))
-        comps.append(comp)
-    seed_tag = None
-    if isinstance(seed, (int, np.integer)):
-        seed_tag = (int(seed),)
-    elif isinstance(seed, (tuple, list)):
-        seed_tag = tuple(int(s) for s in seed)
-    return PerturbationVector(dim, tuple(comps), brick, seed_tag)
-
-
-def zero_vector(brick: BrickSpec, dim: int) -> PerturbationVector:
-    """The zero element, with the same graded structure as a sample."""
-    comps = tuple(
-        HomogeneousComponent.zero(k, dim) for k in range(brick.truncation_degree + 1)
-    )
-    return PerturbationVector(dim, comps, brick, None)
-
-
-# -- tail and worst-case bounds ----------------------------------------------
-
-
-def tail_bound(brick: BrickSpec, dim: int, k_max: Optional[int] = None) -> float:
-    """Rigorous sup-norm bound on the discarded tail sum_{k > k_max} of the
-    brick: sum r_k dim^(k/2) sqrt(dim), by Cauchy-Schwarz against
-    sum_{|alpha|=k} multinomial(k, alpha) = dim^k."""
-    if k_max is None:
-        k_max = brick.truncation_degree
-    root = math.sqrt(dim)
-    if brick.family == "custom":
-        # finite list: the tail beyond the list is empty
-        total = 0.0
-        for k in range(k_max + 1, brick.truncation_degree + 1):
-            total += brick.sizes[k] * root**k
-        return total * root
-    if brick.family == "geometric":
-        x = brick.q * root
-        if x >= 1.0:
-            raise ConfigurationError(
-                f"geometric brick diverges on the ball: q*sqrt(dim) = {x:.6g} >= 1"
-            )
-        return brick.tau * root * x ** (k_max + 1) / (1.0 - x)
-    # factorial: sum_{k>K} tau root^k / k!, summed until the geometric majorant
-    # of the remainder is negligible, then closed off rigorously.
-    total = 0.0
-    k = k_max + 1
-    term = brick.tau * root**k / math.factorial(k)
-    while True:
-        total += term
-        k += 1
-        nxt = term * root / k
-        ratio = root / (k + 1)
-        if ratio < 0.5 and nxt <= 1e-30 * max(total, 1e-300):
-            # remainder <= nxt / (1 - ratio): fold it in and stop
-            total += nxt / (1.0 - ratio)
-            break
-        term = nxt
-    return total * root
-
-
-def brick_sup_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """sup over the ball of radius `radius` of |eps(x)| for any eps in the
-    brick: sum_k r_k radius^k (Cauchy-Schwarz in the weighted norm)."""
-    return float(sum(r * radius**k for k, r in enumerate(brick.sizes)))
-
-
-def brick_d1_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """Jacobian operator-norm bound over the brick: each partial derivative of
-    a degree-k component has weighted norm at most k r_k."""
-    root = math.sqrt(dim)
-    return float(
-        sum(root * k * r * radius ** (k - 1) for k, r in enumerate(brick.sizes) if k >= 1)
-    )
-
-
-def brick_d2_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """Second-derivative (bilinear form) bound over the brick."""
-    return float(
-        sum(
-            dim * k * (k - 1) * r * radius ** (k - 2)
-            for k, r in enumerate(brick.sizes)
-            if k >= 2
-        )
     )
 
 
@@ -736,3 +527,172 @@ def monomial_d2_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) 
             col = np.abs(coeffs[mask]).T @ w
             acc += float(np.sum(col * col))
     return math.sqrt(acc)
+
+
+@dataclass
+class PerturbationVector(_Polynomial):
+    """One element of a brick: a tuple of homogeneous components, degree
+    0..truncation_degree, together with the brick it was drawn from.  It is
+    evaluated and bounded as the `_Polynomial` that pools the components of
+    every degree."""
+
+    dim: int
+    components: tuple
+    brick: Optional[BrickSpec] = None
+    seed: Optional[tuple] = None
+
+    def __post_init__(self):
+        self.components = tuple(self.components)
+        for c in self.components:
+            if c.dim != self.dim:
+                raise InvalidInputError("component dimension mismatch")
+        if self.components:
+            expo = np.concatenate(
+                [np.array(c.alphas, dtype=np.int64).reshape(-1, self.dim) for c in self.components]
+            )
+            coef = np.concatenate([c.coeffs for c in self.components])
+        else:
+            expo = np.zeros((0, self.dim), dtype=np.int64)
+            coef = np.zeros((0, self.dim))
+        super().__init__(expo, coef)
+
+    # -- serialization ------------------------------------------------------
+
+    def to_record(self) -> dict:
+        return {
+            "dim": self.dim,
+            "seed": list(self.seed) if self.seed is not None else None,
+            "brick": self.brick.to_record() if self.brick is not None else None,
+            "components": [
+                {"degree": c.degree, "coeffs": c.coeffs.tolist()} for c in self.components
+            ],
+        }
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "PerturbationVector":
+        dim = int(rec["dim"])
+        comps = tuple(
+            HomogeneousComponent(int(c["degree"]), dim, np.array(c["coeffs"], dtype=float))
+            for c in rec["components"]
+        )
+        brick = BrickSpec.from_record(rec["brick"]) if rec.get("brick") else None
+        seed = tuple(rec["seed"]) if rec.get("seed") is not None else None
+        return cls(dim, comps, brick, seed)
+
+
+# -- sampling ----------------------------------------------------------------
+
+
+def sample(brick: BrickSpec, dim: int, seed) -> PerturbationVector:
+    """Draw one perturbation uniformly from the brick.
+
+    Per degree k: a standard Gaussian in the nu(k, dim) orthonormal
+    coordinates is normalized to the sphere and scaled by r_k * U^(1/nu),
+    which is the uniform law on the ball.  Monomial coefficients are
+    recovered as c_alpha * sqrt(multinomial(k, alpha)).  Degrees are
+    independent; the whole draw is a deterministic function of `seed`.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    comps = []
+    for k in range(brick.truncation_degree + 1):
+        alphas = multi_indices(k, dim)
+        n_alpha = len(alphas)
+        g = rng.standard_normal((n_alpha, dim))
+        norm = float(np.sqrt(np.sum(g * g)))
+        while norm == 0.0:  # probability-zero guard, keeps the draw well defined
+            g = rng.standard_normal((n_alpha, dim))
+            norm = float(np.sqrt(np.sum(g * g)))
+        u = rng.random()
+        r_k = brick.sizes[k]
+        scale = r_k * u ** (1.0 / nu(k, dim)) / norm
+        ortho = g * scale
+        # orthonormal -> monomial coordinates
+        factors = np.array([math.sqrt(multinomial(k, a)) for a in alphas])
+        coeffs = ortho * factors[:, None]
+        comp = HomogeneousComponent(k, dim, coeffs)
+        # one deterministic clamp so membership survives rounding
+        nrm = comp.weighted_norm()
+        if nrm > r_k:
+            comp = HomogeneousComponent(k, dim, coeffs * (r_k / nrm))
+        comps.append(comp)
+    seed_tag = None
+    if isinstance(seed, (int, np.integer)):
+        seed_tag = (int(seed),)
+    elif isinstance(seed, (tuple, list)):
+        seed_tag = tuple(int(s) for s in seed)
+    return PerturbationVector(dim, tuple(comps), brick, seed_tag)
+
+
+def zero_vector(brick: BrickSpec, dim: int) -> PerturbationVector:
+    """The zero element, with the same graded structure as a sample."""
+    comps = tuple(
+        HomogeneousComponent.zero(k, dim) for k in range(brick.truncation_degree + 1)
+    )
+    return PerturbationVector(dim, comps, brick, None)
+
+
+# -- tail and worst-case bounds ----------------------------------------------
+
+
+def tail_bound(brick: BrickSpec, dim: int, k_max: Optional[int] = None) -> float:
+    """Rigorous sup-norm bound on the discarded tail sum_{k > k_max} of the
+    brick: sum r_k dim^(k/2) sqrt(dim), by Cauchy-Schwarz against
+    sum_{|alpha|=k} multinomial(k, alpha) = dim^k."""
+    if k_max is None:
+        k_max = brick.truncation_degree
+    root = math.sqrt(dim)
+    if brick.family == "custom":
+        # finite list: the tail beyond the list is empty
+        total = 0.0
+        for k in range(k_max + 1, brick.truncation_degree + 1):
+            total += brick.sizes[k] * root**k
+        return total * root
+    if brick.family == "geometric":
+        x = brick.q * root
+        if x >= 1.0:
+            raise ConfigurationError(
+                f"geometric brick diverges on the ball: q*sqrt(dim) = {x:.6g} >= 1"
+            )
+        return brick.tau * root * x ** (k_max + 1) / (1.0 - x)
+    # factorial: sum_{k>K} tau root^k / k!, summed until the geometric majorant
+    # of the remainder is negligible, then closed off rigorously.
+    total = 0.0
+    k = k_max + 1
+    term = brick.tau * root**k / math.factorial(k)
+    while True:
+        total += term
+        k += 1
+        nxt = term * root / k
+        ratio = root / (k + 1)
+        if ratio < 0.5 and nxt <= 1e-30 * max(total, 1e-300):
+            # remainder <= nxt / (1 - ratio): fold it in and stop
+            total += nxt / (1.0 - ratio)
+            break
+        term = nxt
+    return total * root
+
+
+def brick_sup_bound(brick: BrickSpec, dim: int, radius: float) -> float:
+    """sup over the ball of radius `radius` of |eps(x)| for any eps in the
+    brick: sum_k r_k radius^k (Cauchy-Schwarz in the weighted norm)."""
+    return float(sum(r * radius**k for k, r in enumerate(brick.sizes)))
+
+
+def brick_d1_bound(brick: BrickSpec, dim: int, radius: float) -> float:
+    """Jacobian operator-norm bound over the brick: each partial derivative of
+    a degree-k component has weighted norm at most k r_k."""
+    root = math.sqrt(dim)
+    return float(
+        sum(root * k * r * radius ** (k - 1) for k, r in enumerate(brick.sizes) if k >= 1)
+    )
+
+
+def brick_d2_bound(brick: BrickSpec, dim: int, radius: float) -> float:
+    """Second-derivative (bilinear form) bound over the brick."""
+    return float(
+        sum(
+            dim * k * (k - 1) * r * radius ** (k - 2)
+            for k, r in enumerate(brick.sizes)
+            if k >= 2
+        )
+    )

@@ -1,7 +1,9 @@
 """Smoke tests for the command-line front end."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -181,3 +183,19 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert loaded == {"import": [], "experiment": [], "census": [], "sample": []}
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["num_ok"] == 1
+
+
+def test_package_exports_each_module_all_once():
+    """orbitlab.__all__ joins the __all__ lists of the library modules (every
+    module but the command-line front end): each name once, none private,
+    and each bound to its module's own object."""
+    modules = [importlib.import_module(f"orbitlab.{m.name}")
+               for m in pkgutil.iter_modules(orbitlab.__path__) if m.name != "cli"]
+    assert len(modules) == 8
+    joined = [name for module in modules for name in module.__all__]
+    assert len(set(joined)) == len(joined) == len(orbitlab.__all__)
+    assert set(orbitlab.__all__) == set(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert not name.startswith("_")
+            assert getattr(orbitlab, name) is getattr(module, name), (module.__name__, name)

@@ -361,7 +361,7 @@ def test_fold_is_the_reference_fold_bitwise():
     maps += [PerturbedMap(repeated_2d, (sample(brick_2d, 2, 8), zero_vector(brick_2d, 2)))]
     maps += [_nd_maps(dim)[name] for dim in (2, 3) for name in ("one term", "two terms")]
     for f in maps:
-        parts = [f.base] + [t._polynomial for t in f.terms if isinstance(t, PerturbationVector)]
+        parts = [f.base] + [t for t in f.terms if isinstance(t, PerturbationVector)]
         want = _reference_fold(parts)
         if f.dim == 1:
             got = (f._fold._uni, np.array(f._fold._poly), np.array(f._fold._dpoly))
