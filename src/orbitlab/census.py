@@ -16,19 +16,21 @@ only floating-point error model: every decision reads its own cell's tube,
 or at a point a tube of zero width, so no slack grows with the global
 Lipschitz bound sup |f'|^n.  A cell on which the enclosure of g' = (f^n)' - 1
 excludes 0 has g strictly monotone, and the values of g at its two
-endpoints settle it: no solution, or exactly one, which the interval
-Newton operator N(X) = m - G(m) / D(X) encloses (Moore, Kearfott and
-Cloud, Introduction to Interval Analysis, 2009, ch. 8): G(m) is g at the
-midpoint m of X with its zero-width tube's bound, D(X) the enclosure of g'
-from the box tube of X, and X shrinks to its intersection with N(X),
-which keeps the root.  The first step is N at the cell's ends, from the
-values that settled it; each later step is one orbit, the last one gives
-the record, whose halfwidth is tol, or what the contraction proves where
-the float noise floor stops it above tol.  An
-endpoint value decides a sign only when it clears its own bound, so a
-root on (or within the bound of) a cell end would leave both cells beside
-it undecided at every depth; a dyadic root such as the fixed point 1/2 of
-0.95 - 1.8x^2 lies on a cell end at every depth.  So monotone cells that
+endpoints settle it: no solution, or exactly one, and then the cell
+leaves the rounds as a bracket.  After the rounds one pass of the interval
+Newton operator N(X) = m - G(m) / D(X) (Moore, Kearfott and Cloud,
+Introduction to Interval Analysis, 2009, ch. 8) encloses the roots of all
+brackets, as far as the budget left pays: G(m) is g at the midpoint m of X
+with its zero-width tube's bound, D(X) the enclosure of g' from the box
+tube of X, and X shrinks to its intersection with N(X), which keeps the
+root.  The first step is N at the bracket's ends, from the values that
+settled it; each later step is one orbit, the last one gives the record,
+whose halfwidth is tol, or what the contraction proves where the float
+noise floor stops it above tol.  An endpoint value decides a sign only
+when it clears its own bound, so a root on (or within the bound of) a cell
+end would leave both cells beside it undecided at every depth; a dyadic
+root such as the fixed point 1/2 of 0.95 - 1.8x^2 lies on a cell end at
+every depth.  So monotone cells that
 share an end exactly, increase or decrease alike, and meet where g does not
 clear the bound join into one run: g is strictly monotone on the union, and
 the run's outer ends settle it as a cell's ends do; the value at a joined
@@ -37,22 +39,22 @@ The remaining cells shrink to halfwidth tol and merge into clusters, where
 a tangency or a root at the float noise floor stops every test; they are
 reported as uncertified, not settled.  So every decision is made in the
 refinement rounds, and the reported count is exact whenever the result
-says so.  The per-step slack and the bounds on f are generous but not
-outward-rounded.
+says so; a bracket the budget cannot pay for is reported uncertified.
+The per-step slack and the bounds on f are generous but not outward-rounded.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
 ranges behind the radius (kept by certified_range_1d, which the
 experiment's invariance check shares), the bounds on [-R, R] (sup |f'|,
 sup |f''|, the per-step slack), the initial grid of cells (read-only) and
-its orbit tube.  The tube at period n is the tube at period n - 1 plus one
-step, so a later call extends the deepest tube held for that grid, or
-reuses it at the same period; the result is bit for bit the one computed
-from scratch.  A reused orbit still counts as evaluations, so budgets and
-reported evaluations do not depend on what came before.  The memo
-(dynamics._MEMO) is held per map object, weakly (it goes with the map),
-and assumes a map is not mutated after it is built, as the 1-D fold
-already does.
+its orbit tube at every period asked for.  The tube at period n is the
+tube at period n - 1 plus one step, so a later call reads its own period's
+tube or extends the one held at the highest period below; the result is
+bit for bit the one computed from scratch.  A reused orbit still counts as
+evaluations, so budgets and reported evaluations do not depend on what
+came before.  The memo (dynamics._MEMO) is held per map object, weakly (it
+goes with the map), and assumes a map is not mutated after it is built, as
+the 1-D fold already does.
 
 Orbits of points outside the cell tubes (_g_ends and _tubes_at) take up to
 _SCALAR_POINTS points one at a time with f.evaluate, cheaper than an array
@@ -402,25 +404,20 @@ def _grid(f, R: float, k0: int):
 
 
 def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds):
-    """_tube_many over the initial grid (mids, halves) at period n >= 1,
-    continued from the deepest tube of that grid in the map's memo, at
-    period k: n - k more steps when k < n, none when k = n, and all n from
-    the grid when k > n (the memo keeps k).  A step reads only D1, D2 and
-    step, none of which depends on the period, so the result is bit for
-    bit the tube computed from scratch."""
-    key = ("tube", R, mids.size)
-    memo = _memo(f)
-    k, y, r, lam, lam_hi = memo.get(key, (0, mids, halves, 1.0, 1.0))
-    if k == n:
-        return y, r, lam, lam_hi
-    if k > n:
-        k, y, r, lam, lam_hi = 0, mids, halves, 1.0, 1.0
-    tube = _tube_many(f, y, r, n - k, R, b, lam, lam_hi)
-    if key not in memo or memo[key][0] < n:
-        for a in tube:
+    """_tube_many over the initial grid (mids, halves) at period n >= 1.
+    The map's memo keeps the grid's tube, read-only, at every period asked
+    for: a call reads its own period's, or extends the one at the highest
+    period k < n held (the grid itself at k = 0) by n - k steps.  A step
+    reads only D1, D2 and step, none of which depends on the period, so
+    the result is bit for bit the tube computed from scratch."""
+    tubes = _memo(f).setdefault(("tube", R, mids.size), {})
+    if n not in tubes:
+        k = max((k for k in tubes if k < n), default=0)
+        y, r, lam, lam_hi = tubes.get(k, (mids, halves, 1.0, 1.0))
+        tubes[n] = _tube_many(f, y, r, n - k, R, b, lam, lam_hi)
+        for a in tubes[n]:
             a.flags.writeable = False  # shared with later calls
-        memo[key] = (n, *tube)
-    return tube
+    return tubes[n]
 
 
 class _Cells(NamedTuple):
@@ -514,34 +511,34 @@ def find_periodic(
     Cells are bisected in rounds: a cell is dropped when its orbit tube
     proves g = f^n - id has no zero on it, and settled when the tube proves
     g monotone and its endpoint values decide the cell (no root, or exactly
-    one, which the interval Newton contraction encloses; a round's roots
-    are located together, see _settle).  Every test reads the cell's own
-    tube (_cells), and an endpoint value decides only when |g| there
-    clears its own orbit's error bound (_g_ends); adjacent monotone cells
-    of the same direction whose shared end does not clear it are settled
-    together, from the outer ends of their union, on which g is strictly
-    monotone too.  So a root on a cell end (0 for x^2 - 1, 1/2 for
-    0.95 - 1.8x^2) is located in the round that reaches it.  The rest
-    shrink to halfwidth <= tol and merge into clusters (a tangency, or a
-    root at the float noise floor), which are not settled: each is reported
-    in `uncertified_regions` as it is, with a "tangential-candidate" record
-    at its midpoint from one orbit.  Certified enclosures are proved, of
-    halfwidth tol, or wider where the float noise floor stops the
-    contraction (see _contract).  The uniform Lipschitz bound
-    L_n = sup |f'|^n + 1 decides no cell: it is reported as `lipschitz`,
-    and a period at which it overflows raises ConfigurationError
-    (_refine).  Every evaluation counts against `max_evaluations`.  An
-    exhausted budget leaves the unresolved frontier in
-    `uncertified_regions` and the result uncertified; the clusters are
-    reported without their candidates when what is left cannot pay for one
-    orbit each.  Maps of dimension >= 2, and periods that are not integers
-    >= 1, raise InvalidInputError.
+    one, left in a bracket).  Every test reads the cell's own tube (_cells),
+    and an endpoint value decides only when |g| there clears its own
+    orbit's error bound (_g_ends); adjacent monotone cells of the same
+    direction whose shared end does not clear it are settled together, from
+    the outer ends of their union, on which g is strictly monotone too.  So
+    a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2) is
+    bracketed in the round that reaches it.  After the rounds one interval
+    Newton pass encloses the roots of all brackets (_enclose), in waves
+    that the budget left pays for; an unpaid bracket is an uncertified
+    region.  The rest shrink to halfwidth <= tol and merge into clusters (a
+    tangency, or a root at the float noise floor), which are not settled:
+    each is reported in `uncertified_regions` as it is, with a
+    "tangential-candidate" record at its midpoint from one orbit.
+    Certified enclosures are proved, of halfwidth tol, or wider where the
+    float noise floor stops the contraction (see _contract).  The uniform
+    Lipschitz bound L_n = sup |f'|^n + 1 decides no cell: it is reported as
+    `lipschitz`, and a period at which it overflows raises
+    ConfigurationError (_refine).  Every evaluation counts against
+    `max_evaluations`: the rounds first, then the brackets, then the
+    clusters' candidates, which are left out when what is left cannot pay
+    for one orbit each.  An exhausted budget leaves the unresolved frontier
+    in `uncertified_regions` and the result uncertified.  Maps of dimension
+    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
 
     The certified radius, the bounds, the initial grid and its orbit tube
-    are kept per map and reused by later calls on it (the tube extended
-    from a lower period), with results identical to a fresh map's;
-    `evaluations` counts the reused orbits too.  The map must not be
-    mutated after it is built.
+    at every period asked for are kept per map and reused by later calls
+    on it, with results identical to a fresh map's; `evaluations` counts
+    the reused orbits too.  The map must not be mutated after it is built.
     """
     f = as_perturbed(f)
     n = _period(n)
@@ -553,14 +550,15 @@ def find_periodic(
     R = _resolve_radius(f, radius)
     b = _map_bounds(f, R)
 
-    records: list = []
+    brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
         keep = np.abs(c.g) <= c.spread
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
-        settled, spent = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
-                                 c.mids[idx] + c.halves[idx], c.slopes(idx), tol, budget, records)
+        settled, spent, bracketed = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
+                                            c.mids[idx] + c.halves[idx], c.slopes(idx), budget)
+        brackets.append(bracketed)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
         finished.append((c.mids[done], c.halves[done]))
@@ -568,6 +566,15 @@ def find_periodic(
 
     evaluations, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
     uncertified: list = _merged([(left_mids, left_halves)])
+
+    # every root is enclosed after the rounds, as far as the budget left pays; an unpaid
+    # run is reported as it is (the runs are disjoint, so their ends sorted apart stay paired)
+    rows = np.concatenate(brackets)
+    located, spent = _enclose(f, n, R, b, rows, tol, max_evaluations - evaluations)
+    evaluations += spent
+    records = [_record(n, *fields, True, "simple") for fields in located]
+    if len(located) < len(rows):
+        uncertified.extend(_merge_intervals(*np.sort(rows[len(located):, :2].T)))
 
     # a tangency or a root at the noise floor stops every test on the cells
     # refined to tol: each cluster is reported, with a candidate at its
@@ -594,7 +601,7 @@ def find_periodic(
 
 
 def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
-            slope: np.ndarray, tol: float, budget: int, records: list):
+            slope: np.ndarray, budget: int):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
     proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
     from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
@@ -605,23 +612,20 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
     clear (a root on or near that end).  g is strictly monotone on the
     union, with g' in the hull of the slopes, so a run is decided by its two
     outer ends as an interval is: when both clear, opposite signs mean
-    exactly one root, which _newton encloses (its record goes to
-    `records`), and one sign means none.  The value at a joined end is
-    never used for a sign.
+    exactly one root, and one sign means none.  The value at a joined end
+    is never used for a sign.  No root is located here: a one-root run
+    leaves the frontier at once as a bracket row, which find_periodic
+    passes to _enclose after the rounds.
 
     An end shared by two intervals is evaluated once, all ends in one
     _g_ends call, whose values _newton's first step reads.  Nothing is
-    settled when `budget` cannot pay for the ends.  The roots are located in
-    waves: the longest prefix of the roots left that what is left pays for
-    at _NEWTON_STEPS orbits each, its actual orbits charged before the next,
-    so a root is located exactly when taking the roots one at a time under
-    that rule would locate it; its run stays unsettled otherwise.  Returns
-    the mask of the settled intervals and the evaluations spent (at most
-    `budget`)."""
+    settled when `budget` cannot pay for the ends.  Returns the mask of the
+    settled intervals, the evaluations spent (the distinct ends, at most
+    `budget`) and the brackets, one row per one-root run."""
     index: dict = {}  # distinct end -> its place in the _g_ends call
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
-        return np.zeros(lo.size, dtype=bool), 0
+        return np.zeros(lo.size, dtype=bool), 0, np.empty((0, 9))
     g, bound = (v[at] for v in _g_ends(f, list(index), n, R, b))
     spent, k = len(index), lo.size
     x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
@@ -643,23 +647,31 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
                               np.maximum.reduceat(slope[1, order], cuts)])
             k = cuts.size
     settled = clear[:k] & clear[k:]
-    pending = np.flatnonzero(settled & ((g[:k] > 0) != (g[k:] > 0)))
+    pending = settled & ((g[:k] > 0) != (g[k:] > 0))
     # rows a, c, g(a), g(c), bound(a), bound(c), t, dl, dh: t g rises, 0 < dl <= (t g)' <= dh
     up = slope[0] > 0.0
     brackets = np.concatenate([x, g, bound, np.where(up, 1.0, -1.0),
                                np.where(up, slope, -slope[::-1]).ravel()]).reshape(9, k)
-    brackets = brackets[:, pending].T
-    located: list = []
-    while len(located) < pending.size:
+    return (settled if run is None else settled[run]), spent, brackets[:, pending].T
+
+
+def _enclose(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float, budget: int):
+    """Enclose the roots of the rows of `brackets` (as _settle gives them)
+    in waves: the longest prefix of the rows left that what is left of
+    `budget` pays for at _NEWTON_STEPS orbits each goes to one _newton
+    call, and its actual orbits are charged before the next.  So a root is
+    located exactly when taking the rows one at a time under that rule
+    would locate it, and with the budget to spare all go in one call.
+    Returns the record fields of the located prefix and the orbits spent."""
+    found, spent = [], 0
+    while len(found) < len(brackets):
         wave = (budget - spent) // _NEWTON_STEPS
         if not wave:
             break
-        found, calls = _newton(f, n, R, b, brackets[len(located) : len(located) + wave], tol)
+        located, calls = _newton(f, n, R, b, brackets[len(found) : len(found) + wave], tol)
         spent += calls
-        located += found
-    records.extend(_record(n, *fields, True, "simple") for fields in located)
-    settled[pending[len(located):]] = False
-    return (settled if run is None else settled[run]), spent
+        found += located
+    return found, spent
 
 
 # The contraction's orbits per root at worst: each step but the last at

@@ -96,6 +96,13 @@ class HomogeneousComponent:
         if not np.all(np.isfinite(self.coeffs)):
             raise InvalidInputError("non-finite coefficient")
 
+    def __eq__(self, other):
+        # the coefficients by value (a PerturbationVector compares its components so)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.degree, self.dim) == (other.degree, other.dim)
+        return same and np.array_equal(self.coeffs, other.coeffs)
+
     @property
     def alphas(self) -> tuple:
         return multi_indices(self.degree, self.dim)

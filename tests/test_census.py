@@ -366,6 +366,55 @@ def test_census_budget_exhaustion_is_partial():
             assert any(abs(r.location - rec.location) <= 1e-11 for rec in full.records)
 
 
+def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
+    """The rounds leave each root in a bracket, and one _newton call after
+    them encloses all 103 of 0.95 - 1.8x^2 at period 10, with the
+    evaluations of locating them round by round; each record is the one
+    its bracket gives alone."""
+    passes = []
+    newton = census._newton
+
+    def recorded(f, n, R, b, brackets, tol):
+        passes.append((brackets, newton(f, n, R, b, brackets, tol)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(census, "_newton", recorded)
+    f = PolynomialMap.univariate(CHAOTIC)
+    res = find_periodic(f, 10, radius=1.0)
+    ((brackets, (found, calls)),) = passes
+    assert res.certified and res.count == len(brackets) == 103 and res.evaluations == 2_251
+    R, b = _one(as_perturbed(f))
+    alone = [newton(as_perturbed(f), 10, R, b, brackets[i:i + 1], 1e-12) for i in range(103)]
+    assert [a for (a,), _ in alone] == found and sum(c for _, c in alone) == calls
+
+
+def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
+    """A budget that pays for the rounds but not for every contraction
+    leaves the roots it cannot pay for in their brackets, each inside an
+    uncertified region, and the result uncertified; the roots it pays for
+    are the full census's records."""
+    f = PolynomialMap.univariate(CHAOTIC)
+    full = find_periodic(f, 10, radius=1.0)
+    budgets = []
+    enclose = census._enclose
+
+    def recorded(*args):
+        budgets.append(args[-1])
+        return enclose(*args)
+
+    monkeypatch.setattr(census, "_enclose", recorded)
+    assert find_periodic(f, 10, radius=1.0) == full
+    rounds = 3_000_000 - budgets[-1]
+    for extra in (0, census._NEWTON_STEPS - 1, 5 * census._NEWTON_STEPS):
+        res = find_periodic(f, 10, radius=1.0, max_evaluations=rounds + extra)
+        assert not res.certified and res.evaluations <= rounds + extra
+        assert all(r in full.records for r in res.records)
+        assert (len(res.records) > 5) == (extra > census._NEWTON_STEPS) and res.count < 103
+        for rec in full.records:
+            inside = sum(lo <= rec.location <= hi for lo, hi in res.uncertified_regions)
+            assert inside == (rec not in res.records)
+
+
 def test_tangency_is_reported_uncertified():
     """x - x^3 has a triple fixed point at 0, where the tube cannot prove
     x - f(x) monotone.  With the default tol the budget runs out around it;
@@ -448,27 +497,31 @@ def _slopes(f, n, lo, hi):
     return c.slopes(np.arange(lo.size))
 
 
+def _located(f, n, brackets, budget=10_000):
+    """The records of the roots _enclose locates in `brackets` at period
+    n on [-1, 1] within `budget`, and the orbits it spent."""
+    found, spent = census._enclose(f, n, *_one(f), brackets, 1e-12, budget)
+    return [census._record(n, *fields, True, "simple") for fields in found], spent
+
+
 def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     """Two intervals share an end, evaluated once; the fixed point 0.5 of
     0.95 - 1.8x^2 lies in the first.  A budget short of the three ends
-    settles nothing, and one short of the contraction's worst case leaves
-    the root's interval unsettled."""
+    settles nothing.  Paid, both intervals leave the frontier, the first as
+    a bracket, and a budget short of the contraction's worst case leaves
+    its root unlocated."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     lo, hi = np.array([0.49, 0.505]), np.array([0.505, 0.52])
     slope = _slopes(f, 1, lo, hi)
     assert (slope[1] < 0).all()  # g' = -3.6x - 1 < 0 on both
-    for budget, settled, spent in ((2, [False, False], 0),
-                                   (3 + census._NEWTON_STEPS - 1, [False, True], 3),
-                                   (3 + census._NEWTON_STEPS, [True, True], None)):
-        records = []
-        mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, budget, records)
-        assert mask.tolist() == settled
-        assert used <= budget
-        if spent is not None:
-            assert used == spent and not records
-        else:
-            (record,) = records
-            assert used > 3 and abs(record.location - 0.5) <= record.halfwidth
+    for budget, settled, spent in ((2, [False, False], 0), (3, [True, True], 3)):
+        mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, slope, budget)
+        assert mask.tolist() == settled and used == spent
+        assert brackets.shape == (sum(settled) // 2, 9)
+    assert brackets[0, :2].tolist() == [0.49, 0.505]
+    assert _located(f, 1, brackets, census._NEWTON_STEPS - 1) == ([], 0)
+    (record,), used = _located(f, 1, brackets, census._NEWTON_STEPS)
+    assert 0 < used <= census._NEWTON_STEPS and abs(record.location - 0.5) <= record.halfwidth
 
 
 def test_reported_intervals_are_plain_floats():
@@ -488,10 +541,13 @@ def _seeded_quadratic():
     return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps)
 
 
-def test_reused_census_work_matches_a_fresh_map():
+def test_reused_census_work_matches_a_fresh_map(monkeypatch):
     """Periods 5, 1, 8, 8, 3 on one map extend the initial grid's tube,
-    restart it, reuse it at the same period and restart it again; every
-    result equals the same call on a freshly built map, field by field."""
+    start it afresh below every period held, reuse it at the same period
+    and extend it from a lower one; every result equals the same call on a
+    freshly built map, field by field.  A descending revisit (8, 4, 8, 4)
+    on a map of its own, on the census grid and on ih_check's, computes
+    each period's round-1 tube once: the revisits take it from the memo."""
     f = _seeded_quadratic()
     for n in (5, 1, 8, 8, 3):
         assert find_periodic(f, n) == find_periodic(_seeded_quadratic(), n)
@@ -501,18 +557,43 @@ def test_reused_census_work_matches_a_fresh_map():
     report = ih_check(f, params, 8)
     assert report == ih_check(_seeded_quadratic(), params, 8)
     assert [row.status for row in report.rows] == ["holds"] * 8
-    # the memo holds each initial grid, read-only, and its deepest tube
+    # the memo holds each initial grid, read-only, and its tube at every period asked for
     memo, R = dynamics._MEMO[f], report.radius
-    for k0 in (1024, 256):
+    for k0, periods in ((1024, {1, 3, 5, 6, 8}), (256, set(range(1, 9)))):
         mids, halves = memo["grid", R, k0]
         assert not (mids.flags.writeable or halves.flags.writeable)
         edges = np.linspace(-R, R, k0 + 1)
         assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
         assert halves.tobytes() == np.full(k0, R / k0).tobytes()
-        assert memo["tube", R, k0][0] == 8
+        tubes = memo["tube", R, k0]
+        assert set(tubes) == periods
+        assert not any(a.flags.writeable for tube in tubes.values() for a in tube)
     # warm calls on both grids equal fresh ones
     assert find_periodic(f, 6) == find_periodic(_seeded_quadratic(), 6)
     assert ih_check(f, params, 8) == report
+    # round 1's _tube_many calls, per call of _grid_tube
+    round1, calls = [], []
+    tube, grid_tube = census._tube_many, census._grid_tube
+
+    def counted_tube(*args, **kwargs):
+        calls.append(1)
+        return tube(*args, **kwargs)
+
+    def counted_grid_tube(*args):
+        before = len(calls)
+        out = grid_tube(*args)
+        round1.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(census, "_tube_many", counted_tube)
+    monkeypatch.setattr(census, "_grid_tube", counted_grid_tube)
+    g = _seeded_quadratic()
+    for i, n in enumerate((8, 4, 8, 4)):
+        fresh = find_periodic(_seeded_quadratic(), n), ih_check(_seeded_quadratic(), params, n)
+        round1.clear()
+        assert (find_periodic(g, n), ih_check(g, params, n)) == fresh
+        # the census grid's tube, then ih_check's at stages 1..n
+        assert round1 == [int(i < 2)] + [int(i == 0)] * n
 
 
 def test_census_memo_goes_with_its_map():
@@ -580,13 +661,13 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
     monkeypatch.setattr(census, "_g_ends", recorded_ends)
     monkeypatch.setattr(census, "_start", recorded_start)
     monkeypatch.setattr(census, "_tubes_at", recorded_steps)
-    records = []
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12, 10_000,
-                                records)
+    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    records, spent = _located(f, 1, brackets)
     ((xs, g, bound),) = ends
     assert xs == [0.49, 0.505]
     assert starts == [(0.49, 0.505, g[0], g[1], bound[0], bound[1])]
-    assert mask.tolist() == [True] and used == 2 + len(steps)  # the last step is the record's
+    assert mask.tolist() == [True] and used == 2  # the two ends
+    assert spent == len(steps)  # the last step is the record's
     assert steps and 0.49 not in steps and 0.505 not in steps
     (record,) = records
     with mpmath.workprec(200):
@@ -602,13 +683,12 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
-    records = []
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 1e-12,
-                                10_000, records)
-    assert mask.tolist() == [True, True]
-    (record,) = records
+    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    assert mask.tolist() == [True, True] and used == 3  # the three ends
+    assert brackets[:, :2].tolist() == [[0.49, 0.51]]  # the run's outer ends
+    (record,), spent = _located(f, 1, brackets)
     assert record.certified and abs(record.location - 0.5) <= record.halfwidth
-    assert 3 < used <= 3 + census._NEWTON_STEPS  # the three ends and the Newton steps
+    assert 0 < spent <= census._NEWTON_STEPS
 
 
 def test_settle_never_joins_intervals_monotone_in_opposite_directions():
@@ -617,41 +697,41 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     neither is decided by its ends: nothing settled, no record."""
     f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
-    records = []
     slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
-    mask, used = census._settle(f, 1, *_one(f), lo, hi, slope, 1e-12, 10_000, records)
+    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, slope, 10_000)
     assert mask.tolist() == [False, False]
-    assert used == 3 and records == []
+    assert used == 3 and brackets.shape == (0, 9)
 
 
 def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
-    """Each wave locates as many roots as the budget left pays for at the
-    contraction's worst, and charges their actual orbits before the next.
-    On three roots of 0.95 - 1.8x^2 at period 5, at every budget, the
-    settled mask and the evaluations equal the rule that takes the roots
-    one at a time while what is left pays for _NEWTON_STEPS, on both
-    paths."""
+    """After the rounds, each wave locates as many roots as the budget left
+    pays for at the contraction's worst, and charges their actual orbits
+    before the next.  On three roots of 0.95 - 1.8x^2 at period 5, at every
+    budget, the roots located and the evaluations equal the rule that takes
+    the roots one at a time while what is left pays for _NEWTON_STEPS, on
+    both paths, and each record is the one located alone."""
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:6:2]])
     lo, hi = roots - 1e-4, roots + 1e-4
     slope = _slopes(f, 5, lo, hi)
     # each root alone: its two ends, then the Newton steps
-    alone = [census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1], slope[:, i:i + 1], 1e-12,
-                            10_000, [])[1] - 2 for i in range(3)]
+    alone = [_located(f, 5, census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1],
+                                           slope[:, i:i + 1], 10_000)[2]) for i in range(3)]
     worst = census._NEWTON_STEPS
-    assert all(0 < c < worst for c in alone)
+    assert all(0 < c < worst for _, c in alone)
     crossed = False
     for limit in (0, 10**9):
         monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
         for budget in range(0, 6 + 3 * worst + 2):
             spent, want = 6, []
-            for c in alone:
+            for _, c in alone:
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
-            records = []
-            mask, used = census._settle(f, 5, *_one(f), lo, hi, slope, 1e-12, budget, records)
-            assert mask.tolist() == want, budget
-            assert used == (spent if budget >= 6 else 0) and len(records) == sum(want)
+            mask, used, brackets = census._settle(f, 5, *_one(f), lo, hi, slope, budget)
+            assert mask.tolist() == [budget >= 6] * 3 and len(brackets) == 3 * (budget >= 6)
+            records, located = _located(f, 5, brackets, budget - used)
+            assert records == [r for (r,), _ in alone[:sum(want)]] and want == sorted(want)[::-1]
+            assert used + located == (spent if budget >= 6 else 0), budget
             # the third root fits only once the first wave's orbits are charged
             crossed |= want == [True] * 3 and budget - 6 < 3 * worst
     assert crossed

@@ -136,6 +136,25 @@ def test_sample_deterministic():
     )
 
 
+def test_vectors_and_components_compare_by_value():
+    """Equal N-D draws are equal, and unequal ones are not (a coefficient
+    array of more than one entry used to make == raise); 1-D draws compare
+    as they always did."""
+    b = BrickSpec.factorial(0.01, 3)
+    for dim in (2, 3):
+        a, c, d = sample(b, dim, 1), sample(b, dim, 1), sample(b, dim, 2)
+        assert a == c and not a != c and a.components == c.components
+        assert a != d and a.components[1] != d.components[1]
+        moved = HomogeneousComponent(1, dim, np.nextafter(a.components[1].coeffs, 1.0))
+        comps = (a.components[0], moved) + a.components[2:]
+        assert PerturbationVector(dim, comps, a.brick, a.seed) != a
+    one, other = sample(b, 1, 1), sample(b, 1, 2)
+    assert one == sample(b, 1, 1) and one != other
+    assert PerturbationVector.from_record(one.to_record()) == one
+    assert HomogeneousComponent.zero(2, 1) != HomogeneousComponent.zero(3, 1)
+    assert HomogeneousComponent.zero(2, 2) != "a component"
+
+
 def test_value_matches_components():
     b = BrickSpec.factorial(0.1, 3)
     eps = sample(b, 2, 77)
