@@ -45,16 +45,17 @@ The per-step slack and the bounds on f are generous but not outward-rounded.
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
 ranges behind the radius (kept by certified_range_1d, which the
-experiment's invariance check shares), the bounds on [-R, R] (sup |f'|,
-sup |f''|, the per-step slack), the initial grid of cells (read-only) and
-its orbit tube at every period asked for.  The tube at period n is the
-tube at period n - 1 plus one step, so a later call reads its own period's
-tube or extends the one held at the highest period below; the result is
-bit for bit the one computed from scratch.  A reused orbit still counts as
-evaluations, so budgets and reported evaluations do not depend on what
-came before.  The memo (dynamics._MEMO) is held per map object, weakly (it
-goes with the map), and assumes a map is not mutated after it is built, as
-the 1-D fold already does.
+experiment's invariance check shares) and, per radius, one _Domain: R,
+the bounds on [-R, R] (sup |f'|, sup |f''|, the per-step slack) and
+their pads, the initial grid of cells (read-only) that all three start
+from, and its orbit tube at every period asked for.  The tube at period
+n is the tube at period n - 1 plus one step, so a later call reads its
+own period's tube or extends the one held at the highest period below;
+the result is bit for bit the one computed from scratch.  A reused orbit
+still counts as evaluations, so budgets and reported evaluations do not
+depend on what came before.  The memo (dynamics._MEMO) is held per map
+object, weakly (it goes with the map), and assumes a map is not mutated
+after it is built, as the 1-D fold already does.
 
 Orbits of points outside the cell tubes (_g_ends and _tubes_at) take up to
 _SCALAR_POINTS points one at a time with f.evaluate, cheaper than an array
@@ -87,7 +88,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dynamics import _memo, as_perturbed, certified_range_1d, invariant_radius, norm_bounds
-from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
+from .errors import InvalidInputError, UncertifiedCensusError
 
 __all__ = [
     "GrowthParams",
@@ -185,7 +186,6 @@ class CensusResult:
     records: list
     uncertified_regions: list
     certified: bool
-    lipschitz: float
     evaluations: int
 
     @property
@@ -216,17 +216,24 @@ _SCALAR_POINTS = 16
 _LEAST_PERIOD_TOL = 1e-8
 
 
-class _MapBounds(NamedTuple):
-    """Certified constants of f on [-R, R] that do not depend on the period."""
+# Cells of the initial grid of [-R, R] that every _refine caller starts from
+_GRID_CELLS = 1024
 
+
+class _Domain(NamedTuple):
+    """The certified model of f on [-R, R], one per map and radius in the
+    map's memo (_domain): the constants that do not depend on the period,
+    the initial grid of _refine and the grid's orbit tubes (_grid_tube)."""
+
+    R: float
     D1: float  # sup |f'|
     D2: float  # sup |f''|
     step: float  # float slack of one evaluation of f
-
-    @property
-    def d_slack(self) -> float:
-        """Float slack of one evaluation of f'."""
-        return 64.0 * _EPS * self.D1
+    d_slack: float  # float slack of one evaluation of f'
+    pad: float  # 8 eps R, the rounding of one subtraction or quotient step on [-R, R]
+    cap: float  # 2R, the width of [-R, R]
+    grid: tuple  # (mids, halves) of _GRID_CELLS equal cells, read-only
+    tubes: dict  # period -> the grid's tube (y, r, lam, lam_hi), read-only
 
 
 def _dev(lam, lam_hi, n: int):
@@ -235,22 +242,23 @@ def _dev(lam, lam_hi, n: int):
     return lam_hi * (1.0 + (8 * n + 4) * _EPS) - abs(lam)
 
 
-# The census keeps its period-independent work in the map's memo (shared
-# with certified_range_1d) under the keys ("bounds", R), ("grid", R, cells)
-# and ("tube", R, cells).
-
-
-def _map_bounds(f, radius: float) -> _MapBounds:
-    key = ("bounds", radius)
+def _domain(f, R: float) -> _Domain:
+    """The _Domain of f on [-R, R], built once and kept in the map's memo,
+    which it shares with certified_range_1d."""
+    key = ("domain", R)
     memo = _memo(f)
     if key not in memo:
-        D2 = f.d2_bound(radius)
+        D2 = f.d2_bound(R)
         # sup |f'| from a grid, padded by the curvature between grid points
-        xs = np.linspace(-radius, radius, 4097)
-        h = 2.0 * radius / 4096
-        D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * h / 2.0
-        scale = max(radius, f.sup_bound(radius), 1.0)
-        memo[key] = _MapBounds(D1=D1, D2=D2, step=64.0 * _EPS * scale)
+        xs = np.linspace(-R, R, 4097)
+        D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * (2.0 * R / 4096) / 2.0
+        edges = np.linspace(-R, R, _GRID_CELLS + 1)
+        grid = (0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
+        for a in grid:
+            a.flags.writeable = False  # shared with later calls
+        memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, f.sup_bound(R), 1.0),
+                            d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
+                            grid=grid, tubes={})
     return memo[key]
 
 
@@ -287,8 +295,7 @@ def _period(n, least: int = 1, name: str = "period") -> int:
 # -- orbit tubes and the certify-or-refine driver -----------------------------------
 
 
-def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds,
-               lam=1.0, lam_hi=1.0):
+def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, lam=1.0, lam_hi=1.0):
     """Orbit tubes of the cells [m - h, m + h] under n steps of f.
 
     Returns (y, r, lam, lam_hi): the computed orbit y of each midpoint with a
@@ -305,9 +312,11 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Ma
     error, and a cell of zero width bounds the error of one computed orbit
     (_g_ends).  The true orbit stays in [-R, R] (forward invariance), so
     clamping y_k to [-R, R] cannot move it away from any true orbit and
-    keeps D1 and D2 valid, and r_k never needs to exceed 2R, a cap that also
-    keeps s_k bounded.  lam_hi keeps the uncapped s_k: its product bound
-    needs |f'(x_k) - f'(y_k)| <= s_k - |f'(y_k)|, which the cap would break.
+    keeps D1 and D2 valid, and r_k never needs to exceed the cap 2R, which
+    also keeps s_k bounded.  lam_hi keeps the uncapped s_k: its product
+    bound needs |f'(x_k) - f'(y_k)| <= s_k - |f'(y_k)|, which the cap would
+    break.  At a deep period the products may overflow to inf, which only
+    makes dev inf: no test passes on it, and the cell stays undecided.
 
     Given the (mids, halves) as the tube (y, r) at some step k and the
     (lam, lam_hi) there, it continues that tube to step k + n; radii stacked
@@ -315,30 +324,30 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _Ma
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
-    d_slack = b.d_slack
-    for _ in range(n):
-        d = f.deriv_many(y)
-        # np.clip's floats (NaN and -0.0 included), without its wrapper
-        y = np.minimum(np.maximum(f.eval_many(y), -R), R)
-        s = np.abs(d) + b.D2 * r + d_slack
-        lam = lam * d
-        lam_hi = lam_hi * s
-        r = np.minimum(np.minimum(s, b.D1) * r + b.step, 2.0 * R)
+    with np.errstate(over="ignore"):
+        for _ in range(n):
+            d = f.deriv_many(y)
+            # np.clip's floats (NaN and -0.0 included), without its wrapper
+            y = np.minimum(np.maximum(f.eval_many(y), -dom.R), dom.R)
+            s = np.abs(d) + dom.D2 * r + dom.d_slack
+            lam = lam * d
+            lam_hi = lam_hi * s
+            r = np.minimum(np.minimum(s, dom.D1) * r + dom.step, dom.cap)
     return y, r, lam, lam_hi
 
 
-def _g_ends(f, xs: list, n: int, R: float, b: _MapBounds):
+def _g_ends(f, xs: list, n: int, dom: _Domain):
     """(g, bound) at each float x of the list xs from its zero-width orbit
     tube, as _tubes_at gives them: up to _SCALAR_POINTS points take its
     loop, and more take _tube_many, with the same floats."""
     if len(xs) <= _SCALAR_POINTS:
-        return np.array(_tubes_at(f, xs, None, n, R, b)).reshape(-1, 2).T
+        return np.array(_tubes_at(f, xs, None, n, dom)).reshape(-1, 2).T
     x = np.array(xs, dtype=float)
-    y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, R, b)
-    return y - x, r + 8.0 * _EPS * R
+    y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, dom)
+    return y - x, r + dom.pad
 
 
-def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBounds) -> list:
+def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list:
     """The orbit tubes of radius 0 and of radius h (the list halves) of
     each float x of the list xs, one point at a time: per point (g, bound,
     lam, dev, least), g = y - x and bound = r + 8 eps R >= |g(x) - g| from
@@ -348,9 +357,8 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBoun
     radii ride the same y and lam.  With halves None (_g_ends) only (g,
     bound) is computed.  The loop performs _tube_many's float operations,
     so it agrees with _tubes_at_many bit for bit."""
-    D1, D2, step = b
+    R, D1, D2, step, d_slack, pad, cap = dom[:7]
     evaluate, derivative = f.evaluate, f.derivative
-    d_slack, cap, pad = b.d_slack, 2.0 * R, 8.0 * _EPS * R
     box, proper, out = halves is not None, {d for d in range(1, n) if n % d == 0}, []
     for x, r in zip(xs, halves if box else xs):
         y, r0, lam, lam_hi, least = x, 0.0, 1.0, 1.0, n
@@ -375,46 +383,32 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, R: float, b: _MapBoun
     return out
 
 
-def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds):
+def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, dom: _Domain):
     """_tubes_at as arrays (g, bound, lam, dev, least), from one _tube_many
     over the stacked radii (0, h) per divisor of n."""
     y, r, lam, lam_hi = x, np.stack([np.zeros(x.size), halves]), 1.0, 1.0
     near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
     least, k = np.full(x.size, n), 0
     for d in [d for d in range(1, n) if n % d == 0] + [n]:
-        y, r, lam, lam_hi = _tube_many(f, y, r, d - k, R, b, lam, lam_hi)
+        y, r, lam, lam_hi = _tube_many(f, y, r, d - k, dom, lam, lam_hi)
         if d < n:
             least[(least == n) & (np.abs(y - x) <= near)] = d
         k = d
-    return y - x, r[0] + 8.0 * _EPS * R, lam, _dev(lam, lam_hi[1], n), least
+    return y - x, r[0] + dom.pad, lam, _dev(lam, lam_hi[1], n), least
 
 
-def _grid(f, R: float, k0: int):
-    """The initial grid (mids, halves) of [-R, R] split into k0 equal
-    cells, built once per map and kept read-only in its memo."""
-    key = ("grid", R, k0)
-    memo = _memo(f)
-    if key not in memo:
-        edges = np.linspace(-R, R, k0 + 1)
-        grid = (0.5 * (edges[:-1] + edges[1:]), np.full(k0, R / k0))
-        for a in grid:
-            a.flags.writeable = False  # shared with later calls
-        memo[key] = grid
-    return memo[key]
-
-
-def _grid_tube(f, mids: np.ndarray, halves: np.ndarray, n: int, R: float, b: _MapBounds):
-    """_tube_many over the initial grid (mids, halves) at period n >= 1.
-    The map's memo keeps the grid's tube, read-only, at every period asked
-    for: a call reads its own period's, or extends the one at the highest
-    period k < n held (the grid itself at k = 0) by n - k steps.  A step
-    reads only D1, D2 and step, none of which depends on the period, so
-    the result is bit for bit the tube computed from scratch."""
-    tubes = _memo(f).setdefault(("tube", R, mids.size), {})
+def _grid_tube(f, n: int, dom: _Domain):
+    """_tube_many over the initial grid at period n >= 1.  The domain keeps
+    the grid's tube, read-only, at every period asked for: a call reads its
+    own period's, or extends the one at the highest period k < n held (the
+    grid itself at k = 0) by n - k steps.  A step reads only the domain's
+    constants, none of which depends on the period, so the result is bit for
+    bit the tube computed from scratch."""
+    tubes = dom.tubes
     if n not in tubes:
         k = max((k for k in tubes if k < n), default=0)
-        y, r, lam, lam_hi = tubes.get(k, (mids, halves, 1.0, 1.0))
-        tubes[n] = _tube_many(f, y, r, n - k, R, b, lam, lam_hi)
+        y, r, lam, lam_hi = tubes.get(k, (*dom.grid, 1.0, 1.0))
+        tubes[n] = _tube_many(f, y, r, n - k, dom, lam, lam_hi)
         for a in tubes[n]:
             a.flags.writeable = False  # shared with later calls
     return tubes[n]
@@ -439,38 +433,36 @@ class _Cells(NamedTuple):
         return np.array([d - dev, d + dev])
 
 
-def _cells(mids: np.ndarray, halves: np.ndarray, n: int, R: float, tube) -> _Cells:
+def _cells(mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, tube) -> _Cells:
     """The _Cells of (mids, halves) from their tube (y, r, lam, lam_hi) at
     period n: spread = r + half + 8 eps R, r holding the orbit's rounding and
     8 eps R the subtraction g = y - m; dev = lam_hi (1 + (8n + 4) eps) - |lam|,
     as lam and lam_hi (n rounded factors each, |lam| <= lam_hi) are within a
     relative 2n eps of exact, and the subtractions that read dev round too."""
     y, r, lam, lam_hi = tube
-    return _Cells(mids=mids, halves=halves, g=y - mids, spread=r + halves + 8.0 * _EPS * R,
+    return _Cells(mids=mids, halves=halves, g=y - mids, spread=r + halves + dom.pad,
                   lam=lam, dev=_dev(lam, lam_hi, n))
 
 
-def _refine(f, n: int, R: float, b: _MapBounds, k0: int, max_evaluations: int, classify):
-    """Certify-or-refine [-R, R], split into k0 equal cells, in vectorised
-    rounds.
+def _refine(f, n: int, dom: _Domain, max_evaluations: int, classify):
+    """Certify-or-refine [-R, R], from the domain's initial grid of
+    _GRID_CELLS equal cells, in vectorised rounds.
 
     Each round runs the orbit tube over the live cells (the first round
-    takes the initial grid's tube from the map's memo) and calls
-    `classify(cells, budget)`, which records whatever it decides and returns
-    the mask of the cells still undecided plus the evaluations it spent
-    itself, at most `budget`; the undecided cells are bisected.  An
-    evaluation is one n-step orbit of one point.  Returns the evaluations
-    spent and the frontier (mids, halves) left when the next round would
-    exceed `max_evaluations` (empty when the frontier ran out first).  A
-    period at which sup |f'|^n overflows raises ConfigurationError.
+    takes the grid's tube from the domain, so every caller at the same
+    period shares it) and calls `classify(cells, budget)`, which records
+    whatever it decides and returns the mask of the cells still undecided
+    plus the evaluations it spent itself, at most `budget`; the undecided
+    cells are bisected.  An evaluation is one n-step orbit of one point.
+    Returns the evaluations spent and the frontier (mids, halves) left when
+    the next round would exceed `max_evaluations` (empty when the frontier
+    ran out first).
     """
-    if b.D1 > 1.0 and n * math.log(b.D1) > 600.0:
-        raise ConfigurationError(f"period {n} overflows the Lipschitz bound (sup |f'| = {b.D1:.3g})")
-    mids, halves = _grid(f, R, k0)
+    mids, halves = dom.grid
     evaluations = 0
     while evaluations + mids.size <= max_evaluations:
-        tube = _grid_tube if evaluations == 0 else _tube_many  # round 1: the grid
-        cells = _cells(mids, halves, n, R, tube(f, mids, halves, n, R, b))
+        tube = _grid_tube(f, n, dom) if evaluations == 0 else _tube_many(f, mids, halves, n, dom)
+        cells = _cells(mids, halves, n, dom, tube)
         evaluations += mids.size
         live, spent = classify(cells, max_evaluations - evaluations)
         evaluations += spent
@@ -525,20 +517,21 @@ def find_periodic(
     each is reported in `uncertified_regions` as it is, with a
     "tangential-candidate" record at its midpoint from one orbit.
     Certified enclosures are proved, of halfwidth tol, or wider where the
-    float noise floor stops the contraction (see _contract).  The uniform
-    Lipschitz bound L_n = sup |f'|^n + 1 decides no cell: it is reported as
-    `lipschitz`, and a period at which it overflows raises
-    ConfigurationError (_refine).  Every evaluation counts against
-    `max_evaluations`: the rounds first, then the brackets, then the
-    clusters' candidates, which are left out when what is left cannot pay
-    for one orbit each.  An exhausted budget leaves the unresolved frontier
-    in `uncertified_regions` and the result uncertified.  Maps of dimension
-    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+    float noise floor stops the contraction (see _contract).  At a period
+    deep enough for a tube's multiplier bound to overflow, the cells it
+    covers stay undecided and are reported uncertified.  Every evaluation
+    counts against `max_evaluations`: the rounds first, then the brackets,
+    then the clusters' candidates, which are left out when what is left
+    cannot pay for one orbit each.  An exhausted budget leaves the
+    unresolved frontier in `uncertified_regions` and the result
+    uncertified.  Maps of dimension >= 2, and periods that are not integers
+    >= 1, raise InvalidInputError.
 
-    The certified radius, the bounds, the initial grid and its orbit tube
-    at every period asked for are kept per map and reused by later calls
-    on it, with results identical to a fresh map's; `evaluations` counts
-    the reused orbits too.  The map must not be mutated after it is built.
+    The certified radius and its _Domain (the bounds, the initial grid and
+    its orbit tube at every period asked for) are kept per map and reused
+    by later calls on it, the cover and ih_check included, with results
+    identical to a fresh map's; `evaluations` counts the reused orbits too.
+    The map must not be mutated after it is built.
     """
     f = as_perturbed(f)
     n = _period(n)
@@ -547,8 +540,7 @@ def find_periodic(
     if f.dim != 1:
         raise InvalidInputError("find_periodic needs a 1-D map")
 
-    R = _resolve_radius(f, radius)
-    b = _map_bounds(f, R)
+    dom = _domain(f, _resolve_radius(f, radius))
 
     brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
     finished: list = []  # (mids, halves) of cells refined down to tol
@@ -556,7 +548,7 @@ def find_periodic(
     def classify(c: _Cells, budget: int):
         keep = np.abs(c.g) <= c.spread
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
-        settled, spent, bracketed = _settle(f, n, R, b, c.mids[idx] - c.halves[idx],
+        settled, spent, bracketed = _settle(f, n, dom, c.mids[idx] - c.halves[idx],
                                             c.mids[idx] + c.halves[idx], c.slopes(idx), budget)
         brackets.append(bracketed)
         keep[idx[settled]] = False
@@ -564,13 +556,13 @@ def find_periodic(
         finished.append((c.mids[done], c.halves[done]))
         return keep & ~done, spent
 
-    evaluations, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
+    evaluations, left_mids, left_halves = _refine(f, n, dom, max_evaluations, classify)
     uncertified: list = _merged([(left_mids, left_halves)])
 
     # every root is enclosed after the rounds, as far as the budget left pays; an unpaid
     # run is reported as it is (the runs are disjoint, so their ends sorted apart stay paired)
     rows = np.concatenate(brackets)
-    located, spent = _enclose(f, n, R, b, rows, tol, max_evaluations - evaluations)
+    located, spent = _enclose(f, n, dom, rows, tol, max_evaluations - evaluations)
     evaluations += spent
     records = [_record(n, *fields, True, "simple") for fields in located]
     if len(located) < len(rows):
@@ -582,7 +574,7 @@ def find_periodic(
     clusters = _merged(finished, gap=tol / 2)
     if len(clusters) <= max_evaluations - evaluations:
         xs = [0.5 * (lo + hi) for lo, hi in clusters]
-        orbits = _tubes_at(f, xs, [0.0] * len(xs), n, R, b)
+        orbits = _tubes_at(f, xs, [0.0] * len(xs), n, dom)
         records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, least, False, "tangential-candidate")
                        for x, (lo, hi), (g, _, lam, _, least) in zip(xs, clusters, orbits))
         evaluations += len(xs)
@@ -591,17 +583,15 @@ def find_periodic(
     records.sort(key=lambda r: r.location)
     return CensusResult(
         period=n,
-        radius=R,
+        radius=dom.R,
         records=records,
         uncertified_regions=uncertified,
         certified=not uncertified,
-        lipschitz=max(1.0, b.D1) ** n + 1.0,
         evaluations=evaluations,
     )
 
 
-def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
-            slope: np.ndarray, budget: int):
+def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.ndarray, budget: int):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
     proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
     from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
@@ -626,7 +616,7 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
         return np.zeros(lo.size, dtype=bool), 0, np.empty((0, 9))
-    g, bound = (v[at] for v in _g_ends(f, list(index), n, R, b))
+    g, bound = (v[at] for v in _g_ends(f, list(index), n, dom))
     spent, k = len(index), lo.size
     x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
     run = None  # each interval's run, once some intervals join
@@ -655,7 +645,7 @@ def _settle(f, n: int, R: float, b: _MapBounds, lo: np.ndarray, hi: np.ndarray,
     return (settled if run is None else settled[run]), spent, brackets[:, pending].T
 
 
-def _enclose(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float, budget: int):
+def _enclose(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float, budget: int):
     """Enclose the roots of the rows of `brackets` (as _settle gives them)
     in waves: the longest prefix of the rows left that what is left of
     `budget` pays for at _NEWTON_STEPS orbits each goes to one _newton
@@ -668,7 +658,7 @@ def _enclose(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: floa
         wave = (budget - spent) // _NEWTON_STEPS
         if not wave:
             break
-        located, calls = _newton(f, n, R, b, brackets[len(found) : len(found) + wave], tol)
+        located, calls = _newton(f, n, dom, brackets[len(found) : len(found) + wave], tol)
         spent += calls
         found += located
     return found, spent
@@ -686,27 +676,26 @@ _pyfloat = SimpleNamespace(maximum=lambda a, c: a if a > c else c,
                            where=lambda cond, a, c: a if cond else c)
 
 
-def _newton_image(xp, x, g, bound, dl, dh, R: float):
+def _newton_image(xp, x, g, bound, dl, dh, pad: float):
     """Newton's operator x - G / D on floats (xp = _pyfloat) or arrays
     (xp = np), for G = [g - bound, g + bound] holding g(x) and D = [dl, dh],
     dl > 0, the slopes of g between x and a root: [lo, hi] holds the root.
     With x in [-R, R] the pad 8 eps R covers the rounding of a quotient q
     and of x - q while |q| <= 3R; a larger q puts that end outside [-R, R]."""
     gl, gh = g - bound, g + bound
-    pad = 8.0 * _EPS * R
     return (x - gh / xp.where(gh >= 0.0, dl, dh) - pad,
             x - gl / xp.where(gl >= 0.0, dh, dl) + pad)
 
 
-def _start(xp, a, c, ga, gc, ba, bc, t, dl, dh, R: float):
+def _start(xp, a, c, ga, gc, ba, bc, t, dl, dh, pad: float):
     """The contraction's first step on [a, c], with no orbit: Newton's
     operator at both ends, from the g and bounds that settled the run."""
-    la, ha = _newton_image(xp, a, t * ga, ba, dl, dh, R)
-    lc, hc = _newton_image(xp, c, t * gc, bc, dl, dh, R)
+    la, ha = _newton_image(xp, a, t * ga, ba, dl, dh, pad)
+    lc, hc = _newton_image(xp, c, t * gc, bc, dl, dh, pad)
     return xp.maximum(a, xp.maximum(la, lc)), xp.minimum(c, xp.minimum(ha, hc))
 
 
-def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, R: float, tol: float):
+def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, pad: float, tol: float):
     """One interval Newton step on [xl, xh] from the orbit of its midpoint
     m, D the box's slopes lam - 1 +- dev within the run's [dl, dh].  Where
     G(m) excludes 0 the step halves the enclosure at least.  Returns it,
@@ -716,7 +705,7 @@ def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, R: float, tol: float
     d = t * (lam - 1.0)
     # the two enclosures of the slopes meet; D stays positive regardless
     dl, dh = xp.maximum(dl, d - dev), xp.maximum(xp.minimum(dh, d + dev), dl)
-    lo, hi = _newton_image(xp, m, t * g, bound, dl, dh, R)
+    lo, hi = _newton_image(xp, m, t * g, bound, dl, dh, pad)
     lo, hi = xp.maximum(lo, xl), xp.minimum(hi, xh)
     below, above = m - lo, hi - m
     done = (below <= tol) & (above <= tol)
@@ -724,7 +713,7 @@ def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, R: float, tol: float
     return lo, hi, done | (hi - lo > 0.5 * (xh - xl)), halfwidth
 
 
-def _newton(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float):
+def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
     """Enclose the root of g = f^n - id in each row (a, c, g(a), g(c),
     bound(a), bound(c), t, dl, dh) of `brackets`: _start, then per step one
     orbit of the enclosure's midpoint (_tubes_at) and _contract.  Returns
@@ -733,16 +722,16 @@ def _newton(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float
     more than _SCALAR_POINTS are open, then one at a time on floats."""
     found, calls, step = [None] * len(brackets), 0, 0
     if len(brackets) <= _SCALAR_POINTS:
-        open_ = [(i, *_start(_pyfloat, *r, R), *r[6:]) for i, r in enumerate(brackets.tolist())]
+        open_ = [(i, *_start(_pyfloat, *r, dom.pad), *r[6:]) for i, r in enumerate(brackets.tolist())]
     else:
-        (xl, xh), idx = _start(np, *brackets.T, R), np.arange(len(brackets))
+        (xl, xh), idx = _start(np, *brackets.T, dom.pad), np.arange(len(brackets))
         t, dl, dh = brackets[:, 6:].T
         while idx.size > _SCALAR_POINTS:
             step += 1
             m = 0.5 * (xl + xh)
-            g, bound, lam, dev, least = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, R, b)
+            g, bound, lam, dev, least = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, dom)
             calls += m.size
-            xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, R, tol)
+            xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, dom.pad, tol)
             stop |= step == _NEWTON_STEPS
             if stop.any():
                 for i, *fields in zip(*(v[stop].tolist() for v in (idx, m, hw, g, lam, least))):
@@ -753,8 +742,8 @@ def _newton(f, n: int, R: float, b: _MapBounds, brackets: np.ndarray, tol: float
     for i, x0, x1, s, d0, d1 in open_:
         for k in range(step + 1, _NEWTON_STEPS + 1):
             m = 0.5 * (x0 + x1)
-            ((g, bound, lam, dev, least),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, R, b)
-            x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, R, tol)
+            ((g, bound, lam, dev, least),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, dom)
+            x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, dom.pad, tol)
             if stop or k == _NEWTON_STEPS:
                 break
         found[i] = (m, hw, g, lam, least)
@@ -847,10 +836,9 @@ def find_almost_periodic(
     n = _period(n)
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
-    R = _resolve_radius(f, radius)
-    b = _map_bounds(f, R)
+    dom = _domain(f, _resolve_radius(f, radius))
     if resolution is None:
-        resolution = 1e-13 * R
+        resolution = 1e-13 * dom.R
 
     kept: list = []
 
@@ -860,12 +848,12 @@ def find_almost_periodic(
         kept.append((c.mids[done], c.halves[done]))
         return keep & ~done, 0
 
-    _, left_mids, left_halves = _refine(f, n, R, b, 1024, max_evaluations, classify)
+    _, left_mids, left_halves = _refine(f, n, dom, max_evaluations, classify)
     kept.append((left_mids, left_halves))
     return AlmostPeriodicCover(
         period=n,
         slack=float(slack),
-        radius=R,
+        radius=dom.R,
         intervals=tuple(_merged(kept)),
         fully_refined=left_mids.size == 0,
     )
@@ -919,8 +907,10 @@ def ih_check(
     At stage k the hypothesis asks that every point x with
     |f^k(x) - x| <= gamma_k^(1/rho) (an almost-periodic point at the stage
     slack) has multiplier gap at least gamma_k = exp(-C k^(1+delta)).  Each
-    stage is verified by subdividing the invariant interval: a box passes if
-    it certifiably contains no almost-periodic point, or if every point of
+    stage is verified by subdividing the invariant interval, from the
+    census's initial grid, whose tube at period k a census at k (or an
+    earlier stage check) leaves in the map's memo: a box passes if it
+    certifiably contains no almost-periodic point, or if every point of
     the box has gap above the threshold.  Both tests read only the box's
     orbit tube, which bounds f^k - id and the multiplier (f^k)' over the
     whole box, float error included, and no bound grows with sup |f'|^k.
@@ -941,21 +931,19 @@ def ih_check(
     if f.dim != 1:
         raise InvalidInputError("ih_check needs a 1-D map")
     n_max = _period(n_max, 0, "n_max")
-    R = _resolve_radius(f, radius)
-
-    b = _map_bounds(f, R)
+    dom = _domain(f, _resolve_radius(f, radius))
     rows = []
     for k in range(1, n_max + 1):
         thr = params.gamma_n(k)
         slack = thr ** (1.0 / params.rho)
-        row = _ih_one_period(f, k, thr, slack, R, b, max_evaluations_per_period)
+        row = _ih_one_period(f, k, thr, slack, dom, max_evaluations_per_period)
         rows.append(row)
         if row.status == "fails":
             break
-    return IHReport(params=params, radius=R, rows=tuple(rows))
+    return IHReport(params=params, radius=dom.R, rows=tuple(rows))
 
 
-def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
+def _ih_one_period(f, k, thr, slack, dom: _Domain, max_evals) -> IHRow:
     gap_floor = max(thr, math.ulp(0.0))  # a threshold of 0.0 (see ih_check)
     witness = None
     unresolved: list = []
@@ -969,7 +957,7 @@ def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
         spent = idx.size if idx.size <= budget else 0
         if spent:
             m = c.mids[idx]
-            g, bound, lam, dev, least = _tubes_at_many(f, m, np.zeros(spent), k, R, b)
+            g, bound, lam, dev, least = _tubes_at_many(f, m, np.zeros(spent), k, dom)
             failing = (np.abs(g) + bound <= slack) & (np.abs(np.abs(lam) - 1.0) + dev < thr)
             if failing.any():
                 j = np.flatnonzero(failing)[np.argmin(m[failing])]
@@ -979,11 +967,11 @@ def _ih_one_period(f, k, thr, slack, R, b: _MapBounds, max_evals) -> IHRow:
         excluded = gabs > c.spread + slack
         hyperbolic = gaps - c.dev >= gap_floor
         live = ~(excluded | hyperbolic)
-        floored = live & (2.0 * c.halves <= 1e-9 * R)
+        floored = live & (2.0 * c.halves <= 1e-9 * dom.R)
         unresolved.append((c.mids[floored], c.halves[floored]))
         return live & ~floored, spent
 
-    _, left_mids, left_halves = _refine(f, k, R, b, 256, max_evals, classify)
+    _, left_mids, left_halves = _refine(f, k, dom, max_evals, classify)
     unresolved.append((left_mids, left_halves))
     merged = tuple(_merged(unresolved))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,7 +78,18 @@ def _cmd_gamma(args) -> int:
 def _cmd_census(args) -> int:
     f = _map_from_args(args)
     result = find_periodic(f, args.period, radius=args.radius, tol=args.tol)
-    if args.json:
+    try:
+        _print_census(result, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`orbitlab census ... | head`): drop the
+        # rest of the output, including the flush at exit, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if result.certified else 1
+
+
+def _print_census(result, as_json: bool):
+    if as_json:
         payload = {
             "period": result.period,
             "radius": result.radius,
@@ -110,7 +122,6 @@ def _cmd_census(args) -> int:
         print(f"gamma_n = {result.gamma_n:.12g}")
         if result.uncertified_regions:
             print(f"unresolved regions: {len(result.uncertified_regions)}")
-    return 0 if result.certified else 1
 
 
 def _cmd_perturb(args) -> int:

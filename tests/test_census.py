@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from orbitlab import (
     BrickSpec,
     CensusResult,
-    ConfigurationError,
     GrowthParams,
     HomogeneousComponent,
     InvalidInputError,
@@ -37,7 +37,7 @@ from orbitlab import (
     sample,
 )
 from orbitlab import census, dynamics
-from orbitlab.census import _cells, _g_ends, _map_bounds, _resolve_radius, _tube_many
+from orbitlab.census import _cells, _domain, _g_ends, _resolve_radius, _tube_many
 
 from conftest import random_contraction
 
@@ -157,7 +157,6 @@ def test_gamma_n_of_empty_census_is_infinite():
         records=[],
         uncertified_regions=[],
         certified=True,
-        lipschitz=1.0,
         evaluations=0,
     )
     assert res.count == 0
@@ -191,9 +190,20 @@ def test_periods_must_be_positive_integers():
     assert find_periodic(half(), np.int64(2)).period == 2
 
 
-def test_census_overflow_guard():
-    with pytest.raises(ConfigurationError):
-        find_periodic(quad(), 800)
+def test_deep_census_overflow_degrades_to_uncertified():
+    """At n = 700 and 800 the multiplier bound of the tubes near the
+    repelling fixed point -(sqrt 5 - 1)/2 of x^2 - 1 overflows to inf.  That
+    only leaves cells undecided: with every warning an error, each census
+    certifies the 2-cycle {-1, 0} and reports two uncertified windows, around
+    the fixed point and its preimage."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (700, 800):
+            res = find_periodic(quad(), n)
+            assert not res.certified and res.count == 2
+            assert sorted(r.location for r in res.records if r.certified) == [-1.0, 0.0]
+            (a, b), (c, d) = res.uncertified_regions
+            assert a < GOLDEN < b and c < -GOLDEN < d and b - a < 1e-10 and d - c < 1e-10
 
 
 def test_two_dimensional_census_is_rejected():
@@ -374,8 +384,8 @@ def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
     passes = []
     newton = census._newton
 
-    def recorded(f, n, R, b, brackets, tol):
-        passes.append((brackets, newton(f, n, R, b, brackets, tol)))
+    def recorded(f, n, dom, brackets, tol):
+        passes.append((brackets, newton(f, n, dom, brackets, tol)))
         return passes[-1][1]
 
     monkeypatch.setattr(census, "_newton", recorded)
@@ -383,8 +393,8 @@ def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
     res = find_periodic(f, 10, radius=1.0)
     ((brackets, (found, calls)),) = passes
     assert res.certified and res.count == len(brackets) == 103 and res.evaluations == 2_251
-    R, b = _one(as_perturbed(f))
-    alone = [newton(as_perturbed(f), 10, R, b, brackets[i:i + 1], 1e-12) for i in range(103)]
+    dom = _one(as_perturbed(f))
+    alone = [newton(as_perturbed(f), 10, dom, brackets[i:i + 1], 1e-12) for i in range(103)]
     assert [a for (a,), _ in alone] == found and sum(c for _, c in alone) == calls
 
 
@@ -477,7 +487,7 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     for spec, n, radius, tol in (((PolynomialMap.univariate(CHAOTIC), ()), 8, 1.0, 1e-12),
                                  ((parabolic().base, parabolic().terms), 1, None, 1e-4)):
         f = _CountedMap(*spec)
-        census._map_bounds(f, census._resolve_radius(f, radius))  # the range and bounds
+        census._domain(f, census._resolve_radius(f, radius))  # the range and bounds
         _CountedMap.steps = 0
         res = find_periodic(f, n, radius=radius, tol=tol)
         assert res.records and res.evaluations * n == _CountedMap.steps
@@ -485,22 +495,22 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
 
 
 def _one(f):
-    """(R, bounds) of f on [-1, 1], the radius _settle's callers pass."""
-    return 1.0, _map_bounds(f, 1.0)
+    """The _Domain of f on [-1, 1], the radius _settle's callers pass."""
+    return _domain(f, 1.0)
 
 
 def _slopes(f, n, lo, hi):
     """The enclosures of g' on the intervals [lo, hi] from their orbit
     tubes on [-1, 1], as _settle's callers pass them."""
     mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    c = _cells(mids, halves, n, 1.0, _tube_many(f, mids, halves, n, *_one(f)))
+    c = _cells(mids, halves, n, _one(f), _tube_many(f, mids, halves, n, _one(f)))
     return c.slopes(np.arange(lo.size))
 
 
 def _located(f, n, brackets, budget=10_000):
     """The records of the roots _enclose locates in `brackets` at period
     n on [-1, 1] within `budget`, and the orbits it spent."""
-    found, spent = census._enclose(f, n, *_one(f), brackets, 1e-12, budget)
+    found, spent = census._enclose(f, n, _one(f), brackets, 1e-12, budget)
     return [census._record(n, *fields, True, "simple") for fields in found], spent
 
 
@@ -515,7 +525,7 @@ def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     slope = _slopes(f, 1, lo, hi)
     assert (slope[1] < 0).all()  # g' = -3.6x - 1 < 0 on both
     for budget, settled, spent in ((2, [False, False], 0), (3, [True, True], 3)):
-        mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, slope, budget)
+        mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, budget)
         assert mask.tolist() == settled and used == spent
         assert brackets.shape == (sum(settled) // 2, 9)
     assert brackets[0, :2].tolist() == [0.49, 0.505]
@@ -541,37 +551,9 @@ def _seeded_quadratic():
     return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps)
 
 
-def test_reused_census_work_matches_a_fresh_map(monkeypatch):
-    """Periods 5, 1, 8, 8, 3 on one map extend the initial grid's tube,
-    start it afresh below every period held, reuse it at the same period
-    and extend it from a lower one; every result equals the same call on a
-    freshly built map, field by field.  A descending revisit (8, 4, 8, 4)
-    on a map of its own, on the census grid and on ih_check's, computes
-    each period's round-1 tube once: the revisits take it from the memo."""
-    f = _seeded_quadratic()
-    for n in (5, 1, 8, 8, 3):
-        assert find_periodic(f, n) == find_periodic(_seeded_quadratic(), n)
-    cover = find_almost_periodic(f, 6, 1e-3)
-    assert cover == find_almost_periodic(_seeded_quadratic(), 6, 1e-3)
-    params = GrowthParams(C=3.0, delta=1.0)
-    report = ih_check(f, params, 8)
-    assert report == ih_check(_seeded_quadratic(), params, 8)
-    assert [row.status for row in report.rows] == ["holds"] * 8
-    # the memo holds each initial grid, read-only, and its tube at every period asked for
-    memo, R = dynamics._MEMO[f], report.radius
-    for k0, periods in ((1024, {1, 3, 5, 6, 8}), (256, set(range(1, 9)))):
-        mids, halves = memo["grid", R, k0]
-        assert not (mids.flags.writeable or halves.flags.writeable)
-        edges = np.linspace(-R, R, k0 + 1)
-        assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
-        assert halves.tobytes() == np.full(k0, R / k0).tobytes()
-        tubes = memo["tube", R, k0]
-        assert set(tubes) == periods
-        assert not any(a.flags.writeable for tube in tubes.values() for a in tube)
-    # warm calls on both grids equal fresh ones
-    assert find_periodic(f, 6) == find_periodic(_seeded_quadratic(), 6)
-    assert ih_check(f, params, 8) == report
-    # round 1's _tube_many calls, per call of _grid_tube
+def _round_one_orbits(monkeypatch) -> list:
+    """The list that receives, per call of _grid_tube, the _tube_many calls
+    it makes: 0 when the memo holds the tube asked for."""
     round1, calls = [], []
     tube, grid_tube = census._tube_many, census._grid_tube
 
@@ -587,13 +569,65 @@ def test_reused_census_work_matches_a_fresh_map(monkeypatch):
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
     monkeypatch.setattr(census, "_grid_tube", counted_grid_tube)
+    return round1
+
+
+def test_reused_census_work_matches_a_fresh_map(monkeypatch):
+    """Periods 5, 1, 8, 8, 3 on one map extend the initial grid's tube,
+    start it afresh below every period held, reuse it at the same period
+    and extend it from a lower one; every result equals the same call on a
+    freshly built map, field by field.  The census, the cover and ih_check
+    share one grid, so a descending revisit (8, 4, 8, 4) on a map of its
+    own computes each period's round-1 tube once: ih_check's stage 8 reads
+    the census's, and the revisits take every tube from the memo."""
+    f = _seeded_quadratic()
+    for n in (5, 1, 8, 8, 3):
+        assert find_periodic(f, n) == find_periodic(_seeded_quadratic(), n)
+    cover = find_almost_periodic(f, 6, 1e-3)
+    assert cover == find_almost_periodic(_seeded_quadratic(), 6, 1e-3)
+    params = GrowthParams(C=3.0, delta=1.0)
+    report = ih_check(f, params, 8)
+    assert report == ih_check(_seeded_quadratic(), params, 8)
+    assert [row.status for row in report.rows] == ["holds"] * 8
+    # the memo holds one domain per radius: the initial grid, read-only, and
+    # its tube at every period asked for
+    memo, R = dynamics._MEMO[f], report.radius
+    (key,) = [k for k in memo if k[0] != "range"]
+    dom = memo[key]
+    assert key == ("domain", R) and dom.R == R
+    mids, halves = dom.grid
+    assert not (mids.flags.writeable or halves.flags.writeable)
+    edges = np.linspace(-R, R, census._GRID_CELLS + 1)
+    assert mids.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+    assert halves.tobytes() == np.full(census._GRID_CELLS, R / census._GRID_CELLS).tobytes()
+    assert set(dom.tubes) == set(range(1, 9))
+    assert not any(a.flags.writeable for tube in dom.tubes.values() for a in tube)
+    # warm calls equal fresh ones
+    assert find_periodic(f, 6) == find_periodic(_seeded_quadratic(), 6)
+    assert ih_check(f, params, 8) == report
+    round1 = _round_one_orbits(monkeypatch)
     g = _seeded_quadratic()
     for i, n in enumerate((8, 4, 8, 4)):
         fresh = find_periodic(_seeded_quadratic(), n), ih_check(_seeded_quadratic(), params, n)
         round1.clear()
         assert (find_periodic(g, n), ih_check(g, params, n)) == fresh
-        # the census grid's tube, then ih_check's at stages 1..n
-        assert round1 == [int(i < 2)] + [int(i == 0)] * n
+        # the census's tube, then ih_check's at stages 1..n, the last one the census's
+        assert round1 == [int(i == 0)] * n + [0]
+
+
+def test_ih_check_reads_the_round_one_tubes_a_census_left(monkeypatch):
+    """After censuses at n = 1..8 on a seeded a9 map, ih_check through
+    stage 8 starts every stage from the census's tube at its period: it
+    computes no round-1 orbit, and its report equals a fresh map's."""
+    params = GrowthParams(C=2.2, delta=1.0)
+    want = ih_check(_seeded_quadratic(), params, 8)
+    f = _seeded_quadratic()
+    for n in range(1, 9):
+        find_periodic(f, n)
+    round1 = _round_one_orbits(monkeypatch)
+    got = ih_check(f, params, 8)
+    assert got == want and len(got.rows) == 8
+    assert round1 == [0] * 8
 
 
 def test_census_memo_goes_with_its_map():
@@ -661,7 +695,7 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
     monkeypatch.setattr(census, "_g_ends", recorded_ends)
     monkeypatch.setattr(census, "_start", recorded_start)
     monkeypatch.setattr(census, "_tubes_at", recorded_steps)
-    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
     records, spent = _located(f, 1, brackets)
     ((xs, g, bound),) = ends
     assert xs == [0.49, 0.505]
@@ -683,7 +717,7 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
-    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
     assert mask.tolist() == [True, True] and used == 3  # the three ends
     assert brackets[:, :2].tolist() == [[0.49, 0.51]]  # the run's outer ends
     (record,), spent = _located(f, 1, brackets)
@@ -698,7 +732,7 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
     slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
-    mask, used, brackets = census._settle(f, 1, *_one(f), lo, hi, slope, 10_000)
+    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, 10_000)
     assert mask.tolist() == [False, False]
     assert used == 3 and brackets.shape == (0, 9)
 
@@ -715,7 +749,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     lo, hi = roots - 1e-4, roots + 1e-4
     slope = _slopes(f, 5, lo, hi)
     # each root alone: its two ends, then the Newton steps
-    alone = [_located(f, 5, census._settle(f, 5, *_one(f), lo[i:i + 1], hi[i:i + 1],
+    alone = [_located(f, 5, census._settle(f, 5, _one(f), lo[i:i + 1], hi[i:i + 1],
                                            slope[:, i:i + 1], 10_000)[2]) for i in range(3)]
     worst = census._NEWTON_STEPS
     assert all(0 < c < worst for _, c in alone)
@@ -727,7 +761,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
             for _, c in alone:
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
-            mask, used, brackets = census._settle(f, 5, *_one(f), lo, hi, slope, budget)
+            mask, used, brackets = census._settle(f, 5, _one(f), lo, hi, slope, budget)
             assert mask.tolist() == [budget >= 6] * 3 and len(brackets) == 3 * (budget >= 6)
             records, located = _located(f, 5, brackets, budget - used)
             assert records == [r for (r,), _ in alone[:sum(want)]] and want == sorted(want)[::-1]
@@ -832,15 +866,15 @@ def test_tubes_at_equals_tubes_at_many_bit_for_bit():
     with np.errstate(all="ignore"):
         for f in maps:
             R = _resolve_radius(f, None)
-            b = _map_bounds(f, R)
+            dom = _domain(f, R)
             pool = np.array(special + [R, -R] + np.linspace(-R, R, 17).tolist())
             halves = np.resize([0.0, 1e-9, 1e-3, 0.25], pool.size)
             for size in (1, limit, limit + 1):
                 for k in range(len(special)):  # each special value leads once
                     xs, hs = np.roll(pool, -k)[:size], np.roll(halves, -k)[:size]
                     for n in (1, 5, 6):
-                        want = census._tubes_at_many(f, xs, hs, n, R, b)
-                        got = list(zip(*census._tubes_at(f, xs.tolist(), hs.tolist(), n, R, b)))
+                        want = census._tubes_at_many(f, xs, hs, n, dom)
+                        got = list(zip(*census._tubes_at(f, xs.tolist(), hs.tolist(), n, dom)))
                         for v, w in zip(got, want):
                             v = np.array(v, dtype=w.dtype)
                             assert np.array_equal(v, w, equal_nan=True)
@@ -864,12 +898,12 @@ def test_newton_step_is_the_same_on_floats_and_arrays():
     t = rng.choice([-1.0, 1.0], size)
     lam = 1.0 + t * 0.5 * (dl + dh)
     dev = 0.5 * (dh - dl) * rng.uniform(0.0, 1.2, size)
-    tol = 1e-12
-    want = census._start(np, a, c, g, -g, bound, bound, t, dl, dh, 1.0)
-    got = [census._start(census._pyfloat, *row, 1.0)
+    tol, pad = 1e-12, 8.0 * census._EPS  # the pad of [-1, 1]
+    want = census._start(np, a, c, g, -g, bound, bound, t, dl, dh, pad)
+    got = [census._start(census._pyfloat, *row, pad)
            for row in zip(*(v.tolist() for v in (a, c, g, -g, bound, bound, t, dl, dh)))]
-    want += census._contract(np, a, c, m, t, g, bound, lam, dev, dl, dh, 1.0, tol)
-    got = [s + census._contract(census._pyfloat, *row, 1.0, tol) for s, row in
+    want += census._contract(np, a, c, m, t, g, bound, lam, dev, dl, dh, pad, tol)
+    got = [s + census._contract(census._pyfloat, *row, pad, tol) for s, row in
            zip(got, zip(*(v.tolist() for v in (a, c, m, t, g, bound, lam, dev, dl, dh))))]
     for v, w in zip(zip(*got), want):
         v = np.array(v, dtype=w.dtype)
@@ -886,13 +920,13 @@ def test_g_ends_is_the_zero_width_tube_on_both_paths():
     limit = census._SCALAR_POINTS
     for f, radius in maps:
         R = _resolve_radius(f, radius)
-        b = _map_bounds(f, R)
+        dom = _domain(f, R)
         pool = np.concatenate([[R, -R, 0.0, -0.0], np.linspace(-R, R, limit + 3)[1:-1]])
         for size in (1, limit, limit + 1):
             xs = pool[:size]
             for n in (1, 7):
-                y, r, _, _ = _tube_many(f, xs, np.zeros(size), n, R, b)
-                g, bound = _g_ends(f, xs.tolist(), n, R, b)
+                y, r, _, _ = _tube_many(f, xs, np.zeros(size), n, dom)
+                g, bound = _g_ends(f, xs.tolist(), n, dom)
                 assert g.tobytes() == (y - xs).tobytes()
                 assert bound.tobytes() == (r + 8.0 * census._EPS * R).tobytes()
 
@@ -911,8 +945,9 @@ def test_tube_clamp_equals_clip():
         def deriv_many(self, y):
             return np.zeros_like(y)
 
-    b = census._MapBounds(D1=1.0, D2=0.0, step=0.0)
-    y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, R, b)[0]
+    dom = census._Domain(R=R, D1=1.0, D2=0.0, step=0.0, d_slack=0.0, pad=0.0, cap=2.0 * R,
+                         grid=None, tubes={})
+    y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, dom)[0]
     assert y.tobytes() == np.clip(v, -R, R).tobytes()
 
 
@@ -1010,12 +1045,12 @@ def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts)
     tube lies within that orbit's own bound, on both paths of _g_ends."""
     f, radius = _tube_map(family, seed)
     R = _resolve_radius(f, radius)
-    b = _map_bounds(f, R)
+    dom = _domain(f, R)
     h = R * 2.0**-depth
     m = -R + h + where * (2.0 * R - 2.0 * h)
-    tube = _tube_many(f, np.array([m]), np.array([h]), n, R, b)
+    tube = _tube_many(f, np.array([m]), np.array([h]), n, dom)
     y, r = float(tube[0][0]), float(tube[1][0])
-    c = _cells(np.array([m]), np.array([h]), n, R, tube)
+    c = _cells(np.array([m]), np.array([h]), n, dom, tube)
     for t in [-1.0, 0.0, 1.0] + ts:
         x = min(max(m + t * h, -R), R)
         fx, dfx = _exact_orbit(f, x, n)
@@ -1024,7 +1059,7 @@ def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts)
         assert abs(dfx - c.lam[0]) <= c.dev[0]
     fm = _exact_orbit(f, m, n)[0]
     for pad in (0, census._SCALAR_POINTS):  # the scalar loop, then the array path
-        g, bound = _g_ends(f, [m] * (pad + 1), n, R, b)
+        g, bound = _g_ends(f, [m] * (pad + 1), n, dom)
         assert abs(fm - m - g[0]) <= bound[0]
 
 
@@ -1150,8 +1185,8 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
     """A stage's tube rounds and the zero-width tubes of its witness
     candidates together compute at most max_evaluations_per_period orbits,
     and the witness's record is read from its candidate's tube, with no
-    orbit of its own: on x - x^3 one 256-cell round finds the witness, and
-    a budget one orbit short of the two cannot pay for them."""
+    orbit of its own: on x - x^3 one round over the initial grid finds the
+    witness, and a budget one orbit short of the two cannot pay for them."""
     orbits = []
     tube = census._tube_many
 
@@ -1173,8 +1208,8 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
     monkeypatch.setattr(census, "_tubes_at", no_record_orbit)
     assert status(400_000) == "fails"
     (cells, candidates), full = orbits, sum(orbits)
-    assert cells == 256 and 0 < candidates < 256
-    for budget in (0, 255, 256, 257, full - 1):
+    assert cells == census._GRID_CELLS and 0 < candidates < cells
+    for budget in (0, cells - 1, cells, cells + 1, full - 1):
         assert status(budget) == "indeterminate"
     assert status(full) == "fails"
 

@@ -185,6 +185,23 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert summary["num_ok"] == 1
 
 
+def test_census_into_a_closed_pipe_exits_quietly():
+    """A reader that stops after one line (`orbitlab census ... | head -1`)
+    closes the pipe while the census still prints its 1,791 points, more
+    than a pipe holds: the command drops the rest with nothing on stderr
+    and exits with the census's own code, 0 as it certifies."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitlab.__file__)))
+    argv = ["census", "--coeffs", "0.95,0,-1.8", "--radius", "1", "--period", "16"]
+    proc = subprocess.Popen([sys.executable, "-m", "orbitlab.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "period 16 on [-1, 1]\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_package_exports_each_module_all_once():
     """orbitlab.__all__ joins the __all__ lists of the library modules (every
     module but the command-line front end): each name once, none private,
