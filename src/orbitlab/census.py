@@ -53,9 +53,11 @@ n is the tube at period n - 1 plus one step, so a later call reads its
 own period's tube or extends the one held at the highest period below;
 the result is bit for bit the one computed from scratch.  A reused orbit
 still counts as evaluations, so budgets and reported evaluations do not
-depend on what came before.  The memo (dynamics._MEMO) is held per map
-object, weakly (it goes with the map), and assumes a map is not mutated
-after it is built, as the 1-D fold already does.
+depend on what came before.  The memo (dynamics._MEMO) is keyed on the
+map object the caller passed, a bare PolynomialMap or a PerturbedMap,
+weakly and with no reference back to the map, so an entry goes as soon as
+its map does; it assumes a map is not mutated after it is built, as the
+1-D fold already does.
 
 Orbits of points outside the cell tubes (_g_ends and _tubes_at) take up to
 _SCALAR_POINTS points one at a time with f.evaluate, cheaper than an array
@@ -80,14 +82,13 @@ reported as uncertified regions, never silently dropped.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import _memo, as_perturbed, certified_range_1d, invariant_radius, norm_bounds
+from .dynamics import _check_map, _memo, _period, certified_range_1d, invariant_radius, norm_bounds
 from .errors import InvalidInputError, UncertifiedCensusError
 
 __all__ = [
@@ -132,8 +133,7 @@ class GrowthParams:
 
     def gamma_n(self, n: int) -> float:
         """The hyperbolicity threshold exp(-C n^(1+delta)) at period n."""
-        if n < 1:
-            raise InvalidInputError("period must be >= 1")
+        n = _period(n)
         return math.exp(-self.C * float(n) ** (1.0 + self.delta))
 
 
@@ -145,8 +145,11 @@ class PeriodicPointRecord:
     [location - halfwidth, location + halfwidth] provably contains exactly
     one solution.  A "tangential-candidate" (certified=False) marks the
     midpoint of a census cluster, cells refined to tol that no round could
-    decide (a tangency, or a root at the float noise floor), so that nothing
-    is silently dropped; its halfwidth is half the cluster's width.  A
+    decide (a tangency, or a root at the float noise floor); its halfwidth
+    is half the cluster's width.  A cluster whose midpoint orbit bounds
+    nothing (its bound reaches the cap 2R, or its multiplier bound is not
+    finite) gets no candidate, and every cluster stays in
+    `uncertified_regions`, so that nothing is silently dropped.  A
     "witness" is the box at which ih_check refutes the hypothesis.  `gap`
     is the distance of the multiplier (f^n)'(x) to the unit circle;
     `residual` is |f^n(x) - x| at the refined point; `least_period` is the
@@ -283,13 +286,6 @@ def _resolve_radius(f, radius: Optional[float]) -> float:
             "pass an explicit radius"
         )
     return float(found)
-
-
-def _period(n, least: int = 1, name: str = "period") -> int:
-    """n as an int, or InvalidInputError unless it is an integer >= least."""
-    if not isinstance(n, numbers.Integral) or n < least:
-        raise InvalidInputError(f"{name} must be an integer >= {least}")
-    return int(n)
 
 
 # -- orbit tubes and the certify-or-refine driver -----------------------------------
@@ -515,7 +511,9 @@ def find_periodic(
     region.  The rest shrink to halfwidth <= tol and merge into clusters (a
     tangency, or a root at the float noise floor), which are not settled:
     each is reported in `uncertified_regions` as it is, with a
-    "tangential-candidate" record at its midpoint from one orbit.
+    "tangential-candidate" record at its midpoint from one orbit, unless
+    that orbit's own error bound reaches the cap 2R or its multiplier bound
+    is not finite (at a deep period, say), as such a record bounds nothing.
     Certified enclosures are proved, of halfwidth tol, or wider where the
     float noise floor stops the contraction (see _contract).  At a period
     deep enough for a tube's multiplier bound to overflow, the cells it
@@ -533,12 +531,10 @@ def find_periodic(
     identical to a fresh map's; `evaluations` counts the reused orbits too.
     The map must not be mutated after it is built.
     """
-    f = as_perturbed(f)
+    _check_map(f, "find_periodic", one_d=True)
     n = _period(n)
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
-    if f.dim != 1:
-        raise InvalidInputError("find_periodic needs a 1-D map")
 
     dom = _domain(f, _resolve_radius(f, radius))
 
@@ -575,8 +571,11 @@ def find_periodic(
     if len(clusters) <= max_evaluations - evaluations:
         xs = [0.5 * (lo + hi) for lo, hi in clusters]
         orbits = _tubes_at(f, xs, [0.0] * len(xs), n, dom)
+        # an orbit whose bound reaches the cap, or whose multiplier bound is
+        # not finite, bounds nothing, and gives no record
         records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, least, False, "tangential-candidate")
-                       for x, (lo, hi), (g, _, lam, _, least) in zip(xs, clusters, orbits))
+                       for x, (lo, hi), (g, bound, lam, dev, least) in zip(xs, clusters, orbits)
+                       if bound < dom.cap and math.isfinite(dev))
         evaluations += len(xs)
     uncertified.extend(clusters)
 
@@ -830,9 +829,7 @@ def find_almost_periodic(
     slack / 4 (halving it would trim little) or its halfwidth reaches
     `resolution` (default 1e-13 R).
     """
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("find_almost_periodic needs a 1-D map")
+    _check_map(f, "find_almost_periodic", one_d=True)
     n = _period(n)
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
@@ -927,9 +924,7 @@ def ih_check(
     zero-width tubes of midpoints whose |g| and gap pass unpadded, one of
     which gives the witness's record.  n_max = 0 holds vacuously.
     """
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("ih_check needs a 1-D map")
+    _check_map(f, "ih_check", one_d=True)
     n_max = _period(n_max, 0, "n_max")
     dom = _domain(f, _resolve_radius(f, radius))
     rows = []
@@ -1039,9 +1034,7 @@ def prop11_check(
     which the multiplicative bound is vacuous, so the row is flagged as
     inapplicable.
     """
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("prop11_check needs a 1-D map")
+    _check_map(f, "prop11_check", one_d=True)
     n_max = _period(n_max, 1, "n_max")
     nb = norm_bounds(f, brick=brick, rho=rho)
     rho = nb.rho

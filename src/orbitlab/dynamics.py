@@ -3,7 +3,9 @@
 Maps are multivariate polynomials R^N -> R^N restricted to the closed ball of
 ``domain_radius`` (default 1).  A `PerturbedMap` is a base polynomial plus a
 stack of perturbation terms, evaluated as one folded polynomial (see
-`perturbation._Polynomial`) plus its root-product corrections.
+`perturbation._Polynomial`) plus its root-product corrections.  A bare
+`PolynomialMap` is the map with no terms; every function of the package
+that takes a map evaluates, and memoizes work for, the object it is given.
 
 All certified quantities here are honest one-sided bounds: coefficient sums
 bound derivatives from above, grid evaluations plus a Lipschitz term bound
@@ -14,6 +16,7 @@ singular value of the Jacobian on a grid with a curvature correction.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,7 +45,6 @@ __all__ = [
     "PolynomialMap",
     "RootProductPerturbation",
     "PerturbedMap",
-    "as_perturbed",
     "OrbitSegment",
     "orbit",
     "cocycle",
@@ -72,7 +74,6 @@ class PolynomialMap(_Polynomial):
             raise InvalidInputError("domain_radius must be a positive finite real")
         super().__init__(exponents, coeffs)
         self.domain_radius = float(domain_radius)
-        self._perturbed = None  # the wrapper as_perturbed returns for this map
 
     # -- constructors ---------------------------------------------------------
 
@@ -129,6 +130,10 @@ class PolynomialMap(_Polynomial):
     evaluate = _Polynomial.value
     eval_many = _Polynomial.value_many
 
+    def with_term(self, term) -> "PerturbedMap":
+        """This map plus a perturbation term."""
+        return PerturbedMap(self, (term,))
+
     def __repr__(self):
         return f"PolynomialMap(dim={self.dim}, terms={len(self.exponents)}, degree={self.degree})"
 
@@ -152,34 +157,33 @@ class RootProductPerturbation:
         if not math.isfinite(self.scale):
             raise InvalidInputError("non-finite scale")
 
-    def value(self, x: float) -> float:
-        p = self.scale
+    # one loop per pair: a number and an array of numbers take the same float
+    # operations in the same order, from the start values each caller passes
+
+    def _value(self, x, p):
         for r in self.roots:
             p *= x - r
         return p
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        p = np.full_like(xs, self.scale)
-        for r in self.roots:
-            p *= xs - r
-        return p
-
-    def derivative(self, x: float) -> float:
-        v, d = self.scale, 0.0
+    def _derivative(self, x, v, d):
         for r in self.roots:
             d = d * (x - r) + v
             v = v * (x - r)
         return d
 
+    def value(self, x: float) -> float:
+        return self._value(x, self.scale)
+
+    def value_many(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        return self._value(xs, np.full_like(xs, self.scale))
+
+    def derivative(self, x: float) -> float:
+        return self._derivative(x, self.scale, 0.0)
+
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        v = np.full_like(xs, self.scale)
-        d = np.zeros_like(xs)
-        for r in self.roots:
-            d = d * (xs - r) + v
-            v = v * (xs - r)
-        return d
+        return self._derivative(xs, np.full_like(xs, self.scale), np.zeros_like(xs))
 
     def jac(self, x) -> np.ndarray:
         return np.array([[self.derivative(_as_scalar(x))]])
@@ -316,19 +320,43 @@ class PerturbedMap:
         return f"PerturbedMap(base={self.base!r}, terms={len(self.terms)})"
 
 
-def as_perturbed(f) -> PerturbedMap:
-    """Wrap a bare PolynomialMap; pass a PerturbedMap through unchanged.
+# -- the checks of each kind of input ------------------------------------------
 
-    A PolynomialMap is wrapped once and keeps its wrapper, so the work kept
-    in the wrapper's memo (certified ranges, census bounds and tubes) is
-    found again on the next call.  The map and its wrapper refer to each
-    other; the garbage collector frees the pair, and the memo entry with
-    it, once nothing else refers to either."""
-    if isinstance(f, PerturbedMap):
-        return f
-    if getattr(f, "_perturbed", None) is None:
-        f._perturbed = PerturbedMap(f, None)
-    return f._perturbed
+
+def _check_map(f, name: str, one_d: bool = False):
+    """InvalidInputError unless f is a PolynomialMap or a PerturbedMap, of
+    dimension 1 when `one_d` (the function `name` needs that)."""
+    if not isinstance(f, (PolynomialMap, PerturbedMap)):
+        raise InvalidInputError(f"{name} takes a PolynomialMap or a PerturbedMap, not {type(f).__name__}")
+    if one_d and f.dim != 1:
+        raise InvalidInputError(f"{name} needs a 1-D map")
+
+
+def _period(n, least: int = 1, name: str = "period") -> int:
+    """n as an int, or InvalidInputError unless it is an integer >= least."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}")
+    return int(n)
+
+
+def _trajectory(traj, one_d: bool = False, least: int = 1) -> np.ndarray:
+    """The points of a trajectory: the `points` of an OrbitSegment,
+    GridTrajectory or PointTuple, or an array of points, one per row (one
+    number each when the array is 1-D).  An (n, N) float array, or with
+    `one_d` the n numbers of its one column; InvalidInputError otherwise,
+    or when it has fewer than `least` points."""
+    try:
+        pts = np.asarray(getattr(traj, "points", traj), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("a trajectory is an array of points") from None
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or (one_d and pts.shape[1] != 1):
+        shape = "(n,) or (n, 1)" if one_d else "(n,) or (n, N)"
+        raise InvalidInputError(f"expected a trajectory of shape {shape}, got {pts.shape}")
+    if len(pts) < least:
+        raise InvalidInputError(f"a trajectory of {len(pts)} points, where at least {least} are needed")
+    return pts[:, 0] if one_d else pts
 
 
 # -- orbits -------------------------------------------------------------------
@@ -368,9 +396,8 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
     Raises MapDomainError if x0 is already outside, OrbitEscapeError (with
     the index of the first offending iterate) if any image leaves the ball.
     """
-    f = as_perturbed(f)
-    if n < 1:
-        raise InvalidInputError("orbit length must be >= 1")
+    _check_map(f, "orbit")
+    n = _period(n, name="orbit length")
     if radius is None:
         radius = f.domain_radius
     edge = radius * (1.0 + 1e-12)
@@ -407,10 +434,11 @@ def cocycle(orb: OrbitSegment) -> np.ndarray:
 # -- certified ranges and norm data --------------------------------------------
 
 
-# Work that depends only on the map, per map object: key -> value.  Held
-# weakly (it goes with the map); it assumes a map is not mutated after it is
-# built.  Certified ranges live here, and the census keeps its bounds and
-# orbit tubes here too.
+# Work that depends only on the map, per map object: key -> value.  Keyed
+# on the object the caller passed (a PolynomialMap or a PerturbedMap), held
+# weakly, and referring back to no map, so an entry goes as soon as its map
+# does; it assumes a map is not mutated after it is built.  Certified ranges
+# live here, and the census keeps its _Domain records here too.
 _MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -427,9 +455,7 @@ def certified_range_1d(f, radius: float):
     extrema on a grid of _RANGE_GRID points padded by the derivative bound
     times half the grid step.  Computed once per map and radius, and kept in
     the map's memo."""
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("certified_range_1d needs a 1-D map")
+    _check_map(f, "certified_range_1d", one_d=True)
     key = ("range", radius)
     memo = _memo(f)
     if key not in memo:
@@ -446,9 +472,7 @@ _LADDER = (1.0, 1.0625, 1.125, 1.25, 1.5)
 def invariant_radius(f, ladder: Sequence[float] = _LADDER) -> Optional[float]:
     """Smallest radius R = domain_radius * factor (factor from `ladder`) with a
     certified f([-R, R]) inside [-R, R]; None when no rung certifies."""
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("invariant_radius needs a 1-D map")
+    _check_map(f, "invariant_radius", one_d=True)
     for factor in ladder:
         R = f.domain_radius * factor
         lo, hi = certified_range_1d(f, R)
@@ -485,7 +509,7 @@ def norm_bounds(
     rho: float = 1.0,
 ) -> NormBounds:
     """Bound the uniform C1 / C(1+rho) data of the family {f + eps} over a brick."""
-    f = as_perturbed(f)
+    _check_map(f, "norm_bounds")
     if brick is None:
         brick = BrickSpec.empty()
     if not 0.0 < rho <= 1.0:
@@ -541,7 +565,7 @@ def norm_bounds(
     )
 
 
-def _sigma_min_lower(f: PerturbedMap, R: float, d2_total: float, brick_d1: float):
+def _sigma_min_lower(f, R: float, d2_total: float, brick_d1: float):
     """Certified lower bound for min over the ball and the brick of
     sigma_min(d f_eps): grid minimum minus curvature and brick corrections."""
     if f.dim == 1:

@@ -234,8 +234,6 @@ def _measure_sample(f: PerturbedMap, config: ExperimentConfig, index: int, seed)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sampling experiment described by `config`."""
     base = base_map_from_spec(config.map)
-    if base.dim != 1:
-        raise InvalidInputError("experiments are 1-D")
     brick = config.brick_spec()
     if brick is None and not config.force_zero_eps:
         # nothing to sample: one deterministic unperturbed sample

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .census import GrowthParams
-from .dynamics import OrbitSegment, as_perturbed
+from .dynamics import _check_map, _period, _trajectory
 from .errors import InvalidInputError
 from .lagrange import product_of_distances
 
@@ -71,8 +71,7 @@ def stage_tolerances(n: int, dim: int, m_bound: float, growth: GrowthParams) -> 
     normal float (grid_spacing then underflows, log_grid_spacing stays
     exact).
     """
-    if n < 1:
-        raise InvalidInputError("stage index must be >= 1")
+    n = _period(n, name="stage index")
     if dim < 1:
         raise InvalidInputError("dimension must be >= 1")
     if not (math.isfinite(m_bound) and m_bound >= 1.0):
@@ -141,7 +140,7 @@ class GridTrajectory:
 
     def realized_slack(self, f) -> float:
         """max_k | f(x_k) - x_{k+1 mod n} | (sup norm) over the cycle."""
-        f = as_perturbed(f)
+        _check_map(f, "GridTrajectory.realized_slack")
         pts = self.points
         worst = 0.0
         for k in range(self.n):
@@ -164,12 +163,7 @@ def snap_orbit(f, orbit, spacing: float) -> SnapResult:
     `orbit` is an OrbitSegment or an array of points covering one period
     (the initial point not repeated at the end).
     """
-    if isinstance(orbit, OrbitSegment):
-        pts = orbit.points
-    else:
-        pts = np.asarray(orbit, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+    pts = _trajectory(orbit)
     if not (spacing > 0 and math.isfinite(spacing)):
         raise InvalidInputError("spacing must be a positive finite real")
     cells = np.rint(pts / spacing).astype(np.int64)
@@ -309,9 +303,8 @@ def enumerate_pseudotrajectories(
     cell when given as floats.  An infinite slack admits every cell as a
     successor, which makes the count the full combinatorial one.
     """
-    f = as_perturbed(f)
-    if n < 1:
-        raise InvalidInputError("period must be >= 1")
+    _check_map(f, "enumerate_pseudotrajectories")
+    n = _period(n)
     if not (spacing > 0 and math.isfinite(spacing)):
         raise InvalidInputError("spacing must be a positive finite real")
     if not (slack >= 0):
@@ -413,14 +406,7 @@ def close_return(trajectory, threshold: float) -> Optional[int]:
     """Smallest k in [1, n-1] with |x_k - x_0| < threshold (sup norm, strict);
     None when the trajectory keeps its distance.  The comparison is strict,
     so threshold 0 never fires."""
-    if isinstance(trajectory, GridTrajectory):
-        pts = trajectory.points
-    elif isinstance(trajectory, OrbitSegment):
-        pts = trajectory.points
-    else:
-        pts = np.asarray(trajectory, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+    pts = _trajectory(trajectory)
     x0 = pts[0]
     for k in range(1, len(pts)):
         if float(np.max(np.abs(pts[k] - x0))) < threshold:
@@ -438,14 +424,8 @@ def classify_simple(trajectory, floor: float) -> SimpleClassification:
     """Classify a 1-D trajectory as `simple` when the product of distances
     from its last point to all earlier points stays at or above `floor`
     (comparison done on logarithms to dodge underflow)."""
-    if isinstance(trajectory, GridTrajectory):
-        if trajectory.dim != 1:
-            raise InvalidInputError("classification is 1-D only")
-        pts = trajectory.points[:, 0]
-    else:
-        pts = trajectory
     if not (floor >= 0 and math.isfinite(floor)):
         raise InvalidInputError("floor must be a finite nonnegative real")
-    dp = product_of_distances(pts)
+    dp = product_of_distances(trajectory)
     log_floor = math.log(floor) if floor > 0 else -math.inf
     return SimpleClassification(simple=dp.log >= log_floor, log_product=dp.log, log_floor=log_floor)

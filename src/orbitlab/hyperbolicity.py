@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OrbitSegment, as_perturbed, cocycle
+from .dynamics import OrbitSegment, _check_map, cocycle
 from .errors import InvalidInputError
 
 __all__ = [
@@ -195,7 +195,7 @@ def is_gamma_hyperbolic(matrix, gamma: float, refine_tol: float = 1e-10) -> bool
 
 def orbit_hyperbolicity(f, orb: OrbitSegment, refine_tol: float = 1e-10) -> HyperbolicityValue:
     """gamma of the Jacobian cocycle along a finite orbit of f."""
-    f = as_perturbed(f)
+    _check_map(f, "orbit_hyperbolicity")
     if orb.dim != f.dim:
         raise InvalidInputError("orbit dimension does not match the map")
     edge = f.domain_radius * (1.0 + 1e-9)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import OrbitSegment, RootProductPerturbation, as_perturbed
+from .dynamics import OrbitSegment, RootProductPerturbation, _check_map, _trajectory
 from .errors import (
     CannotPerturbError,
     InvalidInputError,
@@ -65,9 +65,7 @@ class PointTuple:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1)
-        if len(pts) == 0:
-            raise InvalidInputError("anchor tuple must be nonempty")
+        pts = _trajectory(self.points, one_d=True)
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("non-finite anchor point")
         object.__setattr__(self, "points", pts)
@@ -365,9 +363,7 @@ def jet_solve(anchor: PointTuple, target: MultijetPoint) -> LagrangeCoefficients
 
 def multijet(f, anchor: PointTuple) -> MultijetPoint:
     """Values and derivatives of a 1-D map over the anchor tuple."""
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("multijet needs a 1-D map")
+    _check_map(f, "multijet", one_d=True)
     vals = np.array([f.evaluate(float(p)) for p in anchor.points])
     ders = np.array([f.derivative(float(p)) for p in anchor.points])
     return MultijetPoint(anchor, vals, ders)
@@ -393,12 +389,8 @@ def closing_perturbation(f, orb: OrbitSegment):
     image from x_n back to x_0.  A vanishing product of distances (the
     trajectory nearly revisits x_{n-1}) raises RecurrenceError.
     """
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("closing_perturbation needs a 1-D map")
-    pts = orb.points1d if isinstance(orb, OrbitSegment) else np.asarray(orb, dtype=float).reshape(-1)
-    if len(pts) < 2:
-        raise InvalidInputError("need a trajectory of length n+1 with n >= 1")
+    _check_map(f, "closing_perturbation", one_d=True)
+    pts = _trajectory(orb, one_d=True, least=2)
     n = len(pts) - 1
     x_last = float(pts[n - 1])
     roots = tuple(float(p) for p in pts[: n - 1])
@@ -436,16 +428,14 @@ def hyperbolicity_perturbation(f, orb: OrbitSegment, gamma: float, margin: Optio
     A = 0 (an interior derivative vanishes, or the orbit is degenerate)
     raises CannotPerturbError.
     """
-    f = as_perturbed(f)
-    if f.dim != 1:
-        raise InvalidInputError("hyperbolicity_perturbation needs a 1-D map")
+    _check_map(f, "hyperbolicity_perturbation", one_d=True)
     if not (math.isfinite(gamma) and gamma > 0):
         raise InvalidInputError("gamma must be a positive real")
     if margin is None:
         margin = 0.1 * gamma
     if margin < 0:
         raise InvalidInputError("margin must be nonnegative")
-    pts = orb.points1d if isinstance(orb, OrbitSegment) else np.asarray(orb, dtype=float).reshape(-1)
+    pts = _trajectory(orb, one_d=True)
     n = len(pts)
     x_last = float(pts[n - 1])
     interior = [float(p) for p in pts[: n - 1]]
@@ -500,15 +490,10 @@ class DistanceProduct(NamedTuple):
 
 
 def product_of_distances(traj) -> DistanceProduct:
-    """prod_{k <= n-2} |x_{n-1} - x_k| for a tuple of length n >= 2."""
-    if isinstance(traj, PointTuple):
-        pts = traj.points
-    elif isinstance(traj, OrbitSegment):
-        pts = traj.points1d
-    else:
-        pts = np.asarray(traj, dtype=float).reshape(-1)
-    if len(pts) < 2:
-        raise InvalidInputError("need at least two points")
+    """prod_{k <= n-2} |x_{n-1} - x_k| for a 1-D trajectory of length
+    n >= 2 (a PointTuple, an OrbitSegment or GridTrajectory of one column, or
+    an array of numbers)."""
+    pts = _trajectory(traj, one_d=True, least=2)
     last = float(pts[-1])
     value = 1.0
     log_sum = 0.0

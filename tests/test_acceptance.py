@@ -23,7 +23,6 @@ from orbitlab import (
     PointTuple,
     PolynomialMap,
     RootProductPerturbation,
-    as_perturbed,
     closing_perturbation,
     divided_difference,
     find_periodic,
@@ -125,7 +124,7 @@ def test_a3_closing_lemma_residuals(rng):
     while accepted < 100:
         attempts += 1
         assert attempts < 3000
-        f = as_perturbed(random_contraction(rng))
+        f = random_contraction(rng)
         n = int(rng.integers(1, 11))
         x0 = float(rng.uniform(-0.5, 0.5))
         traj = orbit(f, x0, n + 1)
@@ -142,7 +141,7 @@ def test_a3_closing_lemma_residuals(rng):
 def test_a4_hyperbolicity_perturbation_contract(rng):
     successes = 0
     for _ in range(100):
-        f = as_perturbed(random_contraction(rng))
+        f = random_contraction(rng)
         n = int(rng.integers(1, 11))
         x0 = float(rng.uniform(-0.5, 0.5))
         seg = orbit(f, x0, n)
@@ -199,7 +198,7 @@ def test_a6_implied_constant_stays_bounded():
         assert max(values[5:]) < max(values[:5])
 
     # a planted cycle with multiplier exactly -1 must raise the flag
-    base = as_perturbed(PolynomialMap.univariate([0.0, 0.5], domain_radius=0.8))
+    base = PolynomialMap.univariate([0.0, 0.5], domain_radius=0.8)
     anchor = PointTuple([0.5, -0.5])
     target = MultijetPoint(anchor, values=[-0.75, 0.75], derivs=[0.5, -1.5])
     solved = jet_solve(anchor, target)

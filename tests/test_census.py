@@ -27,7 +27,6 @@ from orbitlab import (
     PolynomialMap,
     RootProductPerturbation,
     UncertifiedCensusError,
-    as_perturbed,
     find_almost_periodic,
     find_periodic,
     gamma_n_of_map,
@@ -54,7 +53,7 @@ def half():
 
 def parabolic():
     """x - x^3 assembled through the jet solver over the anchor (0, 0.75)."""
-    base = as_perturbed(half())
+    base = half()
     anchor = PointTuple([0.0, 0.75])
     target = MultijetPoint(
         anchor,
@@ -204,6 +203,31 @@ def test_deep_census_overflow_degrades_to_uncertified():
             assert sorted(r.location for r in res.records if r.certified) == [-1.0, 0.0]
             (a, b), (c, d) = res.uncertified_regions
             assert a < GOLDEN < b and c < -GOLDEN < d and b - a < 1e-10 and d - c < 1e-10
+
+
+def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
+    """At n = 800 of x^2 - 1 the orbit of each cluster's midpoint falls onto
+    the 2-cycle {-1, 0}: its error bound is the cap 2R plus the pad and its
+    multiplier bound is inf, so it bounds nothing and gives no record, and
+    the clusters stay uncertified regions.  The candidate at the tangency 0
+    of x - x^3 reads its orbit within 1.6e-14, and is kept: multiplier 1,
+    gap 0."""
+    f = quad()
+    res = find_periodic(f, 800)
+    assert [(r.location, r.kind) for r in res.records] == [(-1.0, "simple"), (0.0, "simple")]
+    dom = _domain(f, res.radius)
+    xs = [0.5 * (lo + hi) for lo, hi in res.uncertified_regions]
+    assert len(xs) == 2
+    for g, bound, lam, dev, least in census._tubes_at(f, xs, [0.0, 0.0], 800, dom):
+        assert bound == dom.cap + dom.pad and dev == math.inf
+    f = PolynomialMap.univariate([0.0, 1.0, 0.0, -1.0])
+    res = find_periodic(f, 1, radius=0.5, tol=1e-4)
+    (candidate,) = res.records
+    assert res.uncertified_regions == [(-0.0078125, 0.0078125)] and not res.certified
+    assert (candidate.kind, candidate.location) == ("tangential-candidate", 0.0)
+    assert (candidate.multiplier, candidate.gap) == (1.0, 0.0)
+    ((_, bound, _, dev, _),) = census._tubes_at(f, [0.0], [0.0], 1, _domain(f, 0.5))
+    assert bound < 1.6e-14 and dev < 1.7e-14
 
 
 def test_two_dimensional_census_is_rejected():
@@ -393,8 +417,8 @@ def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
     res = find_periodic(f, 10, radius=1.0)
     ((brackets, (found, calls)),) = passes
     assert res.certified and res.count == len(brackets) == 103 and res.evaluations == 2_251
-    dom = _one(as_perturbed(f))
-    alone = [newton(as_perturbed(f), 10, dom, brackets[i:i + 1], 1e-12) for i in range(103)]
+    dom = _one(f)
+    alone = [newton(f, 10, dom, brackets[i:i + 1], 1e-12) for i in range(103)]
     assert [a for (a,), _ in alone] == found and sum(c for _, c in alone) == calls
 
 
@@ -520,7 +544,7 @@ def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     settles nothing.  Paid, both intervals leave the frontier, the first as
     a bracket, and a budget short of the contraction's worst case leaves
     its root unlocated."""
-    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    f = PolynomialMap.univariate(CHAOTIC)
     lo, hi = np.array([0.49, 0.505]), np.array([0.505, 0.52])
     slope = _slopes(f, 1, lo, hi)
     assert (slope[1] < 0).all()  # g' = -3.6x - 1 < 0 on both
@@ -644,15 +668,16 @@ def test_census_memo_goes_with_its_map():
 
 
 def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
-    """A bare PolynomialMap is wrapped once, so three censuses of it
-    certify the range and build the bounds once, as on a PerturbedMap, and
-    the memo entry still goes with the map."""
+    """The memo is keyed on the bare PolynomialMap itself: three censuses of
+    it certify the range and build the bounds once, as on a PerturbedMap,
+    and nothing in the entry refers back to the map, so the entry goes as
+    soon as the map does, with no garbage collection."""
     builds = {"range": 0, "bounds": 0}
     for name, kind in (("d1_bound", "range"), ("d2_bound", "bounds")):
-        def counted(self, radius, _kind=kind, _bound=getattr(PerturbedMap, name)):
+        def counted(self, radius, _kind=kind, _bound=getattr(PolynomialMap, name)):
             builds[_kind] += 1
             return _bound(self, radius)
-        monkeypatch.setattr(PerturbedMap, name, counted)
+        monkeypatch.setattr(PolynomialMap, name, counted)
     gc.collect()
     before = len(dynamics._MEMO)
     f = PolynomialMap.univariate(CHAOTIC)
@@ -660,12 +685,14 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
     once = dict(builds)
     for n in (7, 8):
         find_periodic(f, n)
-    assert builds == once and once["bounds"] == 1
-    assert as_perturbed(f) is as_perturbed(f) and as_perturbed(f) in dynamics._MEMO
-    assert len(dynamics._MEMO) == before + 1
-    del f
-    gc.collect()
-    assert len(dynamics._MEMO) == before
+    assert builds == once and once["range"] >= 1 and once["bounds"] == 1
+    assert f in dynamics._MEMO and len(dynamics._MEMO) == before + 1
+    gc.disable()
+    try:
+        del f
+        assert len(dynamics._MEMO) == before
+    finally:
+        gc.enable()
 
 
 def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
@@ -673,7 +700,7 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
     ends from _settle's pass over the ends, one _g_ends call, which holds
     exactly the two ends; no orbit of a Newton step starts at an end, and
     the record encloses the root that mpmath.findroot gives at 200 bits."""
-    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    f = PolynomialMap.univariate(CHAOTIC)
     lo, hi = np.array([0.49]), np.array([0.505])
     ends, starts, steps = [], [], []
     g_ends, start, tubes_at = census._g_ends, census._start, census._tubes_at
@@ -714,7 +741,7 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     intervals on which g decreases; g there does not clear the slack, so
     neither interval is decided alone.  They join into one run, whose outer
     ends bracket the root: one record, and both intervals settled."""
-    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    f = PolynomialMap.univariate(CHAOTIC)
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
     mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
@@ -729,7 +756,7 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     """f(x) = x + x^2/2 has a double fixed point at 0, the shared end of two
     intervals where g = x^2/2 falls and then rises.  They do not join, and
     neither is decided by its ends: nothing settled, no record."""
-    f = as_perturbed(PolynomialMap.univariate([0.0, 1.0, 0.5]))
+    f = PolynomialMap.univariate([0.0, 1.0, 0.5])
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
     slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
     mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, 10_000)
@@ -744,7 +771,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     budget, the roots located and the evaluations equal the rule that takes
     the roots one at a time while what is left pays for _NEWTON_STEPS, on
     both paths, and each record is the one located alone."""
-    f = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    f = PolynomialMap.univariate(CHAOTIC)
     roots = np.array([r.location for r in find_periodic(f, 5, radius=1.0).records[:6:2]])
     lo, hi = roots - 1e-4, roots + 1e-4
     slope = _slopes(f, 5, lo, hi)
@@ -822,17 +849,20 @@ def test_unperturbed_quadratic_certifies_at_periods_48_64_and_96():
 def test_clusters_no_round_decides_are_reported_as_they_are():
     """At n = 128 and 160 of x^2 - 1 the repelling fixed point (1 - sqrt 5)/2
     and its preimage stop every test: their cells refine to two clusters,
-    each reported under 1e-10 wide with one candidate at its midpoint, and
-    the other two points certify.  Near the period-3 saddle-node of
-    1 - a x^2 the census keeps its count and stays uncertified."""
-    for n in (128, 160):
+    each reported under 1e-10 wide, and the other two points certify.  At
+    n = 128 each cluster has a candidate at its midpoint; at n = 160 the
+    midpoint's orbit bound reaches the cap 2R, so it bounds nothing and
+    gives no record.  Near the period-3 saddle-node of 1 - a x^2 the census
+    keeps its count and stays uncertified."""
+    for n, kept in ((128, 2), (160, 0)):
         res = find_periodic(quad(), n)
         assert res.count == 2 and not res.certified
         assert len(res.uncertified_regions) == 2
         candidates = [r for r in res.records if not r.certified]
-        assert [r.kind for r in candidates] == ["tangential-candidate"] * 2
-        for (lo, hi), r, point in zip(res.uncertified_regions, candidates, (GOLDEN, -GOLDEN)):
+        assert [r.kind for r in candidates] == ["tangential-candidate"] * kept
+        for (lo, hi), point in zip(res.uncertified_regions, (GOLDEN, -GOLDEN)):
             assert lo <= point <= hi and hi - lo < 1e-10
+        for (lo, hi), r in zip(res.uncertified_regions, candidates):
             assert r.location == 0.5 * (lo + hi) and r.halfwidth == (hi - lo) / 2.0
         assert res.evaluations <= 1_639
     res = find_periodic(PolynomialMap.univariate([1.0, 0.0, -1.75]), 3, radius=1.0625, tol=1e-8)
@@ -916,7 +946,7 @@ def test_g_ends_is_the_zero_width_tube_on_both_paths():
     both sides of the scalar-path limit, at -R, R and signed zeros too."""
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
     maps = ((PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None),
-            (parabolic(), None), (as_perturbed(PolynomialMap.univariate(CHAOTIC)), 1.0))
+            (parabolic(), None), (PolynomialMap.univariate(CHAOTIC), 1.0))
     limit = census._SCALAR_POINTS
     for f, radius in maps:
         R = _resolve_radius(f, radius)
@@ -956,13 +986,14 @@ def _proved_sign_changes(f, records, n: int) -> bool:
     on the map's own polynomial (its float coefficients taken exactly),
     excludes 0 with opposite signs at both ends of every record's enclosure
     [location - halfwidth, location + halfwidth]: a root in each."""
-    assert not f._rest  # the polynomial is the whole map
+    assert not getattr(f, "_rest", ())  # the polynomial is the whole map
+    poly = getattr(f, "_fold", f)._poly  # a bare map is its own fold
 
     def g(x):
         y = x
         for _ in range(n):
             v = mpmath.iv.mpf(0)
-            for c in f._fold._poly:  # highest degree first
+            for c in poly:  # highest degree first
                 v = v * y + c
             y = v
         return y - x
@@ -991,7 +1022,7 @@ def test_certified_enclosures_hold_a_root_in_interval_arithmetic():
     res = find_periodic(seeded, 8)
     assert res.certified and 0 < len(res.records) <= census._SCALAR_POINTS
     assert _proved_sign_changes(seeded, res.records, 8)
-    chaotic = as_perturbed(PolynomialMap.univariate(CHAOTIC))
+    chaotic = PolynomialMap.univariate(CHAOTIC)
     res = find_periodic(chaotic, 10, radius=1.0)
     assert res.certified and res.count == len(res.records) == 103
     assert _proved_sign_changes(chaotic, res.records, 10)
@@ -1011,7 +1042,7 @@ def _exact_orbit(f, x: float, n: int):
         y, lam = mpmath.mpf(x), mpmath.mpf(1)
         for _ in range(n):
             value = deriv = mpmath.mpf(0)
-            for c in f._fold._poly:  # highest degree first
+            for c in getattr(f, "_fold", f)._poly:  # highest degree first; a bare map is its own fold
                 deriv = deriv * y + value
                 value = value * y + c
             lam *= deriv
@@ -1022,7 +1053,7 @@ def _exact_orbit(f, x: float, n: int):
 def _tube_map(family: str, seed: int):
     """(map, radius) for one family of the tube property test."""
     if family == "contraction":
-        return as_perturbed(random_contraction(np.random.default_rng(seed))), 1.0
+        return random_contraction(np.random.default_rng(seed)), 1.0
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (seed, 0))
     if family == "quadratic":
         return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None
@@ -1275,7 +1306,7 @@ def test_prop11_quad_bounded():
 
 def multiplier_minus_one_plant():
     """Cubic with the 2-cycle {0.5, -0.5} of multiplier exactly -1."""
-    base = as_perturbed(PolynomialMap.univariate([0.0, 0.5], domain_radius=0.8))
+    base = PolynomialMap.univariate([0.0, 0.5], domain_radius=0.8)
     anchor = PointTuple([0.5, -0.5])
     target = MultijetPoint(anchor, values=[-0.75, 0.75], derivs=[0.5, -1.5])
     solved = jet_solve(anchor, target)

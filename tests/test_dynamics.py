@@ -7,20 +7,37 @@ import pytest
 
 from orbitlab import (
     BrickSpec,
+    GridTrajectory,
+    GrowthParams,
     HomogeneousComponent,
     InvalidInputError,
     OrbitEscapeError,
     PerturbationVector,
     PerturbedMap,
+    PointTuple,
     PolynomialMap,
     RootProductPerturbation,
-    as_perturbed,
     certified_range_1d,
+    classify_simple,
+    close_return,
+    closing_perturbation,
     cocycle,
+    enumerate_pseudotrajectories,
+    find_almost_periodic,
+    find_periodic,
+    gamma_n_of_map,
+    hyperbolicity_perturbation,
+    ih_check,
     invariant_radius,
+    multijet,
     norm_bounds,
     orbit,
+    orbit_hyperbolicity,
+    prop11_check,
+    product_of_distances,
     sample,
+    snap_orbit,
+    stage_tolerances,
     zero_vector,
 )
 
@@ -40,8 +57,7 @@ def test_univariate_evaluate_and_derivative():
 def test_eval_many_matches_scalar(rng):
     f = random_contraction(rng)
     xs = rng.uniform(-1.0, 1.0, size=40)
-    g = as_perturbed(f)
-    many = g.eval_many(xs.reshape(-1, 1))[:, 0]
+    many = PerturbedMap(f).eval_many(xs.reshape(-1, 1))[:, 0]
     for x, y in zip(xs, many):
         assert y == pytest.approx(f.evaluate(float(x)), abs=1e-14)
 
@@ -117,6 +133,18 @@ def test_norm_bounds_unbounded_inverse():
     assert math.isinf(nb.m1)
 
 
+def test_norm_bounds_of_a_two_dimensional_map():
+    """In N-D the inverse bound comes from the smallest singular value of
+    the Jacobian on a mesh of the ball: diag(2, 1/2) is linear, so no
+    curvature term lowers it, and a singular Jacobian leaves the inverse
+    unbounded."""
+    nb = norm_bounds(PolynomialMap.linear(np.diag([2.0, 0.5])))
+    assert (nb.sigma_min_lower, nb.inverse_c1, nb.grid_points) == (0.5, 2.0, 797)
+    assert nb.m1 == nb.forward_c1 == math.hypot(2.0, 0.5)
+    nb = norm_bounds(PolynomialMap.linear(np.diag([0.5, 0.0])))
+    assert nb.sigma_min_lower == 0.0 and nb.inverse_c1 == nb.m1 == math.inf
+
+
 def test_norm_bounds_rejects_bad_rho():
     f = PolynomialMap.univariate([0.0, 0.5])
     with pytest.raises(InvalidInputError):
@@ -145,7 +173,7 @@ def test_one_dimensional_point_shapes(method):
     base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
     rp = RootProductPerturbation(0.01, (0.3, -0.6))
-    objects = [base, as_perturbed(base), PerturbedMap(base, eps), PerturbedMap(base, (eps, rp))]
+    objects = [base, PerturbedMap(base), PerturbedMap(base, eps), PerturbedMap(base, (eps, rp))]
     if method == "jac":
         objects += [eps, rp]
     for obj in objects:
@@ -181,7 +209,9 @@ def test_perturbed_map_accepts_only_its_two_kinds_of_term():
         with pytest.raises(InvalidInputError):
             PerturbedMap(base, term)
         with pytest.raises(InvalidInputError):
-            as_perturbed(base).with_term(term)
+            base.with_term(term)
+        with pytest.raises(InvalidInputError):
+            PerturbedMap(base).with_term(term)
 
 
 # -- the folded 1-D polynomial ---------------------------------------------------
@@ -455,4 +485,54 @@ def test_orbit_jacobians_equal_pointwise_jac_bitwise():
         seg = orbit(f, np.full(f.dim, 0.2), 8)
         assert seg.jacobians.shape == (8, f.dim, f.dim)
         for x, J in zip(seg.points, seg.jacobians):
-            assert as_perturbed(f).jac(x).tobytes() == J.tobytes()
+            assert f.jac(x).tobytes() == J.tobytes()
+
+
+# -- the checks of each kind of input ----------------------------------------------
+
+
+def _raised_by(check: str, call, *args):
+    """call(*args) raises InvalidInputError from the function `check`."""
+    with pytest.raises(InvalidInputError) as info:
+        call(*args)
+    assert info.traceback[-1].name == check, (call, info.traceback[-1].name)
+
+
+def test_each_kind_of_input_is_checked_in_one_place():
+    """A non-map wherever a map is taken, a 2-D map wherever a 1-D one is
+    needed, a period that is not an integer, and a trajectory of more than
+    one column where a 1-D one is needed (an anchor tuple too) or of too
+    few points are each refused by their one check, with
+    InvalidInputError."""
+    line = PolynomialMap.univariate([0.0, 0.5])
+    plane = PolynomialMap.linear(np.diag([0.5, 0.25]))
+    seg = orbit(line, 0.5, 3)
+    grid = GridTrajectory(0.5, [0, 1])
+    takes_a_map = [
+        (orbit, 0.5, 2), (norm_bounds,), (orbit_hyperbolicity, seg), (grid.realized_slack,),
+        (snap_orbit, seg, 0.5), (enumerate_pseudotrajectories, 0.5, 0.1, 0, 2),
+    ]
+    one_d = [
+        (certified_range_1d, 1.0), (invariant_radius,), (find_periodic, 1),
+        (find_almost_periodic, 1, 0.1), (ih_check, GrowthParams(C=1.0, delta=1.0), 1),
+        (prop11_check, 1), (gamma_n_of_map, 1), (multijet, PointTuple([0.1, 0.2])),
+        (closing_perturbation, seg), (hyperbolicity_perturbation, seg, 0.1),
+    ]
+    for call, *args in takes_a_map + one_d:
+        _raised_by("_check_map", call, object(), *args)
+    for call, *args in one_d:
+        _raised_by("_check_map", call, plane, *args)
+    for call, *args in ((orbit, line, 0.5, 2.5), (orbit, line, 0.5, 0),
+                        (enumerate_pseudotrajectories, line, 0.5, 0.1, 0, 2.5),
+                        (stage_tolerances, 2.5, 1, 2.0, GrowthParams(C=1.0, delta=1.0)),
+                        (GrowthParams(C=1.0, delta=1.0).gamma_n, 2.5)):
+        _raised_by("_period", call, *args)
+    wide = np.array([[0.1, 0.2], [0.3, 0.5], [0.4, 0.1]])
+    for call, *args in ((closing_perturbation, line, wide), (hyperbolicity_perturbation, line, wide, 0.1),
+                        (product_of_distances, wide), (product_of_distances, wide[:2]), (PointTuple, wide),
+                        (classify_simple, wide, 0.1), (classify_simple, GridTrajectory(0.5, wide), 0.1),
+                        (snap_orbit, line, np.zeros((2, 2, 2)), 0.5),
+                        (hyperbolicity_perturbation, line, [], 0.1), (close_return, [], 0.1),
+                        (PointTuple, []), (closing_perturbation, line, [0.1]),
+                        (product_of_distances, [0.1])):
+        _raised_by("_trajectory", call, *args)

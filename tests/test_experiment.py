@@ -153,6 +153,56 @@ def test_quadratic_experiment_oracles():
     assert rows[2][1] == pytest.approx(5.0 - 2.0 * math.sqrt(5.0), abs=1e-9)
 
 
+# -- samples that end early --------------------------------------------------------
+
+
+def _one_sample(tmp_path, **config):
+    result = run_experiment(ExperimentConfig(num_samples=1, n_max=1, **config))
+    summary = emit_reports(result, str(tmp_path))
+    (record,) = [json.loads(line) for line in (tmp_path / "samples.ndjson").read_text().splitlines()]
+    return result.samples[0], record, summary
+
+
+def test_a_map_with_no_invariant_radius_aborts(tmp_path):
+    """2x leaves every rung of the ladder: the sample aborts, and the
+    summary counts it."""
+    s, record, summary = _one_sample(tmp_path, map=[0, 2])
+    assert s.status == record["status"] == "aborted:no-invariant-radius"
+    assert s.strict_invariance is False and s.rows == [] and s.fits == []
+    assert summary["num_aborted"] == 1 and summary["num_ok"] == 0
+
+
+def test_a_certified_gap_of_zero_skips_the_check(tmp_path):
+    """The fixed point 0 of -x + x^3/2 has multiplier -1: gamma_1 is a
+    certified 0.0, so the fitted C is inf and ih_check is skipped; the
+    report writes the inf as "inf"."""
+    s, record, summary = _one_sample(tmp_path, map=[0, -1, 0, 0.5])
+    assert s.status == "ok" and s.rows == [(1, 1, 0.0, True)]
+    assert s.fits == [(0.1, math.inf)] and s.ih_c is None
+    assert s.ih_status == "skipped:no-finite-fit"
+    assert record["fits"] == [{"C": "inf", "delta": 0.1}]
+    assert summary["fitted_C"]["min"] is None
+    assert summary["ih_statuses"] == {"skipped:no-finite-fit": 1}
+
+
+def test_an_uncertified_census_keeps_its_count(tmp_path):
+    """The tangency of x - x^3 at 0 leaves the census uncertified: the row
+    keeps the partial count 0 with no gamma."""
+    s, record, summary = _one_sample(tmp_path, map=[0, 1, 0, -1], radius=0.5, tol=1e-4)
+    assert s.status == "ok" and s.rows == [(1, 0, None, False)]
+    assert record["rows"] == [{"certified": False, "count": 0, "gamma_n": None, "n": 1}]
+    assert summary["num_uncertified"] == 1 and not summary["all_certified"]
+
+
+def test_a_radius_that_is_not_invariant_aborts_with_its_reason(tmp_path):
+    """x^2 - 1 maps [-0.5, 0.5] into [-1, -0.75]: the census refuses the
+    radius, and the sample aborts with the census's reason."""
+    s, record, summary = _one_sample(tmp_path, map="quadratic", radius=0.5)
+    assert s.status.startswith("aborted:[-R, R] with R = 0.5 is not certified forward-invariant")
+    assert record["status"] == s.status and s.rows == []
+    assert summary["num_aborted"] == 1
+
+
 # -- perturbed experiments and reports ----------------------------------------------
 
 

@@ -15,7 +15,6 @@ from orbitlab import (
     InvalidInputError,
     PerturbedMap,
     PolynomialMap,
-    as_perturbed,
     cells_per_axis,
     classify_simple,
     close_return,
@@ -255,7 +254,6 @@ def _reference_enumeration(f, spacing, slack, start, n, budget, max_samples=6):
     """(count, expansions, partial, samples) of enumerate_pseudotrajectories
     from a layer-by-layer walk with one f.evaluate per new cell, spending
     the budget in frontier order."""
-    f = as_perturbed(f)
     max_cell = int(math.floor(f.domain_radius / spacing + 0.5))
     cache, expansions, partial = {}, 0, False
     layer = {start: 1}

@@ -17,7 +17,6 @@ from orbitlab import (
     PointTuple,
     PolynomialMap,
     RecurrenceError,
-    as_perturbed,
     closing_perturbation,
     divided_difference,
     hyperbolicity_perturbation,
@@ -269,7 +268,7 @@ def test_closing_recurrent_trajectory_rejected():
 
 
 def test_closing_random_cases(rng):
-    f = as_perturbed(PolynomialMap.univariate([0.05, 0.6, -0.2], domain_radius=1.0))
+    f = PolynomialMap.univariate([0.05, 0.6, -0.2], domain_radius=1.0)
     for _ in range(25):
         n = int(rng.integers(1, 6))
         x0 = float(rng.uniform(-0.5, 0.5))
@@ -303,7 +302,7 @@ def test_hyperbolicity_already_hyperbolic():
 
 
 def test_hyperbolicity_preserves_orbit(rng):
-    f = as_perturbed(PolynomialMap.univariate([0.1, -0.7, 0.3], domain_radius=1.0))
+    f = PolynomialMap.univariate([0.1, -0.7, 0.3], domain_radius=1.0)
     seg = orbit(f, 0.2, 3)
     v, g = hyperbolicity_perturbation(f, seg, 0.9)
     for p, q in zip(seg.points1d, seg.images1d):
