@@ -42,6 +42,18 @@ refinement rounds, and the reported count is exact whenever the result
 says so; a bracket the budget cannot pay for is reported uncertified.
 The per-step slack and the bounds on f are generous but not outward-rounded.
 
+A point of period d is a root of g at every multiple n of d, so a census
+at n first reads the certified enclosures of the censuses at its proper
+divisors, with the same tol and budget, running those censuses (each on
+its own budget) where the map's memo does not hold them yet.  Before any end value is read, the kept
+monotone cells of a round join into runs: cells that share an end exactly
+and rise or fall alike, on whose union g is strictly monotone.  A run
+whose interior holds one of those enclosures has that root and no other,
+so it leaves the rounds at once, with no end value and no Newton step; its
+record keeps the enclosure and takes its period-n multiplier from one
+orbit.  The other cells are settled as above, unchanged: a cell of the
+same direction beside them would have joined their run.
+
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
 ranges behind the radius (kept by certified_range_1d, which the
@@ -53,17 +65,20 @@ n is the tube at period n - 1 plus one step, so a later call reads its
 own period's tube or extends the one held at the highest period below;
 the result is bit for bit the one computed from scratch.  A reused orbit
 still counts as evaluations, so budgets and reported evaluations do not
-depend on what came before.  The memo (dynamics._MEMO) is keyed on the
-map object the caller passed, a bare PolynomialMap or a PerturbedMap,
-weakly and with no reference back to the map, so an entry goes as soon as
-its map does; it assumes a map is not mutated after it is built, as the
-1-D fold already does.
+depend on what came before.  The domain also keeps each census's
+certified enclosures per (tol, budget, period); a census reads its
+divisors' from there, or runs them, so its result does not depend on what
+came before either.  The memo (dynamics._MEMO) is keyed on the map object
+the caller passed, a bare PolynomialMap or a PerturbedMap, weakly and with
+no reference back to the map, so an entry goes as soon as its map does; it
+assumes a map is not mutated after it is built, as the 1-D fold already
+does.
 
-Orbits of points outside the cell tubes (_g_ends and _tubes_at) take up to
-_SCALAR_POINTS points one at a time with f.evaluate, cheaper than an array
-call there, and more with eval_many; a 1-D map's evaluate and eval_many
-perform the same float operations in the same order, so the choice never
-changes a value.
+Orbits of points outside the cell tubes (_g_ends, _tubes_at and
+_point_orbits) take up to _SCALAR_POINTS points one at a time with
+f.evaluate, cheaper than an array call there, and more with eval_many; a
+1-D map's evaluate and eval_many perform the same float operations in the
+same order, so the choice never changes a value.
 
 On top of the census sit:
 
@@ -178,11 +193,13 @@ class CensusResult:
 
     `evaluations` counts n-step orbits of points: the orbit tubes, the
     distinct ends of the intervals settled, the interval Newton steps (a
-    root's last one gives its record) and each tangential candidate's
-    record, including the initial grid's orbits reused from an earlier call
-    on the same map: the count, and so the budget, is the same whatever ran
-    before.  That reuse assumes the map is not mutated after it is
-    built."""
+    root's last one gives its record), the record of each root read from
+    the censuses at the proper divisors of n, and each tangential
+    candidate's record, including the initial grid's orbits reused from an
+    earlier call on the same map: the count, and so the budget, is the same
+    whatever ran before.  The divisors' censuses run first, each on its own
+    budget, and are not counted here.  That reuse assumes the map is not
+    mutated after it is built."""
 
     period: int
     radius: float
@@ -211,7 +228,7 @@ class CensusResult:
 # f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
 # 14 us at any size up to a few dozen points and a scalar step about 0.7 us
 # per point (degree 9, with and without a root-product term), so the two
-# cross at 20-24 points.  _g_ends and _newton read it.
+# cross at 20-24 points.  _g_ends, _newton and _point_orbits read it.
 _SCALAR_POINTS = 16
 
 # a record's least period is the first divisor d of n with |f^d(x) - x| at
@@ -237,6 +254,12 @@ class _Domain(NamedTuple):
     cap: float  # 2R, the width of [-R, R]
     grid: tuple  # (mids, halves) of _GRID_CELLS equal cells, read-only
     tubes: dict  # period -> the grid's tube (y, r, lam, lam_hi), read-only
+    roots: dict  # (tol, max_evaluations, period) -> the census's certified enclosures (_census)
+
+
+def _proper_divisors(n: int) -> list:
+    """The divisors d < n of n, ascending."""
+    return [d for d in range(1, n) if n % d == 0]
 
 
 def _dev(lam, lam_hi, n: int):
@@ -261,7 +284,7 @@ def _domain(f, R: float) -> _Domain:
             a.flags.writeable = False  # shared with later calls
         memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, f.sup_bound(R), 1.0),
                             d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
-                            grid=grid, tubes={})
+                            grid=grid, tubes={}, roots={})
     return memo[key]
 
 
@@ -355,7 +378,7 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list
     so it agrees with _tubes_at_many bit for bit."""
     R, D1, D2, step, d_slack, pad, cap = dom[:7]
     evaluate, derivative = f.evaluate, f.derivative
-    box, proper, out = halves is not None, {d for d in range(1, n) if n % d == 0}, []
+    box, proper, out = halves is not None, set(_proper_divisors(n)), []
     for x, r in zip(xs, halves if box else xs):
         y, r0, lam, lam_hi, least = x, 0.0, 1.0, 1.0, n
         near = _LEAST_PERIOD_TOL * max(1.0, abs(x))
@@ -385,7 +408,7 @@ def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, dom: _Domain):
     y, r, lam, lam_hi = x, np.stack([np.zeros(x.size), halves]), 1.0, 1.0
     near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
     least, k = np.full(x.size, n), 0
-    for d in [d for d in range(1, n) if n % d == 0] + [n]:
+    for d in _proper_divisors(n) + [n]:
         y, r, lam, lam_hi = _tube_many(f, y, r, d - k, dom, lam, lam_hi)
         if d < n:
             least[(least == n) & (np.abs(y - x) <= near)] = d
@@ -505,11 +528,18 @@ def find_periodic(
     direction whose shared end does not clear it are settled together, from
     the outer ends of their union, on which g is strictly monotone too.  So
     a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2) is
-    bracketed in the round that reaches it.  After the rounds one interval
-    Newton pass encloses the roots of all brackets (_enclose), in waves
-    that the budget left pays for; an unpaid bracket is an uncertified
-    region.  The rest shrink to halfwidth <= tol and merge into clusters (a
-    tangency, or a root at the float noise floor), which are not settled:
+    bracketed in the round that reaches it.  A root of period d | n, d < n,
+    is not located again: the censuses at the proper divisors of n, with
+    the same radius, tol and budget, run first (find_periodic(f, d, R, tol,
+    max_evaluations), unless the map's memo holds them), and a run of
+    monotone cells of the same direction whose interior holds one of their
+    certified enclosures is settled with that root before any end value is
+    read (_held_runs); its record keeps the enclosure.  After the rounds
+    each such root's record takes one orbit, and one interval Newton pass
+    encloses the roots of all brackets (_enclose), in waves that the budget
+    left pays for; an unpaid root or bracket is an uncertified region.  The
+    rest shrink to halfwidth <= tol and merge into clusters (a tangency, or
+    a root at the float noise floor), which are not settled:
     each is reported in `uncertified_regions` as it is, with a
     "tangential-candidate" record at its midpoint from one orbit, unless
     that orbit's own error bound reaches the cap 2R or its multiplier bound
@@ -518,34 +548,56 @@ def find_periodic(
     float noise floor stops the contraction (see _contract).  At a period
     deep enough for a tube's multiplier bound to overflow, the cells it
     covers stay undecided and are reported uncertified.  Every evaluation
-    counts against `max_evaluations`: the rounds first, then the brackets,
-    then the clusters' candidates, which are left out when what is left
-    cannot pay for one orbit each.  An exhausted budget leaves the
-    unresolved frontier in `uncertified_regions` and the result
-    uncertified.  Maps of dimension >= 2, and periods that are not integers
-    >= 1, raise InvalidInputError.
+    counts against `max_evaluations`: the rounds first, then the records of
+    the divisors' roots, then the brackets, then the clusters' candidates,
+    which are left out when what is left cannot pay for one orbit each.  An
+    exhausted budget leaves the unresolved frontier in
+    `uncertified_regions` and the result uncertified.  Maps of dimension
+    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
 
     The certified radius and its _Domain (the bounds, the initial grid and
-    its orbit tube at every period asked for) are kept per map and reused
-    by later calls on it, the cover and ih_check included, with results
-    identical to a fresh map's; `evaluations` counts the reused orbits too.
-    The map must not be mutated after it is built.
+    its orbit tube at every period asked for, and each census's certified
+    enclosures) are kept per map and reused by later calls on it, the
+    cover and ih_check included, with results identical to a fresh map's;
+    `evaluations` counts the reused orbits too, but not the divisors'
+    censuses, which run on their own budget: a call on a fresh map runs one
+    census per divisor of n, n included, each within `max_evaluations`, so
+    its work is bounded by sigma_0(n) max_evaluations orbits in all (18
+    censuses at n = 800), and on a map whose memo holds the divisors' by
+    max_evaluations.  The map must not be mutated after it is built.
     """
     _check_map(f, "find_periodic", one_d=True)
     n = _period(n)
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
+    return _census(f, n, _domain(f, _resolve_radius(f, radius)), tol, max_evaluations)
 
-    dom = _domain(f, _resolve_radius(f, radius))
+
+def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> CensusResult:
+    """find_periodic on dom.  The censuses at the proper divisors d of n,
+    with the same tol and budget, run first where dom.roots does not hold
+    their enclosures yet, and this one keeps its own there: the rows
+    (location, halfwidth) of its certified records."""
+    for d in _proper_divisors(n):
+        if (tol, max_evaluations, d) not in dom.roots:
+            _census(f, d, dom, tol, max_evaluations)
+    known = _known_roots(dom, n, tol, max_evaluations)
 
     brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
+    held: list = []  # the rows (x, h, a, c) of the runs that hold a known root (_held_runs)
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
         keep = np.abs(c.g) <= c.spread
         idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
-        settled, spent, bracketed = _settle(f, n, dom, c.mids[idx] - c.halves[idx],
-                                            c.mids[idx] + c.halves[idx], c.slopes(idx), budget)
+        lo, hi, slope = c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx], c.slopes(idx)
+        if idx.size and known is not None:
+            inside, runs = _held_runs(lo, hi, slope[0] > 0.0, known)
+            held.extend(runs)
+            keep[idx[inside]] = False
+            rest = ~inside
+            idx, lo, hi, slope = idx[rest], lo[rest], hi[rest], slope[:, rest]
+        settled, spent, bracketed = _settle(f, n, dom, lo, hi, slope, budget)
         brackets.append(bracketed)
         keep[idx[settled]] = False
         done = keep & (c.halves <= tol)
@@ -555,14 +607,22 @@ def find_periodic(
     evaluations, left_mids, left_halves = _refine(f, n, dom, max_evaluations, classify)
     uncertified: list = _merged([(left_mids, left_halves)])
 
-    # every root is enclosed after the rounds, as far as the budget left pays; an unpaid
-    # run is reported as it is (the runs are disjoint, so their ends sorted apart stay paired)
+    # the record of each known root takes one orbit, and every bracket's
+    # root is enclosed after them, as far as the budget left pays; an unpaid
+    # run is reported as it is (the runs are disjoint, so their ends sorted
+    # apart stay paired)
+    paid = held[: max_evaluations - evaluations]
+    orbits = _point_orbits(f, [x for x, *_ in paid], n, dom)
+    records = [_record(n, x, h, g, lam, least, True, "simple")
+               for (x, h, _, _), (g, _, lam, _, least) in zip(paid, orbits)]
+    evaluations += len(paid)
     rows = np.concatenate(brackets)
     located, spent = _enclose(f, n, dom, rows, tol, max_evaluations - evaluations)
     evaluations += spent
-    records = [_record(n, *fields, True, "simple") for fields in located]
-    if len(located) < len(rows):
-        uncertified.extend(_merge_intervals(*np.sort(rows[len(located):, :2].T)))
+    records += [_record(n, *fields, True, "simple") for fields in located]
+    if len(paid) < len(held) or len(located) < len(rows):
+        unpaid = np.concatenate([np.reshape(held[len(paid):], (-1, 4))[:, 2:], rows[len(located):, :2]])
+        uncertified.extend(_merge_intervals(*np.sort(unpaid.T)))
 
     # a tangency or a root at the noise floor stops every test on the cells
     # refined to tol: each cluster is reported, with a candidate at its
@@ -570,16 +630,18 @@ def find_periodic(
     clusters = _merged(finished, gap=tol / 2)
     if len(clusters) <= max_evaluations - evaluations:
         xs = [0.5 * (lo + hi) for lo, hi in clusters]
-        orbits = _tubes_at(f, xs, [0.0] * len(xs), n, dom)
         # an orbit whose bound reaches the cap, or whose multiplier bound is
         # not finite, bounds nothing, and gives no record
         records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, least, False, "tangential-candidate")
-                       for x, (lo, hi), (g, bound, lam, dev, least) in zip(xs, clusters, orbits)
+                       for x, (lo, hi), (g, bound, lam, dev, least)
+                       in zip(xs, clusters, _point_orbits(f, xs, n, dom))
                        if bound < dom.cap and math.isfinite(dev))
         evaluations += len(xs)
     uncertified.extend(clusters)
 
     records.sort(key=lambda r: r.location)
+    proved = paid + located  # the certified records' fields, x and h first
+    dom.roots[tol, max_evaluations, n] = np.array([[r[0] for r in proved], [r[1] for r in proved]]).T
     return CensusResult(
         period=n,
         radius=dom.R,
@@ -590,19 +652,74 @@ def find_periodic(
     )
 
 
+def _known_roots(dom: _Domain, n: int, tol: float, max_evaluations: int):
+    """The certified enclosures [x - h, x + h] of the censuses at the
+    proper divisors of n in dom.roots, as the rows x - h, x + h, x, h of an
+    array, in order of x - h, then x + h (None when there are none).  Each
+    holds a root of f^d - id, and so of f^n - id."""
+    x, h = np.concatenate([np.empty((0, 2))] + [dom.roots[tol, max_evaluations, d]
+                                                for d in _proper_divisors(n)]).T
+    known = np.array([x - h, x + h, x, h])
+    return known[:, np.lexsort(known[1::-1])] if x.size else None
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, joinable: Optional[np.ndarray] = None):
+    """Group the intervals [lo, hi], on each of which g is strictly
+    monotone (rising where up), into runs: in the order of lo, two
+    neighbours join when they share an end exactly, rise or fall alike and,
+    where `joinable` is given, it holds for the first of them (at the end
+    they share).  g is strictly monotone on the union of a run.  Returns
+    that order, the places along it where the runs start, and each
+    interval's run, the runs numbered in the order of lo."""
+    order = np.argsort(lo, kind="stable")
+    a, c = order[:-1], order[1:]
+    join = (hi[a] == lo[c]) & (up[a] == up[c])
+    if joinable is not None:
+        join &= joinable[a]
+    starts = np.concatenate([[True], ~join])
+    run = np.empty(lo.size, dtype=np.intp)
+    run[order] = np.cumsum(starts) - 1
+    return order, np.flatnonzero(starts), run
+
+
+def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray):
+    """The runs (_runs) of the intervals [lo, hi] that hold a known root:
+    a run whose interior holds the enclosure of a known root (the rows of
+    `known`, from _known_roots) has that root and no other, with no end
+    value read.  The first enclosure that starts inside a run is tried.  A
+    float end of an enclosure lies inside the run only when its exact end
+    does, as rounding is monotone.  Returns the mask of the intervals in
+    such runs and one row [x, h, a, c] per run [a, c], in the order of a."""
+    order, cuts, run = _runs(lo, hi, up)
+    a, c = lo[order[cuts]], hi[order[np.append(cuts[1:], lo.size) - 1]]
+    j = np.minimum(np.searchsorted(known[0], a, side="right"), known.shape[1] - 1)
+    holds = (a < known[0, j]) & (known[1, j] < c)
+    return holds[run], np.array([known[2, j], known[3, j], a, c]).T[holds].tolist()
+
+
+def _point_orbits(f, xs: list, n: int, dom: _Domain) -> list:
+    """_tubes_at of the float points xs at radius 0, through _tubes_at_many
+    beyond _SCALAR_POINTS points, with the same floats: per point (g,
+    bound, lam, dev, least)."""
+    if len(xs) <= _SCALAR_POINTS:
+        return _tubes_at(f, xs, [0.0] * len(xs), n, dom)
+    x = np.array(xs)
+    return list(zip(*(v.tolist() for v in _tubes_at_many(f, x, np.zeros(x.size), n, dom))))
+
+
 def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.ndarray, budget: int):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
     proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
     from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
     own orbit's error bound (_g_ends) or does not.
 
-    The intervals join into runs: two join when they share an end exactly,
-    are monotone in the same direction, and g at the shared end does not
-    clear (a root on or near that end).  g is strictly monotone on the
-    union, with g' in the hull of the slopes, so a run is decided by its two
-    outer ends as an interval is: when both clear, opposite signs mean
-    exactly one root, and one sign means none.  The value at a joined end
-    is never used for a sign.  No root is located here: a one-root run
+    The intervals join into runs (_runs): two join when they share an end
+    exactly, are monotone in the same direction, and g at the shared end
+    does not clear (a root on or near that end).  g is strictly monotone
+    on the union, with g' in the hull of the slopes, so a run is decided by
+    its two outer ends as an interval is: when both clear, opposite signs
+    mean exactly one root, and one sign means none.  The value at a joined
+    end is never used for a sign.  No root is located here: a one-root run
     leaves the frontier at once as a bracket row, which find_periodic
     passes to _enclose after the rounds.
 
@@ -620,16 +737,10 @@ def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.n
     x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
     run = None  # each interval's run, once some intervals join
     if not clear.all():
-        up = slope[0] > 0.0
-        order = np.argsort(lo, kind="stable")
-        a, c = order[:-1], order[1:]
-        join = (hi[a] == lo[c]) & (up[a] == up[c]) & ~clear[k:][a]
-        if join.any():
-            starts = np.concatenate([[True], ~join])
-            run = np.empty(k, dtype=np.intp)
-            run[order] = np.cumsum(starts) - 1
+        order, cuts, joined = _runs(lo, hi, slope[0] > 0.0, ~clear[k:])
+        if cuts.size < k:
+            run = joined
             # from here on the arrays describe the runs: outer ends, hulls of slopes
-            cuts = np.flatnonzero(starts)
             outer = np.concatenate([order[cuts], order[np.append(cuts[1:], k) - 1] + k])
             x, g, bound, clear = x[outer], g[outer], bound[outer], clear[outer]
             slope = np.array([np.minimum.reduceat(slope[0, order], cuts),

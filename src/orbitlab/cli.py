@@ -104,6 +104,7 @@ def _print_census(result, as_json: bool):
                     "gap": r.gap,
                     "certified": r.certified,
                     "kind": r.kind,
+                    "least_period": r.least_period,
                 }
                 for r in result.records
             ],

@@ -196,6 +196,8 @@ def is_gamma_hyperbolic(matrix, gamma: float, refine_tol: float = 1e-10) -> bool
 def orbit_hyperbolicity(f, orb: OrbitSegment, refine_tol: float = 1e-10) -> HyperbolicityValue:
     """gamma of the Jacobian cocycle along a finite orbit of f."""
     _check_map(f, "orbit_hyperbolicity")
+    if not isinstance(orb, OrbitSegment):  # its Jacobians are needed, not only its points
+        raise InvalidInputError(f"orbit_hyperbolicity needs an OrbitSegment, got {type(orb).__name__}")
     if orb.dim != f.dim:
         raise InvalidInputError("orbit dimension does not match the map")
     edge = f.domain_radius * (1.0 + 1e-9)

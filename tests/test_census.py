@@ -51,6 +51,18 @@ def half():
     return PolynomialMap.univariate([0.0, 0.5], domain_radius=1.0)
 
 
+def holds(record, x: float) -> bool:
+    """Whether the record's enclosure holds x."""
+    return record.location - record.halfwidth <= x <= record.location + record.halfwidth
+
+
+def _divisors_first(f, n: int, **kwargs):
+    """Run the censuses at the proper divisors of n on f, which a census at
+    n reads, so that what is counted after it is the census at n alone."""
+    for d in census._proper_divisors(n):
+        find_periodic(f, d, **kwargs)
+
+
 def parabolic():
     """x - x^3 assembled through the jet solver over the anchor (0, 0.75)."""
     base = half()
@@ -200,7 +212,8 @@ def test_deep_census_overflow_degrades_to_uncertified():
         for n in (700, 800):
             res = find_periodic(quad(), n)
             assert not res.certified and res.count == 2
-            assert sorted(r.location for r in res.records if r.certified) == [-1.0, 0.0]
+            low, high = (r for r in res.records if r.certified)
+            assert holds(low, -1.0) and holds(high, 0.0)
             (a, b), (c, d) = res.uncertified_regions
             assert a < GOLDEN < b and c < -GOLDEN < d and b - a < 1e-10 and d - c < 1e-10
 
@@ -214,7 +227,8 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     gap 0."""
     f = quad()
     res = find_periodic(f, 800)
-    assert [(r.location, r.kind) for r in res.records] == [(-1.0, "simple"), (0.0, "simple")]
+    low, high = res.records
+    assert low.kind == high.kind == "simple" and holds(low, -1.0) and holds(high, 0.0)
     dom = _domain(f, res.radius)
     xs = [0.5 * (lo + hi) for lo, hi in res.uncertified_regions]
     assert len(xs) == 2
@@ -347,10 +361,12 @@ def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
     """The fixed point 0.5 of 0.95 - 1.8x^2 is dyadic, so it lies on a cell
     end at every depth, where g never clears its float bound.  The two
     monotone cells beside it join into one run that its outer ends settle,
-    so the census does not halve them down to tol: each rung takes a few
-    rounds (each one _tube_many call of one positive radius per cell; the
-    zero-width tubes are the settled ends', and the tubes with stacked
-    radii (0, h) the Newton steps')."""
+    so the census at n = 1, which first locates it, does not halve them
+    down to tol; at n = 6-10 the run holds the enclosure of period 1.  Each
+    rung takes a few rounds (each one _tube_many call of one positive
+    radius per cell; the zero-width tubes are the settled ends', and the
+    tubes with stacked radii (0, h) the Newton steps'), counted after the
+    censuses at its divisors."""
     rounds = []
     tube = census._tube_many
 
@@ -360,9 +376,11 @@ def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
         return tube(f, mids, halves, *args)
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    for n in range(6, 11):
+    for n in (1, 6, 7, 8, 9, 10):
+        f = PolynomialMap.univariate(CHAOTIC)
+        _divisors_first(f, n, radius=1.0)
         rounds.clear()
-        res = find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0)
+        res = find_periodic(f, n, radius=1.0)
         assert res.certified
         assert any(r.location == pytest.approx(0.5, abs=1e-12) for r in res.records)
         assert len(rounds) <= 6, (n, len(rounds))
@@ -370,13 +388,17 @@ def test_chaotic_census_certifies_in_a_few_rounds(monkeypatch):
 
 def test_unperturbed_quadratic_certifies_at_period_32():
     """The 2-cycle point 0 of x^2 - 1 is a cell end at every depth; joining
-    the cells beside it certifies the period-32 census, which used to run
-    out of the default budget."""
-    res = find_periodic(quad(), 32)
+    the cells beside it locates it at n = 2, and at n = 32 the joined run
+    holds that enclosure, which certifies the period-32 census: it used to
+    run out of the default budget."""
+    f = quad()
+    res = find_periodic(f, 2)
+    assert res.certified and res.count == 3 and any(holds(r, 0.0) for r in res.records)
+    res = find_periodic(f, 32)
     assert res.certified
     assert res.count == 3
     assert res.evaluations <= 2_000
-    assert any(r.location == 0.0 for r in res.records)
+    assert any(holds(r, 0.0) for r in res.records)
 
 
 def test_census_budget_exhaustion_is_partial():
@@ -402,9 +424,10 @@ def test_census_budget_exhaustion_is_partial():
 
 def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
     """The rounds leave each root in a bracket, and one _newton call after
-    them encloses all 103 of 0.95 - 1.8x^2 at period 10, with the
-    evaluations of locating them round by round; each record is the one
-    its bracket gives alone."""
+    them encloses all 103 of 0.95 - 1.8x^2 at period 10 but the 13 that the
+    censuses at its divisors 1, 2 and 5 located, with the evaluations of
+    locating them round by round; each record is the one its bracket gives
+    alone."""
     passes = []
     newton = census._newton
 
@@ -414,36 +437,49 @@ def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
 
     monkeypatch.setattr(census, "_newton", recorded)
     f = PolynomialMap.univariate(CHAOTIC)
+    _divisors_first(f, 10, radius=1.0)
+    passes.clear()
     res = find_periodic(f, 10, radius=1.0)
     ((brackets, (found, calls)),) = passes
-    assert res.certified and res.count == len(brackets) == 103 and res.evaluations == 2_251
+    assert res.certified and res.count == 103 and len(brackets) == 90 and res.evaluations == 2_177
     dom = _one(f)
-    alone = [newton(f, 10, dom, brackets[i:i + 1], 1e-12) for i in range(103)]
+    alone = [newton(f, 10, dom, brackets[i:i + 1], 1e-12) for i in range(90)]
     assert [a for (a,), _ in alone] == found and sum(c for _, c in alone) == calls
 
 
 def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
-    """A budget that pays for the rounds but not for every contraction
-    leaves the roots it cannot pay for in their brackets, each inside an
-    uncertified region, and the result uncertified; the roots it pays for
-    are the full census's records."""
+    """A budget that pays for the rounds but not for every record leaves
+    the roots it cannot pay for in their runs, each inside an uncertified
+    region, and the result uncertified; the roots it pays for are the full
+    census's records.  The 13 roots of 0.95 - 1.8x^2 at period 10 that its
+    divisors' censuses located take one orbit each, paid before the
+    brackets' contractions: 5 more than the rounds pay for 5 of them and
+    no bracket, and no bracket is paid until 40 (_NEWTON_STEPS) more than
+    all 13."""
     f = PolynomialMap.univariate(CHAOTIC)
     full = find_periodic(f, 10, radius=1.0)
-    budgets = []
-    enclose = census._enclose
+    budgets, known = [], []
+    enclose, point_orbits = census._enclose, census._point_orbits
 
     def recorded(*args):
         budgets.append(args[-1])
         return enclose(*args)
 
+    def recorded_orbits(f, xs, *args):
+        known.append(len(xs))
+        return point_orbits(f, xs, *args)
+
     monkeypatch.setattr(census, "_enclose", recorded)
+    monkeypatch.setattr(census, "_point_orbits", recorded_orbits)
     assert find_periodic(f, 10, radius=1.0) == full
-    rounds = 3_000_000 - budgets[-1]
-    for extra in (0, census._NEWTON_STEPS - 1, 5 * census._NEWTON_STEPS):
+    assert known[0] == 13 and full.count == 103
+    rounds = 3_000_000 - budgets[-1] - 13
+    steps = census._NEWTON_STEPS
+    for extra, paid in ((0, 0), (5, 5), (13 + steps - 1, 13), (13 + 5 * steps, 19)):
         res = find_periodic(f, 10, radius=1.0, max_evaluations=rounds + extra)
         assert not res.certified and res.evaluations <= rounds + extra
         assert all(r in full.records for r in res.records)
-        assert (len(res.records) > 5) == (extra > census._NEWTON_STEPS) and res.count < 103
+        assert (res.count == paid) if paid <= 13 else (paid <= res.count < 103)
         for rec in full.records:
             inside = sum(lo <= rec.location <= hi for lo, hi in res.uncertified_regions)
             assert inside == (rec not in res.records)
@@ -495,13 +531,17 @@ class _CountedMap(PerturbedMap):
 
 
 def test_evaluations_count_every_computed_orbit(monkeypatch):
-    """On a fresh map, so that nothing is reused, `evaluations` is the
+    """With no tube in the memo, so that none is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
     monotone cells, the interval Newton steps (batched across the brackets
     that step in lockstep, each step's orbit also the record's when it is
-    the last) and the orbit of each tangential candidate's record.  Counted at the map, each orbit
-    is n evaluations of f, so the count does not depend on how the census
-    batches them.  Each set of points the census iterates is distinct."""
+    the last), the orbit of each record of a root its divisors' censuses
+    located, and the orbit of each tangential candidate's record.  Those
+    censuses run first, on the same map, and count their own orbits: they
+    are left out here, and the tubes they leave are dropped.  Counted at
+    the map, each orbit is n evaluations of f, so the count does not depend
+    on how the census batches them.  Each set of points the census iterates
+    is distinct."""
     iterated = []
     for name in ("_g_ends", "_tubes_at", "_tubes_at_many"):
         def recorded(f, xs, *args, _orbits=getattr(census, name)):
@@ -511,7 +551,9 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     for spec, n, radius, tol in (((PolynomialMap.univariate(CHAOTIC), ()), 8, 1.0, 1e-12),
                                  ((parabolic().base, parabolic().terms), 1, None, 1e-4)):
         f = _CountedMap(*spec)
-        census._domain(f, census._resolve_radius(f, radius))  # the range and bounds
+        dom = census._domain(f, census._resolve_radius(f, radius))  # the range and bounds
+        _divisors_first(f, n, radius=radius, tol=tol)
+        dom.tubes.clear()
         _CountedMap.steps = 0
         res = find_periodic(f, n, radius=radius, tol=tol)
         assert res.records and res.evaluations * n == _CountedMap.steps
@@ -602,8 +644,10 @@ def test_reused_census_work_matches_a_fresh_map(monkeypatch):
     and extend it from a lower one; every result equals the same call on a
     freshly built map, field by field.  The census, the cover and ih_check
     share one grid, so a descending revisit (8, 4, 8, 4) on a map of its
-    own computes each period's round-1 tube once: ih_check's stage 8 reads
-    the census's, and the revisits take every tube from the memo."""
+    own computes each period's round-1 tube once: the census at 8 computes
+    those at 1, 2 and 4 for the censuses at its divisors, which run first,
+    ih_check reads them and the census's at stage 8, and the revisits take
+    every tube from the memo."""
     f = _seeded_quadratic()
     for n in (5, 1, 8, 8, 3):
         assert find_periodic(f, n) == find_periodic(_seeded_quadratic(), n)
@@ -635,8 +679,10 @@ def test_reused_census_work_matches_a_fresh_map(monkeypatch):
         fresh = find_periodic(_seeded_quadratic(), n), ih_check(_seeded_quadratic(), params, n)
         round1.clear()
         assert (find_periodic(g, n), ih_check(g, params, n)) == fresh
-        # the census's tube, then ih_check's at stages 1..n, the last one the census's
-        assert round1 == [int(i == 0)] * n + [0]
+        # the census's tubes (its divisors' first), then ih_check's at stages 1..n
+        census_tubes = [1, 1, 1, 1] if i == 0 else [0]
+        stages = [int(i == 0 and k not in (1, 2, 4, 8)) for k in range(1, n + 1)]
+        assert round1 == census_tubes + stages
 
 
 def test_ih_check_reads_the_round_one_tubes_a_census_left(monkeypatch):
@@ -652,6 +698,34 @@ def test_ih_check_reads_the_round_one_tubes_a_census_left(monkeypatch):
     got = ih_check(f, params, 8)
     assert got == want and len(got.rows) == 8
     assert round1 == [0] * 8
+
+
+def test_census_reads_the_roots_its_divisors_located(monkeypatch):
+    """On a seeded a9 map the censuses at n = 1..8 count 1 and 3 in turn,
+    and _newton receives 3 brackets in all: the fixed point at n = 1 and
+    the 2-cycle at n = 2.  Every later census settles each monotone run
+    that holds one of those enclosures with no end value and no Newton
+    step; its record keeps the enclosure.  A census at 8 on a fresh map
+    runs its divisors' censuses first, and equals the warm one."""
+    brackets = []
+    newton = census._newton
+
+    def recorded(f, n, dom, rows, tol):
+        brackets.extend([n] * len(rows))
+        return newton(f, n, dom, rows, tol)
+
+    monkeypatch.setattr(census, "_newton", recorded)
+    f = _seeded_quadratic()
+    results = [find_periodic(f, n) for n in range(1, 9)]
+    assert [r.count for r in results] == [1, 3] * 4 and all(r.certified for r in results)
+    assert brackets == [1, 2, 2]
+    odd, even = ([(r.location, r.halfwidth, r.least_period) for r in res.records] for res in results[:2])
+    assert [least for *_, least in even] == [2, 1, 2] and odd[0] in even
+    for n, res in enumerate(results, 1):
+        assert [(r.location, r.halfwidth, r.least_period) for r in res.records] == (odd if n % 2 else even)
+    brackets.clear()
+    assert find_periodic(_seeded_quadratic(), 8) == results[-1]
+    assert brackets == [1, 2, 2]
 
 
 def test_census_memo_goes_with_its_map():
@@ -752,6 +826,19 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     assert 0 < spent <= census._NEWTON_STEPS
 
 
+def test_settle_keeps_intervals_apart_where_their_shared_end_clears():
+    """Three intervals on which g of 0.95 - 1.8x^2 decreases: the last two
+    share the fixed point 0.5, where g does not clear, and join; the first
+    two share 0.495, where g clears its bound, and stay apart.  The first
+    is decided alone (no root), and the run of the other two brackets the
+    root from its own outer ends, not from those of all three."""
+    f = PolynomialMap.univariate(CHAOTIC)
+    lo, hi = np.array([0.49, 0.495, 0.5]), np.array([0.495, 0.5, 0.51])
+    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    assert mask.tolist() == [True, True, True] and used == 4
+    assert brackets[:, :2].tolist() == [[0.495, 0.51]]
+
+
 def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     """f(x) = x + x^2/2 has a double fixed point at 0, the shared end of two
     intervals where g = x^2/2 falls and then rises.  They do not join, and
@@ -762,6 +849,54 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, 10_000)
     assert mask.tolist() == [False, False]
     assert used == 3 and brackets.shape == (0, 9)
+
+
+def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
+    """Cells join into a run only when they share an end exactly and rise
+    or fall alike, and a run holds a known root only when the enclosure
+    lies strictly inside it: the double fixed point's two cells (falling,
+    then rising) stay apart, and an enclosure on a run's end or astride it
+    is not read.  On random cells, each run found lies strictly around its
+    enclosure, its cells rise or fall alike, and every enclosure strictly
+    inside a run of cells that share their ends and direction is read."""
+    lo, hi, up = np.array([0.0, -0.25, 0.25]), np.array([0.25, 0.0, 0.5]), np.array([True, False, True])
+    none, rising, falling = [False] * 3, [True, False, True], [False, True, False]
+    for x, h, want, mask in ((0.0, 0.01, [], none), (0.3, 0.01, [[0.3, 0.01, 0.0, 0.5]], rising),
+                             (0.49, 0.01, [], none), (-0.2, 0.05, [], none),
+                             (-0.2, 0.04, [[-0.2, 0.04, -0.25, 0.0]], falling)):
+        inside, runs = census._held_runs(lo, hi, up, np.array([[x - h], [x + h], [x], [h]]))
+        assert runs == want and inside.tolist() == mask
+    rng = np.random.default_rng(5)
+    for size in range(1, 48):
+        edges = np.cumsum(rng.choice([0.125, 0.25], size + 1))
+        keep = rng.random(size) < 0.8  # gaps break runs too
+        keep[0] = True
+        lo, hi, up = edges[:-1][keep], edges[1:][keep], rng.random(keep.sum()) < 0.7
+        order = rng.permutation(lo.size)
+        lo, hi, up = lo[order], hi[order], up[order]
+        xs, hs = rng.uniform(edges[0], edges[-1], 6), rng.choice([1e-3, 0.1], 6)
+        known = np.array([xs - hs, xs + hs, xs, hs])
+        known = known[:, np.argsort(known[0])]
+        inside, runs = census._held_runs(lo, hi, up, known)
+        for x, h, a, c in runs:
+            cells = (lo >= a) & (hi <= c)
+            assert a < x - h and x + h < c and inside[cells].all() and len(set(up[cells])) == 1
+        # the maximal runs, one cell at a time in order of lo
+        sorted_cells = sorted(zip(lo.tolist(), hi.tolist(), up.tolist()))
+        maximal, (a, c, u) = [], sorted_cells[0]
+        for l, r, v in sorted_cells[1:]:
+            if l == c and v == u:
+                c = r
+            else:
+                maximal.append((a, c))
+                a, c, u = l, r, v
+        maximal.append((a, c))
+        for a, c in maximal:
+            firsts = [(x, h) for x, h in zip(known[2], known[3]) if x - h > a]
+            if firsts and firsts[0][0] + firsts[0][1] < c:
+                assert [*firsts[0], a, c] in runs
+            else:
+                assert not any(r[2] == a for r in runs)
 
 
 def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
@@ -842,7 +977,7 @@ def test_unperturbed_quadratic_certifies_at_periods_48_64_and_96():
         res = find_periodic(quad(), n)
         assert res.certified and res.uncertified_regions == []
         assert res.count == 3 and res.evaluations <= 3_000
-        assert any(r.location == 0.0 for r in res.records)
+        assert any(holds(r, 0.0) for r in res.records)
         assert any(abs(r.location - GOLDEN) <= 1e-12 for r in res.records)
 
 
@@ -976,7 +1111,7 @@ def test_tube_clamp_equals_clip():
             return np.zeros_like(y)
 
     dom = census._Domain(R=R, D1=1.0, D2=0.0, step=0.0, d_slack=0.0, pad=0.0, cap=2.0 * R,
-                         grid=None, tubes={})
+                         grid=None, tubes={}, roots={})
     y = _tube_many(Images(), np.zeros(v.size), np.zeros(v.size), 1, dom)[0]
     assert y.tobytes() == np.clip(v, -R, R).tobytes()
 
@@ -1009,6 +1144,23 @@ def _proved_sign_changes(f, records, n: int) -> bool:
         return True
     finally:
         mpmath.iv.prec = prec
+
+
+def test_reused_enclosures_hold_a_root_in_interval_arithmetic():
+    """A record that a census reads from its divisors' censuses keeps their
+    enclosure, which holds a sign change of g = f^n - id as well, proved in
+    120-bit interval arithmetic: x^2 - 1 at n = 2..16 (the fixed point, and
+    the 2-cycle at even n) and 0.95 - 1.8x^2 at n = 4, 6, 8 and 12."""
+    for f, periods, radius in ((quad(), range(2, 17), None),
+                               (PolynomialMap.univariate(CHAOTIC), (4, 6, 8, 12), 1.0)):
+        for n in periods:
+            res = find_periodic(f, n, radius=radius)
+            roots = census._domain(f, res.radius).roots
+            known = {(x, h) for d in census._proper_divisors(n)
+                     for x, h in roots[1e-12, 3_000_000, d].tolist()}
+            reused = [r for r in res.records if (r.location, r.halfwidth) in known]
+            assert res.certified and reused
+            assert _proved_sign_changes(f, reused, n)
 
 
 def test_certified_enclosures_hold_a_root_in_interval_arithmetic():

@@ -52,6 +52,16 @@ def test_census_json_output(capsys):
     assert payload["certified"] is True
     assert payload["points"][0]["gap"] == pytest.approx(0.5, abs=1e-10)
     assert payload["points"][0]["location"] == pytest.approx(0.0, abs=1e-10)
+    assert payload["points"][0]["least_period"] == 1
+
+
+def test_census_json_reports_least_periods(capsys):
+    """At period 12 of x^2 - 1 the three points are the fixed point and the
+    2-cycle, each read from the censuses at the divisors 1 and 2."""
+    assert main(["census", "--preset", "quadratic", "--period", "12", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certified"] is True and payload["count"] == 3
+    assert sorted(p["least_period"] for p in payload["points"]) == [1, 2, 2]
 
 
 def test_census_exit_code_says_whether_it_certified(capsys):

@@ -250,6 +250,15 @@ def test_orbit_hyperbolicity_linear_map():
     assert hv.gamma == pytest.approx(1.0 - 2.0 ** -4, abs=1e-12)
 
 
+def test_orbit_hyperbolicity_needs_an_orbit_segment():
+    """The Jacobians come with the segment, so points alone (a list or an
+    array) are refused as bad input, not read as a segment."""
+    f = PolynomialMap.univariate([0.0, 0.5])
+    for points in ([0.1, 0.2], np.array([[0.1], [0.2]])):
+        with pytest.raises(InvalidInputError):
+            orbit_hyperbolicity(f, points)
+
+
 def test_orbit_hyperbolicity_quadratic_fixed_point():
     f = PolynomialMap.univariate([-1.0, 0.0, 1.0])
     x = (1.0 - math.sqrt(5.0)) / 2.0
