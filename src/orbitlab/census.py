@@ -78,7 +78,9 @@ Orbits of points outside the cell tubes (_g_ends, _tubes_at and
 _point_orbits) take up to _SCALAR_POINTS points one at a time with
 f.evaluate, cheaper than an array call there, and more with eval_many; a
 1-D map's evaluate and eval_many perform the same float operations in the
-same order, so the choice never changes a value.
+same order, so the choice never changes a value.  The held-run test
+follows the same size rule and gives the same results on both of its
+paths.
 
 On top of the census sit:
 
@@ -97,6 +99,7 @@ reported as uncertified regions, never silently dropped.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
@@ -224,11 +227,20 @@ class CensusResult:
 # -- shared certified bounds -------------------------------------------------------
 
 
-# Sets of at most this many points are iterated one point at a time with
-# f.evaluate.  On a shared 2-CPU x86 host an eval_many step costs about
-# 14 us at any size up to a few dozen points and a scalar step about 0.7 us
-# per point (degree 9, with and without a root-product term), so the two
-# cross at 20-24 points.  _g_ends, _newton and _point_orbits read it.
+# Sets of at most this many points or intervals are handled on Python
+# floats, one at a time; larger sets on NumPy arrays.  Each array call costs
+# a near-constant overhead up to a few dozen elements, each float element a
+# few hundred ns, so each use has a crossover (shared 2-CPU x86 host):
+#   tube step (_g_ends, _newton, _point_orbits): an eval_many step costs
+#     about 14 us, a scalar step 0.7 us a point (degree 9, with and without
+#     a root-product term): they cross at 20-24 points;
+#   held-run test (_held_runs): the arrays take 25-30 us a call, the floats
+#     5-11 us at 1-8 intervals: they cross at 16-20 intervals against 2,000
+#     known enclosures and at 32-40 against 16.
+# One limit serves both: most sets a census meets hold 1-8 elements or
+# hundreds and more, which every limit from 16 to 40 sends the same way;
+# the few in between lose at most a few us on the slower path; and the
+# tests force every use down one path by setting this one value.
 _SCALAR_POINTS = 16
 
 # a record's least period is the first divisor d of n with |f^d(x) - x| at
@@ -689,12 +701,38 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray
     value read.  The first enclosure that starts inside a run is tried.  A
     float end of an enclosure lies inside the run only when its exact end
     does, as rounding is monotone.  Returns the mask of the intervals in
-    such runs and one row [x, h, a, c] per run [a, c], in the order of a."""
-    order, cuts, run = _runs(lo, hi, up)
-    a, c = lo[order[cuts]], hi[order[np.append(cuts[1:], lo.size) - 1]]
-    j = np.minimum(np.searchsorted(known[0], a, side="right"), known.shape[1] - 1)
-    holds = (a < known[0, j]) & (known[1, j] < c)
-    return holds[run], np.array([known[2, j], known[3, j], a, c]).T[holds].tolist()
+    such runs and one row [x, h, a, c] per run [a, c], in the order of a.
+
+    Up to _SCALAR_POINTS intervals are grouped on floats, one run at a
+    time, each run bisecting the row known[0] in place (a deep census knows
+    thousands of roots, too many to copy per call); more go through _runs on
+    arrays.  Both take the same order (a stable sort of lo), joins, lookup
+    (bisect_right is searchsorted's side="right") and comparisons, so they
+    give the same mask and rows."""
+    last = known.shape[1] - 1
+    if lo.size > _SCALAR_POINTS:
+        order, cuts, run = _runs(lo, hi, up)
+        a, c = lo[order[cuts]], hi[order[np.append(cuts[1:], lo.size) - 1]]
+        j = np.minimum(np.searchsorted(known[0], a, side="right"), last)
+        holds = (a < known[0, j]) & (known[1, j] < c)
+        return holds[run], np.array([known[2, j], known[3, j], a, c]).T[holds].tolist()
+    los, his, ups, starts = lo.tolist(), hi.tolist(), up.tolist(), known[0]
+    order = sorted(range(lo.size), key=los.__getitem__)  # stable, as _runs' argsort
+    runs = [[order[0]]]
+    for p, i in zip(order, order[1:]):
+        if his[p] == los[i] and ups[p] == ups[i]:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    inside, rows = [False] * lo.size, []
+    for run in runs:
+        a, c = los[run[0]], his[run[-1]]
+        j = min(bisect_right(starts, a), last)
+        if a < starts[j] and known[1, j] < c:
+            for i in run:
+                inside[i] = True
+            rows.append([float(known[2, j]), float(known[3, j]), a, c])
+    return np.array(inside), rows
 
 
 def _point_orbits(f, xs: list, n: int, dom: _Domain) -> list:

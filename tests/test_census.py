@@ -899,6 +899,44 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
                 assert not any(r[2] == a for r in runs)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    widths=st.lists(st.sampled_from([0.125, 0.25]), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_held_runs_floats_and_arrays_agree(widths, data):
+    """_held_runs gives the same mask and rows on floats (up to
+    _SCALAR_POINTS intervals) and on arrays (beyond it), each path forced
+    by the limit: cells on a dyadic grid, so that shared ends are exact,
+    with gaps and mixed directions, in any order, against sorted
+    enclosures, more of them than cells, whose ends touch, straddle or sit
+    strictly inside the runs' ends."""
+    size = len(widths)
+    edges = np.cumsum([0.0] + widths)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    keep[0] = True
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    up = np.array(data.draw(st.lists(st.booleans(), min_size=lo.size, max_size=lo.size)))
+    order = np.array(data.draw(st.permutations(range(lo.size))))
+    lo, hi, up = lo[order], hi[order], up[order]
+    # each enclosure starts on a cell end, or a little before or after it
+    anchors = data.draw(st.lists(st.tuples(st.integers(0, size), st.sampled_from([-1 / 16, 0.0, 1 / 32]),
+                                           st.sampled_from([1 / 32, 1 / 16, 1 / 8, 3 / 16])),
+                                 min_size=lo.size + 1, max_size=lo.size + 24))
+    starts, hs = np.array([edges[i] + d for i, d, _ in anchors]), np.array([h for *_, h in anchors])
+    known = np.array([starts, starts + 2.0 * hs, starts + hs, hs])
+    known = known[:, np.lexsort(known[1::-1])]
+    got = []
+    for limit in (0, 10**9):  # the arrays, then the floats
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "_SCALAR_POINTS", limit)
+            inside, rows = census._held_runs(lo, hi, up, known)
+        assert inside.dtype == bool and inside.shape == lo.shape
+        assert all(type(v) is float for row in rows for v in row)
+        got.append((inside.tolist(), rows))
+    assert got[0] == got[1]
+
+
 def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     """After the rounds, each wave locates as many roots as the budget left
     pays for at the contraction's worst, and charges their actual orbits
@@ -933,17 +971,25 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     assert crossed
 
 
+def _switch_censuses() -> list:
+    """Fresh censuses of 0.95 - 1.8x^2 (radius 1) at n = 1..12 and of the
+    seeded quadratic and its mirror at n = 1..16."""
+    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    out = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(1, 13)]
+    return out + [find_periodic(PerturbedMap(base, term), n) for term in (eps, _negated(eps))
+                  for n in range(1, 17)]
+
+
 @pytest.mark.parametrize("limit", [0, 10**9])
 def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
-    """With every set of points on the array path (lockstep Newton steps
-    and records on arrays) or every set on the scalar path (Newton steps
-    and records one at a time on floats), each census equals the default
-    one."""
-    want = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
-    want += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
+    """With every set on the array path (tube steps, held-run tests,
+    lockstep Newton steps and records on arrays) or every set on the float
+    path (one point, interval or run at a time), each census equals the
+    default one: records, regions and evaluations."""
+    want = _switch_censuses()
     monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
-    got = [find_periodic(PolynomialMap.univariate(CHAOTIC), n, radius=1.0) for n in range(6, 13)]
-    got += [find_periodic(_seeded_quadratic(), n) for n in range(8, 17)]
+    got = _switch_censuses()
     assert got == want
     assert all(repr(a) == repr(b) for a, b in zip(got, want))
 
