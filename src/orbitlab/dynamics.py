@@ -395,6 +395,12 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
 
     Raises MapDomainError if x0 is already outside, OrbitEscapeError (with
     the index of the first offending iterate) if any image leaves the ball.
+
+    A 1-D map iterates a Python float, as `evaluate` reads a point of shape
+    (1,) as one, and its test sqrt(y * y) is the norm of that point, so the
+    points, images, escape index and escape point are those of the array
+    loop bit for bit; the arrays of points and images are filled once at
+    the end.  Either way the Jacobians come from one `jac_many` call.
     """
     _check_map(f, "orbit")
     n = _period(n, name="orbit length")
@@ -405,6 +411,19 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
     # |x| as np.linalg.norm computes it, without its dispatch
     if math.sqrt(x.dot(x)) > edge:
         raise MapDomainError(f"start point outside the radius-{radius:g} ball", point=x)
+    if f.dim == 1:
+        seq = [float(x[0])]
+        for j in range(n):
+            y = f.evaluate(seq[j])
+            if math.sqrt(y * y) > edge:
+                raise OrbitEscapeError(
+                    f"iterate {j + 1} left the radius-{radius:g} ball",
+                    escape_index=j + 1,
+                    point=np.array([y]),
+                )
+            seq.append(y)
+        pts = np.array(seq[:-1]).reshape(n, 1)
+        return OrbitSegment(pts, np.array(seq[1:]).reshape(n, 1), f.jac_many(pts))
     pts = np.empty((n, f.dim))
     imgs = np.empty((n, f.dim))
     for j in range(n):

@@ -18,6 +18,23 @@ substitution.  On top of this kernel sit two explicit orbit surgeries: a
 closing correction that turns a length-(n+1) trajectory into a period-n orbit,
 and a multiplier correction that moves the derivative of the n-fold
 composition off the unit circle without touching the orbit itself.
+
+The element-by-element recurrences run on Python floats: each array is read
+once with `tolist()`, and the loops then do the float operations of the
+NumPy-indexed loops they replace, in the same order.  A Python float and a
+NumPy float64 round the same IEEE double operations alike, so coefficients,
+values, derivatives and the row and product of a NearDiagonalError are the
+same bit for bit.  These are the triangular solves of `jet_solve`, the
+Newton-Horner loop of `jet_eval`, `p_km`, the divided-difference table, and
+the point loops of `multijet` and the surgeries.  Whole-row steps stay on
+NumPy: the rows of basis products in `jet_solve`, the columns of
+`lagrange_matrix`, and the matrix and dot products of `lagrange_map` and
+`lagrange_map_inverse`, whose BLAS summation order a Python loop would not
+reproduce.  A Python float raises ZeroDivisionError where NumPy returns an
+infinity, so every division sits behind a test that its divisor is nonzero.
+
+The coefficient and jet types hold finite numbers only: NaN and infinities
+are refused with InvalidInputError, so a solve that overflows raises there.
 """
 
 from __future__ import annotations
@@ -58,6 +75,18 @@ __all__ = [
 _DIVISION_FLOOR = 1e-250
 
 
+def _finite(v: np.ndarray, what: str) -> np.ndarray:
+    """v, or InvalidInputError if an entry is NaN or infinite."""
+    if not np.isfinite(v).all():
+        raise InvalidInputError(f"non-finite {what}")
+    return v
+
+
+def _vector(v, what: str) -> np.ndarray:
+    """v as a finite 1-D float array."""
+    return _finite(np.asarray(v, dtype=float).reshape(-1), what)
+
+
 @dataclass(frozen=True)
 class PointTuple:
     """Ordered anchor tuple in the interval; repeats are allowed."""
@@ -65,9 +94,7 @@ class PointTuple:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _trajectory(self.points, one_d=True)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("non-finite anchor point")
+        pts = _finite(_trajectory(self.points, one_d=True), "anchor point")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -94,7 +121,7 @@ class EpsPolynomial:
     eps: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.eps, dtype=float).reshape(-1)
+        e = _vector(self.eps, "monomial coefficient")
         if len(e) == 0 or len(e) % 2 != 0:
             raise InvalidInputError("eps must have even positive length 2n")
         object.__setattr__(self, "eps", e)
@@ -112,7 +139,7 @@ class LagrangeCoefficients:
     anchor: PointTuple
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(-1)
+        u = _vector(self.u, "Newton coefficient")
         if len(u) != 2 * self.anchor.n:
             raise InvalidInputError("u must have length 2n for an n-point anchor")
         object.__setattr__(self, "u", u)
@@ -131,8 +158,8 @@ class MultijetPoint:
     derivs: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        d = np.asarray(self.derivs, dtype=float).reshape(-1)
+        v = _vector(self.values, "jet value")
+        d = _vector(self.derivs, "jet derivative")
         if len(v) != self.anchor.n or len(d) != self.anchor.n:
             raise InvalidInputError("values/derivs must match the anchor length")
         object.__setattr__(self, "values", v)
@@ -147,10 +174,11 @@ def divided_difference(pts: Sequence[float], values: Sequence[float], derivs=Non
 
     `values[i]` is g(pts[i]); where a point occurs twice, `derivs[i]` must
     supply g'(pts[i]) at (at least) one of the two slots.  Points repeated
-    more than twice are rejected.  Divided differences are symmetric in their
-    arguments, so repeats are grouped adjacently before running the standard
-    Newton recursion; a first-order difference on a repeated point is the
-    supplied derivative.
+    more than twice are rejected, and so are two different values, or two
+    different derivatives, at one point.  Divided differences are symmetric
+    in their arguments, so repeats are grouped adjacently before running the
+    standard Newton recursion; a first-order difference on a repeated point
+    is the supplied derivative.
     """
     coeffs = _newton_coefficients(pts, values, derivs)
     return float(coeffs[-1])
@@ -160,12 +188,15 @@ def _newton_coefficients(pts, values, derivs=None) -> np.ndarray:
     """All confluent Newton coefficients Delta^0 .. Delta^m for the point
     sequence *reordered* so that equal points are adjacent.  Returned in the
     reordered node order (which `divided_difference` does not expose, and
-    which permutation symmetry makes irrelevant for the top coefficient)."""
-    pts = np.asarray(pts, dtype=float).reshape(-1)
-    values = np.asarray(values, dtype=float).reshape(-1)
+    which permutation symmetry makes irrelevant for the top coefficient).
+    The table runs on Python floats."""
+    pts = np.asarray(pts, dtype=float).reshape(-1).tolist()
+    values = np.asarray(values, dtype=float).reshape(-1).tolist()
     if len(pts) != len(values):
         raise InvalidInputError("points and values must align")
     m = len(pts)
+    if m == 0:
+        raise InvalidInputError("a divided difference needs at least one point")
     if derivs is None:
         dvals = [None] * m
     else:
@@ -174,38 +205,27 @@ def _newton_coefficients(pts, values, derivs=None) -> np.ndarray:
             raise InvalidInputError("derivs must align with points when given")
 
     # group repeats adjacently, preserving first-appearance order
-    order: list = []
     seen: dict = {}
     for i, p in enumerate(pts):
-        if p in seen:
-            seen[p].append(i)
-        else:
-            seen[p] = [i]
-            order.append(p)
+        seen.setdefault(p, []).append(i)
+    z, table, dz = [], [], []
     for p, idx in seen.items():
         if len(idx) > 2:
             raise InvalidInputError(f"point {p} repeated more than twice")
-        vals = {values[i] for i in idx}
-        if len(vals) > 1:
+        if len({values[i] for i in idx}) > 1:
             raise InvalidInputError(f"conflicting values supplied at repeated point {p}")
-
-    z, gz, dz = [], [], []
-    for p in order:
-        for i in seen[p]:
+        given = {float(dvals[i]) for i in idx if dvals[i] is not None}
+        if len(given) > 1:
+            raise InvalidInputError(f"conflicting derivatives supplied at repeated point {p}")
+        d = given.pop() if given else None
+        for i in idx:
             z.append(p)
-            gz.append(values[i])
-        d = None
-        for i in seen[p]:
-            if dvals[i] is not None:
-                d = float(dvals[i])
-        dz.extend([d] * len(seen[p]))
+            table.append(values[i])
+            dz.append(d)
 
-    z = np.asarray(z)
-    table = np.asarray(gz, dtype=float)
-    out = np.empty(m)
-    out[0] = table[0]
+    out = [table[0]]
     for order_j in range(1, m):
-        new = np.empty(m - order_j)
+        new = []
         for i in range(m - order_j):
             lo, hi = z[i], z[i + order_j]
             if hi == lo:
@@ -215,32 +235,34 @@ def _newton_coefficients(pts, values, derivs=None) -> np.ndarray:
                     raise InvalidInputError(
                         f"derivative required at repeated point {lo}"
                     )
-                new[i] = dz[i]
+                new.append(dz[i])
             else:
-                new[i] = (table[i + 1] - table[i]) / (hi - lo)
+                # hi != lo, so hi - lo is nonzero (or NaN)
+                new.append((table[i + 1] - table[i]) / (hi - lo))
         table = new
-        out[order_j] = table[0]
-    return out
+        out.append(table[0])
+    return np.array(out)
 
 
 def p_km(pts: Sequence[float], k: int) -> float:
     """Complete homogeneous symmetric sum of degree k - m on m+1 points:
     sum over r_0 + ... + r_m = k - m of prod x_j^{r_j}.  Equals the m-th
     divided difference of x^k on the tuple, on or off the diagonal."""
-    pts = np.asarray(pts, dtype=float).reshape(-1)
+    pts = np.asarray(pts, dtype=float).reshape(-1).tolist()
+    if not pts:
+        raise InvalidInputError("p_km needs at least one point")
     m = len(pts) - 1
     if k < m:
         return 0.0
-    d = k - m
     # h[j] = complete homogeneous sum of the current degree in x_0..x_j,
-    # via h_d(x_0..x_j) = h_d(x_0..x_{j-1}) + x_j * h_{d-1}(x_0..x_j).
-    h = np.ones(m + 1)
-    for _ in range(d):
-        prev = h
-        h = np.empty(m + 1)
-        h[0] = pts[0] * prev[0]
+    # via h_d(x_0..x_j) = h_d(x_0..x_{j-1}) + x_j * h_{d-1}(x_0..x_j),
+    # updated in place on Python floats: h[j] still holds degree d - 1
+    # when it is read
+    h = [1.0] * (m + 1)
+    for _ in range(k - m):
+        h[0] = pts[0] * h[0]
         for j in range(1, m + 1):
-            h[j] = h[j - 1] + pts[j] * prev[j]
+            h[j] = h[j - 1] + pts[j] * h[j]
     return float(h[m])
 
 
@@ -286,23 +308,28 @@ def lagrange_map_inverse(u: LagrangeCoefficients) -> EpsPolynomial:
 # -- jets ------------------------------------------------------------------------
 
 
-def _newton_value_and_derivative(u: np.ndarray, nodes: np.ndarray, x: float):
-    """Horner evaluation of sum u_k prod_{j<k}(x - nodes_j) and its derivative."""
+def _newton_value_and_derivative(u: list, nodes: list, x: float):
+    """Horner evaluation of sum u_k prod_{j<k}(x - nodes_j) and its
+    derivative, on Python floats."""
     b = u[-1]
     db = 0.0
     for k in range(len(u) - 2, -1, -1):
-        db = b + (x - nodes[k]) * db
-        b = u[k] + (x - nodes[k]) * b
+        step = x - nodes[k]
+        db = b + step * db
+        b = u[k] + step * b
     return b, db
 
 
 def jet_eval(u: LagrangeCoefficients) -> MultijetPoint:
-    """Values and first derivatives of the Newton-form polynomial at the anchor."""
-    nodes = u.anchor.cyclic_nodes()
-    vals = np.empty(u.n)
-    ders = np.empty(u.n)
-    for i, x in enumerate(u.anchor.points):
-        vals[i], ders[i] = _newton_value_and_derivative(u.u, nodes[:-1], float(x))
+    """Values and first derivatives of the Newton-form polynomial at the anchor.
+
+    The Newton-Horner loop runs on the Python floats of `u.u` and of the
+    anchor (one `tolist()` each), with the operations and order of the
+    NumPy-indexed loop, so its results are that loop's bit for bit."""
+    pts = u.anchor.points.tolist()
+    coeffs = u.u.tolist()
+    nodes = pts + pts
+    vals, ders = zip(*(_newton_value_and_derivative(coeffs, nodes, x) for x in pts))
     return MultijetPoint(u.anchor, vals, ders)
 
 
@@ -314,7 +341,14 @@ def jet_solve(anchor: PointTuple, target: MultijetPoint) -> LagrangeCoefficients
     product vanishes at x_i to second order once k > n + i).  Each step
     divides by a product of anchor differences, so tuples that approach the
     diagonal blow up; a vanishing product raises NearDiagonalError carrying
-    the offending product.
+    the offending product, and quotients that overflow raise
+    InvalidInputError through LagrangeCoefficients.
+
+    The basis products are built row by row on NumPy, then read once with
+    `tolist()`; the two triangular solves run on Python floats with the
+    operations and order of the NumPy-indexed loops, so every coefficient,
+    and the row and product of a NearDiagonalError, are theirs bit for bit.
+    Every quotient follows the floor test, so no divisor is zero.
     """
     if target.anchor.n != anchor.n:
         raise InvalidInputError("target jet must live over the same anchor length")
@@ -325,38 +359,38 @@ def jet_solve(anchor: PointTuple, target: MultijetPoint) -> LagrangeCoefficients
     scale = max(1.0, float(np.max(np.abs(x))))
     floor = _DIVISION_FLOOR * scale
 
-    # B[k][i] = prod_{j<k} (x_i - z_j) and its derivative in x at x_i
-    B = np.empty((size + 1, n))
-    dB = np.empty((size + 1, n))
+    # B[k][i] = prod_{j<k} (x_i - z_j) and its derivative in x at x_i, for
+    # k < 2n, built by rows and read transposed: B[i][k] once a list
+    B = np.empty((size, n))
+    dB = np.empty((size, n))
     B[0] = 1.0
     dB[0] = 0.0
-    for k in range(size):
+    for k in range(size - 1):
         dB[k + 1] = dB[k] * (x - z[k]) + B[k]
         B[k + 1] = B[k] * (x - z[k])
+    B, dB = B.T.tolist(), dB.T.tolist()
 
-    u = np.zeros(size)
-    for i in range(n):
+    u = [0.0] * size
+    for i, acc in enumerate(target.values.tolist()):
         div = B[i][i]
         if abs(div) < floor:
             raise NearDiagonalError(
-                f"anchor differences collapse at value row {i}", product=float(div), row=i
+                f"anchor differences collapse at value row {i}", product=div, row=i
             )
-        acc = target.values[i]
         for k in range(i):
-            acc -= u[k] * B[k][i]
+            acc -= u[k] * B[i][k]
         u[i] = acc / div
-    for i in range(n):
+    for i, acc in enumerate(target.derivs.tolist()):
         row = n + i
-        div = dB[row][i]
+        div = dB[i][row]
         if abs(div) < floor:
             raise NearDiagonalError(
                 f"anchor differences collapse at derivative row {row}",
-                product=float(div),
+                product=div,
                 row=row,
             )
-        acc = target.derivs[i]
         for k in range(row):
-            acc -= u[k] * dB[k][i]
+            acc -= u[k] * dB[i][k]
         u[row] = acc / div
     return LagrangeCoefficients(u, anchor)
 
@@ -364,9 +398,8 @@ def jet_solve(anchor: PointTuple, target: MultijetPoint) -> LagrangeCoefficients
 def multijet(f, anchor: PointTuple) -> MultijetPoint:
     """Values and derivatives of a 1-D map over the anchor tuple."""
     _check_map(f, "multijet", one_d=True)
-    vals = np.array([f.evaluate(float(p)) for p in anchor.points])
-    ders = np.array([f.derivative(float(p)) for p in anchor.points])
-    return MultijetPoint(anchor, vals, ders)
+    pts = anchor.points.tolist()
+    return MultijetPoint(anchor, [f.evaluate(p) for p in pts], [f.derivative(p) for p in pts])
 
 
 # -- orbit surgeries --------------------------------------------------------------
@@ -391,9 +424,10 @@ def closing_perturbation(f, orb: OrbitSegment):
     """
     _check_map(f, "closing_perturbation", one_d=True)
     pts = _trajectory(orb, one_d=True, least=2)
-    n = len(pts) - 1
-    x_last = float(pts[n - 1])
-    roots = tuple(float(p) for p in pts[: n - 1])
+    xs = pts.tolist()
+    n = len(xs) - 1
+    x_last = xs[n - 1]
+    roots = tuple(xs[: n - 1])
     denom = 1.0
     for r in roots:
         denom *= x_last - r
@@ -405,7 +439,7 @@ def closing_perturbation(f, orb: OrbitSegment):
         )
     # compensated numerator: x_0 - x_n carries a rounding tail that matters
     # when the quotient is near a representable value
-    num, num_tail = _two_diff(float(pts[0]), float(pts[n]))
+    num, num_tail = _two_diff(xs[0], xs[n])
     u = num / denom + num_tail / denom
     if u == 0.0:
         return 0.0, f
@@ -435,10 +469,10 @@ def hyperbolicity_perturbation(f, orb: OrbitSegment, gamma: float, margin: Optio
         margin = 0.1 * gamma
     if margin < 0:
         raise InvalidInputError("margin must be nonnegative")
-    pts = _trajectory(orb, one_d=True)
+    pts = _trajectory(orb, one_d=True).tolist()
     n = len(pts)
-    x_last = float(pts[n - 1])
-    interior = [float(p) for p in pts[: n - 1]]
+    x_last = pts[n - 1]
+    interior = pts[: n - 1]
     derivs = [f.derivative(p) for p in pts]
 
     P = 1.0
@@ -493,12 +527,12 @@ def product_of_distances(traj) -> DistanceProduct:
     """prod_{k <= n-2} |x_{n-1} - x_k| for a 1-D trajectory of length
     n >= 2 (a PointTuple, an OrbitSegment or GridTrajectory of one column, or
     an array of numbers)."""
-    pts = _trajectory(traj, one_d=True, least=2)
-    last = float(pts[-1])
+    pts = _trajectory(traj, one_d=True, least=2).tolist()
+    last = pts[-1]
     value = 1.0
     log_sum = 0.0
     for p in pts[:-1]:
-        d = abs(last - float(p))
+        d = abs(last - p)
         value *= d
         log_sum += math.log(d) if d > 0.0 else -math.inf
     return DistanceProduct(value=value, log=log_sum)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     BrickSpec,
@@ -11,6 +13,7 @@ from orbitlab import (
     GrowthParams,
     HomogeneousComponent,
     InvalidInputError,
+    MapDomainError,
     OrbitEscapeError,
     PerturbationVector,
     PerturbedMap,
@@ -486,6 +489,62 @@ def test_orbit_jacobians_equal_pointwise_jac_bitwise():
         assert seg.jacobians.shape == (8, f.dim, f.dim)
         for x, J in zip(seg.points, seg.jacobians):
             assert f.jac(x).tobytes() == J.tobytes()
+
+
+def _array_orbit(f, x0: float, n: int):
+    """The 1-D orbit loop on arrays of shape (1,), as orbit ran it before it
+    iterated a Python float: (points, images, Jacobians), or ("escape",
+    index, point)."""
+    edge = f.domain_radius * (1.0 + 1e-12)
+    x = np.array([x0])
+    pts, imgs = np.empty((n, 1)), np.empty((n, 1))
+    for j in range(n):
+        pts[j] = x
+        img = np.asarray(f.evaluate(x), dtype=float).reshape(1)
+        imgs[j] = img
+        if math.sqrt(img.dot(img)) > edge:
+            return ("escape", j + 1, img)
+        x = img
+    return pts, imgs, np.stack([f.jac(p) for p in pts])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+    kind=st.sampled_from(["bare", "perturbed", "root product", "both"]),
+    scale=st.floats(-0.5, 0.5),
+    roots=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+    eps_seed=st.integers(0, 2**16),
+    radius=st.sampled_from([0.5, 1.0, 2.0]),
+    x0=st.floats(-1.1, 1.1),
+    n=st.integers(1, 40),
+)
+def test_orbit_1d_on_floats_matches_the_array_loop(coeffs, kind, scale, roots, eps_seed, radius, x0, n):
+    """A 1-D orbit iterates a Python float; its points, images and
+    Jacobians have the bytes of the loop on arrays of shape (1,), and an
+    orbit that leaves the ball reports the same escape index and point, for
+    a PolynomialMap, a PerturbedMap, and maps carrying a
+    RootProductPerturbation."""
+    f = PolynomialMap.univariate(coeffs, domain_radius=radius)
+    eps = sample(BrickSpec.factorial(0.05, 4), 1, seed=(3, eps_seed))
+    term = RootProductPerturbation(scale, roots)
+    f = {"bare": f, "perturbed": PerturbedMap(f, eps), "root product": f.with_term(term),
+         "both": PerturbedMap(f, (eps, term))}[kind]
+    x0 *= radius
+    if abs(x0) > radius * (1.0 + 1e-12):
+        with pytest.raises(MapDomainError):
+            orbit(f, x0, n)
+        return
+    want = _array_orbit(f, x0, n)
+    if isinstance(want[0], str):
+        with pytest.raises(OrbitEscapeError) as info:
+            orbit(f, x0, n)
+        assert info.value.escape_index == want[1]
+        assert info.value.point.shape == (1,) and info.value.point.tobytes() == want[2].tobytes()
+        return
+    seg = orbit(f, x0, n)
+    for got, arr in zip((seg.points, seg.images, seg.jacobians), want):
+        assert got.dtype == arr.dtype and got.shape == arr.shape and got.tobytes() == arr.tobytes()
 
 
 # -- the checks of each kind of input ----------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import (
     CannotPerturbError,
@@ -60,6 +62,25 @@ def test_confluent_pair_is_derivative():
     # g(x) = x^3 at the doubled point 0.4: g'(0.4) = 0.48
     got = divided_difference([0.4, 0.4], [0.064, 0.064], derivs=[0.48, None])
     assert got == pytest.approx(0.48)
+
+
+def test_confluent_pair_conflicting_derivatives_rejected_in_either_order():
+    """Divided differences are symmetric, so two different derivatives at
+    one point are refused whatever their order; two equal ones are one."""
+    for derivs in ([0.48, 0.9], [0.9, 0.48]):
+        with pytest.raises(InvalidInputError, match="conflicting derivatives"):
+            divided_difference([0.4, 0.4], [0.064, 0.064], derivs=derivs)
+    for derivs in ([0.48, 0.48], [None, 0.48]):
+        assert divided_difference([0.4, 0.4], [0.064, 0.064], derivs=derivs) == 0.48
+    with pytest.raises(InvalidInputError, match="conflicting values"):
+        divided_difference([0.4, 0.4], [0.064, 0.065], derivs=[0.48, None])
+
+
+def test_no_points_rejected():
+    with pytest.raises(InvalidInputError, match="at least one point"):
+        divided_difference([], [])
+    with pytest.raises(InvalidInputError, match="at least one point"):
+        p_km([], 2)
 
 
 def test_confluent_triple_rejected():
@@ -356,3 +377,125 @@ def test_point_tuple_properties():
         PointTuple([])
     with pytest.raises(InvalidInputError):
         EpsPolynomial([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    """Anchors, coefficients and jets hold finite numbers only: one NaN or
+    infinity is refused when the object is built, so a solve or an
+    evaluation never runs on it."""
+    anchor = PointTuple([0.1, -0.3])
+    with pytest.raises(InvalidInputError, match="non-finite anchor point"):
+        PointTuple([0.1, bad])
+    with pytest.raises(InvalidInputError, match="non-finite monomial coefficient"):
+        EpsPolynomial([0.5, bad, 0.0, 0.1])
+    with pytest.raises(InvalidInputError, match="non-finite Newton coefficient"):
+        LagrangeCoefficients([0.5, 0.0, bad, 0.1], anchor)
+    with pytest.raises(InvalidInputError, match="non-finite jet value"):
+        MultijetPoint(anchor, [bad, 0.2], [1.0, 0.0])
+    with pytest.raises(InvalidInputError, match="non-finite jet derivative"):
+        MultijetPoint(anchor, [0.1, 0.2], [1.0, bad])
+
+
+# -- the float loops against the NumPy-indexed ones ----------------------------------
+#
+# In-test copies of the NumPy-indexed loops that jet_solve and jet_eval ran
+# before they ran on Python floats; the float loops must give their results
+# bit for bit.
+
+
+def _numpy_jet_solve(anchor, values, derivs):
+    """u as an array, or ("row", row, product) where it met the floor."""
+    n = anchor.n
+    x = anchor.points
+    z = anchor.cyclic_nodes()
+    size = 2 * n
+    floor = 1e-250 * max(1.0, float(np.max(np.abs(x))))
+    B = np.empty((size + 1, n))
+    dB = np.empty((size + 1, n))
+    B[0] = 1.0
+    dB[0] = 0.0
+    for k in range(size):
+        dB[k + 1] = dB[k] * (x - z[k]) + B[k]
+        B[k + 1] = B[k] * (x - z[k])
+    u = np.zeros(size)
+    for i in range(n):
+        div = B[i][i]
+        if abs(div) < floor:
+            return ("row", i, float(div))
+        acc = values[i]
+        for k in range(i):
+            acc -= u[k] * B[k][i]
+        u[i] = acc / div
+    for i in range(n):
+        row = n + i
+        div = dB[row][i]
+        if abs(div) < floor:
+            return ("row", row, float(div))
+        acc = derivs[i]
+        for k in range(row):
+            acc -= u[k] * dB[k][i]
+        u[row] = acc / div
+    return u
+
+
+def _numpy_jet_eval(u, anchor):
+    nodes = anchor.cyclic_nodes()[:-1]
+    vals = np.empty(anchor.n)
+    ders = np.empty(anchor.n)
+    for i, x in enumerate(anchor.points):
+        b = u[-1]
+        db = 0.0
+        for k in range(len(u) - 2, -1, -1):
+            db = b + (x - nodes[k]) * db
+            b = u[k] + (x - nodes[k]) * b
+        vals[i], ders[i] = b, db
+    return vals, ders
+
+
+_number = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _anchors(draw):
+    """1-18 points, some moved onto or next to others: equal, a few ulps
+    apart, or apart by amounts whose products fall under the floor."""
+    pts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=18))
+    moves = st.tuples(st.integers(0, 17), st.integers(0, 17),
+                      st.sampled_from([0.0, 1e-300, 1e-200, 1e-130, 1e-80, 1e-20]))
+    for i, j, gap in draw(st.lists(moves, max_size=3)):
+        pts[i % len(pts)] = pts[j % len(pts)] + gap
+    return PointTuple(pts)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(anchor=_anchors(), data=st.data())
+def test_jet_kernel_on_floats_matches_numpy_indexed_loops(anchor, data):
+    """jet_solve and jet_eval give the NumPy-indexed loops' coefficients,
+    values and derivatives with equal bytes, and jet_solve stops at the
+    same row with the same product on anchors near the diagonal.  A result
+    that overflows is refused by the finite check of its type."""
+    n = anchor.n
+    values = np.array(data.draw(st.lists(_number, min_size=n, max_size=n)))
+    derivs = np.array(data.draw(st.lists(_number, min_size=n, max_size=n)))
+    coeffs = np.array(data.draw(st.lists(_number, min_size=2 * n, max_size=2 * n)))
+    with np.errstate(all="ignore"):
+        want_u = _numpy_jet_solve(anchor, values, derivs)
+        want_jet = _numpy_jet_eval(coeffs, anchor)
+    if isinstance(want_u, tuple):
+        with pytest.raises(NearDiagonalError) as info:
+            jet_solve(anchor, MultijetPoint(anchor, values, derivs))
+        assert ("row", info.value.row, info.value.product.hex()) == want_u[:2] + (want_u[2].hex(),)
+    elif np.isfinite(want_u).all():
+        assert jet_solve(anchor, MultijetPoint(anchor, values, derivs)).u.tobytes() == want_u.tobytes()
+    else:
+        with pytest.raises(InvalidInputError, match="non-finite Newton coefficient"):
+            jet_solve(anchor, MultijetPoint(anchor, values, derivs))
+    u = LagrangeCoefficients(coeffs, anchor)
+    if np.isfinite(want_jet).all():
+        jet = jet_eval(u)
+        assert (jet.values.tobytes(), jet.derivs.tobytes()) == tuple(a.tobytes() for a in want_jet)
+    else:
+        with pytest.raises(InvalidInputError, match="non-finite jet"):
+            jet_eval(u)
+
