@@ -52,7 +52,9 @@ whose interior holds one of those enclosures has that root and no other,
 so it leaves the rounds at once, with no end value and no Newton step; its
 record keeps the enclosure and takes its period-n multiplier from one
 orbit.  The other cells are settled as above, unchanged: a cell of the
-same direction beside them would have joined their run.
+same direction beside them would have joined their run.  A root read
+from them keeps its least period; one located afresh has n when its
+enclosure meets none of their enclosures and regions, else 0: not proved.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
@@ -66,13 +68,13 @@ own period's tube or extends the one held at the highest period below;
 the result is bit for bit the one computed from scratch.  A reused orbit
 still counts as evaluations, so budgets and reported evaluations do not
 depend on what came before.  The domain also keeps each census's
-certified enclosures per (tol, budget, period); a census reads its
-divisors' from there, or runs them, so its result does not depend on what
-came before either.  The memo (dynamics._MEMO) is keyed on the map object
-the caller passed, a bare PolynomialMap or a PerturbedMap, weakly and with
-no reference back to the map, so an entry goes as soon as its map does; it
-assumes a map is not mutated after it is built, as the 1-D fold already
-does.
+certified enclosures, with their least periods, and uncertified regions
+per (tol, budget, period); a census reads its divisors' from there, or
+runs them, so its result does not depend on what came before either.
+The memo (dynamics._MEMO) is keyed on the map object the caller passed,
+a bare PolynomialMap or a PerturbedMap, weakly and with no reference back
+to the map, so an entry goes as soon as its map does; it assumes a map
+is not mutated after it is built, as the 1-D fold already does.
 
 Orbits of points outside the cell tubes (_g_ends, _tubes_at and
 _point_orbits) take up to _SCALAR_POINTS points one at a time with
@@ -171,8 +173,7 @@ class PeriodicPointRecord:
     "witness" is the box at which ih_check refutes the hypothesis.  `gap`
     is the distance of the multiplier (f^n)'(x) to the unit circle;
     `residual` is |f^n(x) - x| at the refined point; `least_period` is the
-    smallest divisor d of the period with |f^d(x) - x| below a loose
-    metadata threshold (not certified).
+    solution's least period, proved (find_periodic), or 0 where it is not.
     """
 
     location: float
@@ -243,11 +244,6 @@ class CensusResult:
 # tests force every use down one path by setting this one value.
 _SCALAR_POINTS = 16
 
-# a record's least period is the first divisor d of n with |f^d(x) - x| at
-# most this times max(1, |x|): metadata, not certified
-_LEAST_PERIOD_TOL = 1e-8
-
-
 # Cells of the initial grid of [-R, R] that every _refine caller starts from
 _GRID_CELLS = 1024
 
@@ -266,7 +262,7 @@ class _Domain(NamedTuple):
     cap: float  # 2R, the width of [-R, R]
     grid: tuple  # (mids, halves) of _GRID_CELLS equal cells, read-only
     tubes: dict  # period -> the grid's tube (y, r, lam, lam_hi), read-only
-    roots: dict  # (tol, max_evaluations, period) -> the census's certified enclosures (_census)
+    roots: dict  # (tol, max_evaluations, period) -> the census's certified rows and regions (_census)
 
 
 def _proper_divisors(n: int) -> list:
@@ -381,51 +377,37 @@ def _g_ends(f, xs: list, n: int, dom: _Domain):
 def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list:
     """The orbit tubes of radius 0 and of radius h (the list halves) of
     each float x of the list xs, one point at a time: per point (g, bound,
-    lam, dev, least), g = y - x and bound = r + 8 eps R >= |g(x) - g| from
-    the zero-width tube (y, r), lam and dev as _cells gives them for the
-    box [x - h, x + h], and least the first divisor d < n of n with
-    |y_d - x| <= _LEAST_PERIOD_TOL max(1, |x|) (n when there is none).  Both
-    radii ride the same y and lam.  With halves None (_g_ends) only (g,
-    bound) is computed.  The loop performs _tube_many's float operations,
-    so it agrees with _tubes_at_many bit for bit."""
+    lam, dev), g = y - x and bound = r + 8 eps R >= |g(x) - g| from the
+    zero-width tube (y, r), lam and dev as _cells gives them for the box
+    [x - h, x + h].  Both radii ride the same y and lam.  With halves None
+    (_g_ends) only (g, bound) is computed.  The loop performs _tube_many's
+    float operations, so it agrees with _tubes_at_many bit for bit."""
     R, D1, D2, step, d_slack, pad, cap = dom[:7]
     evaluate, derivative = f.evaluate, f.derivative
-    box, proper, out = halves is not None, set(_proper_divisors(n)), []
+    box, out = halves is not None, []
     for x, r in zip(xs, halves if box else xs):
-        y, r0, lam, lam_hi, least = x, 0.0, 1.0, 1.0, n
-        near = _LEAST_PERIOD_TOL * max(1.0, abs(x))
-        for k in range(1, n + 1):
+        y, r0, lam, lam_hi = x, 0.0, 1.0, 1.0
+        for _ in range(n):
             d = derivative(y)
             s0 = abs(d) + D2 * r0 + d_slack
             y = evaluate(y)
             y = R if y > R else -R if y < -R else y  # _tube_many's clamp, NaN and -0.0 too
             r0 = (D1 if s0 > D1 else s0) * r0 + step
             r0 = cap if r0 > cap else r0
-            if box:  # the box's tube, the multiplier and the least period
+            if box:  # the box's tube and the multiplier
                 s = abs(d) + D2 * r + d_slack
                 lam *= d
                 lam_hi *= s
                 r = (D1 if s > D1 else s) * r + step
                 r = cap if r > cap else r
-                if k in proper and least == n and abs(y - x) <= near:
-                    least = k
-        dev = _dev(lam, lam_hi, n)
-        out.append((y - x, r0 + pad, lam, dev, least) if box else (y - x, r0 + pad))
+        out.append((y - x, r0 + pad, lam, _dev(lam, lam_hi, n)) if box else (y - x, r0 + pad))
     return out
 
 
 def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, dom: _Domain):
-    """_tubes_at as arrays (g, bound, lam, dev, least), from one _tube_many
-    over the stacked radii (0, h) per divisor of n."""
-    y, r, lam, lam_hi = x, np.stack([np.zeros(x.size), halves]), 1.0, 1.0
-    near = _LEAST_PERIOD_TOL * np.maximum(1.0, np.abs(x))
-    least, k = np.full(x.size, n), 0
-    for d in _proper_divisors(n) + [n]:
-        y, r, lam, lam_hi = _tube_many(f, y, r, d - k, dom, lam, lam_hi)
-        if d < n:
-            least[(least == n) & (np.abs(y - x) <= near)] = d
-        k = d
-    return y - x, r[0] + dom.pad, lam, _dev(lam, lam_hi[1], n), least
+    """_tubes_at as arrays, from one _tube_many over the stacked radii (0, h)."""
+    y, r, lam, lam_hi = _tube_many(f, x, np.stack([np.zeros(x.size), halves]), n, dom)
+    return y - x, r[0] + dom.pad, lam, _dev(lam, lam_hi[1], n)
 
 
 def _grid_tube(f, n: int, dom: _Domain):
@@ -546,13 +528,15 @@ def find_periodic(
     max_evaluations), unless the map's memo holds them), and a run of
     monotone cells of the same direction whose interior holds one of their
     certified enclosures is settled with that root before any end value is
-    read (_held_runs); its record keeps the enclosure.  After the rounds
-    each such root's record takes one orbit, and one interval Newton pass
+    read (_held_runs); its record keeps the enclosure and least period, and
+    a root located afresh has least period n where its enclosure meets no
+    enclosure or region of theirs, else 0: not proved.  After the rounds
+    each held root's record takes one orbit, and one interval Newton pass
     encloses the roots of all brackets (_enclose), in waves that the budget
     left pays for; an unpaid root or bracket is an uncertified region.  The
     rest shrink to halfwidth <= tol and merge into clusters (a tangency, or
-    a root at the float noise floor), which are not settled:
-    each is reported in `uncertified_regions` as it is, with a
+    a root at the float noise floor), which are not settled: each is
+    reported in `uncertified_regions` as it is, with a
     "tangential-candidate" record at its midpoint from one orbit, unless
     that orbit's own error bound reaches the cap 2R or its multiplier bound
     is not finite (at a deep period, say), as such a record bounds nothing.
@@ -588,15 +572,15 @@ def find_periodic(
 def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> CensusResult:
     """find_periodic on dom.  The censuses at the proper divisors d of n,
     with the same tol and budget, run first where dom.roots does not hold
-    their enclosures yet, and this one keeps its own there: the rows
-    (location, halfwidth) of its certified records."""
+    them yet, and this one keeps its own there: its certified rows
+    (location, halfwidth, least_period) and its uncertified regions."""
     for d in _proper_divisors(n):
         if (tol, max_evaluations, d) not in dom.roots:
             _census(f, d, dom, tol, max_evaluations)
     known = _known_roots(dom, n, tol, max_evaluations)
 
     brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
-    held: list = []  # the rows (x, h, a, c) of the runs that hold a known root (_held_runs)
+    held: list = []  # the rows (x, h, least, a, c) of the runs that hold a known root (_held_runs)
     finished: list = []  # (mids, halves) of cells refined down to tol
 
     def classify(c: _Cells, budget: int):
@@ -625,15 +609,16 @@ def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> Census
     # apart stay paired)
     paid = held[: max_evaluations - evaluations]
     orbits = _point_orbits(f, [x for x, *_ in paid], n, dom)
-    records = [_record(n, x, h, g, lam, least, True, "simple")
-               for (x, h, _, _), (g, _, lam, _, least) in zip(paid, orbits)]
+    records = [_record(n, x, h, g, lam, True, "simple", int(least))
+               for (x, h, least, _, _), (g, _, lam, _) in zip(paid, orbits)]
     evaluations += len(paid)
     rows = np.concatenate(brackets)
     located, spent = _enclose(f, n, dom, rows, tol, max_evaluations - evaluations)
     evaluations += spent
-    records += [_record(n, *fields, True, "simple") for fields in located]
+    records += [_record(n, *fields, True, "simple", least)
+                for fields, least in zip(located, _least_periods(dom, n, tol, max_evaluations, located))]
     if len(paid) < len(held) or len(located) < len(rows):
-        unpaid = np.concatenate([np.reshape(held[len(paid):], (-1, 4))[:, 2:], rows[len(located):, :2]])
+        unpaid = np.concatenate([np.reshape(held[len(paid):], (-1, 5))[:, 3:], rows[len(located):, :2]])
         uncertified.extend(_merge_intervals(*np.sort(unpaid.T)))
 
     # a tangency or a root at the noise floor stops every test on the cells
@@ -644,16 +629,16 @@ def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> Census
         xs = [0.5 * (lo + hi) for lo, hi in clusters]
         # an orbit whose bound reaches the cap, or whose multiplier bound is
         # not finite, bounds nothing, and gives no record
-        records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, least, False, "tangential-candidate")
-                       for x, (lo, hi), (g, bound, lam, dev, least)
+        records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, False, "tangential-candidate")
+                       for x, (lo, hi), (g, bound, lam, dev)
                        in zip(xs, clusters, _point_orbits(f, xs, n, dom))
                        if bound < dom.cap and math.isfinite(dev))
         evaluations += len(xs)
     uncertified.extend(clusters)
 
     records.sort(key=lambda r: r.location)
-    proved = paid + located  # the certified records' fields, x and h first
-    dom.roots[tol, max_evaluations, n] = np.array([[r[0] for r in proved], [r[1] for r in proved]]).T
+    proved = np.array([(r.location, r.halfwidth, r.least_period) for r in records if r.certified], float)
+    dom.roots[tol, max_evaluations, n] = proved.reshape(-1, 3), np.array(uncertified, float).reshape(-1, 2)
     return CensusResult(
         period=n,
         radius=dom.R,
@@ -666,13 +651,29 @@ def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> Census
 
 def _known_roots(dom: _Domain, n: int, tol: float, max_evaluations: int):
     """The certified enclosures [x - h, x + h] of the censuses at the
-    proper divisors of n in dom.roots, as the rows x - h, x + h, x, h of an
-    array, in order of x - h, then x + h (None when there are none).  Each
-    holds a root of f^d - id, and so of f^n - id."""
-    x, h = np.concatenate([np.empty((0, 2))] + [dom.roots[tol, max_evaluations, d]
-                                                for d in _proper_divisors(n)]).T
-    known = np.array([x - h, x + h, x, h])
+    proper divisors of n in dom.roots, as the rows x - h, x + h, x, h, least
+    of an array, in order of x - h, then x + h (None when there are none).
+    Each holds a root of f^d - id, of least period `least` (0: not proved)."""
+    x, h, least = np.concatenate([np.empty((0, 3))] + [dom.roots[tol, max_evaluations, d][0]
+                                                       for d in _proper_divisors(n)]).T
+    known = np.array([x - h, x + h, x, h, least])
     return known[:, np.lexsort(known[1::-1])] if x.size else None
+
+
+def _least_periods(dom: _Domain, n: int, tol: float, max_evaluations: int, located: list) -> list:
+    """The least period of each root _enclose located at period n: n where
+    its [m - hw, m + hw] meets no span (enclosure or region) of the proper
+    divisors' censuses, which hold all their roots, else 0 (not proved).
+    Rounding is monotone: exact intervals that meet have float ends that meet."""
+    entries = [dom.roots[tol, max_evaluations, d] for d in _proper_divisors(n)]
+    if not (located and entries):
+        return [n] * len(located)
+    x, h, _ = np.concatenate([rows for rows, _ in entries]).T
+    spans = np.concatenate([[(-np.inf, -np.inf)], np.array([x - h, x + h]).T] + [r for _, r in entries])
+    spans = spans[np.argsort(spans[:, 0])]
+    m, hw = np.array([fields[:2] for fields in located]).T
+    j = np.searchsorted(spans[:, 0], m + hw, side="right")  # >= 1: the sentinel starts at -inf
+    return np.where(np.maximum.accumulate(spans[:, 1])[j - 1] >= m - hw, 0, n).tolist()
 
 
 def _runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, joinable: Optional[np.ndarray] = None):
@@ -701,7 +702,7 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray
     value read.  The first enclosure that starts inside a run is tried.  A
     float end of an enclosure lies inside the run only when its exact end
     does, as rounding is monotone.  Returns the mask of the intervals in
-    such runs and one row [x, h, a, c] per run [a, c], in the order of a.
+    such runs and one row [x, h, least, a, c] per run [a, c], by a.
 
     Up to _SCALAR_POINTS intervals are grouped on floats, one run at a
     time, each run bisecting the row known[0] in place (a deep census knows
@@ -715,7 +716,7 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray
         a, c = lo[order[cuts]], hi[order[np.append(cuts[1:], lo.size) - 1]]
         j = np.minimum(np.searchsorted(known[0], a, side="right"), last)
         holds = (a < known[0, j]) & (known[1, j] < c)
-        return holds[run], np.array([known[2, j], known[3, j], a, c]).T[holds].tolist()
+        return holds[run], np.array([known[2, j], known[3, j], known[4, j], a, c]).T[holds].tolist()
     los, his, ups, starts = lo.tolist(), hi.tolist(), up.tolist(), known[0]
     order = sorted(range(lo.size), key=los.__getitem__)  # stable, as _runs' argsort
     runs = [[order[0]]]
@@ -731,14 +732,13 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray
         if a < starts[j] and known[1, j] < c:
             for i in run:
                 inside[i] = True
-            rows.append([float(known[2, j]), float(known[3, j]), a, c])
+            rows.append(known[2:, j].tolist() + [a, c])
     return np.array(inside), rows
 
 
 def _point_orbits(f, xs: list, n: int, dom: _Domain) -> list:
     """_tubes_at of the float points xs at radius 0, through _tubes_at_many
-    beyond _SCALAR_POINTS points, with the same floats: per point (g,
-    bound, lam, dev, least)."""
+    beyond _SCALAR_POINTS points, with the same floats: (g, bound, lam, dev)."""
     if len(xs) <= _SCALAR_POINTS:
         return _tubes_at(f, xs, [0.0] * len(xs), n, dom)
     x = np.array(xs)
@@ -865,7 +865,7 @@ def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
     """Enclose the root of g = f^n - id in each row (a, c, g(a), g(c),
     bound(a), bound(c), t, dl, dh) of `brackets`: _start, then per step one
     orbit of the enclosure's midpoint (_tubes_at) and _contract.  Returns
-    each bracket's record fields (m, halfwidth, g, lam, least) from its last
+    each bracket's record fields (m, halfwidth, g, lam) from its last
     step and the orbits computed.  Brackets step in lockstep on arrays while
     more than _SCALAR_POINTS are open, then one at a time on floats."""
     found, calls, step = [None] * len(brackets), 0, 0
@@ -877,12 +877,12 @@ def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
         while idx.size > _SCALAR_POINTS:
             step += 1
             m = 0.5 * (xl + xh)
-            g, bound, lam, dev, least = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, dom)
+            g, bound, lam, dev = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, dom)
             calls += m.size
             xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, dom.pad, tol)
             stop |= step == _NEWTON_STEPS
             if stop.any():
-                for i, *fields in zip(*(v[stop].tolist() for v in (idx, m, hw, g, lam, least))):
+                for i, *fields in zip(*(v[stop].tolist() for v in (idx, m, hw, g, lam))):
                     found[i] = tuple(fields)
                 go = ~stop
                 idx, xl, xh, t, dl, dh = (v[go] for v in (idx, xl, xh, t, dl, dh))
@@ -890,11 +890,11 @@ def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
     for i, x0, x1, s, d0, d1 in open_:
         for k in range(step + 1, _NEWTON_STEPS + 1):
             m = 0.5 * (x0 + x1)
-            ((g, bound, lam, dev, least),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, dom)
+            ((g, bound, lam, dev),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, dom)
             x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, dom.pad, tol)
             if stop or k == _NEWTON_STEPS:
                 break
-        found[i] = (m, hw, g, lam, least)
+        found[i] = (m, hw, g, lam)
         calls += k - step
     return found, calls
 
@@ -911,8 +911,8 @@ def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list
     return [(lo, hi) for lo, hi in out]
 
 
-def _record(n: int, x, halfwidth, g, lam, least, certified: bool, kind: str):
-    """The record of x from its orbit's g, lam and least (as _tubes_at's)."""
+def _record(n: int, x, halfwidth, g, lam, certified: bool, kind: str, least: int = 0):
+    """The record of x from its orbit's g and lam (as _tubes_at's)."""
     return PeriodicPointRecord(location=x, halfwidth=halfwidth, period=n, multiplier=lam,
                                gap=abs(abs(lam) - 1.0), certified=certified, kind=kind,
                                residual=abs(g), least_period=least)
@@ -1101,12 +1101,12 @@ def _ih_one_period(f, k, thr, slack, dom: _Domain, max_evals) -> IHRow:
         spent = idx.size if idx.size <= budget else 0
         if spent:
             m = c.mids[idx]
-            g, bound, lam, dev, least = _tubes_at_many(f, m, np.zeros(spent), k, dom)
+            g, bound, lam, dev = _tubes_at_many(f, m, np.zeros(spent), k, dom)
             failing = (np.abs(g) + bound <= slack) & (np.abs(np.abs(lam) - 1.0) + dev < thr)
             if failing.any():
                 j = np.flatnonzero(failing)[np.argmin(m[failing])]
                 x, h = m[j].item(), c.halves[idx[j]].item()
-                witness = _record(k, x, h, g[j].item(), lam[j].item(), int(least[j]), True, "witness")
+                witness = _record(k, x, h, g[j].item(), lam[j].item(), True, "witness")
                 return np.zeros(c.mids.size, dtype=bool), spent
         excluded = gabs > c.spread + slack
         hyperbolic = gaps - c.dev >= gap_floor

@@ -460,7 +460,8 @@ def hyperbolicity_perturbation(f, orb: OrbitSegment, gamma: float, margin: Optio
     plus a safety margin (default 10% of gamma); ties prefer positive v.
     If the orbit already clears gamma, v = 0 and g is f unchanged.
     A = 0 (an interior derivative vanishes, or the orbit is degenerate)
-    raises CannotPerturbError.
+    or an A that is not finite (points too far apart) raises
+    CannotPerturbError.
     """
     _check_map(f, "hyperbolicity_perturbation", one_d=True)
     if not (math.isfinite(gamma) and gamma > 0):
@@ -482,8 +483,11 @@ def hyperbolicity_perturbation(f, orb: OrbitSegment, gamma: float, margin: Optio
     # the affine coefficient is checked before the early exit: a degenerate
     # orbit is rejected even when its multiplier already clears gamma
     A = 1.0
-    for r in interior:
-        A *= (x_last - r) ** 2
+    try:
+        for r in interior:
+            A *= (x_last - r) ** 2
+    except OverflowError:  # a float's ** 2 raises where a product would give inf
+        A = math.inf
     for d in derivs[: n - 1]:
         A *= d
     if A == 0.0 or not math.isfinite(A):

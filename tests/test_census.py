@@ -232,7 +232,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     dom = _domain(f, res.radius)
     xs = [0.5 * (lo + hi) for lo, hi in res.uncertified_regions]
     assert len(xs) == 2
-    for g, bound, lam, dev, least in census._tubes_at(f, xs, [0.0, 0.0], 800, dom):
+    for g, bound, lam, dev in census._tubes_at(f, xs, [0.0, 0.0], 800, dom):
         assert bound == dom.cap + dom.pad and dev == math.inf
     f = PolynomialMap.univariate([0.0, 1.0, 0.0, -1.0])
     res = find_periodic(f, 1, radius=0.5, tol=1e-4)
@@ -240,7 +240,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     assert res.uncertified_regions == [(-0.0078125, 0.0078125)] and not res.certified
     assert (candidate.kind, candidate.location) == ("tangential-candidate", 0.0)
     assert (candidate.multiplier, candidate.gap) == (1.0, 0.0)
-    ((_, bound, _, dev, _),) = census._tubes_at(f, [0.0], [0.0], 1, _domain(f, 0.5))
+    ((_, bound, _, dev),) = census._tubes_at(f, [0.0], [0.0], 1, _domain(f, 0.5))
     assert bound < 1.6e-14 and dev < 1.7e-14
 
 
@@ -308,7 +308,10 @@ def test_census_counts_pass_least_period_divisibility():
     """Every orbit of least period n has n points, so from the certified
     counts P_d (d | n) the number of points of least period n,
     sum_{d | n} mu(n / d) P_d, is a multiple of n: an exact oracle at any
-    period.  Chaotic n = 18 and 20 certify only with each cell's own float
+    period.  The census proves each certified record's least period from
+    its divisors' censuses, so that number is also the count of its records
+    of least period n, and every certified least period is >= 1 and divides
+    n.  Chaotic n = 18 and 20 certify only with each cell's own float
     bound (a global one grows like sup |f'|^n); their counts are pinned
     after an outward-rounded interval check of every enclosure."""
     cases = [
@@ -323,6 +326,9 @@ def test_census_counts_pass_least_period_divisibility():
             counts[n] = res.count
             least = sum(_mobius(n // d) * counts[d] for d in range(1, n + 1) if n % d == 0)
             assert least >= 0 and least % n == 0, (n, counts)
+            periods = [r.least_period for r in res.records if r.certified]
+            assert periods.count(n) == least, (n, counts)
+            assert all(p >= 1 and n % p == 0 for p in periods), n
         assert {n: counts[n] for n in pinned} == pinned
 
 
@@ -497,6 +503,38 @@ def test_tangency_is_reported_uncertified():
         assert not any(r.certified for r in res.records)
         assert any(lo <= 0.0 <= hi for lo, hi in res.uncertified_regions)
     assert [(r.kind, r.location) for r in res.records] == [("tangential-candidate", 0.0)]
+
+
+def test_least_periods_near_an_uncertified_divisor_census():
+    """1 - 1.75x^2 at tol 1e-8 leaves three tangency clusters at n = 3,
+    so that census is uncertified.  At n = 6 the 12 roots the Newton pass
+    locates miss those clusters and every enclosure at 1, 2 and 3, so they
+    have least period 6; the held ones keep their divisors' 2 and 1, and
+    the three candidates prove nothing (0).  At n = 12 all 12 keep least
+    period 6, although for 4 of them |f^6(x) - x| at the float location
+    is 2e-8 to 7.4e-8 (multipliers 27.7 and -29.0).  A region of the
+    census at 3 over one of the 12 leaves its least period unproved."""
+    def census(n, region=None):
+        f = PolynomialMap.univariate([1.0, 0.0, -1.75])
+        third = find_periodic(f, 3, radius=1.0625, tol=1e-8)
+        if region is not None:
+            roots = _domain(f, 1.0625).roots
+            rows, regions = roots[1e-8, 3_000_000, 3]
+            roots[1e-8, 3_000_000, 3] = rows, np.vstack([regions, [region]])
+        return third, find_periodic(f, n, radius=1.0625, tol=1e-8)
+
+    third, res = census(6)
+    assert not third.certified and len(third.uncertified_regions) == 3
+    kinds = sorted((r.kind, r.least_period) for r in res.records)
+    assert kinds == ([("simple", 1)] + [("simple", 2)] * 2 + [("simple", 6)] * 12
+                     + [("tangential-candidate", 0)] * 3)
+    assert res.count == 15 and res.uncertified_regions == third.uncertified_regions
+    sixes = [r.location for r in res.records if r.least_period == 6]
+    _, twelve = census(12)
+    assert [r.location for r in twelve.records if r.least_period == 6] == sixes
+    _, hidden = census(6, (sixes[0] - 1e-6, sixes[0] + 1e-6))
+    assert [(r.location, r.least_period) for r in hidden.records] == [
+        (r.location, 0 if r.location == sixes[0] else r.least_period) for r in res.records]
 
 
 def test_window_pass_is_counted_within_the_budget():
@@ -858,13 +896,14 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
     then rising) stay apart, and an enclosure on a run's end or astride it
     is not read.  On random cells, each run found lies strictly around its
     enclosure, its cells rise or fall alike, and every enclosure strictly
-    inside a run of cells that share their ends and direction is read."""
+    inside a run of cells that share their ends and direction is read,
+    with its least period."""
     lo, hi, up = np.array([0.0, -0.25, 0.25]), np.array([0.25, 0.0, 0.5]), np.array([True, False, True])
     none, rising, falling = [False] * 3, [True, False, True], [False, True, False]
-    for x, h, want, mask in ((0.0, 0.01, [], none), (0.3, 0.01, [[0.3, 0.01, 0.0, 0.5]], rising),
+    for x, h, want, mask in ((0.0, 0.01, [], none), (0.3, 0.01, [[0.3, 0.01, 3.0, 0.0, 0.5]], rising),
                              (0.49, 0.01, [], none), (-0.2, 0.05, [], none),
-                             (-0.2, 0.04, [[-0.2, 0.04, -0.25, 0.0]], falling)):
-        inside, runs = census._held_runs(lo, hi, up, np.array([[x - h], [x + h], [x], [h]]))
+                             (-0.2, 0.04, [[-0.2, 0.04, 3.0, -0.25, 0.0]], falling)):
+        inside, runs = census._held_runs(lo, hi, up, np.array([[x - h], [x + h], [x], [h], [3.0]]))
         assert runs == want and inside.tolist() == mask
     rng = np.random.default_rng(5)
     for size in range(1, 48):
@@ -875,10 +914,10 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
         order = rng.permutation(lo.size)
         lo, hi, up = lo[order], hi[order], up[order]
         xs, hs = rng.uniform(edges[0], edges[-1], 6), rng.choice([1e-3, 0.1], 6)
-        known = np.array([xs - hs, xs + hs, xs, hs])
+        known = np.array([xs - hs, xs + hs, xs, hs, rng.integers(0, 4, 6)])
         known = known[:, np.argsort(known[0])]
         inside, runs = census._held_runs(lo, hi, up, known)
-        for x, h, a, c in runs:
+        for x, h, _, a, c in runs:
             cells = (lo >= a) & (hi <= c)
             assert a < x - h and x + h < c and inside[cells].all() and len(set(up[cells])) == 1
         # the maximal runs, one cell at a time in order of lo
@@ -892,11 +931,11 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
                 a, c, u = l, r, v
         maximal.append((a, c))
         for a, c in maximal:
-            firsts = [(x, h) for x, h in zip(known[2], known[3]) if x - h > a]
+            firsts = [(x, h, least) for x, h, least in known[2:].T.tolist() if x - h > a]
             if firsts and firsts[0][0] + firsts[0][1] < c:
                 assert [*firsts[0], a, c] in runs
             else:
-                assert not any(r[2] == a for r in runs)
+                assert not any(r[3] == a for r in runs)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -910,7 +949,7 @@ def test_held_runs_floats_and_arrays_agree(widths, data):
     by the limit: cells on a dyadic grid, so that shared ends are exact,
     with gaps and mixed directions, in any order, against sorted
     enclosures, more of them than cells, whose ends touch, straddle or sit
-    strictly inside the runs' ends."""
+    strictly inside the runs' ends, each with its least period."""
     size = len(widths)
     edges = np.cumsum([0.0] + widths)
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
@@ -924,7 +963,7 @@ def test_held_runs_floats_and_arrays_agree(widths, data):
                                            st.sampled_from([1 / 32, 1 / 16, 1 / 8, 3 / 16])),
                                  min_size=lo.size + 1, max_size=lo.size + 24))
     starts, hs = np.array([edges[i] + d for i, d, _ in anchors]), np.array([h for *_, h in anchors])
-    known = np.array([starts, starts + 2.0 * hs, starts + hs, hs])
+    known = np.array([starts, starts + 2.0 * hs, starts + hs, hs, np.arange(starts.size) % 5])
     known = known[:, np.lexsort(known[1::-1])]
     got = []
     for limit in (0, 10**9):  # the arrays, then the floats
@@ -1065,10 +1104,10 @@ def test_import_leaves_scipy_optimize_out():
 
 def test_tubes_at_equals_tubes_at_many_bit_for_bit():
     """The scalar loop of _tubes_at and the array path _tubes_at_many give
-    the same g, bound, lam, dev and least period bit for bit, on a folded
-    brick sample and on a map with unfolded root-product terms, at periods
-    with and without proper divisors, at signed zeros, +-R, points outside
-    [-R, R], infinities and NaN, and box radii 0 and positive."""
+    the same g, bound, lam and dev bit for bit, on a folded brick sample
+    and on a map with unfolded root-product terms, at periods 1, 5 and 6,
+    at signed zeros, +-R, points outside [-R, R], infinities and NaN, and
+    box radii 0 and positive."""
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
     maps = (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), parabolic())
     assert maps[1]._rest  # the root-product terms stay unfolded
@@ -1203,7 +1242,7 @@ def test_reused_enclosures_hold_a_root_in_interval_arithmetic():
             res = find_periodic(f, n, radius=radius)
             roots = census._domain(f, res.radius).roots
             known = {(x, h) for d in census._proper_divisors(n)
-                     for x, h in roots[1e-12, 3_000_000, d].tolist()}
+                     for x, h, _ in roots[1e-12, 3_000_000, d][0].tolist()}
             reused = [r for r in res.records if (r.location, r.halfwidth) in known]
             assert res.certified and reused
             assert _proved_sign_changes(f, reused, n)

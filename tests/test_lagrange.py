@@ -342,6 +342,15 @@ def test_hyperbolicity_vanishing_coefficient():
         hyperbolicity_perturbation(quad, seg, 0.5)
 
 
+def test_hyperbolicity_distance_overflow_cannot_perturb():
+    """Orbit points 2e200 apart square past the largest float: the affine
+    coefficient is not finite, which is CannotPerturbError, not a bare
+    OverflowError."""
+    f = PolynomialMap.univariate([0.0, 0.5])
+    with pytest.raises(CannotPerturbError, match="does not respond"):
+        hyperbolicity_perturbation(f, np.array([1e200, -1e200]), 0.1)
+
+
 def test_hyperbolicity_rejects_bad_gamma():
     f = PolynomialMap.univariate([0.0, 1.0])
     seg = orbit(f, 0.0, 1)
