@@ -76,13 +76,13 @@ a bare PolynomialMap or a PerturbedMap, weakly and with no reference back
 to the map, so an entry goes as soon as its map does; it assumes a map
 is not mutated after it is built, as the 1-D fold already does.
 
-Orbits of points outside the cell tubes (_g_ends, _tubes_at and
-_point_orbits) take up to _SCALAR_POINTS points one at a time with
-f.evaluate, cheaper than an array call there, and more with eval_many; a
-1-D map's evaluate and eval_many perform the same float operations in the
-same order, so the choice never changes a value.  The held-run test
-follows the same size rule and gives the same results on both of its
-paths.
+Orbits of points outside the cell tubes use the cells' two kernels:
+_tubes_at, one point at a time with f.evaluate, for the ends _settle reads
+and _newton's steps up to _SCALAR_POINTS points and for every record's
+orbit; _tube_many, with eval_many, for more ends or steps and for
+ih_check's witnesses.  A 1-D map's evaluate and eval_many perform the same
+float operations in the same order, so the choice never changes a value.
+The held-run test follows the same size rule, with the same results.
 
 On top of the census sit:
 
@@ -232,16 +232,20 @@ class CensusResult:
 # floats, one at a time; larger sets on NumPy arrays.  Each array call costs
 # a near-constant overhead up to a few dozen elements, each float element a
 # few hundred ns, so each use has a crossover (shared 2-CPU x86 host):
-#   tube step (_g_ends, _newton, _point_orbits): an eval_many step costs
+#   tube step (_settle's ends, _newton's steps): an eval_many step costs
 #     about 14 us, a scalar step 0.7 us a point (degree 9, with and without
 #     a root-product term): they cross at 20-24 points;
 #   held-run test (_held_runs): the arrays take 25-30 us a call, the floats
 #     5-11 us at 1-8 intervals: they cross at 16-20 intervals against 2,000
 #     known enclosures and at 32-40 against 16.
-# One limit serves both: most sets a census meets hold 1-8 elements or
-# hundreds and more, which every limit from 16 to 40 sends the same way;
-# the few in between lose at most a few us on the slower path; and the
-# tests force every use down one path by setting this one value.
+# One limit serves all three sites: most sets a census meets hold 1-8
+# elements or hundreds and more, which every limit from 16 to 40 sends the
+# same way; the few in between lose at most a few us on the slower path;
+# and the tests force every use down one path by setting this one value.
+# Each side carries benchmark traffic at each site; one seed-42 pass of
+# mc_a9 takes the floats only (100 _settle, 350 _held_runs and 100 _newton
+# calls), one of census_ladder the arrays at 10 _settle, 7 _held_runs and
+# 4 _newton calls (and the floats at 12, 33 and 7).
 _SCALAR_POINTS = 16
 
 # Cells of the initial grid of [-R, R] that every _refine caller starts from
@@ -336,8 +340,8 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, la
     float slack, so |x_{k+1} - y_{k+1}| <= min(s_k, D1) r_k + step, where D1
     = sup |f'| on [-R, R] and step, the per-step evaluation slack, covers
     the rounding of the computed y_{k+1}.  So r carries the cell's own float
-    error, and a cell of zero width bounds the error of one computed orbit
-    (_g_ends).  The true orbit stays in [-R, R] (forward invariance), so
+    error, and a cell of zero width bounds the error of one computed orbit.
+    The true orbit stays in [-R, R] (forward invariance), so
     clamping y_k to [-R, R] cannot move it away from any true orbit and
     keeps D1 and D2 valid, and r_k never needs to exceed the cap 2R, which
     also keeps s_k bounded.  lam_hi keeps the uncapped s_k: its product
@@ -363,25 +367,15 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, la
     return y, r, lam, lam_hi
 
 
-def _g_ends(f, xs: list, n: int, dom: _Domain):
-    """(g, bound) at each float x of the list xs from its zero-width orbit
-    tube, as _tubes_at gives them: up to _SCALAR_POINTS points take its
-    loop, and more take _tube_many, with the same floats."""
-    if len(xs) <= _SCALAR_POINTS:
-        return np.array(_tubes_at(f, xs, None, n, dom)).reshape(-1, 2).T
-    x = np.array(xs, dtype=float)
-    y, r, _, _ = _tube_many(f, x, np.zeros(x.size), n, dom)
-    return y - x, r + dom.pad
-
-
 def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list:
     """The orbit tubes of radius 0 and of radius h (the list halves) of
     each float x of the list xs, one point at a time: per point (g, bound,
     lam, dev), g = y - x and bound = r + 8 eps R >= |g(x) - g| from the
     zero-width tube (y, r), lam and dev as _cells gives them for the box
     [x - h, x + h].  Both radii ride the same y and lam.  With halves None
-    (_g_ends) only (g, bound) is computed.  The loop performs _tube_many's
-    float operations, so it agrees with _tubes_at_many bit for bit."""
+    the box is the zero-width tube itself, bit for bit, so it is not traced
+    twice.  The loop performs _tube_many's float operations, so it agrees
+    with _tube_many over the stacked radii (0, h) bit for bit."""
     R, D1, D2, step, d_slack, pad, cap = dom[:7]
     evaluate, derivative = f.evaluate, f.derivative
     box, out = halves is not None, []
@@ -394,20 +388,16 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list
             y = R if y > R else -R if y < -R else y  # _tube_many's clamp, NaN and -0.0 too
             r0 = (D1 if s0 > D1 else s0) * r0 + step
             r0 = cap if r0 > cap else r0
-            if box:  # the box's tube and the multiplier
+            lam *= d
+            if box:  # the box's tube
                 s = abs(d) + D2 * r + d_slack
-                lam *= d
                 lam_hi *= s
                 r = (D1 if s > D1 else s) * r + step
                 r = cap if r > cap else r
-        out.append((y - x, r0 + pad, lam, _dev(lam, lam_hi, n)) if box else (y - x, r0 + pad))
+            else:
+                lam_hi *= s0
+        out.append((y - x, r0 + pad, lam, _dev(lam, lam_hi, n)))
     return out
-
-
-def _tubes_at_many(f, x: np.ndarray, halves: np.ndarray, n: int, dom: _Domain):
-    """_tubes_at as arrays, from one _tube_many over the stacked radii (0, h)."""
-    y, r, lam, lam_hi = _tube_many(f, x, np.stack([np.zeros(x.size), halves]), n, dom)
-    return y - x, r[0] + dom.pad, lam, _dev(lam, lam_hi[1], n)
 
 
 def _grid_tube(f, n: int, dom: _Domain):
@@ -518,7 +508,7 @@ def find_periodic(
     g monotone and its endpoint values decide the cell (no root, or exactly
     one, left in a bracket).  Every test reads the cell's own tube (_cells),
     and an endpoint value decides only when |g| there clears its own
-    orbit's error bound (_g_ends); adjacent monotone cells of the same
+    orbit's error bound; adjacent monotone cells of the same
     direction whose shared end does not clear it are settled together, from
     the outer ends of their union, on which g is strictly monotone too.  So
     a root on a cell end (0 for x^2 - 1, 1/2 for 0.95 - 1.8x^2) is
@@ -549,7 +539,8 @@ def find_periodic(
     which are left out when what is left cannot pay for one orbit each.  An
     exhausted budget leaves the unresolved frontier in
     `uncertified_regions` and the result uncertified.  Maps of dimension
-    >= 2, and periods that are not integers >= 1, raise InvalidInputError.
+    >= 2, periods that are not integers >= 1 and budgets that are not
+    integers >= 0 raise InvalidInputError.
 
     The certified radius and its _Domain (the bounds, the initial grid and
     its orbit tube at every period asked for, and each census's certified
@@ -566,6 +557,7 @@ def find_periodic(
     n = _period(n)
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
+    max_evaluations = _period(max_evaluations, 0, "max_evaluations")
     return _census(f, n, _domain(f, _resolve_radius(f, radius)), tol, max_evaluations)
 
 
@@ -608,7 +600,7 @@ def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> Census
     # run is reported as it is (the runs are disjoint, so their ends sorted
     # apart stay paired)
     paid = held[: max_evaluations - evaluations]
-    orbits = _point_orbits(f, [x for x, *_ in paid], n, dom)
+    orbits = _tubes_at(f, [x for x, *_ in paid], None, n, dom)
     records = [_record(n, x, h, g, lam, True, "simple", int(least))
                for (x, h, least, _, _), (g, _, lam, _) in zip(paid, orbits)]
     evaluations += len(paid)
@@ -631,7 +623,7 @@ def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> Census
         # not finite, bounds nothing, and gives no record
         records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, False, "tangential-candidate")
                        for x, (lo, hi), (g, bound, lam, dev)
-                       in zip(xs, clusters, _point_orbits(f, xs, n, dom))
+                       in zip(xs, clusters, _tubes_at(f, xs, None, n, dom))
                        if bound < dom.cap and math.isfinite(dev))
         evaluations += len(xs)
     uncertified.extend(clusters)
@@ -736,20 +728,11 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray
     return np.array(inside), rows
 
 
-def _point_orbits(f, xs: list, n: int, dom: _Domain) -> list:
-    """_tubes_at of the float points xs at radius 0, through _tubes_at_many
-    beyond _SCALAR_POINTS points, with the same floats: (g, bound, lam, dev)."""
-    if len(xs) <= _SCALAR_POINTS:
-        return _tubes_at(f, xs, [0.0] * len(xs), n, dom)
-    x = np.array(xs)
-    return list(zip(*(v.tolist() for v in _tubes_at_many(f, x, np.zeros(x.size), n, dom))))
-
-
 def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.ndarray, budget: int):
     """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
     proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
     from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
-    own orbit's error bound (_g_ends) or does not.
+    own orbit's error bound or does not.
 
     The intervals join into runs (_runs): two join when they share an end
     exactly, are monotone in the same direction, and g at the shared end
@@ -762,15 +745,21 @@ def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.n
     passes to _enclose after the rounds.
 
     An end shared by two intervals is evaluated once, all ends in one
-    _g_ends call, whose values _newton's first step reads.  Nothing is
+    zero-width tube call, whose values _newton's first step reads.  Nothing is
     settled when `budget` cannot pay for the ends.  Returns the mask of the
     settled intervals, the evaluations spent (the distinct ends, at most
     `budget`) and the brackets, one row per one-root run."""
-    index: dict = {}  # distinct end -> its place in the _g_ends call
+    index: dict = {}  # distinct end -> its place among the ends' orbits
     at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
     if not 0 < len(index) <= budget:
         return np.zeros(lo.size, dtype=bool), 0, np.empty((0, 9))
-    g, bound = (v[at] for v in _g_ends(f, list(index), n, dom))
+    if len(index) <= _SCALAR_POINTS:
+        g, bound = np.array(_tubes_at(f, list(index), None, n, dom))[:, :2].T
+    else:
+        ends = np.array(list(index))
+        y, r, _, _ = _tube_many(f, ends, np.zeros(ends.size), n, dom)
+        g, bound = y - ends, r + dom.pad
+    g, bound = g[at], bound[at]
     spent, k = len(index), lo.size
     x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
     run = None  # each interval's run, once some intervals join
@@ -864,7 +853,7 @@ def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, pad: float, tol: flo
 def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
     """Enclose the root of g = f^n - id in each row (a, c, g(a), g(c),
     bound(a), bound(c), t, dl, dh) of `brackets`: _start, then per step one
-    orbit of the enclosure's midpoint (_tubes_at) and _contract.  Returns
+    orbit of the enclosure's midpoint at radii (0, h) and _contract.  Returns
     each bracket's record fields (m, halfwidth, g, lam) from its last
     step and the orbits computed.  Brackets step in lockstep on arrays while
     more than _SCALAR_POINTS are open, then one at a time on floats."""
@@ -877,7 +866,9 @@ def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
         while idx.size > _SCALAR_POINTS:
             step += 1
             m = 0.5 * (xl + xh)
-            g, bound, lam, dev = _tubes_at_many(f, m, np.maximum(m - xl, xh - m), n, dom)
+            radii = np.stack([np.zeros(m.size), np.maximum(m - xl, xh - m)])  # the point's, the box's
+            y, r, lam, lam_hi = _tube_many(f, m, radii, n, dom)
+            g, bound, dev = y - m, r[0] + dom.pad, _dev(lam, lam_hi[1], n)
             calls += m.size
             xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, dom.pad, tol)
             stop |= step == _NEWTON_STEPS
@@ -982,6 +973,7 @@ def find_almost_periodic(
     n = _period(n)
     if not (math.isfinite(slack) and slack >= 0):
         raise InvalidInputError("slack must be a finite nonnegative real")
+    max_evaluations = _period(max_evaluations, 0, "max_evaluations")
     dom = _domain(f, _resolve_radius(f, radius))
     if resolution is None:
         resolution = 1e-13 * dom.R
@@ -1075,6 +1067,7 @@ def ih_check(
     """
     _check_map(f, "ih_check", one_d=True)
     n_max = _period(n_max, 0, "n_max")
+    max_evaluations_per_period = _period(max_evaluations_per_period, 0, "max_evaluations_per_period")
     dom = _domain(f, _resolve_radius(f, radius))
     rows = []
     for k in range(1, n_max + 1):
@@ -1100,13 +1093,13 @@ def _ih_one_period(f, k, thr, slack, dom: _Domain, max_evals) -> IHRow:
         idx = np.flatnonzero((gabs <= slack) & (gaps < thr))
         spent = idx.size if idx.size <= budget else 0
         if spent:
-            m = c.mids[idx]
-            g, bound, lam, dev = _tubes_at_many(f, m, np.zeros(spent), k, dom)
-            failing = (np.abs(g) + bound <= slack) & (np.abs(np.abs(lam) - 1.0) + dev < thr)
+            m, zeros = c.mids[idx], np.zeros(spent)
+            w = _cells(m, zeros, k, dom, _tube_many(f, m, zeros, k, dom))
+            failing = (np.abs(w.g) + w.spread <= slack) & (np.abs(np.abs(w.lam) - 1.0) + w.dev < thr)
             if failing.any():
                 j = np.flatnonzero(failing)[np.argmin(m[failing])]
                 x, h = m[j].item(), c.halves[idx[j]].item()
-                witness = _record(k, x, h, g[j].item(), lam[j].item(), True, "witness")
+                witness = _record(k, x, h, w.g[j].item(), w.lam[j].item(), True, "witness")
                 return np.zeros(c.mids.size, dtype=bool), spent
         excluded = gabs > c.spread + slack
         hyperbolic = gaps - c.dev >= gap_floor

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import statistics
 from dataclasses import asdict, dataclass, field, replace
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .census import GrowthParams, gamma_n_of_map, ih_check
-from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius
+from .dynamics import PerturbedMap, PolynomialMap, _period, certified_range_1d, invariant_radius
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
 from .perturbation import BrickSpec, sample as sample_perturbation
 
@@ -63,6 +64,11 @@ def base_map_from_spec(spec) -> PolynomialMap:
     return PolynomialMap.univariate(coeffs)
 
 
+def _positive(x) -> bool:
+    """Whether x is a positive finite real."""
+    return isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one experiment."""
@@ -82,16 +88,21 @@ class ExperimentConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise InvalidInputError("num_samples must be >= 1")
-        if self.n_max < 1:
-            raise InvalidInputError("n_max must be >= 1")
+        _period(self.num_samples, 1, "num_samples")
+        _period(self.n_max, 1, "n_max")
+        _period(self.master_seed, 0, "master_seed")
+        if not isinstance(self.deltas, list):
+            raise InvalidInputError("deltas must be a list")
         if not self.deltas:
             raise InvalidInputError("need at least one delta")
-        if any(not (math.isfinite(d) and d > 0) for d in self.deltas):
+        if not all(_positive(d) for d in self.deltas):
             raise InvalidInputError("every delta must be a positive finite real")
-        if self.ih_c_factor < 1.0:
-            raise InvalidInputError("ih_c_factor must be >= 1")
+        if not (_positive(self.ih_c_factor) and self.ih_c_factor >= 1.0):
+            raise InvalidInputError("ih_c_factor must be a finite real >= 1")
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
+            raise InvalidInputError("tol must lie in (0, 1)")
+        if not (self.radius is None or _positive(self.radius)):
+            raise InvalidInputError("radius must be None or a positive finite real")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -242,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     samples = []
     for i in range(config.num_samples):
         seed = (config.master_seed, i)
-        if config.force_zero_eps or brick is None:
+        if config.force_zero_eps:
             f = PerturbedMap(base)
         else:
             eps = sample_perturbation(brick, 1, seed=seed)

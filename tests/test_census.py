@@ -36,7 +36,7 @@ from orbitlab import (
     sample,
 )
 from orbitlab import census, dynamics
-from orbitlab.census import _cells, _domain, _g_ends, _resolve_radius, _tube_many
+from orbitlab.census import _cells, _domain, _resolve_radius, _tube_many
 
 from conftest import random_contraction
 
@@ -182,6 +182,15 @@ def test_census_rejects_bad_inputs():
     shift = PolynomialMap.univariate([0.1, 1.0], domain_radius=1.0)
     with pytest.raises(UncertifiedCensusError):
         find_periodic(shift, 1, radius=1.0)  # not forward invariant
+    # a budget that is not an integer >= 0 is named, not a bare TypeError
+    for bad in (3e6, math.nan, -1, "100"):
+        for call, name in ((lambda b: find_periodic(half(), 2, max_evaluations=b), "max_evaluations"),
+                           (lambda b: find_almost_periodic(half(), 2, 0.1, max_evaluations=b), "max_evaluations"),
+                           (lambda b: ih_check(half(), GrowthParams(C=1.0, delta=1.0), 2,
+                                               max_evaluations_per_period=b), "max_evaluations_per_period")):
+            with pytest.raises(InvalidInputError, match=name):
+                call(bad)
+    assert find_periodic(half(), 2, max_evaluations=np.int64(0)).evaluations == 0
 
 
 def test_periods_must_be_positive_integers():
@@ -232,7 +241,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     dom = _domain(f, res.radius)
     xs = [0.5 * (lo + hi) for lo, hi in res.uncertified_regions]
     assert len(xs) == 2
-    for g, bound, lam, dev in census._tubes_at(f, xs, [0.0, 0.0], 800, dom):
+    for g, bound, lam, dev in census._tubes_at(f, xs, None, 800, dom):
         assert bound == dom.cap + dom.pad and dev == math.inf
     f = PolynomialMap.univariate([0.0, 1.0, 0.0, -1.0])
     res = find_periodic(f, 1, radius=0.5, tol=1e-4)
@@ -240,7 +249,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     assert res.uncertified_regions == [(-0.0078125, 0.0078125)] and not res.certified
     assert (candidate.kind, candidate.location) == ("tangential-candidate", 0.0)
     assert (candidate.multiplier, candidate.gap) == (1.0, 0.0)
-    ((_, bound, _, dev),) = census._tubes_at(f, [0.0], [0.0], 1, _domain(f, 0.5))
+    ((_, bound, _, dev),) = census._tubes_at(f, [0.0], None, 1, _domain(f, 0.5))
     assert bound < 1.6e-14 and dev < 1.7e-14
 
 
@@ -465,18 +474,19 @@ def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
     f = PolynomialMap.univariate(CHAOTIC)
     full = find_periodic(f, 10, radius=1.0)
     budgets, known = [], []
-    enclose, point_orbits = census._enclose, census._point_orbits
+    enclose, tubes_at = census._enclose, census._tubes_at
 
     def recorded(*args):
         budgets.append(args[-1])
         return enclose(*args)
 
     def recorded_orbits(f, xs, *args):
-        known.append(len(xs))
-        return point_orbits(f, xs, *args)
+        if sys._getframe(1).f_code.co_name == "_census":  # the records' orbits, held roots first
+            known.append(len(xs))
+        return tubes_at(f, xs, *args)
 
     monkeypatch.setattr(census, "_enclose", recorded)
-    monkeypatch.setattr(census, "_point_orbits", recorded_orbits)
+    monkeypatch.setattr(census, "_tubes_at", recorded_orbits)
     assert find_periodic(f, 10, radius=1.0) == full
     assert known[0] == 13 and full.count == 103
     rounds = 3_000_000 - budgets[-1] - 13
@@ -579,13 +589,22 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     are left out here, and the tubes they leave are dropped.  Counted at
     the map, each orbit is n evaluations of f, so the count does not depend
     on how the census batches them.  Each set of points the census iterates
-    is distinct."""
+    is distinct: the orbits of points on both kernels (_tubes_at, and
+    _tube_many where some radius is 0)."""
     iterated = []
-    for name in ("_g_ends", "_tubes_at", "_tubes_at_many"):
-        def recorded(f, xs, *args, _orbits=getattr(census, name)):
-            iterated.append(np.array(xs))
-            return _orbits(f, xs, *args)
-        monkeypatch.setattr(census, name, recorded)
+    tubes_at, tube = census._tubes_at, census._tube_many
+
+    def recorded_points(f, xs, *args):
+        iterated.append(np.array(xs))
+        return tubes_at(f, xs, *args)
+
+    def recorded_tube(f, mids, halves, *args):
+        if not np.all(halves):
+            iterated.append(np.array(mids))
+        return tube(f, mids, halves, *args)
+
+    monkeypatch.setattr(census, "_tubes_at", recorded_points)
+    monkeypatch.setattr(census, "_tube_many", recorded_tube)
     for spec, n, radius, tol in (((PolynomialMap.univariate(CHAOTIC), ()), 8, 1.0, 1e-12),
                                  ((parabolic().base, parabolic().terms), 1, None, 1e-4)):
         f = _CountedMap(*spec)
@@ -595,7 +614,7 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
         _CountedMap.steps = 0
         res = find_periodic(f, n, radius=radius, tol=tol)
         assert res.records and res.evaluations * n == _CountedMap.steps
-    assert all(np.unique(xs).size == xs.size for xs in iterated)
+    assert iterated and all(np.unique(xs).size == xs.size for xs in iterated)
 
 
 def _one(f):
@@ -809,31 +828,29 @@ def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
 
 def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
     """The contraction's first step reads g and its bounds at the bracket
-    ends from _settle's pass over the ends, one _g_ends call, which holds
-    exactly the two ends; no orbit of a Newton step starts at an end, and
-    the record encloses the root that mpmath.findroot gives at 200 bits."""
+    ends from _settle's pass over the ends, one zero-width _tubes_at call,
+    which holds exactly the two ends; no orbit of a Newton step starts at an
+    end, and the record encloses the root that mpmath.findroot gives at 200
+    bits."""
     f = PolynomialMap.univariate(CHAOTIC)
     lo, hi = np.array([0.49]), np.array([0.505])
     ends, starts, steps = [], [], []
-    g_ends, start, tubes_at = census._g_ends, census._start, census._tubes_at
-
-    def recorded_ends(f, xs, *args):
-        out = g_ends(f, xs, *args)
-        ends.append((list(xs), *(v.tolist() for v in out)))
-        return out
+    start, tubes_at = census._start, census._tubes_at
 
     def recorded_start(xp, *args):
         starts.append(args[:6])
         return start(xp, *args)
 
-    def recorded_steps(f, xs, halves, *args):
-        if halves is not None:  # a Newton step's box, not _g_ends' points
+    def recorded_orbits(f, xs, halves, *args):
+        out = tubes_at(f, xs, halves, *args)
+        if halves is None:  # the ends' zero-width tubes
+            ends.append((list(xs), [g for g, *_ in out], [bound for _, bound, *_ in out]))
+        else:  # a Newton step's box
             steps.extend(xs)
-        return tubes_at(f, xs, halves, *args)
+        return out
 
-    monkeypatch.setattr(census, "_g_ends", recorded_ends)
     monkeypatch.setattr(census, "_start", recorded_start)
-    monkeypatch.setattr(census, "_tubes_at", recorded_steps)
+    monkeypatch.setattr(census, "_tubes_at", recorded_orbits)
     mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
     records, spent = _located(f, 1, brackets)
     ((xs, g, bound),) = ends
@@ -1022,10 +1039,10 @@ def _switch_censuses() -> list:
 
 @pytest.mark.parametrize("limit", [0, 10**9])
 def test_census_is_the_same_on_the_scalar_and_array_paths(monkeypatch, limit):
-    """With every set on the array path (tube steps, held-run tests,
-    lockstep Newton steps and records on arrays) or every set on the float
-    path (one point, interval or run at a time), each census equals the
-    default one: records, regions and evaluations."""
+    """With every switched set on the array path (settled ends, held-run
+    tests and lockstep Newton steps on arrays) or on the float path (one
+    point, interval or run at a time), each census equals the default one:
+    records, regions and evaluations."""
     want = _switch_censuses()
     monkeypatch.setattr(census, "_SCALAR_POINTS", limit)
     got = _switch_censuses()
@@ -1102,33 +1119,65 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
-def test_tubes_at_equals_tubes_at_many_bit_for_bit():
-    """The scalar loop of _tubes_at and the array path _tubes_at_many give
-    the same g, bound, lam and dev bit for bit, on a folded brick sample
-    and on a map with unfolded root-product terms, at periods 1, 5 and 6,
-    at signed zeros, +-R, points outside [-R, R], infinities and NaN, and
-    box radii 0 and positive."""
+def _tube_cases():
+    """Yield (f, dom, xs, hs, n) for the kernel comparisons below: a folded
+    brick sample, a map with unfolded root-product terms and 0.95 - 1.8x^2,
+    at periods 1, 5, 6 and 7, at signed zeros, +-R, points outside [-R, R],
+    infinities and NaN, and box radii 0 and positive, on both sides of the
+    scalar-path limit."""
     eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
-    maps = (PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), parabolic())
-    assert maps[1]._rest  # the root-product terms stay unfolded
+    maps = ((PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None),
+            (parabolic(), None), (PolynomialMap.univariate(CHAOTIC), 1.0))
+    assert maps[1][0]._rest  # the root-product terms stay unfolded
     special = [0.0, -0.0, 1.5, -3.0, np.inf, -np.inf, np.nan, -np.nan]
     limit = census._SCALAR_POINTS
+    for f, radius in maps:
+        dom = _domain(f, _resolve_radius(f, radius))
+        pool = np.array(special + [dom.R, -dom.R] + np.linspace(-dom.R, dom.R, 17).tolist())
+        halves = np.resize([0.0, 1e-9, 1e-3, 0.25], pool.size)
+        for size in (1, limit, limit + 1):
+            for k in range(len(special)):  # each special value leads once
+                xs, hs = np.roll(pool, -k)[:size], np.roll(halves, -k)[:size]
+                for n in (1, 5, 6, 7):
+                    yield f, dom, xs, hs, n
+
+
+def _same_bits(got, want):
+    for v, w in zip(zip(*got), want):
+        v = np.array(v, dtype=float)
+        assert np.array_equal(v, w, equal_nan=True) and np.array_equal(np.signbit(v), np.signbit(w))
+
+
+def test_tubes_at_equals_tubes_at_many_bit_for_bit():
+    """The float loop of _tubes_at performs the array path's float
+    operations: its g, bound, lam and dev equal bit for bit those of one
+    _tube_many over the stacked radii (0, h), the array path _newton's
+    lockstep takes (it was _tubes_at_many), for box radii 0 and positive."""
     with np.errstate(all="ignore"):
-        for f in maps:
-            R = _resolve_radius(f, None)
-            dom = _domain(f, R)
-            pool = np.array(special + [R, -R] + np.linspace(-R, R, 17).tolist())
-            halves = np.resize([0.0, 1e-9, 1e-3, 0.25], pool.size)
-            for size in (1, limit, limit + 1):
-                for k in range(len(special)):  # each special value leads once
-                    xs, hs = np.roll(pool, -k)[:size], np.roll(halves, -k)[:size]
-                    for n in (1, 5, 6):
-                        want = census._tubes_at_many(f, xs, hs, n, dom)
-                        got = list(zip(*census._tubes_at(f, xs.tolist(), hs.tolist(), n, dom)))
-                        for v, w in zip(got, want):
-                            v = np.array(v, dtype=w.dtype)
-                            assert np.array_equal(v, w, equal_nan=True)
-                            assert np.array_equal(np.signbit(v), np.signbit(w))
+        for f, dom, xs, hs, n in _tube_cases():
+            y, r, lam, lam_hi = _tube_many(f, xs, np.stack([np.zeros(xs.size), hs]), n, dom)
+            want = (y - xs, r[0] + dom.pad, lam, census._dev(lam, lam_hi[1], n))
+            _same_bits(census._tubes_at(f, xs.tolist(), hs.tolist(), n, dom), want)
+
+
+def test_g_ends_is_the_zero_width_tube_on_both_paths():
+    """The ends _settle computes are the zero-width tube on both of its
+    paths: _tubes_at with halves None (the float path, also the held
+    records' and candidates' orbits) gives the g = y - x, bound = r + pad,
+    lam and dev of one _tube_many at radius 0 alone (the array path, also
+    the witnesses' orbits) bit for bit, and equals _tubes_at with halves
+    [0.0] * k and _tube_many over the stacked radii (0, 0): the zero-width
+    tube is traced once."""
+    with np.errstate(all="ignore"):
+        for f, dom, xs, _, n in _tube_cases():
+            zeros = np.zeros(xs.size)
+            point = census._tubes_at(f, xs.tolist(), None, n, dom)
+            y, r, lam, lam_hi = _tube_many(f, xs, zeros, n, dom)
+            _same_bits(point, (y - xs, r + dom.pad, lam, census._dev(lam, lam_hi, n)))
+            y, r, lam, lam_hi = _tube_many(f, xs, np.stack([zeros, zeros]), n, dom)
+            want = (y - xs, r[0] + dom.pad, lam, census._dev(lam, lam_hi[1], n))
+            _same_bits(point, want)
+            _same_bits(census._tubes_at(f, xs.tolist(), [0.0] * xs.size, n, dom), want)
 
 
 def test_newton_step_is_the_same_on_floats_and_arrays():
@@ -1158,27 +1207,6 @@ def test_newton_step_is_the_same_on_floats_and_arrays():
     for v, w in zip(zip(*got), want):
         v = np.array(v, dtype=w.dtype)
         assert np.array_equal(v, w) and np.array_equal(np.signbit(v), np.signbit(w))
-
-
-def test_g_ends_is_the_zero_width_tube_on_both_paths():
-    """_g_ends' scalar loop performs the zero-width tube's float operations,
-    so g = y - x and its bound r + 8 eps R equal _tube_many's bit for bit on
-    both sides of the scalar-path limit, at -R, R and signed zeros too."""
-    eps = sample(BrickSpec.factorial(0.01, 8), 1, (42, 0))
-    maps = ((PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]), eps), None),
-            (parabolic(), None), (PolynomialMap.univariate(CHAOTIC), 1.0))
-    limit = census._SCALAR_POINTS
-    for f, radius in maps:
-        R = _resolve_radius(f, radius)
-        dom = _domain(f, R)
-        pool = np.concatenate([[R, -R, 0.0, -0.0], np.linspace(-R, R, limit + 3)[1:-1]])
-        for size in (1, limit, limit + 1):
-            xs = pool[:size]
-            for n in (1, 7):
-                y, r, _, _ = _tube_many(f, xs, np.zeros(size), n, dom)
-                g, bound = _g_ends(f, xs.tolist(), n, dom)
-                assert g.tobytes() == (y - xs).tobytes()
-                assert bound.tobytes() == (r + 8.0 * census._EPS * R).tobytes()
 
 
 def test_tube_clamp_equals_clip():
@@ -1310,7 +1338,8 @@ def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts)
     """Against exact orbits, for every x in the cell [m - h, m + h]:
     |f^n(x) - y_n| <= r_n, |g(x) - g| <= spread and |(f^n)'(x) - lam| <= dev
     for the padded bounds the census reads; and g at m from its zero-width
-    tube lies within that orbit's own bound, on both paths of _g_ends."""
+    tube lies within that orbit's own bound, and (f^n)'(m) within its dev,
+    on both kernels."""
     f, radius = _tube_map(family, seed)
     R = _resolve_radius(f, radius)
     dom = _domain(f, R)
@@ -1325,10 +1354,11 @@ def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts)
         assert abs(fx - y) <= r
         assert abs(fx - x - c.g[0]) <= c.spread[0]
         assert abs(dfx - c.lam[0]) <= c.dev[0]
-    fm = _exact_orbit(f, m, n)[0]
-    for pad in (0, census._SCALAR_POINTS):  # the scalar loop, then the array path
-        g, bound = _g_ends(f, [m] * (pad + 1), n, dom)
-        assert abs(fm - m - g[0]) <= bound[0]
+    fm, dfm = _exact_orbit(f, m, n)
+    ((g, bound, lam, dev),) = census._tubes_at(f, [m], None, n, dom)
+    assert abs(fm - m - g) <= bound and abs(dfm - lam) <= dev
+    y, r, _, _ = _tube_many(f, np.array([m]), np.zeros(1), n, dom)
+    assert abs(fm - m - (y[0] - m)) <= r[0] + dom.pad
 
 
 # -- almost-periodic covers ------------------------------------------------------

@@ -141,6 +141,19 @@ def test_experiment_command(tmp_path, capsys):
     assert summary["num_aborted"] == 0
 
 
+def test_experiment_reports_bad_config_values(tmp_path, capsys):
+    """A config value of the wrong type or range is a reported error, exit
+    code 1, before any census runs, and never a traceback."""
+    for bad in ({"num_samples": 2.5}, {"n_max": 1.5}, {"master_seed": 0.5}, {"deltas": 0.1},
+                {"tol": 2.0}, {"radius": -1.0}):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict({"map": "half", "num_samples": 1, "n_max": 1}, **bad)))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1, bad
+        assert capsys.readouterr().err.startswith("error: "), bad
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_domain_errors(capsys):
     rc = main(["census", "--preset", "quadratic", "--period", "0"])
     assert rc == 1

@@ -93,6 +93,15 @@ def test_config_validation():
         ExperimentConfig(deltas=[math.inf])
     with pytest.raises(InvalidInputError):
         ExperimentConfig(ih_c_factor=0.5)
+    # wrong types and ranges are refused here, before any census; a NaN
+    # ih_c_factor would skip every ih check as if no fit were finite
+    for bad in (dict(num_samples=2.5), dict(n_max=1.5), dict(master_seed=0.5), dict(master_seed=-1),
+                dict(deltas=0.1), dict(tol=0.0), dict(tol=1.0), dict(tol=math.nan), dict(tol="1e-12"),
+                dict(radius=0.0), dict(radius=-1.0), dict(radius=math.inf), dict(radius=math.nan),
+                dict(radius="1"), dict(ih_c_factor=math.nan), dict(ih_c_factor=math.inf)):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(**bad)
+    assert ExperimentConfig(radius=1.5, tol=1e-8, master_seed=np.int64(3)).radius == 1.5
 
 
 def test_config_roundtrip():
