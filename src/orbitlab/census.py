@@ -108,8 +108,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import _check_map, _memo, _period, certified_range_1d, invariant_radius, norm_bounds
-from .errors import InvalidInputError, UncertifiedCensusError
+from .dynamics import _check_map, _memo, certified_range_1d, invariant_radius, norm_bounds
+from .errors import UncertifiedCensusError, _period, _real
 
 __all__ = [
     "GrowthParams",
@@ -144,12 +144,9 @@ class GrowthParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.C) and self.C >= 0):
-            raise InvalidInputError("C must be a finite nonnegative real")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise InvalidInputError("delta must be a finite nonnegative real")
-        if not 0.0 < self.rho <= 1.0:
-            raise InvalidInputError("rho must lie in (0, 1]")
+        _real(self.C, "C", ge=0)
+        _real(self.delta, "delta", ge=0)
+        _real(self.rho, "rho", gt=0, le=1)
 
     def gamma_n(self, n: int) -> float:
         """The hyperbolicity threshold exp(-C n^(1+delta)) at period n."""
@@ -304,9 +301,8 @@ def _resolve_radius(f, radius: Optional[float]) -> float:
     """The given radius, checked for certified forward invariance, or the
     smallest certified invariant radius on the standard ladder.  The ranges
     behind either come from the map's memo."""
-    if radius is not None and not (math.isfinite(radius) and radius > 0):
-        raise InvalidInputError("radius must be a positive real")
     if radius is not None:
+        _real(radius, "radius", gt=0)
         lo, hi = certified_range_1d(f, radius)
         if not (lo >= -radius and hi <= radius):
             raise UncertifiedCensusError(
@@ -555,8 +551,7 @@ def find_periodic(
     """
     _check_map(f, "find_periodic", one_d=True)
     n = _period(n)
-    if not (0 < tol < 1):
-        raise InvalidInputError("tol must lie in (0, 1)")
+    _real(tol, "tol", gt=0, lt=1)
     max_evaluations = _period(max_evaluations, 0, "max_evaluations")
     return _census(f, n, _domain(f, _resolve_radius(f, radius)), tol, max_evaluations)
 
@@ -971,12 +966,10 @@ def find_almost_periodic(
     """
     _check_map(f, "find_almost_periodic", one_d=True)
     n = _period(n)
-    if not (math.isfinite(slack) and slack >= 0):
-        raise InvalidInputError("slack must be a finite nonnegative real")
+    _real(slack, "slack", ge=0)
     max_evaluations = _period(max_evaluations, 0, "max_evaluations")
     dom = _domain(f, _resolve_radius(f, radius))
-    if resolution is None:
-        resolution = 1e-13 * dom.R
+    resolution = 1e-13 * dom.R if resolution is None else _real(resolution, "resolution", gt=0)
 
     kept: list = []
 

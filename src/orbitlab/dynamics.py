@@ -16,7 +16,6 @@ singular value of the Jacobian on a grid with a curvature correction.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,6 +27,8 @@ from .errors import (
     InvalidInputError,
     MapDomainError,
     OrbitEscapeError,
+    _period,
+    _real,
 )
 from .perturbation import (
     BrickSpec,
@@ -60,8 +61,7 @@ class PolynomialMap(_Polynomial):
     (T, N), and evaluated as a `_Polynomial`."""
 
     def __init__(self, dim: int, exponents, coeffs, domain_radius: float = 1.0):
-        if dim < 1:
-            raise InvalidInputError("dimension must be >= 1")
+        dim = _period(dim, 1, "dim")
         exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, dim)
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1, dim)
         if exponents.shape[0] != coeffs.shape[0]:
@@ -70,8 +70,7 @@ class PolynomialMap(_Polynomial):
             raise InvalidInputError("negative exponent")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInputError("non-finite coefficient")
-        if not (math.isfinite(domain_radius) and domain_radius > 0):
-            raise InvalidInputError("domain_radius must be a positive finite real")
+        _real(domain_radius, "domain_radius", gt=0)
         super().__init__(exponents, coeffs)
         self.domain_radius = float(domain_radius)
 
@@ -101,13 +100,7 @@ class PolynomialMap(_Polynomial):
 
     @classmethod
     def identity(cls, dim: int, domain_radius: float = 1.0) -> "PolynomialMap":
-        terms = {}
-        for j in range(dim):
-            alpha = tuple(1 if i == j else 0 for i in range(dim))
-            vec = np.zeros(dim)
-            vec[j] = 1.0
-            terms[alpha] = vec
-        return cls.from_terms(dim, terms, domain_radius)
+        return cls.linear(np.eye(dim), domain_radius)
 
     @classmethod
     def linear(cls, matrix, domain_radius: float = 1.0) -> "PolynomialMap":
@@ -153,9 +146,8 @@ class RootProductPerturbation:
     roots: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(float(r) for r in self.roots))
-        if not math.isfinite(self.scale):
-            raise InvalidInputError("non-finite scale")
+        _real(self.scale, "scale")
+        object.__setattr__(self, "roots", tuple(float(_real(r, "an entry of roots")) for r in self.roots))
 
     # one loop per pair: a number and an array of numbers take the same float
     # operations in the same order, from the start values each caller passes
@@ -188,26 +180,24 @@ class RootProductPerturbation:
     def jac(self, x) -> np.ndarray:
         return np.array([[self.derivative(_as_scalar(x))]])
 
-    def sup_bound(self, radius: float) -> float:
-        p = abs(self.scale)
-        for r in self.roots:
-            p *= radius + abs(r)
-        return p
-
-    def d1_bound(self, radius: float) -> float:
-        v, d = abs(self.scale), 0.0
-        for r in self.roots:
-            d = d * (radius + abs(r)) + v
-            v = v * (radius + abs(r))
-        return d
-
-    def d2_bound(self, radius: float) -> float:
+    def _bounds(self, radius: float) -> tuple:
+        """Bounds on |value|, |derivative| and |second derivative| over the
+        ball: the product rule over |x - r| <= radius + |r|."""
         v, d, dd = abs(self.scale), 0.0, 0.0
         for r in self.roots:
             dd = dd * (radius + abs(r)) + 2.0 * d
             d = d * (radius + abs(r)) + v
             v = v * (radius + abs(r))
-        return dd
+        return v, d, dd
+
+    def sup_bound(self, radius: float) -> float:
+        return self._bounds(radius)[0]
+
+    def d1_bound(self, radius: float) -> float:
+        return self._bounds(radius)[1]
+
+    def d2_bound(self, radius: float) -> float:
+        return self._bounds(radius)[2]
 
 
 class PerturbedMap:
@@ -332,13 +322,6 @@ def _check_map(f, name: str, one_d: bool = False):
         raise InvalidInputError(f"{name} needs a 1-D map")
 
 
-def _period(n, least: int = 1, name: str = "period") -> int:
-    """n as an int, or InvalidInputError unless it is an integer >= least."""
-    if not isinstance(n, numbers.Integral) or n < least:
-        raise InvalidInputError(f"{name} must be an integer >= {least}")
-    return int(n)
-
-
 def _trajectory(traj, one_d: bool = False, least: int = 1) -> np.ndarray:
     """The points of a trajectory: the `points` of an OrbitSegment,
     GridTrajectory or PointTuple, or an array of points, one per row (one
@@ -404,8 +387,7 @@ def orbit(f, x0, n: int, radius: Optional[float] = None) -> OrbitSegment:
     """
     _check_map(f, "orbit")
     n = _period(n, name="orbit length")
-    if radius is None:
-        radius = f.domain_radius
+    radius = f.domain_radius if radius is None else _real(radius, "radius", gt=0)
     edge = radius * (1.0 + 1e-12)
     x = _as_point(x0, f.dim)
     # |x| as np.linalg.norm computes it, without its dispatch
@@ -478,6 +460,7 @@ def certified_range_1d(f, radius: float):
     key = ("range", radius)
     memo = _memo(f)
     if key not in memo:
+        _real(radius, "radius", gt=0)
         xs = np.linspace(-radius, radius, _RANGE_GRID)
         vals = f.eval_many(xs)
         pad = f.d1_bound(radius) * (xs[1] - xs[0]) / 2.0
@@ -531,8 +514,7 @@ def norm_bounds(
     _check_map(f, "norm_bounds")
     if brick is None:
         brick = BrickSpec.empty()
-    if not 0.0 < rho <= 1.0:
-        raise InvalidInputError("rho must lie in (0, 1]")
+    _real(rho, "rho", gt=0, le=1)
     cert = check_admissible(brick, f.dim)
     if not cert.condition_a_converges:
         raise ConfigurationError(f"brick series diverges on the ball: {cert.reason}")

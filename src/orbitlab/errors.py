@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of numbers.
 
 Errors that certify a numerical judgement carry the offending quantity so
-callers can report or log it without re-deriving anything.
+callers can report or log it without re-deriving anything.  Number
+arguments are checked by `_real` (a real number in a range) or `_period`
+(an integer >= a least value), which raise InvalidInputError naming the
+argument; every module imports this one.
 """
+
+import math
+import numbers
 
 __all__ = [
     "OrbitLabError",
@@ -22,7 +28,12 @@ class OrbitLabError(Exception):
 
 
 class InvalidInputError(OrbitLabError, ValueError):
-    """Malformed argument: wrong shape, non-finite entries, bad parameter."""
+    """Malformed argument: wrong shape, non-finite entries, bad parameter.
+
+    A number outside its range, NaN, an infinity where none is allowed, or
+    a value that is not a number at all (a numeric string included) raises
+    this error, with the argument's name in the message; never a bare
+    TypeError, OverflowError or a NaN result."""
 
 
 class MapDomainError(OrbitLabError, ValueError):
@@ -75,3 +86,26 @@ class UncertifiedCensusError(OrbitLabError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def _real(x, name: str, *, gt=None, ge=None, lt=None, le=None, inf: bool = False):
+    """x unchanged, or InvalidInputError naming `name` unless x is a real
+    number, not NaN, finite (an infinity too when `inf`), and > gt, >= ge,
+    < lt and <= le for each bound given."""
+    if type(x) is float or isinstance(x, numbers.Real):
+        if (-math.inf < x < math.inf or (inf and x == x)) and (
+            (gt is None or x > gt) and (ge is None or x >= ge)
+            and (lt is None or x < lt) and (le is None or x <= le)
+        ):
+            return x
+    low = f"({gt:g}" if gt is not None else f"[{ge:g}" if ge is not None else "[-inf" if inf else "(-inf"
+    high = f"{lt:g})" if lt is not None else f"{le:g}]" if le is not None else "inf]" if inf else "inf)"
+    raise InvalidInputError(f"{name} must be a real number in {low}, {high}, not {x!r}")
+
+
+def _period(n, least: int = 1, name: str = "period") -> int:
+    """n as an int, or InvalidInputError unless it is an integer >= least.
+    Python ints skip the slower `numbers.Integral` test."""
+    if type(n) is not int and not isinstance(n, numbers.Integral) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, not {n!r}")
+    return int(n)

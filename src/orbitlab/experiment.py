@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import statistics
 from dataclasses import asdict, dataclass, field, replace
@@ -29,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .census import GrowthParams, gamma_n_of_map, ih_check
-from .dynamics import PerturbedMap, PolynomialMap, _period, certified_range_1d, invariant_radius
-from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError
+from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius
+from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _period, _real
 from .perturbation import BrickSpec, sample as sample_perturbation
 
 __all__ = [
@@ -64,11 +63,6 @@ def base_map_from_spec(spec) -> PolynomialMap:
     return PolynomialMap.univariate(coeffs)
 
 
-def _positive(x) -> bool:
-    """Whether x is a positive finite real."""
-    return isinstance(x, numbers.Real) and math.isfinite(x) and x > 0
-
-
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one experiment."""
@@ -95,14 +89,12 @@ class ExperimentConfig:
             raise InvalidInputError("deltas must be a list")
         if not self.deltas:
             raise InvalidInputError("need at least one delta")
-        if not all(_positive(d) for d in self.deltas):
-            raise InvalidInputError("every delta must be a positive finite real")
-        if not (_positive(self.ih_c_factor) and self.ih_c_factor >= 1.0):
-            raise InvalidInputError("ih_c_factor must be a finite real >= 1")
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
-            raise InvalidInputError("tol must lie in (0, 1)")
-        if not (self.radius is None or _positive(self.radius)):
-            raise InvalidInputError("radius must be None or a positive finite real")
+        for d in self.deltas:
+            _real(d, "an entry of deltas", gt=0)
+        _real(self.ih_c_factor, "ih_c_factor", ge=1)
+        _real(self.tol, "tol", gt=0, lt=1)
+        if self.radius is not None:
+            _real(self.radius, "radius", gt=0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -181,13 +173,11 @@ def fit_C(gammas, delta: float) -> float:
     """Smallest C >= 0 with gamma_n >= exp(-C n^(1+delta)) for every observed
     (n, gamma_n); +inf when some gamma_n is <= 0, 0 when nothing binds
     (gamma_n >= 1 everywhere or no data).  A NaN gamma_n is an error."""
-    if not (math.isfinite(delta) and delta >= 0):
-        raise InvalidInputError("delta must be a finite nonnegative real")
+    _real(delta, "delta", ge=0)
     items = gammas.items() if hasattr(gammas, "items") else gammas
     best = 0.0
     for n, g in items:
-        if n < 1:
-            raise InvalidInputError("periods must be >= 1")
+        _period(n, 1, "periods")
         if g is None or math.isinf(g):
             continue  # no periodic points at this n: no constraint
         if math.isnan(g):

@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .census import GrowthParams
-from .dynamics import _check_map, _period, _trajectory
-from .errors import InvalidInputError
+from .dynamics import _check_map, _trajectory
+from .errors import InvalidInputError, _period, _real
 from .lagrange import product_of_distances
 
 __all__ = [
@@ -72,10 +72,8 @@ def stage_tolerances(n: int, dim: int, m_bound: float, growth: GrowthParams) -> 
     exact).
     """
     n = _period(n, name="stage index")
-    if dim < 1:
-        raise InvalidInputError("dimension must be >= 1")
-    if not (math.isfinite(m_bound) and m_bound >= 1.0):
-        raise InvalidInputError("norm bound must be finite and >= 1")
+    dim = _period(dim, 1, "dim")
+    _real(m_bound, "m_bound", ge=1)
     log_gamma = -growth.C * float(n) ** (1.0 + growth.delta)
     log_h = (log_gamma - 2.0 * n * math.log(m_bound)) / growth.rho - math.log(dim)
     saturated = log_h < _LOG_MIN
@@ -94,8 +92,7 @@ def stage_tolerances(n: int, dim: int, m_bound: float, growth: GrowthParams) -> 
 def snap(x, spacing: float):
     """Nearest lattice point of the `spacing`-scaled integer lattice
     (coordinate-wise; exact halves follow round-half-to-even)."""
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise InvalidInputError("spacing must be a positive finite real")
+    _real(spacing, "spacing", gt=0)
     arr = np.asarray(x, dtype=float)
     out = np.rint(arr / spacing) * spacing
     return float(out) if out.ndim == 0 else out
@@ -103,8 +100,8 @@ def snap(x, spacing: float):
 
 def cells_per_axis(radius: float, spacing: float) -> int:
     """Number of lattice points per axis inside [-radius, radius]."""
-    if not (radius > 0 and spacing > 0):
-        raise InvalidInputError("radius and spacing must be positive")
+    _real(radius, "radius", gt=0)
+    _real(spacing, "spacing", gt=0)
     return 2 * int(math.floor(radius / spacing + 0.5)) + 1
 
 
@@ -117,8 +114,7 @@ class GridTrajectory:
     cells: np.ndarray  # (n, N) integers
 
     def __post_init__(self):
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise InvalidInputError("spacing must be a positive finite real")
+        _real(self.spacing, "spacing", gt=0)
         c = np.asarray(self.cells, dtype=np.int64)
         if c.ndim == 1:
             c = c[:, None]
@@ -139,16 +135,14 @@ class GridTrajectory:
         return self.cells * self.spacing
 
     def realized_slack(self, f) -> float:
-        """max_k | f(x_k) - x_{k+1 mod n} | (sup norm) over the cycle."""
+        """max_k | f(x_k) - x_{k+1 mod n} | (sup norm) over the cycle, from
+        one `eval_many` call (equal to `evaluate` at each point, bit for bit)."""
         _check_map(f, "GridTrajectory.realized_slack")
+        if f.dim != self.dim:
+            raise InvalidInputError("trajectory dimension does not match the map")
         pts = self.points
-        worst = 0.0
-        for k in range(self.n):
-            x = pts[k] if self.dim > 1 else float(pts[k, 0])
-            y = np.atleast_1d(np.asarray(f.evaluate(x), dtype=float))
-            nxt = pts[(k + 1) % self.n]
-            worst = max(worst, float(np.max(np.abs(y - nxt))))
-        return worst
+        y = f.eval_many(pts[:, 0] if self.dim == 1 else pts).reshape(pts.shape)
+        return float(np.max(np.abs(y - np.roll(pts, -1, axis=0))))
 
 
 class SnapResult(NamedTuple):
@@ -164,8 +158,7 @@ def snap_orbit(f, orbit, spacing: float) -> SnapResult:
     (the initial point not repeated at the end).
     """
     pts = _trajectory(orbit)
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise InvalidInputError("spacing must be a positive finite real")
+    _real(spacing, "spacing", gt=0)
     cells = np.rint(pts / spacing).astype(np.int64)
     traj = GridTrajectory(spacing=spacing, cells=cells)
     return SnapResult(trajectory=traj, slack=traj.realized_slack(f))
@@ -305,12 +298,9 @@ def enumerate_pseudotrajectories(
     """
     _check_map(f, "enumerate_pseudotrajectories")
     n = _period(n)
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise InvalidInputError("spacing must be a positive finite real")
-    if not (slack >= 0):
-        raise InvalidInputError("slack must be a nonnegative real")
-    if budget < 0:
-        raise InvalidInputError("budget must be nonnegative")
+    _real(spacing, "spacing", gt=0)
+    _real(slack, "slack", ge=0, inf=True)
+    budget, max_samples = _period(budget, 0, "budget"), _period(max_samples, 0, "max_samples")
     R = f.domain_radius
     max_cell = int(math.floor(R / spacing + 0.5))
     N = f.dim
@@ -407,6 +397,7 @@ def close_return(trajectory, threshold: float) -> Optional[int]:
     None when the trajectory keeps its distance.  The comparison is strict,
     so threshold 0 never fires."""
     pts = _trajectory(trajectory)
+    _real(threshold, "threshold", ge=0, inf=True)
     x0 = pts[0]
     for k in range(1, len(pts)):
         if float(np.max(np.abs(pts[k] - x0))) < threshold:
@@ -424,8 +415,7 @@ def classify_simple(trajectory, floor: float) -> SimpleClassification:
     """Classify a 1-D trajectory as `simple` when the product of distances
     from its last point to all earlier points stays at or above `floor`
     (comparison done on logarithms to dodge underflow)."""
-    if not (floor >= 0 and math.isfinite(floor)):
-        raise InvalidInputError("floor must be a finite nonnegative real")
+    _real(floor, "floor", ge=0)
     dp = product_of_distances(trajectory)
     log_floor = math.log(floor) if floor > 0 else -math.inf
     return SimpleClassification(simple=dp.log >= log_floor, log_product=dp.log, log_floor=log_floor)

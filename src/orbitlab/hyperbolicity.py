@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OrbitSegment, _check_map, cocycle
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _real
 
 __all__ = [
     "HyperbolicityValue",
@@ -137,8 +137,7 @@ def gamma_linear(matrix, refine_tol: float = 1e-10) -> HyperbolicityValue:
     gamma = ||lambda| - 1|.
     """
     L = _as_square(matrix)
-    if refine_tol <= 0:
-        raise InvalidInputError("refine_tol must be positive")
+    _real(refine_tol, "refine_tol", gt=0)
     if L.shape[0] == 1:
         lam = float(L[0, 0])
         gamma = abs(abs(lam) - 1.0)
@@ -188,8 +187,7 @@ def is_gamma_hyperbolic(matrix, gamma: float, refine_tol: float = 1e-10) -> bool
     tolerance, so for a sound claim at the boundary compare against
     ``value.gamma - value.certified_tolerance`` yourself.
     """
-    if not math.isfinite(gamma) or gamma < 0:
-        raise InvalidInputError("threshold gamma must be a finite nonnegative real")
+    _real(gamma, "gamma", ge=0)
     return gamma_linear(matrix, refine_tol).gamma >= gamma
 
 

@@ -51,6 +51,7 @@ from .errors import (
     InvalidInputError,
     NearDiagonalError,
     RecurrenceError,
+    _real,
 )
 
 __all__ = [
@@ -464,12 +465,8 @@ def hyperbolicity_perturbation(f, orb: OrbitSegment, gamma: float, margin: Optio
     CannotPerturbError.
     """
     _check_map(f, "hyperbolicity_perturbation", one_d=True)
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidInputError("gamma must be a positive real")
-    if margin is None:
-        margin = 0.1 * gamma
-    if margin < 0:
-        raise InvalidInputError("margin must be nonnegative")
+    _real(gamma, "gamma", gt=0)
+    margin = 0.1 * gamma if margin is None else _real(margin, "margin", ge=0)
     pts = _trajectory(orb, one_d=True).tolist()
     n = len(pts)
     x_last = pts[n - 1]

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, _real
 
 __all__ = [
     "multi_indices",
@@ -146,28 +146,23 @@ class BrickSpec:
     def __post_init__(self):
         if self.family not in ("factorial", "geometric", "custom"):
             raise InvalidInputError(f"unknown brick family {self.family!r}")
-        sizes = tuple(float(s) for s in self.sizes)
+        sizes = tuple(float(_real(s, "an entry of sizes", gt=0)) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) != self.truncation_degree + 1:
             raise InvalidInputError("sizes must list radii for degrees 0..truncation_degree")
-        if any(s <= 0 for s in sizes):
-            raise InvalidInputError("brick radii must be positive")
         if any(sizes[i + 1] > sizes[i] * (1 + 1e-12) for i in range(len(sizes) - 1)):
             raise InvalidInputError("brick radii must be nonincreasing")
 
     @classmethod
     def factorial(cls, tau: float, truncation_degree: int) -> "BrickSpec":
-        if tau <= 0:
-            raise InvalidInputError("tau must be positive")
+        _real(tau, "tau", gt=0)
         sizes = tuple(tau / math.factorial(k) for k in range(truncation_degree + 1))
         return cls("factorial", sizes, truncation_degree, tau=tau)
 
     @classmethod
     def geometric(cls, tau: float, q: float, truncation_degree: int) -> "BrickSpec":
-        if tau <= 0:
-            raise InvalidInputError("tau must be positive")
-        if not 0 < q < 1:
-            raise InvalidInputError("geometric ratio must satisfy 0 < q < 1")
+        _real(tau, "tau", gt=0)
+        _real(q, "q", gt=0, lt=1)
         sizes = tuple(tau * q**k for k in range(truncation_degree + 1))
         return cls("geometric", sizes, truncation_degree, tau=tau, q=q)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orbitlab import (
     BrickSpec,
+    ExperimentConfig,
     GridTrajectory,
     GrowthParams,
     HomogeneousComponent,
@@ -20,6 +21,7 @@ from orbitlab import (
     PointTuple,
     PolynomialMap,
     RootProductPerturbation,
+    cells_per_axis,
     certified_range_1d,
     classify_simple,
     close_return,
@@ -28,10 +30,13 @@ from orbitlab import (
     enumerate_pseudotrajectories,
     find_almost_periodic,
     find_periodic,
+    fit_C,
+    gamma_linear,
     gamma_n_of_map,
     hyperbolicity_perturbation,
     ih_check,
     invariant_radius,
+    is_gamma_hyperbolic,
     multijet,
     norm_bounds,
     orbit,
@@ -39,11 +44,13 @@ from orbitlab import (
     prop11_check,
     product_of_distances,
     sample,
+    snap,
     snap_orbit,
     stage_tolerances,
     zero_vector,
 )
 
+from orbitlab.errors import _real
 from orbitlab.perturbation import _MonomialTable, _Polynomial
 
 from conftest import random_contraction
@@ -595,3 +602,148 @@ def test_each_kind_of_input_is_checked_in_one_place():
                         (PointTuple, []), (closing_perturbation, line, [0.1]),
                         (product_of_distances, [0.1])):
         _raised_by("_trajectory", call, *args)
+
+
+_BELOW_0 = math.nextafter(0.0, -1.0)
+
+
+def _real_arguments():
+    """(name, call, values just outside the range, whether an infinity is
+    refused) for every real-number argument checked by `_real`, and every
+    integer argument that is checked by `_period` beside it."""
+    half = PolynomialMap.univariate([0.0, 0.5])
+    seg = orbit(half, 0.5, 2)
+    growth = GrowthParams(C=1.0, delta=1.0)
+    return [
+        # census
+        ("C", lambda v: GrowthParams(C=v, delta=1.0), [_BELOW_0], True),
+        ("delta", lambda v: GrowthParams(C=1.0, delta=v), [_BELOW_0], True),
+        ("rho", lambda v: GrowthParams(C=1.0, delta=1.0, rho=v), [0.0, math.nextafter(1.0, 2.0)], True),
+        ("radius", lambda v: find_periodic(half, 1, radius=v), [0.0], True),
+        ("radius", lambda v: ih_check(half, growth, 1, radius=v), [0.0], True),
+        ("tol", lambda v: find_periodic(half, 1, tol=v), [0.0, 1.0], True),
+        ("slack", lambda v: find_almost_periodic(half, 1, v), [_BELOW_0], True),
+        ("resolution", lambda v: find_almost_periodic(half, 1, 0.1, resolution=v), [0.0], True),
+        # experiment
+        ("deltas", lambda v: ExperimentConfig(deltas=[0.5, v]), [0.0], True),
+        ("ih_c_factor", lambda v: ExperimentConfig(ih_c_factor=v), [math.nextafter(1.0, 0.0)], True),
+        ("tol", lambda v: ExperimentConfig(tol=v), [0.0, 1.0], True),
+        ("radius", lambda v: ExperimentConfig(radius=v), [0.0], True),
+        ("delta", lambda v: fit_C({1: 0.5}, v), [_BELOW_0], True),
+        ("periods", lambda v: fit_C({v: 0.5}, 1.0), [0, 1.5], True),
+        # dynamics
+        ("domain_radius", lambda v: PolynomialMap.univariate([0.0, 0.5], domain_radius=v), [0.0], True),
+        ("dim", lambda v: PolynomialMap(v, [[1]], [[0.5]]), [0, 1.0], True),
+        ("scale", lambda v: RootProductPerturbation(v, (0.1,)), [-math.inf], True),
+        ("roots", lambda v: RootProductPerturbation(1.0, (0.1, v)), [-math.inf], True),
+        ("rho", lambda v: norm_bounds(half, rho=v), [0.0, math.nextafter(1.0, 2.0)], True),
+        ("radius", lambda v: orbit(half, 0.1, 2, radius=v), [0.0], True),
+        ("radius", lambda v: certified_range_1d(half, v), [0.0], True),
+        # gridlab
+        ("spacing", lambda v: snap(0.3, v), [0.0], True),
+        ("spacing", lambda v: GridTrajectory(v, [0, 1]), [0.0], True),
+        ("spacing", lambda v: snap_orbit(half, seg, v), [0.0], True),
+        ("spacing", lambda v: enumerate_pseudotrajectories(half, v, 0.1, 0, 2), [0.0], True),
+        ("radius", lambda v: cells_per_axis(v, 0.1), [0.0], True),
+        ("spacing", lambda v: cells_per_axis(1.0, v), [0.0], True),
+        ("slack", lambda v: enumerate_pseudotrajectories(half, 0.5, v, 0, 2), [_BELOW_0, -math.inf], False),
+        ("budget", lambda v: enumerate_pseudotrajectories(half, 0.5, 0.1, 0, 2, budget=v), [-1, 2.5], True),
+        ("max_samples", lambda v: enumerate_pseudotrajectories(half, 0.5, 0.1, 0, 2, max_samples=v),
+         [-1, 2.5], True),
+        ("dim", lambda v: stage_tolerances(1, v, 2.0, growth), [0, 1.5], True),
+        ("m_bound", lambda v: stage_tolerances(1, 1, v, growth), [math.nextafter(1.0, 0.0)], True),
+        ("floor", lambda v: classify_simple([0.1, 0.2], v), [_BELOW_0], True),
+        ("threshold", lambda v: close_return([0.1, 0.2], v), [_BELOW_0, -math.inf], False),
+        # hyperbolicity
+        ("refine_tol", lambda v: gamma_linear(np.diag([0.5, 2.0]), refine_tol=v), [0.0], True),
+        ("gamma", lambda v: is_gamma_hyperbolic(np.diag([0.5, 2.0]), v), [_BELOW_0], True),
+        # lagrange
+        ("gamma", lambda v: hyperbolicity_perturbation(half, seg, v), [0.0], True),
+        ("margin", lambda v: hyperbolicity_perturbation(half, seg, 0.1, margin=v), [_BELOW_0], True),
+        # perturbation
+        ("tau", lambda v: BrickSpec.factorial(v, 3), [0.0], True),
+        ("tau", lambda v: BrickSpec.geometric(v, 0.5, 3), [0.0], True),
+        ("q", lambda v: BrickSpec.geometric(0.1, v, 3), [0.0, 1.0], True),
+        ("sizes", lambda v: BrickSpec.custom([1.0, v]), [0.0], True),
+    ]
+
+
+def test_every_number_argument_is_checked_in_one_place():
+    """A numeric string, NaN, an infinity where none is allowed, and each
+    value just outside the range, given to any checked number argument,
+    raise InvalidInputError from `_real` or `_period` with the argument's
+    name in the message: never TypeError or OverflowError, and never a
+    result."""
+    for name, call, outside, refuses_inf in _real_arguments():
+        for bad in ["0.5", math.nan, *outside, *([math.inf] if refuses_inf else [])]:
+            with pytest.raises(InvalidInputError) as info:
+                call(bad)
+            assert name in str(info.value), (name, bad, str(info.value))
+            assert info.traceback[-1].name in ("_real", "_period"), (name, bad, info.traceback[-1].name)
+    # NaN is refused where an infinity is allowed and no bound would refuse it
+    assert _real(-math.inf, "x", inf=True) == -math.inf
+    with pytest.raises(InvalidInputError, match=r"^x must be a real number in \[-inf, inf\], not nan$"):
+        _real(math.nan, "x", inf=True)
+
+
+def test_bad_numbers_that_gave_answers_are_refused():
+    """Three calls that returned wrong answers before the numbers were
+    checked: an orbit that never escaped a NaN radius, a NaN certified
+    tolerance, and a brick of NaN radii."""
+    with pytest.raises(InvalidInputError, match="radius"):
+        orbit(PolynomialMap.univariate([0, 2]), 0.5, 60, radius=math.nan)
+    with pytest.raises(InvalidInputError, match="refine_tol"):
+        gamma_linear(np.diag([0.5, 2.0]), refine_tol=math.nan)
+    with pytest.raises(InvalidInputError, match="tau"):
+        BrickSpec.factorial(math.nan, 3)
+
+
+def test_census_radius_and_tol_of_any_real_type_agree():
+    """A radius given as int, float or np.float64 and a tol given as float
+    or np.float64 give equal censuses, each on a fresh map."""
+    first, *rest = [
+        find_periodic(PolynomialMap.univariate([0.95, 0.0, -1.8]), 6, radius=radius, tol=tol)
+        for radius in (1, 1.0, np.float64(1.0)) for tol in (1e-10, np.float64(1e-10))
+    ]
+    assert first.count == 15 and first.certified
+    assert all(res == first for res in rest)
+
+
+def test_root_product_bounds_and_identity_are_the_old_floats():
+    """The root-product bounds from one shared loop, and the identity map
+    built as a linear map, are the floats and rows of their own loops."""
+    def old_bounds(scale, roots, radius):
+        p = abs(scale)
+        for r in roots:
+            p *= radius + abs(r)
+        v, d = abs(scale), 0.0
+        for r in roots:
+            d = d * (radius + abs(r)) + v
+            v = v * (radius + abs(r))
+        v2, d2, dd = abs(scale), 0.0, 0.0
+        for r in roots:
+            dd = dd * (radius + abs(r)) + 2.0 * d2
+            d2 = d2 * (radius + abs(r)) + v2
+            v2 = v2 * (radius + abs(r))
+        return p, d, dd
+
+    rng = np.random.default_rng(11)
+    for k in range(8):
+        scale = float(rng.normal()) * 10.0 ** int(rng.integers(-8, 8))
+        roots = tuple(rng.uniform(-1.5, 1.5, k).tolist())
+        for radius in (0.0, 0.5, 1.0625, float(rng.uniform(0.1, 3.0))):
+            term = RootProductPerturbation(scale, roots)
+            got = (term.sup_bound(radius), term.d1_bound(radius), term.d2_bound(radius))
+            assert got == old_bounds(scale, term.roots, radius)
+
+    for dim in (1, 2, 3, 5):
+        terms = {}
+        for j in range(dim):
+            vec = np.zeros(dim)
+            vec[j] = 1.0
+            terms[tuple(1 if i == j else 0 for i in range(dim))] = vec
+        old = PolynomialMap.from_terms(dim, terms, 1.5)
+        new = PolynomialMap.identity(dim, 1.5)
+        assert new.dim == old.dim and new.domain_radius == old.domain_radius
+        for a, b in ((new.exponents, old.exponents), (new.coeffs, old.coeffs)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

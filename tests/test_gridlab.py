@@ -15,6 +15,7 @@ from orbitlab import (
     InvalidInputError,
     PerturbedMap,
     PolynomialMap,
+    RootProductPerturbation,
     cells_per_axis,
     classify_simple,
     close_return,
@@ -125,6 +126,33 @@ def test_grid_trajectory_points_and_validation():
     assert np.allclose(traj.points[:, 0], [0.5, -0.25, 0.0])
     with pytest.raises(InvalidInputError):
         GridTrajectory(spacing=0.25, cells=np.zeros((0, 1)))
+
+
+def test_realized_slack_is_the_loop_over_points_bit_for_bit():
+    """The slack from one eval_many call is the slack of the loop over
+    evaluate at each point, bit for bit, on a 1-D map with a root-product
+    term and on the 2-D Henon map; a trajectory of another dimension than
+    the map's is refused."""
+    def loop(traj, f):
+        pts = traj.points
+        worst = 0.0
+        for k in range(traj.n):
+            x = pts[k] if traj.dim > 1 else float(pts[k, 0])
+            y = np.atleast_1d(np.asarray(f.evaluate(x), dtype=float))
+            worst = max(worst, float(np.max(np.abs(y - pts[(k + 1) % traj.n]))))
+        return worst
+
+    rng = np.random.default_rng(5)
+    line = PolynomialMap.univariate([0.1, 0.3, -0.9]).with_term(RootProductPerturbation(0.05, (0.2, -0.4, 0.7)))
+    henon = PolynomialMap.from_terms(2, HENON, domain_radius=1.5)
+    for f in (line, henon):
+        for n in (1, 2, 7, 40):
+            for spacing in (0.025, 0.1, 1 / 3):
+                traj = GridTrajectory(spacing, rng.integers(-9, 10, (n, f.dim)))
+                assert traj.realized_slack(f) == loop(traj, f)
+    for traj, f in ((GridTrajectory(0.1, [1, 2]), henon), (GridTrajectory(0.1, [[1, 2]]), line)):
+        with pytest.raises(InvalidInputError):
+            traj.realized_slack(f)
 
 
 def test_snap_orbit_worked_example():
