@@ -58,23 +58,26 @@ enclosure meets none of their enclosures and regions, else 0: not proved.
 
 The work that does not depend on the period is done once per map and
 reused by every later census, cover and ih_check on it: the certified
-ranges behind the radius (kept by certified_range_1d, which the
-experiment's invariance check shares) and, per radius, one _Domain: R,
-the bounds on [-R, R] (sup |f'|, sup |f''|, the per-step slack) and
-their pads, the initial grid of cells (read-only) that all three start
-from, and its orbit tube at every period asked for.  The tube at period
-n is the tube at period n - 1 plus one step, so a later call reads its
-own period's tube or extends the one held at the highest period below;
-the result is bit for bit the one computed from scratch.  A reused orbit
-still counts as evaluations, so budgets and reported evaluations do not
-depend on what came before.  The domain also keeps each census's
-certified enclosures, with their least periods, and uncertified regions
-per (tol, budget, period); a census reads its divisors' from there, or
-runs them, so its result does not depend on what came before either.
-The memo (dynamics._MEMO) is keyed on the map object the caller passed,
-a bare PolynomialMap or a PerturbedMap, weakly and with no reference back
-to the map, so an entry goes as soon as its map does; it assumes a map
-is not mutated after it is built, as the 1-D fold already does.
+ranges behind the radius and the map's bound triple at each (kept by
+certified_range_1d, which the experiment's invariance check shares) and,
+per radius, one _Domain: R, the bounds on [-R, R] (sup |f'|, sup |f''|,
+the per-step slack) and their pads, the initial grid of cells
+(read-only) that all three start from, and its orbit tube at every
+period asked for.  The tube at period n is the tube at period n - 1 plus
+one step, so a later call reads its own period's tube or extends the one
+held at the highest period below; the result is bit for bit the one
+computed from scratch.  A reused orbit still counts as evaluations, so
+budgets and reported evaluations do not depend on what came before.  The
+domain also keeps each census's certified enclosures, with their least
+periods, and uncertified regions per (tol, budget, period); a census
+reads its divisors' from there, or runs them, so its result does not
+depend on what came before either.  The memo (dynamics._MEMO) is keyed
+on the map object the caller passed, a bare PolynomialMap or a
+PerturbedMap, weakly and with no reference back to the map, so an entry
+goes as soon as its map does; it assumes a map is not mutated after it
+is built, as the 1-D fold already does.  A PerturbedMap's bounds read
+its base's triple from the base's own entry, so a base that many maps
+share is bounded once per radius.
 
 Orbits of points outside the cell tubes use the cells' two kernels:
 _tubes_at, one point at a time with f.evaluate, for the ends _settle reads
@@ -108,7 +111,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import _check_map, _memo, certified_range_1d, invariant_radius, norm_bounds
+from .dynamics import _bounds, _check_map, _memo, certified_range_1d, invariant_radius, norm_bounds
 from .errors import UncertifiedCensusError, _period, _real
 
 __all__ = [
@@ -279,11 +282,11 @@ def _dev(lam, lam_hi, n: int):
 
 def _domain(f, R: float) -> _Domain:
     """The _Domain of f on [-R, R], built once and kept in the map's memo,
-    which it shares with certified_range_1d."""
+    which it shares with certified_range_1d and the map's bounds."""
     key = ("domain", R)
     memo = _memo(f)
     if key not in memo:
-        D2 = f.d2_bound(R)
+        sup, _, D2 = _bounds(f, R)
         # sup |f'| from a grid, padded by the curvature between grid points
         xs = np.linspace(-R, R, 4097)
         D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * (2.0 * R / 4096) / 2.0
@@ -291,7 +294,7 @@ def _domain(f, R: float) -> _Domain:
         grid = (0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
         for a in grid:
             a.flags.writeable = False  # shared with later calls
-        memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, f.sup_bound(R), 1.0),
+        memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, sup, 1.0),
                             d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
                             grid=grid, tubes={}, roots={})
     return memo[key]

@@ -10,7 +10,12 @@ that takes a map evaluates, and memoizes work for, the object it is given.
 All certified quantities here are honest one-sided bounds: coefficient sums
 bound derivatives from above, grid evaluations plus a Lipschitz term bound
 sup-norms, and the inverse-map C1 norm is bounded through the smallest
-singular value of the Jacobian on a grid with a curvature correction.
+singular value of the Jacobian on a grid with a curvature correction.  Each
+kind of term (a `_Polynomial`, a `RootProductPerturbation`, and a whole
+brick through `brick_bounds`) gives its coefficient bounds over a ball as
+one triple (sup, d1, d2) from one `bounds(radius)`; a `PerturbedMap` adds
+its terms' triples to its base's.  The memo (`_MEMO`) keeps one triple per
+map and radius, which certified_range_1d, norm_bounds and the census read.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from .perturbation import (
     _Polynomial,
     _as_point,
     _as_scalar,
-    brick_d1_bound,
-    brick_d2_bound,
-    brick_sup_bound,
+    brick_bounds,
     check_admissible,
 )
 
@@ -180,24 +183,16 @@ class RootProductPerturbation:
     def jac(self, x) -> np.ndarray:
         return np.array([[self.derivative(_as_scalar(x))]])
 
-    def _bounds(self, radius: float) -> tuple:
-        """Bounds on |value|, |derivative| and |second derivative| over the
-        ball: the product rule over |x - r| <= radius + |r|."""
+    def bounds(self, radius: float) -> tuple:
+        """(sup, d1, d2): bounds on |value|, |derivative| and |second
+        derivative| over the ball, by the product rule over
+        |x - r| <= radius + |r|."""
         v, d, dd = abs(self.scale), 0.0, 0.0
         for r in self.roots:
             dd = dd * (radius + abs(r)) + 2.0 * d
             d = d * (radius + abs(r)) + v
             v = v * (radius + abs(r))
         return v, d, dd
-
-    def sup_bound(self, radius: float) -> float:
-        return self._bounds(radius)[0]
-
-    def d1_bound(self, radius: float) -> float:
-        return self._bounds(radius)[1]
-
-    def d2_bound(self, radius: float) -> float:
-        return self._bounds(radius)[2]
 
 
 class PerturbedMap:
@@ -210,7 +205,9 @@ class PerturbedMap:
     appending it leaves the map's value unchanged there.  A point and a
     batch take the same float operations, so `evaluate` and `eval_many`
     (likewise `derivative` and `deriv_many`, `jac` and `jac_many`) agree bit
-    for bit.  The certified bounds stay sums of per-term bounds.
+    for bit.  Its certified `bounds` are its base's plus its terms', each
+    term giving one triple (sup, d1, d2), so a base shared by many maps is
+    bounded once per radius.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -297,14 +294,11 @@ class PerturbedMap:
             return PerturbedMap.deriv_many(self, xs).reshape(-1, 1, 1)
         return self._fold.jac_many(xs)
 
-    def sup_bound(self, radius: float) -> float:
-        return self.base.sup_bound(radius) + sum(t.sup_bound(radius) for t in self.terms)
-
-    def d1_bound(self, radius: float) -> float:
-        return self.base.d1_bound(radius) + sum(t.d1_bound(radius) for t in self.terms)
-
-    def d2_bound(self, radius: float) -> float:
-        return self.base.d2_bound(radius) + sum(t.d2_bound(radius) for t in self.terms)
+    def bounds(self, radius: float) -> tuple:
+        """(sup, d1, d2): the base's triple, read from its memo, plus the
+        sum of the terms' triples, component by component in term order."""
+        terms = [t.bounds(radius) for t in self.terms]
+        return tuple(b + sum(t[i] for t in terms) for i, b in enumerate(_bounds(self.base, radius)))
 
     def __repr__(self):
         return f"PerturbedMap(base={self.base!r}, terms={len(self.terms)})"
@@ -438,13 +432,24 @@ def cocycle(orb: OrbitSegment) -> np.ndarray:
 # Work that depends only on the map, per map object: key -> value.  Keyed
 # on the object the caller passed (a PolynomialMap or a PerturbedMap), held
 # weakly, and referring back to no map, so an entry goes as soon as its map
-# does; it assumes a map is not mutated after it is built.  Certified ranges
-# live here, and the census keeps its _Domain records here too.
+# does; it assumes a map is not mutated after it is built.  Each map's
+# certified bounds and ranges live here, per radius, and the census keeps its
+# _Domain records here too.
 _MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _memo(f) -> dict:
     return _MEMO.setdefault(f, {})
+
+
+def _bounds(f, radius: float) -> tuple:
+    """f.bounds(radius), the certified (sup, d1, d2) of f over the ball of
+    radius `radius`: computed once per map and radius, and kept in the
+    map's memo."""
+    memo = _memo(f)
+    if ("bounds", radius) not in memo:
+        memo["bounds", radius] = f.bounds(radius)
+    return memo["bounds", radius]
 
 
 # points of the grid whose extrema certified_range_1d pads
@@ -463,7 +468,7 @@ def certified_range_1d(f, radius: float):
         _real(radius, "radius", gt=0)
         xs = np.linspace(-radius, radius, _RANGE_GRID)
         vals = f.eval_many(xs)
-        pad = f.d1_bound(radius) * (xs[1] - xs[0]) / 2.0
+        pad = _bounds(f, radius)[1] * (xs[1] - xs[0]) / 2.0
         memo[key] = (float(vals.min() - pad), float(vals.max() + pad))
     return memo[key]
 
@@ -519,22 +524,16 @@ def norm_bounds(
     if not cert.condition_a_converges:
         raise ConfigurationError(f"brick series diverges on the ball: {cert.reason}")
     R = f.domain_radius
-    b_c0 = brick_sup_bound(brick, f.dim, R)
-    b_d1 = brick_d1_bound(brick, f.dim, R)
-    b_d2 = brick_d2_bound(brick, f.dim, R)
-
+    b_c0, b_d1, b_d2 = brick_bounds(brick, f.dim, R)
+    f_c0, f_d1, f_d2 = _bounds(f, R)
+    n_grid = 0
     if f.dim == 1:
         lo, hi = certified_range_1d(f, R)
         # the grid range and the coefficient bound are both certified; keep
         # the tighter of the two (the grid pad would otherwise inflate maps
         # whose sup is attained flatly, e.g. the identity)
-        f_c0 = min(max(abs(lo), abs(hi)), f.sup_bound(R))
+        f_c0 = min(max(abs(lo), abs(hi)), f_c0)
         n_grid = _RANGE_GRID
-    else:
-        f_c0 = f.sup_bound(R)
-        n_grid = 0
-    f_d1 = f.d1_bound(R)
-    f_d2 = f.d2_bound(R)
 
     c0 = f_c0 + b_c0
     d1 = f_d1 + b_d1

@@ -98,11 +98,23 @@ def snap(x, spacing: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _half_cells(radius: float, spacing: float, limit: float = math.inf) -> int:
+    """floor(radius / spacing + 0.5), the lattice cells on each side of 0
+    in [-radius, radius]; InvalidInputError naming `spacing` when that
+    quotient is not finite or reaches `limit`."""
+    q = float(radius) / float(spacing) + 0.5
+    if not q < limit:
+        raise InvalidInputError(
+            f"spacing {spacing!r} is too fine for radius {radius!r}: {q:.6g} cells on each side of 0"
+        )
+    return int(math.floor(q))
+
+
 def cells_per_axis(radius: float, spacing: float) -> int:
     """Number of lattice points per axis inside [-radius, radius]."""
     _real(radius, "radius", gt=0)
     _real(spacing, "spacing", gt=0)
-    return 2 * int(math.floor(radius / spacing + 0.5)) + 1
+    return 2 * _half_cells(radius, spacing) + 1
 
 
 @dataclass(frozen=True)
@@ -288,7 +300,8 @@ def enumerate_pseudotrajectories(
     sort and sums their counts, so the next frontier comes in the order of
     first appearance.  Counts are exact integers: int64 while the layer's
     total provably fits, Python ints beyond; a layer of 2^62 successor
-    cells or more raises InvalidInputError.  `budget` caps the box
+    cells or more raises InvalidInputError, and so does a spacing that puts
+    2^62 lattice cells or more on each side of 0.  `budget` caps the box
     computations and is spent in frontier order: when it runs out, the rest
     of the layer's new cells are dropped with their branches, so the
     returned count is a lower bound and `partial` is set.  `start` is a
@@ -302,7 +315,7 @@ def enumerate_pseudotrajectories(
     _real(slack, "slack", ge=0, inf=True)
     budget, max_samples = _period(budget, 0, "budget"), _period(max_samples, 0, "max_samples")
     R = f.domain_radius
-    max_cell = int(math.floor(R / spacing + 0.5))
+    max_cell = _half_cells(R, spacing, _MAX_LISTED)
     N = f.dim
     start = _start_cell(start, spacing, N)
     coords = (start,) if N == 1 else start

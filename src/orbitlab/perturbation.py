@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, _real
+from .errors import ConfigurationError, InvalidInputError, _period, _real
 
 __all__ = [
     "multi_indices",
@@ -146,6 +146,8 @@ class BrickSpec:
     def __post_init__(self):
         if self.family not in ("factorial", "geometric", "custom"):
             raise InvalidInputError(f"unknown brick family {self.family!r}")
+        degree = _period(self.truncation_degree, -1, "truncation_degree")  # -1: empty()
+        object.__setattr__(self, "truncation_degree", degree)
         sizes = tuple(float(_real(s, "an entry of sizes", gt=0)) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) != self.truncation_degree + 1:
@@ -156,6 +158,7 @@ class BrickSpec:
     @classmethod
     def factorial(cls, tau: float, truncation_degree: int) -> "BrickSpec":
         _real(tau, "tau", gt=0)
+        truncation_degree = _period(truncation_degree, 0, "truncation_degree")
         sizes = tuple(tau / math.factorial(k) for k in range(truncation_degree + 1))
         return cls("factorial", sizes, truncation_degree, tau=tau)
 
@@ -163,6 +166,7 @@ class BrickSpec:
     def geometric(cls, tau: float, q: float, truncation_degree: int) -> "BrickSpec":
         _real(tau, "tau", gt=0)
         _real(q, "q", gt=0, lt=1)
+        truncation_degree = _period(truncation_degree, 0, "truncation_degree")
         sizes = tuple(tau * q**k for k in range(truncation_degree + 1))
         return cls("geometric", sizes, truncation_degree, tau=tau, q=q)
 
@@ -401,8 +405,9 @@ class _Polynomial:
     the coefficients of each exponent are added to 0.0 in that order (into
     `_uni`, or in N-D into one table row per distinct exponent, in order of
     first appearance).  The sum is then evaluated as one polynomial, so its
-    values differ from the sum of the parts' values only by rounding.  The
-    certified bounds come from the monomial rows."""
+    values differ from the sum of the parts' values only by rounding.
+    `bounds` gives the one certified triple (sup, d1, d2) over a ball, from
+    the monomial rows in one pass."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.exponents = exponents
@@ -473,62 +478,34 @@ class _Polynomial:
             return self.deriv_many(xs).reshape(-1, 1, 1)
         return self._table.jac(np.asarray(xs, dtype=float))
 
-    def sup_bound(self, radius: float) -> float:
-        return monomial_sup_bound(self.exponents, self.coeffs, radius)
-
-    def d1_bound(self, radius: float) -> float:
-        return monomial_d1_bound(self.exponents, self.coeffs, radius)
-
-    def d2_bound(self, radius: float) -> float:
-        return monomial_d2_bound(self.exponents, self.coeffs, radius)
-
-
-def monomial_sup_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:
-    """Triangle-inequality sup bound on the ball for an explicit monomial sum."""
-    if len(exponents) == 0:
-        return 0.0
-    total = np.abs(exponents).sum(axis=1)
-    weights = radius ** total.astype(float)
-    per_component = np.abs(coeffs).T @ weights
-    return float(np.linalg.norm(per_component))
-
-
-def monomial_d1_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:
-    """Frobenius bound on the Jacobian over the ball."""
-    if len(exponents) == 0:
-        return 0.0
-    total = np.abs(exponents).sum(axis=1).astype(float)
-    dim = exponents.shape[1]
-    D = np.zeros((coeffs.shape[1], dim))
-    for j in range(dim):
-        a_j = exponents[:, j].astype(float)
-        mask = a_j > 0
-        if not np.any(mask):
-            continue
-        w = a_j[mask] * radius ** (total[mask] - 1.0)
-        D[:, j] = np.abs(coeffs[mask]).T @ w
-    return float(np.linalg.norm(D))
-
-
-def monomial_d2_bound(exponents: np.ndarray, coeffs: np.ndarray, radius: float) -> float:
-    """Frobenius bound on the second derivative (as a bilinear map) over the ball."""
-    if len(exponents) == 0:
-        return 0.0
-    total = np.abs(exponents).sum(axis=1).astype(float)
-    dim = exponents.shape[1]
-    acc = 0.0
-    for j in range(dim):
-        for l in range(dim):
+    def bounds(self, radius: float) -> tuple:
+        """(sup, d1, d2): triangle-inequality bounds over the ball of radius
+        `radius` on |p|, on the Frobenius norm of the Jacobian and on that of
+        the second derivative (as a bilinear map), from the monomial rows.
+        The three share the exponent totals and absolute coefficients; each
+        keeps its own masks, matrix products and norm."""
+        exponents = self.exponents
+        if len(exponents) == 0:
+            return 0.0, 0.0, 0.0
+        total = np.abs(exponents).sum(axis=1).astype(float)
+        size = np.abs(self.coeffs)
+        dim = exponents.shape[1]
+        sup = float(np.linalg.norm(size.T @ radius**total))
+        D = np.zeros((size.shape[1], dim))
+        acc = 0.0
+        for j in range(dim):
             a_j = exponents[:, j].astype(float)
-            a_l = exponents[:, l].astype(float)
-            factor = a_j * (a_j - 1.0) if j == l else a_j * a_l
-            mask = (factor > 0) & (total >= 2)
-            if not np.any(mask):
-                continue
-            w = factor[mask] * radius ** (total[mask] - 2.0)
-            col = np.abs(coeffs[mask]).T @ w
-            acc += float(np.sum(col * col))
-    return math.sqrt(acc)
+            mask = a_j > 0
+            if np.any(mask):
+                D[:, j] = size[mask].T @ (a_j[mask] * radius ** (total[mask] - 1.0))
+            for l in range(dim):
+                a_l = exponents[:, l].astype(float)
+                factor = a_j * (a_j - 1.0) if j == l else a_j * a_l
+                mask = (factor > 0) & (total >= 2)
+                if np.any(mask):
+                    col = size[mask].T @ (factor[mask] * radius ** (total[mask] - 2.0))
+                    acc += float(np.sum(col * col))
+        return sup, float(np.linalg.norm(D)), math.sqrt(acc)
 
 
 @dataclass
@@ -674,27 +651,18 @@ def tail_bound(brick: BrickSpec, dim: int, k_max: Optional[int] = None) -> float
     return total * root
 
 
-def brick_sup_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """sup over the ball of radius `radius` of |eps(x)| for any eps in the
-    brick: sum_k r_k radius^k (Cauchy-Schwarz in the weighted norm)."""
-    return float(sum(r * radius**k for k, r in enumerate(brick.sizes)))
-
-
-def brick_d1_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """Jacobian operator-norm bound over the brick: each partial derivative of
-    a degree-k component has weighted norm at most k r_k."""
+def brick_bounds(brick: BrickSpec, dim: int, radius: float) -> tuple:
+    """(sup, d1, d2) over the ball of radius `radius` for any eps in the
+    brick: sup |eps| <= sum_k r_k radius^k (Cauchy-Schwarz in the weighted
+    norm); each partial derivative of a degree-k component has weighted
+    norm at most k r_k, which bounds the Jacobian's operator norm; and the
+    second derivative, as a bilinear form, likewise."""
     root = math.sqrt(dim)
-    return float(
-        sum(root * k * r * radius ** (k - 1) for k, r in enumerate(brick.sizes) if k >= 1)
-    )
-
-
-def brick_d2_bound(brick: BrickSpec, dim: int, radius: float) -> float:
-    """Second-derivative (bilinear form) bound over the brick."""
-    return float(
-        sum(
-            dim * k * (k - 1) * r * radius ** (k - 2)
-            for k, r in enumerate(brick.sizes)
-            if k >= 2
-        )
-    )
+    sup = d1 = d2 = 0
+    for k, r in enumerate(brick.sizes):
+        sup += r * radius**k
+        if k >= 1:
+            d1 += root * k * r * radius ** (k - 1)
+        if k >= 2:
+            d2 += dim * k * (k - 1) * r * radius ** (k - 2)
+    return float(sup), float(d1), float(d2)

@@ -714,12 +714,16 @@ def test_reused_census_work_matches_a_fresh_map(monkeypatch):
     report = ih_check(f, params, 8)
     assert report == ih_check(_seeded_quadratic(), params, 8)
     assert [row.status for row in report.rows] == ["holds"] * 8
-    # the memo holds one domain per radius: the initial grid, read-only, and
-    # its tube at every period asked for
+    # the memo holds the ranges and the bound triples of the radii tried, and
+    # one domain, at the radius found: the initial grid, read-only, and its
+    # tube at every period asked for
     memo, R = dynamics._MEMO[f], report.radius
-    (key,) = [k for k in memo if k[0] != "range"]
+    assert {k[0] for k in memo} == {"range", "bounds", "domain"}
+    assert {k for k in memo if k[0] == "bounds"} == {("bounds", r) for kind, r in memo if kind == "range"}
+    (key,) = [k for k in memo if k[0] == "domain"]
     dom = memo[key]
     assert key == ("domain", R) and dom.R == R
+    assert (dom.D2, dom.step) == (memo["bounds", R][2], 64.0 * census._EPS * max(R, memo["bounds", R][0], 1.0))
     mids, halves = dom.grid
     assert not (mids.flags.writeable or halves.flags.writeable)
     edges = np.linspace(-R, R, census._GRID_CELLS + 1)
@@ -786,13 +790,16 @@ def test_census_reads_the_roots_its_divisors_located(monkeypatch):
 
 
 def test_census_memo_goes_with_its_map():
+    """A census memoizes the perturbed map and, for its bounds, the map's
+    base: two entries, which go with the map."""
     gc.collect()
     before = len(dynamics._MEMO)
     f = _seeded_quadratic()
     find_periodic(f, 4)
     ih_check(f, GrowthParams(C=1.0, delta=1.0), 2)
-    assert f in dynamics._MEMO
-    assert len(dynamics._MEMO) == before + 1
+    assert f in dynamics._MEMO and f.base in dynamics._MEMO
+    assert set(dynamics._MEMO[f.base]) == {k for k in dynamics._MEMO[f] if k[0] == "bounds"}
+    assert len(dynamics._MEMO) == before + 2
     del f
     gc.collect()
     assert len(dynamics._MEMO) == before
@@ -800,23 +807,25 @@ def test_census_memo_goes_with_its_map():
 
 def test_census_memo_hits_for_a_bare_polynomial_map(monkeypatch):
     """The memo is keyed on the bare PolynomialMap itself: three censuses of
-    it certify the range and build the bounds once, as on a PerturbedMap,
-    and nothing in the entry refers back to the map, so the entry goes as
-    soon as the map does, with no garbage collection."""
-    builds = {"range": 0, "bounds": 0}
-    for name, kind in (("d1_bound", "range"), ("d2_bound", "bounds")):
-        def counted(self, radius, _kind=kind, _bound=getattr(PolynomialMap, name)):
-            builds[_kind] += 1
-            return _bound(self, radius)
-        monkeypatch.setattr(PolynomialMap, name, counted)
+    it compute its bound triple once, for the range and the domain at the
+    radius 1 it certifies, as on a PerturbedMap, and nothing in the entry
+    refers back to the map, so the entry goes as soon as the map does, with
+    no garbage collection."""
+    radii = []
+    bounds = PolynomialMap.bounds
+
+    def counted(self, radius):
+        radii.append(radius)
+        return bounds(self, radius)
+
+    monkeypatch.setattr(PolynomialMap, "bounds", counted)
     gc.collect()
     before = len(dynamics._MEMO)
     f = PolynomialMap.univariate(CHAOTIC)
-    find_periodic(f, 6)
-    once = dict(builds)
-    for n in (7, 8):
+    for n in (6, 7, 8):
         find_periodic(f, n)
-    assert builds == once and once["range"] >= 1 and once["bounds"] == 1
+    assert radii == [1.0]
+    assert set(dynamics._MEMO[f]) == {("range", 1.0), ("bounds", 1.0), ("domain", 1.0)}
     assert f in dynamics._MEMO and len(dynamics._MEMO) == before + 1
     gc.disable()
     try:

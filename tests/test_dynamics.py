@@ -1,5 +1,6 @@
 """Tests for map construction, orbits, and certified norm bounds."""
 
+import gc
 import math
 
 import numpy as np
@@ -50,8 +51,9 @@ from orbitlab import (
     zero_vector,
 )
 
+from orbitlab import dynamics
 from orbitlab.errors import _real
-from orbitlab.perturbation import _MonomialTable, _Polynomial
+from orbitlab.perturbation import _MonomialTable, _Polynomial, brick_bounds
 
 from conftest import random_contraction
 
@@ -665,6 +667,9 @@ def _real_arguments():
         ("tau", lambda v: BrickSpec.geometric(v, 0.5, 3), [0.0], True),
         ("q", lambda v: BrickSpec.geometric(0.1, v, 3), [0.0, 1.0], True),
         ("sizes", lambda v: BrickSpec.custom([1.0, v]), [0.0], True),
+        ("truncation_degree", lambda v: BrickSpec.factorial(0.1, v), [-1, 0.5], True),
+        ("truncation_degree", lambda v: BrickSpec.geometric(0.1, 0.5, v), [-1, 0.5], True),
+        ("truncation_degree", lambda v: BrickSpec("custom", (), v), [-2, 0.5], True),
     ]
 
 
@@ -709,32 +714,33 @@ def test_census_radius_and_tol_of_any_real_type_agree():
     assert all(res == first for res in rest)
 
 
+def _old_root_product_bounds(scale, roots, radius):
+    """The root-product sup, D1 and D2 bounds as their own three loops."""
+    p = abs(scale)
+    for r in roots:
+        p *= radius + abs(r)
+    v, d = abs(scale), 0.0
+    for r in roots:
+        d = d * (radius + abs(r)) + v
+        v = v * (radius + abs(r))
+    v2, d2, dd = abs(scale), 0.0, 0.0
+    for r in roots:
+        dd = dd * (radius + abs(r)) + 2.0 * d2
+        d2 = d2 * (radius + abs(r)) + v2
+        v2 = v2 * (radius + abs(r))
+    return p, d, dd
+
+
 def test_root_product_bounds_and_identity_are_the_old_floats():
     """The root-product bounds from one shared loop, and the identity map
     built as a linear map, are the floats and rows of their own loops."""
-    def old_bounds(scale, roots, radius):
-        p = abs(scale)
-        for r in roots:
-            p *= radius + abs(r)
-        v, d = abs(scale), 0.0
-        for r in roots:
-            d = d * (radius + abs(r)) + v
-            v = v * (radius + abs(r))
-        v2, d2, dd = abs(scale), 0.0, 0.0
-        for r in roots:
-            dd = dd * (radius + abs(r)) + 2.0 * d2
-            d2 = d2 * (radius + abs(r)) + v2
-            v2 = v2 * (radius + abs(r))
-        return p, d, dd
-
     rng = np.random.default_rng(11)
     for k in range(8):
         scale = float(rng.normal()) * 10.0 ** int(rng.integers(-8, 8))
         roots = tuple(rng.uniform(-1.5, 1.5, k).tolist())
         for radius in (0.0, 0.5, 1.0625, float(rng.uniform(0.1, 3.0))):
             term = RootProductPerturbation(scale, roots)
-            got = (term.sup_bound(radius), term.d1_bound(radius), term.d2_bound(radius))
-            assert got == old_bounds(scale, term.roots, radius)
+            assert term.bounds(radius) == _old_root_product_bounds(scale, term.roots, radius)
 
     for dim in (1, 2, 3, 5):
         terms = {}
@@ -747,3 +753,130 @@ def test_root_product_bounds_and_identity_are_the_old_floats():
         assert new.dim == old.dim and new.domain_radius == old.domain_radius
         for a, b in ((new.exponents, old.exponents), (new.coeffs, old.coeffs)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _old_monomial_bounds(exponents, coeffs, radius):
+    """The three monomial bound functions as they were before `bounds`, one
+    pass each."""
+    if len(exponents) == 0:
+        return 0.0, 0.0, 0.0
+    total = np.abs(exponents).sum(axis=1)
+    sup = float(np.linalg.norm(np.abs(coeffs).T @ radius ** total.astype(float)))
+    total = total.astype(float)
+    dim = exponents.shape[1]
+    D = np.zeros((coeffs.shape[1], dim))
+    for j in range(dim):
+        a_j = exponents[:, j].astype(float)
+        mask = a_j > 0
+        if not np.any(mask):
+            continue
+        w = a_j[mask] * radius ** (total[mask] - 1.0)
+        D[:, j] = np.abs(coeffs[mask]).T @ w
+    acc = 0.0
+    for j in range(dim):
+        for l in range(dim):
+            a_j = exponents[:, j].astype(float)
+            a_l = exponents[:, l].astype(float)
+            factor = a_j * (a_j - 1.0) if j == l else a_j * a_l
+            mask = (factor > 0) & (total >= 2)
+            if not np.any(mask):
+                continue
+            w = factor[mask] * radius ** (total[mask] - 2.0)
+            col = np.abs(coeffs[mask]).T @ w
+            acc += float(np.sum(col * col))
+    return sup, float(np.linalg.norm(D)), math.sqrt(acc)
+
+
+def _old_brick_bounds(brick, dim, radius):
+    """The three brick bound functions as they were before `brick_bounds`."""
+    root = math.sqrt(dim)
+    return (
+        float(sum(r * radius**k for k, r in enumerate(brick.sizes))),
+        float(sum(root * k * r * radius ** (k - 1) for k, r in enumerate(brick.sizes) if k >= 1)),
+        float(sum(dim * k * (k - 1) * r * radius ** (k - 2) for k, r in enumerate(brick.sizes) if k >= 2)),
+    )
+
+
+def _old_term_bounds(term, radius):
+    if isinstance(term, RootProductPerturbation):
+        return _old_root_product_bounds(term.scale, term.roots, radius)
+    return _old_monomial_bounds(term.exponents, term.coeffs, radius)
+
+
+def test_bounds_are_the_old_floats():
+    """`bounds` on monomial rows (none included, dims 1-3), on a perturbed
+    map (its base's triple plus each term's, in term order) and
+    `brick_bounds` on a brick of every family equal, with ==, the sup, D1
+    and D2 of the six functions they replace."""
+    rng = np.random.default_rng(30)
+    radii = (0.0, 0.5, 1.0, 1.0625, 1.5)
+    for dim in (1, 2, 3):
+        for rows in (0, 1, 2, 5, 9):
+            exponents = rng.integers(0, 5, size=(rows, dim))
+            coeffs = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-6, 3, size=(rows, 1))
+            f = PolynomialMap(dim, exponents, coeffs)
+            for radius in radii + (float(rng.uniform(0.1, 3.0)),):
+                assert f.bounds(radius) == _old_monomial_bounds(f.exponents, f.coeffs, radius)
+
+    bricks = [BrickSpec.empty(), BrickSpec.factorial(0.01, 8), BrickSpec.geometric(0.05, 0.5, 6),
+              BrickSpec.custom([0.1, 0.05, 0.01])]
+    for brick in bricks:
+        for dim in (1, 2, 3):
+            for radius in radii:
+                assert brick_bounds(brick, dim, radius) == _old_brick_bounds(brick, dim, radius)
+
+    quad = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    henon = PolynomialMap.from_terms(2, {(0, 0): [1.0, 0.0], (2, 0): [-1.4, 0.0], (0, 1): [1.0, 0.0],
+                                         (1, 0): [0.0, 0.3]}, domain_radius=1.5)
+    maps = [
+        PerturbedMap(quad),
+        PerturbedMap(quad, [sample(bricks[1], 1, (42, 0)), RootProductPerturbation(1e-3, (0.1, -0.2)),
+                            zero_vector(bricks[2], 1), RootProductPerturbation(-2e-4, ())]),
+        PerturbedMap(quad, sample(bricks[3], 1, 3)).with_term(RootProductPerturbation(1e-5, (0.3,))),
+        PerturbedMap(henon, [sample(bricks[2], 2, 5), sample(bricks[1], 2, 6)]),
+    ]
+    for f in maps:
+        for radius in radii:
+            old = [_old_term_bounds(t, radius) for t in (f.base,) + f.terms]
+            want = tuple(old[0][i] + sum(t[i] for t in old[1:]) for i in range(3))
+            assert f.bounds(radius) == want
+
+
+def test_bounds_are_computed_once_per_map_and_radius(monkeypatch):
+    """Two perturbed maps on one base, each given ranges, norm bounds and a
+    census: each map's triple is computed once per radius, the shared base's
+    once per radius for both, and each memo entry goes with its own map."""
+    calls = []
+    for cls in (PolynomialMap, PerturbedMap):
+        def counted(self, radius, _bounds=cls.bounds):
+            calls.append((self, radius))
+            return _bounds(self, radius)
+        monkeypatch.setattr(cls, "bounds", counted)
+    gc.collect()
+    before = len(dynamics._MEMO)
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    brick = BrickSpec.factorial(0.01, 8)
+    maps = [PerturbedMap(base, sample(brick, 1, (42, i))) for i in range(2)]
+    for f in maps:
+        for radius in (1.0, 1.25):
+            certified_range_1d(f, radius)
+        norm_bounds(f, brick)
+        find_periodic(f, 3, radius=1.25)
+    f, g = maps
+    assert calls == [(f, 1.0), (base, 1.0), (f, 1.25), (base, 1.25), (g, 1.0), (g, 1.25)]
+    for h in (f, g, base):
+        assert set(dynamics._MEMO[h]) >= {("bounds", 1.0), ("bounds", 1.25)}
+        assert dynamics._MEMO[h]["bounds", 1.0] == h.bounds(1.0)
+    assert dynamics._MEMO[f]["bounds", 1.0] != dynamics._MEMO[g]["bounds", 1.0]
+    calls.clear()  # it holds the maps
+    assert len(dynamics._MEMO) == before + 3
+    del f, g, h
+    maps.pop()
+    gc.collect()
+    assert len(dynamics._MEMO) == before + 2 and base in dynamics._MEMO
+    maps.clear()
+    gc.collect()
+    assert len(dynamics._MEMO) == before + 1
+    del base
+    gc.collect()
+    assert len(dynamics._MEMO) == before

@@ -120,6 +120,25 @@ def test_cells_per_axis():
         assert abs(cells_per_axis(1.0, h) - math.ceil(2.0 / h)) <= 1
 
 
+def test_a_spacing_too_fine_to_index_is_refused():
+    """A spacing whose cells per half axis overflow a float, or, in the
+    enumeration, reach 2^62, raises InvalidInputError naming `spacing`: not
+    OverflowError, and not a count of 0 from a wrapped int64 cast.  Just
+    below 2^62 the lattice is indexed: the fixed point 0 of x/2 with no
+    slack is one tuple."""
+    calls = [
+        lambda: cells_per_axis(1e300, 1e-10),
+        lambda: enumerate_pseudotrajectories(half(), 1e-320, 0.1, 0, 2),
+        lambda: enumerate_pseudotrajectories(half(), 1e-20, 0.1, 0, 2),
+        lambda: enumerate_pseudotrajectories(half(), 2.0**-62, 0.1, 0, 2),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match=r"^spacing "):
+            call()
+    assert cells_per_axis(1.0, 1e-20) == 2 * 10**20 + 1
+    assert enumerate_pseudotrajectories(half(), 2.0**-61, 0.0, 0, 2).count == 1
+
+
 def test_grid_trajectory_points_and_validation():
     traj = GridTrajectory(spacing=0.25, cells=np.array([2, -1, 0]))
     assert traj.n == 3 and traj.dim == 1

@@ -203,7 +203,7 @@ def test_sup_bound_dominates_samples(rng):
         eps = sample(b, 1, (55, i))
         xs = rng.uniform(-0.7, 0.7, size=50)
         vals = np.abs([float(np.ravel(eps.value(float(x)))[0]) for x in xs])
-        assert vals.max() <= eps.sup_bound(0.7) + 1e-12
+        assert vals.max() <= eps.bounds(0.7)[0] + 1e-12
 
 
 def test_perturbation_record_roundtrip():
@@ -220,7 +220,7 @@ def test_zero_vector():
     b = BrickSpec.factorial(0.1, 4)
     z = zero_vector(b, 1)
     assert float(np.ravel(z.value(0.37))[0]) == 0.0
-    assert z.sup_bound(1.0) == 0.0
+    assert z.bounds(1.0) == (0.0, 0.0, 0.0)
 
 
 def test_tail_bound_geometric_closed_form():
