@@ -71,21 +71,35 @@ budgets and reported evaluations do not depend on what came before.  The
 domain also keeps each census's certified enclosures, with their least
 periods, and uncertified regions per (tol, budget, period); a census
 reads its divisors' from there, or runs them, so its result does not
-depend on what came before either.  The memo (dynamics._MEMO) is keyed
-on the map object the caller passed, a bare PolynomialMap or a
-PerturbedMap, weakly and with no reference back to the map, so an entry
-goes as soon as its map does; it assumes a map is not mutated after it
-is built, as the 1-D fold already does.  A PerturbedMap's bounds read
+depend on what came before either.  The memo (dynamics._MEMO) is keyed on
+the map object the caller passed, a bare PolynomialMap or a PerturbedMap,
+weakly and with no reference back to the map, so an entry goes as soon
+as its map does; it assumes a map is not mutated after it is built, as
+the 1-D fold already does.  A PerturbedMap's bounds read
 its base's triple from the base's own entry, so a base that many maps
 share is bounded once per radius.
 
+The census runs on a stack of maps (_Stack): find_periodic and ih_check
+are stacks of one, and the experiment's consecutive samples are one stack
+(_census_stack: its censuses at every period, then its ih_check stages),
+so that one array pass per round serves every map and the per-call cost
+is paid once per stack.  Each row of a round carries the column of its
+map; the stack evaluates all rows at once from a table of each map's
+Horner coefficients (dynamics._horner_parts), with each _Domain constant
+one column per map (_Rows), which takes each map's own float operations,
+so every map's floats are those of its census alone.  Budgets,
+evaluations, records, dom.roots and the memo stay per map; no run, wave,
+cluster or deduplicated end joins two maps, and each map's cells keep the
+order they have alone.
+
 Orbits of points outside the cell tubes use the cells' two kernels:
-_tubes_at, one point at a time with f.evaluate, for the ends _settle reads
-and _newton's steps up to _SCALAR_POINTS points and for every record's
-orbit; _tube_many, with eval_many, for more ends or steps and for
-ih_check's witnesses.  A 1-D map's evaluate and eval_many perform the same
-float operations in the same order, so the choice never changes a value.
-The held-run test follows the same size rule, with the same results.
+_tubes_at, one point at a time on floats, for up to _SCALAR_POINTS
+points (the ends _settle reads, _newton's steps, the records of held
+roots and candidates, all maps' together); _tube_many, on the rows of the
+stack, for more and for ih_check's witnesses.  A 1-D map's evaluate and
+the rows' evaluation perform the same float operations in the same
+order, so the choice never changes a value.  The held-run test follows
+the same size rule, with the same results.
 
 On top of the census sit:
 
@@ -103,6 +117,7 @@ reported as uncertified regions, never silently dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -111,8 +126,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import _bounds, _check_map, _memo, certified_range_1d, invariant_radius, norm_bounds
+from .dynamics import (_bounds, _check_map, _horner_parts, _memo, certified_range_1d, invariant_radius,
+                       norm_bounds)
 from .errors import UncertifiedCensusError, _period, _real
+from .perturbation import _horner
 
 __all__ = [
     "GrowthParams",
@@ -232,30 +249,39 @@ class CensusResult:
 # floats, one at a time; larger sets on NumPy arrays.  Each array call costs
 # a near-constant overhead up to a few dozen elements, each float element a
 # few hundred ns, so each use has a crossover (shared 2-CPU x86 host):
-#   tube step (_settle's ends, _newton's steps): an eval_many step costs
-#     about 14 us, a scalar step 0.7 us a point (degree 9, with and without
-#     a root-product term): they cross at 20-24 points;
+#   tube step (point orbits: _settle's ends, held roots' and candidates'
+#     records; _newton's steps): an eval_many step costs about 14 us, a
+#     scalar step 0.7 us a point (degree 9, with and without a root-product
+#     term): they cross at 20-24 points;
 #   held-run test (_held_runs): the arrays take 25-30 us a call, the floats
 #     5-11 us at 1-8 intervals: they cross at 16-20 intervals against 2,000
 #     known enclosures and at 32-40 against 16.
-# One limit serves all three sites: most sets a census meets hold 1-8
-# elements or hundreds and more, which every limit from 16 to 40 sends the
-# same way; the few in between lose at most a few us on the slower path;
-# and the tests force every use down one path by setting this one value.
-# Each side carries benchmark traffic at each site; one seed-42 pass of
-# mc_a9 takes the floats only (100 _settle, 350 _held_runs and 100 _newton
-# calls), one of census_ladder the arrays at 10 _settle, 7 _held_runs and
-# 4 _newton calls (and the floats at 12, 33 and 7).
+# One limit serves every site: most sets a census meets hold 1-8 elements
+# or hundreds and more, which every limit from 16 to 40 sends the same way;
+# the few in between lose at most a few us on the slower path; and the
+# tests force every use down one path by setting this one value.  A stack
+# of maps pools its sets, so stacked censuses take the arrays more often.
+# Each side carries benchmark traffic at each site: one seed-42 pass of
+# mc_a9 (stacks of 5 samples) takes the floats at 32 _held_runs, 20
+# _newton and 90 point-orbit (_points) calls and the arrays at 38, 0 and
+# 10; a warm pass of census_ladder the arrays at 7 _held_runs, 4 _newton
+# and 9 _points calls (and the floats at 19, 1 and 22).
 _SCALAR_POINTS = 16
 
 # Cells of the initial grid of [-R, R] that every _refine caller starts from
 _GRID_CELLS = 1024
 
+# The default budgets of find_periodic and of each stage of ih_check, which
+# the experiment's stacked censuses and stages take too
+_CENSUS_BUDGET = 3_000_000
+_IH_BUDGET = 400_000
+
 
 class _Domain(NamedTuple):
     """The certified model of f on [-R, R], one per map and radius in the
     map's memo (_domain): the constants that do not depend on the period,
-    the initial grid of _refine and the grid's orbit tubes (_grid_tube)."""
+    the initial grid of _refine and the grid's orbit tubes (_grid_tube), and
+    what each census keeps for later ones: its roots."""
 
     R: float
     D1: float  # sup |f'|
@@ -291,13 +317,125 @@ def _domain(f, R: float) -> _Domain:
         xs = np.linspace(-R, R, 4097)
         D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * (2.0 * R / 4096) / 2.0
         edges = np.linspace(-R, R, _GRID_CELLS + 1)
-        grid = (0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
-        for a in grid:
-            a.flags.writeable = False  # shared with later calls
+        grid = _read_only(0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
         memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, sup, 1.0),
                             d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
                             grid=grid, tubes={}, roots={})
     return memo[key]
+
+
+def _horner_rows(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_horner_many with coefficients per entry: `table` holds them highest
+    degree first, one row per degree, each broadcasting against xs (one
+    column of _table per entry, or one for all).  Each entry takes
+    _horner_many's float operations, so it equals that of its own column's
+    polynomial bit for bit."""
+    y = np.zeros(xs.shape)
+    for c in table:
+        y *= xs
+        y += c
+    return y
+
+
+def _table(coeffs: list) -> np.ndarray:
+    """The (terms, K) table of K Horner coefficient tuples, each padded with
+    leading zeros to the longest.  A leading zero repeats Horner's first
+    step 0.0 x + c: at a finite x the running value stays 0.0 exactly, and
+    at an infinite or NaN x it is that same NaN either way, so a padded
+    column gives its polynomial's own floats."""
+    top = max(map(len, coeffs))
+    return np.ascontiguousarray(np.array([(0.0,) * (top - len(c)) + tuple(c) for c in coeffs]).T)
+
+
+class _Stack:
+    """K 1-D maps whose censuses, or ih_check stages, run as one, each with
+    its _Domain.  The stack evaluates rows of many maps in one array pass
+    (_Rows), so a round over all maps' cells is one call, where it was one
+    per map: each map's fold (the map itself for a bare PolynomialMap) is
+    one column of a value and of a derivative Horner table (_table), its
+    root-product terms, which stay unfolded, are added after it, as the map
+    adds them, and each domain constant is one column of `consts`; the
+    parts come from dynamics._horner_parts.  A stack of one map reads its
+    coefficients and domain as they are."""
+
+    def __init__(self, maps, doms):
+        self.maps, self.doms = tuple(maps), tuple(doms)
+        parts = [_horner_parts(f) for f in self.maps]
+        self.poly, self.dpoly = parts[0][:2]  # one map's rows read them as they are (_Rows)
+        if len(self.maps) > 1:
+            self.poly, self.dpoly = (_table([p[j] for p in parts]) for j in (0, 1))
+            self.consts = np.array([dom[:7] for dom in self.doms]).T  # R, D1, D2, step, d_slack, pad, cap
+        self.rest = [(k, p[2]) for k, p in enumerate(parts) if p[2]]
+        self.tubes: dict = {}  # period -> the grids' tubes as blocks (_grid_tube)
+        self.grid = None  # the grids' (mids, halves, mi), read-only, once _refine asks
+        self.solo = _Rows(self, None) if len(self.maps) == 1 else None  # the rows of a stack of one
+        self.blocks = self.solo or _Rows(self, np.arange(len(self.maps))[:, None])  # one map's grid per block
+
+    def subset(self, which: list) -> "_Stack":
+        return _Stack([self.maps[k] for k in which], [self.doms[k] for k in which])
+
+    def rows(self, mi: np.ndarray) -> "_Rows":
+        return self.solo or _Rows(self, mi)
+
+
+class _Rows:
+    """Rows of a _Stack, row i of the map in column mi[i]: a map (eval_many,
+    deriv_many) and a _Domain (R, D1, D2, step, d_slack, pad, cap, one per
+    row) in one, which _tube_many and _cells take in place of f and dom.
+    Each row's floats are its map's own (_horner_rows), root-product terms
+    included.  With mi a column (G, 1) the rows are blocks: arrays of shape
+    (G, cells), row j all of the map mi[j], whose coefficients and
+    constants broadcast from one column each, with no per-cell copy.  A
+    stack of one map reads its coefficients and its domain's constants as
+    they are: Python floats, which NumPy applies fastest."""
+
+    def __init__(self, S: _Stack, mi: Optional[np.ndarray]):
+        if len(S.maps) == 1:  # every row is of the one map, and mi is not read
+            self.poly, self.dpoly = S.poly, S.dpoly
+            self.R, self.D1, self.D2, self.step, self.d_slack, self.pad, self.cap = S.doms[0][:7]
+            self.rest = [(slice(None), terms) for _, terms in S.rest]
+            return
+        self.poly, self.dpoly = S.poly[:, mi], S.dpoly[:, mi]
+        self.R, self.D1, self.D2, self.step, self.d_slack, self.pad, self.cap = S.consts[:, mi]
+        self.rest = [(np.flatnonzero(mi == k), terms) for k, terms in S.rest]
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        return self._terms(_horner_rows(self.poly, xs), xs, "value_many")
+
+    def deriv_many(self, xs: np.ndarray) -> np.ndarray:
+        return self._terms(_horner_rows(self.dpoly, xs), xs, "deriv_many")
+
+    def _terms(self, y: np.ndarray, xs: np.ndarray, method: str) -> np.ndarray:
+        """y plus each row's map's unfolded terms, in term order, as the map adds them."""
+        for at, terms in self.rest:
+            for t in terms:
+                y[at] += getattr(t, method)(xs[at])
+        return y
+
+
+def _col(values, mi: np.ndarray):
+    """Each row's entry of the per-map column `values` (values[mi]); in a
+    stack of one map, its one value, a scalar that NumPy broadcasts."""
+    return values[0] if len(values) == 1 else np.asarray(values)[mi]
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: calls share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# The empty frontier (mids, halves, mi)
+_NO_ROWS = _read_only(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+
+
+def _counts(mi: np.ndarray, K: int, weights: Optional[list] = None) -> list:
+    """The number of rows, or the sum of their integer weights, of each of
+    the K maps of a stack."""
+    if K == 1:
+        return [mi.size if weights is None else sum(weights)]
+    return np.bincount(mi, weights, minlength=K).astype(np.int64).tolist()
 
 
 def _resolve_radius(f, radius: Optional[float]) -> float:
@@ -350,7 +488,10 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, la
 
     Given the (mids, halves) as the tube (y, r) at some step k and the
     (lam, lam_hi) there, it continues that tube to step k + n; radii stacked
-    as halves (j, cells) share y and lam.  Every update is out of place.
+    as halves (j, cells) share y and lam.  The inputs are never written:
+    each update writes only arrays made in its own step.  f and dom are a
+    map and its _Domain, or the _Rows of a stack in both places, whose
+    constants are one per cell.
     """
     y = np.asarray(mids, dtype=float)
     r = np.asarray(halves, dtype=float)
@@ -358,11 +499,18 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, la
         for _ in range(n):
             d = f.deriv_many(y)
             # np.clip's floats (NaN and -0.0 included), without its wrapper
-            y = np.minimum(np.maximum(f.eval_many(y), -dom.R), dom.R)
-            s = np.abs(d) + dom.D2 * r + dom.d_slack
+            y = f.eval_many(y)
+            np.maximum(y, -dom.R, out=y)
+            np.minimum(y, dom.R, out=y)
+            s = dom.D2 * r
+            s += np.abs(d)
+            s += dom.d_slack
             lam = lam * d
             lam_hi = lam_hi * s
-            r = np.minimum(np.minimum(s, dom.D1) * r + dom.step, dom.cap)
+            np.minimum(s, dom.D1, out=s)
+            s *= r
+            s += dom.step
+            r = np.minimum(s, dom.cap, out=s)
     return y, r, lam, lam_hi
 
 
@@ -374,17 +522,21 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list
     [x - h, x + h].  Both radii ride the same y and lam.  With halves None
     the box is the zero-width tube itself, bit for bit, so it is not traced
     twice.  The loop performs _tube_many's float operations, so it agrees
-    with _tube_many over the stacked radii (0, h) bit for bit."""
+    with _tube_many over the stacked radii (0, h) bit for bit.  It
+    evaluates the map from its parts (dynamics._horner_parts), with the
+    floats of f.evaluate and f.derivative and without their call layers."""
     R, D1, D2, step, d_slack, pad, cap = dom[:7]
-    evaluate, derivative = f.evaluate, f.derivative
+    poly, dpoly, rest = _horner_parts(f)
     box, out = halves is not None, []
     for x, r in zip(xs, halves if box else xs):
         y, r0, lam, lam_hi = x, 0.0, 1.0, 1.0
         for _ in range(n):
-            d = derivative(y)
+            d, e = _horner(dpoly, y), _horner(poly, y)
+            for t in rest:
+                d += t.derivative(y)
+                e += t.value(y)
             s0 = abs(d) + D2 * r0 + d_slack
-            y = evaluate(y)
-            y = R if y > R else -R if y < -R else y  # _tube_many's clamp, NaN and -0.0 too
+            y = R if e > R else -R if e < -R else e  # _tube_many's clamp, NaN and -0.0 too
             r0 = (D1 if s0 > D1 else s0) * r0 + step
             r0 = cap if r0 > cap else r0
             lam *= d
@@ -399,40 +551,72 @@ def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list
     return out
 
 
-def _grid_tube(f, n: int, dom: _Domain):
-    """_tube_many over the initial grid at period n >= 1.  The domain keeps
-    the grid's tube, read-only, at every period asked for: a call reads its
+def _blocks(arrays: list) -> np.ndarray:
+    """The arrays, one per map, as the rows of one block array (a view of
+    the one array of a stack of one)."""
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
+
+
+def _grid_tube(S: _Stack, n: int):
+    """The initial grids' tubes at period n >= 1 of the stack's maps, as
+    blocks (_Rows) of one map's grid each, in map order.  Each domain keeps
+    its grid's tube, read-only, at every period asked for: a map reads its
     own period's, or extends the one at the highest period k < n held (the
-    grid itself at k = 0) by n - k steps.  A step reads only the domain's
-    constants, none of which depends on the period, so the result is bit for
-    bit the tube computed from scratch."""
-    tubes = dom.tubes
-    if n not in tubes:
-        k = max((k for k in tubes if k < n), default=0)
-        y, r, lam, lam_hi = tubes.get(k, (*dom.grid, 1.0, 1.0))
-        tubes[n] = _tube_many(f, y, r, n - k, dom, lam, lam_hi)
-        for a in tubes[n]:
-            a.flags.writeable = False  # shared with later calls
-    return tubes[n]
+    grid itself at k = 0) by n - k steps, in one _tube_many call for all
+    the maps that extend from the same k.  A step reads only the domain's
+    constants, none of which depends on the period, so the result is bit
+    for bit the tube computed from scratch.  Where all the stack's maps
+    extend from one k, the blocks are the new tubes themselves, whose rows
+    the domains keep, and the stack keeps them for its later calls at n."""
+    if n in S.tubes:
+        return S.tubes[n]
+    held = [dom.tubes.get(n) for dom in S.doms]
+    if None not in held:  # every domain holds it
+        return tuple(_blocks(parts) for parts in zip(*held))
+    starts: dict = {}  # k -> the maps that extend the tube held at k
+    for i, dom in enumerate(S.doms):
+        if held[i] is None:
+            starts.setdefault(max((k for k in dom.tubes if k < n), default=0), []).append(i)
+    everyone = list(range(len(S.maps)))
+    for k, group in starts.items():
+        if k in S.tubes and group == everyone:
+            y, r, lam, lam_hi = S.tubes[k]
+        else:
+            base = [S.doms[i].tubes.get(k, (*S.doms[i].grid, 1.0, 1.0)) for i in group]
+            y, r = (_blocks([t[j] for t in base]) for j in (0, 1))
+            lam, lam_hi = (_blocks([t[j] for t in base]) for j in (2, 3)) if k else (1.0, 1.0)
+        blocks = S.blocks if group == everyone else S.rows(np.array(group)[:, None])
+        tube = _tube_many(blocks, y, r, n - k, blocks, lam, lam_hi)
+        for j, i in enumerate(group):
+            S.doms[i].tubes[n] = _read_only(*(a[j] for a in tube))
+    if list(starts.values()) == [everyone]:
+        S.tubes[n] = tube
+        return tube
+    return tuple(_blocks(parts) for parts in zip(*(dom.tubes[n] for dom in S.doms)))
 
 
 class _Cells(NamedTuple):
     """One round of live cells and what their orbit tubes prove, float
     error included: for every x in [mid - half, mid + half],
     g(x) = f^n(x) - x satisfies |g(x) - g| <= spread, and
-    |(f^n)'(x) - lam| <= dev."""
+    |(f^n)'(x) - lam| <= dev, dev = _dev(lam, lam_hi, n), which a
+    classification computes only on the few cells it asks for (devs)."""
 
     mids: np.ndarray
     halves: np.ndarray
     g: np.ndarray
     spread: np.ndarray
     lam: np.ndarray
-    dev: np.ndarray
+    lam_hi: np.ndarray
+    n: int
 
-    def slopes(self, idx: np.ndarray) -> np.ndarray:
-        """Rows lam - 1 -+ dev: enclosures of g' = (f^n)' - 1 on cells idx."""
-        d, dev = self.lam[idx] - 1.0, self.dev[idx]
-        return np.array([d - dev, d + dev])
+    @property
+    def dev(self) -> np.ndarray:
+        return _dev(self.lam, self.lam_hi, self.n)
+
+    def devs(self, idx: np.ndarray) -> np.ndarray:
+        """dev on the cells idx."""
+        return _dev(self.lam[idx], self.lam_hi[idx], self.n)
 
 
 def _cells(mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, tube) -> _Cells:
@@ -442,38 +626,66 @@ def _cells(mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, tube) -> 
     as lam and lam_hi (n rounded factors each, |lam| <= lam_hi) are within a
     relative 2n eps of exact, and the subtractions that read dev round too."""
     y, r, lam, lam_hi = tube
-    return _Cells(mids=mids, halves=halves, g=y - mids, spread=r + halves + dom.pad,
-                  lam=lam, dev=_dev(lam, lam_hi, n))
+    spread = r + halves
+    spread += dom.pad
+    return _Cells(mids=mids, halves=halves, g=y - mids, spread=spread, lam=lam, lam_hi=lam_hi, n=n)
 
 
-def _refine(f, n: int, dom: _Domain, max_evaluations: int, classify):
-    """Certify-or-refine [-R, R], from the domain's initial grid of
-    _GRID_CELLS equal cells, in vectorised rounds.
+def _refine(S: _Stack, n: int, max_evaluations: int, classify):
+    """Certify-or-refine [-R, R] of every map of the stack, each from its
+    domain's initial grid of _GRID_CELLS equal cells, in vectorised rounds
+    over all maps' live cells at once, each row with its map's column mi.
 
     Each round runs the orbit tube over the live cells (the first round
-    takes the grid's tube from the domain, so every caller at the same
-    period shares it) and calls `classify(cells, budget)`, which records
-    whatever it decides and returns the mask of the cells still undecided
-    plus the evaluations it spent itself, at most `budget`; the undecided
-    cells are bisected.  An evaluation is one n-step orbit of one point.
-    Returns the evaluations spent and the frontier (mids, halves) left when
-    the next round would exceed `max_evaluations` (empty when the frontier
-    ran out first).
+    takes the grids' tubes from the domains, so every caller at the same
+    period shares them) and calls `classify(cells, mi, budgets)`, which
+    records whatever it decides and returns the mask of the cells still
+    undecided plus the evaluations each map spent itself (a list), at most
+    its entry of `budgets`; the undecided cells are bisected.  An evaluation
+    is one n-step orbit of one point.  Each map keeps its own count: its
+    rounds end when its frontier runs out or its next round would exceed
+    `max_evaluations`, and its cells keep the order they would have alone.
+    Returns each map's evaluations and the frontier (mids, halves, mi) left
+    by the maps whose budget stopped them.
     """
-    mids, halves = dom.grid
-    evaluations = 0
-    while evaluations + mids.size <= max_evaluations:
-        tube = _grid_tube(f, n, dom) if evaluations == 0 else _tube_many(f, mids, halves, n, dom)
-        cells = _cells(mids, halves, n, dom, tube)
-        evaluations += mids.size
-        live, spent = classify(cells, max_evaluations - evaluations)
-        evaluations += spent
+    K = len(S.maps)
+    if S.grid is None:
+        mids, halves = (np.concatenate([dom.grid[j] for dom in S.doms]) if K > 1 else S.doms[0].grid[j]
+                        for j in (0, 1))
+        S.grid = _read_only(mids, halves, np.repeat(np.arange(K), _GRID_CELLS))
+    mids, halves, mi = S.grid
+    size = [_GRID_CELLS] * K  # each map's live cells
+    evaluations = [0] * K
+    stopped: list = []  # (mids, halves, mi) of the maps their budgets stopped
+    first = True
+    while mi.size:
+        over = [e + c > max_evaluations for e, c in zip(evaluations, size)]
+        if any(over):  # all maps or none in the first round: each starts with a full grid
+            out = np.array(over)[mi]
+            stopped.append((mids[out], halves[out], mi[out]))
+            mids, halves, mi = mids[~out], halves[~out], mi[~out]
+            size = [0 if o else c for o, c in zip(over, size)]
+            if not mi.size:
+                break
+        if first:  # the grids' tubes, as blocks of one map's cells each
+            grid = (K, _GRID_CELLS)
+            cells = _cells(mids.reshape(grid), halves.reshape(grid), n, S.blocks, _grid_tube(S, n))
+            cells = _Cells(*(a.reshape(-1) for a in cells[:6]), n)
+            first = False
+        else:
+            rows = S.rows(mi)
+            cells = _cells(mids, halves, n, rows, _tube_many(rows, mids, halves, n, rows))
+        evaluations = [e + c for e, c in zip(evaluations, size)]
+        live, spent = classify(cells, mi, [max_evaluations - e for e in evaluations])
+        evaluations = [e + p for e, p in zip(evaluations, spent)]
         if not live.any():
-            return evaluations, np.empty(0), np.empty(0)
-        q = halves[live] / 2.0
-        mids = np.concatenate([mids[live] - q, mids[live] + q])
+            break
+        m, q, mi = mids[live], halves[live] / 2.0, mi[live]
+        mids = np.concatenate([m - q, m + q])
         halves = np.concatenate([q, q])
-    return evaluations, mids, halves
+        size = [2 * c for c in _counts(mi, K)]
+        mi = np.concatenate([mi, mi])
+    return evaluations, tuple(np.concatenate(parts) for parts in zip(*stopped)) if stopped else _NO_ROWS
 
 
 def _merged(parts, gap: float = 0.0) -> list:
@@ -495,7 +707,7 @@ def find_periodic(
     n: int,
     radius: Optional[float] = None,
     tol: float = 1e-12,
-    max_evaluations: int = 3_000_000,
+    max_evaluations: int = _CENSUS_BUDGET,
 ) -> CensusResult:
     """Certified census of the solutions of f^n(x) = x on [-R, R] for a 1-D
     map.
@@ -550,104 +762,153 @@ def find_periodic(
     census per divisor of n, n included, each within `max_evaluations`, so
     its work is bounded by sigma_0(n) max_evaluations orbits in all (18
     censuses at n = 800), and on a map whose memo holds the divisors' by
-    max_evaluations.  The map must not be mutated after it is built.
+    max_evaluations.  The map must not be mutated after it is built.  The
+    census runs as a stack of one map (_census), the code that censuses a
+    stack of an experiment's samples at once.
     """
     _check_map(f, "find_periodic", one_d=True)
     n = _period(n)
     _real(tol, "tol", gt=0, lt=1)
     max_evaluations = _period(max_evaluations, 0, "max_evaluations")
-    return _census(f, n, _domain(f, _resolve_radius(f, radius)), tol, max_evaluations)
+    return _census(_Stack([f], [_domain(f, _resolve_radius(f, radius))]), n, tol, max_evaluations)[0]
 
 
-def _census(f, n: int, dom: _Domain, tol: float, max_evaluations: int) -> CensusResult:
-    """find_periodic on dom.  The censuses at the proper divisors d of n,
-    with the same tol and budget, run first where dom.roots does not hold
-    them yet, and this one keeps its own there: its certified rows
-    (location, halfwidth, least_period) and its uncertified regions."""
+def _census(S: _Stack, n: int, tol: float, max_evaluations: int) -> list:
+    """find_periodic on each map of the stack, on its domain, all maps'
+    rounds and Newton steps in one array pass each; one CensusResult per
+    map, equal to the map's own census.  The censuses at the proper
+    divisors d of n, with the same tol and budget, run first (as a stack
+    of the maps whose dom.roots does not hold them yet), and each map keeps
+    its own there: its certified rows (location, halfwidth, least_period)
+    and its uncertified regions.  Budgets, evaluations and records are per
+    map, and no run, wave or cluster joins two maps."""
+    K = len(S.maps)
     for d in _proper_divisors(n):
-        if (tol, max_evaluations, d) not in dom.roots:
-            _census(f, d, dom, tol, max_evaluations)
-    known = _known_roots(dom, n, tol, max_evaluations)
+        todo = [k for k, dom in enumerate(S.doms) if (tol, max_evaluations, d) not in dom.roots]
+        if todo:
+            _census(S.subset(todo) if len(todo) < K else S, d, tol, max_evaluations)
+    known = _known(S, n, tol, max_evaluations)
 
     brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
-    held: list = []  # the rows (x, h, least, a, c) of the runs that hold a known root (_held_runs)
-    finished: list = []  # (mids, halves) of cells refined down to tol
+    bmaps: list = [np.empty(0, dtype=np.intp)]  # the map of each
+    held: list = []  # the rows (x, h, least, a, c, map) of the runs that hold a known root (_held_runs)
+    finished: list = [_NO_ROWS]  # (mids, halves, mi) of the cells refined down to tol
 
-    def classify(c: _Cells, budget: int):
+    def classify(c: _Cells, mi: np.ndarray, budgets: list):
         keep = np.abs(c.g) <= c.spread
-        idx = np.flatnonzero(keep & (np.abs(c.lam - 1.0) > c.dev))
-        lo, hi, slope = c.mids[idx] - c.halves[idx], c.mids[idx] + c.halves[idx], c.slopes(idx)
+        kept = np.flatnonzero(keep)
+        d, dev = c.lam[kept] - 1.0, c.devs(kept)
+        mono = np.abs(d) > dev  # g' = (f^n)' - 1, enclosed by lam - 1 -+ dev, excludes 0
+        idx, d, dev = kept[mono], d[mono], dev[mono]
+        m, h = c.mids[idx], c.halves[idx]
+        lo, hi, slope, imi = m - h, m + h, np.array([d - dev, d + dev]), mi[idx]
         if idx.size and known is not None:
-            inside, runs = _held_runs(lo, hi, slope[0] > 0.0, known)
-            held.extend(runs)
-            keep[idx[inside]] = False
-            rest = ~inside
-            idx, lo, hi, slope = idx[rest], lo[rest], hi[rest], slope[:, rest]
-        settled, spent, bracketed = _settle(f, n, dom, lo, hi, slope, budget)
-        brackets.append(bracketed)
-        keep[idx[settled]] = False
-        done = keep & (c.halves <= tol)
-        finished.append((c.mids[done], c.halves[done]))
-        return keep & ~done, spent
+            inside, runs = _held_runs(lo, hi, slope[0] > 0.0, imi, known)
+            if runs:
+                held.extend(runs)
+                keep[idx[inside]] = False
+                rest = ~inside
+                idx, lo, hi, slope, imi = idx[rest], lo[rest], hi[rest], slope[:, rest], imi[rest]
+        spent = [0] * K
+        if idx.size:
+            settled, spent, bracketed, bmi = _settle(S, n, imi, lo, hi, slope, budgets)
+            brackets.append(bracketed)
+            bmaps.append(bmi)
+            keep[idx[settled]] = False
+        kept = np.flatnonzero(keep)
+        done = kept[c.halves[kept] <= tol]
+        if done.size:
+            finished.append((c.mids[done], c.halves[done], mi[done]))
+            keep[done] = False
+        return keep, spent
 
-    evaluations, left_mids, left_halves = _refine(f, n, dom, max_evaluations, classify)
-    uncertified: list = _merged([(left_mids, left_halves)])
+    evaluations, (left_mids, left_halves, left_mi) = _refine(S, n, max_evaluations, classify)
+    rows, rmaps = np.concatenate(brackets), np.concatenate(bmaps)
+    finished_mids, finished_halves, finished_mi = (np.concatenate(parts) for parts in zip(*finished))
 
     # the record of each known root takes one orbit, and every bracket's
     # root is enclosed after them, as far as the budget left pays; an unpaid
     # run is reported as it is (the runs are disjoint, so their ends sorted
     # apart stay paired)
-    paid = held[: max_evaluations - evaluations]
-    orbits = _tubes_at(f, [x for x, *_ in paid], None, n, dom)
-    records = [_record(n, x, h, g, lam, True, "simple", int(least))
-               for (x, h, least, _, _), (g, _, lam, _) in zip(paid, orbits)]
-    evaluations += len(paid)
-    rows = np.concatenate(brackets)
-    located, spent = _enclose(f, n, dom, rows, tol, max_evaluations - evaluations)
-    evaluations += spent
-    records += [_record(n, *fields, True, "simple", least)
-                for fields, least in zip(located, _least_periods(dom, n, tol, max_evaluations, located))]
-    if len(paid) < len(held) or len(located) < len(rows):
-        unpaid = np.concatenate([np.reshape(held[len(paid):], (-1, 5))[:, 3:], rows[len(located):, :2]])
-        uncertified.extend(_merge_intervals(*np.sort(unpaid.T)))
+    maps_held: list = [[] for _ in range(K)]
+    for *fields, k in held:
+        maps_held[int(k)].append(fields)
+    paid = [maps_held[k][: max_evaluations - evaluations[k]] for k in range(K)]
+    g, _, lam, _ = _points(S, n, [k for k in range(K) for _ in paid[k]], [x for p in paid for x, *_ in p])
+    orbits = zip(g.tolist(), lam.tolist())
+    records = []
+    for k in range(K):
+        records.append([_record(n, x, h, *next(orbits), True, "simple", int(least))
+                        for x, h, least, _, _ in paid[k]])
+        evaluations[k] += len(paid[k])
+    located, spent = _enclose(S, n, rmaps, rows, tol, [max_evaluations - e for e in evaluations])
+    evaluations = [e + p for e, p in zip(evaluations, spent)]
+    lefts, ends, paired = (_counts(a, K) for a in (left_mi, finished_mi, rmaps))
 
-    # a tangency or a root at the noise floor stops every test on the cells
-    # refined to tol: each cluster is reported, with a candidate at its
-    # midpoint when the budget pays for that orbit
-    clusters = _merged(finished, gap=tol / 2)
-    if len(clusters) <= max_evaluations - evaluations:
-        xs = [0.5 * (lo + hi) for lo, hi in clusters]
-        # an orbit whose bound reaches the cap, or whose multiplier bound is
-        # not finite, bounds nothing, and gives no record
-        records.extend(_record(n, x, (hi - lo) / 2.0, g, lam, False, "tangential-candidate")
-                       for x, (lo, hi), (g, bound, lam, dev)
-                       in zip(xs, clusters, _tubes_at(f, xs, None, n, dom))
-                       if bound < dom.cap and math.isfinite(dev))
-        evaluations += len(xs)
-    uncertified.extend(clusters)
+    results = []
+    for k, dom in enumerate(S.doms):
+        evals, uncertified = evaluations[k], []
+        if lefts[k]:
+            uncertified = _merged([(left_mids[left_mi == k], left_halves[left_mi == k])])
+        if located[k]:
+            records[k] += [_record(n, *fields, True, "simple", least) for fields, least
+                           in zip(located[k], _least_periods(dom, n, tol, max_evaluations, located[k]))]
+        if len(paid[k]) < len(maps_held[k]) or len(located[k]) < paired[k]:
+            unpaid = np.concatenate([np.reshape(maps_held[k][len(paid[k]) :], (-1, 5))[:, 3:],
+                                     rows[rmaps == k][len(located[k]) :, :2]])
+            uncertified.extend(_merge_intervals(*np.sort(unpaid.T)))
 
-    records.sort(key=lambda r: r.location)
-    proved = np.array([(r.location, r.halfwidth, r.least_period) for r in records if r.certified], float)
-    dom.roots[tol, max_evaluations, n] = proved.reshape(-1, 3), np.array(uncertified, float).reshape(-1, 2)
-    return CensusResult(
-        period=n,
-        radius=dom.R,
-        records=records,
-        uncertified_regions=uncertified,
-        certified=not uncertified,
-        evaluations=evaluations,
-    )
+        # a tangency or a root at the noise floor stops every test on the
+        # cells refined to tol: each cluster is reported, with a candidate at
+        # its midpoint when the budget pays for that orbit
+        clusters = []
+        if ends[k]:
+            at = finished_mi == k
+            clusters = _merged([(finished_mids[at], finished_halves[at])], gap=tol / 2)
+        if clusters and len(clusters) <= max_evaluations - evals:
+            xs = [0.5 * (lo + hi) for lo, hi in clusters]
+            # an orbit whose bound reaches the cap, or whose multiplier bound is
+            # not finite, bounds nothing, and gives no record
+            records[k].extend(_record(n, x, (hi - lo) / 2.0, g, lam, False, "tangential-candidate")
+                              for x, (lo, hi), g, bound, lam, dev
+                              in zip(xs, clusters, *(v.tolist() for v in _points(S, n, [k] * len(xs), xs)))
+                              if bound < dom.cap and math.isfinite(dev))
+            evals += len(xs)
+        uncertified.extend(clusters)
+
+        records[k].sort(key=lambda r: r.location)
+        proved = [(r.location, r.halfwidth, r.least_period) for r in records[k] if r.certified]
+        dom.roots[tol, max_evaluations, n] = (np.array(proved, float).reshape(-1, 3),
+                                              np.array(uncertified, float).reshape(-1, 2))
+        results.append(CensusResult(period=n, radius=dom.R, records=records[k],
+                                    uncertified_regions=uncertified, certified=not uncertified,
+                                    evaluations=evals))
+    return results
 
 
-def _known_roots(dom: _Domain, n: int, tol: float, max_evaluations: int):
-    """The certified enclosures [x - h, x + h] of the censuses at the
-    proper divisors of n in dom.roots, as the rows x - h, x + h, x, h, least
-    of an array, in order of x - h, then x + h (None when there are none).
-    Each holds a root of f^d - id, of least period `least` (0: not proved)."""
-    x, h, least = np.concatenate([np.empty((0, 3))] + [dom.roots[tol, max_evaluations, d][0]
-                                                       for d in _proper_divisors(n)]).T
-    known = np.array([x - h, x + h, x, h, least])
-    return known[:, np.lexsort(known[1::-1])] if x.size else None
+class _Known(NamedTuple):
+    """The certified enclosures [x - h, x + h] that a stack's maps know
+    (_known), each a root of f^d - id of least period `least` (0: not
+    proved): columns of `rows`, by map, then x - h, then x + h."""
+
+    rows: np.ndarray  # x - h, x + h, x, h, least
+    off: list  # map k's are the columns off[k]:off[k + 1]
+    maps: np.ndarray  # the map of each column
+
+
+def _known(S: _Stack, n: int, tol: float, max_evaluations: int) -> Optional[_Known]:
+    """The certified enclosures of the censuses at the proper divisors of n
+    that each map's dom.roots holds (None when no map has any)."""
+    divisors = _proper_divisors(n)
+    parts = [[dom.roots[tol, max_evaluations, d][0] for d in divisors] for dom in S.doms]
+    sizes = [sum(map(len, rows)) for rows in parts]
+    if not any(sizes):
+        return None
+    x, h, least = np.concatenate([rows for p in parts for rows in p]).T
+    lo, hi = x - h, x + h
+    maps = np.repeat(np.arange(len(sizes)), sizes)
+    rows = np.array([lo, hi, x, h, least])[:, np.lexsort((hi, lo, maps))]
+    return _Known(rows=rows, off=[0, *itertools.accumulate(sizes)], maps=maps)
 
 
 def _least_periods(dom: _Domain, n: int, tol: float, max_evaluations: int, located: list) -> list:
@@ -666,17 +927,19 @@ def _least_periods(dom: _Domain, n: int, tol: float, max_evaluations: int, locat
     return np.where(np.maximum.accumulate(spans[:, 1])[j - 1] >= m - hw, 0, n).tolist()
 
 
-def _runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, joinable: Optional[np.ndarray] = None):
-    """Group the intervals [lo, hi], on each of which g is strictly
-    monotone (rising where up), into runs: in the order of lo, two
-    neighbours join when they share an end exactly, rise or fall alike and,
-    where `joinable` is given, it holds for the first of them (at the end
-    they share).  g is strictly monotone on the union of a run.  Returns
-    that order, the places along it where the runs start, and each
-    interval's run, the runs numbered in the order of lo."""
-    order = np.argsort(lo, kind="stable")
+def _runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, mi: np.ndarray,
+          joinable: Optional[np.ndarray] = None):
+    """Group the intervals [lo, hi], on each of which g of the map in
+    column mi is strictly monotone (rising where up), into runs: in the
+    order of the map, then of lo, two neighbours join when they are of one
+    map, share an end exactly, rise or fall alike and, where `joinable` is
+    given, it holds for the first of them (at the end they share).  g is
+    strictly monotone on the union of a run.  Returns that order, the
+    places along it where the runs start, and each interval's run, the runs
+    numbered in that order."""
+    order = np.lexsort((lo, mi))  # stable: each map's intervals as a stable sort of lo alone
     a, c = order[:-1], order[1:]
-    join = (hi[a] == lo[c]) & (up[a] == up[c])
+    join = (hi[a] == lo[c]) & (up[a] == up[c]) & (mi[a] == mi[c])
     if joinable is not None:
         join &= joinable[a]
     starts = np.concatenate([[True], ~join])
@@ -685,91 +948,145 @@ def _runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, joinable: Optional[np.
     return order, np.flatnonzero(starts), run
 
 
-def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, known: np.ndarray):
+def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, mi: np.ndarray, known: _Known):
     """The runs (_runs) of the intervals [lo, hi] that hold a known root:
-    a run whose interior holds the enclosure of a known root (the rows of
-    `known`, from _known_roots) has that root and no other, with no end
-    value read.  The first enclosure that starts inside a run is tried.  A
-    float end of an enclosure lies inside the run only when its exact end
-    does, as rounding is monotone.  Returns the mask of the intervals in
-    such runs and one row [x, h, least, a, c] per run [a, c], by a.
+    a run whose interior holds the enclosure of a known root of its map
+    (from _known) has that root and no other, with no end value read.  The
+    first enclosure of its map that starts inside a run is tried.  A float
+    end of an enclosure lies inside the run only when its exact end does, as
+    rounding is monotone.  Returns the mask of the intervals in such runs
+    and one row [x, h, least, a, c, map] per run [a, c], by map, then a.
 
     Up to _SCALAR_POINTS intervals are grouped on floats, one run at a
-    time, each run bisecting the row known[0] in place (a deep census knows
-    thousands of roots, too many to copy per call); more go through _runs on
-    arrays.  Both take the same order (a stable sort of lo), joins, lookup
-    (bisect_right is searchsorted's side="right") and comparisons, so they
-    give the same mask and rows."""
-    last = known.shape[1] - 1
+    time, each run bisecting its map's part of the row known.rows[0] in
+    place (a deep census knows thousands of roots, too many to copy per
+    call); more go through _runs on arrays, which look every run up at once
+    by map and start.  Both take the same order (a stable sort by map, then
+    lo), joins, lookup (bisect_right is searchsorted's side="right") and
+    comparisons, so they give the same mask and rows."""
+    rows, off, maps = known
     if lo.size > _SCALAR_POINTS:
-        order, cuts, run = _runs(lo, hi, up)
-        a, c = lo[order[cuts]], hi[order[np.append(cuts[1:], lo.size) - 1]]
-        j = np.minimum(np.searchsorted(known[0], a, side="right"), last)
-        holds = (a < known[0, j]) & (known[1, j] < c)
-        return holds[run], np.array([known[2, j], known[3, j], known[4, j], a, c]).T[holds].tolist()
-    los, his, ups, starts = lo.tolist(), hi.tolist(), up.tolist(), known[0]
-    order = sorted(range(lo.size), key=los.__getitem__)  # stable, as _runs' argsort
-    runs = [[order[0]]]
+        order, cuts, run = _runs(lo, hi, up, mi)
+        first = order[cuts]
+        a, c, m = lo[first], hi[order[np.append(cuts[1:], lo.size) - 1]], mi[first]
+        # NumPy orders complex numbers by real, then imaginary part: k + x i by map, then x
+        key, at = np.empty(maps.size, dtype=complex), np.empty(a.size, dtype=complex)
+        key.real, key.imag, at.real, at.imag = maps, rows[0], m, a
+        j = np.minimum(np.searchsorted(key, at, side="right"), key.size - 1)
+        holds = (maps[j] == m) & (a < rows[0, j]) & (rows[1, j] < c)
+        return holds[run], np.array([rows[2, j], rows[3, j], rows[4, j], a, c, m]).T[holds].tolist()
+    los, his, ups, ms, starts = lo.tolist(), hi.tolist(), up.tolist(), mi.tolist(), rows[0]
+    order = sorted(range(lo.size), key=lambda i: (ms[i], los[i]))  # stable, as _runs' lexsort
+    runs = [[order[0]]] if order else []
     for p, i in zip(order, order[1:]):
-        if his[p] == los[i] and ups[p] == ups[i]:
+        if his[p] == los[i] and ups[p] == ups[i] and ms[p] == ms[i]:
             runs[-1].append(i)
         else:
             runs.append([i])
-    inside, rows = [False] * lo.size, []
+    inside, found = [False] * lo.size, []
     for run in runs:
-        a, c = los[run[0]], his[run[-1]]
-        j = min(bisect_right(starts, a), last)
-        if a < starts[j] and known[1, j] < c:
+        a, c, m = los[run[0]], his[run[-1]], ms[run[0]]
+        if off[m] == off[m + 1]:
+            continue  # its map knows no root
+        j = min(bisect_right(starts, a, off[m], off[m + 1]), off[m + 1] - 1)
+        if a < starts[j] and rows[1, j] < c:
             for i in run:
                 inside[i] = True
-            rows.append(known[2:, j].tolist() + [a, c])
-    return np.array(inside), rows
+            found.append(rows[2:, j].tolist() + [a, c, float(m)])
+    return np.array(inside, dtype=bool), found
 
 
-def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.ndarray, budget: int):
-    """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id is
-    proved strictly monotone, with g' in [slope[0], slope[1]] (excluding 0,
-    from _Cells.slopes), from g at the ends, where |g| clears (exceeds) its
-    own orbit's error bound or does not.
+def _points(S: _Stack, n: int, pm: list, xs: list):
+    """The zero-width tubes of the points xs (floats), each of the map in
+    its entry of pm: arrays g, bound, lam, dev as _tubes_at gives them.  Up
+    to _SCALAR_POINTS points are traced on floats, one _tubes_at call per
+    map (in map order, each with its map's points in their order); more in
+    one _tube_many call at radius 0 on the rows of all their maps, whose
+    floats are the same."""
+    if len(xs) <= _SCALAR_POINTS:
+        if len(S.maps) == 1:  # all of them the one map's
+            out = _tubes_at(S.maps[0], xs, None, n, S.doms[0])
+        else:
+            out = [None] * len(xs)
+            for k in sorted(set(pm)):
+                at = [i for i, m in enumerate(pm) if m == k]
+                for i, tube in zip(at, _tubes_at(S.maps[k], [xs[i] for i in at], None, n, S.doms[k])):
+                    out[i] = tube
+        return np.array(out, dtype=float).reshape(-1, 4).T
+    x = np.asarray(xs, dtype=float)
+    rows = S.rows(np.asarray(pm))
+    y, r, lam, lam_hi = _tube_many(rows, x, np.zeros(x.size), n, rows)
+    return y - x, r + rows.pad, lam, _dev(lam, lam_hi, n)
 
-    The intervals join into runs (_runs): two join when they share an end
-    exactly, are monotone in the same direction, and g at the shared end
-    does not clear (a root on or near that end).  g is strictly monotone
-    on the union, with g' in the hull of the slopes, so a run is decided by
-    its two outer ends as an interval is: when both clear, opposite signs
-    mean exactly one root, and one sign means none.  The value at a joined
-    end is never used for a sign.  No root is located here: a one-root run
-    leaves the frontier at once as a bracket row, which find_periodic
-    passes to _enclose after the rounds.
 
-    An end shared by two intervals is evaluated once, all ends in one
-    zero-width tube call, whose values _newton's first step reads.  Nothing is
-    settled when `budget` cannot pay for the ends.  Returns the mask of the
-    settled intervals, the evaluations spent (the distinct ends, at most
-    `budget`) and the brackets, one row per one-root run."""
-    index: dict = {}  # distinct end -> its place among the ends' orbits
-    at = [index.setdefault(x, len(index)) for x in lo.tolist() + hi.tolist()]
-    if not 0 < len(index) <= budget:
-        return np.zeros(lo.size, dtype=bool), 0, np.empty((0, 9))
-    if len(index) <= _SCALAR_POINTS:
-        g, bound = np.array(_tubes_at(f, list(index), None, n, dom))[:, :2].T
-    else:
-        ends = np.array(list(index))
-        y, r, _, _ = _tube_many(f, ends, np.zeros(ends.size), n, dom)
-        g, bound = y - ends, r + dom.pad
+def _settle(S: _Stack, n: int, mi: np.ndarray, lo: np.ndarray, hi: np.ndarray, slope: np.ndarray,
+            budgets: list):
+    """Settle the intervals [lo, hi] of [-R, R] on which g = f^n - id of
+    the map in column mi is proved strictly monotone, with g' in
+    [slope[0], slope[1]] (lam - 1 -+ dev of the cells, excluding 0), from
+    g at the ends, where |g| clears (exceeds) its own orbit's error bound
+    or does not.
+
+    The intervals join into runs (_runs): two join when they are of one
+    map, share an end exactly, are monotone in the same direction, and g at
+    the shared end does not clear (a root on or near that end).  g is
+    strictly monotone on the union, with g' in the hull of the slopes, so a
+    run is decided by its two outer ends as an interval is: when both clear,
+    opposite signs mean exactly one root, and one sign means none.  The
+    value at a joined end is never used for a sign.  No root is located
+    here: a one-root run leaves the frontier at once as a bracket row, which
+    find_periodic passes to _enclose after the rounds.
+
+    An end shared by two intervals of one map is evaluated once, all ends in
+    one zero-width tube pass, whose values _newton's first step reads.
+    Nothing of a map is settled when its entry of `budgets` cannot pay for
+    its ends.  Returns the mask of the settled intervals, each map's
+    evaluations spent (its distinct ends, at most its budget), and the
+    brackets, one row per one-root run, in the order of its map's
+    intervals, or of its map's runs once two of them join, with the map of
+    each."""
+    K = len(S.maps)
+    # the distinct (map, end) pairs, in order of first appearance (equal
+    # floats, -0.0 and 0.0 too, are one end), and each end's place among them
+    ends, em = np.concatenate([lo, hi]), np.concatenate([mi, mi])
+    index: dict = {}
+    at = [index.setdefault(pair, len(index)) for pair in zip(em.tolist(), ends.tolist())]
+    pm, xs = (list(v) for v in zip(*index)) if index else ([], [])
+    spent = _counts(np.asarray(pm, dtype=np.intp), K)
+    pays = [c <= b for c, b in zip(spent, budgets)]
+    if not all(pays) and not np.array(pays)[mi].all():
+        settled, spent = np.zeros(lo.size, dtype=bool), [0] * K
+        sel = np.array(pays)[mi]
+        if sel.any():
+            settled[sel], spent, brackets, bmi = _settle(S, n, mi[sel], lo[sel], hi[sel], slope[:, sel],
+                                                         budgets)
+            return settled, spent, brackets, bmi
+        return settled, spent, np.empty((0, 9)), np.empty(0, dtype=np.intp)
+    if not len(xs):
+        return np.zeros(0, dtype=bool), spent, np.empty((0, 9)), np.empty(0, dtype=np.intp)
+    g, bound, _, _ = _points(S, n, pm, xs)
     g, bound = g[at], bound[at]
-    spent, k = len(index), lo.size
-    x, clear = np.concatenate([lo, hi]), np.abs(g) > bound  # the lo ends, then the hi ends
+    k = lo.size
+    x, clear = ends, np.abs(g) > bound  # the lo ends, then the hi ends
     run = None  # each interval's run, once some intervals join
     if not clear.all():
-        order, cuts, joined = _runs(lo, hi, slope[0] > 0.0, ~clear[k:])
+        order, cuts, joined = _runs(lo, hi, slope[0] > 0.0, mi, ~clear[k:])
         if cuts.size < k:
-            run = joined
-            # from here on the arrays describe the runs: outer ends, hulls of slopes
-            outer = np.concatenate([order[cuts], order[np.append(cuts[1:], k) - 1] + k])
-            x, g, bound, clear = x[outer], g[outer], bound[outer], clear[outer]
+            # from here on the arrays describe the runs: outer ends, hulls of
+            # slopes, in the order of map, then lo
+            first, last = order[cuts], order[np.append(cuts[1:], k) - 1]
             slope = np.array([np.minimum.reduceat(slope[0, order], cuts),
                               np.maximum.reduceat(slope[1, order], cuts)])
+            mi, run = mi[first], joined
+            if K > 1:  # a map none of whose intervals join keeps their order
+                alone = np.bincount(mi, minlength=K) == np.bincount(em[:k], minlength=K)
+                perm = np.lexsort((np.where(alone[mi], first, 0), mi))
+                run = np.empty(perm.size, dtype=np.intp)
+                run[perm] = np.arange(perm.size)
+                run = run[joined]
+                first, last, slope, mi = first[perm], last[perm], slope[:, perm], mi[perm]
+            outer = np.concatenate([first, last + k])
+            x, g, bound, clear = x[outer], g[outer], bound[outer], clear[outer]
             k = cuts.size
     settled = clear[:k] & clear[k:]
     pending = settled & ((g[:k] > 0) != (g[k:] > 0))
@@ -777,26 +1094,36 @@ def _settle(f, n: int, dom: _Domain, lo: np.ndarray, hi: np.ndarray, slope: np.n
     up = slope[0] > 0.0
     brackets = np.concatenate([x, g, bound, np.where(up, 1.0, -1.0),
                                np.where(up, slope, -slope[::-1]).ravel()]).reshape(9, k)
-    return (settled if run is None else settled[run]), spent, brackets[:, pending].T
+    return (settled if run is None else settled[run]), spent, brackets[:, pending].T, mi[pending]
 
 
-def _enclose(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float, budget: int):
-    """Enclose the roots of the rows of `brackets` (as _settle gives them)
-    in waves: the longest prefix of the rows left that what is left of
-    `budget` pays for at _NEWTON_STEPS orbits each goes to one _newton
-    call, and its actual orbits are charged before the next.  So a root is
-    located exactly when taking the rows one at a time under that rule
-    would locate it, and with the budget to spare all go in one call.
-    Returns the record fields of the located prefix and the orbits spent."""
-    found, spent = [], 0
-    while len(found) < len(brackets):
-        wave = (budget - spent) // _NEWTON_STEPS
-        if not wave:
-            break
-        located, calls = _newton(f, n, dom, brackets[len(found) : len(found) + wave], tol)
-        spent += calls
-        found += located
-    return found, spent
+def _enclose(S: _Stack, n: int, bmi: np.ndarray, brackets: np.ndarray, tol: float, budgets: list):
+    """Enclose the roots of the rows of `brackets` (as _settle gives them,
+    each of the map in column bmi) in waves: of each map, the longest prefix
+    of its rows left that what is left of its entry of `budgets` pays for
+    at _NEWTON_STEPS orbits each goes to one _newton call, with all maps'
+    in one, and its actual orbits are charged before the next.  So a root is
+    located exactly when taking its map's rows one at a time under that
+    rule would locate it, and with the budget to spare all go in one call.
+    Returns, per map, the record fields of its located prefix, and each
+    map's orbits spent."""
+    K = len(S.maps)
+    found: list = [[] for _ in range(K)]
+    spent = [0] * K
+    if not bmi.size:
+        return found, spent
+    mine = [np.flatnonzero(bmi == k) for k in range(K)]
+    while True:
+        waves = [mine[k][len(found[k]) : len(found[k]) + (budgets[k] - spent[k]) // _NEWTON_STEPS]
+                 for k in range(K)]
+        wave = np.concatenate(waves)
+        if not wave.size:
+            return found, spent
+        located, calls = _newton(S, n, bmi[wave], brackets[wave], tol)
+        spent = [e + c for e, c in zip(spent, calls)]
+        for k, w in enumerate(waves):
+            found[k] += located[: w.size]
+            located = located[w.size :]
 
 
 # The contraction's orbits per root at worst: each step but the last at
@@ -848,44 +1175,47 @@ def _contract(xp, xl, xh, m, t, g, bound, lam, dev, dl, dh, pad: float, tol: flo
     return lo, hi, done | (hi - lo > 0.5 * (xh - xl)), halfwidth
 
 
-def _newton(f, n: int, dom: _Domain, brackets: np.ndarray, tol: float):
+def _newton(S: _Stack, n: int, bmi: np.ndarray, brackets: np.ndarray, tol: float):
     """Enclose the root of g = f^n - id in each row (a, c, g(a), g(c),
-    bound(a), bound(c), t, dl, dh) of `brackets`: _start, then per step one
-    orbit of the enclosure's midpoint at radii (0, h) and _contract.  Returns
-    each bracket's record fields (m, halfwidth, g, lam) from its last
-    step and the orbits computed.  Brackets step in lockstep on arrays while
-    more than _SCALAR_POINTS are open, then one at a time on floats."""
-    found, calls, step = [None] * len(brackets), 0, 0
+    bound(a), bound(c), t, dl, dh) of `brackets`, of the map in column bmi:
+    _start, then per step one orbit of the enclosure's midpoint at radii
+    (0, h) and _contract.  Returns each bracket's record fields (m,
+    halfwidth, g, lam) from its last step and each map's orbits computed.
+    Brackets step in lockstep on arrays, all maps' at once, while more
+    than _SCALAR_POINTS are open, then one at a time on floats."""
+    found, taken, step = [None] * len(brackets), [0] * len(brackets), 0
+    maps = bmi.tolist()
     if len(brackets) <= _SCALAR_POINTS:
-        open_ = [(i, *_start(_pyfloat, *r, dom.pad), *r[6:]) for i, r in enumerate(brackets.tolist())]
+        open_ = [(i, *_start(_pyfloat, *r, S.doms[m].pad), *r[6:])
+                 for i, (m, r) in enumerate(zip(maps, brackets.tolist()))]
     else:
-        (xl, xh), idx = _start(np, *brackets.T, dom.pad), np.arange(len(brackets))
+        (xl, xh), idx = _start(np, *brackets.T, _col([dom.pad for dom in S.doms], bmi)), np.arange(len(brackets))
         t, dl, dh = brackets[:, 6:].T
         while idx.size > _SCALAR_POINTS:
             step += 1
             m = 0.5 * (xl + xh)
+            rows = S.rows(bmi[idx])
             radii = np.stack([np.zeros(m.size), np.maximum(m - xl, xh - m)])  # the point's, the box's
-            y, r, lam, lam_hi = _tube_many(f, m, radii, n, dom)
-            g, bound, dev = y - m, r[0] + dom.pad, _dev(lam, lam_hi[1], n)
-            calls += m.size
-            xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, dom.pad, tol)
+            y, r, lam, lam_hi = _tube_many(rows, m, radii, n, rows)
+            g, bound, dev = y - m, r[0] + rows.pad, _dev(lam, lam_hi[1], n)
+            xl, xh, stop, hw = _contract(np, xl, xh, m, t, g, bound, lam, dev, dl, dh, rows.pad, tol)
             stop |= step == _NEWTON_STEPS
             if stop.any():
                 for i, *fields in zip(*(v[stop].tolist() for v in (idx, m, hw, g, lam))):
-                    found[i] = tuple(fields)
+                    found[i], taken[i] = tuple(fields), step
                 go = ~stop
                 idx, xl, xh, t, dl, dh = (v[go] for v in (idx, xl, xh, t, dl, dh))
         open_ = zip(*(v.tolist() for v in (idx, xl, xh, t, dl, dh)))
     for i, x0, x1, s, d0, d1 in open_:
+        f, dom = S.maps[maps[i]], S.doms[maps[i]]
         for k in range(step + 1, _NEWTON_STEPS + 1):
             m = 0.5 * (x0 + x1)
             ((g, bound, lam, dev),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, dom)
             x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, dom.pad, tol)
             if stop or k == _NEWTON_STEPS:
                 break
-        found[i] = (m, hw, g, lam)
-        calls += k - step
-    return found, calls
+        found[i], taken[i] = (m, hw, g, lam), k
+    return found, _counts(bmi, len(S.maps), taken)
 
 
 def _merge_intervals(los: np.ndarray, his: np.ndarray, gap: float = 0.0) -> list:
@@ -976,13 +1306,13 @@ def find_almost_periodic(
 
     kept: list = []
 
-    def classify(c: _Cells, _budget: int):
+    def classify(c: _Cells, _mi, _budgets):
         keep = np.abs(c.g) <= c.spread + slack
         done = keep & ((c.spread <= slack / 4.0) | (c.halves <= resolution))
         kept.append((c.mids[done], c.halves[done]))
-        return keep & ~done, 0
+        return keep & ~done, [0]
 
-    _, left_mids, left_halves = _refine(f, n, dom, max_evaluations, classify)
+    _, (left_mids, left_halves, _) = _refine(_Stack([f], [dom]), n, max_evaluations, classify)
     kept.append((left_mids, left_halves))
     return AlmostPeriodicCover(
         period=n,
@@ -1034,7 +1364,7 @@ def ih_check(
     params: GrowthParams,
     n_max: int,
     radius: Optional[float] = None,
-    max_evaluations_per_period: int = 400_000,
+    max_evaluations_per_period: int = _IH_BUDGET,
 ) -> IHReport:
     """Check the stage-wise hyperbolicity hypothesis for periods 1..n_max.
 
@@ -1059,63 +1389,123 @@ def ih_check(
     leaves the stage indeterminate.  A stage computes at most
     `max_evaluations_per_period` k-step orbits: its tube rounds and the
     zero-width tubes of midpoints whose |g| and gap pass unpadded, one of
-    which gives the witness's record.  n_max = 0 holds vacuously.
+    which gives the witness's record.  n_max = 0 holds vacuously.  The
+    stages run as a stack of one map (_ih_stages).
     """
     _check_map(f, "ih_check", one_d=True)
     n_max = _period(n_max, 0, "n_max")
     max_evaluations_per_period = _period(max_evaluations_per_period, 0, "max_evaluations_per_period")
     dom = _domain(f, _resolve_radius(f, radius))
-    rows = []
-    for k in range(1, n_max + 1):
-        thr = params.gamma_n(k)
-        slack = thr ** (1.0 / params.rho)
-        row = _ih_one_period(f, k, thr, slack, dom, max_evaluations_per_period)
-        rows.append(row)
-        if row.status == "fails":
-            break
+    (rows,) = _ih_stages(_Stack([f], [dom]), [params], n_max, max_evaluations_per_period)
     return IHReport(params=params, radius=dom.R, rows=tuple(rows))
 
 
-def _ih_one_period(f, k, thr, slack, dom: _Domain, max_evals) -> IHRow:
-    gap_floor = max(thr, math.ulp(0.0))  # a threshold of 0.0 (see ih_check)
-    witness = None
-    unresolved: list = []
+def _census_stack(maps: list, radii: list, n_max: int, tol: float, fit) -> list:
+    """What an experiment measures of each map of a stack, on its radius R
+    (certified as find_periodic certifies it): its censuses at n = 1..n_max,
+    then, where fit(k, censuses) gives GrowthParams for map k, its ih_check
+    report through n_max with them, each at the default budgets.  One
+    stacked census runs per period and one stacked ih_check stage per stage.
+    Returns per map (censuses, report or None), equal to its find_periodic
+    and ih_check calls alone, or the UncertifiedCensusError its R raised."""
+    out, live, doms = [], [], []
+    for k, (f, R) in enumerate(zip(maps, radii)):
+        try:
+            doms.append(_domain(f, _resolve_radius(f, R)))
+        except UncertifiedCensusError as err:
+            out.append(err.with_traceback(None))  # whose frames would hold the maps
+            continue
+        out.append(None)
+        live.append(k)
+    if not live:
+        return out
+    S = _Stack([maps[k] for k in live], doms)
+    censuses: list = [[] for _ in live]
+    for n in range(1, n_max + 1):
+        for mine, result in zip(censuses, _census(S, n, tol, _CENSUS_BUDGET)):
+            mine.append(result)
+    params = [fit(k, mine) for k, mine in zip(live, censuses)]
+    checked = [j for j, p in enumerate(params) if p is not None]
+    reports: dict = {}
+    if checked:
+        stages = _ih_stages(S.subset(checked) if len(checked) < len(live) else S,
+                            [params[j] for j in checked], n_max, _IH_BUDGET)
+        for j, rows in zip(checked, stages):
+            reports[j] = IHReport(params=params[j], radius=doms[j].R, rows=tuple(rows))
+    for j, k in enumerate(live):
+        out[k] = (censuses[j], reports.get(j))
+    return out
 
-    def classify(c: _Cells, budget: int):
-        nonlocal witness
+
+def _ih_stages(S: _Stack, params: list, n_max: int, max_evals: int) -> list:
+    """ih_check's stages 1..n_max on each map of the stack, with its own
+    GrowthParams, all maps' stage k in one _ih_one_period; a map stops at
+    its first failing stage.  Returns each map's rows."""
+    rows: list = [[] for _ in S.maps]
+    going = list(range(len(S.maps)))
+    for k in range(1, n_max + 1):
+        if not going:
+            break
+        thr = [params[i].gamma_n(k) for i in going]
+        slack = [t ** (1.0 / params[i].rho) for t, i in zip(thr, going)]
+        stage = S.subset(going) if len(going) < len(S.maps) else S
+        for i, row in zip(going, _ih_one_period(stage, k, thr, slack, max_evals)):
+            rows[i].append(row)
+        going = [i for i in going if rows[i][-1].status != "fails"]
+    return rows
+
+
+def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) -> list:
+    """Stage k of ih_check on each map of the stack, with its own threshold
+    and slack (floats); one IHRow per map."""
+    K = len(S.maps)
+    gap_floor = [max(t, math.ulp(0.0)) for t in thr]  # a threshold of 0.0 (see ih_check)
+    witness: list = [None] * K
+    unresolved: list = []  # (mids, halves, mi) of the cells left unresolved
+
+    def classify(c: _Cells, mi: np.ndarray, budgets: list):
         gabs = np.abs(c.g)
-        gaps = np.abs(np.abs(c.lam) - 1.0)
+        near = np.flatnonzero(~(gabs > c.spread + _col(slack, mi)))  # not excluded; the rest are
+        mn, gaps = mi[near], np.abs(np.abs(c.lam[near]) - 1.0)
         # a witness midpoint is read from its zero-width orbit, which gives its record
-        idx = np.flatnonzero((gabs <= slack) & (gaps < thr))
-        spent = idx.size if idx.size <= budget else 0
-        if spent:
-            m, zeros = c.mids[idx], np.zeros(spent)
-            w = _cells(m, zeros, k, dom, _tube_many(f, m, zeros, k, dom))
-            failing = (np.abs(w.g) + w.spread <= slack) & (np.abs(np.abs(w.lam) - 1.0) + w.dev < thr)
-            if failing.any():
-                j = np.flatnonzero(failing)[np.argmin(m[failing])]
+        cand = near[(gabs[near] <= _col(slack, mn)) & (gaps < _col(thr, mn))]
+        spent, failed = [0] * K, []
+        if cand.size:
+            spent = [count if count <= budget else 0 for count, budget in zip(_counts(mi[cand], K), budgets)]
+            idx = cand[np.array(spent)[mi[cand]] > 0]
+            m, wmi, zeros = c.mids[idx], mi[idx], np.zeros(idx.size)
+            rows = S.rows(wmi)
+            w = _cells(m, zeros, k, rows, _tube_many(rows, m, zeros, k, rows))
+            failing = ((np.abs(w.g) + w.spread <= _col(slack, wmi))
+                       & (np.abs(np.abs(w.lam) - 1.0) + w.dev < _col(thr, wmi)))
+            for i in np.unique(wmi[failing]).tolist():
+                mine = np.flatnonzero(failing & (wmi == i))
+                j = mine[np.argmin(m[mine])]
                 x, h = m[j].item(), c.halves[idx[j]].item()
-                witness = _record(k, x, h, w.g[j].item(), w.lam[j].item(), True, "witness")
-                return np.zeros(c.mids.size, dtype=bool), spent
-        excluded = gabs > c.spread + slack
-        hyperbolic = gaps - c.dev >= gap_floor
-        live = ~(excluded | hyperbolic)
-        floored = live & (2.0 * c.halves <= 1e-9 * dom.R)
-        unresolved.append((c.mids[floored], c.halves[floored]))
-        return live & ~floored, spent
+                witness[i] = _record(k, x, h, w.g[j].item(), w.lam[j].item(), True, "witness")
+                failed.append(i)
+        # neither excluded nor hyperbolic, of a map with no witness; a cell at
+        # the width floor is unresolved
+        at = near[~(gaps - c.devs(near) >= _col(gap_floor, mn))]
+        if failed:
+            at = at[~np.isin(mi[at], failed)]
+        floored = at[2.0 * c.halves[at] <= 1e-9 * _col([dom.R for dom in S.doms], mi[at])]
+        live = np.zeros(mi.size, dtype=bool)
+        live[at] = True
+        if floored.size:
+            live[floored] = False
+            unresolved.append((c.mids[floored], c.halves[floored], mi[floored]))
+        return live, spent
 
-    _, left_mids, left_halves = _refine(f, k, dom, max_evals, classify)
-    unresolved.append((left_mids, left_halves))
-    merged = tuple(_merged(unresolved))
-
-    if witness is not None:
-        status = "fails"
-    elif merged:
-        status = "indeterminate"
-    else:
-        status = "holds"
-    return IHRow(period=k, threshold=thr, slack=slack, status=status,
-                 witness=witness, unresolved=merged)
+    _, left = _refine(S, k, max_evals, classify)
+    mids, halves, mi = (np.concatenate(parts) for parts in zip(*unresolved, left)) if unresolved else left
+    counts, out = _counts(mi, K), []
+    for i in range(K):
+        merged = tuple(_merged([(mids[mi == i], halves[mi == i])])) if counts[i] else ()
+        status = "fails" if witness[i] is not None else "indeterminate" if merged else "holds"
+        out.append(IHRow(period=k, threshold=thr[i], slack=slack[i], status=status,
+                         witness=witness[i], unresolved=merged))
+    return out
 
 
 # -- implied growth constant ---------------------------------------------------------

@@ -207,7 +207,8 @@ class PerturbedMap:
     (likewise `derivative` and `deriv_many`, `jac` and `jac_many`) agree bit
     for bit.  Its certified `bounds` are its base's plus its terms', each
     term giving one triple (sup, d1, d2), so a base shared by many maps is
-    bounded once per radius.
+    bounded once per radius.  The census evaluates a 1-D map from its
+    parts (`_horner_parts`), with these methods' floats, not through them.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -450,6 +451,17 @@ def _bounds(f, radius: float) -> tuple:
     if ("bounds", radius) not in memo:
         memo["bounds", radius] = f.bounds(radius)
     return memo["bounds", radius]
+
+
+def _horner_parts(f) -> tuple:
+    """(poly, dpoly, terms) of a 1-D map, a PolynomialMap or a PerturbedMap:
+    f.evaluate(x) is _horner(poly, x) plus t.value(x) for each unfolded
+    term t in order, f.derivative(x) likewise with dpoly and t.derivative,
+    and eval_many and deriv_many take the same floats point by point.  The
+    census evaluates maps from these parts, many maps in one array pass,
+    with the maps' own floats."""
+    fold = f._fold if isinstance(f, PerturbedMap) else f
+    return fold._poly, fold._dpoly, getattr(f, "_rest", ())
 
 
 # points of the grid whose extrema certified_range_1d pads

@@ -215,7 +215,11 @@ def _start_cell(start, spacing: float, dim: int):
 
 
 _INT64_MAX = 2**63 - 1
-_MAX_LISTED = 2**62  # cells one layer may list, with room for float rounding
+_MAX_INDEX = 2**62  # lattice cells on each side of 0, with room for float rounding
+# Successor cells one layer may list: _expand and _merge_cells hold about
+# 8 (2N + 6) bytes a listed cell at once, so 2^24 cells take up to 1.6 GiB
+# in 3-D
+_MAX_LISTED = 2**24
 
 
 def _successor_boxes(f, cells: np.ndarray, spacing: float, slack: float, max_cell: int):
@@ -235,15 +239,17 @@ def _successor_boxes(f, cells: np.ndarray, spacing: float, slack: float, max_cel
     return lo.astype(np.int64), stop.astype(np.int64)
 
 
-def _expand(lo: np.ndarray, stop: np.ndarray):
+def _expand(lo: np.ndarray, stop: np.ndarray, spacing: float):
     """Every cell of the boxes lo <= c < stop, box after box, each box in
     `itertools.product` order (last axis fastest), as an (m, N) int64
-    array; and the number of cells in each box.  Raises InvalidInputError
-    when the boxes hold too many cells to list (their int64 sizes could
-    wrap)."""
+    array; and the number of cells in each box.  Boxes of _MAX_LISTED cells
+    or more in all do not fit in memory: InvalidInputError names the
+    lattice `spacing` and the coarser one at which the boxes would hold
+    about _MAX_LISTED cells."""
     width = stop - lo
-    if np.prod(width, axis=1, dtype=float).sum() >= _MAX_LISTED:
-        raise InvalidInputError("a layer has too many successor cells to list")
+    total = np.prod(width, axis=1, dtype=float).sum()
+    if total >= _MAX_LISTED:
+        _real(spacing, "spacing", gt=spacing * (total / _MAX_LISTED) ** (1.0 / lo.shape[1]))
     size = np.prod(width, axis=1)
     rank = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
     cells = np.empty((rank.size, lo.shape[1]), dtype=np.int64)
@@ -299,8 +305,9 @@ def enumerate_pseudotrajectories(
     order, each box last axis fastest), groups equal cells by one stable
     sort and sums their counts, so the next frontier comes in the order of
     first appearance.  Counts are exact integers: int64 while the layer's
-    total provably fits, Python ints beyond; a layer of 2^62 successor
-    cells or more raises InvalidInputError, and so does a spacing that puts
+    total provably fits, Python ints beyond; a layer of _MAX_LISTED (2^24)
+    successor cells or more, too many to list in memory, raises
+    InvalidInputError naming `spacing`, and so does a spacing that puts
     2^62 lattice cells or more on each side of 0.  `budget` caps the box
     computations and is spent in frontier order: when it runs out, the rest
     of the layer's new cells are dropped with their branches, so the
@@ -315,7 +322,7 @@ def enumerate_pseudotrajectories(
     _real(slack, "slack", ge=0, inf=True)
     budget, max_samples = _period(budget, 0, "budget"), _period(max_samples, 0, "max_samples")
     R = f.domain_radius
-    max_cell = _half_cells(R, spacing, _MAX_LISTED)
+    max_cell = _half_cells(R, spacing, _MAX_INDEX)
     N = f.dim
     start = _start_cell(start, spacing, N)
     coords = (start,) if N == 1 else start
@@ -343,7 +350,7 @@ def enumerate_pseudotrajectories(
             lo, stop = np.concatenate([lo, new_lo]), np.concatenate([stop, new_stop])
         kept = at >= 0
         counts = counts[kept]
-        succ, size = _expand(lo[at[kept]], stop[at[kept]])
+        succ, size = _expand(lo[at[kept]], stop[at[kept]], spacing)
         if not succ.size:
             counts = counts[:0]
             break

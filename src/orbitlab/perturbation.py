@@ -93,7 +93,7 @@ class HomogeneousComponent:
                 f"degree-{self.degree} component in dimension {self.dim} "
                 f"needs coefficients of shape {want}, got {self.coeffs.shape}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.isfinite(self.coeffs).all():
             raise InvalidInputError("non-finite coefficient")
 
     def __eq__(self, other):
@@ -115,17 +115,29 @@ class HomogeneousComponent:
         return cls(degree, dim, np.zeros((len(multi_indices(degree, dim)), dim)))
 
 
-def _weights(degree: int, dim: int) -> np.ndarray:
-    alphas = multi_indices(degree, dim)
-    return np.array([1.0 / multinomial(degree, a) for a in alphas])
+_GRADE_CACHE: dict = {}
+
+
+def _grade(degree: int, dim: int) -> tuple:
+    """(1 / multinomial(degree, alpha), sqrt(multinomial(degree, alpha)))
+    over multi_indices(degree, dim): the weights of the scalar product and
+    the factors from orthonormal to monomial coordinates, read-only arrays
+    cached per (degree, dim) as multi_indices is."""
+    key = (degree, dim)
+    if key not in _GRADE_CACHE:
+        counts = [multinomial(degree, a) for a in multi_indices(degree, dim)]
+        weights, factors = np.array([1.0 / c for c in counts]), np.array([math.sqrt(c) for c in counts])
+        weights.flags.writeable = factors.flags.writeable = False
+        _GRADE_CACHE[key] = weights, factors
+    return _GRADE_CACHE[key]
 
 
 def weighted_inner(a: HomogeneousComponent, b: HomogeneousComponent) -> float:
     """Orthogonally invariant scalar product on one graded component."""
     if a.degree != b.degree or a.dim != b.dim:
         raise InvalidInputError("components live in different graded spaces")
-    w = _weights(a.degree, a.dim)
-    return float(np.sum(w * np.sum(a.coeffs * b.coeffs, axis=1)))
+    w = _grade(a.degree, a.dim)[0]
+    return float((w * (a.coeffs * b.coeffs).sum(axis=1)).sum())
 
 
 @dataclass(frozen=True)
@@ -574,19 +586,17 @@ def sample(brick: BrickSpec, dim: int, seed) -> PerturbationVector:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comps = []
     for k in range(brick.truncation_degree + 1):
-        alphas = multi_indices(k, dim)
-        n_alpha = len(alphas)
-        g = rng.standard_normal((n_alpha, dim))
-        norm = float(np.sqrt(np.sum(g * g)))
+        factors = _grade(k, dim)[1]
+        g = rng.standard_normal((factors.size, dim))
+        norm = float(np.sqrt((g * g).sum()))
         while norm == 0.0:  # probability-zero guard, keeps the draw well defined
-            g = rng.standard_normal((n_alpha, dim))
-            norm = float(np.sqrt(np.sum(g * g)))
+            g = rng.standard_normal((factors.size, dim))
+            norm = float(np.sqrt((g * g).sum()))
         u = rng.random()
         r_k = brick.sizes[k]
         scale = r_k * u ** (1.0 / nu(k, dim)) / norm
         ortho = g * scale
         # orthonormal -> monomial coordinates
-        factors = np.array([math.sqrt(multinomial(k, a)) for a in alphas])
         coeffs = ortho * factors[:, None]
         comp = HomogeneousComponent(k, dim, coeffs)
         # one deterministic clamp so membership survives rounding

@@ -446,20 +446,19 @@ def test_census_locates_every_root_in_one_newton_pass(monkeypatch):
     passes = []
     newton = census._newton
 
-    def recorded(f, n, dom, brackets, tol):
-        passes.append((brackets, newton(f, n, dom, brackets, tol)))
-        return passes[-1][1]
+    def recorded(S, n, bmi, brackets, tol):
+        passes.append((S, bmi, brackets, newton(S, n, bmi, brackets, tol)))
+        return passes[-1][-1]
 
     monkeypatch.setattr(census, "_newton", recorded)
     f = PolynomialMap.univariate(CHAOTIC)
     _divisors_first(f, 10, radius=1.0)
     passes.clear()
     res = find_periodic(f, 10, radius=1.0)
-    ((brackets, (found, calls)),) = passes
+    ((S, bmi, brackets, (found, calls)),) = passes
     assert res.certified and res.count == 103 and len(brackets) == 90 and res.evaluations == 2_177
-    dom = _one(f)
-    alone = [newton(f, 10, dom, brackets[i:i + 1], 1e-12) for i in range(90)]
-    assert [a for (a,), _ in alone] == found and sum(c for _, c in alone) == calls
+    alone = [newton(S, 10, bmi[i:i + 1], brackets[i:i + 1], 1e-12) for i in range(90)]
+    assert [a for (a,), _ in alone] == found and [sum(c for _, (c,) in alone)] == calls
 
 
 def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
@@ -477,11 +476,11 @@ def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
     enclose, tubes_at = census._enclose, census._tubes_at
 
     def recorded(*args):
-        budgets.append(args[-1])
+        budgets.append(int(args[-1][0]))  # the budget left of the stack's one map
         return enclose(*args)
 
     def recorded_orbits(f, xs, *args):
-        if sys._getframe(1).f_code.co_name == "_census":  # the records' orbits, held roots first
+        if sys._getframe(2).f_code.co_name == "_census":  # the records' orbits, held roots first
             known.append(len(xs))
         return tubes_at(f, xs, *args)
 
@@ -564,20 +563,6 @@ def test_window_pass_is_counted_within_the_budget():
     assert short.records == [] and not short.certified
 
 
-class _CountedMap(PerturbedMap):
-    """A PerturbedMap that counts the point-steps of f it evaluates."""
-
-    steps = 0
-
-    def evaluate(self, x):
-        _CountedMap.steps += 1
-        return super().evaluate(x)
-
-    def eval_many(self, xs):
-        _CountedMap.steps += np.size(xs)
-        return super().eval_many(xs)
-
-
 def test_evaluations_count_every_computed_orbit(monkeypatch):
     """With no tube in the memo, so that none is reused, `evaluations` is the
     number of n-step orbits the census computes: orbit tubes, the ends of
@@ -587,33 +572,35 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     located, and the orbit of each tangential candidate's record.  Those
     censuses run first, on the same map, and count their own orbits: they
     are left out here, and the tubes they leave are dropped.  Counted at
-    the map, each orbit is n evaluations of f, so the count does not depend
-    on how the census batches them.  Each set of points the census iterates
-    is distinct: the orbits of points on both kernels (_tubes_at, and
-    _tube_many where some radius is 0)."""
-    iterated = []
+    the two orbit kernels, which read the map's coefficients, each orbit is
+    n steps of f, so the count does not depend on how the census batches
+    them.  Each set of points the census iterates is distinct: the orbits
+    of points on both kernels (_tubes_at, and _tube_many where some radius
+    is 0)."""
+    iterated, steps = [], []
     tubes_at, tube = census._tubes_at, census._tube_many
 
-    def recorded_points(f, xs, *args):
+    def recorded_points(f, xs, halves, n, *args):
         iterated.append(np.array(xs))
-        return tubes_at(f, xs, *args)
+        steps.append(len(xs) * n)
+        return tubes_at(f, xs, halves, n, *args)
 
-    def recorded_tube(f, mids, halves, *args):
+    def recorded_tube(f, mids, halves, n, *args):
         if not np.all(halves):
             iterated.append(np.array(mids))
-        return tube(f, mids, halves, *args)
+        steps.append(np.size(mids) * n)
+        return tube(f, mids, halves, n, *args)
 
     monkeypatch.setattr(census, "_tubes_at", recorded_points)
     monkeypatch.setattr(census, "_tube_many", recorded_tube)
-    for spec, n, radius, tol in (((PolynomialMap.univariate(CHAOTIC), ()), 8, 1.0, 1e-12),
-                                 ((parabolic().base, parabolic().terms), 1, None, 1e-4)):
-        f = _CountedMap(*spec)
+    for f, n, radius, tol in ((PolynomialMap.univariate(CHAOTIC), 8, 1.0, 1e-12),
+                              (parabolic(), 1, None, 1e-4)):
         dom = census._domain(f, census._resolve_radius(f, radius))  # the range and bounds
         _divisors_first(f, n, radius=radius, tol=tol)
         dom.tubes.clear()
-        _CountedMap.steps = 0
+        steps.clear()
         res = find_periodic(f, n, radius=radius, tol=tol)
-        assert res.records and res.evaluations * n == _CountedMap.steps
+        assert res.records and res.evaluations * n == sum(steps)
     assert iterated and all(np.unique(xs).size == xs.size for xs in iterated)
 
 
@@ -622,19 +609,50 @@ def _one(f):
     return _domain(f, 1.0)
 
 
+def _solo(f):
+    """The stack of the one map f on [-1, 1]."""
+    return census._Stack([f], [_one(f)])
+
+
+def _settled(f, n, lo, hi, slope, budget):
+    """_settle on the intervals [lo, hi] of f alone, on [-1, 1]: the mask of
+    the settled intervals, the evaluations spent and the brackets."""
+    mask, used, brackets, _ = census._settle(_solo(f), n, np.zeros(lo.size, dtype=np.intp), lo, hi, slope,
+                                             np.array([budget]))
+    return mask, int(used[0]), brackets
+
+
+def _known_of(rows, sizes):
+    """The census._Known of the columns of `rows`, sizes[k] of them of map
+    k, each map's sorted by x - h, then x + h."""
+    return census._Known(rows=rows, off=[0, *np.cumsum(sizes).tolist()],
+                         maps=np.repeat(np.arange(len(sizes)), sizes))
+
+
+def _held(lo, hi, up, known):
+    """_held_runs on the intervals [lo, hi] of one map whose known roots are
+    the columns of `known`: the mask and the rows [x, h, least, a, c]."""
+    one = _known_of(known, [known.shape[1]])
+    inside, rows = census._held_runs(lo, hi, up, np.zeros(lo.size, dtype=np.intp), one)
+    assert all(row[5] == 0.0 for row in rows)
+    return inside, [row[:5] for row in rows]
+
+
 def _slopes(f, n, lo, hi):
     """The enclosures of g' on the intervals [lo, hi] from their orbit
     tubes on [-1, 1], as _settle's callers pass them."""
     mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
     c = _cells(mids, halves, n, _one(f), _tube_many(f, mids, halves, n, _one(f)))
-    return c.slopes(np.arange(lo.size))
+    d, dev = c.lam - 1.0, c.dev
+    return np.array([d - dev, d + dev])
 
 
 def _located(f, n, brackets, budget=10_000):
     """The records of the roots _enclose locates in `brackets` at period
     n on [-1, 1] within `budget`, and the orbits it spent."""
-    found, spent = census._enclose(f, n, _one(f), brackets, 1e-12, budget)
-    return [census._record(n, *fields, True, "simple") for fields in found], spent
+    (found,), (spent,) = census._enclose(_solo(f), n, np.zeros(len(brackets), dtype=np.intp), brackets, 1e-12,
+                                         np.array([budget]))
+    return [census._record(n, *fields, True, "simple") for fields in found], int(spent)
 
 
 def test_settle_pays_for_the_ends_and_newton_at_its_worst():
@@ -648,7 +666,7 @@ def test_settle_pays_for_the_ends_and_newton_at_its_worst():
     slope = _slopes(f, 1, lo, hi)
     assert (slope[1] < 0).all()  # g' = -3.6x - 1 < 0 on both
     for budget, settled, spent in ((2, [False, False], 0), (3, [True, True], 3)):
-        mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, budget)
+        mask, used, brackets = _settled(f, 1, lo, hi, slope, budget)
         assert mask.tolist() == settled and used == spent
         assert brackets.shape == (sum(settled) // 2, 9)
     assert brackets[0, :2].tolist() == [0.49, 0.505]
@@ -860,7 +878,7 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
 
     monkeypatch.setattr(census, "_start", recorded_start)
     monkeypatch.setattr(census, "_tubes_at", recorded_orbits)
-    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    mask, used, brackets = _settled(f, 1, lo, hi, _slopes(f, 1, lo, hi), 10_000)
     records, spent = _located(f, 1, brackets)
     ((xs, g, bound),) = ends
     assert xs == [0.49, 0.505]
@@ -882,7 +900,7 @@ def test_settle_joins_monotone_intervals_across_a_root_on_their_shared_end():
     f = PolynomialMap.univariate(CHAOTIC)
     assert abs(f.evaluate(0.5) - 0.5) <= 1e-9
     lo, hi = np.array([0.49, 0.5]), np.array([0.5, 0.51])
-    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    mask, used, brackets = _settled(f, 1, lo, hi, _slopes(f, 1, lo, hi), 10_000)
     assert mask.tolist() == [True, True] and used == 3  # the three ends
     assert brackets[:, :2].tolist() == [[0.49, 0.51]]  # the run's outer ends
     (record,), spent = _located(f, 1, brackets)
@@ -898,7 +916,7 @@ def test_settle_keeps_intervals_apart_where_their_shared_end_clears():
     root from its own outer ends, not from those of all three."""
     f = PolynomialMap.univariate(CHAOTIC)
     lo, hi = np.array([0.49, 0.495, 0.5]), np.array([0.495, 0.5, 0.51])
-    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, _slopes(f, 1, lo, hi), 10_000)
+    mask, used, brackets = _settled(f, 1, lo, hi, _slopes(f, 1, lo, hi), 10_000)
     assert mask.tolist() == [True, True, True] and used == 4
     assert brackets[:, :2].tolist() == [[0.495, 0.51]]
 
@@ -910,7 +928,7 @@ def test_settle_never_joins_intervals_monotone_in_opposite_directions():
     f = PolynomialMap.univariate([0.0, 1.0, 0.5])
     lo, hi = np.array([-0.25, 0.0]), np.array([0.0, 0.25])
     slope = np.array([[-0.25, 1e-3], [-1e-3, 0.25]])  # g' = x falls, then rises
-    mask, used, brackets = census._settle(f, 1, _one(f), lo, hi, slope, 10_000)
+    mask, used, brackets = _settled(f, 1, lo, hi, slope, 10_000)
     assert mask.tolist() == [False, False]
     assert used == 3 and brackets.shape == (0, 9)
 
@@ -929,7 +947,7 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
     for x, h, want, mask in ((0.0, 0.01, [], none), (0.3, 0.01, [[0.3, 0.01, 3.0, 0.0, 0.5]], rising),
                              (0.49, 0.01, [], none), (-0.2, 0.05, [], none),
                              (-0.2, 0.04, [[-0.2, 0.04, 3.0, -0.25, 0.0]], falling)):
-        inside, runs = census._held_runs(lo, hi, up, np.array([[x - h], [x + h], [x], [h], [3.0]]))
+        inside, runs = _held(lo, hi, up, np.array([[x - h], [x + h], [x], [h], [3.0]]))
         assert runs == want and inside.tolist() == mask
     rng = np.random.default_rng(5)
     for size in range(1, 48):
@@ -942,7 +960,7 @@ def test_held_runs_join_only_what_settle_would_and_need_the_enclosure_inside():
         xs, hs = rng.uniform(edges[0], edges[-1], 6), rng.choice([1e-3, 0.1], 6)
         known = np.array([xs - hs, xs + hs, xs, hs, rng.integers(0, 4, 6)])
         known = known[:, np.argsort(known[0])]
-        inside, runs = census._held_runs(lo, hi, up, known)
+        inside, runs = _held(lo, hi, up, known)
         for x, h, _, a, c in runs:
             cells = (lo >= a) & (hi <= c)
             assert a < x - h and x + h < c and inside[cells].all() and len(set(up[cells])) == 1
@@ -995,7 +1013,7 @@ def test_held_runs_floats_and_arrays_agree(widths, data):
     for limit in (0, 10**9):  # the arrays, then the floats
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(census, "_SCALAR_POINTS", limit)
-            inside, rows = census._held_runs(lo, hi, up, known)
+            inside, rows = _held(lo, hi, up, known)
         assert inside.dtype == bool and inside.shape == lo.shape
         assert all(type(v) is float for row in rows for v in row)
         got.append((inside.tolist(), rows))
@@ -1014,7 +1032,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
     lo, hi = roots - 1e-4, roots + 1e-4
     slope = _slopes(f, 5, lo, hi)
     # each root alone: its two ends, then the Newton steps
-    alone = [_located(f, 5, census._settle(f, 5, _one(f), lo[i:i + 1], hi[i:i + 1],
+    alone = [_located(f, 5, _settled(f, 5, lo[i:i + 1], hi[i:i + 1],
                                            slope[:, i:i + 1], 10_000)[2]) for i in range(3)]
     worst = census._NEWTON_STEPS
     assert all(0 < c < worst for _, c in alone)
@@ -1026,7 +1044,7 @@ def test_settle_waves_settle_what_the_sequential_rule_settles(monkeypatch):
             for _, c in alone:
                 want.append(budget >= 6 and spent + worst <= budget)
                 spent += c if want[-1] else 0
-            mask, used, brackets = census._settle(f, 5, _one(f), lo, hi, slope, budget)
+            mask, used, brackets = _settled(f, 5, lo, hi, slope, budget)
             assert mask.tolist() == [budget >= 6] * 3 and len(brackets) == 3 * (budget >= 6)
             records, located = _located(f, 5, brackets, budget - used)
             assert records == [r for (r,), _ in alone[:sum(want)]] and want == sorted(want)[::-1]
@@ -1616,3 +1634,125 @@ def test_prop11_flags_nonhyperbolic_cycle():
 def test_prop11_rejects_bad_n():
     with pytest.raises(InvalidInputError):
         prop11_check(half(), 0)
+
+
+# -- stacks of maps ------------------------------------------------------------------
+
+
+def _stack_maps():
+    """Fresh maps for one stack, with the radius each is censused on: a9
+    samples (42, 0..2) at R = 1 and 1.0625, x^2 - 1 with an unfolded
+    root-product term, 0.95 - 1.8x^2 (degree 2 among degree 8: padded
+    Horner columns) and x^2 - 1 itself, a bare PolynomialMap."""
+    base = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    maps = [PerturbedMap(base, sample(BrickSpec.factorial(0.01, 8), 1, (42, i))) for i in range(3)]
+    maps += [base.with_term(RootProductPerturbation(0.02, (0.3, -0.6))), PolynomialMap.univariate(CHAOTIC),
+             PolynomialMap.univariate([-1.0, 0.0, 1.0])]
+    return maps, [1.0, 1.0625, 1.0625, 1.0625, 1.0, 1.0625]
+
+
+def test_a_stack_census_equals_each_maps_own():
+    """One stacked census per period, n = 1..8, gives each map the census
+    that find_periodic gives a fresh copy of it: records, regions,
+    evaluations and certified, bit for bit.  At 1,100 evaluations the
+    budget binds for 0.95 - 1.8x^2 at n = 5..8 and for no other map, and
+    at 1,000 no map pays for its first round."""
+    for budget in (3_000_000, 1_100, 1_000):
+        maps, radii = _stack_maps()
+        S = census._Stack(maps, [_domain(f, r) for f, r in zip(maps, radii)])
+        bound = []
+        for n in range(1, 9):
+            got = census._census(S, n, 1e-12, budget)
+            fresh, _ = _stack_maps()
+            want = [find_periodic(f, n, radius=r, max_evaluations=budget) for f, r in zip(fresh, radii)]
+            assert got == want, (budget, n)
+            assert [repr(a) for a in got] == [repr(b) for b in want]
+            bound.append([not r.certified for r in got])
+        if budget == 1_100:
+            assert [b[4] for b in bound] == [False] * 4 + [True] * 4
+            assert not any(b[i] for b in bound for i in (0, 1, 2, 3, 5))
+        if budget == 1_000:
+            assert all(all(b) for b in bound)
+
+
+def test_a_stack_ih_check_equals_each_maps_own():
+    """One stacked ih_check stage per period, each map with its own
+    threshold, gives each map the rows ih_check gives a fresh copy; a map
+    stops at its first failing stage while the others go on."""
+    maps, radii = _stack_maps()
+    maps, radii = maps[:3] + maps[4:5], radii[:3] + radii[4:5]
+    params = [GrowthParams(C=c, delta=1.0) for c in (2.2, 3.0, 1.5, 2.2)]
+    S = census._Stack(maps, [_domain(f, r) for f, r in zip(maps, radii)])
+    got = census._ih_stages(S, params, 6, 400_000)
+    fresh, _ = _stack_maps()
+    want = [ih_check(f, p, 6, radius=r) for f, p, r in zip(fresh[:3] + fresh[4:5], params, radii)]
+    assert [tuple(rows) for rows in got] == [report.rows for report in want]
+    assert [report.status for report in want] == ["holds", "holds", "fails", "holds"]
+    assert [len(rows) for rows in got] == [6, 6, 1, 6]
+
+
+def test_stacked_rows_evaluate_each_maps_own_floats():
+    """The rows of a stack (_Rows), as 1-D rows of mixed maps and as blocks
+    of one map each, take each map's own eval_many and deriv_many floats
+    bit for bit, signed zeros, infinities and NaN included, and so does an
+    orbit tube over them."""
+    maps, radii = _stack_maps()
+    doms = [_domain(f, r) for f, r in zip(maps, radii)]
+    S = census._Stack(maps, doms)
+    xs = np.array([0.0, -0.0, 0.3, -0.7, 1.0625, -1.0625, 2.5, np.inf, -np.inf, np.nan])
+    with np.errstate(all="ignore"):
+        mi = np.resize(np.arange(len(maps)), xs.size * len(maps))
+        x = np.repeat(xs, len(maps))
+        rows = S.rows(mi)
+        blocks = S.rows(np.arange(len(maps))[:, None])
+        x2 = np.tile(xs, (len(maps), 1))
+        for method in ("eval_many", "deriv_many"):
+            got, blocked = getattr(rows, method)(x), getattr(blocks, method)(x2)
+            for k, f in enumerate(maps):
+                assert _bits(got[mi == k]) == _bits(getattr(f, method)(x[mi == k]))
+                assert _bits(blocked[k]) == _bits(getattr(f, method)(xs))
+        h = np.resize([0.0, 1e-3], x.size)
+        tube = _tube_many(rows, x, h, 5, rows)
+        for k, (f, dom) in enumerate(zip(maps, doms)):
+            alone = _tube_many(f, x[mi == k], h[mi == k], 5, dom)
+            assert [_bits(t[mi == k]) for t in tube] == [_bits(a) for a in alone]
+
+
+def _bits(a) -> bytes:
+    """The bytes of a float array: equal floats, signed zeros and NaN
+    payloads included."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_held_runs_of_a_stack_are_each_maps_own():
+    """_held_runs over the intervals of several maps, each with its own
+    known roots (or none), gives each map the mask and rows it gets alone,
+    on floats and on arrays: no run joins two maps, although their cells
+    share ends and directions."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        K = int(rng.integers(1, 5))
+        parts, knowns = [], []
+        for k in range(K):
+            edges = np.cumsum(rng.choice([0.125, 0.25], 9))
+            keep = rng.random(8) < 0.8
+            lo, hi, up = edges[:-1][keep], edges[1:][keep], rng.random(keep.sum()) < 0.7
+            parts.append((lo, hi, up))
+            size = int(rng.integers(0, 5)) if k else 3
+            xs, hs = rng.uniform(edges[0], edges[-1], size), rng.choice([1e-3, 0.1], size)
+            known = np.array([xs - hs, xs + hs, xs, hs, rng.integers(0, 4, size)])
+            knowns.append(known[:, np.lexsort(known[1::-1])])
+        order = rng.permutation(sum(p[0].size for p in parts))
+        lo, hi, up = (np.concatenate([p[j] for p in parts])[order] for j in range(3))
+        mi = np.repeat(np.arange(K), [p[0].size for p in parts])[order]
+        stacked = _known_of(np.concatenate(knowns, axis=1), [k.shape[1] for k in knowns])
+        for limit in (0, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(census, "_SCALAR_POINTS", limit)
+                inside, rows = census._held_runs(lo, hi, up, mi, stacked)
+                for k, known in enumerate(knowns):
+                    mine = mi == k
+                    alone = (np.zeros(mine.sum(), dtype=bool), []) if not known.shape[1] else \
+                        _held(lo[mine], hi[mine], up[mine], known)
+                    assert inside[mine].tolist() == alone[0].tolist()
+                    assert [row[:5] for row in rows if row[5] == k] == alone[1]

@@ -645,7 +645,8 @@ def _real_arguments():
         ("spacing", lambda v: snap(0.3, v), [0.0], True),
         ("spacing", lambda v: GridTrajectory(v, [0, 1]), [0.0], True),
         ("spacing", lambda v: snap_orbit(half, seg, v), [0.0], True),
-        ("spacing", lambda v: enumerate_pseudotrajectories(half, v, 0.1, 0, 2), [0.0], True),
+        # 2^-61: the start cell's successors, 2 * 0.1 * 2^61 of them, do not fit in memory
+        ("spacing", lambda v: enumerate_pseudotrajectories(half, v, 0.1, 0, 2), [0.0, 2.0**-61], True),
         ("radius", lambda v: cells_per_axis(v, 0.1), [0.0], True),
         ("spacing", lambda v: cells_per_axis(1.0, v), [0.0], True),
         ("slack", lambda v: enumerate_pseudotrajectories(half, 0.5, v, 0, 2), [_BELOW_0, -math.inf], False),

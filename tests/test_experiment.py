@@ -7,17 +7,25 @@ import numpy as np
 import pytest
 
 from orbitlab import (
+    BrickSpec,
     ConfigurationError,
     ExperimentConfig,
     ExperimentResult,
+    GrowthParams,
     InvalidInputError,
     PerturbedMap,
+    PolynomialMap,
+    UncertifiedCensusError,
     base_map_from_spec,
     emit_reports,
     fit_C,
+    gamma_n_of_map,
+    ih_check,
+    invariant_radius,
     run_experiment,
+    sample,
 )
-from orbitlab import experiment
+from orbitlab import census as census_module, dynamics, experiment
 
 
 # -- the fitted constant --------------------------------------------------------
@@ -322,3 +330,67 @@ def test_summary_is_order_independent(tmp_path):
     s1 = emit_reports(result, str(tmp_path / "fwd"))
     s2 = emit_reports(shuffled, str(tmp_path / "rev"))
     assert s1 == s2
+
+
+# -- stacks of samples ---------------------------------------------------------------
+
+
+A9_BRICK = {"family": "factorial", "tau": 0.01, "truncation_degree": 8}
+
+
+def _sample_alone(config: ExperimentConfig, i: int):
+    """Sample i measured on its own, through the public per-map calls on a
+    fresh map: its rows, fits and ih_check report."""
+    f = PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]),
+                     sample(BrickSpec.from_record(config.brick), 1, seed=(config.master_seed, i)))
+    R = invariant_radius(f)
+    rows, gammas = [], {}
+    for n in range(1, config.n_max + 1):
+        try:
+            value, census = gamma_n_of_map(f, n, radius=R, tol=config.tol)
+        except UncertifiedCensusError as err:
+            rows.append((n, err.result.count, None, False))
+            continue
+        rows.append((n, census.count, value, True))
+        gammas[n] = value
+    fits = [(d, fit_C(gammas, d)) for d in config.deltas]
+    params = GrowthParams(C=config.ih_c_factor * fits[0][1], delta=fits[0][0])
+    return R, rows, fits, ih_check(f, params, config.n_max, radius=R)
+
+
+def test_stacked_samples_equal_samples_measured_alone():
+    """Nine samples run as a stack of 5 and a stack of 4, and each report
+    equals the one the per-map calls give the sample alone: radius, rows,
+    fits, and the ih_check constant, status and stages passed."""
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=9, master_seed=42, n_max=4,
+                              deltas=[1.0, 0.5])
+    assert experiment._STACK == 5
+    result = run_experiment(config)
+    assert len(result.samples) == 9 and {s.radius for s in result.samples} == {1.0, 1.0625}
+    for s in result.samples:
+        R, rows, fits, report = _sample_alone(config, s.index)
+        assert (s.status, s.radius, s.rows, s.fits) == ("ok", R, rows, fits)
+        passed = 0
+        for row in report.rows:
+            if row.status != "holds":
+                break
+            passed = row.period
+        assert (s.ih_c, s.ih_delta) == (report.params.C, report.params.delta)
+        assert (s.ih_status, s.ih_pass) == (report.status, passed)
+
+
+def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):
+    """Each stack's maps, and their memos, go before the next stack is
+    drawn: at every stacked census of a 12-sample experiment the memo holds
+    at most 5 sample maps, the maps of one stack."""
+    held = []
+    census = census_module._census
+
+    def counted(S, *args):
+        held.append(sum(isinstance(f, PerturbedMap) for f in list(dynamics._MEMO.keys())))
+        return census(S, *args)
+
+    monkeypatch.setattr(census_module, "_census", counted)
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=12, master_seed=7, n_max=2)
+    assert all(not s.aborted for s in run_experiment(config).samples)
+    assert len(held) == 3 * 2 and held == [5] * 4 + [2] * 2

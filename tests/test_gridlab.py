@@ -401,15 +401,21 @@ def test_lattice_of_more_cells_than_int64_holds():
 
 
 def test_layer_too_large_to_list_raises():
-    """A layer whose successor boxes hold more cells than int64 sizes can
-    count is refused, not wrapped: 301^8 cells at infinite slack, and 2^64
-    (0 modulo 2^64) in 64-D width-2 boxes."""
+    """A layer whose successor boxes hold more cells than memory can list
+    is refused, naming the spacing and the coarser one that would list about
+    _MAX_LISTED, not wrapped or allocated: 301^8 cells at infinite slack,
+    2^64 (0 modulo 2^64, which int64 sizes would wrap to) in 64-D width-2
+    boxes, and 4.6e17 for x/2 at spacing 2^-61 and slack 0.1, which used to
+    ask NumPy for 3.2 EiB."""
     f = PolynomialMap.linear(0.5 * np.eye(8), domain_radius=1.5)
-    with pytest.raises(InvalidInputError, match="too many"):
+    refused = r"^spacing must be a real number in \({}, inf\), not {}$"
+    with pytest.raises(InvalidInputError, match=refused.format(r"0\.37625", r"0\.01")):
         enumerate_pseudotrajectories(f, 0.01, math.inf, (0,) * 8, 2)
     f = PolynomialMap.linear(0.5 * np.eye(64), domain_radius=1.0)
-    with pytest.raises(InvalidInputError, match="too many"):
+    with pytest.raises(InvalidInputError, match=refused.format(r"1\.54\d*", r"1\.0")):
         enumerate_pseudotrajectories(f, 1.0, 0.5, (1,) * 64, 2)
+    with pytest.raises(InvalidInputError, match=r"^spacing "):
+        enumerate_pseudotrajectories(half(), 2.0**-61, 0.1, 0, 2)
 
 
 def test_batched_enumeration_matches_per_cell_reference_in_3d():
