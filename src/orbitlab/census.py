@@ -92,12 +92,14 @@ evaluations, records, dom.roots and the memo stay per map; no run, wave,
 cluster or deduplicated end joins two maps, and each map's cells keep the
 order they have alone.
 
-Orbits of points outside the cell tubes use the cells' two kernels:
-_tubes_at, one point at a time on floats, for up to _SCALAR_POINTS
-points (the ends _settle reads, _newton's steps, the records of held
-roots and candidates, all maps' together); _tube_many, on the rows of the
-stack, for more and for ih_check's witnesses.  A 1-D map's evaluate and
-the rows' evaluation perform the same float operations in the same
+Orbits of points outside the cell tubes use the cells' two kernels.
+Every zero-width point orbit goes through _points: the ends _settle
+reads, the records of held roots and of candidates, and ih_check's
+witness candidates, all maps' together.  It traces up to _SCALAR_POINTS
+points on floats, one at a time (_tubes_at), and more on the rows of the
+stack (_tube_many); _newton's steps, which trace a point and its box,
+take the same two kernels by the same size rule.  A 1-D map's evaluate
+and the rows' evaluation perform the same float operations in the same
 order, so the choice never changes a value.  The held-run test follows
 the same size rule, with the same results.
 
@@ -250,9 +252,9 @@ class CensusResult:
 # a near-constant overhead up to a few dozen elements, each float element a
 # few hundred ns, so each use has a crossover (shared 2-CPU x86 host):
 #   tube step (point orbits: _settle's ends, held roots' and candidates'
-#     records; _newton's steps): an eval_many step costs about 14 us, a
-#     scalar step 0.7 us a point (degree 9, with and without a root-product
-#     term): they cross at 20-24 points;
+#     records, witness candidates; _newton's steps): an eval_many step
+#     costs about 14 us, a scalar step 0.7 us a point (degree 9, with and
+#     without a root-product term): they cross at 20-24 points;
 #   held-run test (_held_runs): the arrays take 25-30 us a call, the floats
 #     5-11 us at 1-8 intervals: they cross at 16-20 intervals against 2,000
 #     known enclosures and at 32-40 against 16.
@@ -355,23 +357,32 @@ class _Stack:
     one column of a value and of a derivative Horner table (_table), its
     root-product terms, which stay unfolded, are added after it, as the map
     adds them, and each domain constant is one column of `consts`; the
-    parts come from dynamics._horner_parts.  A stack of one map reads its
-    coefficients and domain as they are."""
+    parts come from dynamics._horner_parts, kept per map for _tubes_at.
+    `grid` is the domains' initial grids end to end, with each cell's map,
+    and `tubes` holds the grids' tubes as blocks, the grids themselves at
+    period 0.  A stack of one map reads its coefficients, its domain and
+    its grid's arrays as they are."""
 
     def __init__(self, maps, doms):
         self.maps, self.doms = tuple(maps), tuple(doms)
-        parts = [_horner_parts(f) for f in self.maps]
-        self.poly, self.dpoly = parts[0][:2]  # one map's rows read them as they are (_Rows)
+        self.parts = [_horner_parts(f) for f in self.maps]  # (poly, dpoly, terms) per map
+        self.poly, self.dpoly = self.parts[0][:2]  # one map's rows read them as they are (_Rows)
         if len(self.maps) > 1:
-            self.poly, self.dpoly = (_table([p[j] for p in parts]) for j in (0, 1))
+            self.poly, self.dpoly = (_table([p[j] for p in self.parts]) for j in (0, 1))
             self.consts = np.array([dom[:7] for dom in self.doms]).T  # R, D1, D2, step, d_slack, pad, cap
-        self.rest = [(k, p[2]) for k, p in enumerate(parts) if p[2]]
-        self.tubes: dict = {}  # period -> the grids' tubes as blocks (_grid_tube)
-        self.grid = None  # the grids' (mids, halves, mi), read-only, once _refine asks
+        self.rest = [(k, p[2]) for k, p in enumerate(self.parts) if p[2]]
+        mids, halves = (_blocks([dom.grid[j] for dom in self.doms]) for j in (0, 1))
+        self.tubes: dict = {0: (mids, halves, 1.0, 1.0)}  # period -> the grids' tubes as blocks (_grid_tube)
+        self.grid = _read_only(mids.reshape(-1), halves.reshape(-1),
+                               np.repeat(np.arange(len(self.maps)), _GRID_CELLS))
         self.solo = _Rows(self, None) if len(self.maps) == 1 else None  # the rows of a stack of one
         self.blocks = self.solo or _Rows(self, np.arange(len(self.maps))[:, None])  # one map's grid per block
 
     def subset(self, which: list) -> "_Stack":
+        """The stack of the maps `which` (ascending indices): itself when
+        they are all its maps."""
+        if len(which) == len(self.maps):
+            return self
         return _Stack([self.maps[k] for k in which], [self.doms[k] for k in which])
 
     def rows(self, mi: np.ndarray) -> "_Rows":
@@ -514,21 +525,21 @@ def _tube_many(f, mids: np.ndarray, halves: np.ndarray, n: int, dom: _Domain, la
     return y, r, lam, lam_hi
 
 
-def _tubes_at(f, xs: list, halves: Optional[list], n: int, dom: _Domain) -> list:
+def _tubes_at(S: _Stack, pm: list, xs: list, halves: Optional[list], n: int) -> list:
     """The orbit tubes of radius 0 and of radius h (the list halves) of
-    each float x of the list xs, one point at a time: per point (g, bound,
-    lam, dev), g = y - x and bound = r + 8 eps R >= |g(x) - g| from the
-    zero-width tube (y, r), lam and dev as _cells gives them for the box
-    [x - h, x + h].  Both radii ride the same y and lam.  With halves None
-    the box is the zero-width tube itself, bit for bit, so it is not traced
-    twice.  The loop performs _tube_many's float operations, so it agrees
-    with _tube_many over the stacked radii (0, h) bit for bit.  It
-    evaluates the map from its parts (dynamics._horner_parts), with the
-    floats of f.evaluate and f.derivative and without their call layers."""
-    R, D1, D2, step, d_slack, pad, cap = dom[:7]
-    poly, dpoly, rest = _horner_parts(f)
+    each float x of the list xs, of the stack's map in its entry of pm, one
+    point at a time: per point (g, bound, lam, dev), g = y - x and bound =
+    r + 8 eps R >= |g(x) - g| from the zero-width tube (y, r), lam and dev
+    as _cells gives them for the box [x - h, x + h].  Both radii ride the
+    same y and lam.  With halves None the box is the zero-width tube
+    itself, bit for bit, so it is not traced twice.  The loop performs
+    _tube_many's float operations, so it agrees with _tube_many over the
+    stacked radii (0, h) bit for bit.  It evaluates each map from its parts
+    (S.parts), with the floats of f.evaluate and f.derivative and without
+    their call layers, and reads its domain's constants from S.doms."""
     box, out = halves is not None, []
-    for x, r in zip(xs, halves if box else xs):
+    for k, x, r in zip(pm, xs, halves if box else xs):
+        (poly, dpoly, rest), (R, D1, D2, step, d_slack, pad, cap) = S.parts[k], S.doms[k][:7]
         y, r0, lam, lam_hi = x, 0.0, 1.0, 1.0
         for _ in range(n):
             d, e = _horner(dpoly, y), _horner(poly, y)
@@ -559,40 +570,21 @@ def _blocks(arrays: list) -> np.ndarray:
 
 def _grid_tube(S: _Stack, n: int):
     """The initial grids' tubes at period n >= 1 of the stack's maps, as
-    blocks (_Rows) of one map's grid each, in map order.  Each domain keeps
-    its grid's tube, read-only, at every period asked for: a map reads its
-    own period's, or extends the one at the highest period k < n held (the
-    grid itself at k = 0) by n - k steps, in one _tube_many call for all
-    the maps that extend from the same k.  A step reads only the domain's
-    constants, none of which depends on the period, so the result is bit
-    for bit the tube computed from scratch.  Where all the stack's maps
-    extend from one k, the blocks are the new tubes themselves, whose rows
-    the domains keep, and the stack keeps them for its later calls at n."""
-    if n in S.tubes:
-        return S.tubes[n]
-    held = [dom.tubes.get(n) for dom in S.doms]
-    if None not in held:  # every domain holds it
-        return tuple(_blocks(parts) for parts in zip(*held))
-    starts: dict = {}  # k -> the maps that extend the tube held at k
-    for i, dom in enumerate(S.doms):
-        if held[i] is None:
-            starts.setdefault(max((k for k in dom.tubes if k < n), default=0), []).append(i)
-    everyone = list(range(len(S.maps)))
-    for k, group in starts.items():
-        if k in S.tubes and group == everyone:
-            y, r, lam, lam_hi = S.tubes[k]
-        else:
-            base = [S.doms[i].tubes.get(k, (*S.doms[i].grid, 1.0, 1.0)) for i in group]
-            y, r = (_blocks([t[j] for t in base]) for j in (0, 1))
-            lam, lam_hi = (_blocks([t[j] for t in base]) for j in (2, 3)) if k else (1.0, 1.0)
-        blocks = S.blocks if group == everyone else S.rows(np.array(group)[:, None])
-        tube = _tube_many(blocks, y, r, n - k, blocks, lam, lam_hi)
-        for j, i in enumerate(group):
-            S.doms[i].tubes[n] = _read_only(*(a[j] for a in tube))
-    if list(starts.values()) == [everyone]:
-        S.tubes[n] = tube
-        return tube
-    return tuple(_blocks(parts) for parts in zip(*(dom.tubes[n] for dom in S.doms)))
+    blocks (_Rows) of one map's grid each, in map order, which the stack
+    keeps for its later calls.  They are the tubes at the highest period
+    k <= n that every domain holds (the grids themselves at k = 0), as they
+    are where k = n, else extended by n - k steps in one _tube_many call
+    for all maps.  Each domain keeps its row, read-only, unless it holds a
+    tube at n of its own.  A step reads only the domain's constants, none
+    of which depends on the period, so every row is bit for bit the tube
+    computed from scratch, and equals the tube a domain holds at n."""
+    if n not in S.tubes:
+        k = max((j for j in S.doms[0].tubes if j <= n and all(j in dom.tubes for dom in S.doms)), default=0)
+        base = S.tubes.get(k) or tuple(_blocks(parts) for parts in zip(*(dom.tubes[k] for dom in S.doms)))
+        S.tubes[n] = base if k == n else _tube_many(S.blocks, *base[:2], n - k, S.blocks, *base[2:])
+        for dom, *rows in zip(S.doms, *S.tubes[n]):
+            dom.tubes.setdefault(n, _read_only(*rows))
+    return S.tubes[n]
 
 
 class _Cells(NamedTuple):
@@ -649,10 +641,6 @@ def _refine(S: _Stack, n: int, max_evaluations: int, classify):
     by the maps whose budget stopped them.
     """
     K = len(S.maps)
-    if S.grid is None:
-        mids, halves = (np.concatenate([dom.grid[j] for dom in S.doms]) if K > 1 else S.doms[0].grid[j]
-                        for j in (0, 1))
-        S.grid = _read_only(mids, halves, np.repeat(np.arange(K), _GRID_CELLS))
     mids, halves, mi = S.grid
     size = [_GRID_CELLS] * K  # each map's live cells
     evaluations = [0] * K
@@ -786,7 +774,7 @@ def _census(S: _Stack, n: int, tol: float, max_evaluations: int) -> list:
     for d in _proper_divisors(n):
         todo = [k for k, dom in enumerate(S.doms) if (tol, max_evaluations, d) not in dom.roots]
         if todo:
-            _census(S.subset(todo) if len(todo) < K else S, d, tol, max_evaluations)
+            _census(S.subset(todo), d, tol, max_evaluations)
     known = _known(S, n, tol, max_evaluations)
 
     brackets: list = [np.empty((0, 9))]  # the one-root runs of every round, in order
@@ -999,20 +987,11 @@ def _held_runs(lo: np.ndarray, hi: np.ndarray, up: np.ndarray, mi: np.ndarray, k
 def _points(S: _Stack, n: int, pm: list, xs: list):
     """The zero-width tubes of the points xs (floats), each of the map in
     its entry of pm: arrays g, bound, lam, dev as _tubes_at gives them.  Up
-    to _SCALAR_POINTS points are traced on floats, one _tubes_at call per
-    map (in map order, each with its map's points in their order); more in
-    one _tube_many call at radius 0 on the rows of all their maps, whose
-    floats are the same."""
+    to _SCALAR_POINTS points are traced on floats, in one _tubes_at call;
+    more in one _tube_many call at radius 0 on the rows of all their maps,
+    whose floats are the same."""
     if len(xs) <= _SCALAR_POINTS:
-        if len(S.maps) == 1:  # all of them the one map's
-            out = _tubes_at(S.maps[0], xs, None, n, S.doms[0])
-        else:
-            out = [None] * len(xs)
-            for k in sorted(set(pm)):
-                at = [i for i, m in enumerate(pm) if m == k]
-                for i, tube in zip(at, _tubes_at(S.maps[k], [xs[i] for i in at], None, n, S.doms[k])):
-                    out[i] = tube
-        return np.array(out, dtype=float).reshape(-1, 4).T
+        return np.array(_tubes_at(S, pm, xs, None, n), dtype=float).reshape(-1, 4).T
     x = np.asarray(xs, dtype=float)
     rows = S.rows(np.asarray(pm))
     y, r, lam, lam_hi = _tube_many(rows, x, np.zeros(x.size), n, rows)
@@ -1207,11 +1186,11 @@ def _newton(S: _Stack, n: int, bmi: np.ndarray, brackets: np.ndarray, tol: float
                 idx, xl, xh, t, dl, dh = (v[go] for v in (idx, xl, xh, t, dl, dh))
         open_ = zip(*(v.tolist() for v in (idx, xl, xh, t, dl, dh)))
     for i, x0, x1, s, d0, d1 in open_:
-        f, dom = S.maps[maps[i]], S.doms[maps[i]]
+        pad = S.doms[maps[i]].pad
         for k in range(step + 1, _NEWTON_STEPS + 1):
             m = 0.5 * (x0 + x1)
-            ((g, bound, lam, dev),) = _tubes_at(f, [m], [max(m - x0, x1 - m)], n, dom)
-            x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, dom.pad, tol)
+            ((g, bound, lam, dev),) = _tubes_at(S, [maps[i]], [m], [max(m - x0, x1 - m)], n)
+            x0, x1, stop, hw = _contract(_pyfloat, x0, x1, m, s, g, bound, lam, dev, d0, d1, pad, tol)
             if stop or k == _NEWTON_STEPS:
                 break
         found[i], taken[i] = (m, hw, g, lam), k
@@ -1428,8 +1407,7 @@ def _census_stack(maps: list, radii: list, n_max: int, tol: float, fit) -> list:
     checked = [j for j, p in enumerate(params) if p is not None]
     reports: dict = {}
     if checked:
-        stages = _ih_stages(S.subset(checked) if len(checked) < len(live) else S,
-                            [params[j] for j in checked], n_max, _IH_BUDGET)
+        stages = _ih_stages(S.subset(checked), [params[j] for j in checked], n_max, _IH_BUDGET)
         for j, rows in zip(checked, stages):
             reports[j] = IHReport(params=params[j], radius=doms[j].R, rows=tuple(rows))
     for j, k in enumerate(live):
@@ -1448,8 +1426,7 @@ def _ih_stages(S: _Stack, params: list, n_max: int, max_evals: int) -> list:
             break
         thr = [params[i].gamma_n(k) for i in going]
         slack = [t ** (1.0 / params[i].rho) for t, i in zip(thr, going)]
-        stage = S.subset(going) if len(going) < len(S.maps) else S
-        for i, row in zip(going, _ih_one_period(stage, k, thr, slack, max_evals)):
+        for i, row in zip(going, _ih_one_period(S.subset(going), k, thr, slack, max_evals)):
             rows[i].append(row)
         going = [i for i in going if rows[i][-1].status != "fails"]
     return rows
@@ -1473,16 +1450,15 @@ def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) ->
         if cand.size:
             spent = [count if count <= budget else 0 for count, budget in zip(_counts(mi[cand], K), budgets)]
             idx = cand[np.array(spent)[mi[cand]] > 0]
-            m, wmi, zeros = c.mids[idx], mi[idx], np.zeros(idx.size)
-            rows = S.rows(wmi)
-            w = _cells(m, zeros, k, rows, _tube_many(rows, m, zeros, k, rows))
-            failing = ((np.abs(w.g) + w.spread <= _col(slack, wmi))
-                       & (np.abs(np.abs(w.lam) - 1.0) + w.dev < _col(thr, wmi)))
+            m, wmi = c.mids[idx], mi[idx]
+            g, bound, lam, dev = _points(S, k, wmi.tolist(), m.tolist())
+            failing = ((np.abs(g) + bound <= _col(slack, wmi))
+                       & (np.abs(np.abs(lam) - 1.0) + dev < _col(thr, wmi)))
             for i in np.unique(wmi[failing]).tolist():
                 mine = np.flatnonzero(failing & (wmi == i))
                 j = mine[np.argmin(m[mine])]
                 x, h = m[j].item(), c.halves[idx[j]].item()
-                witness[i] = _record(k, x, h, w.g[j].item(), w.lam[j].item(), True, "witness")
+                witness[i] = _record(k, x, h, g[j].item(), lam[j].item(), True, "witness")
                 failed.append(i)
         # neither excluded nor hyperbolic, of a map with no witness; a cell at
         # the width floor is unresolved

@@ -24,7 +24,7 @@ import numpy as np
 
 from .census import GrowthParams, find_periodic
 from .dynamics import PerturbedMap
-from .errors import OrbitLabError
+from .errors import InvalidInputError, OrbitLabError
 from .experiment import (
     PRESET_MAPS,
     ExperimentConfig,
@@ -40,16 +40,24 @@ from .perturbation import BrickSpec, sample as sample_perturbation
 __all__ = ["main"]
 
 
+def _numbers(text: str, name: str) -> list:
+    """The comma-separated numbers of the argument `name`, or
+    InvalidInputError naming it."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(f"{name} must be comma-separated numbers, not {text!r}") from None
+
+
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[float(v) for v in row.split(",")] for row in rows])
+    rows = [_numbers(r, "--matrix") for r in text.split(";") if r.strip()]
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidInputError(f"--matrix rows must all have the same length, not {text!r}")
+    return np.array(rows)
 
 
 def _map_from_args(args) -> PerturbedMap:
-    if args.coeffs is not None:
-        spec = [float(v) for v in args.coeffs.split(",")]
-    else:
-        spec = args.preset
+    spec = _numbers(args.coeffs, "--coeffs") if args.coeffs is not None else args.preset
     return PerturbedMap(base_map_from_spec(spec))
 
 
@@ -153,8 +161,7 @@ def _brick_from_args(args) -> BrickSpec:
         return BrickSpec.factorial(args.tau, args.degree)
     if args.family == "geometric":
         return BrickSpec.geometric(args.tau, args.q, args.degree)
-    sizes = [float(v) for v in args.sizes.split(",")]
-    return BrickSpec.custom(sizes)
+    return BrickSpec.custom(_numbers(args.sizes, "--sizes"))
 
 
 def _cmd_sample(args) -> int:
@@ -177,7 +184,7 @@ def _cmd_grid(args) -> int:
             )
         return 0
     f = _map_from_args(args)
-    start = [float(s) for s in args.start.split(",")]
+    start = _numbers(args.start, "--start")
     census = enumerate_pseudotrajectories(
         f,
         spacing=args.spacing,

@@ -108,6 +108,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a config must be an object, not {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:
@@ -116,8 +118,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the JSON file at `path`; ConfigurationError where
+        the file cannot be read or is not a JSON object."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+        except OSError as err:
+            raise ConfigurationError(f"cannot read config {path}: {err.strerror or err}") from None
+        except ValueError as err:  # JSONDecodeError, and UnicodeDecodeError
+            raise ConfigurationError(f"config {path} is not valid JSON: {err}") from None
+        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         return asdict(self)

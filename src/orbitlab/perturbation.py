@@ -208,12 +208,31 @@ class BrickSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "BrickSpec":
+        """The brick of a record as to_record writes it; ConfigurationError
+        names what is wrong with one that is not: a record that is not an
+        object, a key to_record does not write, or a missing key."""
+        if not isinstance(rec, dict):
+            raise ConfigurationError(f"a brick record must be an object, not {rec!r}")
+        extra = set(rec) - {"family", "truncation_degree", "sizes", "tau", "q"}
+        if extra:
+            raise ConfigurationError(f"unknown brick record keys: {sorted(extra)}")
+        if "family" not in rec:
+            raise ConfigurationError("the brick record lacks 'family'")
+        needs = {"factorial": ("tau", "truncation_degree"), "geometric": ("tau", "q", "truncation_degree"),
+                 "custom": ()}
         family = rec["family"]
+        if family not in tuple(needs):  # compared, not hashed: it may be any JSON value
+            raise ConfigurationError(f"unknown brick family {family!r}")
+        for key in needs[family]:
+            if key not in rec:
+                raise ConfigurationError(f"the {family} brick record lacks {key!r}")
         if family == "factorial":
             return cls.factorial(rec["tau"], rec["truncation_degree"])
         if family == "geometric":
             return cls.geometric(rec["tau"], rec["q"], rec["truncation_degree"])
         sizes = rec.get("sizes", [])
+        if not isinstance(sizes, list):
+            raise ConfigurationError(f"the custom brick record's sizes must be a list, not {sizes!r}")
         if not sizes:
             return cls.empty()
         return cls.custom(sizes)

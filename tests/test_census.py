@@ -241,7 +241,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     dom = _domain(f, res.radius)
     xs = [0.5 * (lo + hi) for lo, hi in res.uncertified_regions]
     assert len(xs) == 2
-    for g, bound, lam, dev in census._tubes_at(f, xs, None, 800, dom):
+    for g, bound, lam, dev in _tubes_at(f, dom, xs, None, 800):
         assert bound == dom.cap + dom.pad and dev == math.inf
     f = PolynomialMap.univariate([0.0, 1.0, 0.0, -1.0])
     res = find_periodic(f, 1, radius=0.5, tol=1e-4)
@@ -249,7 +249,7 @@ def test_a_candidate_whose_orbit_bounds_nothing_gives_no_record():
     assert res.uncertified_regions == [(-0.0078125, 0.0078125)] and not res.certified
     assert (candidate.kind, candidate.location) == ("tangential-candidate", 0.0)
     assert (candidate.multiplier, candidate.gap) == (1.0, 0.0)
-    ((_, bound, _, dev),) = census._tubes_at(f, [0.0], None, 1, _domain(f, 0.5))
+    ((_, bound, _, dev),) = _tubes_at(f, _domain(f, 0.5), [0.0], None, 1)
     assert bound < 1.6e-14 and dev < 1.7e-14
 
 
@@ -479,10 +479,10 @@ def test_unpaid_brackets_are_reported_uncertified(monkeypatch):
         budgets.append(int(args[-1][0]))  # the budget left of the stack's one map
         return enclose(*args)
 
-    def recorded_orbits(f, xs, *args):
+    def recorded_orbits(S, pm, xs, *args):
         if sys._getframe(2).f_code.co_name == "_census":  # the records' orbits, held roots first
             known.append(len(xs))
-        return tubes_at(f, xs, *args)
+        return tubes_at(S, pm, xs, *args)
 
     monkeypatch.setattr(census, "_enclose", recorded)
     monkeypatch.setattr(census, "_tubes_at", recorded_orbits)
@@ -580,10 +580,10 @@ def test_evaluations_count_every_computed_orbit(monkeypatch):
     iterated, steps = [], []
     tubes_at, tube = census._tubes_at, census._tube_many
 
-    def recorded_points(f, xs, halves, n, *args):
+    def recorded_points(S, pm, xs, halves, n):
         iterated.append(np.array(xs))
         steps.append(len(xs) * n)
-        return tubes_at(f, xs, halves, n, *args)
+        return tubes_at(S, pm, xs, halves, n)
 
     def recorded_tube(f, mids, halves, n, *args):
         if not np.all(halves):
@@ -868,8 +868,8 @@ def test_newton_starts_from_the_ends_settle_computed(monkeypatch):
         starts.append(args[:6])
         return start(xp, *args)
 
-    def recorded_orbits(f, xs, halves, *args):
-        out = tubes_at(f, xs, halves, *args)
+    def recorded_orbits(S, pm, xs, halves, n):
+        out = tubes_at(S, pm, xs, halves, n)
         if halves is None:  # the ends' zero-width tubes
             ends.append((list(xs), [g for g, *_ in out], [bound for _, bound, *_ in out]))
         else:  # a Newton step's box
@@ -1146,6 +1146,11 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+def _tubes_at(f, dom, xs, halves, n):
+    """census._tubes_at on the points xs of the one map f, on its domain dom."""
+    return census._tubes_at(census._Stack([f], [dom]), [0] * len(xs), xs, halves, n)
+
+
 def _tube_cases():
     """Yield (f, dom, xs, hs, n) for the kernel comparisons below: a folded
     brick sample, a map with unfolded root-product terms and 0.95 - 1.8x^2,
@@ -1184,27 +1189,27 @@ def test_tubes_at_equals_tubes_at_many_bit_for_bit():
         for f, dom, xs, hs, n in _tube_cases():
             y, r, lam, lam_hi = _tube_many(f, xs, np.stack([np.zeros(xs.size), hs]), n, dom)
             want = (y - xs, r[0] + dom.pad, lam, census._dev(lam, lam_hi[1], n))
-            _same_bits(census._tubes_at(f, xs.tolist(), hs.tolist(), n, dom), want)
+            _same_bits(_tubes_at(f, dom, xs.tolist(), hs.tolist(), n), want)
 
 
 def test_g_ends_is_the_zero_width_tube_on_both_paths():
     """The ends _settle computes are the zero-width tube on both of its
-    paths: _tubes_at with halves None (the float path, also the held
-    records' and candidates' orbits) gives the g = y - x, bound = r + pad,
-    lam and dev of one _tube_many at radius 0 alone (the array path, also
-    the witnesses' orbits) bit for bit, and equals _tubes_at with halves
+    paths: _tubes_at with halves None (the float path of _points, which
+    also traces the held records', candidates' and witnesses' orbits) gives
+    the g = y - x, bound = r + pad, lam and dev of one _tube_many at radius
+    0 alone (its array path) bit for bit, and equals _tubes_at with halves
     [0.0] * k and _tube_many over the stacked radii (0, 0): the zero-width
     tube is traced once."""
     with np.errstate(all="ignore"):
         for f, dom, xs, _, n in _tube_cases():
             zeros = np.zeros(xs.size)
-            point = census._tubes_at(f, xs.tolist(), None, n, dom)
+            point = _tubes_at(f, dom, xs.tolist(), None, n)
             y, r, lam, lam_hi = _tube_many(f, xs, zeros, n, dom)
             _same_bits(point, (y - xs, r + dom.pad, lam, census._dev(lam, lam_hi, n)))
             y, r, lam, lam_hi = _tube_many(f, xs, np.stack([zeros, zeros]), n, dom)
             want = (y - xs, r[0] + dom.pad, lam, census._dev(lam, lam_hi[1], n))
             _same_bits(point, want)
-            _same_bits(census._tubes_at(f, xs.tolist(), [0.0] * xs.size, n, dom), want)
+            _same_bits(_tubes_at(f, dom, xs.tolist(), [0.0] * xs.size, n), want)
 
 
 def test_newton_step_is_the_same_on_floats_and_arrays():
@@ -1382,7 +1387,7 @@ def test_tube_encloses_orbits_and_multipliers(family, seed, n, depth, where, ts)
         assert abs(fx - x - c.g[0]) <= c.spread[0]
         assert abs(dfx - c.lam[0]) <= c.dev[0]
     fm, dfm = _exact_orbit(f, m, n)
-    ((g, bound, lam, dev),) = census._tubes_at(f, [m], None, n, dom)
+    ((g, bound, lam, dev),) = _tubes_at(f, dom, [m], None, n)
     assert abs(fm - m - g) <= bound and abs(dfm - lam) <= dev
     y, r, _, _ = _tube_many(f, np.array([m]), np.zeros(1), n, dom)
     assert abs(fm - m - (y[0] - m)) <= r[0] + dom.pad
@@ -1511,16 +1516,19 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
     candidates together compute at most max_evaluations_per_period orbits,
     and the witness's record is read from its candidate's tube, with no
     orbit of its own: on x - x^3 one round over the initial grid finds the
-    witness, and a budget one orbit short of the two cannot pay for them."""
+    witness, and a budget one orbit short of the two cannot pay for them.
+    The orbits are counted on both kernels, the candidates' on whichever
+    _points takes."""
     orbits = []
-    tube = census._tube_many
+    tube, tubes_at = census._tube_many, census._tubes_at
 
     def counted_tube(f, mids, *args):
         orbits.append(np.size(mids))
         return tube(f, mids, *args)
 
-    def no_record_orbit(*args):
-        raise AssertionError("the witness's record takes an orbit of its own")
+    def counted_points(S, pm, xs, *args):
+        orbits.append(len(xs))
+        return tubes_at(S, pm, xs, *args)
 
     def status(budget):
         orbits.clear()
@@ -1530,9 +1538,9 @@ def test_ih_stage_keeps_the_witness_orbit_within_its_budget(monkeypatch):
         return report.status
 
     monkeypatch.setattr(census, "_tube_many", counted_tube)
-    monkeypatch.setattr(census, "_tubes_at", no_record_orbit)
+    monkeypatch.setattr(census, "_tubes_at", counted_points)
     assert status(400_000) == "fails"
-    (cells, candidates), full = orbits, sum(orbits)
+    (cells, candidates), full = orbits, sum(orbits)  # no third orbit: the record's is the candidate's
     assert cells == census._GRID_CELLS and 0 < candidates < cells
     for budget in (0, cells - 1, cells, cells + 1, full - 1):
         assert status(budget) == "indeterminate"
@@ -1673,6 +1681,29 @@ def test_a_stack_census_equals_each_maps_own():
             assert not any(b[i] for b in bound for i in (0, 1, 2, 3, 5))
         if budget == 1_000:
             assert all(all(b) for b in bound)
+
+
+def test_a_stack_extends_grid_tubes_held_at_different_periods():
+    """Three maps whose domains hold grid tubes at different periods (none,
+    n = 1..3 and n = 1..6) census n = 5 as one stack: each result equals the
+    map's own find_periodic on a fresh copy, each tube a domain held is
+    still the same object, and each domain that lacked period 5 gains the
+    tube a fresh map computes, bit for bit."""
+    maps, radii = (v[:3] for v in _stack_maps())
+    for f, R, top in zip(maps, radii, (0, 3, 6)):
+        for n in range(1, top + 1):
+            find_periodic(f, n, radius=R)
+    doms = [_domain(f, R) for f, R in zip(maps, radii)]
+    held = [dict(dom.tubes) for dom in doms]
+    assert [sorted(tubes) for tubes in held] == [[], [1, 2, 3], list(range(1, 7))]
+    got = census._census(census._Stack(maps, doms), 5, 1e-12, census._CENSUS_BUDGET)
+    fresh, _ = _stack_maps()
+    want = [find_periodic(f, 5, radius=R) for f, R in zip(fresh[:3], radii)]
+    assert got == want and [repr(a) for a in got] == [repr(b) for b in want]
+    for dom, before, f, R in zip(doms, held, fresh, radii):
+        assert all(dom.tubes[k] is tube for k, tube in before.items())
+        assert [_bits(a) for a in dom.tubes[5]] == [_bits(a) for a in _domain(f, R).tubes[5]]
+    assert doms[2].tubes[5] is held[2][5]
 
 
 def test_a_stack_ih_check_equals_each_maps_own():

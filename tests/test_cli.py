@@ -166,6 +166,49 @@ def test_cli_rejects_nonsquare_matrix(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _refused(capsys, argv) -> str:
+    """main(argv) exits 1 and writes one `error:` line to stderr, which it
+    returns."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+_ENUMERATE = ["grid", "enumerate", "--period", "2", "--spacing", "0.1", "--slack", "0.1"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["census", "--coeffs", "1,x", "--period", "1"], "--coeffs"),
+    (["perturb", "close", "--coeffs", "0,0.5,", "--x0", "0.1", "--period", "2"], "--coeffs"),
+    (_ENUMERATE + ["--coeffs", "0,half", "--start", "0"], "--coeffs"),
+    (_ENUMERATE + ["--coeffs", "0,0.5", "--start", "0,y"], "--start"),
+    (["gamma", "--matrix", "1,2;3,x"], "--matrix"),
+    (["gamma", "--matrix", "1,2;3"], "--matrix"),
+    (["sample", "--family", "custom", "--sizes", "1,q"], "--sizes"),
+], ids=["census-coeffs", "perturb-coeffs", "grid-coeffs", "start", "matrix-entry", "matrix-ragged", "sizes"])
+def test_a_malformed_hand_parsed_argument_is_one_error_line(capsys, argv, name):
+    """Each argument the front end parses by hand is refused with one
+    `error:` line naming it and exit code 1, not a traceback."""
+    assert name in _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("text, words", [
+    (None, "cannot read config"),
+    ("{bad", "is not valid JSON"),
+    ('["x"]', "must be an object"),
+    ('{"brick": {"family": "geometric", "tau": 0.1, "truncation_degree": 3}}', "lacks 'q'"),
+    ('{"brick": {"tau": 0.1}}', "lacks 'family'"),
+    ('{"brick": "x"}', "must be an object"),
+], ids=["missing-file", "invalid-json", "not-an-object", "brick-no-q", "brick-no-family", "brick-not-an-object"])
+def test_experiment_refuses_a_malformed_config_with_one_error_line(tmp_path, capsys, text, words):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert words in _refused(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 _COLD_START = """
 import contextlib, io, json, sys
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from orbitlab import (
     UncertifiedCensusError,
     base_map_from_spec,
     emit_reports,
+    find_periodic,
     fit_C,
     gamma_n_of_map,
     ih_check,
@@ -86,6 +88,35 @@ def test_fit_c_postcondition(rng):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"map": "half", "grid": 3})
+
+
+@pytest.mark.parametrize("record, words", [
+    ({"family": "geometric", "tau": 0.1, "truncation_degree": 3}, "lacks 'q'"),
+    ({"tau": 0.1}, "lacks 'family'"),
+    ("x", "must be an object"),
+    ({"family": "factorial", "tau": 0.1, "truncation_degree": 3, "radius": 1.0}, r"keys: \['radius'\]"),
+    ({"family": "cubic", "tau": 0.1, "truncation_degree": 3}, "family 'cubic'"),
+], ids=["no-q", "no-family", "not-an-object", "unknown-key", "unknown-family"])
+def test_a_malformed_brick_record_is_a_configuration_error(record, words):
+    """BrickSpec.from_record refuses a record to_record would not write,
+    naming what is wrong, and so does the experiment before any sample."""
+    with pytest.raises(ConfigurationError, match=words):
+        BrickSpec.from_record(record)
+    with pytest.raises(ConfigurationError, match=words):
+        run_experiment(ExperimentConfig(map="half", brick=record, num_samples=1, n_max=1))
+
+
+@pytest.mark.parametrize("text, words", [
+    (None, "cannot read config"),
+    ("{bad", "is not valid JSON"),
+    ('["x"]', "must be an object, not list"),
+], ids=["missing-file", "invalid-json", "not-an-object"])
+def test_a_config_file_that_is_not_a_json_object_is_a_configuration_error(tmp_path, text, words):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigurationError, match=words):
+        ExperimentConfig.from_json(str(path))
 
 
 def test_config_validation():
@@ -243,10 +274,13 @@ def test_perturbed_experiment_is_deterministic(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def test_each_range_is_certified_once_per_sample(monkeypatch):
+def test_each_range_is_certified_once_per_sample(monkeypatch, request):
     """The strict-invariance check, the invariant-radius ladder and every
     census on a sample share one certified range per radius."""
     ranges = []
+    # The local class below lives until a gc pass; emptying `ranges` at the
+    # end lets the samples' maps, and their memos, go with the test.
+    request.addfinalizer(ranges.clear)
 
     class RangeCountingMap(PerturbedMap):
         def eval_many(self, xs):
@@ -338,12 +372,18 @@ def test_summary_is_order_independent(tmp_path):
 A9_BRICK = {"family": "factorial", "tau": 0.01, "truncation_degree": 8}
 
 
+def _sample_map(config: ExperimentConfig, i: int) -> PerturbedMap:
+    """A fresh copy of sample i's map."""
+    return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]),
+                        sample(BrickSpec.from_record(config.brick), 1, seed=(config.master_seed, i)))
+
+
 def _sample_alone(config: ExperimentConfig, i: int):
     """Sample i measured on its own, through the public per-map calls on a
-    fresh map: its rows, fits and ih_check report."""
-    f = PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]),
-                     sample(BrickSpec.from_record(config.brick), 1, seed=(config.master_seed, i)))
-    R = invariant_radius(f)
+    fresh map, on the config's radius or else its invariant one: its
+    rows, fits and ih_check report."""
+    f = _sample_map(config, i)
+    R = invariant_radius(f) if config.radius is None else config.radius
     rows, gammas = [], {}
     for n in range(1, config.n_max + 1):
         try:
@@ -377,6 +417,61 @@ def test_stacked_samples_equal_samples_measured_alone():
             passed = row.period
         assert (s.ih_c, s.ih_delta) == (report.params.C, report.params.delta)
         assert (s.ih_status, s.ih_pass) == (report.status, passed)
+
+
+def _abort_status(f: PerturbedMap, radius: float) -> str:
+    """The status an experiment gives a sample whose period-1 census at
+    `radius` is uncertified.  The error is dropped when the handler ends, so
+    no traceback keeps f (and its memo) alive into later tests."""
+    try:
+        find_periodic(f, 1, radius=radius)
+    except UncertifiedCensusError as err:
+        return f"aborted:{err}"
+    raise AssertionError("find_periodic certified the census")
+
+
+def test_aborted_and_measured_samples_share_a_stack():
+    """At radius 1, 9 a9 samples at master seed 0 leave samples 0, 1 and 4
+    measured and 6 aborted, so both kinds share each stack: each measured
+    report equals its per-map calls alone, and each aborted status is the
+    error find_periodic raises on the sample's map at that radius."""
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=9, master_seed=0, n_max=3,
+                              deltas=[1.0], radius=1.0)
+    result = run_experiment(config)
+    assert [s.index for s in result.samples if not s.aborted] == [0, 1, 4]
+    for s in result.samples:
+        if s.aborted:
+            assert (s.status, s.rows, s.ih_status) == (_abort_status(_sample_map(config, s.index), 1.0), [], None)
+            continue
+        R, rows, fits, report = _sample_alone(config, s.index)
+        assert (s.status, s.radius, s.rows, s.fits) == ("ok", R, rows, fits)
+        assert (s.ih_c, s.ih_delta, s.ih_status) == (report.params.C, report.params.delta, report.status)
+        assert s.ih_pass == max([0] + [row.period for row in report.rows if row.status == "holds"])
+
+
+def test_a_stacked_census_extends_the_grid_tubes_once_a_period(monkeypatch):
+    """In a stacked experiment of 5 samples through n_max 3 the census at
+    each period makes one _tube_many call in _grid_tube, for all 5 maps,
+    and each ih_check stage makes none: it reads the census's tubes."""
+    calls, grid_tubes = [], []
+    tube, grid_tube = census_module._tube_many, census_module._grid_tube
+
+    def counted_tube(*args):
+        calls.append(1)
+        return tube(*args)
+
+    def counted_grid_tube(S, n):
+        before = len(calls)
+        out = grid_tube(S, n)
+        grid_tubes.append((sys._getframe(2).f_code.co_name, n, len(S.maps), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(census_module, "_tube_many", counted_tube)
+    monkeypatch.setattr(census_module, "_grid_tube", counted_grid_tube)
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=5, master_seed=42, n_max=3)
+    assert [s.ih_status for s in run_experiment(config).samples] == ["holds"] * 5
+    assert grid_tubes == ([("_census", n, 5, 1) for n in (1, 2, 3)]
+                          + [("_ih_one_period", n, 5, 0) for n in (1, 2, 3)])
 
 
 def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):
