@@ -131,7 +131,7 @@ import numpy as np
 from .dynamics import (_bounds, _check_map, _horner_parts, _memo, certified_range_1d, invariant_radius,
                        norm_bounds)
 from .errors import UncertifiedCensusError, _period, _real
-from .perturbation import _horner
+from .perturbation import _horner, _horner_many
 
 __all__ = [
     "GrowthParams",
@@ -326,25 +326,13 @@ def _domain(f, R: float) -> _Domain:
     return memo[key]
 
 
-def _horner_rows(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_horner_many with coefficients per entry: `table` holds them highest
-    degree first, one row per degree, each broadcasting against xs (one
-    column of _table per entry, or one for all).  Each entry takes
-    _horner_many's float operations, so it equals that of its own column's
-    polynomial bit for bit."""
-    y = np.zeros(xs.shape)
-    for c in table:
-        y *= xs
-        y += c
-    return y
-
-
 def _table(coeffs: list) -> np.ndarray:
     """The (terms, K) table of K Horner coefficient tuples, each padded with
-    leading zeros to the longest.  A leading zero repeats Horner's first
-    step 0.0 x + c: at a finite x the running value stays 0.0 exactly, and
-    at an infinite or NaN x it is that same NaN either way, so a padded
-    column gives its polynomial's own floats."""
+    leading zeros to the longest, which `_horner_many` takes row by row.  A
+    leading zero repeats Horner's first step 0.0 x + c: at a finite x the
+    running value stays 0.0 exactly, and at an infinite or NaN x it is that
+    same NaN either way, so a padded column gives its polynomial's own
+    floats."""
     top = max(map(len, coeffs))
     return np.ascontiguousarray(np.array([(0.0,) * (top - len(c)) + tuple(c) for c in coeffs]).T)
 
@@ -393,9 +381,10 @@ class _Rows:
     """Rows of a _Stack, row i of the map in column mi[i]: a map (eval_many,
     deriv_many) and a _Domain (R, D1, D2, step, d_slack, pad, cap, one per
     row) in one, which _tube_many and _cells take in place of f and dom.
-    Each row's floats are its map's own (_horner_rows), root-product terms
-    included.  With mi a column (G, 1) the rows are blocks: arrays of shape
-    (G, cells), row j all of the map mi[j], whose coefficients and
+    Each row's floats are its map's own, root-product terms included:
+    `_horner_many` reads each row's map's column of _table (or the one
+    map's tuple).  With mi a column (G, 1) the rows are blocks: arrays of
+    shape (G, cells), row j all of the map mi[j], whose coefficients and
     constants broadcast from one column each, with no per-cell copy.  A
     stack of one map reads its coefficients and its domain's constants as
     they are: Python floats, which NumPy applies fastest."""
@@ -411,10 +400,10 @@ class _Rows:
         self.rest = [(np.flatnonzero(mi == k), terms) for k, terms in S.rest]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._terms(_horner_rows(self.poly, xs), xs, "value_many")
+        return self._terms(_horner_many(self.poly, xs), xs, "value_many")
 
     def deriv_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._terms(_horner_rows(self.dpoly, xs), xs, "deriv_many")
+        return self._terms(_horner_many(self.dpoly, xs), xs, "deriv_many")
 
     def _terms(self, y: np.ndarray, xs: np.ndarray, method: str) -> np.ndarray:
         """y plus each row's map's unfolded terms, in term order, as the map adds them."""

@@ -32,6 +32,7 @@ from .errors import (
     InvalidInputError,
     MapDomainError,
     OrbitEscapeError,
+    _array,
     _period,
     _real,
 )
@@ -65,16 +66,13 @@ class PolynomialMap(_Polynomial):
 
     def __init__(self, dim: int, exponents, coeffs, domain_radius: float = 1.0):
         dim = _period(dim, 1, "dim")
-        exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, dim)
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1, dim)
-        if exponents.shape[0] != coeffs.shape[0]:
-            raise InvalidInputError("exponent/coefficient row mismatch")
+        exponents, coeffs = _array(exponents, "exponents", integer=True), _array(coeffs, "coeffs")
+        if exponents.size % dim or exponents.size != coeffs.size:
+            raise InvalidInputError(f"exponents and coeffs must be rows of {dim} numbers, as many of each")
         if np.any(exponents < 0):
             raise InvalidInputError("negative exponent")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidInputError("non-finite coefficient")
         _real(domain_radius, "domain_radius", gt=0)
-        super().__init__(exponents, coeffs)
+        super().__init__(exponents.reshape(-1, dim), coeffs.reshape(-1, dim))
         self.domain_radius = float(domain_radius)
 
     # -- constructors ---------------------------------------------------------
@@ -91,11 +89,14 @@ class PolynomialMap(_Polynomial):
     @classmethod
     def from_terms(cls, dim: int, terms: dict, domain_radius: float = 1.0) -> "PolynomialMap":
         """Map from {alpha tuple: coefficient vector}."""
+        dim = _period(dim, 1, "dim")
         acc: dict = {}
         for alpha, vec in terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            vec = np.asarray(vec, dtype=float).reshape(dim)
-            acc[alpha] = acc.get(alpha, np.zeros(dim)) + vec
+            alpha, vec = _array(alpha, "terms", integer=True), _array(vec, "terms")
+            if alpha.shape != (dim,) or vec.size != dim:
+                raise InvalidInputError(f"terms must map {dim} exponents to {dim} coefficients")
+            alpha = tuple(alpha.tolist())
+            acc[alpha] = acc.get(alpha, np.zeros(dim)) + vec.reshape(dim)
         if not acc:
             acc[(0,) * dim] = np.zeros(dim)
         alphas = sorted(acc.keys())
@@ -103,11 +104,11 @@ class PolynomialMap(_Polynomial):
 
     @classmethod
     def identity(cls, dim: int, domain_radius: float = 1.0) -> "PolynomialMap":
-        return cls.linear(np.eye(dim), domain_radius)
+        return cls.linear(np.eye(_period(dim, 1, "dim")), domain_radius)
 
     @classmethod
     def linear(cls, matrix, domain_radius: float = 1.0) -> "PolynomialMap":
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _as_square(matrix)
         dim = matrix.shape[0]
         terms = {}
         for j in range(dim):
@@ -317,16 +318,21 @@ def _check_map(f, name: str, one_d: bool = False):
         raise InvalidInputError(f"{name} needs a 1-D map")
 
 
-def _trajectory(traj, one_d: bool = False, least: int = 1) -> np.ndarray:
+def _as_square(matrix) -> np.ndarray:
+    """A square matrix of finite floats, at least 1 x 1."""
+    m = _array(matrix, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _trajectory(traj, one_d: bool = False, least: int = 1, name: str = "trajectory") -> np.ndarray:
     """The points of a trajectory: the `points` of an OrbitSegment,
     GridTrajectory or PointTuple, or an array of points, one per row (one
-    number each when the array is 1-D).  An (n, N) float array, or with
-    `one_d` the n numbers of its one column; InvalidInputError otherwise,
-    or when it has fewer than `least` points."""
-    try:
-        pts = np.asarray(getattr(traj, "points", traj), dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError("a trajectory is an array of points") from None
+    number each when the array is 1-D), read by `_array` as `name`.  An
+    (n, N) float array, or with `one_d` the n numbers of its one column;
+    InvalidInputError otherwise, or when it has fewer than `least` points."""
+    pts = _array(getattr(traj, "points", traj), name)
     if pts.ndim < 2:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or (one_d and pts.shape[1] != 1):

@@ -3,12 +3,17 @@
 Errors that certify a numerical judgement carry the offending quantity so
 callers can report or log it without re-deriving anything.  Number
 arguments are checked by `_real` (a real number in a range) or `_period`
-(an integer >= a least value), which raise InvalidInputError naming the
-argument; every module imports this one.
+(an integer >= a least value), and array arguments by `_array` (a
+rectangular array of finite real numbers, whole ones where integers are
+asked for), which raise InvalidInputError naming the argument; every module
+imports this one.
 """
 
 import math
 import numbers
+import reprlib
+
+import numpy as np
 
 __all__ = [
     "OrbitLabError",
@@ -32,8 +37,9 @@ class InvalidInputError(OrbitLabError, ValueError):
 
     A number outside its range, NaN, an infinity where none is allowed, or
     a value that is not a number at all (a numeric string included) raises
-    this error, with the argument's name in the message; never a bare
-    TypeError, OverflowError or a NaN result."""
+    this error, with the argument's name in the message, and so does an
+    array that is ragged or holds such a value; never a bare TypeError,
+    OverflowError or a NaN result."""
 
 
 class MapDomainError(OrbitLabError, ValueError):
@@ -109,3 +115,24 @@ def _period(n, least: int = 1, name: str = "period") -> int:
     if type(n) is not int and not isinstance(n, numbers.Integral) or n < least:
         raise InvalidInputError(f"{name} must be an integer >= {least}, not {n!r}")
     return int(n)
+
+
+def _array(x, name: str, integer: bool = False) -> np.ndarray:
+    """x as a float array, or as an int64 array when `integer`: a number or
+    a rectangular array (nested lists included) of integers or floats, none
+    NaN or infinite, and each a whole number in int64's range when
+    `integer`.  InvalidInputError naming `name` otherwise: for a ragged
+    array, or one of strings (numeric ones included, as `_real` refuses
+    them), None or other objects.  A float array comes back as it is."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be a rectangular array of real numbers, not {reprlib.repr(x)}")
+    if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            raise InvalidInputError(f"non-finite {name}")
+        if integer and not ((arr == np.rint(arr)) & (np.abs(arr) < 2.0**63)).all():
+            raise InvalidInputError(f"{name} must be integers, not {reprlib.repr(x)}")
+    return arr.astype(np.int64 if integer else float, copy=False)

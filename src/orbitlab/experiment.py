@@ -39,7 +39,7 @@ import numpy as np
 # below, and stay importable from here for tools that trace an experiment
 from .census import GrowthParams, _census_stack, gamma_n_of_map, ih_check  # noqa: F401
 from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius
-from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _period, _real
+from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _array, _period, _real
 from .perturbation import BrickSpec, sample as sample_perturbation
 
 __all__ = [
@@ -67,10 +67,10 @@ def base_map_from_spec(spec) -> PolynomialMap:
                 f"unknown preset {spec!r}; options: {sorted(PRESET_MAPS)}"
             )
         return PolynomialMap.univariate(PRESET_MAPS[spec])
-    coeffs = [float(c) for c in spec]
-    if not coeffs:
-        raise InvalidInputError("coefficient list must be nonempty")
-    return PolynomialMap.univariate(coeffs)
+    coeffs = _array(spec, "map")
+    if coeffs.ndim != 1 or not coeffs.size:
+        raise InvalidInputError(f"map must be a preset name or a nonempty list of numbers, not {spec!r}")
+    return PolynomialMap.univariate(coeffs.tolist())
 
 
 @dataclass

@@ -30,7 +30,7 @@ import numpy as np
 
 from .census import GrowthParams
 from .dynamics import _check_map, _trajectory
-from .errors import InvalidInputError, _period, _real
+from .errors import InvalidInputError, _array, _period, _real
 from .lagrange import product_of_distances
 
 __all__ = [
@@ -93,8 +93,7 @@ def snap(x, spacing: float):
     """Nearest lattice point of the `spacing`-scaled integer lattice
     (coordinate-wise; exact halves follow round-half-to-even)."""
     _real(spacing, "spacing", gt=0)
-    arr = np.asarray(x, dtype=float)
-    out = np.rint(arr / spacing) * spacing
+    out = np.rint(_array(x, "x") / spacing) * spacing
     return float(out) if out.ndim == 0 else out
 
 
@@ -127,7 +126,7 @@ class GridTrajectory:
 
     def __post_init__(self):
         _real(self.spacing, "spacing", gt=0)
-        c = np.asarray(self.cells, dtype=np.int64)
+        c = _array(self.cells, "cells", integer=True)
         if c.ndim == 1:
             c = c[:, None]
         if c.ndim != 2 or c.shape[0] < 1:
@@ -197,18 +196,16 @@ class PseudoOrbitCensus:
 def _start_cell(start, spacing: float, dim: int):
     """Normalize `start` to lattice coordinates: integers index cells
     directly, floats are points snapped to the nearest cell."""
-    arr = np.asarray(start)
+    arr = _array(start, "start")
     if dim == 1:
         if arr.shape not in ((), (1,)):
             raise InvalidInputError("start must be a scalar for a 1-D map")
     elif arr.shape != (dim,):
         raise InvalidInputError(f"start must have {dim} coordinates")
-    if arr.dtype.kind in "iu":
-        cells = np.atleast_1d(arr).astype(np.int64)
-    elif arr.dtype.kind == "f":
-        cells = np.rint(np.atleast_1d(arr) / spacing).astype(np.int64)
+    if np.asarray(start).dtype.kind in "iu":
+        cells = np.atleast_1d(_array(start, "start", integer=True))
     else:
-        raise InvalidInputError("start must be numeric")
+        cells = np.rint(np.atleast_1d(arr) / spacing).astype(np.int64)
     if dim == 1:
         return int(cells[0])
     return tuple(int(c) for c in cells)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OrbitSegment, _check_map, cocycle
+from .dynamics import OrbitSegment, _as_square, _check_map, cocycle
 from .errors import InvalidInputError, _real
 
 __all__ = [
@@ -66,15 +66,6 @@ class HyperbolicityValue:
     gamma: float
     argmin_phase: float
     certified_tolerance: float
-
-
-def _as_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("non-finite matrix entry")
-    return m
 
 
 def _sigma_min(L: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -51,6 +51,8 @@ from .errors import (
     InvalidInputError,
     NearDiagonalError,
     RecurrenceError,
+    _array,
+    _period,
     _real,
 )
 
@@ -76,18 +78,6 @@ __all__ = [
 _DIVISION_FLOOR = 1e-250
 
 
-def _finite(v: np.ndarray, what: str) -> np.ndarray:
-    """v, or InvalidInputError if an entry is NaN or infinite."""
-    if not np.isfinite(v).all():
-        raise InvalidInputError(f"non-finite {what}")
-    return v
-
-
-def _vector(v, what: str) -> np.ndarray:
-    """v as a finite 1-D float array."""
-    return _finite(np.asarray(v, dtype=float).reshape(-1), what)
-
-
 @dataclass(frozen=True)
 class PointTuple:
     """Ordered anchor tuple in the interval; repeats are allowed."""
@@ -95,7 +85,7 @@ class PointTuple:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _finite(_trajectory(self.points, one_d=True), "anchor point")
+        pts = _trajectory(self.points, one_d=True, name="anchor point")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -122,7 +112,7 @@ class EpsPolynomial:
     eps: np.ndarray
 
     def __post_init__(self):
-        e = _vector(self.eps, "monomial coefficient")
+        e = _array(self.eps, "monomial coefficient").reshape(-1)
         if len(e) == 0 or len(e) % 2 != 0:
             raise InvalidInputError("eps must have even positive length 2n")
         object.__setattr__(self, "eps", e)
@@ -140,7 +130,7 @@ class LagrangeCoefficients:
     anchor: PointTuple
 
     def __post_init__(self):
-        u = _vector(self.u, "Newton coefficient")
+        u = _array(self.u, "Newton coefficient").reshape(-1)
         if len(u) != 2 * self.anchor.n:
             raise InvalidInputError("u must have length 2n for an n-point anchor")
         object.__setattr__(self, "u", u)
@@ -159,8 +149,8 @@ class MultijetPoint:
     derivs: np.ndarray
 
     def __post_init__(self):
-        v = _vector(self.values, "jet value")
-        d = _vector(self.derivs, "jet derivative")
+        v = _array(self.values, "jet value").reshape(-1)
+        d = _array(self.derivs, "jet derivative").reshape(-1)
         if len(v) != self.anchor.n or len(d) != self.anchor.n:
             raise InvalidInputError("values/derivs must match the anchor length")
         object.__setattr__(self, "values", v)
@@ -191,8 +181,8 @@ def _newton_coefficients(pts, values, derivs=None) -> np.ndarray:
     reordered node order (which `divided_difference` does not expose, and
     which permutation symmetry makes irrelevant for the top coefficient).
     The table runs on Python floats."""
-    pts = np.asarray(pts, dtype=float).reshape(-1).tolist()
-    values = np.asarray(values, dtype=float).reshape(-1).tolist()
+    pts = _array(pts, "pts").reshape(-1).tolist()
+    values = _array(values, "values").reshape(-1).tolist()
     if len(pts) != len(values):
         raise InvalidInputError("points and values must align")
     m = len(pts)
@@ -215,7 +205,7 @@ def _newton_coefficients(pts, values, derivs=None) -> np.ndarray:
             raise InvalidInputError(f"point {p} repeated more than twice")
         if len({values[i] for i in idx}) > 1:
             raise InvalidInputError(f"conflicting values supplied at repeated point {p}")
-        given = {float(dvals[i]) for i in idx if dvals[i] is not None}
+        given = {float(_real(dvals[i], "an entry of derivs")) for i in idx if dvals[i] is not None}
         if len(given) > 1:
             raise InvalidInputError(f"conflicting derivatives supplied at repeated point {p}")
         d = given.pop() if given else None
@@ -249,7 +239,8 @@ def p_km(pts: Sequence[float], k: int) -> float:
     """Complete homogeneous symmetric sum of degree k - m on m+1 points:
     sum over r_0 + ... + r_m = k - m of prod x_j^{r_j}.  Equals the m-th
     divided difference of x^k on the tuple, on or off the diagonal."""
-    pts = np.asarray(pts, dtype=float).reshape(-1).tolist()
+    pts = _array(pts, "pts").reshape(-1).tolist()
+    k = _period(k, 0, "k")
     if not pts:
         raise InvalidInputError("p_km needs at least one point")
     m = len(pts) - 1

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, _period, _real
+from .errors import ConfigurationError, InvalidInputError, _array, _period, _real
 
 __all__ = [
     "multi_indices",
@@ -43,9 +43,7 @@ _INDEX_CACHE: dict = {}
 def multi_indices(k: int, dim: int) -> tuple:
     """All exponent tuples alpha with |alpha| = k in `dim` variables,
     in descending lexicographic order (deterministic coordinate order)."""
-    if k < 0 or dim < 1:
-        raise InvalidInputError(f"bad degree/dimension ({k}, {dim})")
-    key = (k, dim)
+    k, dim = key = _period(k, 0, "k"), _period(dim, 1, "dim")
     if key not in _INDEX_CACHE:
         if dim == 1:
             out = ((k,),)
@@ -61,7 +59,8 @@ def multi_indices(k: int, dim: int) -> tuple:
 
 def multinomial(k: int, alpha: Sequence[int]) -> int:
     """k! / prod(alpha_i!), the number of ways to place k items into slots alpha."""
-    if sum(alpha) != k:
+    k = _period(k, 0, "k")
+    if sum(_period(a, 0, "an entry of alpha") for a in alpha) != k:
         raise InvalidInputError(f"alpha {alpha} does not sum to {k}")
     out = math.factorial(k)
     for a in alpha:
@@ -71,8 +70,7 @@ def multinomial(k: int, alpha: Sequence[int]) -> int:
 
 def nu(k: int, dim: int) -> int:
     """Dimension of the space of homogeneous degree-k maps R^dim -> R^dim."""
-    if k < 0 or dim < 1:
-        raise InvalidInputError(f"bad degree/dimension ({k}, {dim})")
+    k, dim = _period(k, 0, "k"), _period(dim, 1, "dim")
     return dim * math.comb(k + dim - 1, dim - 1)
 
 
@@ -86,15 +84,13 @@ class HomogeneousComponent:
     coeffs: np.ndarray  # shape (len(multi_indices), dim)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        self.coeffs = _array(self.coeffs, "coeffs")
         want = (len(multi_indices(self.degree, self.dim)), self.dim)
         if self.coeffs.shape != want:
             raise InvalidInputError(
                 f"degree-{self.degree} component in dimension {self.dim} "
                 f"needs coefficients of shape {want}, got {self.coeffs.shape}"
             )
-        if not np.isfinite(self.coeffs).all():
-            raise InvalidInputError("non-finite coefficient")
 
     def __eq__(self, other):
         # the coefficients by value (a PerturbationVector compares its components so)
@@ -260,7 +256,7 @@ class AdmissibilityCertificate:
 def check_admissible(brick: BrickSpec, dim: int = 1) -> AdmissibilityCertificate:
     """Certify a brick family: catalog families are admissible outright,
     custom lists only as finite prefixes."""
-    root = math.sqrt(dim)
+    root = math.sqrt(_period(dim, 1, "dim"))
     if brick.family == "factorial" or (brick.family == "custom" and brick.truncation_degree < 0):
         return AdmissibilityCertificate(
             status="admissible" if brick.family == "factorial" else "finite-prefix-only",
@@ -317,25 +313,19 @@ def _as_scalar(x) -> float:
     () or (1,).  Python floats take the fast path."""
     if type(x) is float:
         return x
-    if type(x) is np.ndarray and x.shape == (1,):
-        return float(x[0])
-    try:
-        return float(x)
-    except TypeError:
-        raise InvalidInputError(
-            f"expected a scalar or a point of shape (1,), got shape {np.shape(x)}"
-        ) from None
+    arr = _array(x, "point")
+    if arr.shape not in ((), (1,)):
+        raise InvalidInputError(f"expected a scalar or a point of shape (1,), got shape {arr.shape}")
+    return arr.item()
 
 
 def _as_point(x, dim: int) -> np.ndarray:
     """A point of an N-D map as a finite float array of shape (dim,)."""
-    arr = np.asarray(x, dtype=float)
+    arr = _array(x, "point")
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.shape != (dim,):
         raise InvalidInputError(f"expected a point of shape ({dim},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("non-finite point")
     return arr
 
 
@@ -353,7 +343,9 @@ def _horner(coeffs: tuple, x: float) -> float:
 def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
     """`_horner` over a float array, in place on one new array: the same
     IEEE operations in the same order, so each entry equals the scalar
-    result bit for bit."""
+    result bit for bit.  `coeffs` may also be the rows of a table
+    (census._table), each broadcasting against xs: each entry then takes
+    its own column's polynomial."""
     y = np.zeros(xs.shape)
     for c in coeffs:
         y *= xs
@@ -582,7 +574,7 @@ class PerturbationVector(_Polynomial):
     def from_record(cls, rec: dict) -> "PerturbationVector":
         dim = int(rec["dim"])
         comps = tuple(
-            HomogeneousComponent(int(c["degree"]), dim, np.array(c["coeffs"], dtype=float))
+            HomogeneousComponent(int(c["degree"]), dim, c["coeffs"])
             for c in rec["components"]
         )
         brick = BrickSpec.from_record(rec["brick"]) if rec.get("brick") else None
@@ -602,6 +594,7 @@ def sample(brick: BrickSpec, dim: int, seed) -> PerturbationVector:
     recovered as c_alpha * sqrt(multinomial(k, alpha)).  Degrees are
     independent; the whole draw is a deterministic function of `seed`.
     """
+    dim = _period(dim, 1, "dim")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comps = []
     for k in range(brick.truncation_degree + 1):
@@ -633,6 +626,7 @@ def sample(brick: BrickSpec, dim: int, seed) -> PerturbationVector:
 
 def zero_vector(brick: BrickSpec, dim: int) -> PerturbationVector:
     """The zero element, with the same graded structure as a sample."""
+    dim = _period(dim, 1, "dim")
     comps = tuple(
         HomogeneousComponent.zero(k, dim) for k in range(brick.truncation_degree + 1)
     )
@@ -646,9 +640,9 @@ def tail_bound(brick: BrickSpec, dim: int, k_max: Optional[int] = None) -> float
     """Rigorous sup-norm bound on the discarded tail sum_{k > k_max} of the
     brick: sum r_k dim^(k/2) sqrt(dim), by Cauchy-Schwarz against
     sum_{|alpha|=k} multinomial(k, alpha) = dim^k."""
-    if k_max is None:
-        k_max = brick.truncation_degree
-    root = math.sqrt(dim)
+    # k_max = -1 bounds the whole series, as for the empty brick
+    k_max = brick.truncation_degree if k_max is None else _period(k_max, -1, "k_max")
+    root = math.sqrt(_period(dim, 1, "dim"))
     if brick.family == "custom":
         # finite list: the tail beyond the list is empty
         total = 0.0

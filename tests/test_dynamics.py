@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,24 +11,30 @@ from hypothesis import strategies as st
 
 from orbitlab import (
     BrickSpec,
+    EpsPolynomial,
     ExperimentConfig,
     GridTrajectory,
     GrowthParams,
     HomogeneousComponent,
     InvalidInputError,
+    LagrangeCoefficients,
     MapDomainError,
+    MultijetPoint,
     OrbitEscapeError,
     PerturbationVector,
     PerturbedMap,
     PointTuple,
     PolynomialMap,
     RootProductPerturbation,
+    base_map_from_spec,
     cells_per_axis,
     certified_range_1d,
+    check_admissible,
     classify_simple,
     close_return,
     closing_perturbation,
     cocycle,
+    divided_difference,
     enumerate_pseudotrajectories,
     find_almost_periodic,
     find_periodic,
@@ -38,16 +45,21 @@ from orbitlab import (
     ih_check,
     invariant_radius,
     is_gamma_hyperbolic,
+    multi_indices,
     multijet,
+    multinomial,
     norm_bounds,
+    nu,
     orbit,
     orbit_hyperbolicity,
+    p_km,
     prop11_check,
     product_of_distances,
     sample,
     snap,
     snap_orbit,
     stage_tolerances,
+    tail_bound,
     zero_vector,
 )
 
@@ -598,7 +610,7 @@ def test_each_kind_of_input_is_checked_in_one_place():
     wide = np.array([[0.1, 0.2], [0.3, 0.5], [0.4, 0.1]])
     for call, *args in ((closing_perturbation, line, wide), (hyperbolicity_perturbation, line, wide, 0.1),
                         (product_of_distances, wide), (product_of_distances, wide[:2]), (PointTuple, wide),
-                        (classify_simple, wide, 0.1), (classify_simple, GridTrajectory(0.5, wide), 0.1),
+                        (classify_simple, wide, 0.1), (classify_simple, GridTrajectory(0.5, [[1, 2], [3, 5], [4, 1]]), 0.1),
                         (snap_orbit, line, np.zeros((2, 2, 2)), 0.5),
                         (hyperbolicity_perturbation, line, [], 0.1), (close_return, [], 0.1),
                         (PointTuple, []), (closing_perturbation, line, [0.1]),
@@ -616,6 +628,7 @@ def _real_arguments():
     half = PolynomialMap.univariate([0.0, 0.5])
     seg = orbit(half, 0.5, 2)
     growth = GrowthParams(C=1.0, delta=1.0)
+    brick = BrickSpec.factorial(0.1, 2)
     return [
         # census
         ("C", lambda v: GrowthParams(C=v, delta=1.0), [_BELOW_0], True),
@@ -671,6 +684,20 @@ def _real_arguments():
         ("truncation_degree", lambda v: BrickSpec.factorial(0.1, v), [-1, 0.5], True),
         ("truncation_degree", lambda v: BrickSpec.geometric(0.1, 0.5, v), [-1, 0.5], True),
         ("truncation_degree", lambda v: BrickSpec("custom", (), v), [-2, 0.5], True),
+        ("k", lambda v: multi_indices(v, 1), [-1, 0.5], True),
+        ("dim", lambda v: multi_indices(2, v), [0, 1.5], True),
+        ("k", lambda v: nu(v, 1), [-1, 0.5], True),
+        ("dim", lambda v: nu(2, v), [0, 1.5], True),
+        ("k", lambda v: multinomial(v, (1,)), [-1, 0.5], True),
+        ("alpha", lambda v: multinomial(1, (1, v)), [-1, 0.5], True),
+        ("dim", lambda v: tail_bound(brick, v), [0, 1.5], True),
+        ("k_max", lambda v: tail_bound(brick, 1, v), [-2, 0.5], True),
+        ("dim", lambda v: check_admissible(BrickSpec.geometric(0.1, 0.5, 3), v), [0, 1.5], True),
+        ("dim", lambda v: sample(brick, v, 0), [0, 1.5], True),
+        ("dim", lambda v: zero_vector(brick, v), [0, 1.5], True),
+        # lagrange
+        ("k", lambda v: p_km([0.1, 0.2], v), [-1, 0.5], True),
+        ("derivs", lambda v: divided_difference([0.4, 0.4], [0.064, 0.064], derivs=[v, None]), [], True),
     ]
 
 
@@ -690,6 +717,102 @@ def test_every_number_argument_is_checked_in_one_place():
     assert _real(-math.inf, "x", inf=True) == -math.inf
     with pytest.raises(InvalidInputError, match=r"^x must be a real number in \[-inf, inf\], not nan$"):
         _real(math.nan, "x", inf=True)
+
+
+def _with_first(good, v):
+    """The nested list `good` with its first number replaced by v."""
+    return [_with_first(good[0], v)] + good[1:] if isinstance(good, list) else v
+
+
+def _array_arguments():
+    """(name, call, a good value, whether integers are asked for) for every
+    array argument checked by `_array`."""
+    line = PolynomialMap.univariate([0.0, 0.5])
+    plane = PolynomialMap.linear(np.diag([0.5, 0.25]))
+    anchor = PointTuple([0.1, -0.3])
+    traj = [0.1, 0.2, 0.3]
+    return [
+        # dynamics
+        ("exponents", lambda v: PolynomialMap(1, v, [[0.5], [2.0]]), [[0], [2]], True),
+        ("coeffs", lambda v: PolynomialMap(1, [[0], [2]], v), [[0.5], [2.0]], False),
+        ("coeffs", PolynomialMap.univariate, [0.5, 2.0], False),
+        ("terms", lambda v: PolynomialMap.from_terms(2, {(1, 0): v}), [0.5, 0.0], False),
+        ("matrix", PolynomialMap.linear, [[0.5, 0.0], [0.0, 0.25]], False),
+        ("point", line.evaluate, [0.3], False),
+        ("point", line.derivative, [0.3], False),
+        ("point", plane.evaluate, [0.3, 0.2], False),
+        ("point", plane.jac, [0.3, 0.2], False),
+        ("point", lambda v: orbit(plane, v, 2), [0.3, 0.2], False),
+        ("trajectory", product_of_distances, traj, False),
+        ("trajectory", lambda v: close_return(v, 0.1), traj, False),
+        ("trajectory", lambda v: classify_simple(v, 0.1), traj, False),
+        ("trajectory", lambda v: snap_orbit(line, v, 0.1), traj, False),
+        ("trajectory", lambda v: closing_perturbation(line, v), traj, False),
+        ("trajectory", lambda v: hyperbolicity_perturbation(line, v, 0.1), traj, False),
+        # perturbation
+        ("coeffs", lambda v: HomogeneousComponent(1, 2, v), [[0.5, 0.0], [0.0, 0.25]], False),
+        # lagrange
+        ("anchor point", PointTuple, [0.1, -0.3], False),
+        ("monomial coefficient", EpsPolynomial, [0.5, 0.0, 0.1, 0.2], False),
+        ("Newton coefficient", lambda v: LagrangeCoefficients(v, anchor), [0.5, 0.0, 0.1, 0.2], False),
+        ("jet value", lambda v: MultijetPoint(anchor, v, [1.0, 0.0]), [0.1, 0.2], False),
+        ("jet derivative", lambda v: MultijetPoint(anchor, [0.1, 0.2], v), [1.0, 0.0], False),
+        ("pts", lambda v: divided_difference(v, [1.0, 2.0]), [0.1, 0.2], False),
+        ("values", lambda v: divided_difference([0.1, 0.2], v), [1.0, 2.0], False),
+        ("pts", lambda v: p_km(v, 3), [0.1, 0.2], False),
+        # hyperbolicity
+        ("matrix", gamma_linear, [[0.5, 0.0], [0.0, 2.0]], False),
+        ("matrix", lambda v: is_gamma_hyperbolic(v, 0.1), [[0.5, 0.0], [0.0, 2.0]], False),
+        # gridlab
+        ("x", lambda v: snap(v, 0.1), [0.3, 0.2], False),
+        ("cells", lambda v: GridTrajectory(0.5, v), [0, 1], True),
+        ("start", lambda v: enumerate_pseudotrajectories(plane, 0.5, 0.1, v, 2), [0.3, 0.2], False),
+        # experiment
+        ("map", base_map_from_spec, [-1.0, 0.0, 1.0], False),
+    ]
+
+
+def test_every_array_argument_is_checked_in_one_place():
+    """An entry that is a string (a numeric one too), NaN or an infinity, a
+    fraction where integers are asked for, and a ragged array, given to any
+    checked array argument, raise InvalidInputError from `_array` with the
+    argument's name in the message: never ValueError, TypeError or a
+    result.  Each good value is taken."""
+    for name, call, good, integer in _array_arguments():
+        call(good)
+        bad = [_with_first(good, v) for v in ["x", "0.5", math.nan, math.inf, *([0.5] if integer else [])]]
+        for v in bad + [[good, [good]]]:
+            with pytest.raises(InvalidInputError) as info:
+                call(v)
+            assert name in str(info.value), (name, v, str(info.value))
+            assert info.traceback[-1].name == "_array", (name, v, info.traceback[-1].name)
+
+
+def test_bad_arrays_that_gave_answers_are_refused():
+    """Calls that returned wrong answers, or ended in a RuntimeWarning,
+    before the arrays were checked: a fractional exponent (read as 0), a
+    3-column matrix for a 2-D linear map (its last column dropped),
+    fractional grid cells (truncated), and a trajectory or a start holding
+    NaN (a NaN product, no close return, a cast warning)."""
+    line = PolynomialMap.univariate([0.0, 0.5])
+    nan_traj = [0.1, math.nan, 0.3]
+    calls = [
+        ("exponents", lambda: PolynomialMap(1, [[0.5], [2]], [[1], [-1]])),
+        ("terms", lambda: PolynomialMap.from_terms(1, {(0.5,): [1.0], (2,): [-1.0]})),
+        ("matrix", lambda: PolynomialMap.linear([[1, 2, 3], [3, 4, 5]])),
+        ("cells", lambda: GridTrajectory(0.1, [0.5, 1.7])),
+        ("trajectory", lambda: product_of_distances(nan_traj)),
+        ("trajectory", lambda: close_return(nan_traj, 0.1)),
+        ("trajectory", lambda: classify_simple(nan_traj, 0.1)),
+        ("trajectory", lambda: snap_orbit(line, nan_traj, 0.1)),
+        ("trajectory", lambda: closing_perturbation(line, nan_traj)),
+        ("start", lambda: enumerate_pseudotrajectories(line, 0.5, 0.1, math.nan, 2)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, call in calls:
+            with pytest.raises(InvalidInputError, match=name):
+                call()
 
 
 def test_bad_numbers_that_gave_answers_are_refused():
