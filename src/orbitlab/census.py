@@ -62,11 +62,12 @@ ranges behind the radius and the map's bound triple at each (kept by
 certified_range_1d, which the experiment's invariance check shares) and,
 per radius, one _Domain: R, the bounds on [-R, R] (sup |f'|, sup |f''|,
 the per-step slack) and their pads, the initial grid of cells
-(read-only) that all three start from, and its orbit tube at every
-period asked for.  The tube at period n is the tube at period n - 1 plus
-one step, so a later call reads its own period's tube or extends the one
-held at the highest period below; the result is bit for bit the one
-computed from scratch.  A reused orbit still counts as evaluations, so
+(read-only, shared by every domain of the radius) that all three start
+from, and its orbit tube at every period asked for (at the latest only,
+in an experiment's stack).  The tube at period n is the tube at period
+n - 1 plus one step, so a later call reads its own period's tube or
+extends the one held at the highest period below; the result is bit for
+bit the one computed from scratch.  A reused orbit still counts as evaluations, so
 budgets and reported evaluations do not depend on what came before.  The
 domain also keeps each census's certified enclosures, with their least
 periods, and uncertified regions per (tol, budget, period); a census
@@ -81,9 +82,9 @@ share is bounded once per radius.
 
 The census runs on a stack of maps (_Stack): find_periodic and ih_check
 are stacks of one, and the experiment's consecutive samples are one stack
-(_census_stack: its censuses at every period, then its ih_check stages),
-so that one array pass per round serves every map and the per-call cost
-is paid once per stack.  Each row of a round carries the column of its
+(experiment._census_stack: its census at each period, each beside its
+ih_check stage), so that one array pass per round serves every map and
+the per-call cost is paid once per stack.  Each row of a round carries the column of its
 map; the stack evaluates all rows at once from a table of each map's
 Horner coefficients (dynamics._horner_parts), with each _Domain constant
 one column per map (_Rows), which takes each map's own float operations,
@@ -119,6 +120,7 @@ reported as uncertified regions, never silently dropped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -264,10 +266,11 @@ class CensusResult:
 # tests force every use down one path by setting this one value.  A stack
 # of maps pools its sets, so stacked censuses take the arrays more often.
 # Each side carries benchmark traffic at each site: one seed-42 pass of
-# mc_a9 (stacks of 5 samples) takes the floats at 32 _held_runs, 20
-# _newton and 90 point-orbit (_points) calls and the arrays at 38, 0 and
-# 10; a warm pass of census_ladder the arrays at 7 _held_runs, 4 _newton
-# and 9 _points calls (and the floats at 19, 1 and 22).
+# mc_a9 (stacks of 25 samples) takes the arrays at 14 _held_runs, 4
+# _newton and 18 point-orbit (_points) calls and the floats at 0, 0 and 2
+# (32, 20 and 90 in stacks of 5); a warm pass of census_ladder the arrays
+# at 7 _held_runs, 4 _newton and 9 _points calls and the floats at 19, 1
+# and 22.
 _SCALAR_POINTS = 16
 
 # Cells of the initial grid of [-R, R] that every _refine caller starts from
@@ -318,12 +321,18 @@ def _domain(f, R: float) -> _Domain:
         # sup |f'| from a grid, padded by the curvature between grid points
         xs = np.linspace(-R, R, 4097)
         D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * (2.0 * R / 4096) / 2.0
-        edges = np.linspace(-R, R, _GRID_CELLS + 1)
-        grid = _read_only(0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
         memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, sup, 1.0),
                             d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
-                            grid=grid, tubes={}, roots={})
+                            grid=_grid(R), tubes={}, roots={})
     return memo[key]
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(R: float) -> tuple:
+    """The initial grid of [-R, R], (mids, halves) of _GRID_CELLS equal
+    cells, read-only, which every domain of radius R shares."""
+    edges = np.linspace(-R, R, _GRID_CELLS + 1)
+    return _read_only(0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
 
 
 def _table(coeffs: list) -> np.ndarray:
@@ -1368,65 +1377,39 @@ def ih_check(
     return IHReport(params=params, radius=dom.R, rows=tuple(rows))
 
 
-def _census_stack(maps: list, radii: list, n_max: int, tol: float, fit) -> list:
-    """What an experiment measures of each map of a stack, on its radius R
-    (certified as find_periodic certifies it): its censuses at n = 1..n_max,
-    then, where fit(k, censuses) gives GrowthParams for map k, its ih_check
-    report through n_max with them, each at the default budgets.  One
-    stacked census runs per period and one stacked ih_check stage per stage.
-    Returns per map (censuses, report or None), equal to its find_periodic
-    and ih_check calls alone, or the UncertifiedCensusError its R raised."""
-    out, live, doms = [], [], []
-    for k, (f, R) in enumerate(zip(maps, radii)):
-        try:
-            doms.append(_domain(f, _resolve_radius(f, R)))
-        except UncertifiedCensusError as err:
-            out.append(err.with_traceback(None))  # whose frames would hold the maps
-            continue
-        out.append(None)
-        live.append(k)
-    if not live:
-        return out
-    S = _Stack([maps[k] for k in live], doms)
-    censuses: list = [[] for _ in live]
-    for n in range(1, n_max + 1):
-        for mine, result in zip(censuses, _census(S, n, tol, _CENSUS_BUDGET)):
-            mine.append(result)
-    params = [fit(k, mine) for k, mine in zip(live, censuses)]
-    checked = [j for j, p in enumerate(params) if p is not None]
-    reports: dict = {}
-    if checked:
-        stages = _ih_stages(S.subset(checked), [params[j] for j in checked], n_max, _IH_BUDGET)
-        for j, rows in zip(checked, stages):
-            reports[j] = IHReport(params=params[j], radius=doms[j].R, rows=tuple(rows))
-    for j, k in enumerate(live):
-        out[k] = (censuses[j], reports.get(j))
-    return out
+def _stage(params: GrowthParams, k: int) -> tuple:
+    """The threshold gamma_k and the slack gamma_k^(1/rho) of ih_check's
+    stage k."""
+    thr = params.gamma_n(k)
+    return thr, thr ** (1.0 / params.rho)
 
 
-def _ih_stages(S: _Stack, params: list, n_max: int, max_evals: int) -> list:
-    """ih_check's stages 1..n_max on each map of the stack, with its own
-    GrowthParams, all maps' stage k in one _ih_one_period; a map stops at
-    its first failing stage.  Returns each map's rows."""
+def _ih_stages(S: _Stack, params: list, n_max: int, max_evals: int, first: Optional[list] = None) -> list:
+    """ih_check's stages on each map of the stack, with its own
+    GrowthParams, from stage 1 (or the map's entry of `first`) through
+    n_max, all maps' stage k in one _ih_one_period; a map stops at its first
+    failing stage.  Returns each map's rows.  experiment._census_stack
+    runs a map's stages from its first that did not qualify beside its
+    censuses, at its final params (see there for the rule)."""
+    first = first or [1] * len(S.maps)
     rows: list = [[] for _ in S.maps]
-    going = list(range(len(S.maps)))
-    for k in range(1, n_max + 1):
-        if not going:
-            break
-        thr = [params[i].gamma_n(k) for i in going]
-        slack = [t ** (1.0 / params[i].rho) for t, i in zip(thr, going)]
-        for i, row in zip(going, _ih_one_period(S.subset(going), k, thr, slack, max_evals)):
-            rows[i].append(row)
-        going = [i for i in going if rows[i][-1].status != "fails"]
+    for k in range(min(first), n_max + 1):
+        going = [i for i, mine in enumerate(rows) if first[i] <= k and not (mine and mine[-1].status == "fails")]
+        if going:
+            thr, slack = (list(v) for v in zip(*(_stage(params[i], k) for i in going)))
+            for i, row in zip(going, _ih_one_period(S.subset(going), k, thr, slack, max_evals)[0]):
+                rows[i].append(row)
     return rows
 
 
-def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) -> list:
+def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) -> tuple:
     """Stage k of ih_check on each map of the stack, with its own threshold
-    and slack (floats); one IHRow per map."""
+    and slack (floats): one IHRow per map, and per map whether a round left
+    its witness candidates unchecked, as its budget could not pay for them."""
     K = len(S.maps)
     gap_floor = [max(t, math.ulp(0.0)) for t in thr]  # a threshold of 0.0 (see ih_check)
     witness: list = [None] * K
+    unpaid = [False] * K
     unresolved: list = []  # (mids, halves, mi) of the cells left unresolved
 
     def classify(c: _Cells, mi: np.ndarray, budgets: list):
@@ -1437,7 +1420,9 @@ def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) ->
         cand = near[(gabs[near] <= _col(slack, mn)) & (gaps < _col(thr, mn))]
         spent, failed = [0] * K, []
         if cand.size:
-            spent = [count if count <= budget else 0 for count, budget in zip(_counts(mi[cand], K), budgets)]
+            counts = _counts(mi[cand], K)
+            spent = [count if count <= budget else 0 for count, budget in zip(counts, budgets)]
+            unpaid[:] = [u or count > budget for u, count, budget in zip(unpaid, counts, budgets)]
             idx = cand[np.array(spent)[mi[cand]] > 0]
             m, wmi = c.mids[idx], mi[idx]
             g, bound, lam, dev = _points(S, k, wmi.tolist(), m.tolist())
@@ -1470,7 +1455,7 @@ def _ih_one_period(S: _Stack, k: int, thr: list, slack: list, max_evals: int) ->
         status = "fails" if witness[i] is not None else "indeterminate" if merged else "holds"
         out.append(IHRow(period=k, threshold=thr[i], slack=slack[i], status=status,
                          witness=witness[i], unresolved=merged))
-    return out
+    return out, unpaid
 
 
 # -- implied growth constant ---------------------------------------------------------

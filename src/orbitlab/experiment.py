@@ -9,12 +9,15 @@ C consistent with the observed hyperbolicity margins, and then certifies the
 fitted profile (inflated by a safety factor) with the box checker.
 
 The samples run in stacks of _STACK consecutive indices: a stack's samples
-are drawn and their radii found, then census._census_stack runs one
-census per period on the whole stack (one array pass per round for all
-its maps), C is fitted per sample, and one ih_check stage per period runs
-on the stack, each sample with its own threshold.  Each sample's report is
-the one find_periodic (gamma_n_of_map) and ih_check give it alone, bit
-for bit, and only one stack's maps and their memos are alive at a time.
+are drawn and their radii found, then _census_stack runs one census per
+period on the whole stack (one array pass per round for all its maps)
+and, beside it, that period's ih_check stage, each sample's at C fitted
+from its censuses so far.  C only grows as periods are added, so a stage
+that holds there holds at the final fit as well; any other runs again at
+the final fit.  Each sample's report is the one find_periodic
+(gamma_n_of_map) and ih_check give it alone, bit for bit.  Only one
+stack's maps and their memos are alive at a time, and each memo holds
+its grid's orbit tube at one period, not at every period so far.
 
 Reports are written as NDJSON (one object per sample), a flat CSV table of
 census rows, and a JSON summary.  All floats are serialized via their
@@ -35,9 +38,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import census
 # gamma_n_of_map and ih_check are the per-map forms of the stacked call
 # below, and stay importable from here for tools that trace an experiment
-from .census import GrowthParams, _census_stack, gamma_n_of_map, ih_check  # noqa: F401
+from .census import GrowthParams, gamma_n_of_map, ih_check  # noqa: F401
 from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _array, _period, _real
 from .perturbation import BrickSpec, sample as sample_perturbation
@@ -207,16 +211,19 @@ def fit_C(gammas, delta: float) -> float:
 
 
 # Consecutive samples whose censuses and ih_check stages run as one stack
-# (census._census_stack): each round is one array pass for the whole
-# stack, so its per-call cost is paid once per stack, while only one
-# stack's maps and their memos are alive at a time.  Each map's memo holds
-# its grid's tube at every period (256 KB at n_max 8), so memory grows
-# with the stack.  The a9 run (50 samples, n_max 8; 0.188 reference s and
-# a peak of 43.8 MB without stacks) takes 0.212, 0.143, 0.137, 0.135,
-# 0.128, 0.118 and 0.107 s at stacks of 1, 4, 5, 6, 8, 16 and 50, with a
-# peak of 45.1, 45.2, 45.5, 45.8, 46.5, 49.6 and 61.6 MB: 5 is the largest
-# stack within 5% (46 MB) of the peak without stacks, with a margin.
-_STACK = 5
+# (_census_stack): each round is one array pass for the whole stack, so
+# its per-call cost is paid once per stack, while only one stack's maps
+# and their memos are alive at a time.  Each map holds its grid's tube at
+# one period, and the stack's rounds hold arrays of all its maps' cells,
+# so memory still grows with the stack, about 120 KB a map.
+# The a9 run (50 samples, n_max 8) took 0.137 reference s at a peak of
+# 45.1 MB with stacks of 5 that kept every tube; keeping one, it takes
+# 0.121, 0.117, 0.114, 0.112, 0.110, 0.110 and 0.105 s at stacks of 10,
+# 16, 20, 25, 32, 40 and 50, with a peak of 44.8, 45.3, 46.2, 46.4, 47.7,
+# 48.7 and 49.7 MB (one 8 s run each; 6 runs at 25, 11 at 5): 25 is the
+# largest of these within 2 MB of that peak, and a stack of 26 to 49
+# would still run the 50 samples as two stacks.
+_STACK = 25
 
 
 def _radius(f: PerturbedMap, config: ExperimentConfig, report: SampleReport):
@@ -236,11 +243,110 @@ def _radius(f: PerturbedMap, config: ExperimentConfig, report: SampleReport):
     return R
 
 
+def _census_stack(maps: list, radii: list, n_max: int, tol: float, params) -> list:
+    """What an experiment measures of each map of a stack, on its radius R
+    (certified as find_periodic certifies it): its censuses at n = 1..n_max
+    and, where params(k, censuses) gives GrowthParams for map k from all of
+    them, its ih_check report through n_max with those, each at the default
+    budgets.  Returns per map (censuses, report or None), equal to its
+    find_periodic and ih_check calls alone, or the UncertifiedCensusError
+    its R raised.  It runs the census's stacked steps (census._census,
+    census._ih_one_period and census._ih_stages on a census._Stack) in the
+    order below, which keeps the stack's memory at one grid tube a map.
+
+    One stacked census runs per period n and, beside it, one stacked
+    ih_check stage n, each map's at params(k, its censuses at 1..n):
+    provisional parameters, so params must be pure, as it is called again
+    at the end for the final ones.  Before the census the stack extends its
+    grid tubes to period n (census._grid_tube) and drops every other one
+    but the grid itself, from the stack and from the maps' domains, so each
+    map holds one tube, where find_periodic and ih_check keep one per
+    period.  A map's provisional stages stop at the first that does not
+    hold or that left a witness candidate unpaid for budget.
+
+    A provisional stage qualifies when it holds, paid every witness
+    candidate, and its threshold and slack (as floats) are not below the
+    final ones.  Then the final stage decides every cell as it did: with
+    the slack and the gap floor max(threshold, ulp(0)) no larger, a cell the
+    final stage keeps is neither excluded nor hyperbolic at the provisional
+    stage either, and a final witness candidate or witness is a provisional
+    one, which the stage paid for and which failed nothing.  So round by
+    round the final cells are among the provisional cells, within the
+    budget those stayed in, none reaches the width floor, and the final
+    stage holds with no witness and nothing unresolved: its row is
+    IHRow(k, final threshold, final slack, "holds", None, ()).  From a map's
+    first stage that does not qualify its stages run again as ih_check runs
+    them, at the final params, on grid tubes extended afresh from the grid,
+    which they keep as ih_check does.  An experiment's C,
+    the largest -log(gamma_n) / n^(1+delta) over the certified censuses so
+    far, only grows as periods are added, so its thresholds only fall: on
+    the a9 brick every stage qualifies."""
+    out, live, doms = [], [], []
+    for k, (f, R) in enumerate(zip(maps, radii)):
+        try:
+            doms.append(census._domain(f, census._resolve_radius(f, R)))
+        except UncertifiedCensusError as err:
+            out.append(err.with_traceback(None))  # whose frames would hold the maps
+            continue
+        out.append(None)
+        live.append(k)
+    if not live:
+        return out
+    S = census._Stack([maps[k] for k in live], doms)
+    censuses: list = [[] for _ in live]
+    held: list = [[] for _ in live]  # (threshold, slack) of each provisional stage that held, all paid
+    going = list(range(len(live)))  # the maps whose provisional stages all held, all paid
+    for n in range(1, n_max + 1):
+        census._grid_tube(S, n)  # one step on period n - 1's, which goes with every tube but the grid's and n's
+        for tubes in (S.tubes, *(dom.tubes for dom in S.doms)):
+            for old in [old for old in tubes if old not in (0, n)]:
+                del tubes[old]
+        for mine, result in zip(censuses, census._census(S, n, tol, census._CENSUS_BUDGET)):
+            mine.append(result)
+        now = [(j, params(live[j], censuses[j])) for j in going]
+        now, going = [(j, p) for j, p in now if p is not None], []
+        if now:
+            stages = [census._stage(p, n) for _, p in now]
+            thr, slack = (list(v) for v in zip(*stages))
+            ran = census._ih_one_period(S.subset([j for j, _ in now]), n, thr, slack, census._IH_BUDGET)
+            for (j, _), stage, row, unpaid in zip(now, stages, *ran):
+                if row.status == "holds" and not unpaid:
+                    held[j].append(stage)
+                    going.append(j)
+
+    final = [params(k, mine) for k, mine in zip(live, censuses)]
+    checked = [j for j, p in enumerate(final) if p is not None]
+    rows: dict = {}
+    for j in checked:
+        rows[j] = []
+        for k, (t, sl) in enumerate(held[j], 1):
+            thr, slack = census._stage(final[j], k)
+            if t < thr or sl < slack:
+                break
+            rows[j].append(census.IHRow(period=k, threshold=thr, slack=slack, status="holds", witness=None,
+                                        unresolved=()))
+    rerun = [j for j in checked if len(rows[j]) < n_max]
+    if rerun:
+        more = census._ih_stages(S.subset(rerun), [final[j] for j in rerun], n_max, census._IH_BUDGET,
+                                 [len(rows[j]) + 1 for j in rerun])
+        for j, tail in zip(rerun, more):
+            rows[j] += tail
+    for j, k in enumerate(live):
+        report = census.IHReport(params=final[j], radius=doms[j].R, rows=tuple(rows[j])) if j in rows else None
+        out[k] = (censuses[j], report)
+    return out
+
+
+def _gammas(censuses: list) -> dict:
+    """period -> gamma_n of each certified census."""
+    return {c.period: c.gamma_n for c in censuses if c.certified}
+
+
 def _measure_stack(config: ExperimentConfig, base: PolynomialMap, brick, indices: range) -> list:
     """The reports of the samples `indices`: all are drawn, then each one's
-    radius is found, in order; then census._census_stack measures all that
-    have one, C is fitted per sample between its censuses and its ih_check
-    stages, and each report is filled in from its sample's results."""
+    radius is found, in order; then _census_stack measures all that
+    have one, with each sample's ih_check at C fitted from its censuses,
+    and each report is filled in from its sample's results."""
     seeds = [(config.master_seed, i) for i in indices]
     if config.force_zero_eps:
         drawn = [PerturbedMap(base) for _ in seeds]
@@ -249,38 +355,35 @@ def _measure_stack(config: ExperimentConfig, base: PolynomialMap, brick, indices
     reports = [SampleReport(index=i, seed=seed) for i, seed in zip(indices, seeds)]
     radii = [_radius(f, config, report) for f, report in zip(drawn, reports)]
     measured = [j for j, R in enumerate(radii) if R is not None]
+    delta0 = config.deltas[0]
 
-    def fit(k: int, censuses: list):
-        """Sample k's rows and fits, and the GrowthParams its ih_check takes
-        (None when the fit is not finite)."""
-        report, gammas = reports[measured[k]], {}
-        for c in censuses:
-            report.rows.append((c.period, c.count, c.gamma_n if c.certified else None, c.certified))
-            if c.certified:
-                gammas[c.period] = c.gamma_n
-        report.fits = [(d, fit_C(gammas, d)) for d in config.deltas]
-        delta0, c0 = report.fits[0]
-        c_ih = config.ih_c_factor * c0
-        if not math.isfinite(c_ih):
-            report.ih_status = "skipped:no-finite-fit"
-            return None
-        report.ih_c, report.ih_delta = c_ih, delta0
-        return GrowthParams(C=c_ih, delta=delta0)
+    def params(_k: int, censuses: list):
+        """The GrowthParams of a sample's ih_check from its censuses: C
+        fitted at the first delta, times ih_c_factor (None where that is
+        not finite)."""
+        c_ih = config.ih_c_factor * fit_C(_gammas(censuses), delta0)
+        return GrowthParams(C=c_ih, delta=delta0) if math.isfinite(c_ih) else None
 
     results = _census_stack([drawn[j] for j in measured], [radii[j] for j in measured], config.n_max,
-                            config.tol, fit)
+                            config.tol, params)
     for j, result in zip(measured, results):
         report = reports[j]
         if isinstance(result, UncertifiedCensusError):
             reports[j] = SampleReport(index=report.index, seed=report.seed, status=f"aborted:{result}")
             continue
-        ih = result[1]
-        if ih is not None:
-            report.ih_status, report.ih_pass = ih.status, 0
-            for row in ih.rows:
-                if row.status != "holds":
-                    break
-                report.ih_pass = row.period
+        censuses, ih = result
+        report.rows = [(c.period, c.count, c.gamma_n if c.certified else None, c.certified) for c in censuses]
+        gammas = _gammas(censuses)
+        report.fits = [(d, fit_C(gammas, d)) for d in config.deltas]
+        if ih is None:
+            report.ih_status = "skipped:no-finite-fit"
+            continue
+        report.ih_c, report.ih_delta = ih.params.C, ih.params.delta
+        report.ih_status, report.ih_pass = ih.status, 0
+        for row in ih.rows:
+            if row.status != "holds":
+                break
+            report.ih_pass = row.period
     return reports
 
 

@@ -170,8 +170,7 @@ def snap_orbit(f, orbit, spacing: float) -> SnapResult:
     """
     pts = _trajectory(orbit)
     _real(spacing, "spacing", gt=0)
-    cells = np.rint(pts / spacing).astype(np.int64)
-    traj = GridTrajectory(spacing=spacing, cells=cells)
+    traj = GridTrajectory(spacing=spacing, cells=_nearest_cells(pts, spacing, "orbit"))
     return SnapResult(trajectory=traj, slack=traj.realized_slack(f))
 
 
@@ -205,10 +204,20 @@ def _start_cell(start, spacing: float, dim: int):
     if np.asarray(start).dtype.kind in "iu":
         cells = np.atleast_1d(_array(start, "start", integer=True))
     else:
-        cells = np.rint(np.atleast_1d(arr) / spacing).astype(np.int64)
+        cells = _nearest_cells(np.atleast_1d(arr), spacing, "start")
     if dim == 1:
         return int(cells[0])
     return tuple(int(c) for c in cells)
+
+
+def _nearest_cells(points: np.ndarray, spacing: float, name: str) -> np.ndarray:
+    """The lattice cells nearest the finite `points`, as int64;
+    InvalidInputError naming `name` where a point lies more than _MAX_INDEX
+    cells from 0, as the cast would not hold its index."""
+    with np.errstate(over="ignore"):  # a quotient past the largest float is inf, refused below
+        q = np.rint(points / spacing)
+    _real(float(np.abs(q).max(initial=0.0)), f"|{name}| / spacing", ge=0, le=_MAX_INDEX)
+    return q.astype(np.int64)
 
 
 _INT64_MAX = 2**63 - 1

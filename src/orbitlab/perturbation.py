@@ -60,6 +60,8 @@ def multi_indices(k: int, dim: int) -> tuple:
 def multinomial(k: int, alpha: Sequence[int]) -> int:
     """k! / prod(alpha_i!), the number of ways to place k items into slots alpha."""
     k = _period(k, 0, "k")
+    if not isinstance(alpha, (Sequence, np.ndarray)):
+        raise InvalidInputError(f"alpha must be a sequence of integers, not {alpha!r}")
     if sum(_period(a, 0, "an entry of alpha") for a in alpha) != k:
         raise InvalidInputError(f"alpha {alpha} does not sum to {k}")
     out = math.factorial(k)
@@ -572,9 +574,9 @@ class PerturbationVector(_Polynomial):
 
     @classmethod
     def from_record(cls, rec: dict) -> "PerturbationVector":
-        dim = int(rec["dim"])
+        dim = _period(rec["dim"], 1, "dim")
         comps = tuple(
-            HomogeneousComponent(int(c["degree"]), dim, c["coeffs"])
+            HomogeneousComponent(_period(c["degree"], 0, "degree"), dim, c["coeffs"])
             for c in rec["components"]
         )
         brick = BrickSpec.from_record(rec["brick"]) if rec.get("brick") else None

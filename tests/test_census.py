@@ -1720,6 +1720,25 @@ def test_a_stack_ih_check_equals_each_maps_own():
     assert [tuple(rows) for rows in got] == [report.rows for report in want]
     assert [report.status for report in want] == ["holds", "holds", "fails", "holds"]
     assert [len(rows) for rows in got] == [6, 6, 1, 6]
+    # from a later first stage each map gets the rest of its rows, also
+    # where no map runs stages 2 and 3
+    first = [4, 5, 1, 6]
+    got = census._ih_stages(S, params, 6, 400_000, first)
+    assert [tuple(rows) for rows in got] == [report.rows[i - 1 :] for report, i in zip(want, first)]
+
+
+def test_an_ih_stage_reports_the_witness_candidates_its_budget_left_unchecked():
+    """Stage 1 of x^2 - 1 at threshold 0.9 meets witness candidates (the
+    fixed point's gap is 0.236) in its first round.  With a budget that
+    pays that round's 1,024 orbits and no more, they are left unchecked:
+    the stage reports so, and no witness; with the default budget it checks
+    them and finds one."""
+    f = PolynomialMap.univariate([-1.0, 0.0, 1.0])
+    S = census._Stack([f], [_domain(f, 1.0625)])
+    rows, unpaid = census._ih_one_period(S, 1, [0.9], [0.9], 1024)
+    assert unpaid == [True] and rows[0].status == "indeterminate"
+    rows, unpaid = census._ih_one_period(S, 1, [0.9], [0.9], census._IH_BUDGET)
+    assert unpaid == [False] and rows[0].status == "fails"
 
 
 def test_stacked_rows_evaluate_each_maps_own_floats():

@@ -629,6 +629,7 @@ def _real_arguments():
     seg = orbit(half, 0.5, 2)
     growth = GrowthParams(C=1.0, delta=1.0)
     brick = BrickSpec.factorial(0.1, 2)
+    drawn = sample(brick, 1, 0).to_record()
     return [
         # census
         ("C", lambda v: GrowthParams(C=v, delta=1.0), [_BELOW_0], True),
@@ -695,6 +696,9 @@ def _real_arguments():
         ("dim", lambda v: check_admissible(BrickSpec.geometric(0.1, 0.5, 3), v), [0, 1.5], True),
         ("dim", lambda v: sample(brick, v, 0), [0, 1.5], True),
         ("dim", lambda v: zero_vector(brick, v), [0, 1.5], True),
+        ("dim", lambda v: PerturbationVector.from_record(dict(drawn, dim=v)), [0, 2.5], True),
+        ("degree", lambda v: PerturbationVector.from_record(
+            dict(drawn, components=[dict(drawn["components"][0], degree=v)])), [-1, 1.5], True),
         # lagrange
         ("k", lambda v: p_km([0.1, 0.2], v), [-1, 0.5], True),
         ("derivs", lambda v: divided_difference([0.4, 0.4], [0.064, 0.064], derivs=[v, None]), [], True),

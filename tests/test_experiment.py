@@ -15,7 +15,6 @@ from orbitlab import (
     GrowthParams,
     InvalidInputError,
     PerturbedMap,
-    PolynomialMap,
     UncertifiedCensusError,
     base_map_from_spec,
     emit_reports,
@@ -374,7 +373,7 @@ A9_BRICK = {"family": "factorial", "tau": 0.01, "truncation_degree": 8}
 
 def _sample_map(config: ExperimentConfig, i: int) -> PerturbedMap:
     """A fresh copy of sample i's map."""
-    return PerturbedMap(PolynomialMap.univariate([-1.0, 0.0, 1.0]),
+    return PerturbedMap(base_map_from_spec(config.map),
                         sample(BrickSpec.from_record(config.brick), 1, seed=(config.master_seed, i)))
 
 
@@ -398,15 +397,10 @@ def _sample_alone(config: ExperimentConfig, i: int):
     return R, rows, fits, ih_check(f, params, config.n_max, radius=R)
 
 
-def test_stacked_samples_equal_samples_measured_alone():
-    """Nine samples run as a stack of 5 and a stack of 4, and each report
-    equals the one the per-map calls give the sample alone: radius, rows,
-    fits, and the ih_check constant, status and stages passed."""
-    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=9, master_seed=42, n_max=4,
-                              deltas=[1.0, 0.5])
-    assert experiment._STACK == 5
-    result = run_experiment(config)
-    assert len(result.samples) == 9 and {s.radius for s in result.samples} == {1.0, 1.0625}
+def _assert_measured_alone(config: ExperimentConfig, result: ExperimentResult):
+    """Each report of `result` equals the one the per-map calls give the
+    sample alone: radius, rows, fits, and the ih_check constant, status and
+    stages passed."""
     for s in result.samples:
         R, rows, fits, report = _sample_alone(config, s.index)
         assert (s.status, s.radius, s.rows, s.fits) == ("ok", R, rows, fits)
@@ -417,6 +411,80 @@ def test_stacked_samples_equal_samples_measured_alone():
             passed = row.period
         assert (s.ih_c, s.ih_delta) == (report.params.C, report.params.delta)
         assert (s.ih_status, s.ih_pass) == (report.status, passed)
+
+
+def _reruns(monkeypatch) -> list:
+    """The list, filled as the experiment runs, of each _ih_stages call:
+    its stack size and the stage each map starts from."""
+    calls, stages = [], census_module._ih_stages
+
+    def recorded(S, params, n_max, max_evals, first=None):
+        calls.append((len(S.maps), first))
+        return stages(S, params, n_max, max_evals, first)
+
+    monkeypatch.setattr(census_module, "_ih_stages", recorded)
+    return calls
+
+
+def test_stacked_samples_equal_samples_measured_alone(monkeypatch):
+    """_STACK + 4 a9 samples run as a full stack and a stack of 4, and each
+    report equals the one the per-map calls give the sample alone.  Every
+    ih_check stage ran beside its census and qualified, so none runs
+    again."""
+    num = experiment._STACK + 4
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=num, master_seed=42, n_max=4,
+                              deltas=[1.0, 0.5])
+    reruns = _reruns(monkeypatch)
+    result = run_experiment(config)
+    assert len(result.samples) == num and {s.radius for s in result.samples} == {1.0, 1.0625}
+    assert reruns == [] and {s.ih_status for s in result.samples} == {"holds"}
+    _assert_measured_alone(config, result)
+
+
+def test_a_stage_that_fails_beside_its_census_runs_again_at_the_final_fit(monkeypatch):
+    """On 0.95 - 1.8x^2 the fixed points' gaps lie below every fitted
+    threshold, so stage 1 fails beside the census at n = 1; it runs again
+    at the final fit, as ih_check runs it, and fails there too: each
+    report equals the sample's alone."""
+    config = ExperimentConfig(map=[0.95, 0.0, -1.8], brick={"family": "factorial", "tau": 1e-6,
+                              "truncation_degree": 3}, num_samples=3, n_max=4, deltas=[1.0], radius=1.0)
+    reruns = _reruns(monkeypatch)
+    result = run_experiment(config)
+    assert reruns == [(3, [1, 1, 1])]
+    assert [(s.ih_status, s.ih_pass) for s in result.samples] == [("fails", 0)] * 3
+    _assert_measured_alone(config, result)
+
+
+def test_a_stage_that_holds_only_at_the_final_fit_runs_again(monkeypatch):
+    """A params whose C rises at a later period: maps 0 and 2 take C = 2.15
+    at periods 1 and 2, 0.05 at periods 3 and 4 and 2.2 at the end.  Their
+    stages 1 and 2 hold above the final thresholds and qualify, so their
+    rows take the final ones; stage 3 does not hold at 0.05, so from there
+    their stages run again at 2.2, where all hold.  Map
+    1's C falls, from 3.0 to 2.2 at the end: its stages hold, but below the
+    final thresholds, so all run again.  Each map's censuses and rows equal
+    find_periodic and ih_check on a fresh copy."""
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=3, master_seed=42)
+    n_max, final = 5, GrowthParams(C=2.2, delta=1.0)
+
+    def params(k: int, censuses: list) -> GrowthParams:
+        if len(censuses) == n_max:
+            return final
+        return GrowthParams(C=3.0 if k == 1 else 2.15 if len(censuses) < 3 else 0.05, delta=1.0)
+
+    maps = [_sample_map(config, i) for i in range(3)]
+    radii = [invariant_radius(f) for f in maps]
+    reruns = _reruns(monkeypatch)
+    got = experiment._census_stack(maps, radii, n_max, 1e-12, params)
+    assert reruns == [(3, [3, 1, 3])]
+    for i, (censuses, report) in enumerate(got):
+        f, R = _sample_map(config, i), radii[i]
+        want = [find_periodic(f, n, radius=R) for n in range(1, n_max + 1)]
+        assert censuses == want and [repr(c) for c in censuses] == [repr(c) for c in want]
+        alone = ih_check(f, final, n_max, radius=R)
+        assert report == alone and repr(report) == repr(alone)
+        assert report.status == "holds"
+    assert ih_check(maps[0], GrowthParams(C=0.05, delta=1.0), 3, radius=radii[0]).status != "holds"
 
 
 def _abort_status(f: PerturbedMap, radius: float) -> str:
@@ -450,9 +518,10 @@ def test_aborted_and_measured_samples_share_a_stack():
 
 
 def test_a_stacked_census_extends_the_grid_tubes_once_a_period(monkeypatch):
-    """In a stacked experiment of 5 samples through n_max 3 the census at
-    each period makes one _tube_many call in _grid_tube, for all 5 maps,
-    and each ih_check stage makes none: it reads the census's tubes."""
+    """In a stacked experiment of 5 samples through n_max 3 the stack makes
+    one _tube_many call in _grid_tube a period, for all 5 maps, before its
+    census, and neither the census nor the ih_check stage beside it makes
+    one: they read that tube."""
     calls, grid_tubes = [], []
     tube, grid_tube = census_module._tube_many, census_module._grid_tube
 
@@ -463,21 +532,24 @@ def test_a_stacked_census_extends_the_grid_tubes_once_a_period(monkeypatch):
     def counted_grid_tube(S, n):
         before = len(calls)
         out = grid_tube(S, n)
-        grid_tubes.append((sys._getframe(2).f_code.co_name, n, len(S.maps), len(calls) - before))
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_refine":  # the census's or the stage's
+            caller = sys._getframe(2).f_code.co_name
+        grid_tubes.append((caller, n, len(S.maps), len(calls) - before))
         return out
 
     monkeypatch.setattr(census_module, "_tube_many", counted_tube)
     monkeypatch.setattr(census_module, "_grid_tube", counted_grid_tube)
     config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=5, master_seed=42, n_max=3)
     assert [s.ih_status for s in run_experiment(config).samples] == ["holds"] * 5
-    assert grid_tubes == ([("_census", n, 5, 1) for n in (1, 2, 3)]
-                          + [("_ih_one_period", n, 5, 0) for n in (1, 2, 3)])
+    assert grid_tubes == [call for n in (1, 2, 3) for call in
+                          (("_census_stack", n, 5, 1), ("_census", n, 5, 0), ("_ih_one_period", n, 5, 0))]
 
 
 def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):
     """Each stack's maps, and their memos, go before the next stack is
-    drawn: at every stacked census of a 12-sample experiment the memo holds
-    at most 5 sample maps, the maps of one stack."""
+    drawn: at every stacked census of a 2 _STACK + 2 sample experiment the
+    memo holds at most _STACK sample maps, the maps of one stack."""
     held = []
     census = census_module._census
 
@@ -486,6 +558,30 @@ def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):
         return census(S, *args)
 
     monkeypatch.setattr(census_module, "_census", counted)
-    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=12, master_seed=7, n_max=2)
+    stack = experiment._STACK
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=2 * stack + 2, master_seed=7, n_max=2)
     assert all(not s.aborted for s in run_experiment(config).samples)
-    assert len(held) == 3 * 2 and held == [5] * 4 + [2] * 2
+    assert held == [stack] * 4 + [2] * 2
+
+
+def test_each_sample_holds_one_grid_tube_at_a_time(monkeypatch):
+    """At every stacked census and ih_check stage of an experiment through
+    n_max 6, each sample map's domain holds the grid tube of one period, the
+    census's, where find_periodic would keep one per period so far."""
+    held = []
+
+    def probed(name):
+        run = getattr(census_module, name)
+
+        def probe(S, n, *args):
+            held.append(max(len(entry.tubes) for f in list(dynamics._MEMO.keys()) if isinstance(f, PerturbedMap)
+                            for key, entry in dynamics._MEMO[f].items() if key[0] == "domain"))
+            return run(S, n, *args)
+
+        monkeypatch.setattr(census_module, name, probe)
+
+    probed("_census")
+    probed("_ih_one_period")
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=4, master_seed=42, n_max=6)
+    assert [s.ih_pass for s in run_experiment(config).samples] == [6] * 4
+    assert held == [1] * 12

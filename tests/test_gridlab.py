@@ -3,6 +3,7 @@ and the recurrence diagnostics."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,29 @@ def test_a_spacing_too_fine_to_index_is_refused():
             call()
     assert cells_per_axis(1.0, 1e-20) == 2 * 10**20 + 1
     assert enumerate_pseudotrajectories(half(), 2.0**-61, 0.0, 0, 2).count == 1
+
+
+def test_a_point_too_far_off_the_lattice_to_index_is_refused():
+    """A finite start of an enumeration, or point of a snapped orbit, more
+    than 2^62 cells from 0 (or so far that its quotient by the spacing is
+    inf) raises InvalidInputError naming it before the int64 cast, which
+    would warn of an invalid value.  At 2^62 cells the start is indexed and
+    refused as off the domain's lattice, and an orbit at 2^61 cells snaps."""
+    calls = [
+        (lambda: enumerate_pseudotrajectories(half(), 0.5, 0.1, 1e300, 2), "start"),
+        (lambda: enumerate_pseudotrajectories(half(), 0.5, 0.1, [1e300], 2), "start"),
+        (lambda: snap_orbit(half(), [0.5, 0.25], 1e-300), "orbit"),
+        (lambda: snap_orbit(half(), [1e300, 0.25], 1e-300), "orbit"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in calls:
+            with pytest.raises(InvalidInputError, match=rf"^\|{name}\| / spacing "):
+                call()
+        with pytest.raises(InvalidInputError, match="^start lies outside the lattice"):
+            enumerate_pseudotrajectories(half(), 0.5, 0.1, 2.0**62 * 0.5, 2)
+        cells = snap_orbit(half(), [0.5, 0.25], 2.0**-62).trajectory.cells
+    assert cells[:, 0].tolist() == [2**61, 2**60]
 
 
 def test_grid_trajectory_points_and_validation():

@@ -43,6 +43,15 @@ def test_multinomial_oracle():
         assert multinomial(k, alpha) == by_hand
 
 
+def test_multinomial_refuses_an_alpha_that_is_not_a_sequence():
+    """An alpha that is a number or None raises InvalidInputError naming
+    alpha, not a bare TypeError; an array of integers is a sequence."""
+    for alpha in (5, 2.0, None):
+        with pytest.raises(InvalidInputError, match=r"^alpha must be a sequence of integers"):
+            multinomial(2, alpha)
+    assert multinomial(3, np.array([2, 1])) == 3
+
+
 def test_nu_is_coefficient_count():
     for dim in (1, 2, 3):
         for k in range(5):
