@@ -130,8 +130,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (_bounds, _check_map, _horner_parts, _memo, certified_range_1d, invariant_radius,
-                       norm_bounds)
+from .dynamics import (_bounds, _check_map, _horner_parts, _memo, _on_grid, _table, certified_range_1d,
+                       invariant_radius, norm_bounds)
 from .errors import UncertifiedCensusError, _period, _real
 from .perturbation import _horner, _horner_many
 
@@ -312,19 +312,28 @@ def _dev(lam, lam_hi, n: int):
 
 
 def _domain(f, R: float) -> _Domain:
-    """The _Domain of f on [-R, R], built once and kept in the map's memo,
-    which it shares with certified_range_1d and the map's bounds."""
-    key = ("domain", R)
-    memo = _memo(f)
-    if key not in memo:
-        sup, _, D2 = _bounds(f, R)
-        # sup |f'| from a grid, padded by the curvature between grid points
-        xs = np.linspace(-R, R, 4097)
-        D1 = float(np.abs(f.deriv_many(xs)).max()) + D2 * (2.0 * R / 4096) / 2.0
-        memo[key] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, sup, 1.0),
-                            d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
-                            grid=_grid(R), tubes={}, roots={})
-    return memo[key]
+    """The _Domain of f on [-R, R] (_domains, a stack of one)."""
+    return _domains([f], R)[0]
+
+
+def _domains(maps: list, R: float) -> list:
+    """The _Domain of each map on [-R, R], built once and kept in the map's
+    memo, which it shares with certified_range_1d and the map's bounds.
+    sup |f'| comes from a grid, padded by the curvature between grid
+    points: one stacked derivative pass (dynamics._on_grid) for the maps
+    that lack a domain."""
+    memos = [_memo(f) for f in maps]
+    todo = [k for k, memo in enumerate(memos) if ("domain", R) not in memo]
+    if todo:
+        slopes = _on_grid([maps[k] for k in todo], np.linspace(-R, R, 4097), derivative=True)
+        slopes = np.abs(slopes, out=slopes).max(axis=1)
+        for k, slope in zip(todo, slopes):
+            sup, _, D2 = _bounds(maps[k], R)
+            D1 = float(slope) + D2 * (2.0 * R / 4096) / 2.0
+            memos[k]["domain", R] = _Domain(R=R, D1=D1, D2=D2, step=64.0 * _EPS * max(R, sup, 1.0),
+                                            d_slack=64.0 * _EPS * D1, pad=8.0 * _EPS * R, cap=2.0 * R,
+                                            grid=_grid(R), tubes={}, roots={})
+    return [memo["domain", R] for memo in memos]
 
 
 @functools.lru_cache(maxsize=16)
@@ -333,17 +342,6 @@ def _grid(R: float) -> tuple:
     cells, read-only, which every domain of radius R shares."""
     edges = np.linspace(-R, R, _GRID_CELLS + 1)
     return _read_only(0.5 * (edges[:-1] + edges[1:]), np.full(_GRID_CELLS, R / _GRID_CELLS))
-
-
-def _table(coeffs: list) -> np.ndarray:
-    """The (terms, K) table of K Horner coefficient tuples, each padded with
-    leading zeros to the longest, which `_horner_many` takes row by row.  A
-    leading zero repeats Horner's first step 0.0 x + c: at a finite x the
-    running value stays 0.0 exactly, and at an infinite or NaN x it is that
-    same NaN either way, so a padded column gives its polynomial's own
-    floats."""
-    top = max(map(len, coeffs))
-    return np.ascontiguousarray(np.array([(0.0,) * (top - len(c)) + tuple(c) for c in coeffs]).T)
 
 
 class _Stack:

@@ -15,11 +15,14 @@ kind of term (a `_Polynomial`, a `RootProductPerturbation`, and a whole
 brick through `brick_bounds`) gives its coefficient bounds over a ball as
 one triple (sup, d1, d2) from one `bounds(radius)`; a `PerturbedMap` adds
 its terms' triples to its base's.  The memo (`_MEMO`) keeps one triple per
-map and radius, which certified_range_1d, norm_bounds and the census read.
+map and radius, which certified_range_1d, norm_bounds and the census read,
+and one certified range per map and radius, which the ranges of many maps
+at one radius fill in one stacked pass (`_ranges`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from .perturbation import (
     _Polynomial,
     _as_point,
     _as_scalar,
+    _horner_many,
     brick_bounds,
     check_admissible,
 )
@@ -208,8 +212,11 @@ class PerturbedMap:
     (likewise `derivative` and `deriv_many`, `jac` and `jac_many`) agree bit
     for bit.  Its certified `bounds` are its base's plus its terms', each
     term giving one triple (sup, d1, d2), so a base shared by many maps is
-    bounded once per radius.  The census evaluates a 1-D map from its
-    parts (`_horner_parts`), with these methods' floats, not through them.
+    bounded once per radius.  The census, and the certified ranges of
+    certified_range_1d and invariant_radius, evaluate a 1-D map from its
+    parts (`_horner_parts`), many maps in one array pass, with these
+    methods' floats, not through them: a subclass's eval_many and
+    deriv_many are not called there.
     """
 
     def __init__(self, base: PolynomialMap, perturbation=None):
@@ -470,25 +477,72 @@ def _horner_parts(f) -> tuple:
     return fold._poly, fold._dpoly, getattr(f, "_rest", ())
 
 
+def _table(coeffs: list) -> np.ndarray:
+    """The (terms, K) table of K Horner coefficient tuples, each padded with
+    leading zeros to the longest, which `_horner_many` takes row by row.  A
+    leading zero repeats Horner's first step 0.0 x + c: at a finite x the
+    running value stays 0.0 exactly, and at an infinite or NaN x it is that
+    same NaN either way, so a padded column gives its polynomial's own
+    floats."""
+    top = max(map(len, coeffs))
+    return np.ascontiguousarray(np.array([(0.0,) * (top - len(c)) + tuple(c) for c in coeffs]).T)
+
+
+def _on_grid(maps: list, xs: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """The values (or derivatives) of K 1-D maps at the points xs, shape
+    (K, len(xs)), from their parts (`_horner_parts`) in one stacked Horner
+    pass over a table of their coefficients (`_table`), each map's
+    unfolded terms added after it, as the map adds them: row k is
+    maps[k].eval_many(xs) (deriv_many(xs)) bit for bit, but not through
+    those methods."""
+    parts = [_horner_parts(f) for f in maps]
+    j, method = (1, "deriv_many") if derivative else (0, "value_many")
+    y = _horner_many(_table([p[j] for p in parts])[:, :, None], np.broadcast_to(xs, (len(maps), len(xs))))
+    for row, p in zip(y, parts):
+        for t in p[2]:
+            row += getattr(t, method)(xs)
+    return y
+
+
 # points of the grid whose extrema certified_range_1d pads
 _RANGE_GRID = 2049
+
+
+@functools.lru_cache(maxsize=16)
+def _range_grid(radius: float) -> np.ndarray:
+    """The _RANGE_GRID points of [-radius, radius], read-only, which every
+    range at that radius reads."""
+    xs = np.linspace(-radius, radius, _RANGE_GRID)
+    xs.flags.writeable = False
+    return xs
 
 
 def certified_range_1d(f, radius: float):
     """Certified enclosure of f([-radius, radius]) for a 1-D map: the
     extrema on a grid of _RANGE_GRID points padded by the derivative bound
     times half the grid step.  Computed once per map and radius, and kept in
-    the map's memo."""
+    the map's memo.  The grid's values are read from the map's parts, as
+    the census reads them (`_ranges`, a stack of one), so a subclass's
+    `eval_many` is not called."""
     _check_map(f, "certified_range_1d", one_d=True)
-    key = ("range", radius)
-    memo = _memo(f)
-    if key not in memo:
+    return _ranges([f], radius)[0]
+
+
+def _ranges(maps: list, radius: float) -> list:
+    """certified_range_1d of each 1-D map of `maps` at one radius: the
+    ranges not yet in the maps' memos come from one stacked pass over the
+    shared grid (`_on_grid`), each with its map's floats, and are kept
+    there."""
+    memos = [_memo(f) for f in maps]
+    todo = [k for k, memo in enumerate(memos) if ("range", radius) not in memo]
+    if todo:
         _real(radius, "radius", gt=0)
-        xs = np.linspace(-radius, radius, _RANGE_GRID)
-        vals = f.eval_many(xs)
-        pad = _bounds(f, radius)[1] * (xs[1] - xs[0]) / 2.0
-        memo[key] = (float(vals.min() - pad), float(vals.max() + pad))
-    return memo[key]
+        xs = _range_grid(radius)
+        vals = _on_grid([maps[k] for k in todo], xs)
+        for k, lo, hi in zip(todo, vals.min(axis=1), vals.max(axis=1)):
+            pad = _bounds(maps[k], radius)[1] * (xs[1] - xs[0]) / 2.0
+            memos[k]["range", radius] = (float(lo - pad), float(hi + pad))
+    return [memo["range", radius] for memo in memos]
 
 
 _LADDER = (1.0, 1.0625, 1.125, 1.25, 1.5)
@@ -496,14 +550,31 @@ _LADDER = (1.0, 1.0625, 1.125, 1.25, 1.5)
 
 def invariant_radius(f, ladder: Sequence[float] = _LADDER) -> Optional[float]:
     """Smallest radius R = domain_radius * factor (factor from `ladder`) with a
-    certified f([-R, R]) inside [-R, R]; None when no rung certifies."""
+    certified f([-R, R]) inside [-R, R]; None when no rung certifies.  Its
+    ranges are read from the map's parts (`_invariant_radii`, a stack of
+    one), so a subclass's `eval_many` is not called."""
     _check_map(f, "invariant_radius", one_d=True)
+    return _invariant_radii([f], ladder)[0]
+
+
+def _invariant_radii(maps: list, ladder: Sequence[float] = _LADDER) -> list:
+    """invariant_radius of each 1-D map of `maps`: the ladder is climbed
+    by all maps at once, with one stacked range pass (`_ranges`) per rung
+    and radius for the maps still climbing."""
+    found: list = [None] * len(maps)
+    climbing = range(len(maps))
     for factor in ladder:
-        R = f.domain_radius * factor
-        lo, hi = certified_range_1d(f, R)
-        if lo >= -R and hi <= R:
-            return R
-    return None
+        rungs: dict = {}  # R -> the maps still climbing whose rung is [-R, R]
+        for k in climbing:
+            rungs.setdefault(maps[k].domain_radius * factor, []).append(k)
+        climbing = []
+        for R, ks in rungs.items():
+            for k, (lo, hi) in zip(ks, _ranges([maps[k] for k in ks], R)):
+                if lo >= -R and hi <= R:
+                    found[k] = R
+                else:
+                    climbing.append(k)
+    return found
 
 
 @dataclass

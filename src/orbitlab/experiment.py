@@ -8,16 +8,22 @@ every period up to `n_max`, fits the smallest stretched-exponential constant
 C consistent with the observed hyperbolicity margins, and then certifies the
 fitted profile (inflated by a safety factor) with the box checker.
 
-The samples run in stacks of _STACK consecutive indices: a stack's samples
-are drawn and their radii found, then _census_stack runs one census per
-period on the whole stack (one array pass per round for all its maps)
-and, beside it, that period's ih_check stage, each sample's at C fitted
-from its censuses so far.  C only grows as periods are added, so a stage
-that holds there holds at the final fit as well; any other runs again at
-the final fit.  Each sample's report is the one find_periodic
-(gamma_n_of_map) and ih_check give it alone, bit for bit.  Only one
-stack's maps and their memos are alive at a time, and each memo holds
-its grid's orbit tube at one period, not at every period so far.
+The samples run in stacks of _STACK consecutive indices.  A stack's
+samples are drawn and set up in one pass, as the census runs: their
+certified ranges at each radius (strict invariance, the invariant-radius
+ladder or the configured radius) and then their domains of each radius
+are each one array pass over all the maps that need them (_radii,
+dynamics._ranges, census._domains), with each map's own floats.  Then
+_census_stack runs one census per period on the whole stack (one array
+pass per round for all its maps) and, beside it, that period's ih_check
+stage, each sample's at C fitted from its censuses so far: a running fit,
+raised by one term per new period (_refit), which is fit_C's C bit for
+bit.  C only grows as periods are added, so a stage that holds there
+holds at the final fit as well; any other runs again at the final fit.
+Each sample's report is the one find_periodic (gamma_n_of_map) and
+ih_check give it alone, bit for bit.  Only one stack's maps and their
+memos are alive at a time, and each memo holds its grid's orbit tube at
+one period, not at every period so far.
 
 Reports are written as NDJSON (one object per sample), a flat CSV table of
 census rows, and a JSON summary.  All floats are serialized via their
@@ -38,11 +44,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import census
-# gamma_n_of_map and ih_check are the per-map forms of the stacked call
-# below, and stay importable from here for tools that trace an experiment
+from . import census, dynamics
+# gamma_n_of_map, ih_check, certified_range_1d and invariant_radius are the
+# per-map forms of the stacked calls below, and stay importable from here
+# for tools that trace an experiment
 from .census import GrowthParams, gamma_n_of_map, ih_check  # noqa: F401
-from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius
+from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius  # noqa: F401
 from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _array, _period, _real
 from .perturbation import BrickSpec, sample as sample_perturbation
 
@@ -201,13 +208,35 @@ def fit_C(gammas, delta: float) -> float:
     items = gammas.items() if hasattr(gammas, "items") else gammas
     best = 0.0
     for n, g in items:
-        _period(n, 1, "periods")
-        if g is None or math.isinf(g):
-            continue  # no periodic points at this n: no constraint
-        if math.isnan(g):
-            raise InvalidInputError(f"gamma_{n} is NaN")
-        best = math.inf if g <= 0.0 else max(best, -math.log(g) / float(n) ** (1.0 + delta))
+        best = max(best, _fit_term(n, g, delta))
     return best
+
+
+def _fit_term(n, g, delta: float) -> float:
+    """The smallest C >= 0 that one observed (n, gamma_n) asks for: 0 when
+    gamma_n is None or infinite (no periodic points at this n: no
+    constraint), +inf when it is <= 0.  fit_C is the largest of these over
+    all periods, and max(best, 0) is best, as best is never below 0."""
+    _period(n, 1, "periods")
+    if g is None or math.isinf(g):
+        return 0.0
+    if math.isnan(g):
+        raise InvalidInputError(f"gamma_{n} is NaN")
+    return math.inf if g <= 0.0 else -math.log(g) / float(n) ** (1.0 + delta)
+
+
+def _refit(fit: tuple, censuses: list, delta: float) -> tuple:
+    """(m, C) for a sample's first m censuses, C being fit_C of their
+    certified gamma_n, carried on to all of `censuses`, which start with
+    those m: each census after them raises C to its own term (_fit_term)
+    where it is certified.  fit_C's C is the largest term, so this equals
+    fit_C(_gammas(censuses), delta) bit for bit, with one term computed per
+    new period."""
+    m, C = fit
+    for c in censuses[m:]:
+        if c.certified:
+            C = max(C, _fit_term(c.period, c.gamma_n, delta))
+    return len(censuses), C
 
 
 # Consecutive samples whose censuses and ih_check stages run as one stack
@@ -226,21 +255,28 @@ def fit_C(gammas, delta: float) -> float:
 _STACK = 25
 
 
-def _radius(f: PerturbedMap, config: ExperimentConfig, report: SampleReport):
-    """The sample's strict invariance, and the radius its censuses run on
-    (None, with the report aborted, when there is none)."""
-    r0 = f.domain_radius
-    lo, hi = certified_range_1d(f, r0)
-    report.strict_invariance = bool(lo >= -r0 and hi <= r0)
-    if config.radius is not None:
-        R = config.radius
+def _radii(drawn: list, config: ExperimentConfig, reports: list) -> list:
+    """Each sample's strict invariance and the radius its censuses run on
+    (None, with the report aborted, where there is none), for a stack of
+    samples in one pass: one stacked range pass (dynamics._ranges) at the
+    base's domain radius r0, then one at the config's radius, or the
+    invariant-radius ladder climbed by all samples at once, whose first
+    rung, r0, finds its ranges in the memos.  Every range the stack's
+    censuses certify their radius with is then in its map's memo."""
+    r0 = drawn[0].domain_radius  # the base's, which every sample shares
+    for report, (lo, hi) in zip(reports, dynamics._ranges(drawn, r0)):
+        report.strict_invariance = bool(lo >= -r0 and hi <= r0)
+    if config.radius is None:
+        radii = dynamics._invariant_radii(drawn)
     else:
-        R = invariant_radius(f)  # its first rung, r0, finds the range above in the memo
-    if R is None:
-        report.status = "aborted:no-invariant-radius"
-        return None
-    report.radius = float(R)
-    return R
+        dynamics._ranges(drawn, config.radius)
+        radii = [config.radius] * len(drawn)
+    for report, R in zip(reports, radii):
+        if R is None:
+            report.status = "aborted:no-invariant-radius"
+        else:
+            report.radius = float(R)
+    return radii
 
 
 def _census_stack(maps: list, radii: list, n_max: int, tol: float, params) -> list:
@@ -250,19 +286,24 @@ def _census_stack(maps: list, radii: list, n_max: int, tol: float, params) -> li
     them, its ih_check report through n_max with those, each at the default
     budgets.  Returns per map (censuses, report or None), equal to its
     find_periodic and ih_check calls alone, or the UncertifiedCensusError
-    its R raised.  It runs the census's stacked steps (census._census,
-    census._ih_one_period and census._ih_stages on a census._Stack) in the
-    order below, which keeps the stack's memory at one grid tube a map.
+    its R raised.  Each R is checked as find_periodic checks it, from the
+    ranges in the map's memo, and the domains of each R are built in one
+    stacked pass (census._domains).  It runs the census's stacked steps
+    (census._census, census._ih_one_period and census._ih_stages on a
+    census._Stack) in the order below, which keeps the stack's memory at
+    one grid tube a map.
 
     One stacked census runs per period n and, beside it, one stacked
     ih_check stage n, each map's at params(k, its censuses at 1..n):
-    provisional parameters, so params must be pure, as it is called again
-    at the end for the final ones.  Before the census the stack extends its
-    grid tubes to period n (census._grid_tube) and drops every other one
-    but the grid itself, from the stack and from the maps' domains, so each
-    map holds one tube, where find_periodic and ih_check keep one per
-    period.  A map's provisional stages stop at the first that does not
-    hold or that left a witness candidate unpaid for budget.
+    provisional parameters.  params(k, censuses) must depend on those
+    censuses alone, as it is called again at the end for the final ones;
+    as a map's list of censuses only grows at its end, params may carry a
+    running fit from one call to the next.  Before the census the stack
+    extends its grid tubes to period n (census._grid_tube) and drops every
+    other one but the grid itself, from the stack and from the maps'
+    domains, so each map holds one tube, where find_periodic and ih_check
+    keep one per period.  A map's provisional stages stop at the first
+    that does not hold or that left a witness candidate unpaid for budget.
 
     A provisional stage qualifies when it holds, paid every witness
     candidate, and its threshold and slack (as floats) are not below the
@@ -281,17 +322,20 @@ def _census_stack(maps: list, radii: list, n_max: int, tol: float, params) -> li
     the largest -log(gamma_n) / n^(1+delta) over the certified censuses so
     far, only grows as periods are added, so its thresholds only fall: on
     the a9 brick every stage qualifies."""
-    out, live, doms = [], [], []
+    out: list = [None] * len(maps)
     for k, (f, R) in enumerate(zip(maps, radii)):
         try:
-            doms.append(census._domain(f, census._resolve_radius(f, R)))
+            census._resolve_radius(f, R)
         except UncertifiedCensusError as err:
-            out.append(err.with_traceback(None))  # whose frames would hold the maps
-            continue
-        out.append(None)
-        live.append(k)
+            out[k] = err.with_traceback(None)  # whose frames would hold the maps
+    live = [k for k, err in enumerate(out) if err is None]
     if not live:
         return out
+    dom: dict = {}  # k -> the _Domain of map k
+    for R in dict.fromkeys(float(radii[k]) for k in live):  # the domains of each radius in one pass
+        at = [k for k in live if float(radii[k]) == R]
+        dom.update(zip(at, census._domains([maps[k] for k in at], R)))
+    doms = [dom[k] for k in live]
     S = census._Stack([maps[k] for k in live], doms)
     censuses: list = [[] for _ in live]
     held: list = [[] for _ in live]  # (threshold, slack) of each provisional stage that held, all paid
@@ -343,25 +387,31 @@ def _gammas(censuses: list) -> dict:
 
 
 def _measure_stack(config: ExperimentConfig, base: PolynomialMap, brick, indices: range) -> list:
-    """The reports of the samples `indices`: all are drawn, then each one's
-    radius is found, in order; then _census_stack measures all that
-    have one, with each sample's ih_check at C fitted from its censuses,
-    and each report is filled in from its sample's results."""
+    """The reports of the samples `indices`: all are drawn and set up in
+    one pass (_radii: their ranges, strict invariance and radii); then
+    _census_stack measures all that have a radius, with each sample's
+    ih_check at C fitted from its censuses, and each report is filled in
+    from its sample's results.  The fit is a running one: params folds in
+    the censuses it has not seen yet (_refit), so C is fitted once per new
+    period, not from all censuses at every period."""
     seeds = [(config.master_seed, i) for i in indices]
     if config.force_zero_eps:
         drawn = [PerturbedMap(base) for _ in seeds]
     else:
         drawn = [PerturbedMap(base, sample_perturbation(brick, 1, seed=seed)) for seed in seeds]
     reports = [SampleReport(index=i, seed=seed) for i, seed in zip(indices, seeds)]
-    radii = [_radius(f, config, report) for f, report in zip(drawn, reports)]
+    radii = _radii(drawn, config, reports)
     measured = [j for j, R in enumerate(radii) if R is not None]
     delta0 = config.deltas[0]
+    fits: dict = {}  # k -> (m, C fitted from its first m censuses) of each measured sample
 
-    def params(_k: int, censuses: list):
+    def params(k: int, censuses: list):
         """The GrowthParams of a sample's ih_check from its censuses: C
         fitted at the first delta, times ih_c_factor (None where that is
-        not finite)."""
-        c_ih = config.ih_c_factor * fit_C(_gammas(censuses), delta0)
+        not finite).  C is the sample's running fit, carried on from the
+        censuses it was last fitted from (_refit)."""
+        fits[k] = _refit(fits.get(k, (0, 0.0)), censuses, delta0)
+        c_ih = config.ih_c_factor * fits[k][1]
         return GrowthParams(C=c_ih, delta=delta0) if math.isfinite(c_ih) else None
 
     results = _census_stack([drawn[j] for j in measured], [radii[j] for j in measured], config.n_max,

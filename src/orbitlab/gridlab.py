@@ -91,9 +91,16 @@ def stage_tolerances(n: int, dim: int, m_bound: float, growth: GrowthParams) -> 
 
 def snap(x, spacing: float):
     """Nearest lattice point of the `spacing`-scaled integer lattice
-    (coordinate-wise; exact halves follow round-half-to-even)."""
+    (coordinate-wise; exact halves follow round-half-to-even).
+    InvalidInputError naming |x| / spacing where that quotient, or the
+    lattice point it rounds to, is past the largest float."""
     _real(spacing, "spacing", gt=0)
-    out = np.rint(_array(x, "x") / spacing) * spacing
+    with np.errstate(over="ignore"):  # past the largest float: inf, refused below
+        q = _array(x, "x") / spacing
+        out = np.rint(q) * spacing
+    if not np.isfinite(out).all():
+        raise InvalidInputError(f"|x| / spacing must be finite, with a finite lattice point, not "
+                                f"{float(np.abs(q).max())!r}")
     return float(out) if out.ndim == 0 else out
 
 

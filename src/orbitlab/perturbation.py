@@ -346,7 +346,7 @@ def _horner_many(coeffs: tuple, xs: np.ndarray) -> np.ndarray:
     """`_horner` over a float array, in place on one new array: the same
     IEEE operations in the same order, so each entry equals the scalar
     result bit for bit.  `coeffs` may also be the rows of a table
-    (census._table), each broadcasting against xs: each entry then takes
+    (dynamics._table), each broadcasting against xs: each entry then takes
     its own column's polynomial."""
     y = np.zeros(xs.shape)
     for c in coeffs:
@@ -432,13 +432,14 @@ class _Polynomial:
     first appearance).  The sum is then evaluated as one polynomial, so its
     values differ from the sum of the parts' values only by rounding.
     `bounds` gives the one certified triple (sup, d1, d2) over a ball, from
-    the monomial rows in one pass."""
+    the monomial rows, whose radius-free parts it keeps from its first
+    call."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.exponents = exponents
         self.coeffs = coeffs
         self.dim = exponents.shape[1]
-        self._table = self._uni = self._poly = self._dpoly = None
+        self._table = self._uni = self._poly = self._dpoly = self._bound_terms = None
         if self.dim == 1:
             self._uni = _univariate(exponents[:, 0], coeffs[:, 0])
             self._poly, self._dpoly = _horner_form(self._uni)
@@ -507,30 +508,49 @@ class _Polynomial:
         """(sup, d1, d2): triangle-inequality bounds over the ball of radius
         `radius` on |p|, on the Frobenius norm of the Jacobian and on that of
         the second derivative (as a bilinear map), from the monomial rows.
-        The three share the exponent totals and absolute coefficients; each
-        keeps its own masks, matrix products and norm."""
-        exponents = self.exponents
-        if len(exponents) == 0:
+        What does not depend on the radius (the exponent totals, the
+        absolute coefficients, and each derivative's masked rows and
+        factors) is computed on the first call and kept (`_bound_terms`), as
+        `_MonomialTable` keeps its Jacobian table; each radius then takes
+        only the matrix products and norms, on the same arrays, so a triple
+        is the same whatever radii came before."""
+        if len(self.exponents) == 0:
             return 0.0, 0.0, 0.0
+        if self._bound_terms is None:
+            self._bound_terms = self._radius_free()
+        size_t, total, first, second = self._bound_terms
+        sup = float(np.linalg.norm(size_t @ radius**total))
+        D = np.zeros((size_t.shape[0], self.dim))
+        for j, rows, factor, power in first:
+            D[:, j] = rows @ (factor * radius**power)
+        acc = 0.0
+        for rows, factor, power in second:
+            col = rows @ (factor * radius**power)
+            acc += float(np.sum(col * col))
+        return sup, float(np.linalg.norm(D)), math.sqrt(acc)
+
+    def _radius_free(self) -> tuple:
+        """The parts of `bounds` that do not depend on the radius: the
+        transposed absolute coefficients, the exponent totals, and per
+        nonzero column j of the Jacobian, and per nonzero pair (j, l) of the
+        second derivative in order, the transposed absolute coefficients of
+        its monomials, their factors and the powers of the radius."""
+        exponents = self.exponents
         total = np.abs(exponents).sum(axis=1).astype(float)
         size = np.abs(self.coeffs)
-        dim = exponents.shape[1]
-        sup = float(np.linalg.norm(size.T @ radius**total))
-        D = np.zeros((size.shape[1], dim))
-        acc = 0.0
-        for j in range(dim):
+        first, second = [], []
+        for j in range(self.dim):
             a_j = exponents[:, j].astype(float)
             mask = a_j > 0
             if np.any(mask):
-                D[:, j] = size[mask].T @ (a_j[mask] * radius ** (total[mask] - 1.0))
-            for l in range(dim):
+                first.append((j, size[mask].T, a_j[mask], total[mask] - 1.0))
+            for l in range(self.dim):
                 a_l = exponents[:, l].astype(float)
                 factor = a_j * (a_j - 1.0) if j == l else a_j * a_l
                 mask = (factor > 0) & (total >= 2)
                 if np.any(mask):
-                    col = size[mask].T @ (factor[mask] * radius ** (total[mask] - 2.0))
-                    acc += float(np.sum(col * col))
-        return sup, float(np.linalg.norm(D)), math.sqrt(acc)
+                    second.append((size[mask].T, factor[mask], total[mask] - 2.0))
+        return size.T, total, first, second
 
 
 @dataclass

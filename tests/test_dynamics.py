@@ -1,6 +1,7 @@
 """Tests for map construction, orbits, and certified norm bounds."""
 
 import gc
+import itertools
 import math
 import warnings
 
@@ -968,6 +969,32 @@ def test_bounds_are_the_old_floats():
             old = [_old_term_bounds(t, radius) for t in (f.base,) + f.terms]
             want = tuple(old[0][i] + sum(t[i] for t in old[1:]) for i in range(3))
             assert f.bounds(radius) == want
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def test_prepared_bounds_equal_a_fresh_polynomials_in_any_order():
+    """A polynomial keeps the radius-free parts of `bounds` from its first
+    call; at radii 0.5, 1, 1.0625 and 1.5, asked in every order, each
+    triple is bit for bit that of a fresh copy asked at that radius alone:
+    1-D (a map and a brick sample), the 2-D Henon map, a 3-D cubic and the
+    empty polynomial."""
+    henon = {(0, 0): [1.0, 0.0], (2, 0): [-1.4, 0.0], (0, 1): [1.0, 0.0], (1, 0): [0.0, 0.3]}
+    builders = [
+        lambda: PolynomialMap.univariate([-1.0, 0.3, 1.0, -0.2]),
+        lambda: sample(BrickSpec.factorial(0.01, 8), 1, (42, 0)),
+        lambda: PolynomialMap.from_terms(2, henon, domain_radius=1.5),
+        lambda: sample(BrickSpec.factorial(0.1, 3), 3, 7),
+        lambda: PerturbationVector(2, ()),
+    ]
+    radii = (0.5, 1.0, 1.0625, 1.5)
+    for build in builders:
+        alone = {r: _hex(build().bounds(r)) for r in radii}
+        for order in itertools.permutations(radii):
+            p = build()
+            assert [_hex(p.bounds(r)) for r in order] == [alone[r] for r in order]
 
 
 def test_bounds_are_computed_once_per_map_and_radius(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from orbitlab import (
     GrowthParams,
     InvalidInputError,
     PerturbedMap,
+    RootProductPerturbation,
     UncertifiedCensusError,
     base_map_from_spec,
     emit_reports,
@@ -275,19 +277,20 @@ def test_perturbed_experiment_is_deterministic(tmp_path):
 
 def test_each_range_is_certified_once_per_sample(monkeypatch, request):
     """The strict-invariance check, the invariant-radius ladder and every
-    census on a sample share one certified range per radius."""
+    census on a sample share one certified range per radius: each range
+    the stacked helper (dynamics._ranges) computes, a (map, radius) it did
+    not find in the map's memo, is computed once."""
     ranges = []
-    # The local class below lives until a gc pass; emptying `ranges` at the
-    # end lets the samples' maps, and their memos, go with the test.
+    # `ranges` holds the samples' maps; emptying it at the end lets them,
+    # and their memos, go with the test.
     request.addfinalizer(ranges.clear)
+    stacked = dynamics._ranges
 
-    class RangeCountingMap(PerturbedMap):
-        def eval_many(self, xs):
-            if np.shape(xs) == (2049,):  # the grid of certified_range_1d
-                ranges.append((self, float(xs[-1])))
-            return super().eval_many(xs)
+    def counted(maps, radius):
+        ranges.extend((f, float(radius)) for f in maps if ("range", radius) not in dynamics._memo(f))
+        return stacked(maps, radius)
 
-    monkeypatch.setattr(experiment, "PerturbedMap", RangeCountingMap)
+    monkeypatch.setattr(dynamics, "_ranges", counted)
     brick = {"family": "factorial", "tau": 0.01, "truncation_degree": 8}
     cfg = ExperimentConfig(map="quadratic", brick=brick, num_samples=6, master_seed=42,
                            n_max=3, deltas=[1.0])
@@ -295,6 +298,7 @@ def test_each_range_is_certified_once_per_sample(monkeypatch, request):
     assert {s.strict_invariance for s in result.samples} == {True, False}
     assert len(ranges) == len(set(ranges))
     maps = list(dict.fromkeys(f for f, _ in ranges))
+    assert len(maps) == len(result.samples)
     for s, f in zip(result.samples, maps):
         radii = [r for g, r in ranges if g is f]
         assert radii == ([1.0] if s.strict_invariance else [1.0, s.radius])
@@ -544,6 +548,122 @@ def test_a_stacked_census_extends_the_grid_tubes_once_a_period(monkeypatch):
     assert [s.ih_status for s in run_experiment(config).samples] == ["holds"] * 5
     assert grid_tubes == [call for n in (1, 2, 3) for call in
                           (("_census_stack", n, 5, 1), ("_census", n, 5, 0), ("_ih_one_period", n, 5, 0))]
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _range_alone(f: PerturbedMap, R: float) -> tuple:
+    """certified_range_1d of f at R as the per-map code computes it: the
+    extrema of the map's own eval_many on the grid, padded by its own
+    bounds."""
+    xs = np.linspace(-R, R, 2049)
+    vals = f.eval_many(xs)
+    pad = f.bounds(R)[1] * (xs[1] - xs[0]) / 2.0
+    return float(vals.min() - pad), float(vals.max() + pad)
+
+
+def _a9_maps(master_seed: int, indices) -> list:
+    config = ExperimentConfig(map="quadratic", brick=A9_BRICK, master_seed=master_seed)
+    return [_sample_map(config, i) for i in indices]
+
+
+def _odd_maps() -> list:
+    """Three a9 samples, 2x, which has no invariant radius, and the first
+    sample with a root-product term."""
+    maps = _a9_maps(42, range(3))
+    return maps + [PerturbedMap(base_map_from_spec([0.0, 2.0])),
+                   maps[0].with_term(RootProductPerturbation(1e-3, (0.1, -0.2)))]
+
+
+# name -> (the maps, the configured radius, each map's radius, the maps
+# whose census certifies its radius)
+_SETUP_STACKS = {
+    "radii 1 and 1.0625": (lambda: _a9_maps(42, range(6)), None, [1.0] + [1.0625] * 5, [0, 1, 2, 3, 4, 5]),
+    "no radius, root product": (_odd_maps, None, [1.0, 1.0625, 1.0625, None, 1.0], [0, 1, 2, 4]),
+    "explicit radius 1.0625": (lambda: _a9_maps(42, range(6)), 1.0625, [1.0625] * 6, [0, 1, 2, 3, 4, 5]),
+    "explicit radius 1, some uncertified": (lambda: _a9_maps(0, range(9)), 1.0, [1.0] * 9, [0, 1, 4]),
+    "one map": (lambda: _a9_maps(42, [1]), None, [1.0625], [0]),
+}
+
+
+@pytest.mark.parametrize("stack", list(_SETUP_STACKS))
+def test_the_stacked_setup_equals_the_per_map_calls(stack):
+    """A stack's set-up (experiment._radii, then the domains _census_stack
+    builds) fills each map's memo with the entries its per-map calls give
+    a fresh copy, bit for bit: each range as the map's own eval_many and
+    bounds give it, each bound triple as its own bounds, and each domain's
+    constants as _domain on the copy alone, with sup |f'| from the map's
+    own deriv_many.  Each map's strict invariance and radius are those of
+    its ranges, the ladder's rungs climbed up to its radius (all of them
+    where there is none)."""
+    build, radius, want_radii, want_certified = _SETUP_STACKS[stack]
+    maps, copies = build(), build()
+    reports = [experiment.SampleReport(index=k, seed=(0, k)) for k in range(len(maps))]
+    radii = experiment._radii(maps, ExperimentConfig(map="quadratic", radius=radius), reports)
+    measured = [k for k, R in enumerate(radii) if R is not None]
+    results = experiment._census_stack([maps[k] for k in measured], [radii[k] for k in measured], 1, 1e-12,
+                                       lambda k, censuses: None)
+    certified = [k for k, result in zip(measured, results) if not isinstance(result, UncertifiedCensusError)]
+    assert (radii, certified) == (want_radii, want_certified)
+    for k, (f, g, R, report) in enumerate(zip(maps, copies, radii, reports)):
+        inside = {r: lo >= -r and hi <= r for r, (lo, hi) in ((r, _range_alone(g, r)) for r in dynamics._LADDER)}
+        assert report.strict_invariance == inside[1.0]
+        if radius is None:
+            first = next((r for r in dynamics._LADDER if inside[r]), None)
+            assert R == first
+            climbed = [r for r in dynamics._LADDER if first is None or r <= first]
+        else:
+            climbed = list(dict.fromkeys([1.0, radius]))
+        memo = dynamics._MEMO[f]
+        assert [r for kind, r in memo if kind == "range"] == climbed
+        assert [r for kind, r in memo if kind == "domain"] == ([float(R)] if k in certified else [])
+        for (kind, r), value in memo.items():
+            if kind == "range":
+                assert _hex(value) == _hex(_range_alone(g, r))
+            elif kind == "bounds":
+                assert _hex(value) == _hex(g.bounds(r))
+            else:
+                slope = float(np.abs(g.deriv_many(np.linspace(-r, r, 4097))).max())
+                assert _hex([value.D1]) == _hex([slope + value.D2 * (2.0 * r / 4096) / 2.0])
+                assert _hex(value[:7]) == _hex(census_module._domain(g, r)[:7])
+
+
+@pytest.mark.parametrize("gammas", [
+    [0.5, None, math.inf, 0.9, 2.0, 1e-3, 0.25],
+    [0.5, 0.0, 0.2, None],
+    [0.7, -0.1, 0.2],
+    [0.5, 0.25, math.nan, 0.1],
+])
+def test_the_running_fit_equals_fit_c_at_every_prefix(gammas):
+    """The running fit of a sample's censuses (experiment._refit), carried
+    on one period at a time or taken from scratch, equals fit_C of the
+    certified gamma_n at every prefix of the periods, bit for bit: None and
+    inf bind nothing, 0 and a negative gamma make C infinite for good, an
+    uncertified census (gamma 1e-9, at each even period) counts for
+    nothing, and a NaN gamma raises, as in fit_C."""
+    censuses = []
+    for n, g in enumerate(gammas):
+        censuses.append(SimpleNamespace(period=2 * n + 1, certified=True, gamma_n=g))
+        censuses.append(SimpleNamespace(period=2 * n + 2, certified=False, gamma_n=1e-9))
+    for delta in (0.0, 0.5, 1.0):
+        fit, raised = (0, 0.0), False
+        for m in range(len(censuses) + 1):
+            prefix = censuses[:m]
+            try:
+                want = fit_C(experiment._gammas(prefix), delta)
+            except InvalidInputError:
+                for start in (fit, (0, 0.0)):
+                    with pytest.raises(InvalidInputError, match="NaN"):
+                        experiment._refit(start, prefix, delta)
+                raised = True
+                break
+            fit = experiment._refit(fit, prefix, delta)
+            assert fit == experiment._refit((0, 0.0), prefix, delta) and fit[0] == m
+            assert _hex([fit[1]]) == _hex([want])
+        assert raised == any(g is not None and math.isnan(g) for g in gammas)
+        assert (fit[1] == math.inf) == any(g is not None and g <= 0 for g in gammas)
 
 
 def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):

@@ -113,6 +113,19 @@ def test_snap_array():
         snap(0.5, 0.0)
 
 
+@pytest.mark.parametrize("x, spacing", [(1e300, 1e-10), ([0.25, -1e300], 1e-10), (1.7976931348623157e308, 3.0)])
+def test_snap_refuses_a_point_with_no_float_lattice_point(x, spacing):
+    """|x| / spacing past the largest float (1e310), or a lattice point
+    that rounds past it (the largest float over 3, times 3), is refused
+    naming that quotient, with no overflow warning and no inf returned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"\|x\| / spacing"):
+            snap(x, spacing)
+        # a quotient below the largest float still snaps
+        assert snap([0.25, -1e290], 1e-10)[1] == pytest.approx(-1e290, rel=1e-15)
+
+
 def test_cells_per_axis():
     assert cells_per_axis(1.0, 0.1) == 21
     assert cells_per_axis(1.0, 0.5) == 5
