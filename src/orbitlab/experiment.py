@@ -21,9 +21,15 @@ raised by one term per new period (_refit), which is fit_C's C bit for
 bit.  C only grows as periods are added, so a stage that holds there
 holds at the final fit as well; any other runs again at the final fit.
 Each sample's report is the one find_periodic (gamma_n_of_map) and
-ih_check give it alone, bit for bit.  Only one stack's maps and their
-memos are alive at a time, and each memo holds its grid's orbit tube at
-one period, not at every period so far.
+ih_check give it alone, bit for bit.  In each process only one stack's
+maps and their memos are alive at a time, and each memo holds its grid's
+orbit tube at one period, not at every period so far.
+
+The samples are split into contiguous shares, one per usable CPU but no
+more than there are stacks: forked workers run all shares but the first,
+which this process runs, and send back their reports, which are joined in
+index order (run_experiment).  As each report is the sample's alone, the
+reports are byte-identical whatever the number of CPUs.
 
 Reports are written as NDJSON (one object per sample), a flat CSV table of
 census rows, and a JSON summary.  All floats are serialized via their
@@ -38,7 +44,10 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import statistics
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -50,7 +59,8 @@ from . import census, dynamics
 # for tools that trace an experiment
 from .census import GrowthParams, gamma_n_of_map, ih_check  # noqa: F401
 from .dynamics import PerturbedMap, PolynomialMap, certified_range_1d, invariant_radius  # noqa: F401
-from .errors import ConfigurationError, InvalidInputError, UncertifiedCensusError, _array, _period, _real
+from .errors import (ConfigurationError, InvalidInputError, OrbitLabError, UncertifiedCensusError, _array, _period,
+                     _real)
 from .perturbation import BrickSpec, sample as sample_perturbation
 
 __all__ = [
@@ -242,16 +252,17 @@ def _refit(fit: tuple, censuses: list, delta: float) -> tuple:
 # Consecutive samples whose censuses and ih_check stages run as one stack
 # (_census_stack): each round is one array pass for the whole stack, so
 # its per-call cost is paid once per stack, while only one stack's maps
-# and their memos are alive at a time.  Each map holds its grid's tube at
-# one period, and the stack's rounds hold arrays of all its maps' cells,
-# so memory still grows with the stack, about 120 KB a map.
-# The a9 run (50 samples, n_max 8) took 0.137 reference s at a peak of
-# 45.1 MB with stacks of 5 that kept every tube; keeping one, it takes
+# and their memos are alive at a time in each process.  Each map holds its
+# grid's tube at one period, and the stack's rounds hold arrays of all its
+# maps' cells, so memory still grows with the stack, about 120 KB a map.
+# Measured in one process, before the samples were shared out over the
+# CPUs: the a9 run (50 samples, n_max 8) took 0.137 reference s at a peak
+# of 45.1 MB with stacks of 5 that kept every tube; keeping one, it takes
 # 0.121, 0.117, 0.114, 0.112, 0.110, 0.110 and 0.105 s at stacks of 10,
 # 16, 20, 25, 32, 40 and 50, with a peak of 44.8, 45.3, 46.2, 46.4, 47.7,
 # 48.7 and 49.7 MB (one 8 s run each; 6 runs at 25, 11 at 5): 25 is the
-# largest of these within 2 MB of that peak, and a stack of 26 to 49
-# would still run the 50 samples as two stacks.
+# largest of these within 2 MB of that peak.  On 2 CPUs the 50 samples are
+# two shares of 25, one stack in each process.
 _STACK = 25
 
 
@@ -437,19 +448,97 @@ def _measure_stack(config: ExperimentConfig, base: PolynomialMap, brick, indices
     return reports
 
 
+def _workers(stacks: int) -> int:
+    """How many processes run an experiment of `stacks` stacks: one per
+    usable CPU, at most one per stack, and 1 (no fork) for one stack, where
+    there is no fork, and where this process runs other threads, which a
+    fork would not copy."""
+    if stacks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, stacks)
+
+
+def _measure_share(config: ExperimentConfig, base: PolynomialMap, brick, share: range) -> list:
+    """The reports of the samples `share`, in stacks of _STACK consecutive
+    indices (_measure_stack)."""
+    samples = []
+    for first in range(share.start, share.stop, _STACK):
+        samples += _measure_stack(config, base, brick, range(first, min(first + _STACK, share.stop)))
+    return samples
+
+
+def _pickled_share(*share) -> bytes:
+    """What a worker sends back: the pickled (True, reports of its share),
+    or (False, the exception that stopped it), one that survives pickling."""
+    try:
+        return pickle.dumps((True, _measure_share(*share)))
+    except BaseException as err:
+        try:
+            return pickle.dumps((False, pickle.loads(pickle.dumps(err))))
+        except Exception:  # an exception that does not pickle
+            return pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full sampling experiment described by `config`: the samples
-    in stacks of _STACK consecutive indices (_measure_stack), each sample's
-    report equal to the one it gets alone."""
+    """Run the full sampling experiment described by `config`.  The sample
+    indices are split into W contiguous shares, as equal as possible, W
+    being the usable CPUs but at most the number of stacks of _STACK
+    (_workers).  W - 1 forked workers run a share each and this process the
+    first; each share runs in stacks of _STACK consecutive indices
+    (_measure_stack), and the shares' reports are joined in index order.
+    Each sample's report equals the one it gets alone, so the result is
+    the same, byte for byte, whatever W is.  A worker's exception is raised
+    here with its type and message, a worker that ends without its reports
+    raises OrbitLabError naming its exit code, and on any error or
+    interrupt every worker is killed and reaped."""
     base = base_map_from_spec(config.map)
     brick = config.brick_spec()
     if brick is None and not config.force_zero_eps:
         # nothing to sample: one deterministic unperturbed sample
         config = replace(config, force_zero_eps=True)
 
-    samples = []
-    for first in range(0, config.num_samples, _STACK):
-        samples += _measure_stack(config, base, brick, range(first, min(first + _STACK, config.num_samples)))
+    num = config.num_samples
+    W = _workers(-(-num // _STACK))
+    cuts = [num * w // W for w in range(W + 1)]
+    workers = []  # [pid, or None before the fork and once reaped; the read end of its pipe]
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            workers.append([None, r])
+            try:
+                pid = os.fork()
+                if pid == 0:  # a worker: it writes its share's reports and ends, whatever happens
+                    code = 1
+                    try:
+                        for _, fd in workers:
+                            os.close(fd)
+                        with open(w, "wb", closefd=False) as out:
+                            out.write(_pickled_share(config, base, brick, range(a, b)))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                workers[-1][0] = pid
+            finally:
+                os.close(w)  # so that the read end sees the end of the file when the worker ends
+        samples = _measure_share(config, base, brick, range(0, cuts[1]))
+        for worker in workers:
+            with open(worker[1], "rb", closefd=False) as pipe:
+                sent = pipe.read()  # before the worker is reaped: its reports can fill the pipe
+            code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+            worker[0] = None
+            if code != 0:
+                raise OrbitLabError(f"an experiment worker ended with exit code {code} before sending its reports")
+            ok, got = pickle.loads(sent)
+            if not ok:
+                raise got
+            samples += got
+    finally:
+        for pid, r in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
     return ExperimentResult(config=config, samples=samples)
 
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import signal
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +19,10 @@ from orbitlab import (
     ExperimentResult,
     GrowthParams,
     InvalidInputError,
+    OrbitLabError,
     PerturbedMap,
     RootProductPerturbation,
+    SampleReport,
     UncertifiedCensusError,
     base_map_from_spec,
     emit_reports,
@@ -417,9 +423,17 @@ def _assert_measured_alone(config: ExperimentConfig, result: ExperimentResult):
         assert (s.ih_status, s.ih_pass) == (report.status, passed)
 
 
+def _serial(monkeypatch):
+    """Run experiments in this process alone (one share, no worker), so
+    that what a test records of their internals covers every sample."""
+    monkeypatch.setattr(experiment, "_workers", lambda stacks: 1)
+
+
 def _reruns(monkeypatch) -> list:
-    """The list, filled as the experiment runs, of each _ih_stages call:
-    its stack size and the stage each map starts from."""
+    """The list, filled as the experiment runs in this process alone, of
+    each _ih_stages call: its stack size and the stage each map starts
+    from."""
+    _serial(monkeypatch)
     calls, stages = [], census_module._ih_stages
 
     def recorded(S, params, n_max, max_evals, first=None):
@@ -668,8 +682,10 @@ def test_the_running_fit_equals_fit_c_at_every_prefix(gammas):
 
 def test_the_memo_holds_one_stack_of_samples_at_a_time(monkeypatch):
     """Each stack's maps, and their memos, go before the next stack is
-    drawn: at every stacked census of a 2 _STACK + 2 sample experiment the
-    memo holds at most _STACK sample maps, the maps of one stack."""
+    drawn: at every stacked census of a 2 _STACK + 2 sample experiment,
+    run in this process alone, the memo holds at most _STACK sample maps,
+    the maps of one stack."""
+    _serial(monkeypatch)
     held = []
     census = census_module._census
 
@@ -688,6 +704,7 @@ def test_each_sample_holds_one_grid_tube_at_a_time(monkeypatch):
     """At every stacked census and ih_check stage of an experiment through
     n_max 6, each sample map's domain holds the grid tube of one period, the
     census's, where find_periodic would keep one per period so far."""
+    _serial(monkeypatch)
     held = []
 
     def probed(name):
@@ -705,3 +722,149 @@ def test_each_sample_holds_one_grid_tube_at_a_time(monkeypatch):
     config = ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=4, master_seed=42, n_max=6)
     assert [s.ih_pass for s in run_experiment(config).samples] == [6] * 4
     assert held == [1] * 12
+
+
+# -- workers: the samples shared out over forked processes ---------------------------
+
+
+REPORTS = ("samples.ndjson", "table.csv", "summary.json")
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test that leaves a child process behind, running or not
+    yet reaped (a zombie)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _a9(num_samples: int, n_max: int = 3) -> ExperimentConfig:
+    return ExperimentConfig(map="quadratic", brick=A9_BRICK, num_samples=num_samples, master_seed=42,
+                            n_max=n_max, deltas=[1.0])
+
+
+def _run_on(monkeypatch, W: int) -> list:
+    """Runs experiments in W processes from here on; the list, filled as
+    they run, has one entry for each worker this process forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(W)
+        return fork()
+
+    monkeypatch.setattr(experiment, "_workers", lambda stacks: W)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_the_worker_count(monkeypatch):
+    """One process per usable CPU, at most one per stack; one where there
+    is no fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert [experiment._workers(k) for k in (1, 2, 3, 100)] == [1] + [min(cpus, k) for k in (2, 3, 100)]
+    monkeypatch.delattr(os, "fork")
+    assert experiment._workers(100) == 1
+
+
+@pytest.mark.parametrize("num, W", [(experiment._STACK + 4, 2), (2 * experiment._STACK + 3, 2),
+                                    (2 * experiment._STACK + 3, 3)])
+def test_workers_write_the_serial_reports_byte_for_byte(tmp_path, monkeypatch, reaped, num, W):
+    """Split over W processes, in uneven shares (at _STACK = 25, 29 samples
+    as 14 and 15, 53 as 26 and 27 or 17, 18 and 18), the a9 samples give the reports of
+    the run in one process, byte for byte."""
+    reports = {}
+    for w in (1, W):
+        forks = _run_on(monkeypatch, w)
+        emit_reports(run_experiment(_a9(num)), str(tmp_path / str(w)))
+        assert len(forks) == w - 1
+        reports[w] = [(tmp_path / str(w) / name).read_bytes() for name in REPORTS]
+    assert reports[W] == reports[1]
+
+
+def test_reports_larger_than_a_pipe_come_back_whole(monkeypatch, reaped):
+    """A worker's share can send more than a pipe holds (64 KB on Linux):
+    this process reads it all before it reaps the worker."""
+    def measured(config, base, brick, share):
+        return [SampleReport(index=i, seed=(0, i), rows=[(n, n, 1.0 / n, True) for n in range(1, 2000)])
+                for i in share]
+
+    def stuck(*args):
+        raise TimeoutError("the worker and this process wait on each other")
+
+    monkeypatch.setattr(experiment, "_measure_share", measured)
+    _run_on(monkeypatch, 2)
+    handler = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        result = run_experiment(_a9(2 * experiment._STACK))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [s.to_record() for s in result.samples] == [s.to_record() for s in measured(None, None, None, range(50))]
+
+
+def _in_workers(monkeypatch, act):
+    """Makes every worker's share call act(share) in place of measuring
+    it; this process measures its own share."""
+    parent, measure = os.getpid(), experiment._measure_share
+
+    def measured(config, base, brick, share):
+        if os.getpid() != parent:
+            return act(share)
+        return measure(config, base, brick, share)
+
+    monkeypatch.setattr(experiment, "_measure_share", measured)
+    _run_on(monkeypatch, 2)
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, reaped):
+    def refuse(share):
+        raise ConfigurationError(f"share {share.start}-{share.stop} refused")
+
+    _in_workers(monkeypatch, refuse)
+    num = 2 * experiment._STACK + 3
+    with pytest.raises(ConfigurationError, match=f"^share {num // 2}-{num} refused$"):
+        run_experiment(_a9(num))
+
+
+def test_a_worker_that_dies_names_its_exit_code(monkeypatch, reaped):
+    _in_workers(monkeypatch, lambda share: os._exit(3))
+    with pytest.raises(OrbitLabError, match="exit code 3 before sending its reports"):
+        run_experiment(_a9(2 * experiment._STACK))
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch, reaped):
+    """A KeyboardInterrupt in this process's share, while the worker still
+    runs its own (a minute's sleep), reaches the caller at once, and the
+    worker goes with it."""
+    def interrupted(config, base, brick, share):
+        if share.start:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment, "_measure_share", interrupted)
+    _run_on(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_a9(2 * experiment._STACK))
+    assert time.monotonic() - start < 30
+
+
+def test_no_fork_beside_another_thread(monkeypatch, reaped):
+    """With a second thread running, which a fork would not copy, an
+    experiment of three stacks runs in this process alone."""
+    def refused():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", refused)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert experiment._workers(3) == 1
+        result = run_experiment(_a9(2 * experiment._STACK + 3, n_max=1))
+    finally:
+        done.set()
+        other.join()
+    assert [s.index for s in result.samples] == list(range(2 * experiment._STACK + 3))
