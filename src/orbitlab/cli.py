@@ -205,10 +205,21 @@ def _cmd_grid(args) -> int:
     return 0 if not census.partial else 1
 
 
+def _unwritable(err: OSError, out: str) -> OrbitLabError:
+    return OrbitLabError(f"cannot write reports to {err.filename or out}: {err.strerror or err}")
+
+
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    try:  # before any sample runs
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        raise _unwritable(err, args.out) from None
     result = run_experiment(config)
-    summary = emit_reports(result, args.out)
+    try:
+        summary = emit_reports(result, args.out)
+    except OSError as err:
+        raise _unwritable(err, args.out) from None
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0 if result.num_aborted == 0 else 1
 

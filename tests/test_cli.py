@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import orbitlab
+from orbitlab import cli
 from orbitlab.cli import main
 
 
@@ -207,6 +208,34 @@ def test_experiment_refuses_a_malformed_config_with_one_error_line(tmp_path, cap
         path.write_text(text)
     assert words in _refused(capsys, ["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def _a9_one(tmp_path) -> str:
+    path = tmp_path / "a9_one.json"
+    path.write_text(json.dumps({"map": "quadratic", "num_samples": 1, "n_max": 3,
+                                "brick": {"family": "factorial", "tau": 0.01, "truncation_degree": 8}}))
+    return str(path)
+
+
+def test_experiment_refuses_an_out_that_is_a_file_before_any_sample(tmp_path, capsys, monkeypatch):
+    """--out naming a regular file is one `error:` line naming it, exit
+    code 1, with no traceback and no sample run."""
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
+    out = tmp_path / "reports"
+    out.write_text("not a directory\n")
+    err = _refused(capsys, ["experiment", "--config", _a9_one(tmp_path), "--out", str(out)])
+    assert str(out) in err
+    assert runs == [] and out.read_text() == "not a directory\n"
+
+
+def test_experiment_refuses_a_report_it_cannot_write(tmp_path, capsys):
+    """A directory where a report belongs is one `error:` line naming that
+    report, exit code 1, with no traceback."""
+    out = tmp_path / "reports"
+    (out / "samples.ndjson").mkdir(parents=True)
+    err = _refused(capsys, ["experiment", "--config", _a9_one(tmp_path), "--out", str(out)])
+    assert str(out / "samples.ndjson") in err
 
 
 _COLD_START = """

@@ -375,6 +375,31 @@ def test_summary_is_order_independent(tmp_path):
     assert s1 == s2
 
 
+_REPORTS = ("samples.ndjson", "table.csv", "summary.json")
+
+
+def test_a_rerun_replaces_the_reports_with_new_files(tmp_path):
+    """Reports written into a directory that holds older ones equal a fresh
+    directory's, byte for byte.  Each is a new file, not the old one
+    truncated in place: a hard link to an old report keeps the old bytes.
+    A file that is not a report is left alone."""
+    result = run_experiment(_a9(2))
+    emit_reports(result, str(tmp_path / "fresh"))
+    out = tmp_path / "out"
+    emit_reports(run_experiment(_a9(1)), str(out))
+    old = {name: (out / name).read_bytes() for name in _REPORTS}
+    for name in _REPORTS:
+        os.link(out / name, tmp_path / f"old-{name}")
+    (out / "notes.txt").write_text("mine\n")
+
+    emit_reports(result, str(out))
+    for name in _REPORTS:
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes() != old[name]
+        assert (tmp_path / f"old-{name}").read_bytes() == old[name]
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert sorted(os.listdir(out)) == sorted(_REPORTS + ("notes.txt",))
+
+
 # -- stacks of samples ---------------------------------------------------------------
 
 
